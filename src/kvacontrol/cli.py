@@ -17,7 +17,7 @@ from . import metrics as mt
 from . import priors as pr
 from . import routing as rt
 from . import scheduler as sched
-from .errors import KvaControlError
+from .errors import KvaControlError, ParseError, ShapeMismatch
 from .formats import (
     Config,
     atomic_write_text,
@@ -318,6 +318,10 @@ def cmd_eval(cfg: Config, pred_dir: str, target_dir: str, out: str):
     if len(pred) != len(target):
         raise KvaControlError(
             f"{len(pred)} predicted frames vs {len(target)} target frames")
+    for t, (p, q) in enumerate(zip(pred, target), start=1):
+        if p.labels.shape != q.labels.shape:
+            raise ShapeMismatch(f"frame {t}: predicted mask {p.labels.shape} "
+                                f"vs target mask {q.labels.shape}")
     report = mt.evaluate_sequence(pred, target)
     rows = []
     for t in range(len(pred)):
@@ -370,18 +374,25 @@ def build_parser():
     return p
 
 
+def _parse_resolution(text):
+    try:
+        h, w = text.lower().split("x")
+        return int(h), int(w)
+    except ValueError as exc:
+        raise ParseError(f"--resolution must be HxW, got {text!r}") from exc
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     overrides = {}
-    if args.resolution:
-        h, w = args.resolution.lower().split("x")
-        overrides["resolution"] = (int(h), int(w))
     if args.command == "synth":
         if args.kind:
             overrides["trajectory_kind"] = args.kind
         if args.frames:
             overrides["frames"] = args.frames
     try:
+        if args.resolution:
+            overrides["resolution"] = _parse_resolution(args.resolution)
         cfg = load_config(args.config, overrides)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "synth":

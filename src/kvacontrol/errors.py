@@ -45,6 +45,10 @@ class InconsistentPlan(KvaControlError):
     pass
 
 
+class LabelOutOfRange(KvaControlError, ValueError):
+    pass
+
+
 class ParseError(KvaControlError):
     def __init__(self, message, line=None):
         if line is not None:

@@ -9,7 +9,7 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,11 +187,15 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
+        if not data[start:pos].isdigit():
+            raise ParseError(f"bad graymap header field {data[start:pos]!r}")
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval > 255:
         raise ParseError("only 8-bit graymaps supported")
+    if w == 0 or h == 0:
+        raise ParseError("graymap has no pixels")
     pixels = data[pos:pos + w * h]
     if len(pixels) < w * h:
         raise TruncatedFile("pixel data truncated")

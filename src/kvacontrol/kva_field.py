@@ -79,55 +79,6 @@ class ChannelStats:
         object.__setattr__(self, "std", std)
 
 
-def _pixel_ray(cam: CameraModel, u, v):
-    """Direction through pixel center with dz = 1, so the ray parameter is depth."""
-    return np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
-
-
-def ray_capsule_depth(d, a, b, radius, z_near):
-    """Smallest depth at which the ray t*d (dz=1, t>z_near) hits the capsule.
-
-    Returns None on a miss. Origin is the camera center.
-    """
-    s = b - a
-    L = np.linalg.norm(s)
-    axis = s / L
-    m = -a  # origin minus a
-
-    hits = []
-
-    # infinite cylinder around the axis
-    dd = d - np.dot(d, axis) * axis
-    mm = m - np.dot(m, axis) * axis
-    qa = np.dot(dd, dd)
-    qb = 2.0 * np.dot(dd, mm)
-    qc = np.dot(mm, mm) - radius * radius
-    if qa > 1e-16:
-        disc = qb * qb - 4 * qa * qc
-        if disc >= 0:
-            sq = np.sqrt(disc)
-            for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
-                if t > z_near:
-                    w = np.dot(m + t * d, axis)
-                    if 0.0 <= w <= L:
-                        hits.append(t)
-
-    # spherical caps
-    for center in (a, b):
-        mc = -center
-        sb = 2.0 * np.dot(d, mc)
-        sc = np.dot(mc, mc) - radius * radius
-        sa = np.dot(d, d)
-        disc = sb * sb - 4 * sa * sc
-        if disc >= 0:
-            sq = np.sqrt(disc)
-            for t in ((-sb - sq) / (2 * sa), (-sb + sq) / (2 * sa)):
-                if t > z_near:
-                    hits.append(t)
-
-    return min(hits) if hits else None
-
-
 def _ray_capsule_depths(D, a, b, radius, z_near):
     """Vectorized smallest hit depth per ray; inf on a miss.
 

@@ -1,7 +1,8 @@
 """Mask-based action-faithfulness metrics.
 
-Exact Euclidean distance transform (two-pass lower-envelope-of-parabolas on
-squared distances), symmetric Chamfer distance, temporal IoU, area flicker,
+Exact Euclidean distance transform (a row pass, then a column pass that folds
+in rows at growing offsets until no farther row can be nearer), symmetric
+Chamfer distance on the masks' joint bounding box, temporal IoU, area flicker,
 Dice, and the per-sequence aggregation rules. Also renders fixed-width action
 tubes from projected tool skeletons for use as ground-truth masks.
 """
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import LabelOutOfRange
 from .kinematics import (
     PART_NAMES,
     PART_SEMANTIC_CLASS,
@@ -22,32 +24,6 @@ from .kinematics import (
 )
 
 INF = 1e18
-
-
-def _edt_1d(f: np.ndarray) -> np.ndarray:
-    """1-D squared-distance transform of a sampled function (lower envelope)."""
-    n = f.size
-    d = np.empty(n)
-    v = np.zeros(n, dtype=int)
-    z = np.empty(n + 1)
-    k = 0
-    z[0] = -INF
-    z[1] = INF
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = INF
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
 
 
 def _row_pass(mask: np.ndarray) -> np.ndarray:
@@ -68,10 +44,13 @@ def _row_pass(mask: np.ndarray) -> np.ndarray:
 def distance_transform(mask: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance to the nearest foreground pixel.
 
-    Two passes: in-row squared distances, then the per-column lower envelope
-    of parabolas rooted at those values. The column pass evaluates the full
-    parabola minimum vectorized over columns for small heights and falls back
-    to the sequential envelope otherwise; both are exact.
+    Two passes on squared distances. The row pass gives g, the squared
+    distance to the nearest foreground pixel in the same row. The column
+    pass computes d2[i] = min_j g[j] + (i - j)^2 by folding in g shifted by
+    +-k rows plus k^2 for k = 1, 2, ... It stops once k^2 >= max(d2): every
+    candidate from k rows away or more is at least k^2, so none can lower
+    any pixel. All values are integer squared distances, so the result is
+    the exact sqrt of the true squared distance.
 
     Empty masks yield all-inf (callers treat that as the empty-mask sentinel).
     """
@@ -79,14 +58,13 @@ def distance_transform(mask: np.ndarray) -> np.ndarray:
     if not mask.any():
         return np.full(mask.shape, np.inf)
     g = _row_pass(mask)
+    d2 = g.copy()
     h = g.shape[0]
-    if h <= 128:
-        i = np.arange(h, dtype=float)
-        d2 = ((i[:, None, None] - i[None, :, None]) ** 2 + g[None]).min(axis=1)
-    else:
-        d2 = np.empty_like(g)
-        for j in range(g.shape[1]):
-            d2[:, j] = _edt_1d(g[:, j])
+    k = 1
+    while k < h and k * k < d2.max():
+        np.minimum(d2[k:], g[:-k] + k * k, out=d2[k:])
+        np.minimum(d2[:-k], g[k:] + k * k, out=d2[:-k])
+        k += 1
     return np.sqrt(d2)
 
 
@@ -99,6 +77,12 @@ def chamfer(P: np.ndarray, T: np.ndarray):
     T = np.asarray(T).astype(bool)
     if not P.any() or not T.any():
         return float("nan"), False
+    # every pixel of P and T lies inside the crop, so distances are unchanged
+    union = P | T
+    rows = np.flatnonzero(union.any(axis=1))
+    cols = np.flatnonzero(union.any(axis=0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    P, T = P[box], T[box]
     d_to_T = distance_transform(T)
     d_to_P = distance_transform(P)
     cd = 0.5 * (d_to_T[P].mean() + d_to_P[T].mean())
@@ -141,7 +125,7 @@ class MaskFrame:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
         if labels.min() < 0 or labels.max() > 3:
-            raise ValueError("labels must be in {0, 1, 2, 3}")
+            raise LabelOutOfRange("mask labels must be in {0, 1, 2, 3}")
         self.labels = labels
 
     @property

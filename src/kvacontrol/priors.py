@@ -10,12 +10,12 @@ there is no general autodiff here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptyProbs, NonFiniteGradient, ShapeMismatch
-from .kva_field import MODALITY_CHANNELS, MODALITIES, KvaField
+from .kva_field import MODALITY_CHANNELS, KvaField
 from .routing import N_EXPERTS, N_SUB, RoutingDecision, avg_pool, softmax
 
 

@@ -11,7 +11,7 @@ routing semantics matter here, not feature capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

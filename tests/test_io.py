@@ -190,6 +190,15 @@ class TestPgm:
         with pytest.raises(TruncatedFile):
             fm.read_pgm(path)
 
+    @pytest.mark.parametrize("data", [
+        b"P5\nxx 4\n255\n", b"P5\n-1 4\n255\nab", b"P5\n0 4\n255\n", b"P5\n",
+    ], ids=["non-numeric", "negative", "zero-width", "no-fields"])
+    def test_bad_header_field(self, tmp_path, data):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            fm.read_pgm(path)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -257,6 +266,12 @@ def _tree_bytes(root):
             p = os.path.join(dirpath, name)
             out[os.path.relpath(p, root)] = open(p, "rb").read()
     return out
+
+
+def _pgm_bytes(h, w, label=1):
+    labels = np.zeros((h, w), dtype=np.uint8)
+    labels[h // 4:h // 2, w // 4:w // 2] = label
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + labels.tobytes()
 
 
 class TestCli:
@@ -345,6 +360,30 @@ class TestCli:
                          "--traj", str(bad)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pred,target", [
+        (_pgm_bytes(64, 64), _pgm_bytes(256, 256)),
+        (b"P5\nxx 4\n255\n", _pgm_bytes(4, 4)),
+        (_pgm_bytes(8, 8, label=5), _pgm_bytes(8, 8)),
+    ], ids=["size-mismatch", "pgm-header", "label-out-of-range"])
+    def test_eval_bad_masks_clean_error(self, tmp_path, capsys, pred, target):
+        for name, data in (("pred", pred), ("target", target)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "frame_0001.pgm").write_bytes(data)
+        code = cli.main(["--out", str(tmp_path / "o"), "eval",
+                         "--pred", str(tmp_path / "pred"),
+                         "--target", str(tmp_path / "target")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("resolution", ["64", "ax64"])
+    def test_bad_resolution_clean_error(self, tmp_path, capsys, resolution):
+        code = cli.main(["--out", str(tmp_path), "--resolution", resolution,
+                         "synth", "--frames", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -41,10 +41,16 @@ class TestDistanceTransform:
         d = mt.distance_transform(np.ones((5, 5), dtype=bool))
         np.testing.assert_array_equal(d, 0.0)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_brute_force_exactly(self, seed):
+    @pytest.mark.parametrize("seed,shape,density", [
+        *((s, (17, 23), 0.08) for s in range(8)),
+        (8, (129, 7), 0.08),
+        (9, (200, 31), 0.08),
+        # a lone corner pixel: the column pass folds in the most row offsets
+        (10, (300, 5), 0.0),
+    ], ids=[*map(str, range(8)), "129x7", "200x31", "300x5-corner"])
+    def test_matches_brute_force_exactly(self, seed, shape, density):
         rng = np.random.default_rng(seed)
-        mask = rng.random((17, 23)) < 0.08
+        mask = rng.random(shape) < density
         if not mask.any():
             mask[0, 0] = True
         d = mt.distance_transform(mask)
@@ -89,19 +95,28 @@ class TestChamfer:
         value, valid = mt.chamfer(A, B)
         assert valid and value == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_all_pairs_oracle(self, seed):
+    @pytest.mark.parametrize("seed,frame,a_at,b_at", [
+        *((s, (14, 11), (0, 0), (0, 0)) for s in range(6)),
+        # far apart inside a larger frame, so chamfer works on a crop
+        (6, (90, 120), (5, 3), (70, 100)),
+    ], ids=[*map(str, range(6)), "far-apart"])
+    def test_matches_all_pairs_oracle(self, seed, frame, a_at, b_at):
         rng = np.random.default_rng(seed)
-        A = rng.random((14, 11)) < 0.15
-        B = rng.random((14, 11)) < 0.15
-        A[0, 0] = B[1, 1] = True
+        A = np.zeros(frame, dtype=bool)
+        B = np.zeros(frame, dtype=bool)
+        (ai, aj), (bi, bj) = a_at, b_at
+        A[ai:ai + 14, aj:aj + 11] = rng.random((14, 11)) < 0.15
+        B[bi:bi + 14, bj:bj + 11] = rng.random((14, 11)) < 0.15
+        A[ai, aj] = B[bi + 1, bj + 1] = True
         pa = np.argwhere(A).astype(float)
         pb = np.argwhere(B).astype(float)
         d_ab = np.sqrt(((pa[:, None] - pb[None]) ** 2).sum(-1))
         expected = 0.5 * (d_ab.min(axis=1).mean() + d_ab.min(axis=0).mean())
         value, valid = mt.chamfer(A, B)
         assert valid
-        assert value == pytest.approx(expected, abs=1e-9)
+        # exact: the same integer squared distances, averaged in the same
+        # row-major order over the uncropped frame
+        assert value == expected
 
     def test_translation_grows_distance(self):
         base = np.zeros((30, 30), dtype=bool)
