@@ -126,7 +126,6 @@ def _routing_run(cfg: Config, seed: int, traj_path: str):
         norm = kvf.normalize(f, stats)
         ctrl, decision = rt.route_forward(norm, params, cfg.progress, t_embed,
                                           sched=schedule)
-        pooled = rt.avg_pool(f.channels, cfg.stride)
         e_motion = raw_motion[f.t] / peak if peak > 0 else raw_motion[f.t]
         m_tool = rt.avg_pool(kvf.tool_mask(f), cfg.stride)
         c_route = decision.fusion_w.max(axis=-1)

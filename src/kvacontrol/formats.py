@@ -233,19 +233,41 @@ class Config:
     timestep: float = 0.5
 
 
+def _matches(value, default) -> bool:
+    """Whether a config value has the type of the field's default; a float
+    field also takes an int. No field is a bool, so none takes one."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(_matches(v, d) for v, d in zip(value, default)))
+    return isinstance(value, type(default))
+
+
 def load_config(path=None, overrides=None) -> Config:
     cfg = Config()
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
+            try:
+                data = json.load(f)
+            except ValueError as exc:
+                raise ParseError(f"config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParseError(f"config {path}: expected a JSON object")
     data.update(overrides or {})
     known = {f.name for f in dataclasses.fields(Config)}
     unknown = set(data) - known
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
-        if isinstance(getattr(cfg, key), tuple):
+        default = getattr(cfg, key)
+        if not _matches(value, default):
+            raise ParseError(f"config field {key!r}: expected a value like "
+                             f"{default!r}, got {value!r}")
+        if isinstance(default, tuple):
             value = tuple(value)
         setattr(cfg, key, value)
     return cfg

@@ -5,6 +5,14 @@ Semantic channels are binary, depth is camera depth at the front-most part,
 rho is the projected long-axis angle of the visible part (normalized by pi),
 v is the per-part projected centroid velocity (u, v, z), alpha the magnitude
 of its temporal change.
+
+`lift_trajectory` lifts a trajectory in one pass: forward kinematics once per
+frame, the capsule midpoints projected once into a (T, 4, 3) centroid track
+from which v and alpha are differenced, and every per-part constant painted
+through a lookup table indexed by the rasterized part labels. The rasterizer
+ray-tests each capsule only inside its screen box, the bounding box of its
+3-D box's projected corners, which holds every pixel whose ray can hit it
+(see `rasterize_parts`), so its cost scales with the tool's pixel area.
 """
 
 from __future__ import annotations
@@ -17,13 +25,11 @@ from .errors import EmptyCorpus, ShapeMismatch
 from .kinematics import (
     PART_NAMES,
     PART_SEMANTIC_CLASS,
-    BehindCamera,
     CameraModel,
     PartPoses,
     ToolGeometry,
     Trajectory,
     forward_kinematics,
-    project_point,
 )
 
 N_CHANNELS = 9
@@ -126,29 +132,79 @@ def _ray_capsule_depths(D, a, b, radius, z_near):
     return best
 
 
-def rasterize_parts(poses: PartPoses, cam: CameraModel):
-    """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth."""
+def _pixel_rays(cam: CameraModel, rows: slice, cols: slice):
+    """(N, 3) ray directions, dz = 1, of the pixels in rows x cols, row-major."""
+    jj, ii = np.meshgrid(np.arange(cols.start, cols.stop, dtype=float),
+                         np.arange(rows.start, rows.stop, dtype=float))
+    return np.stack([(jj - cam.cx) / cam.fx, (ii - cam.cy) / cam.fy,
+                     np.ones_like(jj)], axis=-1).reshape(-1, 3)
+
+
+def _screen_box(a, b, radius, cam: CameraModel):
+    """Pixel rows and columns whose rays can hit the capsule (a, b, radius).
+
+    The box spans the projected corners of the capsule's axis-aligned 3-D box,
+    padded by one pixel against rounding and clipped to the frame; it may be
+    empty. When any of the capsule lies at or behind z_near, it is the whole
+    frame."""
     h, w = cam.height, cam.width
-    jj, ii = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    D = np.stack([(jj - cam.cx) / cam.fx, (ii - cam.cy) / cam.fy,
-                  np.ones_like(jj)], axis=-1).reshape(-1, 3)
-    depths = np.stack([
-        _ray_capsule_depths(D, *poses.endpoints[part], poses.radii[part], cam.z_near)
-        for part in PART_NAMES])
-    best = depths.min(axis=0)
-    labels = np.where(np.isfinite(best), depths.argmin(axis=0), -1)
-    depth = np.where(np.isfinite(best), best, 0.0)
-    return labels.reshape(h, w), depth.reshape(h, w)
+    lo = np.minimum(a, b) - radius
+    hi = np.maximum(a, b) + radius
+    if lo[2] <= cam.z_near:
+        return slice(0, h), slice(0, w)
+    x, y, z = (np.array([lo[k], hi[k]]) for k in range(3))
+    u = cam.fx * x[:, None] / z + cam.cx
+    v = cam.fy * y[:, None] / z + cam.cy
+    i0 = min(max(int(np.floor(v.min())) - 1, 0), h)
+    j0 = min(max(int(np.floor(u.min())) - 1, 0), w)
+    i1 = max(min(int(np.ceil(v.max())) + 2, h), i0)
+    j1 = max(min(int(np.ceil(u.max())) + 2, w), j0)
+    return slice(i0, i1), slice(j0, j1)
+
+
+def rasterize_parts(poses: PartPoses, cam: CameraModel):
+    """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth.
+
+    Each capsule's rays are tested only inside its screen box (`_screen_box`).
+    The cull is exact: every finite hit is a point on the capsule, hence in
+    its axis-aligned 3-D box, and with all of that box in front of the camera
+    perspective projection maps it to the convex polygon spanned by its
+    projected corners. A pixel whose ray hits lies on that polygon, so inside
+    the corners' bounding box."""
+    h, w = cam.height, cam.width
+    labels = np.full((h, w), -1)
+    best = np.full((h, w), np.inf)
+    for k, part in enumerate(PART_NAMES):
+        a, b = poses.endpoints[part]
+        box = _screen_box(a, b, poses.radii[part], cam)
+        D = _pixel_rays(cam, *box)
+        if not len(D):
+            continue
+        near = best[box]
+        depth = _ray_capsule_depths(D, a, b, poses.radii[part],
+                                    cam.z_near).reshape(near.shape)
+        # strictly nearer only: ties keep the earlier part, as argmin would
+        nearer = depth < near
+        near[nearer] = depth[nearer]
+        labels[box][nearer] = k
+    return labels, np.where(np.isfinite(best), best, 0.0)
+
+
+# semantic one-hot row per part index
+_PART_SEMANTICS = np.eye(3)[[PART_SEMANTIC_CLASS[part] for part in PART_NAMES]]
+
+
+def _paint(labels, per_part):
+    """Paint a (4, ...) per-part table on part labels; label -1 paints 0."""
+    per_part = np.asarray(per_part, dtype=float)
+    table = np.concatenate([per_part, np.zeros((1,) + per_part.shape[1:])])
+    return np.take(table, labels, axis=0)
 
 
 def rasterize(poses: PartPoses, cam: CameraModel):
     """Binary semantic channels (shaft/wrist/gripper) + front-most depth."""
     labels, depth = rasterize_parts(poses, cam)
-    s = np.zeros((cam.height, cam.width, 3), dtype=float)
-    for pi, part in enumerate(PART_NAMES):
-        cls = PART_SEMANTIC_CLASS[part]
-        s[..., cls][labels == pi] = 1.0
-    return s, depth
+    return _paint(labels, _PART_SEMANTICS), depth
 
 
 def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
@@ -170,80 +226,60 @@ def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
     return float(np.arctan2(dv, du) / np.pi)
 
 
-def rotation_channel(poses: PartPoses, s: np.ndarray, cam: CameraModel,
-                     labels=None) -> np.ndarray:
+def rotation_channel(poses: PartPoses, cam: CameraModel, labels=None) -> np.ndarray:
     """Per-pixel orientation descriptor on the tool mask, 0 elsewhere."""
     if labels is None:
         labels, _ = rasterize_parts(poses, cam)
-    rho = np.zeros((cam.height, cam.width), dtype=float)
-    for pi, part in enumerate(PART_NAMES):
-        mask = labels == pi
-        if mask.any():
-            rho[mask] = part_axis_angle(poses, cam, part)
-    return rho
+    return _paint(labels, [part_axis_angle(poses, cam, part) for part in PART_NAMES])
 
 
-def part_centroid_track(traj: Trajectory, geom: ToolGeometry, cam: CameraModel,
-                        part: str, t: int):
-    """(u, v, depth) of the part's capsule midpoint at frame t, or None."""
-    poses = forward_kinematics(traj.states[t], geom)
-    a, b = poses.endpoints[part]
-    mid = 0.5 * (a + b)
-    try:
-        return np.array(project_point(cam, mid))
-    except BehindCamera:
-        return None
+def _part_motion(poses, cam: CameraModel, dt: float):
+    """Per-frame, per-part projected centroid velocity (T, 4, 3) and
+    acceleration magnitude (T, 4) of a posed trajectory.
 
-
-def _part_velocity(traj, geom, cam, part, t):
-    if t < 1:
-        return np.zeros(3)
-    phi_t = part_centroid_track(traj, geom, cam, part, t)
-    phi_p = part_centroid_track(traj, geom, cam, part, t - 1)
-    if phi_t is None or phi_p is None:
-        return np.zeros(3)
-    return (phi_t - phi_p) / traj.dt
-
-
-def motion_channels(traj: Trajectory, geom: ToolGeometry, cam: CameraModel,
-                    t: int, labels=None):
-    """Projected centroid velocity (3ch) and acceleration magnitude painted on
-    the frame-t tool mask. v = 0 at frame 0, alpha = 0 before frame 2."""
-    if labels is None:
-        poses = forward_kinematics(traj.states[t], geom)
-        labels, _ = rasterize_parts(poses, cam)
-    v = np.zeros((cam.height, cam.width, 3), dtype=float)
-    alpha = np.zeros((cam.height, cam.width), dtype=float)
-    for pi, part in enumerate(PART_NAMES):
-        mask = labels == pi
-        if not mask.any():
-            continue
-        v_t = _part_velocity(traj, geom, cam, part, t)
-        v[mask] = v_t
-        if t >= 2:
-            v_p = _part_velocity(traj, geom, cam, part, t - 1)
-            alpha[mask] = np.linalg.norm(v_t - v_p) / traj.dt
+    The centroid is the capsule midpoint projected to (u, v, depth). v = 0 at
+    frame 0 and where the midpoint is at or behind z_near at t or t - 1;
+    alpha = |v_t - v_{t-1}| / dt, 0 before frame 2."""
+    mid = np.array([[0.5 * (p.endpoints[part][0] + p.endpoints[part][1])
+                     for part in PART_NAMES] for p in poses])
+    z = mid[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        track = np.stack([cam.fx * mid[..., 0] / z + cam.cx,
+                          cam.fy * mid[..., 1] / z + cam.cy, z], axis=-1)
+    track[z <= cam.z_near] = np.nan
+    v = np.zeros_like(track)
+    v[1:] = (track[1:] - track[:-1]) / dt
+    v[np.isnan(v).any(axis=-1)] = 0.0
+    alpha = np.zeros(track.shape[:2])
+    for t in range(2, len(poses)):
+        for k in range(len(PART_NAMES)):
+            alpha[t, k] = np.linalg.norm(v[t, k] - v[t - 1, k]) / dt
     return v, alpha
 
 
-def lift(traj: Trajectory, geom: ToolGeometry, cam: CameraModel, t: int) -> KvaField:
-    """Assemble all 9 channels for frame t (0-based)."""
-    if not (0 <= t < len(traj)):
-        raise IndexError(f"frame {t} outside [0, {len(traj)})")
-    poses = forward_kinematics(traj.states[t], geom)
+def motion_channels(labels, v_parts, alpha_parts):
+    """Per-part centroid velocity (4, 3) and acceleration magnitude (4,)
+    painted on the tool mask `labels`: (H, W, 3) and (H, W), 0 elsewhere."""
+    return _paint(labels, v_parts), _paint(labels, alpha_parts)
+
+
+def lift(poses: PartPoses, cam: CameraModel, t: int, v_parts, alpha_parts) -> KvaField:
+    """Assemble all 9 channels for frame t (0-based) from its part poses and
+    its rows of the trajectory's part motion (`_part_motion`)."""
     labels, d = rasterize_parts(poses, cam)
-    s = np.zeros((cam.height, cam.width, 3), dtype=float)
-    for pi, part in enumerate(PART_NAMES):
-        s[..., PART_SEMANTIC_CLASS[part]][labels == pi] = 1.0
-    rho = rotation_channel(poses, s, cam, labels=labels)
-    v, alpha = motion_channels(traj, geom, cam, t, labels=labels)
+    s = _paint(labels, _PART_SEMANTICS)
+    rho = rotation_channel(poses, cam, labels=labels)
+    v, alpha = motion_channels(labels, v_parts, alpha_parts)
     channels = np.concatenate(
         [s, d[..., None], rho[..., None], v, alpha[..., None]], axis=2)
     return KvaField(channels=channels, t=t)
 
 
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry, cam: CameraModel):
-    return [lift(traj, geom, cam, t) for t in range(len(traj))]
+    """One KvaField per frame; forward kinematics runs once per frame."""
+    poses = [forward_kinematics(state, geom) for state in traj.states]
+    v, alpha = _part_motion(poses, cam, traj.dt)
+    return [lift(p, cam, t, v[t], alpha[t]) for t, p in enumerate(poses)]
 
 
 def compute_stats(fields) -> ChannelStats:

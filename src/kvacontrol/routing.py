@@ -140,7 +140,10 @@ def softmax(z: np.ndarray, axis=-1) -> np.ndarray:
 
 def action_embed(field: KvaField, params: GateParams):
     """Strided average pool + shared linear lift; c_action is the token mean."""
-    pooled = avg_pool(field.channels, params.stride)
+    return _embed_pooled(avg_pool(field.channels, params.stride), params)
+
+
+def _embed_pooled(pooled, params: GateParams):
     tokens = pooled @ params.lift_w + params.lift_b
     c_action = tokens.mean(axis=(0, 1))
     return c_action, tokens
@@ -200,12 +203,12 @@ def route_forward(field: KvaField, params: GateParams, progress: float, t_embed,
                   sched: CapacitySchedule | None = None):
     """Full two-tier forward pass: fused control feature + routing decision."""
     sched = sched or CapacitySchedule()
-    c_action, tokens = action_embed(field, params)
+    pooled = avg_pool(field.channels, params.stride)
+    c_action, tokens = _embed_pooled(pooled, params)
     P = outer_gate(c_action, t_embed, params, tokens=tokens)
     A = topk_select(P, sched.k)
     fusion_w = capacity_blend(P, A, progress, sched)
 
-    pooled = avg_pool(field.channels, params.stride)
     hp, wp = tokens.shape[:2]
     ctrl = np.zeros((hp, wp, params.c))
     inner_sel = np.zeros((hp, wp, N_EXPERTS), dtype=int)

@@ -25,7 +25,12 @@ from kvacontrol.kinematics import (
     synth_trajectory,
 )
 
-from test_field import random_visible_state, ray_march_oracle
+from test_field import (
+    midpoint_uvz,
+    motion_at,
+    random_visible_state,
+    ray_march_oracle,
+)
 
 
 def _report(capsys, num, name, check):
@@ -408,7 +413,7 @@ def test_criterion_07_kinematics_field_oracles(capsys):
         # motion laws on a static trajectory
         traj = synth_trajectory("static", T=4, seed=0, geom=geom)
         for t in range(4):
-            v, a = kvf.motion_channels(traj, geom, cam, t)
+            v, a = motion_at(traj, geom, cam, t)
             assert np.all(v == 0) and np.all(a == 0)
 
         # quadratic track: exact finite-difference velocity on the wrist
@@ -423,11 +428,11 @@ def test_criterion_07_kinematics_field_oracles(capsys):
         traj = Trajectory(states=tuple(states), dt=dt)
         t = 2
         labels, _ = kvf.rasterize_parts(forward_kinematics(states[t], geom), cam)
-        v, _ = kvf.motion_channels(traj, geom, cam, t)
+        v, _ = motion_at(traj, geom, cam, t)
         wrist = labels == 1
         assert wrist.any()
-        cur = kvf.part_centroid_track(traj, geom, cam, "wrist", t)
-        prev = kvf.part_centroid_track(traj, geom, cam, "wrist", t - 1)
+        cur = midpoint_uvz(states[t], geom, cam, "wrist")
+        prev = midpoint_uvz(states[t - 1], geom, cam, "wrist")
         expect = (cur - prev) / dt
         for c in range(3):
             np.testing.assert_allclose(v[wrist][:, c], expect[c], atol=1e-12)

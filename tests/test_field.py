@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kvacontrol.errors import EmptyCorpus
+from kvacontrol.errors import BehindCamera, EmptyCorpus
 from kvacontrol.kinematics import (
     PART_NAMES,
     ArticulatedState,
@@ -25,6 +25,18 @@ def random_visible_state(rng):
         q_lg=rng.uniform(0, np.pi / 2),
         q_rg=rng.uniform(0, np.pi / 2),
     )
+
+
+def motion_at(traj, geom, cam, t):
+    """Velocity and acceleration channels of frame t as lifted."""
+    ch = kvf.lift_trajectory(traj, geom, cam)[t].channels
+    return ch[..., 5:8], ch[..., 8]
+
+
+def midpoint_uvz(state, geom, cam, part):
+    """Projected (u, v, depth) of the part's capsule midpoint."""
+    a, b = forward_kinematics(state, geom).endpoints[part]
+    return np.array(project_point(cam, 0.5 * (a + b)))
 
 
 def capsule_sdf(x, a, b, r):
@@ -83,6 +95,33 @@ def ray_march_oracle(poses, cam, step=1e-4):
     return labels, depth
 
 
+# poses for a 40x24 camera with an off-centre principal point, so that a
+# swapped row/column axis cannot pass: (p, r, (q_sw, q_lg, q_rg))
+CULL_CAMERA = CameraModel(fx=60.0, fy=50.0, cx=17.5, cy=9.25, width=40, height=24)
+CULL_POSES = {
+    "in-view": ([-0.035, 0.0, 0.25], [0.0, -1.5, 0.0], (0.2, 0.4, 0.3)),
+    "off-edge": ([0.0, 0.035, 0.2], [0.0, 1.5, 0.0], (0.2, 0.4, 0.3)),
+    "off-screen": ([-0.3, 0.0, 0.2], [0.0, 1.5, 0.0], (0.2, 0.4, 0.3)),
+    "straddles-z-near": ([-0.009, 0.004, 0.06], [-0.5, 0.2, 0.2], (0.2, 0.4, 0.3)),
+}
+
+
+def full_frame_raster(poses, cam):
+    """Every pixel's ray tested against every capsule, with no culling."""
+    jj, ii = np.meshgrid(np.arange(cam.width, dtype=float),
+                         np.arange(cam.height, dtype=float))
+    D = np.stack([(jj - cam.cx) / cam.fx, (ii - cam.cy) / cam.fy,
+                  np.ones_like(jj)], axis=-1).reshape(-1, 3)
+    depths = np.stack([
+        kvf._ray_capsule_depths(D, *poses.endpoints[part], poses.radii[part],
+                                cam.z_near)
+        for part in PART_NAMES])
+    best = depths.min(axis=0)
+    labels = np.where(np.isfinite(best), depths.argmin(axis=0), -1)
+    depth = np.where(np.isfinite(best), best, 0.0)
+    return labels.reshape(cam.height, cam.width), depth.reshape(cam.height, cam.width)
+
+
 class TestRasterize:
     def test_tool_behind_camera(self):
         geom = ToolGeometry()
@@ -128,6 +167,39 @@ class TestRasterize:
         assert covered.any()
         assert np.max(np.abs(depth[covered] - o_depth[covered])) < 2e-4
 
+    @pytest.mark.parametrize("case", sorted(CULL_POSES))
+    def test_culled_matches_full_frame(self, case):
+        p, r, (q_sw, q_lg, q_rg) = CULL_POSES[case]
+        cam = CULL_CAMERA
+        state = ArticulatedState(p=np.array(p), r=np.array(r),
+                                 q_sw=q_sw, q_lg=q_lg, q_rg=q_rg)
+        poses = forward_kinematics(state, ToolGeometry())
+        labels, depth = kvf.rasterize_parts(poses, cam)
+        o_labels, o_depth = full_frame_raster(poses, cam)
+        assert labels.dtype == o_labels.dtype
+        assert np.array_equal(labels, o_labels)
+        assert depth.tobytes() == o_depth.tobytes()
+
+        # each case exercises what its name says
+        hit = labels >= 0
+        on_border = hit[0].any() or hit[-1].any() or hit[:, 0].any() or hit[:, -1].any()
+        if case == "in-view":
+            assert hit.any() and not on_border
+        elif case == "off-edge":
+            assert on_border
+        elif case == "off-screen":
+            assert not hit.any()
+            for part in PART_NAMES:
+                rows, cols = kvf._screen_box(*poses.endpoints[part],
+                                             poses.radii[part], cam)
+                assert rows.start == rows.stop or cols.start == cols.stop
+        else:
+            # a visible part reaches from behind z_near to in front of it
+            straddles = [k for k, part in enumerate(PART_NAMES)
+                         if min(a[2] for a in poses.endpoints[part]) <= cam.z_near
+                         < max(a[2] for a in poses.endpoints[part])]
+            assert any((labels == k).any() for k in straddles)
+
     def test_semantic_one_hot(self):
         geom = ToolGeometry()
         cam = default_camera(32, 32)
@@ -157,7 +229,7 @@ class TestRotationChannel:
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([1, 0, 0])
         s, _ = kvf.rasterize(poses, cam)
-        rho = kvf.rotation_channel(poses, s, cam)
+        rho = kvf.rotation_channel(poses, cam)
         mask = s.sum(axis=2) > 0
         assert mask.any()
         assert np.max(np.abs(rho[mask])) < 1e-12
@@ -166,7 +238,7 @@ class TestRotationChannel:
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([0, 1, 0])
         s, _ = kvf.rasterize(poses, cam)
-        rho = kvf.rotation_channel(poses, s, cam)
+        rho = kvf.rotation_channel(poses, cam)
         mask = s.sum(axis=2) > 0
         assert np.max(np.abs(rho[mask] - 0.5)) < 1e-12
 
@@ -176,7 +248,7 @@ class TestRotationChannel:
         rng = np.random.default_rng(7)
         poses = forward_kinematics(random_visible_state(rng), geom)
         s, _ = kvf.rasterize(poses, cam)
-        rho = kvf.rotation_channel(poses, s, cam)
+        rho = kvf.rotation_channel(poses, cam)
         labels, _ = kvf.rasterize_parts(poses, cam)
         for pi, part in enumerate(PART_NAMES):
             mask = labels == pi
@@ -197,7 +269,7 @@ class TestMotionChannels:
         cam = default_camera(32, 32)
         traj = synth_trajectory("static", T=4, seed=0, geom=geom)
         for t in range(4):
-            v, a = kvf.motion_channels(traj, geom, cam, t)
+            v, a = motion_at(traj, geom, cam, t)
             assert np.all(v == 0) and np.all(a == 0)
 
     def test_constant_velocity_zero_acceleration(self):
@@ -211,13 +283,13 @@ class TestMotionChannels:
                                 params={"velocity": (0.004, 0, 0)},
                                 T=4, seed=0, geom=geom, dt=1.0)
         t = 3
-        v, a = kvf.motion_channels(traj, geom, cam, t)
+        v, a = motion_at(traj, geom, cam, t)
         labels, _ = kvf.rasterize_parts(forward_kinematics(traj.states[t], geom), cam)
         for pi, part in enumerate(PART_NAMES):
             mask = labels == pi
             if not mask.any():
                 continue
-            phi = [kvf.part_centroid_track(traj, geom, cam, part, ti)
+            phi = [midpoint_uvz(traj.states[ti], geom, cam, part)
                    for ti in (t - 2, t - 1, t)]
             v_now = (phi[2] - phi[1]) / traj.dt
             v_prev = (phi[1] - phi[0]) / traj.dt
@@ -241,19 +313,45 @@ class TestMotionChannels:
                   for t in range(4)]
         traj = Trajectory(states=tuple(states), dt=1.0)
         t = 3
-        v, a = kvf.motion_channels(traj, geom, cam, t)
+        v, a = motion_at(traj, geom, cam, t)
         labels, _ = kvf.rasterize_parts(forward_kinematics(states[t], geom), cam)
         mask = labels == PART_NAMES.index("wrist")
         assert mask.any()
         np.testing.assert_allclose(a[mask], 2.0, atol=1e-9)
 
+    def test_behind_camera_midpoint_zero_velocity(self):
+        # the wrist midpoint crosses z_near at frame 2: v = 0 there and at
+        # frame 3, and alpha differences against those zero rows
+        geom = ToolGeometry()
+        cam = CameraModel(fx=20.0, fy=20.0, cx=32.0, cy=32.0, width=64, height=64)
+        dt = 0.5
+        states = [ArticulatedState(p=np.array([0.004 + 0.001 * t, 0.001, z]),
+                                   r=np.zeros(3), q_sw=0.2, q_lg=0.2, q_rg=0.2)
+                  for t, z in enumerate((0.05, 0.03, 0.008, 0.03, 0.05))]
+        traj = Trajectory(states=tuple(states), dt=dt)
+        with pytest.raises(BehindCamera):
+            midpoint_uvz(states[2], geom, cam, "wrist")
+        uvz = {t: midpoint_uvz(states[t], geom, cam, "wrist") for t in (0, 1, 3, 4)}
+        zero = np.zeros(3)
+        v_exp = [zero, (uvz[1] - uvz[0]) / dt, zero, zero, (uvz[4] - uvz[3]) / dt]
+        a_exp = [0.0, 0.0] + [np.linalg.norm(v_exp[t] - v_exp[t - 1]) / dt
+                              for t in (2, 3, 4)]
+        assert a_exp[2] > 0 and a_exp[3] == 0 and a_exp[4] > 0
+        for t, f in enumerate(kvf.lift_trajectory(traj, geom, cam)):
+            wrist = f.channels[..., 1] == 1
+            assert wrist.any()
+            np.testing.assert_allclose(f.channels[wrist][:, 5:8],
+                                       np.broadcast_to(v_exp[t], (wrist.sum(), 3)),
+                                       atol=1e-12)
+            np.testing.assert_allclose(f.channels[wrist][:, 8], a_exp[t], atol=1e-12)
+
     def test_first_frames_padded_with_zeros(self):
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=3, seed=1, geom=geom)
-        v0, a0 = kvf.motion_channels(traj, geom, cam, 0)
+        v0, a0 = motion_at(traj, geom, cam, 0)
         assert np.all(v0 == 0) and np.all(a0 == 0)
-        v1, a1 = kvf.motion_channels(traj, geom, cam, 1)
+        v1, a1 = motion_at(traj, geom, cam, 1)
         assert np.all(a1 == 0) and np.any(v1 != 0)
 
 
@@ -262,28 +360,46 @@ class TestLift:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=2, seed=0, geom=geom)
-        f = kvf.lift(traj, geom, cam, 1)
+        f = kvf.lift_trajectory(traj, geom, cam)[1]
         assert f.channels.shape == (32, 32, 9)
 
     def test_static_single_frame(self):
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("static", T=1, seed=0, geom=geom)
-        f = kvf.lift(traj, geom, cam, 0)
+        f = kvf.lift_trajectory(traj, geom, cam)[0]
         assert np.all(f.channels[..., 5:] == 0)
         assert f.channels[..., 0:3].sum() > 0
         assert f.channels[..., 3].max() > 0
+
+    def test_forward_kinematics_once_per_frame(self, monkeypatch):
+        geom = ToolGeometry()
+        cam = default_camera(32, 32)
+        traj = synth_trajectory("composite", T=7, seed=0, geom=geom)
+        calls = []
+
+        def counted(state, geom):
+            calls.append(state)
+            return forward_kinematics(state, geom)
+
+        monkeypatch.setattr(kvf, "forward_kinematics", counted)
+        kvf.lift_trajectory(traj, geom, cam)
+        assert len(calls) == len(traj)
 
     def test_composition_matches_components(self):
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=10, seed=5, geom=geom)
+        fields = kvf.lift_trajectory(traj, geom, cam)
+        v_parts, a_parts = kvf._part_motion(
+            [forward_kinematics(state, geom) for state in traj.states], cam, traj.dt)
         for t in (0, 4, 9):
-            f = kvf.lift(traj, geom, cam, t)
+            f = fields[t]
             poses = forward_kinematics(traj.states[t], geom)
             s, d = kvf.rasterize(poses, cam)
-            rho = kvf.rotation_channel(poses, s, cam)
-            v, a = kvf.motion_channels(traj, geom, cam, t)
+            rho = kvf.rotation_channel(poses, cam)
+            labels, _ = kvf.rasterize_parts(poses, cam)
+            v, a = kvf.motion_channels(labels, v_parts[t], a_parts[t])
             np.testing.assert_array_equal(f.channels[..., 0:3], s)
             np.testing.assert_array_equal(f.channels[..., 3], d)
             np.testing.assert_array_equal(f.channels[..., 4], rho)

@@ -1,0 +1,81 @@
+"""Byte-identity gate: the README CLI flow must write the same bytes.
+
+Runs synth (target seed 3, prediction seed 4) -> lift -> route -> losses ->
+schedule -> eval through `cli.main` at 64x64 with T=4 frames, and compares
+the SHA-256 of every artefact with digests recorded before the lift was
+reworked into a single pass per trajectory.
+
+The digests are pinned to the numpy and BLAS build they were recorded with
+(numpy 2.4.6, OpenBLAS 0.3.31). Another numpy or BLAS may round a float differently
+and change a KVAF or CSV byte without any change to the program; re-record
+them then with `python tests/test_golden.py`, on the commit before the
+change under test.
+"""
+
+import hashlib
+import os
+
+from kvacontrol import cli
+
+GOLDEN = {
+    'eval/metrics.csv': 'a3dd05b6fa276c3d868a6eb0a1e6cdc12d4484d5f01e0d6ac736d82a0483d689',
+    'lift/channel_stats.csv': 'a218bcc3c6bf4f9ca618dc9a9cb7c52effed2acee976c322c3075f0318cb026a',
+    'lift/field_0001.kvaf': 'dc1d78e855ead43acc28bcc556d7a7e8e234ac87c844dbe6fa1cbe6114374adb',
+    'lift/field_0002.kvaf': '65b5e2e25684754b238ed8d652cefed8426b36f667189df21a61337eaa57b90c',
+    'lift/field_0003.kvaf': '2cb60d64d8fa8087ecd672faf8bec08ff924ffb4f1f2b4d323dd0d261d1d7bc1',
+    'lift/field_0004.kvaf': 'f2145188b9a95f58a462dfc7bf9cef6278ea798b77147971bc5826fdc669a2d1',
+    'losses/grad_check.csv': '417fe42b94605634f2e1bb8c167f960e315e0f296b0eef259212be42b54f99da',
+    'losses/losses.csv': '133e02ac7a40ab30bad790bd08634e74bf62b6841819aa8bd1a9493621b76dff',
+    'pred/masks/frame_0001.pgm': '331b649a22136b3d28748ecda3165e3931a55c2e7ae8f2a7ce20d13776d3ddb8',
+    'pred/masks/frame_0002.pgm': '53e523fff73f8c24ab9125bcd2a91c91207587ee2e094d041fe76cbcad59a284',
+    'pred/masks/frame_0003.pgm': 'fe68dd1f6da3a6d93a43e84b16ab910803f34a76b186b62add25e6a9ec55bfae',
+    'pred/masks/frame_0004.pgm': '569ebc4e6fe365067d08661435a68baaef3dafb29cfb508ed779e2e159668fec',
+    'pred/trajectory.txt': 'ddbba6ea9c8d0947a3865ed8300af5a4d9cc815b2a846403407952dc1f629668',
+    'route/routing_stats.csv': '4ca66a73a82042721feaec485f9d9a4677aa79fe743488027c86cf7cd6340a1a',
+    'schedule/cost_summary.csv': '633fc1dec6634c6fd96a593ed6ead0a27a8e91809c4c50469bb5ba5390bb3515',
+    'schedule/execution.csv': '4d9ae7d82bff6750245af4b657f8e6d883e12d263b15f3893c8f3988887c694c',
+    'target/masks/frame_0001.pgm': '11ae15931b9abe37d5ce296cd6657f3e8cf007cb79ef8adc6617b6deedc20802',
+    'target/masks/frame_0002.pgm': '7d4af71c916456ad1118f080e245ab11f7bb58a745f218f9161e8b3867b4fa64',
+    'target/masks/frame_0003.pgm': '66cd02ef0dcfe5da2c17f0fc78808d49821879515dfa00845ef82d4ebca286ba',
+    'target/masks/frame_0004.pgm': '3888d1c99cee78c2a5666eab2720b3a53e21ec733f76d3a19c4c5da2bac89049',
+    'target/trajectory.txt': 'b2f26881873e42f30f7c53043e0c2ff950f18eaac812b17830381d6f875bc74b',
+}
+
+
+def run_flow(root):
+    """Run the CLI flow under `root`; return {relative path: sha256 hex}."""
+    root = str(root)
+    common = ["--resolution", "64x64"]
+    for seed, out in (("3", "target"), ("4", "pred")):
+        assert cli.main(["--seed", seed, "--out", os.path.join(root, out),
+                         *common, "synth", "--frames", "4"]) == 0
+    traj = os.path.join(root, "target", "trajectory.txt")
+    for cmd in ("lift", "route", "losses", "schedule"):
+        assert cli.main(["--seed", "3", "--out", os.path.join(root, cmd),
+                         *common, cmd, "--traj", traj]) == 0
+    assert cli.main(["--out", os.path.join(root, "eval"), "eval",
+                     "--pred", os.path.join(root, "pred", "masks"),
+                     "--target", os.path.join(root, "target", "masks")]) == 0
+    digests = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                digests[os.path.relpath(path, root)] = hashlib.sha256(
+                    f.read()).hexdigest()
+    return digests
+
+
+def test_artefacts_match_recorded_digests(tmp_path):
+    digests = run_flow(tmp_path)
+    assert sorted(digests) == sorted(GOLDEN)
+    for name in sorted(GOLDEN):
+        assert digests[name] == GOLDEN[name], name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in sorted(run_flow(tmp).items()):
+            print(f"    {name!r}: {digest!r},")

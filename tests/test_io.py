@@ -385,6 +385,23 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text", [
+        '{"stride": 4',
+        '{"stride": "4"}',
+        '{"frames": 2.5}',
+        '{"resolution": "64x64"}',
+        '{"top_k": true}',
+    ], ids=["invalid-json", "stride-str", "frames-float", "resolution-str",
+            "top_k-bool"])
+    def test_bad_config_clean_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "synth"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"frames": 3, "resolution": [24, 24]}))
