@@ -7,6 +7,7 @@ invocations produce byte-identical outputs. Reports are CSV with a header row.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -69,30 +70,33 @@ def _derived_seed(seed: int, tag: str) -> int:
 
 def cmd_synth(cfg: Config, seed: int, out: str):
     """Emit a synthetic trajectory plus rendered tube label masks."""
-    os.makedirs(os.path.join(out, "masks"), exist_ok=True)
     geom = ToolGeometry()
     cam = _camera(cfg)
     traj = synth_trajectory(cfg.trajectory_kind, T=cfg.frames,
                             seed=_derived_seed(seed, "synth"), geom=geom)
+    masks = [mt.render_tube(forward_kinematics(state, geom), cam,
+                            half_width=cfg.tube_half_width)
+             for state in traj.states]
+    os.makedirs(os.path.join(out, "masks"), exist_ok=True)
     write_trajectory(os.path.join(out, "trajectory.txt"), traj, cam, seq_id="synth")
-    for t in range(len(traj)):
-        poses = forward_kinematics(traj.states[t], geom)
-        labels = mt.render_tube(poses, cam, half_width=cfg.tube_half_width)
+    for t, labels in enumerate(masks):
         write_pgm(os.path.join(out, "masks", f"frame_{t + 1:04d}.pgm"), labels)
     return 0
 
 
-def _load_fields(traj_path, cfg: Config):
+def _load_fields(traj_path, resolution=None):
+    """Lift a trajectory file at its camera's H x W, which `resolution` (the
+    --resolution flag, when given) must equal."""
     traj, cam, _ = read_trajectory(traj_path)
-    geom = ToolGeometry()
-    fields = kvf.lift_trajectory(traj, geom, cam)
-    return traj, cam, geom, fields
+    if resolution is not None and resolution != (cam.height, cam.width):
+        raise ShapeMismatch(
+            f"--resolution {resolution[0]}x{resolution[1]} differs from the "
+            f"trajectory camera's {cam.height}x{cam.width}")
+    return kvf.lift_trajectory(traj, ToolGeometry(), cam)
 
 
-def cmd_lift(cfg: Config, seed: int, traj_path: str, out: str):
-    """Trajectory file -> per-frame KVAF binaries + channel statistics."""
-    os.makedirs(out, exist_ok=True)
-    _, _, _, fields = _load_fields(traj_path, cfg)
+def cmd_lift(fields, out: str):
+    """Trajectory fields -> per-frame KVAF binaries + channel statistics."""
     stats = kvf.compute_stats(fields)
     for f in fields:
         write_field(f, os.path.join(out, f"field_{f.t + 1:04d}.kvaf"))
@@ -103,50 +107,45 @@ def cmd_lift(cfg: Config, seed: int, traj_path: str, out: str):
     return 0
 
 
-def _routing_run(cfg: Config, seed: int, traj_path: str):
-    """Shared forward pass: fields, decisions, significance inputs per frame."""
-    traj, cam, geom, fields = _load_fields(traj_path, cfg)
-    stats = kvf.compute_stats(fields)
+def _budget(cfg: Config) -> sched.BudgetConfig:
+    return sched.BudgetConfig(rho_full_target=cfg.rho_full,
+                              rho_light_target=cfg.rho_light, K=cfg.refresh_k)
+
+
+def _routing_run(cfg: Config, seed: int, fields):
+    """Shared forward pass: decisions and significance inputs per frame."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim, stride=cfg.stride)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
                                    sparse_start=cfg.sparse_start, k=cfg.top_k)
     t_embed = rt.timestep_embed(cfg.timestep)
+    stats = kvf.compute_stats(fields)
 
-    # motion magnitude needs a sequence-level scale for cross-frame comparisons
-    raw_motion = []
-    for f in fields:
-        pooled = rt.avg_pool(f.channels, cfg.stride)
-        raw_motion.append(np.linalg.norm(pooled[..., 5:8], axis=-1)
-                          + np.abs(pooled[..., 8]))
-    peak = max(m.max() for m in raw_motion)
+    # motion is normalised by its peak over the sequence, so frames compare
+    pooled = np.stack([rt.avg_pool(f.channels, cfg.stride) for f in fields])
+    motion = sched.motion_intensity(pooled[..., 5:8], pooled[..., 8])
 
     frames = []
     for f in fields:
-        norm = kvf.normalize(f, stats)
-        ctrl, decision = rt.route_forward(norm, params, cfg.progress, t_embed,
-                                          sched=schedule)
-        e_motion = raw_motion[f.t] / peak if peak > 0 else raw_motion[f.t]
+        ctrl, decision = rt.route_forward(kvf.normalize(f, stats), params,
+                                          cfg.progress, t_embed, sched=schedule)
         m_tool = rt.avg_pool(kvf.tool_mask(f), cfg.stride)
-        c_route = decision.fusion_w.max(axis=-1)
-        q_fine = (decision.fusion_w * decision.inner_probs[..., rt.FINE]).sum(axis=-1)
-        p_skip = (decision.fusion_w * decision.inner_probs[..., rt.SKIP]).sum(axis=-1)
-        s, s_tilde = sched.significance(e_motion, m_tool, c_route, q_fine, p_skip)
-        frames.append({
-            "field": f, "ctrl": ctrl, "decision": decision,
-            "e_motion": e_motion, "m_tool": m_tool, "c_route": c_route,
-            "q_fine": q_fine, "p_skip": p_skip, "s": s, "s_tilde": s_tilde,
-        })
-    return traj, frames, params, stats
+        fusion_w, inner = decision.fusion_w, decision.inner_probs
+        _, s_tilde = sched.significance(
+            motion[f.t], m_tool, fusion_w.max(axis=-1),
+            (fusion_w * inner[..., rt.FINE]).sum(axis=-1),
+            (fusion_w * inner[..., rt.SKIP]).sum(axis=-1))
+        frames.append({"field": f, "ctrl": ctrl, "decision": decision,
+                       "e_motion": motion[f.t], "m_tool": m_tool,
+                       "s_tilde": s_tilde})
+    return frames, params
 
 
-def cmd_route(cfg: Config, seed: int, traj_path: str, out: str, n_bins=3):
+def cmd_route(cfg: Config, seed: int, fields, out: str, n_bins=3):
     """Routing decisions + modality/scale statistics binned by motion
     magnitude quantiles (low / medium / high, mirroring the execution tiers)."""
-    os.makedirs(out, exist_ok=True)
-    _, frames, _, _ = _routing_run(cfg, seed, traj_path)
-    budget = sched.BudgetConfig(rho_full_target=cfg.rho_full,
-                                rho_light_target=cfg.rho_light)
+    budget = _budget(cfg)
+    frames, _ = _routing_run(cfg, seed, fields)
 
     motion, fusion, inner_probs, modes, on_tool = [], [], [], [], []
     for fr in frames:
@@ -191,10 +190,9 @@ def cmd_route(cfg: Config, seed: int, traj_path: str, out: str, n_bins=3):
     return 0
 
 
-def cmd_losses(cfg: Config, seed: int, traj_path: str, out: str):
+def cmd_losses(cfg: Config, seed: int, fields, out: str):
     """All kinematic-prior losses on one sequence + gradient-check report."""
-    os.makedirs(out, exist_ok=True)
-    _, frames, params, _ = _routing_run(cfg, seed, traj_path)
+    frames, params = _routing_run(cfg, seed, fields)
     rng = subsystem_rng(seed, "losses")
     weights = pr.LossWeights(lam_kp=cfg.lam_kp, lam_src=cfg.lam_src,
                              lam_cp=cfg.lam_cp, lam_sub=cfg.lam_sub)
@@ -203,8 +201,8 @@ def cmd_losses(cfg: Config, seed: int, traj_path: str, out: str):
 
     R_seq = np.stack([pr._sigmoid(pr.predictor_logits(predictor, fr["decision"].tokens))
                       for fr in frames])
-    m_seq = np.stack([rt.max_pool(kvf.tool_mask(fr["field"]), cfg.stride)
-                      for fr in frames])
+    # a token is on the tool when any of its pixels is
+    m_seq = np.stack([fr["m_tool"] for fr in frames]) > 0
     src = pr.src_loss(R_seq, m_seq)
 
     fr = frames[-1]
@@ -241,8 +239,8 @@ def cmd_losses(cfg: Config, seed: int, traj_path: str, out: str):
     c_action = fr["decision"].c_action
 
     def kp_fn(arrs):
-        P = rt.softmax(np.concatenate([c_action, t_embed]) @ arrs["outer_w"]
-                       + arrs["outer_b"] + tokens @ arrs["token_w"], axis=-1)
+        P = rt.outer_gate(c_action, t_embed, dataclasses.replace(params, **arrs),
+                          tokens=tokens)
         return pr.kp_alb_loss(pr.routing_stats(P), prior)
 
     g = pr.kp_alb_grad(tokens, c_action, t_embed, params.outer_w,
@@ -268,14 +266,10 @@ def cmd_losses(cfg: Config, seed: int, traj_path: str, out: str):
     return 0
 
 
-def cmd_schedule(cfg: Config, seed: int, traj_path: str, out: str):
+def cmd_schedule(cfg: Config, seed: int, fields, out: str):
     """Significance, plans, refresh, and a simulated cost report."""
-    os.makedirs(out, exist_ok=True)
-    _, frames, _, _ = _routing_run(cfg, seed, traj_path)
-    budget = sched.BudgetConfig(rho_full_target=cfg.rho_full,
-                                rho_light_target=cfg.rho_light,
-                                K=cfg.refresh_intervals[2],
-                                lam_b=cfg.lam_b, lam_t=cfg.lam_t)
+    budget = _budget(cfg)
+    frames, _ = _routing_run(cfg, seed, fields)
     plans = [sched.partition(fr["s_tilde"], budget) for fr in frames]
     s_means = [float(fr["s_tilde"].mean()) for fr in frames]
     refresh = np.array([sched.refresh_interval(s, budget) for s in s_means])
@@ -309,9 +303,8 @@ def _read_mask_dir(path):
     return [mt.MaskFrame(read_pgm(os.path.join(path, f))) for f in names]
 
 
-def cmd_eval(cfg: Config, pred_dir: str, target_dir: str, out: str):
+def cmd_eval(pred_dir: str, target_dir: str, out: str):
     """Mask directories -> per-frame and aggregated CD / TI / AF / Dice."""
-    os.makedirs(out, exist_ok=True)
     pred = _read_mask_dir(pred_dir)
     target = _read_mask_dir(target_dir)
     if len(pred) != len(target):
@@ -348,6 +341,9 @@ def cmd_report(inputs, out_path):
 # ---------------------------------------------------------------------------
 
 
+TRAJECTORY_COMMANDS = ("lift", "route", "losses", "schedule")
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="kvacontrol")
     p.add_argument("--config", default=None)
@@ -360,7 +356,7 @@ def build_parser():
     sp.add_argument("--kind", default=None)
     sp.add_argument("--frames", type=int, default=None)
 
-    for name in ("lift", "route", "losses", "schedule"):
+    for name in TRAJECTORY_COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--traj", required=True)
 
@@ -390,22 +386,25 @@ def main(argv=None):
         if args.frames:
             overrides["frames"] = args.frames
     try:
+        resolution = None
         if args.resolution:
-            overrides["resolution"] = _parse_resolution(args.resolution)
+            resolution = overrides["resolution"] = _parse_resolution(args.resolution)
         cfg = load_config(args.config, overrides)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "synth":
             return cmd_synth(cfg, args.seed, args.out)
+        if args.command in TRAJECTORY_COMMANDS:
+            fields = _load_fields(args.traj, resolution)
         if args.command == "lift":
-            return cmd_lift(cfg, args.seed, args.traj, args.out)
+            return cmd_lift(fields, args.out)
         if args.command == "route":
-            return cmd_route(cfg, args.seed, args.traj, args.out)
+            return cmd_route(cfg, args.seed, fields, args.out)
         if args.command == "losses":
-            return cmd_losses(cfg, args.seed, args.traj, args.out)
+            return cmd_losses(cfg, args.seed, fields, args.out)
         if args.command == "schedule":
-            return cmd_schedule(cfg, args.seed, args.traj, args.out)
+            return cmd_schedule(cfg, args.seed, fields, args.out)
         if args.command == "eval":
-            return cmd_eval(cfg, args.pred, args.target, args.out)
+            return cmd_eval(args.pred, args.target, args.out)
         if args.command == "report":
             return cmd_report(args.inputs, os.path.join(args.out, "report.csv"))
         return 2

@@ -17,7 +17,7 @@ class BehindCamera(KvaControlError):
     pass
 
 
-class InvalidParams(KvaControlError):
+class InvalidParams(KvaControlError, ValueError):
     pass
 
 

@@ -93,7 +93,8 @@ def read_trajectory(path):
             elif key == "camera":
                 if len(rest) != 6:
                     raise ParseError("camera line needs 6 values", line=ln)
-                cam_vals = [float(v) for v in rest]
+                # fx fy cx cy, then integer width and height
+                cam_vals = [float(v) for v in rest[:4]] + [int(v) for v in rest[4:]]
             elif key == "extrinsic":
                 if len(rest) != 12:
                     raise ParseError("extrinsic line needs 12 values", line=ln)
@@ -120,12 +121,14 @@ def read_trajectory(path):
     expected = list(range(1, len(frames) + 1))
     if sorted(frames) != expected:
         raise InvariantViolation("frame indices must be contiguous from 1")
-    if dt <= 0:
-        raise InvariantViolation("dt must be > 0")
+    if not 0 < dt < np.inf:
+        raise InvariantViolation(f"dt must be finite and > 0, got {dt}")
+    if not (np.isfinite(cam_vals[:4]).all() and np.isfinite(ext).all()):
+        raise InvariantViolation("camera and extrinsic values must be finite")
 
     fx, fy, cx, cy, width, height = cam_vals
-    cam = CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=int(width),
-                      height=int(height), rotation=ext[:, :3], translation=ext[:, 3])
+    cam = CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
+                      rotation=ext[:, :3], translation=ext[:, 3])
     traj = Trajectory(states=tuple(frames[i] for i in expected), dt=dt)
     return traj, cam, seq_id
 
@@ -220,12 +223,9 @@ class Config:
     lam_src: float = 0.005
     lam_cp: float = 0.01
     lam_sub: float = 0.005
-    ema_beta: float = 0.95
     rho_full: float = 0.2
     rho_light: float = 0.3
-    refresh_intervals: tuple = (1, 2, 4)
-    lam_b: float = 0.5
-    lam_t: float = 0.35
+    refresh_k: int = 4  # slow refresh interval; the fast ones are 1 and 2
     tube_half_width: float = 3.0
     trajectory_kind: str = "composite"
     frames: int = 10

@@ -201,12 +201,6 @@ def _paint(labels, per_part):
     return np.take(table, labels, axis=0)
 
 
-def rasterize(poses: PartPoses, cam: CameraModel):
-    """Binary semantic channels (shaft/wrist/gripper) + front-most depth."""
-    labels, depth = rasterize_parts(poses, cam)
-    return _paint(labels, _PART_SEMANTICS), depth
-
-
 def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
     """Signed image-plane angle of the part's long axis, normalized by pi.
 
@@ -226,10 +220,8 @@ def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
     return float(np.arctan2(dv, du) / np.pi)
 
 
-def rotation_channel(poses: PartPoses, cam: CameraModel, labels=None) -> np.ndarray:
-    """Per-pixel orientation descriptor on the tool mask, 0 elsewhere."""
-    if labels is None:
-        labels, _ = rasterize_parts(poses, cam)
+def rotation_channel(poses: PartPoses, cam: CameraModel, labels) -> np.ndarray:
+    """Per-pixel orientation descriptor on the tool mask `labels`, 0 elsewhere."""
     return _paint(labels, [part_axis_angle(poses, cam, part) for part in PART_NAMES])
 
 
@@ -268,7 +260,7 @@ def lift(poses: PartPoses, cam: CameraModel, t: int, v_parts, alpha_parts) -> Kv
     its rows of the trajectory's part motion (`_part_motion`)."""
     labels, d = rasterize_parts(poses, cam)
     s = _paint(labels, _PART_SEMANTICS)
-    rho = rotation_channel(poses, cam, labels=labels)
+    rho = rotation_channel(poses, cam, labels)
     v, alpha = motion_channels(labels, v_parts, alpha_parts)
     channels = np.concatenate(
         [s, d[..., None], rho[..., None], v, alpha[..., None]], axis=2)

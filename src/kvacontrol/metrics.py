@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import LabelOutOfRange
+from .errors import InvalidParams, LabelOutOfRange
 from .kinematics import (
     PART_NAMES,
     PART_SEMANTIC_CLASS,
@@ -208,6 +208,8 @@ def render_tube(poses: PartPoses, cam: CameraModel, half_width: float = 3.0):
     """Label mask from the projected tool skeleton, drawn as fixed-width tubes.
 
     Overlaps are resolved front-most by the segment midpoint depth."""
+    if not half_width > 0:
+        raise InvalidParams(f"tube half width must be > 0, got {half_width}")
     h, w = cam.height, cam.width
     labels = np.zeros((h, w), dtype=int)
     best_z = np.full((h, w), np.inf)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyProbs, NonFiniteGradient, ShapeMismatch
+from .errors import EmptyProbs, InvalidParams, NonFiniteGradient, ShapeMismatch
 from .kva_field import MODALITY_CHANNELS, KvaField
 from .routing import N_EXPERTS, N_SUB, RoutingDecision, avg_pool, softmax
 
@@ -122,7 +122,7 @@ class PredictorState:
 
     def __post_init__(self):
         if not (0 < self.beta < 1):
-            raise ValueError("beta must be in (0, 1)")
+            raise InvalidParams("beta must be in (0, 1)")
 
 
 def init_predictor(seed=0, c=16, scale=0.3) -> PredictorState:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidParams, ShapeMismatch
 from .kva_field import MODALITIES, MODALITY_CHANNELS, KvaField
 
 N_EXPERTS = 5
@@ -36,9 +36,9 @@ class CapacitySchedule:
 
     def __post_init__(self):
         if not (0 <= self.dense_end < self.sparse_start <= 1):
-            raise ValueError("need 0 <= dense_end < sparse_start <= 1")
+            raise InvalidParams("need 0 <= dense_end < sparse_start <= 1")
         if not (1 <= self.k <= N_EXPERTS):
-            raise ValueError(f"k must be in [1, {N_EXPERTS}]")
+            raise InvalidParams(f"k must be in [1, {N_EXPERTS}]")
 
     def blend_factor(self, progress: float) -> float:
         if progress < self.dense_end:
@@ -70,6 +70,8 @@ class GateParams:
 
 
 def init_gate_params(seed=0, c=16, stride=4, scale=0.3) -> GateParams:
+    if c < 1:
+        raise InvalidParams(f"token dimension must be >= 1, got {c}")
     rng = np.random.default_rng(seed)
 
     def lin(n_in, n_out):
@@ -117,19 +119,13 @@ def timestep_embed(t: float) -> np.ndarray:
 
 def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     """Non-overlapping average pooling over the two leading spatial dims."""
+    if stride < 1:
+        raise InvalidParams(f"stride must be >= 1, got {stride}")
     h, w = x.shape[:2]
     if h % stride or w % stride:
         raise ShapeMismatch(f"{x.shape[:2]} not divisible by stride {stride}")
     hp, wp = h // stride, w // stride
     return x.reshape(hp, stride, wp, stride, *x.shape[2:]).mean(axis=(1, 3))
-
-
-def max_pool(x: np.ndarray, stride: int) -> np.ndarray:
-    h, w = x.shape[:2]
-    if h % stride or w % stride:
-        raise ShapeMismatch(f"{x.shape[:2]} not divisible by stride {stride}")
-    hp, wp = h // stride, w // stride
-    return x.reshape(hp, stride, wp, stride, *x.shape[2:]).max(axis=(1, 3))
 
 
 def softmax(z: np.ndarray, axis=-1) -> np.ndarray:
@@ -162,7 +158,7 @@ def topk_select(P: np.ndarray, k: int) -> np.ndarray:
     """Binary mask of the k largest entries per token; ties go to the lowest
     expert index."""
     if not (1 <= k <= P.shape[-1]):
-        raise ValueError(f"k={k} out of range")
+        raise InvalidParams(f"k={k} out of range")
     order = np.argsort(-P, axis=-1, kind="stable")
     A = np.zeros_like(P)
     np.put_along_axis(A, order[..., :k], 1.0, axis=-1)

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPlan, InvalidDistribution, ShapeMismatch
+from .errors import (
+    InconsistentPlan,
+    InvalidDistribution,
+    InvalidParams,
+    ShapeMismatch,
+)
 
 FULL, LIGHT, REUSE = 0, 1, 2
 MODE_NAMES = ("full", "light", "reuse")
@@ -29,7 +34,7 @@ class SignificanceWeights:
 
     def __post_init__(self):
         if min(self.w_m, self.w_t, self.w_r, self.w_f, self.w_s) < 0:
-            raise ValueError("significance weights must be nonnegative")
+            raise InvalidParams("significance weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -44,14 +49,16 @@ class BudgetConfig:
     tau_h: float = 0.6
     tau_m: float = 0.3
     K: int = 4  # slow refresh interval
-    lam_b: float = 0.5
-    lam_t: float = 0.35
 
     def __post_init__(self):
+        if min(self.rho_full_target, self.rho_light_target) < 0:
+            raise InvalidParams("rho targets must be nonnegative")
+        if self.rho_full_target + self.rho_light_target > 1:
+            raise InvalidParams("rho_full + rho_light must be at most 1")
         if not (0 <= self.tau_m < self.tau_h):
-            raise ValueError("need 0 <= tau_m < tau_h")
+            raise InvalidParams("need 0 <= tau_m < tau_h")
         if self.K < 1:
-            raise ValueError("K must be >= 1")
+            raise InvalidParams("K must be >= 1")
 
 
 @dataclass(frozen=True)

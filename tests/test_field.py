@@ -4,6 +4,7 @@ import pytest
 from kvacontrol.errors import BehindCamera, EmptyCorpus
 from kvacontrol.kinematics import (
     PART_NAMES,
+    PART_SEMANTIC_CLASS,
     ArticulatedState,
     CameraModel,
     ToolGeometry,
@@ -128,8 +129,8 @@ class TestRasterize:
         cam = default_camera(16, 16)
         state = ArticulatedState(p=np.array([0, 0, -0.5]), r=np.zeros(3),
                                  q_sw=0, q_lg=0, q_rg=0)
-        s, d = kvf.rasterize(forward_kinematics(state, geom), cam)
-        assert s.sum() == 0 and d.sum() == 0
+        labels, d = kvf.rasterize_parts(forward_kinematics(state, geom), cam)
+        assert (labels < 0).all() and d.sum() == 0
 
     def test_front_most_part_wins(self):
         # two overlapping capsules: nearer one labels the pixel
@@ -149,9 +150,8 @@ class TestRasterize:
             radii={"shaft": 0.05, "wrist": 0.05,
                    "left_gripper": 0.001, "right_gripper": 0.001},
         )
-        s, d = kvf.rasterize(poses, cam)
-        center = s[8, 8]
-        assert center[1] == 1.0 and center[0] == 0.0  # wrist at depth ~1 wins
+        labels, d = kvf.rasterize_parts(poses, cam)
+        assert PART_NAMES[labels[8, 8]] == "wrist"  # wrist at depth ~1 wins
         assert abs(d[8, 8] - 0.95) < 0.01
 
     @pytest.mark.parametrize("seed", range(5))
@@ -204,7 +204,8 @@ class TestRasterize:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=3, seed=0, geom=geom)
-        s, d = kvf.rasterize(forward_kinematics(traj.states[2], geom), cam)
+        ch = kvf.lift_trajectory(traj, geom, cam)[2].channels
+        s, d = ch[..., 0:3], ch[..., 3]
         assert s.sum(axis=2).max() <= 1
         assert np.array_equal((d > 0), (s.sum(axis=2) == 1))
 
@@ -228,18 +229,18 @@ class TestRotationChannel:
     def test_axis_along_x_is_zero(self):
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([1, 0, 0])
-        s, _ = kvf.rasterize(poses, cam)
-        rho = kvf.rotation_channel(poses, cam)
-        mask = s.sum(axis=2) > 0
+        labels, _ = kvf.rasterize_parts(poses, cam)
+        rho = kvf.rotation_channel(poses, cam, labels)
+        mask = labels >= 0
         assert mask.any()
         assert np.max(np.abs(rho[mask])) < 1e-12
 
     def test_axis_along_y_is_half(self):
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([0, 1, 0])
-        s, _ = kvf.rasterize(poses, cam)
-        rho = kvf.rotation_channel(poses, cam)
-        mask = s.sum(axis=2) > 0
+        labels, _ = kvf.rasterize_parts(poses, cam)
+        rho = kvf.rotation_channel(poses, cam, labels)
+        mask = labels >= 0
         assert np.max(np.abs(rho[mask] - 0.5)) < 1e-12
 
     def test_matches_atan2_oracle(self):
@@ -247,9 +248,8 @@ class TestRotationChannel:
         cam = default_camera(32, 32)
         rng = np.random.default_rng(7)
         poses = forward_kinematics(random_visible_state(rng), geom)
-        s, _ = kvf.rasterize(poses, cam)
-        rho = kvf.rotation_channel(poses, cam)
         labels, _ = kvf.rasterize_parts(poses, cam)
+        rho = kvf.rotation_channel(poses, cam, labels)
         for pi, part in enumerate(PART_NAMES):
             mask = labels == pi
             if not mask.any():
@@ -396,9 +396,11 @@ class TestLift:
         for t in (0, 4, 9):
             f = fields[t]
             poses = forward_kinematics(traj.states[t], geom)
-            s, d = kvf.rasterize(poses, cam)
-            rho = kvf.rotation_channel(poses, cam)
-            labels, _ = kvf.rasterize_parts(poses, cam)
+            labels, d = kvf.rasterize_parts(poses, cam)
+            s = np.zeros(labels.shape + (3,))
+            for k, part in enumerate(PART_NAMES):
+                s[labels == k, PART_SEMANTIC_CLASS[part]] = 1.0
+            rho = kvf.rotation_channel(poses, cam, labels)
             v, a = kvf.motion_channels(labels, v_parts[t], a_parts[t])
             np.testing.assert_array_equal(f.channels[..., 0:3], s)
             np.testing.assert_array_equal(f.channels[..., 3], d)

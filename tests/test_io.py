@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -208,17 +209,15 @@ class TestConfig:
         assert cfg.sparse_start == 0.75
         assert (cfg.lam_kp, cfg.lam_src, cfg.lam_cp, cfg.lam_sub) == \
             (0.01, 0.005, 0.01, 0.005)
-        assert cfg.ema_beta == 0.95
         assert (cfg.rho_full, cfg.rho_light) == (0.2, 0.3)
-        assert cfg.refresh_intervals == (1, 2, 4)
-        assert (cfg.lam_b, cfg.lam_t) == (0.5, 0.35)
+        assert cfg.refresh_k == 4
 
     def test_json_and_overrides(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"frames": 4, "refresh_intervals": [1, 3, 6]}))
+        path.write_text(json.dumps({"frames": 4, "resolution": [48, 32]}))
         cfg = fm.load_config(path, {"stride": 8})
         assert cfg.frames == 4
-        assert cfg.refresh_intervals == (1, 3, 6)
+        assert cfg.resolution == (48, 32)
         assert cfg.stride == 8
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -226,6 +225,80 @@ class TestConfig:
         path.write_text(json.dumps({"framez": 4}))
         with pytest.raises(ParseError):
             fm.load_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("ema_beta", 0.95), ("lam_b", 0.5), ("lam_t", 0.35),
+        ("refresh_intervals", [1, 2, 4]),
+    ], ids=["ema_beta", "lam_b", "lam_t", "refresh_intervals"])
+    def test_removed_key_rejected(self, tmp_path, key, value):
+        # these keys changed no artefact and were deleted
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ParseError):
+            fm.load_config(path)
+
+
+# small enough to run every command in a few hundred milliseconds; progress
+# 0.5 lies inside the dense -> sparse blend, so dense_end, sparse_start and
+# top_k all matter
+LIVE_BASE = {"resolution": [32, 32], "frames": 3, "progress": 0.5}
+LIVE_COMMANDS = ("synth",) + cli.TRAJECTORY_COMMANDS
+
+
+def _settable_values():
+    """(field, index) of every settable Config value; a tuple field has one
+    per element, a scalar field index None."""
+    values = []
+    for f in dataclasses.fields(fm.Config):
+        if isinstance(f.default, tuple):
+            values += [pytest.param(f.name, i, id=f"{f.name}-{i}")
+                       for i in range(len(f.default))]
+        else:
+            values.append(pytest.param(f.name, None, id=f.name))
+    return values
+
+
+def _perturbed(value):
+    """A different value in range: ints doubled, floats scaled by 1.2, and
+    another trajectory kind for the one string field."""
+    if isinstance(value, str):
+        return "gripper-cycle"
+    return value * 2 if isinstance(value, int) else value * 1.2
+
+
+def _run_command(root, cfg, command, traj):
+    path = root / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = root / command
+    argv = ["--config", str(path), "--seed", "1", "--out", str(out), command]
+    if command != "synth":
+        argv += ["--traj", traj]
+    assert cli.main(argv) == 0
+    return _tree_bytes(out)
+
+
+@pytest.fixture(scope="module")
+def live_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("live-base")
+    traj = str(root / "synth" / "trajectory.txt")
+    return traj, {c: _run_command(root, LIVE_BASE, c, traj) for c in LIVE_COMMANDS}
+
+
+@pytest.mark.parametrize("name,index", _settable_values())
+def test_every_config_value_changes_an_artefact(tmp_path, live_base, name, index):
+    traj, base = live_base
+    cfg = {**dataclasses.asdict(fm.Config()), **LIVE_BASE}
+    if index is None:
+        cfg[name] = _perturbed(cfg[name])
+    else:
+        cfg[name] = list(cfg[name])
+        cfg[name][index] = _perturbed(cfg[name][index])
+    # a value that leaves synth's trajectory alone is read by a later command
+    for command in LIVE_COMMANDS:
+        if _run_command(tmp_path, cfg, command, traj) != base[command]:
+            return
+    pytest.fail(f"{name}{'' if index is None else [index]} = {cfg[name]} "
+                "changes no artefact")
 
 
 class TestRngStreams:
@@ -272,6 +345,14 @@ def _pgm_bytes(h, w, label=1):
     labels = np.zeros((h, w), dtype=np.uint8)
     labels[h // 4:h // 2, w // 4:w // 2] = label
     return f"P5\n{w} {h}\n255\n".encode("ascii") + labels.tobytes()
+
+
+def _trajectory_file(tmp_path, size):
+    """A 2-frame trajectory file seen by a size x size camera."""
+    path = tmp_path / "t.txt"
+    fm.write_trajectory(path, synth_trajectory("composite", T=2, seed=0),
+                        default_camera(size, size))
+    return path
 
 
 class TestCli:
@@ -385,19 +466,64 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("text", [
-        '{"stride": 4',
-        '{"stride": "4"}',
-        '{"frames": 2.5}',
-        '{"resolution": "64x64"}',
-        '{"top_k": true}',
+    @pytest.mark.parametrize("text,command", [
+        ('{"stride": 4', "synth"),
+        ('{"stride": "4"}', "synth"),
+        ('{"frames": 2.5}', "synth"),
+        ('{"resolution": "64x64"}', "synth"),
+        ('{"top_k": true}', "synth"),
+        ('{"rho_full": 0.9, "rho_light": 0.9}', "schedule"),
+        ('{"rho_light": -0.1}', "route"),
+        ('{"stride": 0}', "route"),
+        ('{"stride": -4}', "losses"),
+        ('{"token_dim": 0}', "route"),
+        ('{"tube_half_width": -3.0}', "synth"),
+        ('{"top_k": 9}', "route"),
+        ('{"top_k": 0}', "losses"),
+        ('{"dense_end": 0.9}', "schedule"),
+        ('{"refresh_k": 0}', "schedule"),
     ], ids=["invalid-json", "stride-str", "frames-float", "resolution-str",
-            "top_k-bool"])
-    def test_bad_config_clean_error(self, tmp_path, capsys, text):
+            "top_k-bool", "rho-sum", "rho-negative", "stride-0",
+            "stride-negative", "token_dim-0", "half_width-negative", "top_k-9",
+            "top_k-0", "dense_end-after-sparse_start", "refresh_k-0"])
+    def test_bad_config_clean_error(self, tmp_path, capsys, text, command):
         cfg = tmp_path / "c.json"
         cfg.write_text(text)
-        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                         "synth"])
+        traj = _trajectory_file(tmp_path, 32)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), command]
+        if command != "synth":
+            argv += ["--traj", str(traj)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", cli.TRAJECTORY_COMMANDS)
+    def test_resolution_mismatch_clean_error(self, tmp_path, capsys, command):
+        traj = _trajectory_file(tmp_path, 64)
+        code = cli.main(["--out", str(tmp_path / "o"), "--resolution", "32x32",
+                         command, "--traj", str(traj)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not os.listdir(tmp_path / "o")
+
+    @pytest.mark.parametrize("record,pos,value", [
+        ("dt", 1, "nan"),
+        ("dt", 1, "inf"),
+        ("camera", 5, "64.7"),
+        ("camera", 6, "nan"),
+        ("camera", 1, "nan"),
+        ("extrinsic", 4, "inf"),
+    ], ids=["dt-nan", "dt-inf", "width-fraction", "height-nan", "fx-nan",
+            "translation-inf"])
+    def test_bad_trajectory_value_clean_error(self, tmp_path, capsys, record,
+                                              pos, value):
+        traj = _trajectory_file(tmp_path, 64)
+        lines = [line.split() for line in traj.read_text().splitlines()]
+        next(parts for parts in lines if parts[0] == record)[pos] = value
+        traj.write_text("".join(" ".join(parts) + "\n" for parts in lines))
+        code = cli.main(["--out", str(tmp_path / "o"), "lift", "--traj", str(traj)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
