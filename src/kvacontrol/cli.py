@@ -132,9 +132,9 @@ def _routing_run(cfg: Config, seed: int, fields):
         m_tool = rt.avg_pool(kvf.tool_mask(f), cfg.stride)
         fusion_w, inner = decision.fusion_w, decision.inner_probs
         _, s_tilde = sched.significance(
-            motion[f.t], m_tool, fusion_w.max(axis=-1),
-            (fusion_w * inner[..., rt.FINE]).sum(axis=-1),
-            (fusion_w * inner[..., rt.SKIP]).sum(axis=-1))
+            motion[f.t], m_tool, rt._fold_last(np.maximum, fusion_w),
+            rt._fold_last(np.add, fusion_w * inner[..., rt.FINE]),
+            rt._fold_last(np.add, fusion_w * inner[..., rt.SKIP]))
         frames.append({"field": f, "ctrl": ctrl, "decision": decision,
                        "e_motion": motion[f.t], "m_tool": m_tool,
                        "s_tilde": s_tilde})
@@ -152,9 +152,11 @@ def cmd_route(cfg: Config, seed: int, fields, out: str, n_bins=3):
         plan = sched.partition(fr["s_tilde"], budget)
         motion.append(fr["e_motion"].reshape(-1))
         fusion.append(fr["decision"].fusion_w.reshape(-1, rt.N_EXPERTS))
-        inner_probs.append(
-            (fr["decision"].fusion_w[..., None]
-             * fr["decision"].inner_probs).sum(axis=-2).reshape(-1, rt.N_SUB))
+        # sum over the expert axis; numpy adds the slices of a non-last axis
+        # in order, as the fold does
+        weighted = fr["decision"].fusion_w[..., None] * fr["decision"].inner_probs
+        inner_probs.append(rt._fold_last(np.add, np.moveaxis(weighted, -2, -1))
+                           .reshape(-1, rt.N_SUB))
         modes.append(plan.mode)
         on_tool.append(fr["m_tool"].reshape(-1) > 0)
     motion = np.concatenate(motion)
@@ -199,10 +201,10 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
     predictor = pr.init_predictor(seed=_derived_seed(seed, "predictor"),
                                   c=cfg.token_dim)
 
-    R_seq = np.stack([pr._sigmoid(pr.predictor_logits(predictor, fr["decision"].tokens))
-                      for fr in frames])
+    tok_seq = np.stack([fr["decision"].tokens for fr in frames])
+    R_seq = pr._sigmoid(pr.predictor_logits(predictor, tok_seq))
     # a token is on the tool when any of its pixels is
-    m_seq = np.stack([fr["m_tool"] for fr in frames]) > 0
+    m_seq = (np.stack([fr["m_tool"] for fr in frames]) > 0).astype(float)
     src = pr.src_loss(R_seq, m_seq)
 
     fr = frames[-1]
@@ -251,12 +253,9 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
                         dict(zip(("outer_w", "outer_b", "token_w"), g)))
     rows.append(["kp_alb_loss", err])
 
-    tok_seq = np.stack([f2["decision"].tokens for f2 in frames])
-
     def src_fn(arrs):
         st = pr.PredictorState(w=arrs["w"], b=arrs["b"], tau=predictor.tau)
-        R = pr._sigmoid(np.stack([pr.predictor_logits(st, tk) for tk in tok_seq]))
-        return pr.src_loss(R, m_seq)
+        return pr.src_loss(pr._sigmoid(pr.predictor_logits(st, tok_seq)), m_seq)
 
     gw, gb = pr.src_loss_grad(tok_seq, predictor, m_seq)
     err = pr.grad_check(src_fn, {"w": predictor.w.copy(), "b": predictor.b.copy()},

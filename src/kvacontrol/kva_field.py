@@ -33,7 +33,6 @@ from .kinematics import (
 )
 
 N_CHANNELS = 9
-SEMANTIC_SLICE = slice(0, 3)
 NONSEMANTIC_SLICE = slice(3, 9)
 CHANNEL_NAMES = ("s_shaft", "s_wrist", "s_gripper", "depth", "rho",
                  "v_x", "v_y", "v_z", "alpha")
@@ -299,4 +298,5 @@ def denormalize(field: KvaField, stats: ChannelStats) -> KvaField:
 
 def tool_mask(field: KvaField) -> np.ndarray:
     """Binary mask: any semantic channel active."""
-    return (field.channels[..., SEMANTIC_SLICE].max(axis=2) > 0).astype(float)
+    ch = field.channels
+    return ((ch[..., 0] > 0) | (ch[..., 1] > 0) | (ch[..., 2] > 0)).astype(float)

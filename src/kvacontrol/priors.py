@@ -16,7 +16,15 @@ import numpy as np
 
 from .errors import EmptyProbs, InvalidParams, NonFiniteGradient, ShapeMismatch
 from .kva_field import MODALITY_CHANNELS, KvaField
-from .routing import N_EXPERTS, N_SUB, RoutingDecision, avg_pool, softmax
+from .routing import (
+    N_EXPERTS,
+    N_SUB,
+    RoutingDecision,
+    _argmax_last,
+    _fold_last,
+    avg_pool,
+    softmax,
+)
 
 
 @dataclass(frozen=True)
@@ -30,7 +38,7 @@ class RoutingStats:
 
 def routing_stats(P: np.ndarray) -> RoutingStats:
     flat = P.reshape(-1, N_EXPERTS)
-    top1 = flat.argmax(axis=-1)
+    top1 = _argmax_last(flat)
     f = np.bincount(top1, minlength=N_EXPERTS) / flat.shape[0]
     Pbar = flat.mean(axis=0)
     return RoutingStats(f=f, Pbar=Pbar, load=f * Pbar)
@@ -86,7 +94,8 @@ def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
     T = R.shape[0]
     if T < 2:
         return 0.0
-    diff2 = ((R[1:] - R[:-1]) ** 2).sum(axis=-1)  # (T-1, H', W')
+    diff = R[1:] - R[:-1]
+    diff2 = _fold_last(np.add, np.square(diff, out=diff))  # (T-1, H', W')
     mask = m_tool[1:]
     denom = N_EXPERTS * mask.sum()
     if denom == 0:
@@ -95,8 +104,15 @@ def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
 
 
 def _sigmoid(z):
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    """1 / (1 + exp(-z)) without overflow: e = exp(-|z|) is computed once and
+    the ratio is taken as 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
+    e = np.abs(z, out=np.empty(np.shape(z)))  # an array even for scalar z
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def cp_loss(predictor_logits: np.ndarray, A: np.ndarray) -> float:
@@ -133,7 +149,9 @@ def init_predictor(seed=0, c=16, scale=0.3) -> PredictorState:
 
 def predictor_logits(state: PredictorState, tokens: np.ndarray) -> np.ndarray:
     """Logits on the router grid; tokens are treated as detached inputs."""
-    return tokens @ state.w + state.b
+    z = tokens @ state.w
+    z += state.b
+    return z
 
 
 QUANTILE_CLAMP = (0.01, 0.99)

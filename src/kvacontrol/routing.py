@@ -7,6 +7,15 @@ modality. Fusion follows a dense -> sparse top-k capacity schedule.
 
 Expert operators are deliberately small (linear / pooled / identity): only the
 routing semantics matter here, not feature capacity.
+
+Nearly every array on the routing path ends in a 5-wide expert axis or a
+3-wide sub-expert axis, and numpy reduces such a short last axis one row at a
+time, at many times the cost of an elementwise pass. `_fold_last` and
+`_argmax_last` reduce it a column at a time instead, with the same bits:
+numpy sums a contiguous last axis of fewer than 8 elements strictly left to
+right, so the left fold `((x0 + x1) + x2) + ...` over columns performs the
+same additions in the same order; `max` and the argmax selection compare
+without rounding.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ class CapacitySchedule:
             raise InvalidParams(f"k must be in [1, {N_EXPERTS}]")
 
     def blend_factor(self, progress: float) -> float:
+        if not (0 <= progress <= 1):
+            raise InvalidParams(f"progress must be in [0, 1], got {progress}")
         if progress < self.dense_end:
             return 0.0
         if progress >= self.sparse_start:
@@ -112,6 +123,8 @@ class RoutingDecision:
 
 def timestep_embed(t: float) -> np.ndarray:
     """Sinusoidal features of a scalar timestep in [0, 1]."""
+    if not (0 <= t <= 1):
+        raise InvalidParams(f"timestep must be in [0, 1], got {t}")
     freqs = 2.0 ** np.arange(T_EMBED_DIM // 2)
     ang = 2 * np.pi * freqs * t
     return np.concatenate([np.sin(ang), np.cos(ang)])
@@ -128,10 +141,32 @@ def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     return x.reshape(hp, stride, wp, stride, *x.shape[2:]).mean(axis=(1, 3))
 
 
+def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over the last axis as a left fold over its columns; the
+    same bits as numpy's reduction for axes of fewer than 8 entries."""
+    out = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        ufunc(out, x[..., k], out=out)
+    return out
+
+
+def _argmax_last(x: np.ndarray) -> np.ndarray:
+    """argmax over the last axis of finite x; the first maximum wins."""
+    best = x[..., 0].copy()
+    idx = np.zeros(best.shape, dtype=np.intp)
+    for k in range(1, x.shape[-1]):
+        col = x[..., k]
+        idx[col > best] = k
+        np.maximum(best, col, out=best)
+    return idx
+
+
 def softmax(z: np.ndarray, axis=-1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    z = np.moveaxis(z, axis, -1)
+    e = z - _fold_last(np.maximum, z)[..., None]
+    np.exp(e, out=e)
+    e /= _fold_last(np.add, e)[..., None]
+    return np.moveaxis(e, -1, axis)
 
 
 def action_embed(field: KvaField, params: GateParams):
@@ -149,8 +184,9 @@ def outer_gate(c_action, t_embed, params: GateParams, tokens=None):
     """Global modality gate, additively refined per token when tokens given."""
     logits = np.concatenate([c_action, t_embed]) @ params.outer_w + params.outer_b
     if tokens is not None:
-        logits = logits + tokens @ params.token_w
-        return softmax(logits, axis=-1)
+        per_token = tokens @ params.token_w
+        per_token += logits
+        logits = per_token
     return softmax(logits)
 
 
@@ -168,16 +204,16 @@ def topk_select(P: np.ndarray, k: int) -> np.ndarray:
 def capacity_blend(P, A, progress: float, sched: CapacitySchedule) -> np.ndarray:
     """fusion_w = (1 - lam) * P + lam * renormalized(P * A)."""
     masked = P * A
-    S = masked / masked.sum(axis=-1, keepdims=True)
+    S = masked / _fold_last(np.add, masked)[..., None]
     lam = sched.blend_factor(progress)
     return (1 - lam) * P + lam * S
 
 
 def inner_gate(modality_tokens: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Top-1 fine/transport/skip selection with full distributions returned."""
-    probs = softmax(modality_tokens @ w + b, axis=-1)
-    sel = probs.argmax(axis=-1)  # first max wins: fine < transport < skip
-    conf = np.take_along_axis(probs, sel[..., None], axis=-1)[..., 0]
+    probs = softmax(modality_tokens @ w + b)
+    sel = _argmax_last(probs)  # first max wins: fine < transport < skip
+    conf = _fold_last(np.maximum, probs)  # the selected probability
     return sel, conf, probs
 
 
@@ -190,8 +226,9 @@ def modality_expert(field_pooled, params: GateParams, m: str):
 
     fine = lifted @ params.fine_w[m] + params.fine_b[m]
     transport = lifted @ params.trans_w[m] + params.trans_b[m] + lifted.mean(axis=(0, 1))
-    stack = np.stack([fine, transport, lifted], axis=-2)  # (..., 3, C)
-    selected = np.take_along_axis(stack, sel[..., None, None], axis=-2)[..., 0, :]
+    pick = sel[..., None]
+    selected = np.where(pick == FINE, fine,
+                        np.where(pick == TRANSPORT, transport, lifted))
     return conf[..., None] * selected, sel, conf, probs
 
 

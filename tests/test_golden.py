@@ -3,7 +3,10 @@
 Runs synth (target seed 3, prediction seed 4) -> lift -> route -> losses ->
 schedule -> eval through `cli.main` at 64x64 with T=4 frames, and compares
 the SHA-256 of every artefact with digests recorded before the lift was
-reworked into a single pass per trajectory.
+reworked into a single pass per trajectory. A second case runs the same flow
+at 128x128 with T=3 frames (target seed 7, prediction seed 8), a 32x32 token
+grid; its digests were recorded before the expert-axis reductions in
+`routing` and `priors` were rewritten as column folds.
 
 The digests are pinned to the numpy and BLAS build they were recorded with
 (numpy 2.4.6, OpenBLAS 0.3.31). Another numpy or BLAS may round a float differently
@@ -41,17 +44,39 @@ GOLDEN = {
     'target/trajectory.txt': 'b2f26881873e42f30f7c53043e0c2ff950f18eaac812b17830381d6f875bc74b',
 }
 
+GOLDEN_128 = {
+    'eval/metrics.csv': 'ebe7d9f9806601311436f2cad0a592431cef30187a9981cb9ad2b2c81e122c14',
+    'lift/channel_stats.csv': '5469b2760573a9d226f104333242f28d3ee1e8e814175957611b9d6d3461df0f',
+    'lift/field_0001.kvaf': 'c0d88381b22e5ec54fbf8a74e54827908083f65c083a49ae02f7c4e1a7e0d19d',
+    'lift/field_0002.kvaf': '7ed4d2985fd582c4d2711b645e846c50e34cad99fb6243c97c8e105e15a6e850',
+    'lift/field_0003.kvaf': 'ee5ff89a7103482e3f8b21c6550c4cfd7a842677443a48ce06d7f8737b484fd2',
+    'losses/grad_check.csv': '314c6c3f46adc1294252867c3e4c72d78556db44bf2a7f36406c15193b890bad',
+    'losses/losses.csv': 'b1262529f97685a145831e78a8556a67618553dd1f9bf57218264217dc00ab07',
+    'pred/masks/frame_0001.pgm': '235248bb395dbcf199885bebc8cb72efe301911200f56f54e2fb36e5cf471fda',
+    'pred/masks/frame_0002.pgm': '5a91ef10d185ea0464e745ceff2baca2dba001526c81a894b5fc25ffc5066bf2',
+    'pred/masks/frame_0003.pgm': 'd77d4ecce6dc8c238f541aeb6f82a0e9b176b2e0a6b92e7d032ae7cddb622787',
+    'pred/trajectory.txt': 'ac497655f4040c32b6b750a024792cda3a0b8e1fc9b085f0e0e18c45b22e4123',
+    'route/routing_stats.csv': '0bf2a9f55c52a363abc74e155a032b44176e9e00ff056a2ff9306e42f2de675f',
+    'schedule/cost_summary.csv': '4d6bf5040d9d1a2d441f9e3f90886317f40dba1d8314a7a6ecf12d512ecdbb59',
+    'schedule/execution.csv': '90c45670b28b8105bc555db80b5ae49087687cc618bab829dcc8d07c292c14ac',
+    'target/masks/frame_0001.pgm': '14eb3120f060ff9c49cc25fc3edd5e8c793959df37711a78870d8a3bb3de0d10',
+    'target/masks/frame_0002.pgm': '7944057364237fa448d540f37d887b5c65c702c03d19cc681064ac1347c5bdfa',
+    'target/masks/frame_0003.pgm': '10e5b9f64adaf5ad807f752e914b4a5160f97957ad4a40593e021e74dfca541f',
+    'target/trajectory.txt': '6be414603e7c3613f013be6744babfce8fe7daf9182f15293a75b233ecdba64c',
+}
 
-def run_flow(root):
-    """Run the CLI flow under `root`; return {relative path: sha256 hex}."""
+
+def run_flow(root, resolution="64x64", frames=4, seed=3):
+    """Run the CLI flow under `root` (target seed `seed`, prediction seed
+    `seed + 1`); return {relative path: sha256 hex}."""
     root = str(root)
-    common = ["--resolution", "64x64"]
-    for seed, out in (("3", "target"), ("4", "pred")):
-        assert cli.main(["--seed", seed, "--out", os.path.join(root, out),
-                         *common, "synth", "--frames", "4"]) == 0
+    common = ["--resolution", resolution]
+    for s, out in ((seed, "target"), (seed + 1, "pred")):
+        assert cli.main(["--seed", str(s), "--out", os.path.join(root, out),
+                         *common, "synth", "--frames", str(frames)]) == 0
     traj = os.path.join(root, "target", "trajectory.txt")
     for cmd in ("lift", "route", "losses", "schedule"):
-        assert cli.main(["--seed", "3", "--out", os.path.join(root, cmd),
+        assert cli.main(["--seed", str(seed), "--out", os.path.join(root, cmd),
                          *common, cmd, "--traj", traj]) == 0
     assert cli.main(["--out", os.path.join(root, "eval"), "eval",
                      "--pred", os.path.join(root, "pred", "masks"),
@@ -66,16 +91,31 @@ def run_flow(root):
     return digests
 
 
+# (recorded digests, run_flow arguments) per case
+CASES = ((GOLDEN, {}),
+         (GOLDEN_128, {"resolution": "128x128", "frames": 3, "seed": 7}))
+
+
+def check_case(root, golden, kwargs):
+    digests = run_flow(root, **kwargs)
+    assert sorted(digests) == sorted(golden)
+    for name in sorted(golden):
+        assert digests[name] == golden[name], name
+
+
 def test_artefacts_match_recorded_digests(tmp_path):
-    digests = run_flow(tmp_path)
-    assert sorted(digests) == sorted(GOLDEN)
-    for name in sorted(GOLDEN):
-        assert digests[name] == GOLDEN[name], name
+    check_case(tmp_path, *CASES[0])
+
+
+def test_artefacts_match_recorded_digests_128(tmp_path):
+    check_case(tmp_path, *CASES[1])
 
 
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in sorted(run_flow(tmp).items()):
-            print(f"    {name!r}: {digest!r},")
+    for _, kwargs in CASES:
+        print(kwargs or "default case")
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, digest in sorted(run_flow(tmp, **kwargs).items()):
+                print(f"    {name!r}: {digest!r},")

@@ -8,6 +8,7 @@ import pytest
 from kvacontrol import cli
 from kvacontrol import kva_field as kvf
 from kvacontrol import formats as fm
+from kvacontrol import priors as pr
 from kvacontrol.errors import (
     BadMagic,
     InvariantViolation,
@@ -482,10 +483,14 @@ class TestCli:
         ('{"top_k": 0}', "losses"),
         ('{"dense_end": 0.9}', "schedule"),
         ('{"refresh_k": 0}', "schedule"),
+        ('{"progress": -5.0}', "route"),
+        ('{"progress": 1.5}', "losses"),
+        ('{"timestep": 1e300}', "route"),
     ], ids=["invalid-json", "stride-str", "frames-float", "resolution-str",
             "top_k-bool", "rho-sum", "rho-negative", "stride-0",
             "stride-negative", "token_dim-0", "half_width-negative", "top_k-9",
-            "top_k-0", "dense_end-after-sparse_start", "refresh_k-0"])
+            "top_k-0", "dense_end-after-sparse_start", "refresh_k-0",
+            "progress-negative", "progress-above-1", "timestep-huge"])
     def test_bad_config_clean_error(self, tmp_path, capsys, text, command):
         cfg = tmp_path / "c.json"
         cfg.write_text(text)
@@ -497,6 +502,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_losses_src_check_one_logits_call_per_eval(self, tmp_path,
+                                                       monkeypatch):
+        traj = _trajectory_file(tmp_path, 32)  # T=2 frames
+        logits_calls = []
+        checks = []  # (loss evaluations, predictor_logits calls) per grad check
+        real_logits, real_check = pr.predictor_logits, pr.grad_check
+
+        def counted_logits(state, tokens):
+            logits_calls.append(tokens.shape)
+            return real_logits(state, tokens)
+
+        def counted_check(loss_fn, arrays, analytic, eps=1e-5):
+            evals, before = [], len(logits_calls)
+
+            def counted_fn(arrs):
+                evals.append(arrs)
+                return loss_fn(arrs)
+
+            err = real_check(counted_fn, arrays, analytic, eps=eps)
+            checks.append((len(evals), len(logits_calls) - before))
+            return err
+
+        monkeypatch.setattr(pr, "predictor_logits", counted_logits)
+        monkeypatch.setattr(pr, "grad_check", counted_check)
+        self._run("--out", str(tmp_path / "o"), "losses", "--traj", str(traj))
+        assert len(checks) == 3  # cp_loss, kp_alb_loss, src_loss
+        n_evals, n_logits = checks[2]
+        n_params = (fm.Config().token_dim + 1) * pr.N_EXPERTS  # w and b
+        assert n_evals == 2 * n_params
+        assert n_logits == n_evals
 
     @pytest.mark.parametrize("command", cli.TRAJECTORY_COMMANDS)
     def test_resolution_mismatch_clean_error(self, tmp_path, capsys, command):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kvacontrol import metrics as mt
+from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
 
@@ -72,3 +73,42 @@ def test_partition_counts_and_exhaustive(s):
     # every full token scores at least as high as every non-full token
     if counts[0] and counts[0] < n:
         assert s[plan.mode == 0].min() >= s[plan.mode != 0].max() - 1e-15
+
+
+def _old_sigmoid(z):
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+
+# leading shapes from 0-d up, then a last axis of width 1-6
+short_axis = st.tuples(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                        max_side=6),
+                       st.integers(1, 6)).map(lambda s: s[0] + (s[1],))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, short_axis, elements=finite))
+def test_fold_last_matches_numpy_reductions(x):
+    with np.errstate(over="ignore"):
+        assert rt._fold_last(np.add, x).tobytes() == x.sum(axis=-1).tobytes()
+    assert rt._fold_last(np.maximum, x).tobytes() == x.max(axis=-1).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, short_axis,
+                  elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
+def test_argmax_last_matches_numpy_argmax(x):
+    idx = rt._argmax_last(x)
+    assert idx.dtype == np.intp
+    assert idx.tobytes() == x.argmax(axis=-1).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                               min_side=0, max_side=6),
+                  elements=st.one_of(st.floats(-60, 60), st.floats(-1e4, 1e4),
+                                     st.sampled_from([-746.0, -745.0, 745.0,
+                                                      800.0, -0.0, 0.0]))))
+def test_sigmoid_matches_three_exp_form(z):
+    assert pr._sigmoid(z).tobytes() == _old_sigmoid(z).tobytes()
