@@ -18,7 +18,8 @@ from . import metrics as mt
 from . import priors as pr
 from . import routing as rt
 from . import scheduler as sched
-from .errors import KvaControlError, ParseError, ShapeMismatch
+from .errors import (EmptyCorpus, InvalidParams, KvaControlError, ParseError,
+                     ShapeMismatch)
 from .formats import (
     Config,
     atomic_write_text,
@@ -309,6 +310,8 @@ def cmd_eval(pred_dir: str, target_dir: str, out: str):
     if len(pred) != len(target):
         raise KvaControlError(
             f"{len(pred)} predicted frames vs {len(target)} target frames")
+    if not pred:
+        raise EmptyCorpus(f"no .pgm masks in {pred_dir} or {target_dir}")
     for t, (p, q) in enumerate(zip(pred, target), start=1):
         if p.labels.shape != q.labels.shape:
             raise ShapeMismatch(f"frame {t}: predicted mask {p.labels.shape} "
@@ -380,11 +383,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     overrides = {}
     if args.command == "synth":
-        if args.kind:
+        if args.kind is not None:
             overrides["trajectory_kind"] = args.kind
-        if args.frames:
+        if args.frames is not None:
             overrides["frames"] = args.frames
     try:
+        if args.seed < 0:
+            raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
         resolution = None
         if args.resolution:
             resolution = overrides["resolution"] = _parse_resolution(args.resolution)

@@ -13,6 +13,22 @@ through a lookup table indexed by the rasterized part labels. The rasterizer
 ray-tests each capsule only inside its screen box, the bounding box of its
 3-D box's projected corners, which holds every pixel whose ray can hit it
 (see `rasterize_parts`), so its cost scales with the tool's pixel area.
+
+The statistics, the standardization and the ray tests work on axes only 3, 6
+or 9 entries wide, where numpy pays its per-row overhead on every row. They
+run a column at a time instead, doing the same float operations in the same
+order, so every result keeps its bits:
+
+- `compute_stats` makes the reductions of numpy's `mean(axis=0)` and
+  `std(axis=0)` itself: `np.add.reduce` over axis 0 adds the rows one after
+  another, so the one sum serves both, and the variance is formed in place
+  on the concatenated copy.
+- `normalize` subtracts the mean and divides by the std one channel column
+  at a time: the same subtraction and division of each element.
+- `_sq_norm` squares and adds the 3 columns of a direction as
+  `(x0 * x0 + x1 * x1) + x2 * x2`; numpy sums a last axis of fewer than 8
+  entries left to right, and a square is never -0.0, so numpy's 0.0 start
+  changes nothing.
 """
 
 from __future__ import annotations
@@ -84,6 +100,15 @@ class ChannelStats:
         object.__setattr__(self, "std", std)
 
 
+def _sq_norm(x):
+    """Squared norm of each row of an (N, 3) x; `(x * x).sum(axis=1)`."""
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    out = x0 * x0
+    out += x1 * x1
+    out += x2 * x2
+    return out
+
+
 def _ray_capsule_depths(D, a, b, radius, z_near):
     """Vectorized smallest hit depth per ray; inf on a miss.
 
@@ -99,7 +124,7 @@ def _ray_capsule_depths(D, a, b, radius, z_near):
     d_ax = D @ axis
     dd = D - d_ax[:, None] * axis
     mm = m - np.dot(m, axis) * axis
-    qa = (dd * dd).sum(axis=1)
+    qa = _sq_norm(dd)
     qb = 2.0 * dd @ mm
     qc = np.dot(mm, mm) - radius * radius
     disc = qb * qb - 4 * qa * qc
@@ -114,9 +139,9 @@ def _ray_capsule_depths(D, a, b, radius, z_near):
             best = np.where(valid & (t < best), t, best)
 
     # spherical caps
+    sa = _sq_norm(D)
     for center in (a, b):
         mc = -center
-        sa = (D * D).sum(axis=1)
         sb = 2.0 * D @ mc
         sc = np.dot(mc, mc) - radius * radius
         disc = sb * sb - 4 * sa * sc
@@ -278,15 +303,23 @@ def compute_stats(fields) -> ChannelStats:
     fields = list(fields)
     if not fields:
         raise EmptyCorpus("need at least one field to compute stats")
-    stacked = np.concatenate(
+    x = np.concatenate(
         [f.channels[..., NONSEMANTIC_SLICE].reshape(-1, 6) for f in fields], axis=0)
-    return ChannelStats(mean=stacked.mean(axis=0), std=stacked.std(axis=0))
+    n = x.shape[0]
+    mean = np.add.reduce(x, axis=0) / n
+    x -= mean
+    np.multiply(x, x, out=x)
+    return ChannelStats(mean=mean, std=np.sqrt(np.add.reduce(x, axis=0) / n))
 
 
 def normalize(field: KvaField, stats: ChannelStats) -> KvaField:
     """Standardize non-semantic channels; semantic channels pass through."""
     ch = field.channels.copy()
-    ch[..., NONSEMANTIC_SLICE] = (ch[..., NONSEMANTIC_SLICE] - stats.mean) / stats.std
+    flat = ch.reshape(-1, N_CHANNELS)
+    for k in range(6):
+        c = flat[:, NONSEMANTIC_SLICE.start + k]
+        c -= stats.mean[k]
+        c /= stats.std[k]
     return KvaField(channels=ch, t=field.t)
 
 

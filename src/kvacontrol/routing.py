@@ -13,9 +13,18 @@ Nearly every array on the routing path ends in a 5-wide expert axis or a
 time, at many times the cost of an elementwise pass. `_fold_last` and
 `_argmax_last` reduce it a column at a time instead, with the same bits:
 numpy sums a contiguous last axis of fewer than 8 elements strictly left to
-right, so the left fold `((x0 + x1) + x2) + ...` over columns performs the
-same additions in the same order; `max` and the argmax selection compare
-without rounding.
+right, starting from the identity 0.0, so the left fold
+`((x0 + 0.0) + x1) + x2 ...` over columns performs the same additions in the
+same order. The `+ 0.0` matters only for signed zero: it turns a row of
+-0.0 into +0.0, as numpy's sum does, and leaves every other value as it is.
+`max` and the argmax selection compare without rounding.
+
+`avg_pool` folds the stride x stride block of a channel-last field the same
+way: numpy sums the two block axes of a (H', s, W', s, C) view, C >= 2, one
+block entry at a time in row-major order, each an elementwise pass over the
+whole output, so `out = v[:, 0, :, 0] + 0.0; out += v[:, a, :, b]` in that
+order is the same sum, and the division by s * s is the one numpy's `mean`
+makes.
 """
 
 from __future__ import annotations
@@ -131,20 +140,36 @@ def timestep_embed(t: float) -> np.ndarray:
 
 
 def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
-    """Non-overlapping average pooling over the two leading spatial dims."""
+    """Non-overlapping average pooling over the two leading spatial dims.
+
+    The block is folded in row-major order (see the module docstring): the
+    same bits as `reshape(...).mean(axis=(1, 3))` for a channel-last x with
+    at least 2 channels. For a 2-D x numpy may sum in another order; any
+    order is exact for the 0/1 tool masks pooled here. The fold costs
+    stride**2 - 1 elementwise passes over the output, so from stride 32 up
+    it is slower than numpy's mean; no caller pools that coarsely."""
     if stride < 1:
         raise InvalidParams(f"stride must be >= 1, got {stride}")
     h, w = x.shape[:2]
     if h % stride or w % stride:
         raise ShapeMismatch(f"{x.shape[:2]} not divisible by stride {stride}")
-    hp, wp = h // stride, w // stride
-    return x.reshape(hp, stride, wp, stride, *x.shape[2:]).mean(axis=(1, 3))
+    v = x.reshape(h // stride, stride, w // stride, stride, *x.shape[2:])
+    out = v[:, 0, :, 0] + 0.0
+    for a in range(stride):
+        for b in range(stride):
+            if a or b:
+                out += v[:, a, :, b]
+    out /= stride * stride
+    return out
 
 
 def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
     """ufunc.reduce over the last axis as a left fold over its columns; the
-    same bits as numpy's reduction for axes of fewer than 8 entries."""
+    same bits as numpy's reduction for axes of fewer than 8 entries. The add
+    fold adds 0.0 to column 0 first, as numpy's sum starts from 0.0."""
     out = x[..., 0].copy()
+    if ufunc is np.add:
+        out += 0.0
     for k in range(1, x.shape[-1]):
         ufunc(out, x[..., k], out=out)
     return out

@@ -6,7 +6,11 @@ the SHA-256 of every artefact with digests recorded before the lift was
 reworked into a single pass per trajectory. A second case runs the same flow
 at 128x128 with T=3 frames (target seed 7, prediction seed 8), a 32x32 token
 grid; its digests were recorded before the expert-axis reductions in
-`routing` and `priors` were rewritten as column folds.
+`routing` and `priors` were rewritten as column folds. A third case runs the
+64x64, T=4 flow (target seed 11, prediction seed 12) with `--config`
+`{"stride": 8}`, an 8x8 token grid, so that a second pooling stride is
+pinned; its digests were recorded before the field layer's channel
+statistics, normalization and block pooling were rewritten as column passes.
 
 The digests are pinned to the numpy and BLAS build they were recorded with
 (numpy 2.4.6, OpenBLAS 0.3.31). Another numpy or BLAS may round a float differently
@@ -16,6 +20,7 @@ change under test.
 """
 
 import hashlib
+import json
 import os
 
 from kvacontrol import cli
@@ -65,12 +70,45 @@ GOLDEN_128 = {
     'target/trajectory.txt': '6be414603e7c3613f013be6744babfce8fe7daf9182f15293a75b233ecdba64c',
 }
 
+GOLDEN_STRIDE8 = {
+    'eval/metrics.csv': '1b79150c0f9d60acaef22057e2943a3b9bacaef0af07e1484d5bba1aef79debf',
+    'lift/channel_stats.csv': '9d666efe1a91ed254aa1bfd32e430156cac943c777aff2bab3f965220c0c3257',
+    'lift/field_0001.kvaf': 'ef81648c605e9bd1c17d1f1c9599dbadd0738726a732e258fe7a6b32bf2f8978',
+    'lift/field_0002.kvaf': 'e56e5ab4bcb63d0d57f888ec261e7de2853e637df80c531ddc2d9e7587d93018',
+    'lift/field_0003.kvaf': 'fcdc90b2bb06365603b0965f15db9680a53679c26e2fd3fef2c4ccd0aa4e4ca6',
+    'lift/field_0004.kvaf': '6c5fe227e9b3a7851686c3f42680d280ab932e1ab04aafb35636be61be5489b2',
+    'losses/grad_check.csv': '4194654ee6fc58a03a01cc8b36cab1b972c9c7ff4d2a44451c0e1d1cb776e5ed',
+    'losses/losses.csv': '79ceaefda316f54996b88b683c0fc19034058301c3cbeb7958b0cad6a61efabe',
+    'pred/masks/frame_0001.pgm': '703251cc29ce411c854bd9b8668dca6666bbc804182d4bad0b342db1e23414fc',
+    'pred/masks/frame_0002.pgm': '6d7f0b3b51417f0c1818382becf14f7184fca29d4eb8f1602aa7b4cfc6ad403d',
+    'pred/masks/frame_0003.pgm': 'd26b189f7204bf2a887a956da545487636f3b5beab490c08eee88bfa04fe67e6',
+    'pred/masks/frame_0004.pgm': 'be8eee4b9a4031b59c2ec1626643343af4e99a0eff337489a268624bceb2fd84',
+    'pred/trajectory.txt': '41ec9d4d397bec6e1156670e8e2b1a9bd3d78f5d824e21e32287e78b9bec0dc4',
+    'route/routing_stats.csv': 'da45cdf2dfeba7bc2a648d9265074a056e12d73dcfb648d20404fd885f80c7d9',
+    'schedule/cost_summary.csv': 'e5eb08d1e2a64e6080a0b9cf78fa88aa63bf57b4cb5bf32e63c0af165e50b7e2',
+    'schedule/execution.csv': 'd267c8a2008a93f8085d6ef86ad5ddca69c881bf3aa3b00d2d281ecdc1b9873b',
+    'target/masks/frame_0001.pgm': '90ef72fb4d1456cd685da61a8e324fdb713f7f7b3c21ee32b2c7ec014561fbf7',
+    'target/masks/frame_0002.pgm': '6379b144cc88c30e601b0b62bc1fe96faf409bd02ce41ed85d9961f1f1cdc1d5',
+    'target/masks/frame_0003.pgm': '5ed42be0e1130d42615f2e4f78a093b540125b366497dd39455fa43c11bff0cb',
+    'target/masks/frame_0004.pgm': 'f828918b87cfcb62098a8188e2214af4f48f957d778991afccd10ec1c8434114',
+    'target/trajectory.txt': '37b6f32a19721b903a65adaee17d352c194cb4a834c47ea57dc1b4793838dcc6',
+}
 
-def run_flow(root, resolution="64x64", frames=4, seed=3):
+
+CONFIG_NAME = "config.json"
+
+
+def run_flow(root, resolution="64x64", frames=4, seed=3, config=None):
     """Run the CLI flow under `root` (target seed `seed`, prediction seed
-    `seed + 1`); return {relative path: sha256 hex}."""
+    `seed + 1`, every command given `--config` holding the dict `config` when
+    one is given); return {relative path: sha256 hex} of the artefacts."""
     root = str(root)
     common = ["--resolution", resolution]
+    if config is not None:
+        config_path = os.path.join(root, CONFIG_NAME)
+        with open(config_path, "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        common += ["--config", config_path]
     for s, out in ((seed, "target"), (seed + 1, "pred")):
         assert cli.main(["--seed", str(s), "--out", os.path.join(root, out),
                          *common, "synth", "--frames", str(frames)]) == 0
@@ -84,6 +122,8 @@ def run_flow(root, resolution="64x64", frames=4, seed=3):
     digests = {}
     for dirpath, _, names in os.walk(root):
         for name in names:
+            if dirpath == root and name == CONFIG_NAME:
+                continue
             path = os.path.join(dirpath, name)
             with open(path, "rb") as f:
                 digests[os.path.relpath(path, root)] = hashlib.sha256(
@@ -93,7 +133,8 @@ def run_flow(root, resolution="64x64", frames=4, seed=3):
 
 # (recorded digests, run_flow arguments) per case
 CASES = ((GOLDEN, {}),
-         (GOLDEN_128, {"resolution": "128x128", "frames": 3, "seed": 7}))
+         (GOLDEN_128, {"resolution": "128x128", "frames": 3, "seed": 7}),
+         (GOLDEN_STRIDE8, {"seed": 11, "config": {"stride": 8}}))
 
 
 def check_case(root, golden, kwargs):
@@ -109,6 +150,10 @@ def test_artefacts_match_recorded_digests(tmp_path):
 
 def test_artefacts_match_recorded_digests_128(tmp_path):
     check_case(tmp_path, *CASES[1])
+
+
+def test_artefacts_match_recorded_digests_stride8(tmp_path):
+    check_case(tmp_path, *CASES[2])
 
 
 if __name__ == "__main__":

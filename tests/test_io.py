@@ -503,6 +503,24 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1", "synth"],
+        ["--seed", "-1", "route", "--traj", "TRAJ"],
+        ["synth", "--frames", "0"],
+        ["synth", "--kind", ""],
+        ["eval", "--pred", "EMPTY", "--target", "EMPTY"],
+    ], ids=["seed-negative-synth", "seed-negative-route", "frames-0", "kind-empty",
+            "eval-empty-dirs"])
+    def test_bad_argument_clean_error(self, tmp_path, capsys, argv):
+        traj = _trajectory_file(tmp_path, 32)
+        (tmp_path / "empty").mkdir()
+        swap = {"TRAJ": str(traj), "EMPTY": str(tmp_path / "empty")}
+        code = cli.main(["--out", str(tmp_path / "o"),
+                         *(swap.get(a, a) for a in argv)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
     def test_losses_src_check_one_logits_call_per_eval(self, tmp_path,
                                                        monkeypatch):
         traj = _trajectory_file(tmp_path, 32)  # T=2 frames

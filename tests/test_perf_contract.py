@@ -1,0 +1,46 @@
+"""The benchmark's trace contract: every per-layer metric it reports exists.
+
+`perfbench/run.py --trace 1` fails a run with "did not report" when a
+per-layer metric named in BENCHMARK.json is missing from the trace, which
+happens when a traced public function is renamed, made private or no longer
+called. This test runs one small pass of the benchmark's flow under the
+benchmark's tracer and checks every name, so such a change fails here.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+# computed by run.py from two runs, not found in one pass's trace
+NOT_TRACED = {"trace.overhead_frac"}
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+    import worker
+    yield tracer, worker
+    for name in ("tracer", "worker", "refspeed"):
+        sys.modules.pop(name, None)
+
+
+def test_trace_reports_every_per_layer_metric(tmp_path, perfbench_modules):
+    tracer_mod, worker = perfbench_modules
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        wanted = {m["name"] for m in json.load(f)["per_layer"]} - NOT_TRACED
+    steps = worker.plan(worker.Workload(size=32, frames=2), 1, str(tmp_path))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for label, cmd, _, call in steps:
+            with tracer.span(f"cli.{cmd}"):
+                assert call() == 0, label
+        values, _ = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert sorted(wanted - set(values)) == []

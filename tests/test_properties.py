@@ -1,10 +1,11 @@
 """Randomized property tests for the pure numerical kernels."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kvacontrol import kva_field as kvf
 from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
@@ -89,6 +90,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, short_axis, elements=finite))
+@example(x=np.array([-0.0]))
 def test_fold_last_matches_numpy_reductions(x):
     with np.errstate(over="ignore"):
         assert rt._fold_last(np.add, x).tobytes() == x.sum(axis=-1).tobytes()
@@ -112,3 +114,75 @@ def test_argmax_last_matches_numpy_argmax(x):
                                                       800.0, -0.0, 0.0]))))
 def test_sigmoid_matches_three_exp_form(z):
     assert pr._sigmoid(z).tobytes() == _old_sigmoid(z).tobytes()
+
+
+# finite values with both signed zeros drawn often
+signed = st.one_of(st.sampled_from([-0.0, 0.0]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def pool_inputs(draw):
+    """(x, stride): x an (hp * stride, wp * stride, 2-9 channels) array."""
+    stride = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    shape = (draw(st.integers(1, 4)) * stride, draw(st.integers(1, 4)) * stride,
+             draw(st.integers(2, 9)))
+    return draw(hnp.arrays(np.float64, shape, elements=signed)), stride
+
+
+def _numpy_pool(x, stride):
+    h, w = x.shape[:2]
+    return x.reshape(h // stride, stride, w // stride, stride,
+                     *x.shape[2:]).mean(axis=(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_inputs())
+@example(xs=(np.full((4, 4, 3), -0.0), 4))
+def test_avg_pool_matches_numpy_mean(xs):
+    x, stride = xs
+    assert rt.avg_pool(x, stride).tobytes() == _numpy_pool(x, stride).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 8]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_avg_pool_of_binary_mask_matches_numpy_mean(stride, hp, wp, data):
+    mask = data.draw(hnp.arrays(bool, (hp * stride, wp * stride))).astype(float)
+    assert rt.avg_pool(mask, stride).tobytes() == _numpy_pool(mask, stride).tobytes()
+
+
+field_stacks = st.integers(1, 6).flatmap(
+    lambda h: st.lists(hnp.arrays(np.float64, (h, 3, kvf.N_CHANNELS),
+                                  elements=signed), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_stacks)
+def test_compute_stats_matches_numpy_mean_std(arrays):
+    fields = [kvf.KvaField(channels=a) for a in arrays]
+    stats = kvf.compute_stats(fields)
+    stacked = np.concatenate(
+        [f.channels[..., 3:].reshape(-1, 6) for f in fields], axis=0)
+    old = kvf.ChannelStats(mean=stacked.mean(axis=0), std=stacked.std(axis=0))
+    assert stats.mean.tobytes() == old.mean.tobytes()
+    assert stats.std.tobytes() == old.std.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_stacks, hnp.arrays(np.float64, 6, elements=signed),
+       hnp.arrays(np.float64, 6, elements=st.floats(1e-3, 1e3)))
+def test_normalize_matches_broadcast_expression(arrays, mean, std):
+    stats = kvf.ChannelStats(mean=mean, std=std)
+    for field in (kvf.KvaField(channels=a) for a in arrays):
+        want = field.channels.copy()
+        want[..., 3:] = (want[..., 3:] - stats.mean) / stats.std
+        assert kvf.normalize(field, stats).channels.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 20), st.just(3)),
+                  elements=st.one_of(signed, finite)))
+def test_sq_norm_matches_numpy_sum(x):
+    with np.errstate(over="ignore"):
+        assert kvf._sq_norm(x).tobytes() == (x * x).sum(axis=1).tobytes()
