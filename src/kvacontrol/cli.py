@@ -7,7 +7,6 @@ invocations produce byte-identical outputs. Reports are CSV with a header row.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -193,27 +192,48 @@ def cmd_route(cfg: Config, seed: int, fields, out: str, n_bins=3):
     return 0
 
 
+def _value_and_check(loss_fn, arrays: dict, analytic):
+    """loss_fn at the unperturbed arrays, and its grad check's max relative
+    error. grad_check is looked up on `priors` at each call, where a tracer
+    that wraps it counts the loss evaluations."""
+    return loss_fn(arrays), pr.grad_check(loss_fn, arrays,
+                                          dict(zip(arrays, analytic)))
+
+
 def cmd_losses(cfg: Config, seed: int, fields, out: str):
-    """All kinematic-prior losses on one sequence + gradient-check report."""
+    """All kinematic-prior losses on one sequence + gradient-check report.
+
+    Each reported loss is its grad check's evaluator at the unperturbed
+    parameters, so the report and the check share one path. The checks run
+    one after another, so one evaluator's buffers are alive at a time."""
     frames, params = _routing_run(cfg, seed, fields)
     rng = subsystem_rng(seed, "losses")
     weights = pr.LossWeights(lam_kp=cfg.lam_kp, lam_src=cfg.lam_src,
                              lam_cp=cfg.lam_cp, lam_sub=cfg.lam_sub)
     predictor = pr.init_predictor(seed=_derived_seed(seed, "predictor"),
                                   c=cfg.token_dim)
-
-    tok_seq = np.stack([fr["decision"].tokens for fr in frames])
-    R_seq = pr._sigmoid(pr.predictor_logits(predictor, tok_seq))
-    # a token is on the tool when any of its pixels is
-    m_seq = (np.stack([fr["m_tool"] for fr in frames]) > 0).astype(float)
-    src = pr.src_loss(R_seq, m_seq)
-
     fr = frames[-1]
+    tokens, A = fr["decision"].tokens, fr["decision"].A
+    c_action, t_embed = fr["decision"].c_action, rt.timestep_embed(cfg.timestep)
+    tok_seq = np.stack([f["decision"].tokens for f in frames])
+    # a token is on the tool when any of its pixels is
+    m_seq = (np.stack([f["m_tool"] for f in frames]) > 0).astype(float)
     prior = pr.physical_prior(fr["field"], stride=cfg.stride)
-    stats = pr.routing_stats(fr["decision"].P)
-    kp = pr.kp_alb_loss(stats, prior)
-    logits = pr.predictor_logits(predictor, fr["decision"].tokens)
-    cp = pr.cp_loss(logits, fr["decision"].A)
+    pred_params = {"w": predictor.w.copy(), "b": predictor.b.copy()}
+    gate_params = {name: getattr(params, name).copy()
+                   for name in ("outer_w", "outer_b", "token_w")}
+
+    cp, cp_err = _value_and_check(
+        pr._cp_evaluator(tokens, A, predictor.tau), pred_params,
+        pr.cp_loss_grad(tokens, predictor, A))
+    kp, kp_err = _value_and_check(
+        pr._kp_alb_evaluator(tokens, c_action, t_embed, prior), gate_params,
+        pr.kp_alb_grad(tokens, c_action, t_embed, params.outer_w,
+                       params.outer_b, params.token_w, prior))
+    src, src_err = _value_and_check(
+        pr._src_evaluator(tok_seq, m_seq, predictor.tau), pred_params,
+        pr.src_loss_grad(tok_seq, predictor, m_seq))
+
     f_sub, p_sub = pr.sub_routing_stats(fr["decision"])
     sub = pr.sub_stabilizer_loss(f_sub, p_sub)
     shape = fr["ctrl"].shape
@@ -224,45 +244,8 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
     write_csv(os.path.join(out, "losses.csv"),
               ["step", "l_flow", "l_kp", "l_src", "l_cp", "l_sub", "total"],
               [[0, flow, kp, src, cp, sub, total]])
-
-    rows = []
-    tokens = fr["decision"].tokens
-    A = fr["decision"].A
-
-    def cp_fn(arrs):
-        st = pr.PredictorState(w=arrs["w"], b=arrs["b"], tau=predictor.tau)
-        return pr.cp_loss(pr.predictor_logits(st, tokens), A)
-
-    gw, gb = pr.cp_loss_grad(tokens, predictor, A)
-    err = pr.grad_check(cp_fn, {"w": predictor.w.copy(), "b": predictor.b.copy()},
-                        {"w": gw, "b": gb})
-    rows.append(["cp_loss", err])
-
-    t_embed = rt.timestep_embed(cfg.timestep)
-    c_action = fr["decision"].c_action
-
-    def kp_fn(arrs):
-        P = rt.outer_gate(c_action, t_embed, dataclasses.replace(params, **arrs),
-                          tokens=tokens)
-        return pr.kp_alb_loss(pr.routing_stats(P), prior)
-
-    g = pr.kp_alb_grad(tokens, c_action, t_embed, params.outer_w,
-                       params.outer_b, params.token_w, prior)
-    err = pr.grad_check(kp_fn, {"outer_w": params.outer_w.copy(),
-                                "outer_b": params.outer_b.copy(),
-                                "token_w": params.token_w.copy()},
-                        dict(zip(("outer_w", "outer_b", "token_w"), g)))
-    rows.append(["kp_alb_loss", err])
-
-    def src_fn(arrs):
-        st = pr.PredictorState(w=arrs["w"], b=arrs["b"], tau=predictor.tau)
-        return pr.src_loss(pr._sigmoid(pr.predictor_logits(st, tok_seq)), m_seq)
-
-    gw, gb = pr.src_loss_grad(tok_seq, predictor, m_seq)
-    err = pr.grad_check(src_fn, {"w": predictor.w.copy(), "b": predictor.b.copy()},
-                        {"w": gw, "b": gb})
-    rows.append(["src_loss", err])
-    write_csv(os.path.join(out, "grad_check.csv"), ["loss", "max_rel_error"], rows)
+    write_csv(os.path.join(out, "grad_check.csv"), ["loss", "max_rel_error"],
+              [["cp_loss", cp_err], ["kp_alb_loss", kp_err], ["src_loss", src_err]])
     return 0
 
 

@@ -20,8 +20,14 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .kinematics import ArticulatedState, CameraModel, Trajectory
+from .kinematics import (ArticulatedState, CameraModel, Trajectory,
+                         _check_synth_args, default_camera)
 from .kva_field import N_CHANNELS, KvaField
+from .metrics import _check_half_width
+from .priors import LossWeights
+from .routing import (CapacitySchedule, _check_stride, _check_token_dim,
+                      timestep_embed)
+from .scheduler import BudgetConfig
 
 KVAF_MAGIC = b"KVAF"
 KVAF_VERSION = 1
@@ -74,7 +80,10 @@ def write_trajectory(path, traj: Trajectory, cam: CameraModel, seq_id="seq"):
 
 def read_trajectory(path):
     with open(path, "r", encoding="utf-8") as f:
-        raw = f.read().splitlines()
+        try:
+            raw = f.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"trajectory {path}: {exc}") from exc
 
     seq_id = None
     cam_vals = None
@@ -269,5 +278,30 @@ def load_config(path=None, overrides=None) -> Config:
                              f"{default!r}, got {value!r}")
         if isinstance(default, tuple):
             value = tuple(value)
+        elif isinstance(default, float):
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise ParseError(f"config field {key!r}: {exc}") from exc
         setattr(cfg, key, value)
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg: Config):
+    """Range-check every value with the validator of the code that uses it,
+    so a bad value fails at load time, also in a command that never reads
+    it."""
+    h, w = cfg.resolution
+    default_camera(width=w, height=h)
+    _check_synth_args(cfg.trajectory_kind, cfg.frames)
+    _check_half_width(cfg.tube_half_width)
+    _check_stride(cfg.stride)
+    _check_token_dim(cfg.token_dim)
+    CapacitySchedule(dense_end=cfg.dense_end, sparse_start=cfg.sparse_start,
+                     k=cfg.top_k).blend_factor(cfg.progress)
+    timestep_embed(cfg.timestep)
+    LossWeights(lam_kp=cfg.lam_kp, lam_src=cfg.lam_src, lam_cp=cfg.lam_cp,
+                lam_sub=cfg.lam_sub)
+    BudgetConfig(rho_full_target=cfg.rho_full, rho_light_target=cfg.rho_light,
+                 K=cfg.refresh_k)

@@ -274,6 +274,13 @@ TRAJECTORY_KINDS = ("static", "linear-transport", "wrist-articulation",
                     "gripper-cycle", "composite")
 
 
+def _check_synth_args(kind, T):
+    if T < 1:
+        raise InvalidParams("T must be >= 1")
+    if kind not in TRAJECTORY_KINDS:
+        raise InvalidParams(f"unknown trajectory kind {kind!r}")
+
+
 def synth_trajectory(kind, params=None, T=10, seed=0,
                      geom: ToolGeometry | None = None, dt=1.0 / 30) -> Trajectory:
     """Deterministic synthetic trajectories for testing and demos.
@@ -282,10 +289,7 @@ def synth_trajectory(kind, params=None, T=10, seed=0,
     | composite (sum of the moving kinds). Joint angles are clamped to the
     geometry's limits.
     """
-    if T < 1:
-        raise InvalidParams("T must be >= 1")
-    if kind not in TRAJECTORY_KINDS:
-        raise InvalidParams(f"unknown trajectory kind {kind!r}")
+    _check_synth_args(kind, T)
     params = dict(params or {})
     geom = geom or ToolGeometry()
     rng = np.random.default_rng(seed)

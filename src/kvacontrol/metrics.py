@@ -204,12 +204,16 @@ def _point_segment_dist2(px, py, ax, ay, bx, by):
     return dx * dx + dy * dy
 
 
+def _check_half_width(half_width):
+    if not half_width > 0:
+        raise InvalidParams(f"tube half width must be > 0, got {half_width}")
+
+
 def render_tube(poses: PartPoses, cam: CameraModel, half_width: float = 3.0):
     """Label mask from the projected tool skeleton, drawn as fixed-width tubes.
 
     Overlaps are resolved front-most by the segment midpoint depth."""
-    if not half_width > 0:
-        raise InvalidParams(f"tube half width must be > 0, got {half_width}")
+    _check_half_width(half_width)
     h, w = cam.height, cam.width
     labels = np.zeros((h, w), dtype=int)
     best_z = np.full((h, w), np.inf)

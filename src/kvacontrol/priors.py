@@ -6,6 +6,26 @@ anti-collapse stabilizer, flow-matching regression target, and the weighted
 total. Analytic gradients are implemented for the small linear parameter sets
 (gate refinement, predictor) and verified with central finite differences;
 there is no general autodiff here.
+
+The finite-difference check evaluates each checked loss twice per parameter
+entry, 750 times per `losses` run. `_kp_alb_evaluator`, `_src_evaluator` and
+`_cp_evaluator` build those losses once per check, with buffers allocated
+once, and return the same bits as the public losses on fresh arrays:
+
+- Every step but the reductions is elementwise, so it gives the same bits in
+  any layout and written into any buffer.
+- `_kp_alb_evaluator` keeps the routing logits expert-major, (5, N), so each
+  expert is one contiguous row. The softmax's max and sum fold the five rows
+  in expert order, the sum starting from + 0.0: `_fold_last` on the (N, 5)
+  view `z.T`, whose columns are those rows. The top-1 scan `_argmax_last`
+  compares the rows with `>`, so the first maximum wins. `Pbar` is
+  `np.add.accumulate` along each row, which adds the tokens one after
+  another: numpy's `mean(axis=0)` of a C-contiguous (N, 5) array adds its
+  rows in the same sequence. `tokens @ token_w` does not change with
+  `outer_w` or `outer_b`, so it is kept from the last evaluation with the
+  same `token_w`.
+- `_src_evaluator` and `_cp_evaluator` keep the (..., 5) layout, and
+  `src_loss` and `cp_loss` run the same buffered helpers on fresh buffers.
 """
 
 from __future__ import annotations
@@ -91,25 +111,33 @@ def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
     m_tool = np.asarray(m_tool, dtype=float)
     if R.shape[:-1] != m_tool.shape:
         raise ShapeMismatch(f"R {R.shape} vs mask {m_tool.shape}")
-    T = R.shape[0]
-    if T < 2:
-        return 0.0
-    diff = R[1:] - R[:-1]
-    diff2 = _fold_last(np.add, np.square(diff, out=diff))  # (T-1, H', W')
     mask = m_tool[1:]
     denom = N_EXPERTS * mask.sum()
-    if denom == 0:
+    if denom == 0:  # also for T < 2, where the mask is empty
         return 0.0
-    return float((mask * diff2).sum() / denom)
+    return _src_sum(R, mask, denom, np.empty(R[1:].shape), np.empty(mask.shape))
 
 
-def _sigmoid(z):
+def _src_sum(R, mask, denom, diff, diff2) -> float:
+    """src_loss for T >= 2 and denom != 0, formed in the buffers diff
+    (T-1, H', W', 5) and diff2 (T-1, H', W')."""
+    np.subtract(R[1:], R[:-1], out=diff)
+    np.square(diff, out=diff)
+    _fold_last(np.add, diff, out=diff2)
+    np.multiply(mask, diff2, out=diff2)
+    return float(diff2.sum() / denom)
+
+
+def _sigmoid(z, out=None, e=None):
     """1 / (1 + exp(-z)) without overflow: e = exp(-|z|) is computed once and
-    the ratio is taken as 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
-    e = np.abs(z, out=np.empty(np.shape(z)))  # an array even for scalar z
+    the ratio is taken as 1 / (1 + e) for z >= 0 and e / (1 + e) below; as
+    e lies in [0, 1] (or is NaN), the numerator is max(z >= 0, e). out and e
+    are optional buffers of z's shape; out may be z itself."""
+    shape = np.shape(z)  # e and num are arrays even for scalar z
+    e = np.abs(z, out=np.empty(shape) if e is None else e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(z >= 0, 1.0, e)
+    num = np.maximum(z >= 0, e, out=np.empty(shape) if out is None else out)
     e += 1.0
     num /= e
     return num
@@ -122,7 +150,18 @@ def cp_loss(predictor_logits: np.ndarray, A: np.ndarray) -> float:
     A = np.asarray(A, dtype=float)
     if z.shape != A.shape:
         raise ShapeMismatch(f"logits {z.shape} vs mask {A.shape}")
-    per = np.maximum(z, 0) - z * A + np.log1p(np.exp(-np.abs(z)))
+    return _cp_mean(z, A, np.empty(z.shape), np.empty(z.shape))
+
+
+def _cp_mean(z, A, per, tmp) -> float:
+    """cp_loss's mean of max(z, 0) - z * A + log1p(exp(-|z|)), formed in the
+    buffers per and tmp of z's shape."""
+    np.maximum(z, 0, out=per)
+    per -= np.multiply(z, A, out=tmp)
+    np.abs(z, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    per += np.log1p(tmp, out=tmp)
     return float(per.mean())
 
 
@@ -211,6 +250,12 @@ class LossWeights:
     lam_sub: float = 0.005
     sigma_min: float = 0.0
 
+    def __post_init__(self):
+        for name in ("lam_kp", "lam_src", "lam_cp", "lam_sub"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise InvalidParams(f"{name} must be finite and >= 0, got {value}")
+
 
 def total_loss(flow, kp, src, cp, sub, weights: LossWeights = LossWeights()) -> float:
     return float(flow + weights.lam_kp * kp + weights.lam_src * src
@@ -297,6 +342,75 @@ def distill_grads(student_outer_logits, teacher_outer, student_skip_logits,
     g_skip = (_sigmoid(student_skip_logits) - teacher_skip) / student_skip_logits.size
     g_pred = 2.0 * (student_pred - teacher_pred) / student_pred.size
     return g_outer, g_skip, g_pred
+
+
+def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
+    """kp_alb_loss of `outer_gate`'s per-token probabilities as a function of
+    {"outer_w", "outer_b", "token_w"}, evaluated expert-major (see the
+    module docstring)."""
+    ce = np.concatenate([c_action, t_embed])
+    n = tokens.size // tokens.shape[-1]
+    z = np.empty((N_EXPERTS, n))  # logits, then probabilities
+    rows = z.T  # (n, 5) view whose columns are the rows of z
+    col = np.empty(n)
+    acc = np.empty_like(z)
+    per_token = np.empty_like(z)  # expert-major tokens @ token_w
+    formed_from = [None]  # the token_w bytes per_token holds the product of
+
+    def loss(arrs):
+        key = arrs["token_w"].tobytes()
+        if key != formed_from[0]:
+            formed_from[0] = key
+            product = tokens @ arrs["token_w"]  # outer_gate's matmul
+            np.copyto(per_token, product.reshape(n, N_EXPERTS).T)
+        logits = ce @ arrs["outer_w"] + arrs["outer_b"]
+        np.add(per_token, logits[:, None], out=z)
+        np.subtract(z, _fold_last(np.maximum, rows, out=col), out=z)
+        np.exp(z, out=z)
+        np.divide(z, _fold_last(np.add, rows, out=col), out=z)
+        f = np.bincount(_argmax_last(rows), minlength=N_EXPERTS) / n
+        Pbar = np.add.accumulate(z, axis=1, out=acc)[:, -1] / n
+        return kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar), prior)
+
+    return loss
+
+
+def _src_evaluator(tok_seq, m_tool, tau):
+    """src_loss(_sigmoid(predictor_logits(...)), m_tool) as a function of
+    {"w", "b"}; one `predictor_logits` call per evaluation."""
+    m_tool = np.asarray(m_tool, dtype=float)
+    if tok_seq.shape[:-1] != m_tool.shape:
+        raise ShapeMismatch(f"tokens {tok_seq.shape} vs mask {m_tool.shape}")
+    mask = m_tool[1:]
+    denom = N_EXPERTS * mask.sum()
+    e = np.empty(m_tool.shape + (N_EXPERTS,))
+    diff2 = np.empty(mask.shape)
+
+    def loss(arrs):
+        z = predictor_logits(PredictorState(w=arrs["w"], b=arrs["b"], tau=tau),
+                             tok_seq)
+        R = _sigmoid(z, out=z, e=e)
+        if denom == 0:  # also for T < 2, where the mask is empty
+            return 0.0
+        # the sigmoid is done with e, whose frames 1.. hold the differences
+        return _src_sum(R, mask, denom, e[1:], diff2)
+
+    return loss
+
+
+def _cp_evaluator(tokens, A, tau):
+    """cp_loss(predictor_logits(...), A) as a function of {"w", "b"}."""
+    A = np.asarray(A, dtype=float)
+    if tokens.shape[:-1] + (N_EXPERTS,) != A.shape:
+        raise ShapeMismatch(f"tokens {tokens.shape} vs mask {A.shape}")
+    per, tmp = np.empty(A.shape), np.empty(A.shape)
+
+    def loss(arrs):
+        z = predictor_logits(PredictorState(w=arrs["w"], b=arrs["b"], tau=tau),
+                             tokens)
+        return _cp_mean(z, A, per, tmp)
+
+    return loss
 
 
 def finite_difference_grad(loss_fn, arrays: dict, eps=1e-5) -> dict:

@@ -89,9 +89,18 @@ class GateParams:
     trans_b: dict  # modality -> (C,)
 
 
-def init_gate_params(seed=0, c=16, stride=4, scale=0.3) -> GateParams:
+def _check_token_dim(c):
     if c < 1:
         raise InvalidParams(f"token dimension must be >= 1, got {c}")
+
+
+def _check_stride(stride):
+    if stride < 1:
+        raise InvalidParams(f"stride must be >= 1, got {stride}")
+
+
+def init_gate_params(seed=0, c=16, stride=4, scale=0.3) -> GateParams:
+    _check_token_dim(c)
     rng = np.random.default_rng(seed)
 
     def lin(n_in, n_out):
@@ -148,8 +157,7 @@ def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     order is exact for the 0/1 tool masks pooled here. The fold costs
     stride**2 - 1 elementwise passes over the output, so from stride 32 up
     it is slower than numpy's mean; no caller pools that coarsely."""
-    if stride < 1:
-        raise InvalidParams(f"stride must be >= 1, got {stride}")
+    _check_stride(stride)
     h, w = x.shape[:2]
     if h % stride or w % stride:
         raise ShapeMismatch(f"{x.shape[:2]} not divisible by stride {stride}")
@@ -163,11 +171,15 @@ def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
+def _fold_last(ufunc, x: np.ndarray, out=None) -> np.ndarray:
     """ufunc.reduce over the last axis as a left fold over its columns; the
     same bits as numpy's reduction for axes of fewer than 8 entries. The add
-    fold adds 0.0 to column 0 first, as numpy's sum starts from 0.0."""
-    out = x[..., 0].copy()
+    fold adds 0.0 to column 0 first, as numpy's sum starts from 0.0. out is
+    an optional buffer of the result's shape."""
+    if out is None:
+        out = x[..., 0].copy()
+    else:
+        np.copyto(out, x[..., 0])
     if ufunc is np.add:
         out += 0.0
     for k in range(1, x.shape[-1]):

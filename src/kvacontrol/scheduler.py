@@ -51,7 +51,7 @@ class BudgetConfig:
     K: int = 4  # slow refresh interval
 
     def __post_init__(self):
-        if min(self.rho_full_target, self.rho_light_target) < 0:
+        if not (self.rho_full_target >= 0 and self.rho_light_target >= 0):
             raise InvalidParams("rho targets must be nonnegative")
         if self.rho_full_target + self.rho_light_target > 1:
             raise InvalidParams("rho_full + rho_light must be at most 1")

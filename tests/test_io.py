@@ -486,11 +486,36 @@ class TestCli:
         ('{"progress": -5.0}', "route"),
         ('{"progress": 1.5}', "losses"),
         ('{"timestep": 1e300}', "route"),
+        # loss weights, then values that the command does not read
+        ('{"lam_kp": NaN}', "losses"),
+        ('{"lam_src": -0.5}', "losses"),
+        ('{"lam_cp": Infinity}', "losses"),
+        ('{"lam_sub": -1}', "synth"),
+        ('{"lam_kp": 1' + '0' * 400 + '}', "lift"),
+        ('{"rho_light": NaN}', "schedule"),
+        ('{"top_k": 99}', "lift"),
+        ('{"stride": 0}', "lift"),
+        ('{"refresh_k": 0}', "lift"),
+        ('{"rho_full": 5.0}', "lift"),
+        ('{"dense_end": 0.9}', "synth"),
+        ('{"progress": 2.0}', "lift"),
+        ('{"timestep": -1.0}', "synth"),
+        ('{"token_dim": 0}', "synth"),
+        ('{"resolution": [0, 32]}', "lift"),
+        ('{"frames": 0}', "route"),
+        ('{"trajectory_kind": "spiral"}', "lift"),
+        ('{"tube_half_width": 0.0}', "schedule"),
     ], ids=["invalid-json", "stride-str", "frames-float", "resolution-str",
             "top_k-bool", "rho-sum", "rho-negative", "stride-0",
             "stride-negative", "token_dim-0", "half_width-negative", "top_k-9",
             "top_k-0", "dense_end-after-sparse_start", "refresh_k-0",
-            "progress-negative", "progress-above-1", "timestep-huge"])
+            "progress-negative", "progress-above-1", "timestep-huge",
+            "lam_kp-nan", "lam_src-negative", "lam_cp-inf", "lam_sub-unread",
+            "lam_kp-huge-int", "rho_light-nan", "top_k-unread", "stride-unread",
+            "refresh_k-unread", "rho_full-unread", "dense_end-unread",
+            "progress-unread", "timestep-unread", "token_dim-unread",
+            "resolution-unread", "frames-unread", "kind-unread",
+            "half_width-unread"])
     def test_bad_config_clean_error(self, tmp_path, capsys, text, command):
         cfg = tmp_path / "c.json"
         cfg.write_text(text)

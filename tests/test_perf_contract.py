@@ -4,7 +4,9 @@
 per-layer metric named in BENCHMARK.json is missing from the trace, which
 happens when a traced public function is renamed, made private or no longer
 called. This test runs one small pass of the benchmark's flow under the
-benchmark's tracer and checks every name, so such a change fails here.
+benchmark's tracer and checks every name, so such a change fails here. It
+also checks the loss-evaluation count, which a grad check that bypasses the
+traced `priors.grad_check` would change.
 """
 
 import json
@@ -44,3 +46,7 @@ def test_trace_reports_every_per_layer_metric(tmp_path, perfbench_modules):
     finally:
         tracer.uninstall()
     assert sorted(wanted - set(values)) == []
+    # 2 * 85 + 2 * 205 + 2 * 85 at any resolution: the cp, kp_alb and src
+    # checks perturb every entry of (w, b), (outer_w, outer_b, token_w) and
+    # (w, b) both ways, each through the traced grad_check
+    assert values["priors.loss_evals"] == 750

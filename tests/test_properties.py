@@ -1,5 +1,7 @@
 """Randomized property tests for the pure numerical kernels."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -186,3 +188,115 @@ def test_normalize_matches_broadcast_expression(arrays, mean, std):
 def test_sq_norm_matches_numpy_sum(x):
     with np.errstate(over="ignore"):
         assert kvf._sq_norm(x).tobytes() == (x * x).sum(axis=1).tobytes()
+
+
+def _float_bytes(x):
+    return np.float64(x).tobytes()
+
+
+# few distinct values, so top-1 ties occur, mixed with general ones; the
+# +-400 weights push logits far enough apart that exp underflows to 0
+tie_values = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+weight_values = st.one_of(st.sampled_from([-400.0, -1.0, 0.0, 1.0, 2.0, 400.0]),
+                          st.floats(-3, 3))
+
+
+@st.composite
+def kp_inputs(draw):
+    """Token grid (1x1 to 9x7, C channels), c_action, t_embed, the three
+    gate arrays and a prior."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    c = draw(st.integers(1, 4))
+    tokens = draw(hnp.arrays(np.float64, (h, w, c),
+                             elements=st.one_of(tie_values, st.floats(-3, 3))))
+    c_action = draw(hnp.arrays(np.float64, c, elements=tie_values))
+    t_embed = draw(hnp.arrays(np.float64, rt.T_EMBED_DIM, elements=tie_values))
+    arrays = {
+        "outer_w": draw(hnp.arrays(np.float64, (c + rt.T_EMBED_DIM, rt.N_EXPERTS),
+                                   elements=weight_values)),
+        "outer_b": draw(hnp.arrays(np.float64, rt.N_EXPERTS,
+                                   elements=weight_values)),
+        "token_w": draw(hnp.arrays(np.float64, (c, rt.N_EXPERTS),
+                                   elements=weight_values)),
+    }
+    pi = draw(hnp.arrays(np.float64, rt.N_EXPERTS, elements=st.floats(0.01, 1)))
+    prior = pr.PhysicalPrior(pi=pi / pi.sum(), e=np.zeros((h, w, rt.N_EXPERTS)))
+    return tokens, c_action, t_embed, arrays, prior
+
+
+@settings(max_examples=100, deadline=None)
+@given(kp_inputs(), st.data())
+def test_kp_alb_evaluator_matches_outer_gate_path(inputs, data):
+    tokens, c_action, t_embed, arrays, prior = inputs
+    params = rt.init_gate_params(c=tokens.shape[-1])
+    loss = pr._kp_alb_evaluator(tokens, c_action, t_embed, prior)
+    # nudge an outer entry (token product reused), then a token_w entry
+    # (recomputed), as the grad check does
+    for name in (None, "outer_w", "token_w"):
+        if name is not None:
+            idx = data.draw(st.tuples(*(st.integers(0, n - 1)
+                                        for n in arrays[name].shape)))
+            arrays[name][idx] += data.draw(st.sampled_from([1e-5, -1e-5, 7.0]))
+        P = rt.outer_gate(c_action, t_embed,
+                          dataclasses.replace(params, **arrays), tokens=tokens)
+        want = pr.kp_alb_loss(pr.routing_stats(P), prior)
+        assert _float_bytes(loss(arrays)) == _float_bytes(want)
+
+
+def _old_src_loss(R, m_tool):
+    if R.shape[0] < 2:
+        return 0.0
+    diff = R[1:] - R[:-1]
+    diff2 = (diff * diff).sum(axis=-1)
+    mask = m_tool[1:]
+    denom = rt.N_EXPERTS * mask.sum()
+    if denom == 0:
+        return 0.0
+    return float((mask * diff2).sum() / denom)
+
+
+def _old_cp_loss(z, A):
+    per = np.maximum(z, 0) - z * A + np.log1p(np.exp(-np.abs(z)))
+    return float(per.mean())
+
+
+@st.composite
+def predictor_inputs(draw):
+    """(T, h, w, C) token sequence, (T, h, w) 0/1 tool mask (often empty),
+    (h, w, 5) 0/1 routing mask and predictor weights."""
+    t, h, w, c = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+                  draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    values = st.one_of(tie_values, st.floats(-50, 50))
+    tok_seq = draw(hnp.arrays(np.float64, (t, h, w, c), elements=values))
+    m_tool = draw(st.one_of(st.just(np.zeros((t, h, w))),
+                            hnp.arrays(np.float64, (t, h, w),
+                                       elements=st.sampled_from([0.0, 1.0]))))
+    A = draw(hnp.arrays(np.float64, (h, w, rt.N_EXPERTS),
+                        elements=st.sampled_from([0.0, 1.0])))
+    state = pr.PredictorState(
+        w=draw(hnp.arrays(np.float64, (c, rt.N_EXPERTS), elements=values)),
+        b=draw(hnp.arrays(np.float64, rt.N_EXPERTS, elements=values)),
+        tau=np.full(rt.N_EXPERTS, 0.5))
+    return tok_seq, m_tool, A, state
+
+
+@settings(max_examples=100, deadline=None)
+@given(predictor_inputs())
+@example(inputs=(np.ones((1, 2, 2, 3)), np.ones((1, 2, 2)), np.ones((2, 2, 5)),
+                 pr.init_predictor(c=3)))
+def test_src_and_cp_evaluators_match_public_losses(inputs):
+    tok_seq, m_tool, A, state = inputs
+    arrays = {"w": state.w, "b": state.b}
+    R = pr._sigmoid(pr.predictor_logits(state, tok_seq))
+    want = pr.src_loss(R, m_tool)
+    assert _float_bytes(want) == _float_bytes(_old_src_loss(_old_sigmoid(
+        tok_seq @ state.w + state.b), m_tool))
+    src = pr._src_evaluator(tok_seq, m_tool, state.tau)
+    assert _float_bytes(src(arrays)) == _float_bytes(want)
+
+    tokens = tok_seq[-1]
+    z = pr.predictor_logits(state, tokens)
+    want = pr.cp_loss(z, A)
+    assert _float_bytes(want) == _float_bytes(_old_cp_loss(z, A))
+    cp = pr._cp_evaluator(tokens, A, state.tau)
+    assert _float_bytes(cp(arrays)) == _float_bytes(want)
