@@ -127,15 +127,15 @@ def _routing_run(cfg: Config, seed: int, fields):
 
     frames = []
     for f in fields:
-        ctrl, decision = rt.route_forward(kvf.normalize(f, stats), params,
-                                          cfg.progress, t_embed, sched=schedule)
+        _, decision = rt.route_forward(kvf.normalize(f, stats), params,
+                                       cfg.progress, t_embed, sched=schedule)
         m_tool = rt.avg_pool(kvf.tool_mask(f), cfg.stride)
         fusion_w, inner = decision.fusion_w, decision.inner_probs
         _, s_tilde = sched.significance(
             motion[f.t], m_tool, rt._fold_last(np.maximum, fusion_w),
             rt._fold_last(np.add, fusion_w * inner[..., rt.FINE]),
             rt._fold_last(np.add, fusion_w * inner[..., rt.SKIP]))
-        frames.append({"field": f, "ctrl": ctrl, "decision": decision,
+        frames.append({"field": f, "decision": decision,
                        "e_motion": motion[f.t], "m_tool": m_tool,
                        "s_tilde": s_tilde})
     return frames, params
@@ -236,7 +236,7 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
 
     f_sub, p_sub = pr.sub_routing_stats(fr["decision"])
     sub = pr.sub_stabilizer_loss(f_sub, p_sub)
-    shape = fr["ctrl"].shape
+    shape = tokens.shape
     x0, x1 = rng.normal(size=shape), rng.normal(size=shape)
     pred = rng.normal(size=shape)
     flow = pr.flow_matching_loss(pred, x0, x1, weights.sigma_min)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, ShapeMismatch
+from .errors import EmptyCorpus, NonFiniteInput, ShapeMismatch
 from .kinematics import (
     PART_NAMES,
     PART_SEMANTIC_CLASS,
@@ -50,6 +50,7 @@ from .kinematics import (
 
 N_CHANNELS = 9
 NONSEMANTIC_SLICE = slice(3, 9)
+_F4_MAX = float(np.finfo(np.float32).max)
 CHANNEL_NAMES = ("s_shaft", "s_wrist", "s_gripper", "depth", "rho",
                  "v_x", "v_y", "v_z", "alpha")
 
@@ -294,7 +295,13 @@ def lift(poses: PartPoses, cam: CameraModel, t: int, v_parts, alpha_parts) -> Kv
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry, cam: CameraModel):
     """One KvaField per frame; forward kinematics runs once per frame."""
     poses = [forward_kinematics(state, geom) for state in traj.states]
-    v, alpha = _part_motion(poses, cam, traj.dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        v, alpha = _part_motion(poses, cam, traj.dt)
+    # KVAF stores channels as float32, so a finite value beyond its range
+    # would turn into inf on write
+    if not (np.abs(v).max() <= _F4_MAX and alpha.max() <= _F4_MAX):
+        raise NonFiniteInput(f"dt {traj.dt:g} makes the part velocity or "
+                             f"acceleration exceed float32's range")
     return [lift(p, cam, t, v[t], alpha[t]) for t, p in enumerate(poses)]
 
 

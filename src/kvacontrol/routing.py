@@ -8,6 +8,13 @@ modality. Fusion follows a dense -> sparse top-k capacity schedule.
 Expert operators are deliberately small (linear / pooled / identity): only the
 routing semantics matter here, not feature capacity.
 
+`route_forward` decides: it pools the frame, embeds the tokens, runs the
+outer gate, top-k and the capacity blend, and lifts and inner-gates each
+modality. It computes no expert output. `fuse_control` fuses: it runs each
+modality's expert stack and sums the outputs weighted by the fusion weights.
+No CLI artefact reads the fused feature, so the CLI computes only the gates,
+as a sparse mixture of experts computes only the experts its gates select.
+
 Nearly every array on the routing path ends in a 5-wide expert axis or a
 3-wide sub-expert axis, and numpy reduces such a short last axis one row at a
 time, at many times the cost of an elementwise pass. `_fold_last` and
@@ -133,7 +140,6 @@ class RoutingDecision:
     A: np.ndarray  # (H', W', 5) binary top-k mask
     fusion_w: np.ndarray  # (H', W', 5) capacity-blended fusion weights
     inner_sel: np.ndarray  # (H', W', 5) argmax sub-expert per modality
-    inner_conf: np.ndarray  # (H', W', 5) probability of the selected sub-expert
     inner_probs: np.ndarray  # (H', W', 5, 3) full tier-2 distributions
     tokens: np.ndarray  # (H', W', C) shared action tokens
     c_action: np.ndarray  # (C,) pooled gate feature
@@ -254,13 +260,17 @@ def inner_gate(modality_tokens: np.ndarray, w: np.ndarray, b: np.ndarray):
     return sel, conf, probs
 
 
+def _lift_and_gate(field_pooled, params: GateParams, m: str):
+    """One modality's lifted tokens and its inner gate's (sel, conf, probs)."""
+    x = field_pooled[..., MODALITY_CHANNELS[m]]
+    lifted = x @ params.mod_lift_w[m] + params.mod_lift_b[m]
+    return (lifted, *inner_gate(lifted, params.inner_w[m], params.inner_b[m]))
+
+
 def modality_expert(field_pooled, params: GateParams, m: str):
     """Tier-2 expert stack for one modality: lifted tokens, sub-expert outputs,
     inner routing, and the confidence-weighted selected output."""
-    x = field_pooled[..., MODALITY_CHANNELS[m]]
-    lifted = x @ params.mod_lift_w[m] + params.mod_lift_b[m]
-    sel, conf, probs = inner_gate(lifted, params.inner_w[m], params.inner_b[m])
-
+    lifted, sel, conf, probs = _lift_and_gate(field_pooled, params, m)
     fine = lifted @ params.fine_w[m] + params.fine_b[m]
     transport = lifted @ params.trans_w[m] + params.trans_b[m] + lifted.mean(axis=(0, 1))
     pick = sel[..., None]
@@ -271,7 +281,7 @@ def modality_expert(field_pooled, params: GateParams, m: str):
 
 def route_forward(field: KvaField, params: GateParams, progress: float, t_embed,
                   sched: CapacitySchedule | None = None):
-    """Full two-tier forward pass: fused control feature + routing decision."""
+    """Two-tier gating of one frame: its pooled grid and routing decision."""
     sched = sched or CapacitySchedule()
     pooled = avg_pool(field.channels, params.stride)
     c_action, tokens = _embed_pooled(pooled, params)
@@ -280,18 +290,24 @@ def route_forward(field: KvaField, params: GateParams, progress: float, t_embed,
     fusion_w = capacity_blend(P, A, progress, sched)
 
     hp, wp = tokens.shape[:2]
-    ctrl = np.zeros((hp, wp, params.c))
     inner_sel = np.zeros((hp, wp, N_EXPERTS), dtype=int)
-    inner_conf = np.zeros((hp, wp, N_EXPERTS))
     inner_probs = np.zeros((hp, wp, N_EXPERTS, N_SUB))
     for i, m in enumerate(MODALITIES):
-        out, sel, conf, probs = modality_expert(pooled, params, m)
-        ctrl += fusion_w[..., i, None] * out
+        _, sel, _, probs = _lift_and_gate(pooled, params, m)
         inner_sel[..., i] = sel
-        inner_conf[..., i] = conf
         inner_probs[..., i, :] = probs
 
     decision = RoutingDecision(P=P, A=A, fusion_w=fusion_w, inner_sel=inner_sel,
-                               inner_conf=inner_conf, inner_probs=inner_probs,
-                               tokens=tokens, c_action=c_action)
-    return ctrl, decision
+                               inner_probs=inner_probs, tokens=tokens,
+                               c_action=c_action)
+    return pooled, decision
+
+
+def fuse_control(pooled, decision: RoutingDecision, params: GateParams):
+    """The fused control feature (H', W', C): each modality's expert output
+    weighted by its fusion weight, summed in modality order."""
+    ctrl = np.zeros(decision.tokens.shape[:2] + (params.c,))
+    for i, m in enumerate(MODALITIES):
+        out, *_ = modality_expert(pooled, params, m)
+        ctrl += decision.fusion_w[..., i, None] * out
+    return ctrl

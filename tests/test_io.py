@@ -9,6 +9,7 @@ from kvacontrol import cli
 from kvacontrol import kva_field as kvf
 from kvacontrol import formats as fm
 from kvacontrol import priors as pr
+from kvacontrol import routing as rt
 from kvacontrol.errors import (
     BadMagic,
     InvariantViolation,
@@ -16,7 +17,8 @@ from kvacontrol.errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from kvacontrol.kinematics import ToolGeometry, default_camera, synth_trajectory
+from kvacontrol.kinematics import (ToolGeometry, default_camera,
+                                   forward_kinematics, synth_trajectory)
 
 
 class TestTrajectoryFormat:
@@ -348,10 +350,10 @@ def _pgm_bytes(h, w, label=1):
     return f"P5\n{w} {h}\n255\n".encode("ascii") + labels.tobytes()
 
 
-def _trajectory_file(tmp_path, size):
-    """A 2-frame trajectory file seen by a size x size camera."""
+def _trajectory_file(tmp_path, size, frames=2):
+    """A trajectory file seen by a size x size camera."""
     path = tmp_path / "t.txt"
-    fm.write_trajectory(path, synth_trajectory("composite", T=2, seed=0),
+    fm.write_trajectory(path, synth_trajectory("composite", T=frames, seed=0),
                         default_camera(size, size))
     return path
 
@@ -576,6 +578,58 @@ class TestCli:
         n_params = (fm.Config().token_dim + 1) * pr.N_EXPERTS  # w and b
         assert n_evals == 2 * n_params
         assert n_logits == n_evals
+
+    def test_routing_runs_compute_no_expert_outputs(self, tmp_path,
+                                                    monkeypatch):
+        traj = _trajectory_file(tmp_path, 32)  # T=2 frames
+        calls = {"route_forward": 0, "modality_expert": 0, "fuse_control": 0}
+
+        def counted(name):
+            real = getattr(rt, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(rt, name, counted(name))
+        for command in ("route", "losses", "schedule"):
+            self._run("--out", str(tmp_path / command), command,
+                      "--traj", str(traj))
+        # no artefact reads the fused control feature, so no expert output
+        # is computed; each command routes each frame once
+        assert calls == {"route_forward": 3 * 2, "modality_expert": 0,
+                         "fuse_control": 0}
+
+    @pytest.mark.parametrize("command", ["lift", "schedule"])
+    @pytest.mark.parametrize("frames,dt,finite", [
+        (3, "1e-300", False),
+        (2, "1e-40", True),
+    ], ids=["dt-motion-overflows", "dt-motion-beyond-float32"])
+    def test_motion_out_of_float32_range_clean_error(self, tmp_path, capsys,
+                                                     frames, dt, finite,
+                                                     command):
+        traj = _trajectory_file(tmp_path, 32, frames=frames)
+        traj.write_text("".join(
+            f"dt {dt}\n" if line.startswith("dt ") else line + "\n"
+            for line in traj.read_text().splitlines()))
+        # the case's premise: at T=3 the acceleration overflows float64; at
+        # T=2 the velocity is finite in float64 but beyond float32
+        t, cam, _ = fm.read_trajectory(traj)
+        poses = [forward_kinematics(s, ToolGeometry()) for s in t.states]
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, alpha = kvf._part_motion(poses, cam, t.dt)
+        motion = np.concatenate([v.ravel(), alpha.ravel()])
+        assert np.isfinite(motion).all() == finite
+        assert np.abs(motion).max() > np.finfo(np.float32).max
+
+        code = cli.main(["--out", str(tmp_path / "o"), command,
+                         "--traj", str(traj)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not os.listdir(tmp_path / "o")
 
     @pytest.mark.parametrize("command", cli.TRAJECTORY_COMMANDS)
     def test_resolution_mismatch_clean_error(self, tmp_path, capsys, command):

@@ -6,7 +6,9 @@ happens when a traced public function is renamed, made private or no longer
 called. This test runs one small pass of the benchmark's flow under the
 benchmark's tracer and checks every name, so such a change fails here. It
 also checks the loss-evaluation count, which a grad check that bypasses the
-traced `priors.grad_check` would change.
+traced `priors.grad_check` would change, and the counters that
+`perfbench/layer_map.json` calls "fixed": they are set by the artefacts, so
+a performance change must leave them where they are.
 """
 
 import json
@@ -19,6 +21,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 # computed by run.py from two runs, not found in one pass's trace
 NOT_TRACED = {"trace.overhead_frac"}
+# the fixed counters of one pass of the 32x32, T=2 plan at seed 1
+FIXED = {
+    "routing.tokens": 384,  # 3 routing runs x 2 frames x 64 tokens
+    "scheduler.tokens_full": 205,
+    "scheduler.tokens_light": 19,
+    "scheduler.tokens_reuse": 32,
+    "scheduler.forced_refreshes": 3,
+    "metrics.skipped_cd": 0,
+    "metrics.distance_transform.px": 1772,
+}
 
 
 @pytest.fixture
@@ -50,3 +62,4 @@ def test_trace_reports_every_per_layer_metric(tmp_path, perfbench_modules):
     # checks perturb every entry of (w, b), (outer_w, outer_b, token_w) and
     # (w, b) both ways, each through the traced grad_check
     assert values["priors.loss_evals"] == 750
+    assert {name: values[name] for name in FIXED} == FIXED

@@ -300,3 +300,40 @@ def test_src_and_cp_evaluators_match_public_losses(inputs):
     assert _float_bytes(want) == _float_bytes(_old_cp_loss(z, A))
     cp = pr._cp_evaluator(tokens, A, state.tau)
     assert _float_bytes(cp(arrays)) == _float_bytes(want)
+
+
+@st.composite
+def route_inputs(draw):
+    """A tie-prone (H, W, 9) field, gate params (inner gates flat or not),
+    progress and top-k."""
+    stride = draw(st.sampled_from([1, 2, 4]))
+    h, w = draw(st.integers(1, 4)) * stride, draw(st.integers(1, 4)) * stride
+    channels = draw(hnp.arrays(np.float64, (h, w, kvf.N_CHANNELS),
+                               elements=st.one_of(tie_values, st.floats(-3, 3))))
+    params = rt.init_gate_params(seed=draw(st.integers(0, 3)),
+                                 c=draw(st.integers(1, 4)), stride=stride)
+    if draw(st.booleans()):  # uniform inner distributions: a 3-way tie
+        for m in kvf.MODALITIES:
+            params.inner_w[m][:] = 0.0
+            params.inner_b[m][:] = 0.0
+    sched = rt.CapacitySchedule(k=draw(st.integers(1, rt.N_EXPERTS)))
+    progress = draw(st.sampled_from([0.0, 0.6, 1.0]))
+    return kvf.KvaField(channels=channels), params, sched, progress
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_inputs())
+def test_fuse_control_matches_expert_fold(inputs):
+    field, params, sched, progress = inputs
+    t_embed = rt.timestep_embed(0.4)
+    pooled, dec = rt.route_forward(field, params, progress, t_embed, sched=sched)
+    ctrl = rt.fuse_control(pooled, dec, params)
+    assert pooled.tobytes() == rt.avg_pool(field.channels, params.stride).tobytes()
+    want = np.zeros(dec.tokens.shape[:2] + (params.c,))
+    for i, m in enumerate(kvf.MODALITIES):
+        out, sel, _, probs = rt.modality_expert(pooled, params, m)
+        want += dec.fusion_w[..., i, None] * out
+        # the decision's gates are the ones the expert stack selects with
+        assert (dec.inner_sel[..., i] == sel).all()
+        assert dec.inner_probs[..., i, :].tobytes() == probs.tobytes()
+    assert ctrl.tobytes() == want.tobytes()

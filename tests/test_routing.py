@@ -191,8 +191,9 @@ class TestRouteForward:
         params.token_w[:] = 0
         params.outer_b[:] = np.array([500.0, 0, 0, 0, 0.0])
         f = lifted_field(0)
-        ctrl, dec = rt.route_forward(f, params, progress=1.0,
-                                     t_embed=rt.timestep_embed(0.5))
+        pooled, dec = rt.route_forward(f, params, progress=1.0,
+                                       t_embed=rt.timestep_embed(0.5))
+        ctrl = rt.fuse_control(pooled, dec, params)
         pooled = rt.avg_pool(f.channels, params.stride)
         lifted = (pooled[..., kvf.MODALITY_CHANNELS["sem"]]
                   @ params.mod_lift_w["sem"] + params.mod_lift_b["sem"])
@@ -201,7 +202,8 @@ class TestRouteForward:
     def test_zero_field_zero_ctrl(self):
         params = rt.init_gate_params(1)
         f = kvf.KvaField(channels=np.zeros((32, 32, 9)))
-        ctrl, _ = rt.route_forward(f, params, 0.5, rt.timestep_embed(0.1))
+        pooled, dec = rt.route_forward(f, params, 0.5, rt.timestep_embed(0.1))
+        ctrl = rt.fuse_control(pooled, dec, params)
         assert np.max(np.abs(ctrl)) < 1e-15
 
     def test_matches_reimplementation_oracle(self):
@@ -210,7 +212,8 @@ class TestRouteForward:
         progress = 0.6
         t_embed = rt.timestep_embed(0.4)
         sched = rt.CapacitySchedule()
-        ctrl, dec = rt.route_forward(f, params, progress, t_embed, sched=sched)
+        pooled, dec = rt.route_forward(f, params, progress, t_embed, sched=sched)
+        ctrl = rt.fuse_control(pooled, dec, params)
 
         # straight-line scalar re-implementation
         s = params.stride
