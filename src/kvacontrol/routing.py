@@ -261,16 +261,19 @@ def inner_gate(modality_tokens: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def _lift_and_gate(field_pooled, params: GateParams, m: str):
-    """One modality's lifted tokens and its inner gate's (sel, conf, probs)."""
+    """One modality's lifted tokens and its inner gate's (sel, probs): the
+    inner gate without the confidence, which only the experts read."""
     x = field_pooled[..., MODALITY_CHANNELS[m]]
     lifted = x @ params.mod_lift_w[m] + params.mod_lift_b[m]
-    return (lifted, *inner_gate(lifted, params.inner_w[m], params.inner_b[m]))
+    probs = softmax(lifted @ params.inner_w[m] + params.inner_b[m])
+    return lifted, _argmax_last(probs), probs
 
 
 def modality_expert(field_pooled, params: GateParams, m: str):
     """Tier-2 expert stack for one modality: lifted tokens, sub-expert outputs,
     inner routing, and the confidence-weighted selected output."""
-    lifted, sel, conf, probs = _lift_and_gate(field_pooled, params, m)
+    lifted, sel, probs = _lift_and_gate(field_pooled, params, m)
+    conf = _fold_last(np.maximum, probs)  # the selected probability
     fine = lifted @ params.fine_w[m] + params.fine_b[m]
     transport = lifted @ params.trans_w[m] + params.trans_b[m] + lifted.mean(axis=(0, 1))
     pick = sel[..., None]
@@ -293,7 +296,7 @@ def route_forward(field: KvaField, params: GateParams, progress: float, t_embed,
     inner_sel = np.zeros((hp, wp, N_EXPERTS), dtype=int)
     inner_probs = np.zeros((hp, wp, N_EXPERTS, N_SUB))
     for i, m in enumerate(MODALITIES):
-        _, sel, _, probs = _lift_and_gate(pooled, params, m)
+        _, sel, probs = _lift_and_gate(pooled, params, m)
         inner_sel[..., i] = sel
         inner_probs[..., i, :] = probs
 

@@ -324,6 +324,9 @@ def route_inputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(route_inputs())
 def test_fuse_control_matches_expert_fold(inputs):
+    # the oracle is the expert stack written out once with numpy's own
+    # reductions, as it read before the column folds; only the fusion
+    # weights are taken from the decision
     field, params, sched, progress = inputs
     t_embed = rt.timestep_embed(0.4)
     pooled, dec = rt.route_forward(field, params, progress, t_embed, sched=sched)
@@ -331,9 +334,18 @@ def test_fuse_control_matches_expert_fold(inputs):
     assert pooled.tobytes() == rt.avg_pool(field.channels, params.stride).tobytes()
     want = np.zeros(dec.tokens.shape[:2] + (params.c,))
     for i, m in enumerate(kvf.MODALITIES):
-        out, sel, _, probs = rt.modality_expert(pooled, params, m)
-        want += dec.fusion_w[..., i, None] * out
-        # the decision's gates are the ones the expert stack selects with
+        lifted = (pooled[..., kvf.MODALITY_CHANNELS[m]] @ params.mod_lift_w[m]
+                  + params.mod_lift_b[m])
+        z = lifted @ params.inner_w[m] + params.inner_b[m]
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        sel = probs.argmax(axis=-1)
+        fine = lifted @ params.fine_w[m] + params.fine_b[m]
+        transport = (lifted @ params.trans_w[m] + params.trans_b[m]
+                     + lifted.mean(axis=(0, 1)))
+        pick = sel[..., None]
+        selected = np.where(pick == 0, fine, np.where(pick == 1, transport, lifted))
+        want += dec.fusion_w[..., i, None] * (probs.max(axis=-1)[..., None] * selected)
         assert (dec.inner_sel[..., i] == sel).all()
         assert dec.inner_probs[..., i, :].tobytes() == probs.tobytes()
     assert ctrl.tobytes() == want.tobytes()

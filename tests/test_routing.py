@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -273,5 +275,33 @@ class TestRouteForward:
         f = make_field(8)
         a = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))
         b = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))
-        np.testing.assert_array_equal(a[0], b[0])
+        assert (rt.fuse_control(*a, params).tobytes()
+                == rt.fuse_control(*b, params).tobytes())
         np.testing.assert_array_equal(a[1].fusion_w, b[1].fusion_w)
+        np.testing.assert_array_equal(a[1].inner_probs, b[1].inner_probs)
+        np.testing.assert_array_equal(a[1].inner_sel, b[1].inner_sel)
+
+    def test_ctrl_matches_recorded_digests(self):
+        # SHA-256 of the fused feature's bytes, recorded when route_forward
+        # still formed it itself: a lifted 64x64 frame with drawn gates (all
+        # three sub-experts selected), and a quantized field with flat inner
+        # gates (a 3-way tie on every token) at progress 1 and k = 3. Pinned
+        # to the numpy and BLAS build, as tests/test_golden.py is.
+        tied = rt.init_gate_params(0)
+        for m in kvf.MODALITIES:
+            tied.inner_w[m][:] = 0.0
+            tied.inner_b[m][:] = 0.0
+        rng = np.random.default_rng(9)
+        quantized = kvf.KvaField(channels=rng.integers(-2, 3, size=(32, 32, 9)) * 0.5)
+        cases = [
+            (lifted_field(2, hw=64), rt.init_gate_params(5), 0.6, 0.4,
+             rt.CapacitySchedule(),
+             "ccea0bf72d1005ce0404b91ebb7a0e44aa6d24d308451b161bde9f4351704173"),
+            (quantized, tied, 1.0, 0.7, rt.CapacitySchedule(k=3),
+             "8658cded0cdaa04bf1840042ec361c6b7ac64a649b8ebf0ddb5b495230c6250d"),
+        ]
+        for f, params, progress, t, sched, digest in cases:
+            pooled, dec = rt.route_forward(f, params, progress,
+                                           rt.timestep_embed(t), sched=sched)
+            ctrl = rt.fuse_control(pooled, dec, params)
+            assert hashlib.sha256(ctrl.tobytes()).hexdigest() == digest
