@@ -395,8 +395,9 @@ def main(argv=None):
         if args.command == "report":
             return cmd_report(args.inputs, os.path.join(args.out, "report.csv"))
         return 2
-    except (KvaControlError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KvaControlError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -24,8 +24,22 @@ once, and return the same bits as the public losses on fresh arrays:
   rows in the same sequence. `tokens @ token_w` does not change with
   `outer_w` or `outer_b`, so it is kept from the last evaluation with the
   same `token_w`.
-- `_src_evaluator` and `_cp_evaluator` keep the (..., 5) layout, and
-  `src_loss` and `cp_loss` run the same buffered helpers on fresh buffers.
+- `_src_evaluator` and `_cp_evaluator` recompute only the expert columns
+  whose parameters changed. Each check perturbs one entry of `w[:, k]` or
+  `b[k]`, so only logit column k changes. Logit column j of the product is
+  the same GEMM's column j at the same shape, and depends only on `w[:, j]`
+  and `b[j]`; `predictor_logits` adds `b` a column at a time. The sigmoid,
+  the time difference and the BCE terms are elementwise, so a column view
+  gives the bits that column gets in the (..., 5) array. Each column's work
+  (the squared time difference for src, the BCE terms for cp) is kept with
+  the bytes of `w[:, j]` and `b[j]` it was formed from; the first
+  evaluation's columns are kept as the base, and a column whose parameters
+  return to the base is restored from that copy. src then folds the five
+  columns in expert order from + 0.0, as numpy sums a 5-wide axis, and cp
+  takes the mean of the same (..., 5) buffer, so the reductions see the
+  same values in the same order. The result does not depend on the order
+  of the calls: a column whose bytes differ is recomputed. `src_loss` and
+  `cp_loss` run the same helpers on fresh arrays.
 """
 
 from __future__ import annotations
@@ -115,15 +129,19 @@ def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
     denom = N_EXPERTS * mask.sum()
     if denom == 0:  # also for T < 2, where the mask is empty
         return 0.0
-    return _src_sum(R, mask, denom, np.empty(R[1:].shape), np.empty(mask.shape))
-
-
-def _src_sum(R, mask, denom, diff, diff2) -> float:
-    """src_loss for T >= 2 and denom != 0, formed in the buffers diff
-    (T-1, H', W', 5) and diff2 (T-1, H', W')."""
-    np.subtract(R[1:], R[:-1], out=diff)
+    diff = np.subtract(R[1:], R[:-1])
     np.square(diff, out=diff)
-    _fold_last(np.add, diff, out=diff2)
+    return _src_sum(np.moveaxis(diff, -1, 0), mask, denom, np.empty(mask.shape))
+
+
+def _src_sum(cols, mask, denom, diff2) -> float:
+    """src_loss for T >= 2 and denom != 0 from the five expert columns of the
+    squared time difference, each (T-1, H', W'); diff2 is a buffer of that
+    shape. The columns are added in expert order from + 0.0, as numpy sums
+    a 5-wide last axis."""
+    np.add(cols[0], 0.0, out=diff2)
+    for col in cols[1:]:
+        diff2 += col
     np.multiply(mask, diff2, out=diff2)
     return float(diff2.sum() / denom)
 
@@ -150,19 +168,19 @@ def cp_loss(predictor_logits: np.ndarray, A: np.ndarray) -> float:
     A = np.asarray(A, dtype=float)
     if z.shape != A.shape:
         raise ShapeMismatch(f"logits {z.shape} vs mask {A.shape}")
-    return _cp_mean(z, A, np.empty(z.shape), np.empty(z.shape))
+    return float(_cp_terms(z, A, np.empty(z.shape), np.empty(z.shape)).mean())
 
 
-def _cp_mean(z, A, per, tmp) -> float:
-    """cp_loss's mean of max(z, 0) - z * A + log1p(exp(-|z|)), formed in the
-    buffers per and tmp of z's shape."""
+def _cp_terms(z, A, per, tmp):
+    """cp_loss's terms max(z, 0) - z * A + log1p(exp(-|z|)), formed in per
+    with tmp as scratch, both buffers of z's shape; returns per."""
     np.maximum(z, 0, out=per)
     per -= np.multiply(z, A, out=tmp)
     np.abs(z, out=tmp)
     np.negative(tmp, out=tmp)
     np.exp(tmp, out=tmp)
     per += np.log1p(tmp, out=tmp)
-    return float(per.mean())
+    return per
 
 
 @dataclass(frozen=True)
@@ -189,7 +207,8 @@ def init_predictor(seed=0, c=16, scale=0.3) -> PredictorState:
 def predictor_logits(state: PredictorState, tokens: np.ndarray) -> np.ndarray:
     """Logits on the router grid; tokens are treated as detached inputs."""
     z = tokens @ state.w
-    z += state.b
+    for j in range(N_EXPERTS):  # a column at a time: no per-row broadcast
+        z[..., j] += state.b[j]
     return z
 
 
@@ -375,58 +394,106 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
     return loss
 
 
+def _column_cache(cols, compute):
+    """Keep each of the five expert columns `cols[j]` (buffers) up to date
+    with the parameters (w[:, j], b[j]) of a predictor loss; returns
+    update(arrs, z), which calls compute(z, j, cols[j]) only for the columns
+    whose parameters changed since the last call. The first call's columns
+    are kept as the base, and a column whose parameters return to the base
+    is restored from that copy."""
+    keys = [None] * N_EXPERTS  # the parameter bytes each column was formed at
+    base_keys, base = [], []
+
+    def update(arrs, z):
+        w, b = arrs["w"], arrs["b"]
+        for j in range(N_EXPERTS):
+            key = w[:, j].tobytes() + b[j:j + 1].tobytes()
+            if key == keys[j]:
+                continue
+            if base_keys and key == base_keys[j]:
+                np.copyto(cols[j], base[j])
+            else:
+                compute(z, j, cols[j])
+            keys[j] = key
+        if not base_keys:
+            base_keys.extend(keys)
+            base.extend(col.copy() for col in cols)
+
+    return update
+
+
 def _src_evaluator(tok_seq, m_tool, tau):
     """src_loss(_sigmoid(predictor_logits(...)), m_tool) as a function of
-    {"w", "b"}; one `predictor_logits` call per evaluation."""
+    {"w", "b"}; one `predictor_logits` call per evaluation, and the squared
+    time difference recomputed only for the changed columns (see the module
+    docstring)."""
     m_tool = np.asarray(m_tool, dtype=float)
     if tok_seq.shape[:-1] != m_tool.shape:
         raise ShapeMismatch(f"tokens {tok_seq.shape} vs mask {m_tool.shape}")
     mask = m_tool[1:]
     denom = N_EXPERTS * mask.sum()
-    e = np.empty(m_tool.shape + (N_EXPERTS,))
+    R, e = np.empty(m_tool.shape), np.empty(m_tool.shape)
+    sq = np.empty((N_EXPERTS,) + mask.shape)  # expert-major squared differences
     diff2 = np.empty(mask.shape)
+
+    def compute(z, j, col):
+        _sigmoid(z[..., j], out=R, e=e)
+        np.subtract(R[1:], R[:-1], out=col)
+        np.square(col, out=col)
+
+    update = _column_cache(sq, compute)
 
     def loss(arrs):
         z = predictor_logits(PredictorState(w=arrs["w"], b=arrs["b"], tau=tau),
                              tok_seq)
-        R = _sigmoid(z, out=z, e=e)
         if denom == 0:  # also for T < 2, where the mask is empty
             return 0.0
-        # the sigmoid is done with e, whose frames 1.. hold the differences
-        return _src_sum(R, mask, denom, e[1:], diff2)
+        update(arrs, z)
+        return _src_sum(sq, mask, denom, diff2)
 
     return loss
 
 
 def _cp_evaluator(tokens, A, tau):
-    """cp_loss(predictor_logits(...), A) as a function of {"w", "b"}."""
+    """cp_loss(predictor_logits(...), A) as a function of {"w", "b"}, the
+    BCE terms recomputed only for the changed columns (see the module
+    docstring)."""
     A = np.asarray(A, dtype=float)
     if tokens.shape[:-1] + (N_EXPERTS,) != A.shape:
         raise ShapeMismatch(f"tokens {tokens.shape} vs mask {A.shape}")
-    per, tmp = np.empty(A.shape), np.empty(A.shape)
+    per, tmp = np.empty(A.shape), np.empty(A.shape[:-1])
+
+    def compute(z, j, col):
+        _cp_terms(z[..., j], A[..., j], col, tmp)
+
+    update = _column_cache([per[..., j] for j in range(N_EXPERTS)], compute)
 
     def loss(arrs):
         z = predictor_logits(PredictorState(w=arrs["w"], b=arrs["b"], tau=tau),
                              tokens)
-        return _cp_mean(z, A, per, tmp)
+        update(arrs, z)
+        return float(per.mean())
 
     return loss
 
 
 def finite_difference_grad(loss_fn, arrays: dict, eps=1e-5) -> dict:
-    """Central finite differences of loss_fn over a dict of parameter arrays."""
+    """Central finite differences of loss_fn over a dict of parameter arrays.
+
+    loss_fn is called with float64 copies of the arrays, one entry of which
+    is perturbed; the caller's arrays are never written."""
+    params = {name: np.array(arr, dtype=float) for name, arr in arrays.items()}
     grads = {}
-    for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype=float)
+    for name, arr in params.items():
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + eps
-            f_plus = loss_fn(arrays)
+            f_plus = loss_fn(params)
             arr[idx] = orig - eps
-            f_minus = loss_fn(arrays)
+            f_minus = loss_fn(params)
             arr[idx] = orig
             g[idx] = (f_plus - f_minus) / (2 * eps)
         grads[name] = g

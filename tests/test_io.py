@@ -579,6 +579,40 @@ class TestCli:
         assert n_evals == 2 * n_params
         assert n_logits == n_evals
 
+    def test_losses_src_check_recomputes_one_column_per_eval(self, tmp_path,
+                                                             monkeypatch):
+        traj = _trajectory_file(tmp_path, 32)  # T=2 frames
+        entries = [0]  # sigmoid entries computed so far
+        checks = []  # (loss evaluations, sigmoid entries) per grad check
+        real_sigmoid, real_check = pr._sigmoid, pr.grad_check
+
+        def counted_sigmoid(z, *args, **kwargs):
+            entries[0] += np.size(z)
+            return real_sigmoid(z, *args, **kwargs)
+
+        def counted_check(loss_fn, arrays, analytic, eps=1e-5):
+            evals, before = [], entries[0]
+
+            def counted_fn(arrs):
+                evals.append(arrs)
+                return loss_fn(arrs)
+
+            err = real_check(counted_fn, arrays, analytic, eps=eps)
+            checks.append((len(evals), entries[0] - before))
+            return err
+
+        monkeypatch.setattr(pr, "_sigmoid", counted_sigmoid)
+        monkeypatch.setattr(pr, "grad_check", counted_check)
+        self._run("--out", str(tmp_path / "o"), "losses", "--traj", str(traj))
+        assert len(checks) == 3  # cp_loss, kp_alb_loss, src_loss
+        n_evals, n_entries = checks[2]
+        cfg = fm.Config()
+        column = 2 * (32 // cfg.stride) ** 2  # one expert's (T, H', W') logits
+        assert n_evals == 2 * (cfg.token_dim + 1) * pr.N_EXPERTS
+        # the report's call before the check computed the base columns;
+        # each evaluation then changes one column
+        assert 0 < n_entries <= n_evals * column
+
     def test_routing_runs_compute_no_expert_outputs(self, tmp_path,
                                                     monkeypatch):
         traj = _trajectory_file(tmp_path, 32)  # T=2 frames
@@ -629,6 +663,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not os.listdir(tmp_path / "o")
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                    "(1000000000000,) and data type float64"),
+        MemoryError(),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_clean_error(self, tmp_path, capsys, monkeypatch,
+                                       exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(kvf, "lift_trajectory", fail)
+        traj = _trajectory_file(tmp_path, 32)
+        code = cli.main(["--out", str(tmp_path / "o"), "lift",
+                         "--traj", str(traj)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.strip() != "error:"
         assert not os.listdir(tmp_path / "o")
 
     @pytest.mark.parametrize("command", cli.TRAJECTORY_COMMANDS)

@@ -266,6 +266,35 @@ class TestGradients:
                             {"theta": np.array(6.0)})
         assert err < 1e-10
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_fd_grad_of_non_float64_arrays(self, dtype):
+        # the step must reach loss_fn even when the caller's array cannot
+        # hold it
+        def loss(arrs):
+            return float((arrs["w"] ** 2).sum())
+
+        w = np.array([1, 2], dtype=dtype)
+        g = pr.finite_difference_grad(loss, {"w": w})
+        np.testing.assert_allclose(g["w"], [2.0, 4.0], rtol=1e-6)
+        assert pr.grad_check(loss, {"w": w}, {"w": np.array([2.0, 4.0])}) < 1e-6
+        assert pr.grad_check(loss, {"w": w}, {"w": np.zeros(2)}) > 0.5
+        assert w.dtype == dtype and w.tolist() == [1, 2]
+
+    def test_fd_grad_leaves_arrays_when_loss_raises(self):
+        calls = []
+
+        def loss(arrs):
+            calls.append(arrs["w"].copy())
+            if len(calls) == 3:  # at w[1] + eps
+                raise RuntimeError("loss failed")
+            return float(arrs["w"].sum())
+
+        w = np.array([1.0, 2.0])
+        with pytest.raises(RuntimeError, match="loss failed"):
+            pr.finite_difference_grad(loss, {"w": w})
+        assert calls[2][1] != 2.0
+        assert w.tobytes() == np.array([1.0, 2.0]).tobytes()
+
     @pytest.mark.parametrize("seed", range(10))
     def test_cp_grad(self, seed):
         rng = np.random.default_rng(seed)

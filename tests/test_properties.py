@@ -302,6 +302,56 @@ def test_src_and_cp_evaluators_match_public_losses(inputs):
     assert _float_bytes(cp(arrays)) == _float_bytes(want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(predictor_inputs(), st.data())
+def test_src_and_cp_evaluators_keep_columns_across_calls(inputs, data):
+    # the evaluators keep each column's work between calls; drive them
+    # through base, perturbed and restored parameters in a drawn order, with
+    # the arrays changed in place as the grad check does, and compare each
+    # call with the public losses on fresh arrays
+    tok_seq, m_tool, A, state = inputs
+    tokens = tok_seq[-1]
+    src = pr._src_evaluator(tok_seq, m_tool, state.tau)
+    cp = pr._cp_evaluator(tokens, A, state.tau)
+    base = {"w": state.w.copy(), "b": state.b.copy()}
+    arrs = {name: arr.copy() for name, arr in base.items()}
+    columns = st.integers(0, rt.N_EXPERTS - 1)
+    rows = st.integers(0, state.w.shape[0] - 1)
+    steps = st.sampled_from([1e-5, -1e-5, 7.0])
+
+    def check():
+        w, b = arrs["w"].copy(), arrs["b"].copy()
+        want_src = pr.src_loss(pr._sigmoid(tok_seq @ w + b), m_tool)
+        want_cp = pr.cp_loss(tokens @ w + b, A)
+        assert _float_bytes(src(arrs)) == _float_bytes(want_src)
+        assert _float_bytes(cp(arrs)) == _float_bytes(want_cp)
+
+    def w_entry_restored():
+        idx = (data.draw(rows), data.draw(columns))
+        arrs["w"][idx] += data.draw(st.sampled_from([1e-5, -1e-5]))
+        check()
+        arrs["w"][idx] = base["w"][idx]
+        check()
+
+    def b_entry():
+        arrs["b"][data.draw(columns)] += data.draw(steps)
+        check()
+
+    def two_columns():
+        j, k = data.draw(st.permutations(range(rt.N_EXPERTS)))[:2]
+        arrs["w"][data.draw(rows), j] += data.draw(steps)
+        arrs["b"][k] += data.draw(steps)
+        check()
+
+    check()  # the base, as the report's call makes it
+    for step in data.draw(st.permutations([w_entry_restored, b_entry,
+                                           two_columns])):
+        step()
+    for name in arrs:  # back to the base parameters
+        arrs[name][...] = base[name]
+    check()
+
+
 @st.composite
 def route_inputs(draw):
     """A tie-prone (H, W, 9) field, gate params (inner gates flat or not),
