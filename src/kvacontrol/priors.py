@@ -129,9 +129,8 @@ def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
     denom = N_EXPERTS * mask.sum()
     if denom == 0:  # also for T < 2, where the mask is empty
         return 0.0
-    diff = np.subtract(R[1:], R[:-1])
-    np.square(diff, out=diff)
-    return _src_sum(np.moveaxis(diff, -1, 0), mask, denom, np.empty(mask.shape))
+    sq = np.square(R[1:] - R[:-1])
+    return _src_sum(np.moveaxis(sq, -1, 0), mask, denom, np.empty(mask.shape))
 
 
 def _src_sum(cols, mask, denom, diff2) -> float:
