@@ -17,6 +17,7 @@ from . import metrics as mt
 from . import priors as pr
 from . import routing as rt
 from . import scheduler as sched
+from ._columns import columns, fold
 from .errors import (EmptyCorpus, InvalidParams, KvaControlError, ParseError,
                      ShapeMismatch)
 from .formats import (
@@ -132,9 +133,9 @@ def _routing_run(cfg: Config, seed: int, fields):
         m_tool = rt.avg_pool(kvf.tool_mask(f), cfg.stride)
         fusion_w, inner = decision.fusion_w, decision.inner_probs
         _, s_tilde = sched.significance(
-            motion[f.t], m_tool, rt._fold_last(np.maximum, fusion_w),
-            rt._fold_last(np.add, fusion_w * inner[..., rt.FINE]),
-            rt._fold_last(np.add, fusion_w * inner[..., rt.SKIP]))
+            motion[f.t], m_tool, fold(np.maximum, columns(fusion_w)),
+            fold(np.add, columns(fusion_w * inner[..., rt.FINE])),
+            fold(np.add, columns(fusion_w * inner[..., rt.SKIP])))
         frames.append({"field": f, "decision": decision,
                        "e_motion": motion[f.t], "m_tool": m_tool,
                        "s_tilde": s_tilde})
@@ -155,7 +156,7 @@ def cmd_route(cfg: Config, seed: int, fields, out: str, n_bins=3):
         # sum over the expert axis; numpy adds the slices of a non-last axis
         # in order, as the fold does
         weighted = fr["decision"].fusion_w[..., None] * fr["decision"].inner_probs
-        inner_probs.append(rt._fold_last(np.add, np.moveaxis(weighted, -2, -1))
+        inner_probs.append(fold(np.add, columns(np.moveaxis(weighted, -2, -1)))
                            .reshape(-1, rt.N_SUB))
         modes.append(plan.mode)
         on_tool.append(fr["m_tool"].reshape(-1) > 0)
@@ -317,8 +318,12 @@ def cmd_report(inputs, out_path):
     lines = ["source,row"]
     for path in inputs:
         with open(path, "r", encoding="utf-8") as f:
-            for line in f.read().splitlines():
-                lines.append(f"{os.path.basename(path)},{line}")
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"report input {path}: {exc}") from exc
+        for line in text.splitlines():
+            lines.append(f"{os.path.basename(path)},{line}")
     atomic_write_text(out_path, "\n".join(lines) + "\n")
     return 0
 

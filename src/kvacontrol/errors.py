@@ -37,10 +37,6 @@ class NonFiniteGradient(KvaControlError):
     pass
 
 
-class InvalidDistribution(KvaControlError):
-    pass
-
-
 class InconsistentPlan(KvaControlError):
     pass
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    InvalidParams,
     InvariantViolation,
     ParseError,
     TruncatedFile,
@@ -293,6 +294,8 @@ def _check_ranges(cfg: Config):
     so a bad value fails at load time, also in a command that never reads
     it."""
     h, w = cfg.resolution
+    if h < 1 or w < 1:
+        raise InvalidParams(f"resolution must be at least 1x1, got {h}x{w}")
     default_camera(width=w, height=h)
     _check_synth_args(cfg.trajectory_kind, cfg.frames)
     _check_half_width(cfg.tube_half_width)

@@ -25,10 +25,7 @@ order, so every result keeps its bits:
   on the concatenated copy.
 - `normalize` subtracts the mean and divides by the std one channel column
   at a time: the same subtraction and division of each element.
-- `_sq_norm` squares and adds the 3 columns of a direction as
-  `(x0 * x0 + x1 * x1) + x2 * x2`; numpy sums a last axis of fewer than 8
-  entries left to right, and a square is never -0.0, so numpy's 0.0 start
-  changes nothing.
+- `_sq_norm` adds the 3 squared columns of a direction with `_columns.fold`.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._columns import fold
 from .errors import EmptyCorpus, NonFiniteInput, ShapeMismatch
 from .kinematics import (
     PART_NAMES,
@@ -103,11 +101,7 @@ class ChannelStats:
 
 def _sq_norm(x):
     """Squared norm of each row of an (N, 3) x; `(x * x).sum(axis=1)`."""
-    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
-    out = x0 * x0
-    out += x1 * x1
-    out += x2 * x2
-    return out
+    return fold(np.add, (x[:, k] * x[:, k] for k in range(3)))
 
 
 def _ray_capsule_depths(D, a, b, radius, z_near):
@@ -327,12 +321,6 @@ def normalize(field: KvaField, stats: ChannelStats) -> KvaField:
         c = flat[:, NONSEMANTIC_SLICE.start + k]
         c -= stats.mean[k]
         c /= stats.std[k]
-    return KvaField(channels=ch, t=field.t)
-
-
-def denormalize(field: KvaField, stats: ChannelStats) -> KvaField:
-    ch = field.channels.copy()
-    ch[..., NONSEMANTIC_SLICE] = ch[..., NONSEMANTIC_SLICE] * stats.std + stats.mean
     return KvaField(channels=ch, t=field.t)
 
 

@@ -15,10 +15,8 @@ once, and return the same bits as the public losses on fresh arrays:
 - Every step but the reductions is elementwise, so it gives the same bits in
   any layout and written into any buffer.
 - `_kp_alb_evaluator` keeps the routing logits expert-major, (5, N), so each
-  expert is one contiguous row. The softmax's max and sum fold the five rows
-  in expert order, the sum starting from + 0.0: `_fold_last` on the (N, 5)
-  view `z.T`, whose columns are those rows. The top-1 scan `_argmax_last`
-  compares the rows with `>`, so the first maximum wins. `Pbar` is
+  expert is one contiguous row. The softmax's max and sum and the top-1
+  scan reduce the five rows in expert order with `_columns`. `Pbar` is
   `np.add.accumulate` along each row, which adds the tokens one after
   another: numpy's `mean(axis=0)` of a C-contiguous (N, 5) array adds its
   rows in the same sequence. `tokens @ token_w` does not change with
@@ -35,11 +33,11 @@ once, and return the same bits as the public losses on fresh arrays:
   the bytes of `w[:, j]` and `b[j]` it was formed from; the first
   evaluation's columns are kept as the base, and a column whose parameters
   return to the base is restored from that copy. src then folds the five
-  columns in expert order from + 0.0, as numpy sums a 5-wide axis, and cp
-  takes the mean of the same (..., 5) buffer, so the reductions see the
-  same values in the same order. The result does not depend on the order
-  of the calls: a column whose bytes differ is recomputed. `src_loss` and
-  `cp_loss` run the same helpers on fresh arrays.
+  columns in expert order with `_columns.fold`, and cp takes the mean of
+  the same (..., 5) buffer, so the reductions see the same values in the
+  same order. The result does not depend on the order of the calls: a
+  column whose bytes differ is recomputed. `src_loss` and `cp_loss` run
+  the same helpers on fresh arrays.
 """
 
 from __future__ import annotations
@@ -48,17 +46,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._columns import argmax, columns, fold
 from .errors import EmptyProbs, InvalidParams, NonFiniteGradient, ShapeMismatch
 from .kva_field import MODALITY_CHANNELS, KvaField
-from .routing import (
-    N_EXPERTS,
-    N_SUB,
-    RoutingDecision,
-    _argmax_last,
-    _fold_last,
-    avg_pool,
-    softmax,
-)
+from .routing import N_EXPERTS, N_SUB, RoutingDecision, avg_pool, softmax
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class RoutingStats:
 
 def routing_stats(P: np.ndarray) -> RoutingStats:
     flat = P.reshape(-1, N_EXPERTS)
-    top1 = _argmax_last(flat)
+    top1 = argmax(columns(flat))
     f = np.bincount(top1, minlength=N_EXPERTS) / flat.shape[0]
     Pbar = flat.mean(axis=0)
     return RoutingStats(f=f, Pbar=Pbar, load=f * Pbar)
@@ -130,17 +121,14 @@ def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
     if denom == 0:  # also for T < 2, where the mask is empty
         return 0.0
     sq = np.square(R[1:] - R[:-1])
-    return _src_sum(np.moveaxis(sq, -1, 0), mask, denom, np.empty(mask.shape))
+    return _src_sum(columns(sq), mask, denom, np.empty(mask.shape))
 
 
 def _src_sum(cols, mask, denom, diff2) -> float:
     """src_loss for T >= 2 and denom != 0 from the five expert columns of the
-    squared time difference, each (T-1, H', W'); diff2 is a buffer of that
-    shape. The columns are added in expert order from + 0.0, as numpy sums
-    a 5-wide last axis."""
-    np.add(cols[0], 0.0, out=diff2)
-    for col in cols[1:]:
-        diff2 += col
+    squared time difference, each (T-1, H', W'), folded in expert order;
+    diff2 is a buffer of that shape."""
+    fold(np.add, cols, out=diff2)
     np.multiply(mask, diff2, out=diff2)
     return float(diff2.sum() / denom)
 
@@ -349,19 +337,6 @@ def src_loss_grad(tokens_seq: np.ndarray, state: PredictorState,
     return gw, gb
 
 
-def distill_grads(student_outer_logits, teacher_outer, student_skip_logits,
-                  teacher_skip, student_pred, teacher_pred):
-    """Analytic gradients of the distillation terms w.r.t. student quantities:
-    KL(teacher || softmax(z)) -> softmax(z) - p_t, BCE on skip logits, MSE on
-    predictions. Each averaged the same way the losses are."""
-    Ps = softmax(student_outer_logits, axis=-1)
-    n_tok = int(np.prod(student_outer_logits.shape[:-1]))
-    g_outer = (Ps - teacher_outer) / n_tok
-    g_skip = (_sigmoid(student_skip_logits) - teacher_skip) / student_skip_logits.size
-    g_pred = 2.0 * (student_pred - teacher_pred) / student_pred.size
-    return g_outer, g_skip, g_pred
-
-
 def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
     """kp_alb_loss of `outer_gate`'s per-token probabilities as a function of
     {"outer_w", "outer_b", "token_w"}, evaluated expert-major (see the
@@ -369,7 +344,7 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
     ce = np.concatenate([c_action, t_embed])
     n = tokens.size // tokens.shape[-1]
     z = np.empty((N_EXPERTS, n))  # logits, then probabilities
-    rows = z.T  # (n, 5) view whose columns are the rows of z
+    rows = list(z)  # one view per expert
     col = np.empty(n)
     acc = np.empty_like(z)
     per_token = np.empty_like(z)  # expert-major tokens @ token_w
@@ -383,10 +358,10 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
             np.copyto(per_token, product.reshape(n, N_EXPERTS).T)
         logits = ce @ arrs["outer_w"] + arrs["outer_b"]
         np.add(per_token, logits[:, None], out=z)
-        np.subtract(z, _fold_last(np.maximum, rows, out=col), out=z)
+        np.subtract(z, fold(np.maximum, rows, out=col), out=z)
         np.exp(z, out=z)
-        np.divide(z, _fold_last(np.add, rows, out=col), out=z)
-        f = np.bincount(_argmax_last(rows), minlength=N_EXPERTS) / n
+        np.divide(z, fold(np.add, rows, out=col), out=z)
+        f = np.bincount(argmax(rows), minlength=N_EXPERTS) / n
         Pbar = np.add.accumulate(z, axis=1, out=acc)[:, -1] / n
         return kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar), prior)
 

@@ -15,23 +15,8 @@ modality's expert stack and sums the outputs weighted by the fusion weights.
 No CLI artefact reads the fused feature, so the CLI computes only the gates,
 as a sparse mixture of experts computes only the experts its gates select.
 
-Nearly every array on the routing path ends in a 5-wide expert axis or a
-3-wide sub-expert axis, and numpy reduces such a short last axis one row at a
-time, at many times the cost of an elementwise pass. `_fold_last` and
-`_argmax_last` reduce it a column at a time instead, with the same bits:
-numpy sums a contiguous last axis of fewer than 8 elements strictly left to
-right, starting from the identity 0.0, so the left fold
-`((x0 + 0.0) + x1) + x2 ...` over columns performs the same additions in the
-same order. The `+ 0.0` matters only for signed zero: it turns a row of
--0.0 into +0.0, as numpy's sum does, and leaves every other value as it is.
-`max` and the argmax selection compare without rounding.
-
-`avg_pool` folds the stride x stride block of a channel-last field the same
-way: numpy sums the two block axes of a (H', s, W', s, C) view, C >= 2, one
-block entry at a time in row-major order, each an elementwise pass over the
-whole output, so `out = v[:, 0, :, 0] + 0.0; out += v[:, a, :, b]` in that
-order is the same sum, and the division by s * s is the one numpy's `mean`
-makes.
+The short expert, sub-expert and block axes are reduced a column at a time
+by `_columns.fold` and `_columns.argmax`, with numpy's bits (see there).
 """
 
 from __future__ import annotations
@@ -40,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._columns import argmax, columns, fold
 from .errors import InvalidParams, ShapeMismatch
 from .kva_field import MODALITIES, MODALITY_CHANNELS, KvaField
 
@@ -157,70 +143,29 @@ def timestep_embed(t: float) -> np.ndarray:
 def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     """Non-overlapping average pooling over the two leading spatial dims.
 
-    The block is folded in row-major order (see the module docstring): the
-    same bits as `reshape(...).mean(axis=(1, 3))` for a channel-last x with
-    at least 2 channels. For a 2-D x numpy may sum in another order; any
-    order is exact for the 0/1 tool masks pooled here. The fold costs
-    stride**2 - 1 elementwise passes over the output, so from stride 32 up
-    it is slower than numpy's mean; no caller pools that coarsely."""
+    The block is folded in row-major order (see `_columns`): the same bits
+    as `reshape(...).mean(axis=(1, 3))` for a channel-last x with at least
+    2 channels. For a 2-D x numpy may sum in another order; any order is
+    exact for the 0/1 tool masks pooled here. The fold costs stride**2
+    elementwise passes over the output, so from stride 32 up it is slower
+    than numpy's mean; no caller pools that coarsely."""
     _check_stride(stride)
     h, w = x.shape[:2]
     if h % stride or w % stride:
         raise ShapeMismatch(f"{x.shape[:2]} not divisible by stride {stride}")
     v = x.reshape(h // stride, stride, w // stride, stride, *x.shape[2:])
-    out = v[:, 0, :, 0] + 0.0
-    for a in range(stride):
-        for b in range(stride):
-            if a or b:
-                out += v[:, a, :, b]
+    out = fold(np.add, (v[:, a, :, b] for a in range(stride)
+                        for b in range(stride)))
     out /= stride * stride
     return out
 
 
-def _fold_last(ufunc, x: np.ndarray, out=None) -> np.ndarray:
-    """ufunc.reduce over the last axis as a left fold over its columns; the
-    same bits as numpy's reduction for axes of fewer than 8 entries. The add
-    fold adds 0.0 to column 0 first, as numpy's sum starts from 0.0. out is
-    an optional buffer of the result's shape."""
-    if out is None:
-        out = x[..., 0].copy()
-    else:
-        np.copyto(out, x[..., 0])
-    if ufunc is np.add:
-        out += 0.0
-    for k in range(1, x.shape[-1]):
-        ufunc(out, x[..., k], out=out)
-    return out
-
-
-def _argmax_last(x: np.ndarray) -> np.ndarray:
-    """argmax over the last axis of finite x; the first maximum wins."""
-    best = x[..., 0].copy()
-    idx = np.zeros(best.shape, dtype=np.intp)
-    for k in range(1, x.shape[-1]):
-        col = x[..., k]
-        idx[col > best] = k
-        np.maximum(best, col, out=best)
-    return idx
-
-
 def softmax(z: np.ndarray, axis=-1) -> np.ndarray:
     z = np.moveaxis(z, axis, -1)
-    e = z - _fold_last(np.maximum, z)[..., None]
+    e = z - fold(np.maximum, columns(z))[..., None]
     np.exp(e, out=e)
-    e /= _fold_last(np.add, e)[..., None]
+    e /= fold(np.add, columns(e))[..., None]
     return np.moveaxis(e, -1, axis)
-
-
-def action_embed(field: KvaField, params: GateParams):
-    """Strided average pool + shared linear lift; c_action is the token mean."""
-    return _embed_pooled(avg_pool(field.channels, params.stride), params)
-
-
-def _embed_pooled(pooled, params: GateParams):
-    tokens = pooled @ params.lift_w + params.lift_b
-    c_action = tokens.mean(axis=(0, 1))
-    return c_action, tokens
 
 
 def outer_gate(c_action, t_embed, params: GateParams, tokens=None):
@@ -247,33 +192,30 @@ def topk_select(P: np.ndarray, k: int) -> np.ndarray:
 def capacity_blend(P, A, progress: float, sched: CapacitySchedule) -> np.ndarray:
     """fusion_w = (1 - lam) * P + lam * renormalized(P * A)."""
     masked = P * A
-    S = masked / _fold_last(np.add, masked)[..., None]
+    S = masked / fold(np.add, columns(masked))[..., None]
     lam = sched.blend_factor(progress)
     return (1 - lam) * P + lam * S
 
 
 def inner_gate(modality_tokens: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Top-1 fine/transport/skip selection with full distributions returned."""
+    """Top-1 fine/transport/skip selection and the full distributions."""
     probs = softmax(modality_tokens @ w + b)
-    sel = _argmax_last(probs)  # first max wins: fine < transport < skip
-    conf = _fold_last(np.maximum, probs)  # the selected probability
-    return sel, conf, probs
+    # first max wins: fine < transport < skip
+    return argmax(columns(probs)), probs
 
 
-def _lift_and_gate(field_pooled, params: GateParams, m: str):
-    """One modality's lifted tokens and its inner gate's (sel, probs): the
-    inner gate without the confidence, which only the experts read."""
+def _modality_tokens(field_pooled, params: GateParams, m: str):
+    """One modality's channels of the pooled field, lifted to C dims."""
     x = field_pooled[..., MODALITY_CHANNELS[m]]
-    lifted = x @ params.mod_lift_w[m] + params.mod_lift_b[m]
-    probs = softmax(lifted @ params.inner_w[m] + params.inner_b[m])
-    return lifted, _argmax_last(probs), probs
+    return x @ params.mod_lift_w[m] + params.mod_lift_b[m]
 
 
 def modality_expert(field_pooled, params: GateParams, m: str):
     """Tier-2 expert stack for one modality: lifted tokens, sub-expert outputs,
     inner routing, and the confidence-weighted selected output."""
-    lifted, sel, probs = _lift_and_gate(field_pooled, params, m)
-    conf = _fold_last(np.maximum, probs)  # the selected probability
+    lifted = _modality_tokens(field_pooled, params, m)
+    sel, probs = inner_gate(lifted, params.inner_w[m], params.inner_b[m])
+    conf = fold(np.maximum, columns(probs))  # the selected probability
     fine = lifted @ params.fine_w[m] + params.fine_b[m]
     transport = lifted @ params.trans_w[m] + params.trans_b[m] + lifted.mean(axis=(0, 1))
     pick = sel[..., None]
@@ -287,7 +229,8 @@ def route_forward(field: KvaField, params: GateParams, progress: float, t_embed,
     """Two-tier gating of one frame: its pooled grid and routing decision."""
     sched = sched or CapacitySchedule()
     pooled = avg_pool(field.channels, params.stride)
-    c_action, tokens = _embed_pooled(pooled, params)
+    tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
+    c_action = tokens.mean(axis=(0, 1))
     P = outer_gate(c_action, t_embed, params, tokens=tokens)
     A = topk_select(P, sched.k)
     fusion_w = capacity_blend(P, A, progress, sched)
@@ -296,9 +239,9 @@ def route_forward(field: KvaField, params: GateParams, progress: float, t_embed,
     inner_sel = np.zeros((hp, wp, N_EXPERTS), dtype=int)
     inner_probs = np.zeros((hp, wp, N_EXPERTS, N_SUB))
     for i, m in enumerate(MODALITIES):
-        _, sel, probs = _lift_and_gate(pooled, params, m)
-        inner_sel[..., i] = sel
-        inner_probs[..., i, :] = probs
+        inner_sel[..., i], inner_probs[..., i, :] = inner_gate(
+            _modality_tokens(pooled, params, m), params.inner_w[m],
+            params.inner_b[m])
 
     decision = RoutingDecision(P=P, A=A, fusion_w=fusion_w, inner_sel=inner_sel,
                                inner_probs=inner_probs, tokens=tokens,

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InconsistentPlan,
-    InvalidDistribution,
-    InvalidParams,
-    ShapeMismatch,
-)
+from .errors import InconsistentPlan, InvalidParams, ShapeMismatch
 
 FULL, LIGHT, REUSE = 0, 1, 2
 MODE_NAMES = ("full", "light", "reuse")
@@ -157,62 +152,6 @@ def temporal_loss(features, modes) -> float:
         return 0.0
     diff2 = ((f[1:] - f[:-1]) ** 2).sum(axis=-1)
     return float((diff2 * sel).sum() / (count * f.shape[-1]))
-
-
-@dataclass(frozen=True)
-class DistillBundle:
-    """Signals matched between teacher and student."""
-
-    pred: np.ndarray  # prediction tensor
-    outer_probs: np.ndarray  # (..., 5) tier-1 distributions
-    inner_probs: np.ndarray  # (..., 3) tier-2 distributions
-    skip_probs: np.ndarray  # (...,) skip probabilities
-    ctrl: tuple  # tuple of control-path feature arrays
-
-
-PROB_FLOOR = 1e-12
-
-
-def _check_dist(p, name):
-    p = np.asarray(p, dtype=float)
-    if p.min() < 0 or np.abs(p.sum(axis=-1) - 1).max() > 1e-6:
-        raise InvalidDistribution(f"{name} is not a probability distribution")
-    return p
-
-
-def _kl(p, q):
-    """Mean over tokens of KL(p || q), probabilities floored at 1e-12."""
-    p = np.maximum(p, PROB_FLOOR)
-    q = np.maximum(q, PROB_FLOOR)
-    per_token = (p * (np.log(p) - np.log(q))).sum(axis=-1)
-    return float(per_token.mean())
-
-
-def distill_loss(student: DistillBundle, teacher: DistillBundle,
-                 lam_r=1.0, lam_c=1.0) -> float:
-    """L_pred + lam_r * L_route + lam_c * L_ctrl.
-
-    L_pred: MSE to the (detached) teacher prediction. L_route: KL(teacher ||
-    student) for outer and inner distributions + BCE on the skip probability.
-    L_ctrl: summed MSEs over the control feature set."""
-    if student.pred.shape != teacher.pred.shape:
-        raise ShapeMismatch("prediction shapes differ")
-    l_pred = float(np.mean((student.pred - teacher.pred) ** 2))
-
-    p_out_t = _check_dist(teacher.outer_probs, "teacher outer")
-    p_out_s = _check_dist(student.outer_probs, "student outer")
-    p_in_t = _check_dist(teacher.inner_probs, "teacher inner")
-    p_in_s = _check_dist(student.inner_probs, "student inner")
-    ps = np.clip(np.asarray(student.skip_probs, dtype=float), PROB_FLOOR, 1 - PROB_FLOOR)
-    pt = np.asarray(teacher.skip_probs, dtype=float)
-    bce = float(np.mean(-(pt * np.log(ps) + (1 - pt) * np.log(1 - ps))))
-    l_route = _kl(p_out_t, p_out_s) + _kl(p_in_t, p_in_s) + bce
-
-    if len(student.ctrl) != len(teacher.ctrl):
-        raise ShapeMismatch("control feature sets differ in length")
-    l_ctrl = sum(float(np.mean((np.asarray(hs) - np.asarray(ht)) ** 2))
-                 for hs, ht in zip(student.ctrl, teacher.ctrl))
-    return l_pred + lam_r * l_route + lam_c * l_ctrl
 
 
 @dataclass(frozen=True)

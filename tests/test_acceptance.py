@@ -216,29 +216,6 @@ def test_criterion_03_loss_value_oracles(capsys):
             exp = num / (cnt * 2) if cnt else 0.0
             assert abs(sch.temporal_loss(feats, modes) - exp) < 1e-10
 
-            # distillation
-            def bundle():
-                return sch.DistillBundle(
-                    pred=rng.normal(size=(2, 3)),
-                    outer_probs=rt.softmax(rng.normal(size=(4, 5)), axis=-1),
-                    inner_probs=rt.softmax(rng.normal(size=(4, 3)), axis=-1),
-                    skip_probs=rng.uniform(0.05, 0.95, 4),
-                    ctrl=(rng.normal(size=3),))
-
-            s, t = bundle(), bundle()
-            l_pred = np.mean((s.pred - t.pred) ** 2)
-            kl = 0.0
-            for pt, ps in ((t.outer_probs, s.outer_probs),
-                           (t.inner_probs, s.inner_probs)):
-                kl += np.mean([sum(pt[i, k] * np.log(pt[i, k] / ps[i, k])
-                                   for k in range(pt.shape[1]))
-                               for i in range(4)])
-            bce = np.mean([-(t.skip_probs[i] * np.log(s.skip_probs[i])
-                             + (1 - t.skip_probs[i]) * np.log(1 - s.skip_probs[i]))
-                           for i in range(4)])
-            l_ctrl = np.mean((s.ctrl[0] - t.ctrl[0]) ** 2)
-            assert abs(sch.distill_loss(s, t) - (l_pred + kl + bce + l_ctrl)) < 1e-10
-
         # composite-weight example: unit components sum to exactly 1.03
         assert pr.total_loss(1, 1, 1, 1, 1) == pytest.approx(1.03, abs=1e-12)
 
@@ -295,32 +272,6 @@ def test_criterion_04_gradient_verification(capsys):
             assert pr.grad_check(src_fn, {"w": state.w.copy(),
                                           "b": state.b.copy()},
                                  {"w": gw, "b": gb}) < 1e-5
-
-            z_outer = rng.normal(size=(4, 5))
-            p_teacher = rt.softmax(rng.normal(size=(4, 5)), axis=-1)
-            z_skip = rng.normal(size=4)
-            skip_t = rng.random(4)
-            pred_s = rng.normal(size=(2, 2))
-            pred_t = rng.normal(size=(2, 2))
-            g_out, g_skip, g_pred = pr.distill_grads(z_outer, p_teacher, z_skip,
-                                                     skip_t, pred_s, pred_t)
-
-            def kl_fn(arrs):
-                q = np.maximum(rt.softmax(arrs["z"], axis=-1), 1e-12)
-                p = np.maximum(p_teacher, 1e-12)
-                return float((p * (np.log(p) - np.log(q))).sum(-1).mean())
-
-            def bce_fn(arrs):
-                s = pr._sigmoid(arrs["z"])
-                return float(np.mean(-(skip_t * np.log(s)
-                                       + (1 - skip_t) * np.log(1 - s))))
-
-            def mse_fn(arrs):
-                return float(np.mean((arrs["p"] - pred_t) ** 2))
-
-            assert pr.grad_check(kl_fn, {"z": z_outer.copy()}, {"z": g_out}) < 1e-5
-            assert pr.grad_check(bce_fn, {"z": z_skip.copy()}, {"z": g_skip}) < 1e-5
-            assert pr.grad_check(mse_fn, {"p": pred_s.copy()}, {"p": g_pred}) < 1e-5
         assert time.monotonic() - start < 60
 
     _report(capsys, 4, "analytic gradients vs finite differences", check)

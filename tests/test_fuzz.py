@@ -1,9 +1,9 @@
 """Mutated input files fed to `cli.main` end in exit 0 or 1, never a traceback.
 
 Each test mutates one valid input of the CLI (a 32x32 trajectory file, a P5
-mask or a JSON config) with a few token, line or byte edits and runs a
-command on it. The examples are derandomized so that tier-1 stays stable;
-raise `max_examples` and drop `derandomize` to search further.
+mask, a JSON config or a CSV report) with a few token, line or byte edits
+and runs a command on it. The examples are derandomized so that tier-1 stays
+stable; raise `max_examples` and drop `derandomize` to search further.
 """
 
 import dataclasses
@@ -39,6 +39,10 @@ def valid_inputs(tmp_path_factory):
     poses = forward_kinematics(traj.states[0], ToolGeometry())
     fm.write_pgm(root / "m.pgm", mt.render_tube(poses, cam))
     return (root / "t.txt").read_bytes(), (root / "m.pgm").read_bytes()
+
+
+# a metrics report as `eval` writes it
+CSV = b"frame,cd,ti,af,dice\n1,0,nan,nan,1\nmean,0,nan,nan,1\n"
 
 
 @st.composite
@@ -104,6 +108,16 @@ def test_mutated_mask_exits_cleanly(valid_inputs, data):
             (Path(root) / name / "frame_0001.pgm").write_bytes(content)
         assert _exit_code(["eval", "--pred", str(Path(root) / "pred"),
                            "--target", str(Path(root) / "target")]) in (0, 1)
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_report_input_exits_cleanly(data):
+    report = data.draw(mutated(CSV, text=False))
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "metrics.csv").write_bytes(report)
+        assert _exit_code(["report", "--inputs",
+                           str(Path(root) / "metrics.csv")]) in (0, 1)
 
 
 CONFIG_VALUES = st.sampled_from([

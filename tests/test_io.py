@@ -461,13 +461,14 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("resolution", ["64", "ax64"])
+    @pytest.mark.parametrize("resolution", ["64", "ax64", "0x0", "64x-1"])
     def test_bad_resolution_clean_error(self, tmp_path, capsys, resolution):
         code = cli.main(["--out", str(tmp_path), "--resolution", resolution,
                          "synth", "--frames", "1"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "resolution" in err, err
 
     @pytest.mark.parametrize("text,command", [
         ('{"stride": 4', "synth"),

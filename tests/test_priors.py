@@ -356,39 +356,6 @@ class TestGradients:
                             {"w": gw, "b": gb})
         assert err < 1e-5
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_distill_grads(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        z_outer = rng.normal(size=(6, 5))
-        p_teacher = rt.softmax(rng.normal(size=(6, 5)), axis=-1)
-        z_skip = rng.normal(size=6)
-        skip_teacher = rng.random(6)
-        pred_s = rng.normal(size=(2, 3))
-        pred_t = rng.normal(size=(2, 3))
-
-        def kl_loss(arrs):
-            Ps = rt.softmax(arrs["z_outer"], axis=-1)
-            p = np.maximum(p_teacher, 1e-12)
-            q = np.maximum(Ps, 1e-12)
-            return float((p * (np.log(p) - np.log(q))).sum(axis=-1).mean())
-
-        def bce_loss(arrs):
-            s = pr._sigmoid(arrs["z_skip"])
-            return float(np.mean(-(skip_teacher * np.log(s)
-                                   + (1 - skip_teacher) * np.log(1 - s))))
-
-        def mse_loss(arrs):
-            return float(np.mean((arrs["pred"] - pred_t) ** 2))
-
-        g_outer, g_skip, g_pred = pr.distill_grads(z_outer, p_teacher, z_skip,
-                                                   skip_teacher, pred_s, pred_t)
-        assert pr.grad_check(kl_loss, {"z_outer": z_outer.copy()},
-                             {"z_outer": g_outer}) < 1e-5
-        assert pr.grad_check(bce_loss, {"z_skip": z_skip.copy()},
-                             {"z_skip": g_skip}) < 1e-5
-        assert pr.grad_check(mse_loss, {"pred": pred_s.copy()},
-                             {"pred": g_pred}) < 1e-5
-
     def test_stop_gradient_contracts(self):
         # gradients w.r.t. detached quantities (pi for KP-ALB, A for CP)
         # are exactly zero: perturbing them never reaches gate params

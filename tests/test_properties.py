@@ -12,6 +12,7 @@ from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
+from kvacontrol._columns import argmax, columns, fold
 
 
 masks = hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -93,17 +94,19 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, short_axis, elements=finite))
 @example(x=np.array([-0.0]))
-def test_fold_last_matches_numpy_reductions(x):
+def test_fold_matches_numpy_reductions(x):
     with np.errstate(over="ignore"):
-        assert rt._fold_last(np.add, x).tobytes() == x.sum(axis=-1).tobytes()
-    assert rt._fold_last(np.maximum, x).tobytes() == x.max(axis=-1).tobytes()
+        assert fold(np.add, columns(x)).tobytes() == x.sum(axis=-1).tobytes()
+        if len(x):  # the first axis, 1-6 wide; a 1-D x yields scalars
+            assert fold(np.add, x).tobytes() == x.sum(axis=0).tobytes()
+    assert fold(np.maximum, columns(x)).tobytes() == x.max(axis=-1).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, short_axis,
                   elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
-def test_argmax_last_matches_numpy_argmax(x):
-    idx = rt._argmax_last(x)
+def test_argmax_matches_numpy_argmax(x):
+    idx = argmax(columns(x))
     assert idx.dtype == np.intp
     assert idx.tobytes() == x.argmax(axis=-1).tobytes()
 

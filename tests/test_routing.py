@@ -23,18 +23,24 @@ def lifted_field(seed=0, hw=32):
     return kvf.normalize(fields[-1], stats)
 
 
+def route_tokens(field, params):
+    """route_forward's pooled gate feature c_action and its action tokens."""
+    _, dec = rt.route_forward(field, params, 1.0, rt.timestep_embed(0.5))
+    return dec.c_action, dec.tokens
+
+
 class TestActionEmbed:
     def test_zero_field_zero_tokens(self):
         params = rt.init_gate_params(0)
         params.lift_b[:] = 0
         f = kvf.KvaField(channels=np.zeros((32, 32, 9)))
-        c_action, tokens = rt.action_embed(f, params)
+        c_action, tokens = route_tokens(f, params)
         assert np.all(tokens == 0) and np.all(c_action == 0)
 
     def test_constant_field_equal_tokens(self):
         params = rt.init_gate_params(1)
         f = kvf.KvaField(channels=np.ones((32, 32, 9)) * 0.7)
-        c_action, tokens = rt.action_embed(f, params)
+        c_action, tokens = route_tokens(f, params)
         np.testing.assert_allclose(tokens,
                                    np.broadcast_to(tokens[0, 0], tokens.shape),
                                    atol=1e-15)
@@ -43,7 +49,7 @@ class TestActionEmbed:
     def test_pooling_matches_summation_oracle(self):
         params = rt.init_gate_params(2)
         f = make_field(3)
-        _, tokens = rt.action_embed(f, params)
+        _, tokens = route_tokens(f, params)
         stride = params.stride
         for (ti, tj) in [(0, 0), (3, 5), (7, 7)]:
             block = f.channels[ti * stride:(ti + 1) * stride,
@@ -55,7 +61,7 @@ class TestActionEmbed:
     def test_indivisible_resolution_rejected(self):
         params = rt.init_gate_params(0)
         with pytest.raises(ShapeMismatch):
-            rt.action_embed(kvf.KvaField(channels=np.zeros((30, 30, 9))), params)
+            route_tokens(kvf.KvaField(channels=np.zeros((30, 30, 9))), params)
 
 
 class TestOuterGate:
@@ -64,7 +70,7 @@ class TestOuterGate:
         params.outer_w[:] = 0
         params.outer_b[:] = 0
         params.token_w[:] = 0
-        c_action, tokens = rt.action_embed(make_field(), params)
+        c_action, tokens = route_tokens(make_field(), params)
         P = rt.outer_gate(c_action, rt.timestep_embed(0.3), params, tokens=tokens)
         np.testing.assert_allclose(P, 0.2, atol=1e-15)
 
@@ -83,7 +89,7 @@ class TestOuterGate:
 
     def test_rows_sum_to_one(self):
         params = rt.init_gate_params(5)
-        c_action, tokens = rt.action_embed(make_field(6), params)
+        c_action, tokens = route_tokens(make_field(6), params)
         P = rt.outer_gate(c_action, rt.timestep_embed(0.9), params, tokens=tokens)
         assert np.max(np.abs(P.sum(axis=-1) - 1)) < 1e-9
 
@@ -153,32 +159,32 @@ class TestCapacityBlend:
 class TestInnerGate:
     def test_zero_params_uniform_fine(self):
         tokens = np.zeros((4, 4, 16))
-        sel, conf, probs = rt.inner_gate(tokens, np.zeros((16, 3)), np.zeros(3))
+        sel, probs = rt.inner_gate(tokens, np.zeros((16, 3)), np.zeros(3))
         assert np.all(sel == rt.FINE)
-        np.testing.assert_allclose(conf, 1 / 3, atol=1e-15)
+        np.testing.assert_allclose(probs.max(axis=-1), 1 / 3, atol=1e-15)
 
     def test_transport_logit_dominant(self):
         tokens = np.ones((1, 1, 2))
         w = np.zeros((2, 3))
         b = np.array([0.0, 5.0, 0.0])
-        sel, conf, _ = rt.inner_gate(tokens, w, b)
+        sel, probs = rt.inner_gate(tokens, w, b)
         assert sel[0, 0] == rt.TRANSPORT
         expected = np.exp(5) / (np.exp(5) + 2)
-        assert abs(conf[0, 0] - expected) < 1e-12
+        assert abs(probs[0, 0].max() - expected) < 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)
         tokens = rng.normal(size=(6, 6, 16))
         w = rng.normal(size=(16, 3))
         b = rng.normal(size=3)
-        sel, conf, probs = rt.inner_gate(tokens, w, b)
+        sel, probs = rt.inner_gate(tokens, w, b)
         for i in range(6):
             for j in range(6):
                 z = tokens[i, j] @ w + b
                 e = np.exp(z - z.max())
                 p = e / e.sum()
                 assert sel[i, j] == int(np.argmax(p))
-                assert abs(conf[i, j] - p[sel[i, j]]) < 1e-12
+                assert abs(probs[i, j].max() - p[sel[i, j]]) < 1e-12
 
 
 class TestRouteForward:

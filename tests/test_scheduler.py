@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kvacontrol import scheduler as sch
-from kvacontrol.errors import InconsistentPlan, InvalidDistribution, ShapeMismatch
+from kvacontrol.errors import InconsistentPlan, ShapeMismatch
 
 
 class TestSignificance:
@@ -204,77 +204,6 @@ class TestTemporalLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sch.temporal_loss(np.ones((2, 3, 2)), np.zeros((2, 4)))
-
-
-def _bundle(rng, pred_shape=(4, 3)):
-    from kvacontrol.routing import softmax
-    return sch.DistillBundle(
-        pred=rng.normal(size=pred_shape),
-        outer_probs=softmax(rng.normal(size=(6, 5)), axis=-1),
-        inner_probs=softmax(rng.normal(size=(6, 3)), axis=-1),
-        skip_probs=rng.random(6),
-        ctrl=(rng.normal(size=(2, 2)), rng.normal(size=5)),
-    )
-
-
-class TestDistillLoss:
-    def test_identical_bundles(self):
-        rng = np.random.default_rng(0)
-        b = _bundle(rng)
-        # KL terms vanish; only the skip BCE keeps its entropy floor
-        p = b.skip_probs
-        entropy = float(np.mean(-(p * np.log(p) + (1 - p) * np.log(1 - p))))
-        assert sch.distill_loss(b, b) == pytest.approx(entropy, abs=1e-12)
-
-    def test_half_skip_ln2(self):
-        rng = np.random.default_rng(1)
-        b = _bundle(rng)
-        b = sch.DistillBundle(pred=b.pred, outer_probs=b.outer_probs,
-                              inner_probs=b.inner_probs,
-                              skip_probs=np.full(6, 0.5), ctrl=b.ctrl)
-        assert sch.distill_loss(b, b) == pytest.approx(np.log(2), abs=1e-12)
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(2)
-        s, t = _bundle(rng), _bundle(rng)
-        l_pred = np.mean((s.pred - t.pred) ** 2)
-        kl = 0.0
-        for pt, ps in ((t.outer_probs, s.outer_probs), (t.inner_probs, s.inner_probs)):
-            kl += np.mean([sum(pt[i, k] * np.log(pt[i, k] / ps[i, k])
-                               for k in range(pt.shape[1])) for i in range(6)])
-        bce = np.mean([-(t.skip_probs[i] * np.log(s.skip_probs[i])
-                         + (1 - t.skip_probs[i]) * np.log(1 - s.skip_probs[i]))
-                       for i in range(6)])
-        l_ctrl = sum(np.mean((np.asarray(a) - np.asarray(b)) ** 2)
-                     for a, b in zip(s.ctrl, t.ctrl))
-        expected = l_pred + kl + bce + l_ctrl
-        assert sch.distill_loss(s, t) == pytest.approx(expected, abs=1e-10)
-
-    def test_weights(self):
-        rng = np.random.default_rng(3)
-        s, t = _bundle(rng), _bundle(rng)
-        full = sch.distill_loss(s, t, lam_r=1, lam_c=1)
-        no_route = sch.distill_loss(s, t, lam_r=0, lam_c=1)
-        no_ctrl = sch.distill_loss(s, t, lam_r=1, lam_c=0)
-        pred_only = sch.distill_loss(s, t, lam_r=0, lam_c=0)
-        assert full == pytest.approx((no_route - pred_only) + (no_ctrl - pred_only)
-                                     + pred_only, abs=1e-12)
-
-    def test_bad_distribution(self):
-        rng = np.random.default_rng(4)
-        b = _bundle(rng)
-        bad = sch.DistillBundle(pred=b.pred, outer_probs=b.outer_probs * 2,
-                                inner_probs=b.inner_probs,
-                                skip_probs=b.skip_probs, ctrl=b.ctrl)
-        with pytest.raises(InvalidDistribution):
-            sch.distill_loss(bad, b)
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(5)
-        s = _bundle(rng, pred_shape=(4, 3))
-        t = _bundle(rng, pred_shape=(4, 2))
-        with pytest.raises(ShapeMismatch):
-            sch.distill_loss(s, t)
 
 
 class TestSimulateExecution:
