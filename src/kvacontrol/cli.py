@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,10 +98,11 @@ def _load_fields(traj_path, resolution=None):
 
 
 def cmd_lift(fields, out: str):
-    """Trajectory fields -> per-frame KVAF binaries + channel statistics."""
+    """Trajectory channels -> per-frame KVAF binaries + channel statistics."""
     stats = kvf.compute_stats(fields)
-    for f in fields:
-        write_field(f, os.path.join(out, f"field_{f.t + 1:04d}.kvaf"))
+    for t, channels in enumerate(fields):
+        write_field(kvf.KvaField(channels, t=t),
+                    os.path.join(out, f"field_{t + 1:04d}.kvaf"))
     write_csv(os.path.join(out, "channel_stats.csv"),
               ["channel", "mean", "std"],
               [[kvf.CHANNEL_NAMES[3 + i], stats.mean[i], stats.std[i]]
@@ -113,58 +115,65 @@ def _budget(cfg: Config) -> sched.BudgetConfig:
                               rho_light_target=cfg.rho_light, K=cfg.refresh_k)
 
 
-def _routing_run(cfg: Config, seed: int, fields):
-    """Shared forward pass: decisions and significance inputs per frame."""
+@dataclass(frozen=True)
+class RoutingRun:
+    """One trajectory's routing, each array stacked over its T frames on the
+    (H', W') token grid."""
+
+    params: rt.GateParams
+    last: rt.RoutingDecision  # the last frame's decision
+    tokens: np.ndarray  # (T, H', W', C)
+    pooled: np.ndarray  # (T, H', W', 9) raw field
+    m_tool: np.ndarray  # (T, H', W') pooled tool mask
+    motion: np.ndarray  # (T, H', W')
+    fusion_w: np.ndarray  # (T, H', W', 5)
+    sub_mass: np.ndarray  # (T, H', W', 3) fusion-weighted sub-expert mass
+    s_tilde: np.ndarray  # (T, H', W') normalized significance
+
+
+def _routing_run(cfg: Config, seed: int, fields) -> RoutingRun:
+    """Shared forward pass over the trajectory channels (T, H, W, 9)."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim, stride=cfg.stride)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
                                    sparse_start=cfg.sparse_start, k=cfg.top_k)
     t_embed = rt.timestep_embed(cfg.timestep)
     stats = kvf.compute_stats(fields)
-
+    # normalized a frame at a time, so that no second stack is held
+    decisions = [rt.route_forward(kvf.KvaField(kvf.normalize(f, stats)), params,
+                                  cfg.progress, t_embed, sched=schedule)[1]
+                 for f in fields]
+    pooled = np.stack([rt.avg_pool(f, cfg.stride) for f in fields])
+    m_tool = np.stack([rt.avg_pool(m, cfg.stride) for m in kvf.tool_mask(fields)])
     # motion is normalised by its peak over the sequence, so frames compare
-    pooled = np.stack([rt.avg_pool(f.channels, cfg.stride) for f in fields])
     motion = sched.motion_intensity(pooled[..., 5:8], pooled[..., 8])
-
-    frames = []
-    for f in fields:
-        _, decision = rt.route_forward(kvf.normalize(f, stats), params,
-                                       cfg.progress, t_embed, sched=schedule)
-        m_tool = rt.avg_pool(kvf.tool_mask(f), cfg.stride)
-        fusion_w, inner = decision.fusion_w, decision.inner_probs
-        _, s_tilde = sched.significance(
-            motion[f.t], m_tool, fold(np.maximum, columns(fusion_w)),
-            fold(np.add, columns(fusion_w * inner[..., rt.FINE])),
-            fold(np.add, columns(fusion_w * inner[..., rt.SKIP])))
-        frames.append({"field": f, "decision": decision,
-                       "e_motion": motion[f.t], "m_tool": m_tool,
-                       "s_tilde": s_tilde})
-    return frames, params
+    fusion_w = np.stack([d.fusion_w for d in decisions])
+    weighted = fusion_w[..., None] * np.stack([d.inner_probs for d in decisions])
+    # sum over the expert axis; numpy adds the slices of a non-last axis in
+    # order, as the fold does
+    sub_mass = fold(np.add, columns(np.moveaxis(weighted, -2, -1)))
+    s_tilde = np.stack([sched.significance(*frame)[1] for frame in zip(
+        motion, m_tool, fold(np.maximum, columns(fusion_w)),
+        sub_mass[..., rt.FINE], sub_mass[..., rt.SKIP])])
+    return RoutingRun(params, decisions[-1],
+                      np.stack([d.tokens for d in decisions]), pooled, m_tool,
+                      motion, fusion_w, sub_mass, s_tilde)
 
 
 def cmd_route(cfg: Config, seed: int, fields, out: str, n_bins=3):
     """Routing decisions + modality/scale statistics binned by motion
     magnitude quantiles (low / medium / high, mirroring the execution tiers)."""
     budget = _budget(cfg)
-    frames, _ = _routing_run(cfg, seed, fields)
-
-    motion, fusion, inner_probs, modes, on_tool = [], [], [], [], []
-    for fr in frames:
-        plan = sched.partition(fr["s_tilde"], budget)
-        motion.append(fr["e_motion"].reshape(-1))
-        fusion.append(fr["decision"].fusion_w.reshape(-1, rt.N_EXPERTS))
-        # sum over the expert axis; numpy adds the slices of a non-last axis
-        # in order, as the fold does
-        weighted = fr["decision"].fusion_w[..., None] * fr["decision"].inner_probs
-        inner_probs.append(fold(np.add, columns(np.moveaxis(weighted, -2, -1)))
-                           .reshape(-1, rt.N_SUB))
-        modes.append(plan.mode)
-        on_tool.append(fr["m_tool"].reshape(-1) > 0)
-    motion = np.concatenate(motion)
-    fusion = np.concatenate(fusion)
-    inner_probs = np.concatenate(inner_probs)
-    modes = np.concatenate(modes)
-    on_tool = np.concatenate(on_tool)
+    run = _routing_run(cfg, seed, fields)
+    motion = run.motion.reshape(-1)
+    if motion.size < n_bins:
+        raise ShapeMismatch(f"route needs at least {n_bins} tokens for its "
+                            f"{n_bins} motion bins, got {motion.size}")
+    fusion = run.fusion_w.reshape(-1, rt.N_EXPERTS)
+    inner_probs = run.sub_mass.reshape(-1, rt.N_SUB)
+    modes = np.concatenate([sched.partition(s, budget).mode
+                            for s in run.s_tilde])
+    on_tool = run.m_tool.reshape(-1) > 0
 
     # statistics over tool tokens only: background tokens all tie at zero
     # motion and would wash out the motion bins
@@ -207,21 +216,19 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
     Each reported loss is its grad check's evaluator at the unperturbed
     parameters, so the report and the check share one path. The checks run
     one after another, so one evaluator's buffers are alive at a time."""
-    frames, params = _routing_run(cfg, seed, fields)
+    run = _routing_run(cfg, seed, fields)
     rng = subsystem_rng(seed, "losses")
     weights = pr.LossWeights(lam_kp=cfg.lam_kp, lam_src=cfg.lam_src,
                              lam_cp=cfg.lam_cp, lam_sub=cfg.lam_sub)
     predictor = pr.init_predictor(seed=_derived_seed(seed, "predictor"),
                                   c=cfg.token_dim)
-    fr = frames[-1]
-    tokens, A = fr["decision"].tokens, fr["decision"].A
-    c_action, t_embed = fr["decision"].c_action, rt.timestep_embed(cfg.timestep)
-    tok_seq = np.stack([f["decision"].tokens for f in frames])
+    tokens, A = run.last.tokens, run.last.A
+    c_action, t_embed = run.last.c_action, rt.timestep_embed(cfg.timestep)
     # a token is on the tool when any of its pixels is
-    m_seq = (np.stack([f["m_tool"] for f in frames]) > 0).astype(float)
-    prior = pr.physical_prior(fr["field"], stride=cfg.stride)
+    m_seq = (run.m_tool > 0).astype(float)
+    prior = pr.physical_prior(run.pooled[-1])
     pred_params = {"w": predictor.w.copy(), "b": predictor.b.copy()}
-    gate_params = {name: getattr(params, name).copy()
+    gate_params = {name: getattr(run.params, name).copy()
                    for name in ("outer_w", "outer_b", "token_w")}
 
     cp, cp_err = _value_and_check(
@@ -229,13 +236,13 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
         pr.cp_loss_grad(tokens, predictor, A))
     kp, kp_err = _value_and_check(
         pr._kp_alb_evaluator(tokens, c_action, t_embed, prior), gate_params,
-        pr.kp_alb_grad(tokens, c_action, t_embed, params.outer_w,
-                       params.outer_b, params.token_w, prior))
+        pr.kp_alb_grad(tokens, c_action, t_embed, run.params.outer_w,
+                       run.params.outer_b, run.params.token_w, prior))
     src, src_err = _value_and_check(
-        pr._src_evaluator(tok_seq, m_seq, predictor.tau), pred_params,
-        pr.src_loss_grad(tok_seq, predictor, m_seq))
+        pr._src_evaluator(run.tokens, m_seq, predictor.tau), pred_params,
+        pr.src_loss_grad(run.tokens, predictor, m_seq))
 
-    f_sub, p_sub = pr.sub_routing_stats(fr["decision"])
+    f_sub, p_sub = pr.sub_routing_stats(run.last)
     sub = pr.sub_stabilizer_loss(f_sub, p_sub)
     shape = tokens.shape
     x0, x1 = rng.normal(size=shape), rng.normal(size=shape)
@@ -253,27 +260,22 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
 def cmd_schedule(cfg: Config, seed: int, fields, out: str):
     """Significance, plans, refresh, and a simulated cost report."""
     budget = _budget(cfg)
-    frames, _ = _routing_run(cfg, seed, fields)
-    plans = [sched.partition(fr["s_tilde"], budget) for fr in frames]
-    s_means = [float(fr["s_tilde"].mean()) for fr in frames]
+    s_tilde = _routing_run(cfg, seed, fields).s_tilde
+    plans = [sched.partition(s, budget) for s in s_tilde]
+    s_means = [float(s.mean()) for s in s_tilde]
     refresh = np.array([sched.refresh_interval(s, budget) for s in s_means])
     trace = sched.simulate_execution(plans, refresh)
 
     rows = []
-    for t in range(len(frames)):
+    for t in range(len(plans)):
         rows.append([t + 1, *trace.n_modes[t], trace.frame_cost[t],
                      int(refresh[t]), int(trace.forced[t]), s_means[t]])
     write_csv(os.path.join(out, "execution.csv"),
               ["frame", "n_full", "n_light", "n_reuse", "cost", "refresh",
                "forced", "mean_significance"], rows)
 
-    n = plans[0].mode.size
-    T = len(plans)
-    full_plan = [sched.ExecutionPlan(mode=np.zeros(n, dtype=int), rho_full=1.0,
-                                     rho_light=0.0, rho_reuse=0.0)] * T
-    full_trace = sched.simulate_execution(full_plan, np.ones(T, dtype=int))
     summary = [
-        ["full_only", full_trace.total_cost, 1.0],
+        ["full_only", trace.full_equivalent_cost, 1.0],
         ["adaptive_default", trace.total_cost,
          trace.total_cost / trace.full_equivalent_cost],
     ]

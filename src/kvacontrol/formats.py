@@ -91,12 +91,17 @@ def read_trajectory(path):
     ext = None
     dt = None
     frames = {}
+    seen = set()  # the records other than frame, which may appear once
     for ln, line in enumerate(raw, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         key, rest = parts[0], parts[1:]
+        if key in seen:
+            raise ParseError(f"repeated {key} record", line=ln)
+        if key != "frame":
+            seen.add(key)
         try:
             if key == "seq":
                 seq_id = " ".join(rest)
@@ -117,6 +122,8 @@ def read_trajectory(path):
                 if len(rest) != 10:
                     raise ParseError("frame line needs index + 9 values", line=ln)
                 idx = int(rest[0])
+                if idx in frames:
+                    raise ParseError(f"repeated frame {idx}", line=ln)
                 vals = np.array([float(v) for v in rest[1:]])
                 if not np.all(np.isfinite(vals)):
                     raise InvariantViolation(f"non-finite action at frame {idx}")
@@ -148,7 +155,7 @@ def read_trajectory(path):
 
 
 def write_field(field: KvaField, path):
-    h, w = field.h, field.w
+    h, w = field.channels.shape[:2]
     header = KVAF_MAGIC + struct.pack("<5I", KVAF_VERSION, h, w, field.t, N_CHANNELS)
     payload = np.ascontiguousarray(
         np.moveaxis(field.channels, 2, 0), dtype="<f4").tobytes()

@@ -6,7 +6,7 @@ rho is the projected long-axis angle of the visible part (normalized by pi),
 v is the per-part projected centroid velocity (u, v, z), alpha the magnitude
 of its temporal change.
 
-`lift_trajectory` lifts a trajectory in one pass: forward kinematics once per
+`lift_trajectory` fills one (T, H, W, 9) array: forward kinematics once per
 frame, the capsule midpoints projected once into a (T, 4, 3) centroid track
 from which v and alpha are differenced, and every per-part constant painted
 through a lookup table indexed by the rasterized part labels. The rasterizer
@@ -21,8 +21,9 @@ order, so every result keeps its bits:
 
 - `compute_stats` makes the reductions of numpy's `mean(axis=0)` and
   `std(axis=0)` itself: `np.add.reduce` over axis 0 adds the rows one after
-  another, so the one sum serves both, and the variance is formed in place
-  on the concatenated copy.
+  another, so the one sum serves both. The variance is formed in place on
+  an explicit copy, as the rows' reshape of a stack is a view; the rows,
+  and so the summation order, are those of the frames concatenated.
 - `normalize` subtracts the mean and divides by the std one channel column
   at a time: the same subtraction and division of each element.
 - `_sq_norm` adds the 3 squared columns of a direction with `_columns.fold`.
@@ -65,7 +66,7 @@ MODALITIES = ("sem", "dep", "rot", "vel", "acc")
 
 @dataclass(frozen=True)
 class KvaField:
-    """H x W x 9 control tensor for one frame."""
+    """One frame's H x W x 9 channels (a KVAF file, a `route_forward` input)."""
 
     channels: np.ndarray
     t: int = 0
@@ -75,14 +76,6 @@ class KvaField:
         if ch.ndim != 3 or ch.shape[2] != N_CHANNELS:
             raise ShapeMismatch(f"expected H x W x {N_CHANNELS}, got {ch.shape}")
         object.__setattr__(self, "channels", ch)
-
-    @property
-    def h(self):
-        return self.channels.shape[0]
-
-    @property
-    def w(self):
-        return self.channels.shape[1]
 
 
 @dataclass(frozen=True)
@@ -274,20 +267,18 @@ def motion_channels(labels, v_parts, alpha_parts):
     return _paint(labels, v_parts), _paint(labels, alpha_parts)
 
 
-def lift(poses: PartPoses, cam: CameraModel, t: int, v_parts, alpha_parts) -> KvaField:
-    """Assemble all 9 channels for frame t (0-based) from its part poses and
-    its rows of the trajectory's part motion (`_part_motion`)."""
-    labels, d = rasterize_parts(poses, cam)
-    s = _paint(labels, _PART_SEMANTICS)
-    rho = rotation_channel(poses, cam, labels)
-    v, alpha = motion_channels(labels, v_parts, alpha_parts)
-    channels = np.concatenate(
-        [s, d[..., None], rho[..., None], v, alpha[..., None]], axis=2)
-    return KvaField(channels=channels, t=t)
+def lift(poses: PartPoses, cam: CameraModel, v_parts, alpha_parts, out):
+    """Write all 9 channels of one frame into out (H, W, 9) from its part
+    poses and its rows of the trajectory's part motion (`_part_motion`)."""
+    labels, out[..., 3] = rasterize_parts(poses, cam)
+    out[..., 0:3] = _paint(labels, _PART_SEMANTICS)
+    out[..., 4] = rotation_channel(poses, cam, labels)
+    out[..., 5:8], out[..., 8] = motion_channels(labels, v_parts, alpha_parts)
 
 
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry, cam: CameraModel):
-    """One KvaField per frame; forward kinematics runs once per frame."""
+    """The trajectory's channels, one C-contiguous (T, H, W, 9) float64 array;
+    forward kinematics runs once per frame."""
     poses = [forward_kinematics(state, geom) for state in traj.states]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         v, alpha = _part_motion(poses, cam, traj.dt)
@@ -296,35 +287,38 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry, cam: CameraModel):
     if not (np.abs(v).max() <= _F4_MAX and alpha.max() <= _F4_MAX):
         raise NonFiniteInput(f"dt {traj.dt:g} makes the part velocity or "
                              f"acceleration exceed float32's range")
-    return [lift(p, cam, t, v[t], alpha[t]) for t, p in enumerate(poses)]
+    channels = np.empty((len(poses), cam.height, cam.width, N_CHANNELS))
+    for t, p in enumerate(poses):
+        lift(p, cam, v[t], alpha[t], out=channels[t])
+    return channels
 
 
-def compute_stats(fields) -> ChannelStats:
-    """Per-channel mean/std of the non-semantic channels over a corpus."""
-    fields = list(fields)
-    if not fields:
-        raise EmptyCorpus("need at least one field to compute stats")
-    x = np.concatenate(
-        [f.channels[..., NONSEMANTIC_SLICE].reshape(-1, 6) for f in fields], axis=0)
+def compute_stats(channels: np.ndarray) -> ChannelStats:
+    """Per-channel mean/std of the non-semantic channels of a (..., 9)
+    channel array, over all its pixels."""
+    # a copy: the variance is formed in place below
+    x = np.array(channels[..., NONSEMANTIC_SLICE]).reshape(-1, 6)
     n = x.shape[0]
+    if not n:
+        raise EmptyCorpus("need at least one pixel to compute stats")
     mean = np.add.reduce(x, axis=0) / n
     x -= mean
     np.multiply(x, x, out=x)
     return ChannelStats(mean=mean, std=np.sqrt(np.add.reduce(x, axis=0) / n))
 
 
-def normalize(field: KvaField, stats: ChannelStats) -> KvaField:
-    """Standardize non-semantic channels; semantic channels pass through."""
-    ch = field.channels.copy()
+def normalize(channels: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    """A copy of a (..., 9) channel array with its non-semantic channels
+    standardized; semantic channels pass through."""
+    ch = np.array(channels, dtype=float, order="C")
     flat = ch.reshape(-1, N_CHANNELS)
     for k in range(6):
         c = flat[:, NONSEMANTIC_SLICE.start + k]
         c -= stats.mean[k]
         c /= stats.std[k]
-    return KvaField(channels=ch, t=field.t)
+    return ch
 
 
-def tool_mask(field: KvaField) -> np.ndarray:
-    """Binary mask: any semantic channel active."""
-    ch = field.channels
+def tool_mask(ch: np.ndarray) -> np.ndarray:
+    """Binary mask of a (..., 9) channel array: any semantic channel active."""
     return ((ch[..., 0] > 0) | (ch[..., 1] > 0) | (ch[..., 2] > 0)).astype(float)

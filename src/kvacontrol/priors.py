@@ -48,8 +48,8 @@ import numpy as np
 
 from ._columns import argmax, columns, fold
 from .errors import EmptyProbs, InvalidParams, NonFiniteGradient, ShapeMismatch
-from .kva_field import MODALITY_CHANNELS, KvaField
-from .routing import N_EXPERTS, N_SUB, RoutingDecision, avg_pool, softmax
+from .kva_field import MODALITY_CHANNELS
+from .routing import N_EXPERTS, N_SUB, RoutingDecision, softmax
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,12 @@ class PhysicalPrior:
     e: np.ndarray  # (H', W', 5) per-token energies
 
 
-def physical_prior(field: KvaField, stride: int = 4) -> PhysicalPrior:
-    """Modality energy of the field pooled to the router grid.
+def physical_prior(pooled: np.ndarray) -> PhysicalPrior:
+    """Modality energy of one frame's field pooled to the router grid.
 
     e = [||sem||_2, |dep|, |rot|, ||vel||_2, |acc|] per token; pi is the
     normalized token-mean energy (uniform if the field is all zero).
     """
-    pooled = avg_pool(field.channels, stride)
     e = np.stack([
         np.linalg.norm(pooled[..., MODALITY_CHANNELS["sem"]], axis=-1),
         np.abs(pooled[..., MODALITY_CHANNELS["dep"][0]]),

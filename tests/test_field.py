@@ -30,7 +30,7 @@ def random_visible_state(rng):
 
 def motion_at(traj, geom, cam, t):
     """Velocity and acceleration channels of frame t as lifted."""
-    ch = kvf.lift_trajectory(traj, geom, cam)[t].channels
+    ch = kvf.lift_trajectory(traj, geom, cam)[t]
     return ch[..., 5:8], ch[..., 8]
 
 
@@ -204,7 +204,7 @@ class TestRasterize:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=3, seed=0, geom=geom)
-        ch = kvf.lift_trajectory(traj, geom, cam)[2].channels
+        ch = kvf.lift_trajectory(traj, geom, cam)[2]
         s, d = ch[..., 0:3], ch[..., 3]
         assert s.sum(axis=2).max() <= 1
         assert np.array_equal((d > 0), (s.sum(axis=2) == 1))
@@ -337,13 +337,13 @@ class TestMotionChannels:
         a_exp = [0.0, 0.0] + [np.linalg.norm(v_exp[t] - v_exp[t - 1]) / dt
                               for t in (2, 3, 4)]
         assert a_exp[2] > 0 and a_exp[3] == 0 and a_exp[4] > 0
-        for t, f in enumerate(kvf.lift_trajectory(traj, geom, cam)):
-            wrist = f.channels[..., 1] == 1
+        for t, ch in enumerate(kvf.lift_trajectory(traj, geom, cam)):
+            wrist = ch[..., 1] == 1
             assert wrist.any()
-            np.testing.assert_allclose(f.channels[wrist][:, 5:8],
+            np.testing.assert_allclose(ch[wrist][:, 5:8],
                                        np.broadcast_to(v_exp[t], (wrist.sum(), 3)),
                                        atol=1e-12)
-            np.testing.assert_allclose(f.channels[wrist][:, 8], a_exp[t], atol=1e-12)
+            np.testing.assert_allclose(ch[wrist][:, 8], a_exp[t], atol=1e-12)
 
     def test_first_frames_padded_with_zeros(self):
         geom = ToolGeometry()
@@ -360,17 +360,18 @@ class TestLift:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=2, seed=0, geom=geom)
-        f = kvf.lift_trajectory(traj, geom, cam)[1]
-        assert f.channels.shape == (32, 32, 9)
+        fields = kvf.lift_trajectory(traj, geom, cam)
+        assert fields.shape == (2, 32, 32, 9)
+        assert fields.dtype == np.float64 and fields.flags.c_contiguous
 
     def test_static_single_frame(self):
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("static", T=1, seed=0, geom=geom)
-        f = kvf.lift_trajectory(traj, geom, cam)[0]
-        assert np.all(f.channels[..., 5:] == 0)
-        assert f.channels[..., 0:3].sum() > 0
-        assert f.channels[..., 3].max() > 0
+        ch = kvf.lift_trajectory(traj, geom, cam)[0]
+        assert np.all(ch[..., 5:] == 0)
+        assert ch[..., 0:3].sum() > 0
+        assert ch[..., 3].max() > 0
 
     def test_forward_kinematics_once_per_frame(self, monkeypatch):
         geom = ToolGeometry()
@@ -394,7 +395,7 @@ class TestLift:
         v_parts, a_parts = kvf._part_motion(
             [forward_kinematics(state, geom) for state in traj.states], cam, traj.dt)
         for t in (0, 4, 9):
-            f = fields[t]
+            ch = fields[t]
             poses = forward_kinematics(traj.states[t], geom)
             labels, d = kvf.rasterize_parts(poses, cam)
             s = np.zeros(labels.shape + (3,))
@@ -402,11 +403,11 @@ class TestLift:
                 s[labels == k, PART_SEMANTIC_CLASS[part]] = 1.0
             rho = kvf.rotation_channel(poses, cam, labels)
             v, a = kvf.motion_channels(labels, v_parts[t], a_parts[t])
-            np.testing.assert_array_equal(f.channels[..., 0:3], s)
-            np.testing.assert_array_equal(f.channels[..., 3], d)
-            np.testing.assert_array_equal(f.channels[..., 4], rho)
-            np.testing.assert_array_equal(f.channels[..., 5:8], v)
-            np.testing.assert_array_equal(f.channels[..., 8], a)
+            np.testing.assert_array_equal(ch[..., 0:3], s)
+            np.testing.assert_array_equal(ch[..., 3], d)
+            np.testing.assert_array_equal(ch[..., 4], rho)
+            np.testing.assert_array_equal(ch[..., 5:8], v)
+            np.testing.assert_array_equal(ch[..., 8], a)
 
 
 class TestNormalization:
@@ -419,22 +420,20 @@ class TestNormalization:
     def test_identity_stats(self):
         f = self._corpus()[0]
         stats = kvf.ChannelStats(mean=np.zeros(6), std=np.ones(6))
-        np.testing.assert_array_equal(kvf.normalize(f, stats).channels, f.channels)
+        np.testing.assert_array_equal(kvf.normalize(f, stats), f)
 
     def test_centering_constant_channel(self):
         f = self._corpus()[0]
-        ch = f.channels.copy()
+        ch = f.copy()
         ch[..., 3] = 5.0
-        f = kvf.KvaField(channels=ch, t=0)
         stats = kvf.ChannelStats(mean=np.array([5, 0, 0, 0, 0, 0.0]),
                                  std=np.ones(6))
-        assert np.all(kvf.normalize(f, stats).channels[..., 3] == 0)
+        assert np.all(kvf.normalize(ch, stats)[..., 3] == 0)
 
     def test_recomputed_stats_standardized(self):
         fields = self._corpus()
         stats = kvf.compute_stats(fields)
-        normed = [kvf.normalize(f, stats) for f in fields]
-        restats = kvf.compute_stats(normed)
+        restats = kvf.compute_stats(kvf.normalize(fields, stats))
         assert np.max(np.abs(restats.mean)) < 1e-9
         assert np.max(np.abs(restats.std - 1)) < 1e-9
 
@@ -442,9 +441,9 @@ class TestNormalization:
         fields = self._corpus()
         stats = kvf.compute_stats(fields)
         f = fields[1]
-        np.testing.assert_array_equal(kvf.normalize(f, stats).channels[..., :3],
-                                      f.channels[..., :3])
+        np.testing.assert_array_equal(kvf.normalize(f, stats)[..., :3],
+                                      f[..., :3])
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            kvf.compute_stats([])
+            kvf.compute_stats(np.empty((0, 4, 4, kvf.N_CHANNELS)))

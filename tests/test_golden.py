@@ -17,6 +17,11 @@ batched over the perturbed predictor weights rounds differently from the
 per-evaluation product (OpenBLAS 0.3.31), so this case pins the grad check's
 logits where such a rewrite would show; its digests were recorded before the
 src and cp checks were made to recompute only the perturbed logit column.
+A fifth case runs one frame (T=1) at the non-square 32x48 (H x W; target
+seed 15, prediction seed 16). It pins the frame axis order of the lifted
+(T, H, W, 9) stack and the single-frame paths: no motion, so a zero motion
+peak, and an src check with no frame pair to compare. Its digests were
+recorded before a trajectory was lifted into one stacked array.
 
 The digests are pinned to the numpy and BLAS build they were recorded with
 (numpy 2.4.6, OpenBLAS 0.3.31). Another numpy or BLAS may round a float differently
@@ -124,6 +129,21 @@ GOLDEN_TOKEN33 = {
     'target/trajectory.txt': '1e6e005c052245689b85459d9ba4d6c6e4897a64f293f3a5580b1d394c37d69b',
 }
 
+GOLDEN_32X48_T1 = {
+    'eval/metrics.csv': '8f79ee790bbba4a3170327f25d73a1d006dfc95a428e5c124a38aa07a4512cee',
+    'lift/channel_stats.csv': '0120301f5337fc0563c417f63c738f100835440adb407114b8bc7c7b637e4f8e',
+    'lift/field_0001.kvaf': '97f050f30ad4aa6848659894b701a275a1568a5581664cf5cd82dea956021a40',
+    'losses/grad_check.csv': 'a61f1d5c45d2f6ebbe9849cd6932d4de282e1512aa1e3499054f2268ccbe0afd',
+    'losses/losses.csv': '143f1e01d8c0ca1ab9874b2342db2c9b8993e5563439b21c384de8f6b298a634',
+    'pred/masks/frame_0001.pgm': '20c87f4263c2f6d02d1a57a20b605cd76fc4273fb251f713f3ff483904d6d7a5',
+    'pred/trajectory.txt': '114189bc6d6ae821ed303b4fc1b09da2e9d250805cc47c1a70a28cb3ef93a403',
+    'route/routing_stats.csv': '566a4506ac4bf27073c0df7ac85ac644549da4130a052c9af6d7c686fe980e38',
+    'schedule/cost_summary.csv': '0e1ef113eb4837b76116e798ed9015315ca7b3285a86bbdf5f8052f315192fe6',
+    'schedule/execution.csv': 'fb639aad2896adff8049adaccef72401c69394895a197d3591d01bf7bb3951ef',
+    'target/masks/frame_0001.pgm': '73ff3b105485af453660711c8cd45c92e4e88cbe3b579cc45ab14a38be7ca866',
+    'target/trajectory.txt': 'cd7157c9f95c92056e3653affe73bfe5f887c439428e7a41525363391b4a778e',
+}
+
 
 CONFIG_NAME = "config.json"
 
@@ -165,7 +185,8 @@ def run_flow(root, resolution="64x64", frames=4, seed=3, config=None):
 CASES = ((GOLDEN, {}),
          (GOLDEN_128, {"resolution": "128x128", "frames": 3, "seed": 7}),
          (GOLDEN_STRIDE8, {"seed": 11, "config": {"stride": 8}}),
-         (GOLDEN_TOKEN33, {"seed": 13, "config": {"token_dim": 33}}))
+         (GOLDEN_TOKEN33, {"seed": 13, "config": {"token_dim": 33}}),
+         (GOLDEN_32X48_T1, {"resolution": "32x48", "frames": 1, "seed": 15}))
 
 
 def check_case(root, golden, kwargs):
@@ -189,6 +210,10 @@ def test_artefacts_match_recorded_digests_stride8(tmp_path):
 
 def test_artefacts_match_recorded_digests_token33(tmp_path):
     check_case(tmp_path, *CASES[3])
+
+
+def test_artefacts_match_recorded_digests_32x48_t1(tmp_path):
+    check_case(tmp_path, *CASES[4])
 
 
 if __name__ == "__main__":

@@ -101,6 +101,19 @@ class TestTrajectoryFormat:
         with pytest.raises(InvariantViolation):
             fm.read_trajectory(path)
 
+    @pytest.mark.parametrize("record", ["frame 2", "dt", "camera", "extrinsic",
+                                        "seq"])
+    def test_repeated_record_rejected(self, tmp_path, record):
+        traj, cam = self._traj()
+        path = tmp_path / "t.txt"
+        fm.write_trajectory(path, traj, cam, seq_id="abc")
+        lines = path.read_text().splitlines()
+        lines.append(next(ln for ln in lines if ln.startswith(record + " ")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"repeated {record}") as exc:
+            fm.read_trajectory(path)
+        assert exc.value.line == len(lines)
+
     def test_missing_camera_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("seq x\ndt 0.5\nframe 1 0 0 0.2 0 0 0 0 0.1 0.1\n")
@@ -613,6 +626,22 @@ class TestCli:
         # the report's call before the check computed the base columns;
         # each evaluation then changes one column
         assert 0 < n_entries <= n_evals * column
+
+    @pytest.mark.parametrize("frames", [1, 2, 3])
+    def test_route_fewer_tokens_than_bins(self, tmp_path, capsys, frames):
+        # a 4x4 frame at stride 4 is one token, for 3 motion bins
+        traj = _trajectory_file(tmp_path, 4, frames=frames)
+        out = tmp_path / "o"
+        code = cli.main(["--out", str(out), "route", "--traj", str(traj)])
+        err = capsys.readouterr().err
+        if frames >= 3:
+            assert code == 0 and err == ""
+            assert "nan" not in (out / "routing_stats.csv").read_text()
+            return
+        assert code == 1
+        assert err == (f"error: route needs at least 3 tokens for its 3 "
+                       f"motion bins, got {frames}\n")
+        assert not os.listdir(out)
 
     def test_routing_runs_compute_no_expert_outputs(self, tmp_path,
                                                     monkeypatch):

@@ -21,13 +21,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 # computed by run.py from two runs, not found in one pass's trace
 NOT_TRACED = {"trace.overhead_frac"}
-# the fixed counters of one pass of the 32x32, T=2 plan at seed 1
+# the fixed counters of one pass of the 32x32, T=2 plan at seed 1; the
+# scheduler's are the adaptive plan's own counts, from schedule's one
+# simulate_execution call
 FIXED = {
     "routing.tokens": 384,  # 3 routing runs x 2 frames x 64 tokens
-    "scheduler.tokens_full": 205,
+    "scheduler.tokens_full": 77,
     "scheduler.tokens_light": 19,
     "scheduler.tokens_reuse": 32,
-    "scheduler.forced_refreshes": 3,
+    "scheduler.forced_refreshes": 1,
     "metrics.skipped_cd": 0,
     "metrics.distance_transform.px": 1772,
 }

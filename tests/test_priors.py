@@ -19,7 +19,7 @@ class TestPhysicalPrior:
     def test_semantic_only_field(self):
         ch = np.zeros((32, 32, 9))
         ch[..., 0] = 1.0
-        prior = pr.physical_prior(kvf.KvaField(channels=ch))
+        prior = pr.physical_prior(rt.avg_pool(ch, 4))
         np.testing.assert_allclose(prior.pi, [1, 0, 0, 0, 0], atol=1e-15)
 
     def test_equal_energies_uniform(self):
@@ -29,17 +29,17 @@ class TestPhysicalPrior:
         ch[..., 4] = 1.0
         ch[..., 5] = 1.0  # |vel| = 1
         ch[..., 8] = 1.0
-        prior = pr.physical_prior(kvf.KvaField(channels=ch), stride=4)
+        prior = pr.physical_prior(rt.avg_pool(ch, 4))
         np.testing.assert_allclose(prior.pi, 0.2, atol=1e-15)
 
     def test_zero_field_uniform_fallback(self):
-        prior = pr.physical_prior(kvf.KvaField(channels=np.zeros((8, 8, 9))))
+        prior = pr.physical_prior(np.zeros((2, 2, 9)))
         np.testing.assert_array_equal(prior.pi, np.full(5, 0.2))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
         ch = rng.normal(size=(16, 16, 9))
-        prior = pr.physical_prior(kvf.KvaField(channels=ch), stride=4)
+        prior = pr.physical_prior(rt.avg_pool(ch, 4))
         pooled = np.zeros((4, 4, 9))
         for i in range(4):
             for j in range(4):

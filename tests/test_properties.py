@@ -157,32 +157,45 @@ def test_avg_pool_of_binary_mask_matches_numpy_mean(stride, hp, wp, data):
     assert rt.avg_pool(mask, stride).tobytes() == _numpy_pool(mask, stride).tobytes()
 
 
-field_stacks = st.integers(1, 6).flatmap(
-    lambda h: st.lists(hnp.arrays(np.float64, (h, 3, kvf.N_CHANNELS),
-                                  elements=signed), min_size=1, max_size=3))
+field_stacks = hnp.arrays(np.float64, st.tuples(
+    st.integers(1, 3), st.integers(1, 6), st.integers(1, 4),
+    st.just(kvf.N_CHANNELS)), elements=signed)
+channel_stats = st.builds(
+    kvf.ChannelStats, hnp.arrays(np.float64, 6, elements=signed),
+    hnp.arrays(np.float64, 6, elements=st.floats(1e-3, 1e3)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(field_stacks)
-def test_compute_stats_matches_numpy_mean_std(arrays):
-    fields = [kvf.KvaField(channels=a) for a in arrays]
-    stats = kvf.compute_stats(fields)
-    stacked = np.concatenate(
-        [f.channels[..., 3:].reshape(-1, 6) for f in fields], axis=0)
-    old = kvf.ChannelStats(mean=stacked.mean(axis=0), std=stacked.std(axis=0))
+def test_compute_stats_matches_numpy_mean_std(stack):
+    # the oracle is numpy's mean and std over the frames' rows concatenated,
+    # as the statistics read when a trajectory was a list of frames
+    stats = kvf.compute_stats(stack)
+    rows = np.concatenate([f[..., 3:].reshape(-1, 6) for f in stack], axis=0)
+    old = kvf.ChannelStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
     assert stats.mean.tobytes() == old.mean.tobytes()
     assert stats.std.tobytes() == old.std.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
-@given(field_stacks, hnp.arrays(np.float64, 6, elements=signed),
-       hnp.arrays(np.float64, 6, elements=st.floats(1e-3, 1e3)))
-def test_normalize_matches_broadcast_expression(arrays, mean, std):
-    stats = kvf.ChannelStats(mean=mean, std=std)
-    for field in (kvf.KvaField(channels=a) for a in arrays):
-        want = field.channels.copy()
-        want[..., 3:] = (want[..., 3:] - stats.mean) / stats.std
-        assert kvf.normalize(field, stats).channels.tobytes() == want.tobytes()
+@given(field_stacks, channel_stats)
+def test_normalize_matches_broadcast_expression(stack, stats):
+    want = stack.copy()
+    want[..., 3:] = (want[..., 3:] - stats.mean) / stats.std
+    assert kvf.normalize(stack, stats).tobytes() == want.tobytes()
+    for frame, want_frame in zip(stack, want):
+        assert kvf.normalize(frame, stats).tobytes() == want_frame.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_stacks, channel_stats)
+def test_stats_and_normalize_leave_input_unchanged(stack, stats):
+    # on a C-contiguous stack the non-semantic rows' reshape is a view, so a
+    # missing copy would write the variance into the input
+    before = stack.tobytes()
+    kvf.compute_stats(stack)
+    kvf.normalize(stack, stats)
+    assert stack.tobytes() == before
 
 
 @settings(max_examples=100, deadline=None)

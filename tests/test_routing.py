@@ -20,7 +20,7 @@ def lifted_field(seed=0, hw=32):
     traj = synth_trajectory("composite", T=4, seed=seed, geom=geom)
     fields = kvf.lift_trajectory(traj, geom, cam)
     stats = kvf.compute_stats(fields)
-    return kvf.normalize(fields[-1], stats)
+    return kvf.KvaField(kvf.normalize(fields[-1], stats))
 
 
 def route_tokens(field, params):
