@@ -1,6 +1,7 @@
 """Randomized property tests for the pure numerical kernels."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -175,6 +176,18 @@ def test_compute_stats_matches_numpy_mean_std(stack):
     old = kvf.ChannelStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
     assert stats.mean.tobytes() == old.mean.tobytes()
     assert stats.std.tobytes() == old.std.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_stacks, st.integers(1, 8))
+def test_compute_stats_bits_do_not_depend_on_block_size(stack, block):
+    # the variance runs STATS_BLOCK rows at a time; small blocks carry the
+    # running sum across many of them
+    want = kvf.compute_stats(stack)
+    with mock.patch.object(kvf, "STATS_BLOCK", block):
+        got = kvf.compute_stats(stack)
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.std.tobytes() == want.std.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
