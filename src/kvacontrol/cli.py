@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
 from . import kva_field as kvf
 from . import metrics as mt
 from . import priors as pr
@@ -44,10 +45,7 @@ from .kinematics import (
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return formats._fmt(x)
 
 
 def write_csv(path, header, rows):
@@ -140,8 +138,8 @@ def _routing_run(cfg: Config, seed: int, fields) -> RoutingRun:
     t_embed = rt.timestep_embed(cfg.timestep)
     stats = kvf.compute_stats(fields)
     # normalized a frame at a time, so that no second stack is held
-    decisions = [rt.route_forward(kvf.KvaField(kvf.normalize(f, stats)), params,
-                                  cfg.progress, t_embed, sched=schedule)[1]
+    decisions = [rt.route_forward(kvf.normalize(f, stats), params, cfg.progress,
+                                  t_embed, sched=schedule)[1]
                  for f in fields]
     pooled = np.stack([rt.avg_pool(f, cfg.stride) for f in fields])
     m_tool = np.stack([rt.avg_pool(m, cfg.stride) for m in kvf.tool_mask(fields)])
@@ -160,15 +158,18 @@ def _routing_run(cfg: Config, seed: int, fields) -> RoutingRun:
                       motion, fusion_w, sub_mass, s_tilde)
 
 
-def cmd_route(cfg: Config, seed: int, fields, out: str, n_bins=3):
+N_MOTION_BINS = 3  # low / medium / high, mirroring the execution tiers
+
+
+def cmd_route(cfg: Config, seed: int, fields, out: str):
     """Routing decisions + modality/scale statistics binned by motion
-    magnitude quantiles (low / medium / high, mirroring the execution tiers)."""
+    magnitude quantiles into N_MOTION_BINS bins."""
     budget = _budget(cfg)
     run = _routing_run(cfg, seed, fields)
     motion = run.motion.reshape(-1)
-    if motion.size < n_bins:
-        raise ShapeMismatch(f"route needs at least {n_bins} tokens for its "
-                            f"{n_bins} motion bins, got {motion.size}")
+    if motion.size < N_MOTION_BINS:
+        raise ShapeMismatch(f"route needs at least {N_MOTION_BINS} tokens for "
+                            f"its {N_MOTION_BINS} motion bins, got {motion.size}")
     fusion = run.fusion_w.reshape(-1, rt.N_EXPERTS)
     inner_probs = run.sub_mass.reshape(-1, rt.N_SUB)
     modes = np.concatenate([sched.partition(s, budget).mode
@@ -177,13 +178,13 @@ def cmd_route(cfg: Config, seed: int, fields, out: str, n_bins=3):
 
     # statistics over tool tokens only: background tokens all tie at zero
     # motion and would wash out the motion bins
-    if on_tool.sum() >= 2 * n_bins:
+    if on_tool.sum() >= 2 * N_MOTION_BINS:
         motion, fusion = motion[on_tool], fusion[on_tool]
         inner_probs, modes = inner_probs[on_tool], modes[on_tool]
 
     # equal-count bins in motion order keep bins well defined under ties
     order = np.argsort(motion, kind="stable")
-    chunks = np.array_split(order, n_bins)
+    chunks = np.array_split(order, N_MOTION_BINS)
     rows = []
     for b, idx in enumerate(chunks):
         row = [b, float(motion[idx].mean())]
@@ -247,7 +248,7 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
     shape = tokens.shape
     x0, x1 = rng.normal(size=shape), rng.normal(size=shape)
     pred = rng.normal(size=shape)
-    flow = pr.flow_matching_loss(pred, x0, x1, weights.sigma_min)
+    flow = pr.flow_matching_loss(pred, x0, x1)
     total = pr.total_loss(flow, kp, src, cp, sub, weights)
     write_csv(os.path.join(out, "losses.csv"),
               ["step", "l_flow", "l_kp", "l_src", "l_cp", "l_sub", "total"],

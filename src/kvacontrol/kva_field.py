@@ -74,7 +74,7 @@ MODALITIES = ("sem", "dep", "rot", "vel", "acc")
 
 @dataclass(frozen=True)
 class KvaField:
-    """One frame's H x W x 9 channels (a KVAF file, a `route_forward` input)."""
+    """One frame's H x W x 9 channels and its frame index: a KVAF record."""
 
     channels: np.ndarray
     t: int = 0

@@ -5,7 +5,9 @@ consistency, capacity-predictor BCE with EMA quantile thresholds, sub-expert
 anti-collapse stabilizer, flow-matching regression target, and the weighted
 total. Analytic gradients are implemented for the small linear parameter sets
 (gate refinement, predictor) and verified with central finite differences;
-there is no general autodiff here.
+there is no general autodiff here. The predictor's thresholds follow an EMA
+with the fixed decay `EMA_BETA`, and its initial weights are drawn as the
+gates' are, with std `routing.INIT_SCALE / sqrt(C)`.
 
 The finite-difference check evaluates each checked loss twice per parameter
 entry, 750 times per `losses` run. `_kp_alb_evaluator`, `_src_evaluator` and
@@ -49,7 +51,7 @@ import numpy as np
 from ._columns import argmax, columns, fold
 from .errors import EmptyProbs, InvalidParams, NonFiniteGradient, ShapeMismatch
 from .kva_field import MODALITY_CHANNELS
-from .routing import N_EXPERTS, N_SUB, RoutingDecision, softmax
+from .routing import INIT_SCALE, N_EXPERTS, N_SUB, RoutingDecision, softmax
 
 
 @dataclass(frozen=True)
@@ -177,17 +179,12 @@ class PredictorState:
     w: np.ndarray  # (C, 5)
     b: np.ndarray  # (5,)
     tau: np.ndarray  # (5,) thresholds in [0, 1]
-    beta: float = 0.95
-
-    def __post_init__(self):
-        if not (0 < self.beta < 1):
-            raise InvalidParams("beta must be in (0, 1)")
 
 
-def init_predictor(seed=0, c=16, scale=0.3) -> PredictorState:
+def init_predictor(seed=0, c=16) -> PredictorState:
     rng = np.random.default_rng(seed)
-    return PredictorState(w=rng.normal(0, scale / np.sqrt(c), size=(c, N_EXPERTS)),
-                          b=np.zeros(N_EXPERTS), tau=np.full(N_EXPERTS, 0.5))
+    w = rng.normal(0, INIT_SCALE / np.sqrt(c), size=(c, N_EXPERTS))
+    return PredictorState(w=w, b=np.zeros(N_EXPERTS), tau=np.full(N_EXPERTS, 0.5))
 
 
 def predictor_logits(state: PredictorState, tokens: np.ndarray) -> np.ndarray:
@@ -199,11 +196,13 @@ def predictor_logits(state: PredictorState, tokens: np.ndarray) -> np.ndarray:
 
 
 QUANTILE_CLAMP = (0.01, 0.99)
+EMA_BETA = 0.95  # decay of the threshold EMA
 
 
 def update_thresholds(state: PredictorState, probs: np.ndarray,
                       a_bar: np.ndarray) -> PredictorState:
-    """EMA of expert-wise quantiles: tau_i <- beta*tau_i + (1-beta)*Q_{1-a_i}.
+    """EMA of expert-wise quantiles:
+    tau_i <- EMA_BETA*tau_i + (1-EMA_BETA)*Q_{1-a_i}.
 
     The quantile level is clamped; the update runs even for experts routed to
     nearly all or no tokens, so starved experts keep tracking thresholds."""
@@ -213,7 +212,7 @@ def update_thresholds(state: PredictorState, probs: np.ndarray,
     a_bar = np.asarray(a_bar, dtype=float).reshape(N_EXPERTS)
     level = np.clip(1.0 - a_bar, *QUANTILE_CLAMP)
     q = np.array([np.quantile(probs[:, i], level[i]) for i in range(N_EXPERTS)])
-    tau = state.beta * state.tau + (1 - state.beta) * q
+    tau = EMA_BETA * state.tau + (1 - EMA_BETA) * q
     return replace(state, tau=tau)
 
 
@@ -253,7 +252,6 @@ class LossWeights:
     lam_src: float = 0.005
     lam_cp: float = 0.01
     lam_sub: float = 0.005
-    sigma_min: float = 0.0
 
     def __post_init__(self):
         for name in ("lam_kp", "lam_src", "lam_cp", "lam_sub"):

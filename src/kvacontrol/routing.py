@@ -27,13 +27,14 @@ import numpy as np
 
 from ._columns import argmax, columns, fold
 from .errors import InvalidParams, ShapeMismatch
-from .kva_field import MODALITIES, MODALITY_CHANNELS, KvaField
+from .kva_field import MODALITIES, MODALITY_CHANNELS
 
 N_EXPERTS = 5
 N_SUB = 3
 SUB_EXPERTS = ("fine", "transport", "skip")
 FINE, TRANSPORT, SKIP = 0, 1, 2
 T_EMBED_DIM = 8
+INIT_SCALE = 0.3  # initial weights are drawn with std INIT_SCALE / sqrt(fan-in)
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,12 @@ def _check_stride(stride):
         raise InvalidParams(f"stride must be >= 1, got {stride}")
 
 
-def init_gate_params(seed=0, c=16, stride=4, scale=0.3) -> GateParams:
+def init_gate_params(seed=0, c=16, stride=4) -> GateParams:
     _check_token_dim(c)
     rng = np.random.default_rng(seed)
 
     def lin(n_in, n_out):
-        return rng.normal(0.0, scale / np.sqrt(n_in), size=(n_in, n_out))
+        return rng.normal(0.0, INIT_SCALE / np.sqrt(n_in), size=(n_in, n_out))
 
     return GateParams(
         stride=stride,
@@ -224,11 +225,12 @@ def modality_expert(field_pooled, params: GateParams, m: str):
     return conf[..., None] * selected, sel, conf, probs
 
 
-def route_forward(field: KvaField, params: GateParams, progress: float, t_embed,
-                  sched: CapacitySchedule | None = None):
-    """Two-tier gating of one frame: its pooled grid and routing decision."""
+def route_forward(channels: np.ndarray, params: GateParams, progress: float,
+                  t_embed, sched: CapacitySchedule | None = None):
+    """Two-tier gating of one frame's (H, W, 9) channels: its pooled grid and
+    routing decision."""
     sched = sched or CapacitySchedule()
-    pooled = avg_pool(field.channels, params.stride)
+    pooled = avg_pool(channels, params.stride)
     tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
     c_action = tokens.mean(axis=(0, 1))
     P = outer_gate(c_action, t_embed, params, tokens=tokens)

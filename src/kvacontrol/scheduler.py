@@ -1,10 +1,14 @@
 """Action-adaptive budgeted execution.
 
 Tokens are scored by significance (motion, tool presence, routing confidence,
-fine-motion preference, minus skip probability), partitioned into full / light
-/ reuse execution modes by budgeted top-ratio selection, and frames get a
-refresh interval from their mean significance. A cache simulator accounts for
-compute in abstract cost units.
+fine-motion preference, minus skip probability, each with weight 1),
+partitioned into full / light / reuse execution modes by budgeted top-ratio
+selection, and frames get a refresh interval from their mean significance
+(1 from `TAU_H`, 2 from `TAU_M`, else K). A cache simulator accounts for
+compute in the cost units `C_FULL`, `C_LIGHT` and `C_REUSE`.
+
+Only the budget targets and K are settable, through `BudgetConfig`; the
+thresholds, cost units and accounting weights are the paper's fixed values.
 """
 
 from __future__ import annotations
@@ -18,31 +22,20 @@ from .errors import InconsistentPlan, InvalidParams, ShapeMismatch
 FULL, LIGHT, REUSE = 0, 1, 2
 MODE_NAMES = ("full", "light", "reuse")
 
-
-@dataclass(frozen=True)
-class SignificanceWeights:
-    w_m: float = 1.0  # motion intensity
-    w_t: float = 1.0  # tool presence
-    w_r: float = 1.0  # routing confidence
-    w_f: float = 1.0  # fine-motion preference
-    w_s: float = 1.0  # skip probability (subtracted)
-
-    def __post_init__(self):
-        if min(self.w_m, self.w_t, self.w_r, self.w_f, self.w_s) < 0:
-            raise InvalidParams("significance weights must be nonnegative")
+# mean significance from which a frame refreshes every frame / every 2nd
+TAU_H, TAU_M = 0.6, 0.3
+# budget_loss: accounting weights of a full and a light update, the weight
+# of the refresh-ratio term and its target share of every-frame refreshes
+W_FULL, W_LIGHT, W_REFRESH = 1.0, 0.5, 1.0
+RHO_REFRESH_STAR = 1.0 / 3.0
+# simulate_execution's cost per token of each mode
+C_FULL, C_LIGHT, C_REUSE = 1.0, 0.4, 0.02
 
 
 @dataclass(frozen=True)
 class BudgetConfig:
     rho_full_target: float = 0.2
     rho_light_target: float = 0.3
-    w_f: float = 1.0  # accounting weight of a full update
-    w_l: float = 0.5  # accounting weight of a light update
-    w_r: float = 1.0  # weight of the refresh-ratio term
-    rho_target: float = 0.35  # = w_f*0.2 + w_l*0.3, self-consistent default
-    rho_refresh_star: float = 1.0 / 3.0
-    tau_h: float = 0.6
-    tau_m: float = 0.3
     K: int = 4  # slow refresh interval
 
     def __post_init__(self):
@@ -50,8 +43,6 @@ class BudgetConfig:
             raise InvalidParams("rho targets must be nonnegative")
         if self.rho_full_target + self.rho_light_target > 1:
             raise InvalidParams("rho_full + rho_light must be at most 1")
-        if not (0 <= self.tau_m < self.tau_h):
-            raise InvalidParams("need 0 <= tau_m < tau_h")
         if self.K < 1:
             raise InvalidParams("K must be >= 1")
 
@@ -66,17 +57,16 @@ class ExecutionPlan:
     rho_reuse: float
 
 
-def significance(e_motion, m_tool, c_route, q_fine, p_skip,
-                 w: SignificanceWeights = SignificanceWeights()):
+def significance(e_motion, m_tool, c_route, q_fine, p_skip):
     """Raw significance s and the per-sample min-max normalized s_tilde.
 
-    s = w_m*e_motion + w_t*m_tool + w_r*c_route + w_f*q_fine - w_s*p_skip.
-    A constant map normalizes to all 0.5."""
-    s = (w.w_m * np.asarray(e_motion, dtype=float)
-         + w.w_t * np.asarray(m_tool, dtype=float)
-         + w.w_r * np.asarray(c_route, dtype=float)
-         + w.w_f * np.asarray(q_fine, dtype=float)
-         - w.w_s * np.asarray(p_skip, dtype=float))
+    s = e_motion + m_tool + c_route + q_fine - p_skip. A constant map
+    normalizes to all 0.5."""
+    s = (np.asarray(e_motion, dtype=float)
+         + np.asarray(m_tool, dtype=float)
+         + np.asarray(c_route, dtype=float)
+         + np.asarray(q_fine, dtype=float)
+         - np.asarray(p_skip, dtype=float))
     lo, hi = s.min(), s.max()
     if hi - lo == 0:
         s_tilde = np.full_like(s, 0.5)
@@ -98,13 +88,15 @@ def _round_half_up(x):
 
 def partition(s_tilde, cfg: BudgetConfig = BudgetConfig()) -> ExecutionPlan:
     """Budgeted top-ratio selection: top 20% of tokens full, next 30% light,
-    rest reuse (defaults). Ties broken by token index, row-major."""
+    rest reuse (defaults). Ties broken by token index, row-major. Both counts
+    round half up; the light tier takes at most the tokens the full tier
+    leaves."""
     s_flat = np.asarray(s_tilde, dtype=float).reshape(-1)
     n = s_flat.size
     if n < 1:
         raise ShapeMismatch("need at least one token")
     n_full = _round_half_up(cfg.rho_full_target * n)
-    n_light = _round_half_up(cfg.rho_light_target * n)
+    n_light = min(_round_half_up(cfg.rho_light_target * n), n - n_full)
     order = np.argsort(-s_flat, kind="stable")
     mode = np.full(n, REUSE, dtype=int)
     mode[order[:n_full]] = FULL
@@ -115,22 +107,24 @@ def partition(s_tilde, cfg: BudgetConfig = BudgetConfig()) -> ExecutionPlan:
 
 
 def refresh_interval(s_bar, cfg: BudgetConfig = BudgetConfig()) -> int:
-    """1 for high mean significance, 2 for medium, K for low."""
-    if s_bar >= cfg.tau_h:
+    """1 for mean significance from TAU_H up, 2 from TAU_M up, K below."""
+    if s_bar >= TAU_H:
         return 1
-    if s_bar >= cfg.tau_m:
+    if s_bar >= TAU_M:
         return 2
     return cfg.K
 
 
 def budget_loss(plan: ExecutionPlan, refresh, cfg: BudgetConfig = BudgetConfig()):
-    """(rho_compute, loss): compute ratio w_f*rho_full + w_l*rho_light plus the
-    L1 gaps to the compute and refresh targets."""
+    """(rho_compute, loss): compute ratio W_FULL*rho_full + W_LIGHT*rho_light
+    plus the L1 gaps to the compute and refresh targets. The compute target
+    is the same ratio at the config's rho targets."""
     refresh = np.asarray(refresh)
-    rho_compute = cfg.w_f * plan.rho_full + cfg.w_l * plan.rho_light
+    rho_compute = W_FULL * plan.rho_full + W_LIGHT * plan.rho_light
+    rho_target = W_FULL * cfg.rho_full_target + W_LIGHT * cfg.rho_light_target
     rho_refresh = float((refresh == 1).mean()) if refresh.size else 0.0
-    loss = (abs(rho_compute - cfg.rho_target)
-            + cfg.w_r * abs(rho_refresh - cfg.rho_refresh_star))
+    loss = (abs(rho_compute - rho_target)
+            + W_REFRESH * abs(rho_refresh - RHO_REFRESH_STAR))
     return rho_compute, float(loss)
 
 
@@ -155,13 +149,6 @@ def temporal_loss(features, modes) -> float:
 
 
 @dataclass(frozen=True)
-class CostModel:
-    c_full: float = 1.0
-    c_light: float = 0.4
-    c_reuse: float = 0.02
-
-
-@dataclass(frozen=True)
 class ExecutionTrace:
     """Per-frame accounting of the simulated cache executor."""
 
@@ -174,7 +161,7 @@ class ExecutionTrace:
     max_cache_age: int
 
 
-def simulate_execution(plans, refresh, cost: CostModel = CostModel()) -> ExecutionTrace:
+def simulate_execution(plans, refresh) -> ExecutionTrace:
     """Run the per-token residual cache over T frames.
 
     full: recompute everything and write the cache. light: reuse cached
@@ -203,7 +190,7 @@ def simulate_execution(plans, refresh, cost: CostModel = CostModel()) -> Executi
         reuse_mask = mode == REUSE
         ages_seen.append(age[reuse_mask] + 1)
         age = np.where(reuse_mask, age + 1, 0)
-        costs = np.choose(mode, [cost.c_full, cost.c_light, cost.c_reuse])
+        costs = np.choose(mode, [C_FULL, C_LIGHT, C_REUSE])
         frame_cost[t] = costs.sum()
         n_modes[t] = [(mode == m).sum() for m in (FULL, LIGHT, REUSE)]
 
@@ -215,7 +202,7 @@ def simulate_execution(plans, refresh, cost: CostModel = CostModel()) -> Executi
         n_modes=n_modes,
         forced=forced,
         total_cost=float(frame_cost.sum()),
-        full_equivalent_cost=float(T * n * cost.c_full),
+        full_equivalent_cost=float(T * n * C_FULL),
         cache_age_hist=hist,
         max_cache_age=max_age,
     )

@@ -280,8 +280,7 @@ def test_criterion_04_gradient_verification(capsys):
 def test_criterion_05_threshold_ema_convergence(capsys):
     def check():
         state = pr.init_predictor(0)
-        state = pr.PredictorState(w=state.w, b=state.b, tau=np.zeros(5),
-                                  beta=0.95)
+        state = pr.PredictorState(w=state.w, b=state.b, tau=np.zeros(5))
         probs = np.tile(np.linspace(0.0, 1.0, 201)[:, None], (1, 5))
         a_bar = np.full(5, 0.4)  # target quantile level 0.6
         q = np.quantile(probs[:, 0], 0.6)

@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from kvacontrol import kva_field as kvf
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol.errors import EmptyProbs, ShapeMismatch
-from kvacontrol.kinematics import ToolGeometry, default_camera, synth_trajectory
-
-
-def lifted_fields(seed=0, T=4, hw=32):
-    geom = ToolGeometry()
-    cam = default_camera(hw, hw)
-    traj = synth_trajectory("composite", T=T, seed=seed, geom=geom)
-    return kvf.lift_trajectory(traj, geom, cam)
 
 
 class TestPhysicalPrior:
@@ -153,7 +144,7 @@ class TestCp:
 class TestThresholds:
     def test_geometric_recurrence(self):
         state = pr.init_predictor(0)
-        state = pr.PredictorState(w=state.w, b=state.b, tau=np.zeros(5), beta=0.95)
+        state = pr.PredictorState(w=state.w, b=state.b, tau=np.zeros(5))
         probs = np.tile(np.linspace(0.05, 0.95, 50)[:, None], (1, 5))
         a_bar = np.full(5, 0.5)
         q = np.quantile(probs[:, 0], 0.5)

@@ -397,7 +397,7 @@ def route_inputs(draw):
             params.inner_b[m][:] = 0.0
     sched = rt.CapacitySchedule(k=draw(st.integers(1, rt.N_EXPERTS)))
     progress = draw(st.sampled_from([0.0, 0.6, 1.0]))
-    return kvf.KvaField(channels=channels), params, sched, progress
+    return channels, params, sched, progress
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,7 +410,7 @@ def test_fuse_control_matches_expert_fold(inputs):
     t_embed = rt.timestep_embed(0.4)
     pooled, dec = rt.route_forward(field, params, progress, t_embed, sched=sched)
     ctrl = rt.fuse_control(pooled, dec, params)
-    assert pooled.tobytes() == rt.avg_pool(field.channels, params.stride).tobytes()
+    assert pooled.tobytes() == rt.avg_pool(field, params.stride).tobytes()
     want = np.zeros(dec.tokens.shape[:2] + (params.c,))
     for i, m in enumerate(kvf.MODALITIES):
         lifted = (pooled[..., kvf.MODALITY_CHANNELS[m]] @ params.mod_lift_w[m]

@@ -11,7 +11,7 @@ from kvacontrol.kinematics import ToolGeometry, default_camera, synth_trajectory
 
 def make_field(seed=0, hw=32):
     rng = np.random.default_rng(seed)
-    return kvf.KvaField(channels=rng.normal(size=(hw, hw, 9)), t=0)
+    return rng.normal(size=(hw, hw, 9))
 
 
 def lifted_field(seed=0, hw=32):
@@ -20,7 +20,7 @@ def lifted_field(seed=0, hw=32):
     traj = synth_trajectory("composite", T=4, seed=seed, geom=geom)
     fields = kvf.lift_trajectory(traj, geom, cam)
     stats = kvf.compute_stats(fields)
-    return kvf.KvaField(kvf.normalize(fields[-1], stats))
+    return kvf.normalize(fields[-1], stats)
 
 
 def route_tokens(field, params):
@@ -33,13 +33,13 @@ class TestActionEmbed:
     def test_zero_field_zero_tokens(self):
         params = rt.init_gate_params(0)
         params.lift_b[:] = 0
-        f = kvf.KvaField(channels=np.zeros((32, 32, 9)))
+        f = np.zeros((32, 32, 9))
         c_action, tokens = route_tokens(f, params)
         assert np.all(tokens == 0) and np.all(c_action == 0)
 
     def test_constant_field_equal_tokens(self):
         params = rt.init_gate_params(1)
-        f = kvf.KvaField(channels=np.ones((32, 32, 9)) * 0.7)
+        f = np.ones((32, 32, 9)) * 0.7
         c_action, tokens = route_tokens(f, params)
         np.testing.assert_allclose(tokens,
                                    np.broadcast_to(tokens[0, 0], tokens.shape),
@@ -52,8 +52,8 @@ class TestActionEmbed:
         _, tokens = route_tokens(f, params)
         stride = params.stride
         for (ti, tj) in [(0, 0), (3, 5), (7, 7)]:
-            block = f.channels[ti * stride:(ti + 1) * stride,
-                               tj * stride:(tj + 1) * stride, :]
+            block = f[ti * stride:(ti + 1) * stride,
+                      tj * stride:(tj + 1) * stride, :]
             pooled = block.sum(axis=(0, 1)) / stride ** 2
             expected = pooled @ params.lift_w + params.lift_b
             assert np.max(np.abs(tokens[ti, tj] - expected)) < 1e-12
@@ -61,7 +61,7 @@ class TestActionEmbed:
     def test_indivisible_resolution_rejected(self):
         params = rt.init_gate_params(0)
         with pytest.raises(ShapeMismatch):
-            route_tokens(kvf.KvaField(channels=np.zeros((30, 30, 9))), params)
+            route_tokens(np.zeros((30, 30, 9)), params)
 
 
 class TestOuterGate:
@@ -202,14 +202,14 @@ class TestRouteForward:
         pooled, dec = rt.route_forward(f, params, progress=1.0,
                                        t_embed=rt.timestep_embed(0.5))
         ctrl = rt.fuse_control(pooled, dec, params)
-        pooled = rt.avg_pool(f.channels, params.stride)
+        pooled = rt.avg_pool(f, params.stride)
         lifted = (pooled[..., kvf.MODALITY_CHANNELS["sem"]]
                   @ params.mod_lift_w["sem"] + params.mod_lift_b["sem"])
         np.testing.assert_allclose(ctrl, lifted, atol=1e-12)
 
     def test_zero_field_zero_ctrl(self):
         params = rt.init_gate_params(1)
-        f = kvf.KvaField(channels=np.zeros((32, 32, 9)))
+        f = np.zeros((32, 32, 9))
         pooled, dec = rt.route_forward(f, params, 0.5, rt.timestep_embed(0.1))
         ctrl = rt.fuse_control(pooled, dec, params)
         assert np.max(np.abs(ctrl)) < 1e-15
@@ -229,8 +229,8 @@ class TestRouteForward:
         pooled = np.zeros((hp, wp, 9))
         for i in range(hp):
             for j in range(wp):
-                pooled[i, j] = f.channels[i * s:(i + 1) * s,
-                                          j * s:(j + 1) * s].mean(axis=(0, 1))
+                pooled[i, j] = f[i * s:(i + 1) * s,
+                                 j * s:(j + 1) * s].mean(axis=(0, 1))
         tokens = pooled @ params.lift_w + params.lift_b
         c_action = tokens.reshape(-1, params.c).mean(axis=0)
         z = (np.concatenate([c_action, t_embed]) @ params.outer_w
@@ -268,9 +268,9 @@ class TestRouteForward:
         # modality's expert output unchanged (fusion weights held fixed)
         params = rt.init_gate_params(30)
         f = make_field(31)
-        pooled = rt.avg_pool(f.channels, params.stride)
+        pooled = rt.avg_pool(f, params.stride)
         out_before, *_ = rt.modality_expert(pooled, params, "dep")
-        perturbed = f.channels.copy()
+        perturbed = f.copy()
         perturbed[..., kvf.MODALITY_CHANNELS["vel"]] += 3.0
         pooled2 = rt.avg_pool(perturbed, params.stride)
         out_after, *_ = rt.modality_expert(pooled2, params, "dep")
@@ -298,7 +298,7 @@ class TestRouteForward:
             tied.inner_w[m][:] = 0.0
             tied.inner_b[m][:] = 0.0
         rng = np.random.default_rng(9)
-        quantized = kvf.KvaField(channels=rng.integers(-2, 3, size=(32, 32, 9)) * 0.5)
+        quantized = rng.integers(-2, 3, size=(32, 32, 9)) * 0.5
         cases = [
             (lifted_field(2, hw=64), rt.init_gate_params(5), 0.6, 0.4,
              rt.CapacitySchedule(),
