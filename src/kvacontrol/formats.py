@@ -138,10 +138,6 @@ def read_trajectory(path):
     expected = list(range(1, len(frames) + 1))
     if sorted(frames) != expected:
         raise InvariantViolation("frame indices must be contiguous from 1")
-    if not 0 < dt < np.inf:
-        raise InvariantViolation(f"dt must be finite and > 0, got {dt}")
-    if not (np.isfinite(cam_vals[:4]).all() and np.isfinite(ext).all()):
-        raise InvariantViolation("camera and extrinsic values must be finite")
 
     fx, fy, cx, cy, width, height = cam_vals
     cam = CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,

@@ -13,6 +13,9 @@ Frame conventions (fixed here so rendering is deterministic):
     local +x at the tip;
   - the shaft-wrist hinge rotates about local y, the wrist-gripper hinges
     about local z, with the right gripper mirrored (negative angle).
+
+`project` is the one pinhole formula. `synth_trajectory`'s rates and sampling
+interval are the `SYNTH_*` constants; only its base state is a parameter.
 """
 
 from __future__ import annotations
@@ -126,6 +129,8 @@ class CameraModel:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *R.flat, *t]).all():
+            raise InvalidParams("camera intrinsics and extrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidParams("fx, fy must be > 0")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
@@ -145,8 +150,8 @@ class Trajectory:
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 1:
             raise InvalidParams("trajectory needs at least one frame")
-        if self.dt <= 0:
-            raise InvalidParams("dt must be > 0")
+        if not 0 < self.dt < np.inf:
+            raise InvalidParams(f"dt must be finite and > 0, got {self.dt}")
 
     def __len__(self):
         return len(self.states)
@@ -236,20 +241,20 @@ def forward_kinematics(state: ArticulatedState, geom: ToolGeometry) -> PartPoses
                      endpoints=endpoints, radii=radii)
 
 
+def project(cam: CameraModel, x):
+    """Pixel coordinates (u, v) of camera-frame points x (..., 3); no depth
+    check."""
+    z = x[..., 2]
+    return cam.fx * x[..., 0] / z + cam.cx, cam.fy * x[..., 1] / z + cam.cy
+
+
 def project_point(cam: CameraModel, x) -> tuple:
     """Pinhole projection of a camera-frame point to (u, v, depth)."""
     x = np.asarray(x, dtype=float).reshape(3)
     z = x[2]
     if z <= cam.z_near:
         raise BehindCamera(f"point depth {z} <= z_near {cam.z_near}")
-    u = cam.fx * x[0] / z + cam.cx
-    v = cam.fy * x[1] / z + cam.cy
-    return (u, v, z)
-
-
-def unproject_point(cam: CameraModel, u, v, z):
-    """Inverse of project_point."""
-    return np.array([(u - cam.cx) * z / cam.fx, (v - cam.cy) * z / cam.fy, z])
+    return (*project(cam, x), z)
 
 
 def _clamp_state(state: ArticulatedState, geom: ToolGeometry) -> ArticulatedState:
@@ -270,6 +275,13 @@ DEFAULT_BASE_STATE = ArticulatedState(
     q_rg=0.2,
 )
 
+# synth_trajectory's drift (m/s), oscillation amplitudes (rad), oscillation
+# period (frames) and sampling interval (s)
+SYNTH_VELOCITY = np.array([0.05, 0.02, 0.0])
+SYNTH_ROT_AMP, SYNTH_SW_AMP, SYNTH_GRIP_AMP = 0.5, 0.4, 0.5
+SYNTH_PERIOD = 12.0
+SYNTH_DT = 1.0 / 30
+
 TRAJECTORY_KINDS = ("static", "linear-transport", "wrist-articulation",
                     "gripper-cycle", "composite")
 
@@ -282,45 +294,44 @@ def _check_synth_args(kind, T):
 
 
 def synth_trajectory(kind, params=None, T=10, seed=0,
-                     geom: ToolGeometry | None = None, dt=1.0 / 30) -> Trajectory:
+                     geom: ToolGeometry | None = None) -> Trajectory:
     """Deterministic synthetic trajectories for testing and demos.
 
     kinds: static | linear-transport | wrist-articulation | gripper-cycle
-    | composite (sum of the moving kinds). Joint angles are clamped to the
+    | composite (sum of the moving kinds). params may set the "base" state;
+    the rates are the SYNTH_* constants. Joint angles are clamped to the
     geometry's limits.
     """
     _check_synth_args(kind, T)
-    params = dict(params or {})
+    params = params or {}
+    unknown = sorted(set(params) - {"base"})
+    if unknown:
+        raise InvalidParams(f"unknown synth_trajectory params {unknown}; "
+                            f"only 'base' is settable")
     geom = geom or ToolGeometry()
     rng = np.random.default_rng(seed)
 
     base = params.get("base", DEFAULT_BASE_STATE)
-    velocity = np.asarray(params.get("velocity", [0.05, 0.02, 0.0]), dtype=float)
-    rot_amp = float(params.get("rot_amp", 0.5))
-    sw_amp = float(params.get("sw_amp", 0.4))
-    grip_amp = float(params.get("grip_amp", 0.5))
-    period = float(params.get("period", 12.0))
-    if period <= 0:
-        raise InvalidParams("period must be > 0")
-    phase = float(params.get("phase", rng.uniform(0, 2 * np.pi)))
+    phase = rng.uniform(0, 2 * np.pi)
 
     states = []
     for t in range(T):
         p = base.p.copy()
         r = base.r.copy()
         q_sw, q_lg, q_rg = base.q_sw, base.q_lg, base.q_rg
-        w = 2 * np.pi * t / period + phase
+        w = 2 * np.pi * t / SYNTH_PERIOD + phase
         if kind in ("linear-transport", "composite"):
-            p = p + velocity * dt * t
+            p = p + SYNTH_VELOCITY * SYNTH_DT * t
         if kind in ("wrist-articulation", "composite"):
-            r = r + np.array([0.0, rot_amp * np.sin(w), rot_amp * 0.5 * np.cos(w)])
-            q_sw = q_sw + sw_amp * np.sin(w)
+            r = r + np.array([0.0, SYNTH_ROT_AMP * np.sin(w),
+                              SYNTH_ROT_AMP * 0.5 * np.cos(w)])
+            q_sw = q_sw + SYNTH_SW_AMP * np.sin(w)
         if kind in ("gripper-cycle", "composite"):
-            q_lg = q_lg + grip_amp * 0.5 * (1 + np.sin(w))
-            q_rg = q_rg + grip_amp * 0.5 * (1 + np.sin(w))
+            q_lg = q_lg + SYNTH_GRIP_AMP * 0.5 * (1 + np.sin(w))
+            q_rg = q_rg + SYNTH_GRIP_AMP * 0.5 * (1 + np.sin(w))
         state = ArticulatedState(p=p, r=r, q_sw=q_sw, q_lg=q_lg, q_rg=q_rg)
         states.append(_clamp_state(state, geom))
-    return Trajectory(states=tuple(states), dt=dt)
+    return Trajectory(states=tuple(states), dt=SYNTH_DT)
 
 
 def default_camera(width=64, height=64) -> CameraModel:

@@ -38,6 +38,7 @@ order, so every result keeps its bits:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .kinematics import (
     ToolGeometry,
     Trajectory,
     forward_kinematics,
+    project,
 )
 
 N_CHANNELS = 9
@@ -172,9 +174,7 @@ def _screen_box(a, b, radius, cam: CameraModel):
     hi = np.maximum(a, b) + radius
     if lo[2] <= cam.z_near:
         return slice(0, h), slice(0, w)
-    x, y, z = (np.array([lo[k], hi[k]]) for k in range(3))
-    u = cam.fx * x[:, None] / z + cam.cx
-    v = cam.fy * y[:, None] / z + cam.cy
+    u, v = project(cam, np.array(list(product(*zip(lo, hi)))))  # 8 corners
     i0 = min(max(int(np.floor(v.min())) - 1, 0), h)
     j0 = min(max(int(np.floor(u.min())) - 1, 0), w)
     i1 = max(min(int(np.ceil(v.max())) + 2, h), i0)
@@ -256,8 +256,7 @@ def _part_motion(poses, cam: CameraModel, dt: float):
                      for part in PART_NAMES] for p in poses])
     z = mid[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        track = np.stack([cam.fx * mid[..., 0] / z + cam.cx,
-                          cam.fy * mid[..., 1] / z + cam.cy, z], axis=-1)
+        track = np.stack([*project(cam, mid), z], axis=-1)
     track[z <= cam.z_near] = np.nan
     v = np.zeros_like(track)
     v[1:] = (track[1:] - track[:-1]) / dt

@@ -4,10 +4,10 @@ Loss suite: physically-grounded load balancing, masked temporal routing
 consistency, capacity-predictor BCE with EMA quantile thresholds, sub-expert
 anti-collapse stabilizer, flow-matching regression target, and the weighted
 total. Analytic gradients are implemented for the small linear parameter sets
-(gate refinement, predictor) and verified with central finite differences;
-there is no general autodiff here. The predictor's thresholds follow an EMA
-with the fixed decay `EMA_BETA`, and its initial weights are drawn as the
-gates' are, with std `routing.INIT_SCALE / sqrt(C)`.
+(gate refinement, predictor) and verified with central finite differences of
+the fixed step `FD_EPS`; there is no general autodiff here. The predictor's
+thresholds follow an EMA with the fixed decay `EMA_BETA`, and its initial
+weights are drawn as the gates' are, with std `routing.INIT_SCALE / sqrt(C)`.
 
 The finite-difference check evaluates each checked loss twice per parameter
 entry, 750 times per `losses` run. `_kp_alb_evaluator`, `_src_evaluator` and
@@ -197,6 +197,7 @@ def predictor_logits(state: PredictorState, tokens: np.ndarray) -> np.ndarray:
 
 QUANTILE_CLAMP = (0.01, 0.99)
 EMA_BETA = 0.95  # decay of the threshold EMA
+FD_EPS = 1e-5  # the finite-difference check's step
 
 
 def update_thresholds(state: PredictorState, probs: np.ndarray,
@@ -273,7 +274,7 @@ def cp_loss_grad(tokens: np.ndarray, state: PredictorState, A: np.ndarray):
     """d cp_loss / d (w, b) for z = tokens @ w + b."""
     tok = tokens.reshape(-1, tokens.shape[-1])
     A = np.asarray(A, dtype=float).reshape(-1, N_EXPERTS)
-    z = tok @ state.w + state.b
+    z = predictor_logits(state, tok)
     dz = (_sigmoid(z) - A) / z.size
     return tok.T @ dz, dz.sum(axis=0)
 
@@ -295,7 +296,7 @@ def kp_alb_grad(field_tokens, c_action, t_embed, outer_w, outer_b, token_w,
     tok = field_tokens.reshape(-1, field_tokens.shape[-1])
     ce = np.concatenate([c_action, t_embed])
     z = ce @ outer_w + outer_b + tok @ token_w
-    P = softmax(z, axis=-1)
+    P = softmax(z)
     stats = routing_stats(P)
     dPbar = 2.0 / N_EXPERTS * (stats.load - prior.pi) * stats.f
     dz = _softmax_backprop(P, dPbar)
@@ -320,7 +321,7 @@ def src_loss_grad(tokens_seq: np.ndarray, state: PredictorState,
     denom = N_EXPERTS * mask[1:].sum()
     if denom == 0:
         return gw, gb
-    z = tok @ state.w + state.b  # (T, N, 5)
+    z = predictor_logits(state, tok)  # (T, N, 5)
     R = _sigmoid(z)
     dR = np.zeros_like(R)
     for t in range(1, T):
@@ -448,8 +449,9 @@ def _cp_evaluator(tokens, A, tau):
     return loss
 
 
-def finite_difference_grad(loss_fn, arrays: dict, eps=1e-5) -> dict:
-    """Central finite differences of loss_fn over a dict of parameter arrays.
+def finite_difference_grad(loss_fn, arrays: dict) -> dict:
+    """Central finite differences of step FD_EPS of loss_fn over a dict of
+    parameter arrays.
 
     loss_fn is called with float64 copies of the arrays, one entry of which
     is perturbed; the caller's arrays are never written."""
@@ -461,19 +463,19 @@ def finite_difference_grad(loss_fn, arrays: dict, eps=1e-5) -> dict:
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + eps
+            arr[idx] = orig + FD_EPS
             f_plus = loss_fn(params)
-            arr[idx] = orig - eps
+            arr[idx] = orig - FD_EPS
             f_minus = loss_fn(params)
             arr[idx] = orig
-            g[idx] = (f_plus - f_minus) / (2 * eps)
+            g[idx] = (f_plus - f_minus) / (2 * FD_EPS)
         grads[name] = g
     return grads
 
 
-def grad_check(loss_fn, arrays: dict, analytic: dict, eps=1e-5) -> float:
+def grad_check(loss_fn, arrays: dict, analytic: dict) -> float:
     """Max relative error |g_a - g_fd| / max(1, |g_a|, |g_fd|) over all params."""
-    fd = finite_difference_grad(loss_fn, arrays, eps=eps)
+    fd = finite_difference_grad(loss_fn, arrays)
     worst = 0.0
     for name, ga in analytic.items():
         ga = np.asarray(ga, dtype=float)

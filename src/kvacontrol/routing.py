@@ -10,10 +10,11 @@ routing semantics matter here, not feature capacity.
 
 `route_forward` decides: it pools the frame, embeds the tokens, runs the
 outer gate, top-k and the capacity blend, and lifts and inner-gates each
-modality. It computes no expert output. `fuse_control` fuses: it runs each
-modality's expert stack and sums the outputs weighted by the fusion weights.
-No CLI artefact reads the fused feature, so the CLI computes only the gates,
-as a sparse mixture of experts computes only the experts its gates select.
+modality. It computes no expert output. `fuse_control` fuses: it reads the
+decision's inner gates, runs each modality's fine and transport sub-experts
+and sums the selected outputs weighted by the fusion weights. No CLI
+artefact reads the fused feature, so the CLI computes only the gates, as a
+sparse mixture of experts computes only the experts its gates select.
 
 The short expert, sub-expert and block axes are reduced a column at a time
 by `_columns.fold` and `_columns.argmax`, with numpy's bits (see there).
@@ -31,7 +32,6 @@ from .kva_field import MODALITIES, MODALITY_CHANNELS
 
 N_EXPERTS = 5
 N_SUB = 3
-SUB_EXPERTS = ("fine", "transport", "skip")
 FINE, TRANSPORT, SKIP = 0, 1, 2
 T_EMBED_DIM = 8
 INIT_SCALE = 0.3  # initial weights are drawn with std INIT_SCALE / sqrt(fan-in)
@@ -161,22 +161,20 @@ def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def softmax(z: np.ndarray, axis=-1) -> np.ndarray:
-    z = np.moveaxis(z, axis, -1)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
     e = z - fold(np.maximum, columns(z))[..., None]
     np.exp(e, out=e)
     e /= fold(np.add, columns(e))[..., None]
-    return np.moveaxis(e, -1, axis)
+    return e
 
 
-def outer_gate(c_action, t_embed, params: GateParams, tokens=None):
-    """Global modality gate, additively refined per token when tokens given."""
+def outer_gate(c_action, t_embed, params: GateParams, tokens):
+    """Global modality gate, additively refined per token."""
     logits = np.concatenate([c_action, t_embed]) @ params.outer_w + params.outer_b
-    if tokens is not None:
-        per_token = tokens @ params.token_w
-        per_token += logits
-        logits = per_token
-    return softmax(logits)
+    per_token = tokens @ params.token_w
+    per_token += logits
+    return softmax(per_token)
 
 
 def topk_select(P: np.ndarray, k: int) -> np.ndarray:
@@ -211,20 +209,6 @@ def _modality_tokens(field_pooled, params: GateParams, m: str):
     return x @ params.mod_lift_w[m] + params.mod_lift_b[m]
 
 
-def modality_expert(field_pooled, params: GateParams, m: str):
-    """Tier-2 expert stack for one modality: lifted tokens, sub-expert outputs,
-    inner routing, and the confidence-weighted selected output."""
-    lifted = _modality_tokens(field_pooled, params, m)
-    sel, probs = inner_gate(lifted, params.inner_w[m], params.inner_b[m])
-    conf = fold(np.maximum, columns(probs))  # the selected probability
-    fine = lifted @ params.fine_w[m] + params.fine_b[m]
-    transport = lifted @ params.trans_w[m] + params.trans_b[m] + lifted.mean(axis=(0, 1))
-    pick = sel[..., None]
-    selected = np.where(pick == FINE, fine,
-                        np.where(pick == TRANSPORT, transport, lifted))
-    return conf[..., None] * selected, sel, conf, probs
-
-
 def route_forward(channels: np.ndarray, params: GateParams, progress: float,
                   t_embed, sched: CapacitySchedule | None = None):
     """Two-tier gating of one frame's (H, W, 9) channels: its pooled grid and
@@ -233,7 +217,7 @@ def route_forward(channels: np.ndarray, params: GateParams, progress: float,
     pooled = avg_pool(channels, params.stride)
     tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
     c_action = tokens.mean(axis=(0, 1))
-    P = outer_gate(c_action, t_embed, params, tokens=tokens)
+    P = outer_gate(c_action, t_embed, params, tokens)
     A = topk_select(P, sched.k)
     fusion_w = capacity_blend(P, A, progress, sched)
 
@@ -252,10 +236,18 @@ def route_forward(channels: np.ndarray, params: GateParams, progress: float,
 
 
 def fuse_control(pooled, decision: RoutingDecision, params: GateParams):
-    """The fused control feature (H', W', C): each modality's expert output
+    """The fused control feature (H', W', C): each modality's selected
+    sub-expert output times its probability (the decision's inner gates),
     weighted by its fusion weight, summed in modality order."""
     ctrl = np.zeros(decision.tokens.shape[:2] + (params.c,))
     for i, m in enumerate(MODALITIES):
-        out, *_ = modality_expert(pooled, params, m)
-        ctrl += decision.fusion_w[..., i, None] * out
+        lifted = _modality_tokens(pooled, params, m)
+        conf = fold(np.maximum, columns(decision.inner_probs[..., i, :]))
+        fine = lifted @ params.fine_w[m] + params.fine_b[m]
+        transport = (lifted @ params.trans_w[m] + params.trans_b[m]
+                     + lifted.mean(axis=(0, 1)))
+        pick = decision.inner_sel[..., i, None]
+        selected = np.where(pick == FINE, fine,
+                            np.where(pick == TRANSPORT, transport, lifted))
+        ctrl += decision.fusion_w[..., i, None] * (conf[..., None] * selected)
     return ctrl

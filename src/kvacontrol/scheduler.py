@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InconsistentPlan, InvalidParams, ShapeMismatch
 
 FULL, LIGHT, REUSE = 0, 1, 2
-MODE_NAMES = ("full", "light", "reuse")
 
 # mean significance from which a frame refreshes every frame / every 2nd
 TAU_H, TAU_M = 0.6, 0.3

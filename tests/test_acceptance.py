@@ -251,7 +251,7 @@ def test_criterion_04_gradient_verification(capsys):
             def kp_fn(arrs):
                 z = (np.concatenate([c_action, t_embed]) @ arrs["ow"]
                      + arrs["ob"] + tokens @ arrs["tw"])
-                return pr.kp_alb_loss(pr.routing_stats(rt.softmax(z, axis=-1)),
+                return pr.kp_alb_loss(pr.routing_stats(rt.softmax(z)),
                                       prior)
 
             g = pr.kp_alb_grad(tokens, c_action, t_embed, ow, ob, tw, prior)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kvacontrol.errors import BehindCamera, EmptyCorpus
 from kvacontrol.kinematics import (
+    DEFAULT_BASE_STATE,
     PART_NAMES,
     PART_SEMANTIC_CLASS,
     ArticulatedState,
@@ -279,9 +282,10 @@ class TestMotionChannels:
         # not constant in general, but alpha from an exactly linear pixel
         # track is zero; build one by moving parallel to the image plane at
         # fixed depth and checking against the centroid-track oracle
-        traj = synth_trajectory("linear-transport",
-                                params={"velocity": (0.004, 0, 0)},
-                                T=4, seed=0, geom=geom, dt=1.0)
+        base = DEFAULT_BASE_STATE
+        states = [dataclasses.replace(base, p=base.p + np.array([0.004, 0, 0]) * t)
+                  for t in range(4)]
+        traj = Trajectory(states=tuple(states), dt=1.0)
         t = 3
         v, a = motion_at(traj, geom, cam, t)
         labels, _ = kvf.rasterize_parts(forward_kinematics(traj.states[t], geom), cam)

@@ -573,14 +573,14 @@ class TestCli:
             logits_calls.append(tokens.shape)
             return real_logits(state, tokens)
 
-        def counted_check(loss_fn, arrays, analytic, eps=1e-5):
+        def counted_check(loss_fn, arrays, analytic):
             evals, before = [], len(logits_calls)
 
             def counted_fn(arrs):
                 evals.append(arrs)
                 return loss_fn(arrs)
 
-            err = real_check(counted_fn, arrays, analytic, eps=eps)
+            err = real_check(counted_fn, arrays, analytic)
             checks.append((len(evals), len(logits_calls) - before))
             return err
 
@@ -604,14 +604,14 @@ class TestCli:
             entries[0] += np.size(z)
             return real_sigmoid(z, *args, **kwargs)
 
-        def counted_check(loss_fn, arrays, analytic, eps=1e-5):
+        def counted_check(loss_fn, arrays, analytic):
             evals, before = [], entries[0]
 
             def counted_fn(arrs):
                 evals.append(arrs)
                 return loss_fn(arrs)
 
-            err = real_check(counted_fn, arrays, analytic, eps=eps)
+            err = real_check(counted_fn, arrays, analytic)
             checks.append((len(evals), entries[0] - before))
             return err
 
@@ -646,7 +646,7 @@ class TestCli:
     def test_routing_runs_compute_no_expert_outputs(self, tmp_path,
                                                     monkeypatch):
         traj = _trajectory_file(tmp_path, 32)  # T=2 frames
-        calls = {"route_forward": 0, "modality_expert": 0, "fuse_control": 0}
+        calls = {"route_forward": 0, "fuse_control": 0}
 
         def counted(name):
             real = getattr(rt, name)
@@ -663,8 +663,7 @@ class TestCli:
                       "--traj", str(traj))
         # no artefact reads the fused control feature, so no expert output
         # is computed; each command routes each frame once
-        assert calls == {"route_forward": 3 * 2, "modality_expert": 0,
-                         "fuse_control": 0}
+        assert calls == {"route_forward": 3 * 2, "fuse_control": 0}
 
     @pytest.mark.parametrize("command", ["lift", "schedule"])
     @pytest.mark.parametrize("frames,dt,finite", [

@@ -1,18 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from kvacontrol.errors import BehindCamera, InvalidParams, JointLimitViolation, NonFiniteInput
 from kvacontrol.kinematics import (
+    DEFAULT_BASE_STATE,
     PART_NAMES,
+    SYNTH_DT,
+    SYNTH_VELOCITY,
     ArticulatedState,
     CameraModel,
     ToolGeometry,
+    Trajectory,
     default_camera,
     forward_kinematics,
     project_point,
     synth_trajectory,
-    unproject_point,
 )
 
 
@@ -130,15 +135,25 @@ class TestProjection:
             assert v == cam.fy * x[1] / x[2] + cam.cy
             assert z == x[2]
 
-    def test_project_unproject_roundtrip(self):
-        cam = default_camera()
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            x = rng.normal(0, 0.2, 3)
-            x[2] = abs(x[2]) + 0.05
-            u, v, z = project_point(cam, x)
-            back = unproject_point(cam, u, v, z)
-            assert np.max(np.abs(back - x)) / np.max(np.abs(x)) < 1e-10
+
+class TestCameraModel:
+    @pytest.mark.parametrize("field,value", [
+        ("fx", np.nan), ("fy", np.inf), ("cx", np.nan),
+        ("rotation", np.full((3, 3), np.nan)),
+        ("translation", np.array([0.0, np.inf, 0.0])),
+    ], ids=["fx-nan", "fy-inf", "cx-nan", "rotation-nan", "translation-inf"])
+    def test_camera_rejects_non_finite(self, field, value):
+        kwargs = dict(fx=50.0, fy=50.0, cx=32.0, cy=32.0, width=64, height=64)
+        kwargs[field] = value
+        with pytest.raises(InvalidParams, match="finite"):
+            CameraModel(**kwargs)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_dt_outside_finite_positive(self, dt):
+        with pytest.raises(InvalidParams, match="dt must be finite and > 0"):
+            Trajectory(states=(DEFAULT_BASE_STATE,), dt=dt)
 
 
 class TestSynthTrajectory:
@@ -148,11 +163,12 @@ class TestSynthTrajectory:
             np.testing.assert_array_equal(s.as_vector(), traj.states[0].as_vector())
 
     def test_linear_transport_increments(self):
-        traj = synth_trajectory("linear-transport",
-                                params={"velocity": (0.01, 0, 0)}, T=6, seed=0, dt=1.0)
+        traj = synth_trajectory("linear-transport", T=6, seed=0)
+        assert traj.dt == SYNTH_DT
         p0 = traj.states[0].p
         for t, s in enumerate(traj.states):
-            assert abs(s.p[0] - (p0[0] + 0.01 * t)) < 1e-15
+            np.testing.assert_allclose(s.p, p0 + SYNTH_VELOCITY * SYNTH_DT * t,
+                                       rtol=0, atol=1e-15)
 
     def test_same_seed_identical(self):
         a = synth_trajectory("composite", T=8, seed=42)
@@ -162,10 +178,20 @@ class TestSynthTrajectory:
 
     def test_joint_limits_clamped(self):
         geom = ToolGeometry()
-        traj = synth_trajectory("gripper-cycle", params={"grip_amp": 10.0},
+        lo, hi = geom.limits.q_lg
+        # the gripper cycle opens by up to 0.5 rad past a base 0.1 below the limit
+        base = dataclasses.replace(DEFAULT_BASE_STATE, q_lg=hi - 0.1, q_rg=hi - 0.1)
+        traj = synth_trajectory("gripper-cycle", params={"base": base},
                                 T=20, seed=0, geom=geom)
         for s in traj.states:
-            assert geom.limits.q_lg[0] <= s.q_lg <= geom.limits.q_lg[1]
+            assert lo <= s.q_lg <= hi
+        assert max(s.q_lg for s in traj.states) == hi
+
+    @pytest.mark.parametrize("params", [{"bsae": DEFAULT_BASE_STATE},
+                                        {"base": DEFAULT_BASE_STATE, "period": 6}])
+    def test_unknown_params_key_rejected(self, params):
+        with pytest.raises(InvalidParams, match="'bsae'|'period'"):
+            synth_trajectory("composite", params=params, T=3, seed=0)
 
     def test_invalid_kind(self):
         with pytest.raises(InvalidParams):

@@ -318,7 +318,7 @@ class TestGradients:
         def loss(arrs):
             z = (np.concatenate([c_action, t_embed]) @ arrs["outer_w"]
                  + arrs["outer_b"] + tokens @ arrs["token_w"])
-            return pr.kp_alb_loss(pr.routing_stats(rt.softmax(z, axis=-1)), prior)
+            return pr.kp_alb_loss(pr.routing_stats(rt.softmax(z)), prior)
 
         g = pr.kp_alb_grad(tokens, c_action, t_embed, outer_w, outer_b,
                            token_w, prior)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -81,7 +82,7 @@ class TestOuterGate:
     def test_softmax_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
         z = rng.normal(size=(100, 5))
-        P = rt.softmax(z, axis=-1)
+        P = rt.softmax(z)
         for i in range(100):
             denom = sum(np.exp(z[i] - z[i].max()))
             for k in range(5):
@@ -124,7 +125,7 @@ class TestTopK:
 class TestCapacityBlend:
     def setup_method(self):
         rng = np.random.default_rng(11)
-        self.P = rt.softmax(rng.normal(size=(64, 5)), axis=-1)
+        self.P = rt.softmax(rng.normal(size=(64, 5)))
         self.sched = rt.CapacitySchedule()
         self.A = rt.topk_select(self.P, self.sched.k)
 
@@ -265,16 +266,25 @@ class TestRouteForward:
 
     def test_channel_isolation(self):
         # perturbing channels outside a modality's group leaves that
-        # modality's expert output unchanged (fusion weights held fixed)
+        # modality's inner gates and expert output unchanged: fuse under
+        # fusion weights one-hot on that modality
         params = rt.init_gate_params(30)
         f = make_field(31)
-        pooled = rt.avg_pool(f, params.stride)
-        out_before, *_ = rt.modality_expert(pooled, params, "dep")
         perturbed = f.copy()
         perturbed[..., kvf.MODALITY_CHANNELS["vel"]] += 3.0
-        pooled2 = rt.avg_pool(perturbed, params.stride)
-        out_after, *_ = rt.modality_expert(pooled2, params, "dep")
-        np.testing.assert_array_equal(out_before, out_after)
+        dep = kvf.MODALITIES.index("dep")
+        outs, gates = [], []
+        for field in (f, perturbed):
+            pooled, dec = rt.route_forward(field, params, 0.5,
+                                           rt.timestep_embed(0.3))
+            one_hot = np.zeros_like(dec.fusion_w)
+            one_hot[..., dep] = 1.0
+            outs.append(rt.fuse_control(
+                pooled, dataclasses.replace(dec, fusion_w=one_hot), params))
+            gates.append((dec.inner_sel[..., dep].tobytes(),
+                          dec.inner_probs[..., dep, :].tobytes()))
+        assert gates[0] == gates[1]
+        np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_deterministic(self):
         params = rt.init_gate_params(7)
