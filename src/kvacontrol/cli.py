@@ -129,27 +129,58 @@ class RoutingRun:
     s_tilde: np.ndarray  # (T, H', W') normalized significance
 
 
+def _pooled_grids(fields, stats: kvf.ChannelStats, s: int):
+    """The routing grids of lifted (T, H, W, 9) fields at stride s, each
+    stacked over the frames with the bits of pooling the whole frames: the
+    normalized grid `avg_pool(normalize(f, stats), s)` that routing reads,
+    the raw grid `avg_pool(f, s)` and the pooled tool mask
+    `avg_pool(tool_mask(f), s)`.
+
+    Only the blocks that hold a tool pixel are normalized and pooled. This
+    rests on an invariant of `lift_trajectory`: a pixel with no part label
+    is +0.0 in all nine channels. `avg_pool` folds each block on its own,
+    elementwise in row-major order, and `normalize` is elementwise, so a
+    block with no tool pixel pools to 0.0 in the raw grid and the mask and
+    to one constant row, that of a zero block, in the normalized grid; and
+    a tool block gets the same bits pooled alone as in its frame. Fields
+    that break the invariant get wrong grids, so this is not public."""
+    n = kvf.N_CHANNELS
+    m_tool = np.stack([rt.avg_pool(m, s) for m in kvf.tool_mask(fields)])
+    _, hp, wp = m_tool.shape
+    normed = np.empty(m_tool.shape + (n,))
+    normed[...] = rt.avg_pool(kvf.normalize(np.zeros((s, s, n)), stats), s)
+    pooled = np.zeros_like(normed)
+    for f, m, normed_t, pooled_t in zip(fields, m_tool, normed, pooled):
+        bi, bj = np.nonzero(m > 0)
+        # the tool blocks side by side in one (s, nb * s, 9) strip
+        strip = f.reshape(hp, s, wp, s, n)[bi, :, bj].transpose(1, 0, 2, 3)
+        strip = strip.reshape(s, len(bi) * s, n)
+        pooled_t[bi, bj] = rt.avg_pool(strip, s)[0]
+        normed_t[bi, bj] = rt.avg_pool(kvf.normalize(strip, stats), s)[0]
+    return normed, pooled, m_tool
+
+
 def _routing_run(cfg: Config, seed: int, fields) -> RoutingRun:
-    """Shared forward pass over the trajectory channels (T, H, W, 9)."""
+    """Shared forward pass over lifted trajectory channels (T, H, W, 9):
+    each frame's grids are pooled from the tool's blocks only
+    (`_pooled_grids`) and routed once."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
-                                 c=cfg.token_dim, stride=cfg.stride)
+                                 c=cfg.token_dim)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
                                    sparse_start=cfg.sparse_start, k=cfg.top_k)
     t_embed = rt.timestep_embed(cfg.timestep)
-    stats = kvf.compute_stats(fields)
-    # normalized a frame at a time, so that no second stack is held
-    decisions = [rt.route_forward(kvf.normalize(f, stats), params, cfg.progress,
-                                  t_embed, sched=schedule)[1]
-                 for f in fields]
-    pooled = np.stack([rt.avg_pool(f, cfg.stride) for f in fields])
-    m_tool = np.stack([rt.avg_pool(m, cfg.stride) for m in kvf.tool_mask(fields)])
+    normed, pooled, m_tool = _pooled_grids(fields, kvf.compute_stats(fields),
+                                           cfg.stride)
+    decisions = [rt.route_forward(g, params, cfg.progress, t_embed,
+                                  sched=schedule)[1] for g in normed]
     # motion is normalised by its peak over the sequence, so frames compare
     motion = sched.motion_intensity(pooled[..., 5:8], pooled[..., 8])
     fusion_w = np.stack([d.fusion_w for d in decisions])
-    weighted = fusion_w[..., None] * np.stack([d.inner_probs for d in decisions])
-    # sum over the expert axis; numpy adds the slices of a non-last axis in
-    # order, as the fold does
-    sub_mass = fold(np.add, columns(np.moveaxis(weighted, -2, -1)))
+    # sum over the expert axis, a frame at a time so that no weighted stack
+    # is held; numpy adds the slices of a non-last axis in order, as the
+    # fold does
+    sub_mass = np.stack([fold(np.add, columns(np.moveaxis(
+        d.fusion_w[..., None] * d.inner_probs, -2, -1))) for d in decisions])
     s_tilde = np.stack([sched.significance(*frame)[1] for frame in zip(
         motion, m_tool, fold(np.maximum, columns(fusion_w)),
         sub_mass[..., rt.FINE], sub_mass[..., rt.SKIP])])

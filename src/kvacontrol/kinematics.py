@@ -129,8 +129,15 @@ class CameraModel:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+        for name in ("width", "height"):
+            size = getattr(self, name)
+            if not isinstance(size, (int, np.integer)) or size < 1:
+                raise InvalidParams(f"{name} must be an integer >= 1, got {size!r}")
         if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *R.flat, *t]).all():
             raise InvalidParams("camera intrinsics and extrinsics must be finite")
+        # the near-plane cull of the rasterizer assumes it is in front
+        if not 0 < self.z_near < np.inf:
+            raise InvalidParams(f"z_near must be finite and > 0, got {self.z_near}")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidParams("fx, fy must be > 0")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):

@@ -285,7 +285,8 @@ def lift(poses: PartPoses, cam: CameraModel, v_parts, alpha_parts, out):
 
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry, cam: CameraModel):
     """The trajectory's channels, one C-contiguous (T, H, W, 9) float64 array;
-    forward kinematics runs once per frame."""
+    forward kinematics runs once per frame. A pixel with no part label is
+    +0.0 in all nine channels, which the CLI's routing grids rely on."""
     poses = [forward_kinematics(state, geom) for state in traj.states]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         v, alpha = _part_motion(poses, cam, traj.dt)

@@ -23,7 +23,13 @@ once, and return the same bits as the public losses on fresh arrays:
   another: numpy's `mean(axis=0)` of a C-contiguous (N, 5) array adds its
   rows in the same sequence. `tokens @ token_w` does not change with
   `outer_w` or `outer_b`, so it is kept from the last evaluation with the
-  same `token_w`.
+  same `token_w`. The loss is a function of the `token_w` bytes and the
+  five logits `concat(c_action, t_embed) @ outer_w + outer_b` alone, so
+  each result is kept keyed on those two byte strings: a step on an
+  `outer_w` row whose embedding entry is about 1e-16 (the sin entries of
+  `timestep_embed(0.5)`) leaves the logits unchanged, and 74 of the 411
+  evaluations of `losses` on a 256 x 256, T=4 synth trajectory (seed 1)
+  repeat an earlier input.
 - `_src_evaluator` and `_cp_evaluator` recompute only the expert columns
   whose parameters changed. Each check perturbs one entry of `w[:, k]` or
   `b[k]`, so only logit column k changes. Logit column j of the product is
@@ -347,21 +353,27 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
     acc = np.empty_like(z)
     per_token = np.empty_like(z)  # expert-major tokens @ token_w
     formed_from = [None]  # the token_w bytes per_token holds the product of
+    seen = {}  # (token_w bytes, logits bytes) -> loss
 
     def loss(arrs):
         key = arrs["token_w"].tobytes()
+        logits = ce @ arrs["outer_w"] + arrs["outer_b"]
+        inputs = (key, logits.tobytes())
+        if inputs in seen:
+            return seen[inputs]
         if key != formed_from[0]:
             formed_from[0] = key
             product = tokens @ arrs["token_w"]  # outer_gate's matmul
             np.copyto(per_token, product.reshape(n, N_EXPERTS).T)
-        logits = ce @ arrs["outer_w"] + arrs["outer_b"]
         np.add(per_token, logits[:, None], out=z)
         np.subtract(z, fold(np.maximum, rows, out=col), out=z)
         np.exp(z, out=z)
         np.divide(z, fold(np.add, rows, out=col), out=z)
         f = np.bincount(argmax(rows), minlength=N_EXPERTS) / n
         Pbar = np.add.accumulate(z, axis=1, out=acc)[:, -1] / n
-        return kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar), prior)
+        seen[inputs] = kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar),
+                                   prior)
+        return seen[inputs]
 
     return loss
 

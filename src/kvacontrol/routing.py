@@ -8,13 +8,16 @@ modality. Fusion follows a dense -> sparse top-k capacity schedule.
 Expert operators are deliberately small (linear / pooled / identity): only the
 routing semantics matter here, not feature capacity.
 
-`route_forward` decides: it pools the frame, embeds the tokens, runs the
-outer gate, top-k and the capacity blend, and lifts and inner-gates each
-modality. It computes no expert output. `fuse_control` fuses: it reads the
-decision's inner gates, runs each modality's fine and transport sub-experts
-and sums the selected outputs weighted by the fusion weights. No CLI
-artefact reads the fused feature, so the CLI computes only the gates, as a
-sparse mixture of experts computes only the experts its gates select.
+`route_forward` decides: it takes one frame's pooled (H', W', 9) grid,
+embeds the tokens, runs the outer gate, top-k and the capacity blend, and
+lifts and inner-gates each modality. It computes no expert output. The
+caller pools with `avg_pool`, so a caller that knows where the tool is can
+pool only the blocks that hold it (see `cli._pooled_grids`). `fuse_control`
+fuses: it reads the decision's inner gates, runs each modality's fine and
+transport sub-experts and sums the selected outputs weighted by the fusion
+weights. No CLI artefact reads the fused feature, so the CLI computes only
+the gates, as a sparse mixture of experts computes only the experts its
+gates select.
 
 The short expert, sub-expert and block axes are reduced a column at a time
 by `_columns.fold` and `_columns.argmax`, with numpy's bits (see there).
@@ -66,7 +69,6 @@ class CapacitySchedule:
 class GateParams:
     """All learnable pieces of the two-tier router (plain numpy arrays)."""
 
-    stride: int
     c: int
     lift_w: np.ndarray  # (9, C) shared action lift
     lift_b: np.ndarray  # (C,)
@@ -93,7 +95,7 @@ def _check_stride(stride):
         raise InvalidParams(f"stride must be >= 1, got {stride}")
 
 
-def init_gate_params(seed=0, c=16, stride=4) -> GateParams:
+def init_gate_params(seed=0, c=16) -> GateParams:
     _check_token_dim(c)
     rng = np.random.default_rng(seed)
 
@@ -101,7 +103,6 @@ def init_gate_params(seed=0, c=16, stride=4) -> GateParams:
         return rng.normal(0.0, INIT_SCALE / np.sqrt(n_in), size=(n_in, n_out))
 
     return GateParams(
-        stride=stride,
         c=c,
         lift_w=lin(9, c),
         lift_b=np.zeros(c),
@@ -209,12 +210,11 @@ def _modality_tokens(field_pooled, params: GateParams, m: str):
     return x @ params.mod_lift_w[m] + params.mod_lift_b[m]
 
 
-def route_forward(channels: np.ndarray, params: GateParams, progress: float,
+def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
                   t_embed, sched: CapacitySchedule | None = None):
-    """Two-tier gating of one frame's (H, W, 9) channels: its pooled grid and
-    routing decision."""
+    """Two-tier gating of one frame's pooled (H', W', 9) grid: the grid and
+    its routing decision, the pair `fuse_control` takes."""
     sched = sched or CapacitySchedule()
-    pooled = avg_pool(channels, params.stride)
     tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
     c_action = tokens.mean(axis=(0, 1))
     P = outer_gate(c_action, t_embed, params, tokens)

@@ -299,7 +299,7 @@ def test_criterion_05_threshold_ema_convergence(capsys):
 def test_criterion_06_routing_invariants(capsys):
     def check():
         rng = np.random.default_rng(3)
-        params = rt.init_gate_params(seed=7, c=16, stride=4)
+        params = rt.init_gate_params(seed=7, c=16)
         tokens = rng.normal(size=(100, 100, 16))
         c_action = tokens.mean(axis=(0, 1))
         t_embed = rt.timestep_embed(0.5)

@@ -377,6 +377,33 @@ class TestLift:
         assert ch[..., 0:3].sum() > 0
         assert ch[..., 3].max() > 0
 
+    @pytest.mark.parametrize("case", ["seed-0", "seed-1", "seed-2", "seed-3",
+                                      "near-camera"])
+    def test_background_is_positive_zero(self, case):
+        # routing pools the background as a zero block (cli._pooled_grids):
+        # every channel of a pixel off the tool must be +0.0, not -0.0
+        geom = ToolGeometry()
+        if case == "near-camera":
+            # the shaft reaches past z_near and the tool crosses the border
+            cam = CameraModel(fx=20.0, fy=20.0, cx=20.0, cy=12.0, width=40,
+                              height=24)
+            states = [dataclasses.replace(DEFAULT_BASE_STATE,
+                                          p=np.array([0.004 * t, 0.002, 0.03]))
+                      for t in range(3)]
+            traj = Trajectory(states=tuple(states), dt=0.5)
+        else:
+            cam = default_camera(40, 24)
+            traj = synth_trajectory("composite", T=4, seed=int(case[-1]),
+                                    geom=geom)
+        fields = kvf.lift_trajectory(traj, geom, cam)
+        for f in fields:
+            tool = kvf.tool_mask(f) > 0
+            assert tool.any() and not tool.all()
+            if case == "near-camera":
+                assert (tool[0].any() or tool[-1].any() or tool[:, 0].any()
+                        or tool[:, -1].any())
+            assert f[~tool].tobytes() == np.zeros(((~tool).sum(), 9)).tobytes()
+
     def test_forward_kinematics_once_per_frame(self, monkeypatch):
         geom = ToolGeometry()
         cam = default_camera(32, 32)

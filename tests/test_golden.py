@@ -21,7 +21,11 @@ A fifth case runs one frame (T=1) at the non-square 32x48 (H x W; target
 seed 15, prediction seed 16). It pins the frame axis order of the lifted
 (T, H, W, 9) stack and the single-frame paths: no motion, so a zero motion
 peak, and an src check with no frame pair to compare. Its digests were
-recorded before a trajectory was lifted into one stacked array.
+recorded before a trajectory was lifted into one stacked array. A sixth
+case runs three frames at the non-square 40x56 (H x W; target seed 17,
+prediction seed 18) with `{"stride": 2}`, a 20x28 token grid of 2x2 blocks,
+so that the smallest pooling blocks are pinned; its digests were recorded
+before the routing grids were pooled from the tool's blocks only.
 
 The digests are pinned to the numpy and BLAS build they were recorded with
 (numpy 2.4.6, OpenBLAS 0.3.31). Another numpy or BLAS may round a float differently
@@ -144,6 +148,27 @@ GOLDEN_32X48_T1 = {
     'target/trajectory.txt': 'cd7157c9f95c92056e3653affe73bfe5f887c439428e7a41525363391b4a778e',
 }
 
+GOLDEN_40X56_STRIDE2 = {
+    'eval/metrics.csv': '74a2b1ad76e859e984fc8e2879d515fc9e85d1a8d35f19b1ad447094a73adc8f',
+    'lift/channel_stats.csv': '87ce0962fcc1e12f529eddc7a8114b72442c2e4e94edb9c76b8dd2da520a6463',
+    'lift/field_0001.kvaf': '51a3691f9836360bd8897a0cc3aeaaff4da95a3002a65874d46c0d02a24671a4',
+    'lift/field_0002.kvaf': 'b5e7a52148968b95b37d462a6b4268178673788d6ca161a3d66a9972332b4bb5',
+    'lift/field_0003.kvaf': '644c1d74dbf459daa66cd6279e446e7a44eb484c1e6c8e95dac46b2d21da91f3',
+    'losses/grad_check.csv': '50ca4ab5f9d3597f89bd2baa1bcd0440f6f7e7bccdd0196f2eb5d9e1eb0ec9a3',
+    'losses/losses.csv': 'd7ced3bd8a4d9fb269f2d08c38c6f5385c049b7d75b3b8855c4352cf1273f959',
+    'pred/masks/frame_0001.pgm': 'd9e7d9456a0b70c5788e87393032e55133b0df9ea7ba2e8b27cf0484c61e26e8',
+    'pred/masks/frame_0002.pgm': '58d5ce96516ba207e76aa7177635c530e170b6afafe081a69720ab41ce922c93',
+    'pred/masks/frame_0003.pgm': 'df80a5d53ab1843147ae3d2f27b97282009c4ae42475385291b83df3544a85b3',
+    'pred/trajectory.txt': '5770845c3dff72537fae86ac86c0521c0c1e88c4cd6ec38a34df6b387c31a9ba',
+    'route/routing_stats.csv': 'f38202de41930c26892dffa9a59a69b04215fa5c06df21ad42a783997cfca4ae',
+    'schedule/cost_summary.csv': 'efc04c4c59ee6a29b4872e14bfefb14e82b4b24323943d0354d7e112c2d9c2a6',
+    'schedule/execution.csv': '1bdf76aff81f7dfe0ed52547cc202c266c74772785f4e84409e9c611317c0584',
+    'target/masks/frame_0001.pgm': '1ef4406092f6846b7a22a8be57af18e267a43871258886f41785c96a57666466',
+    'target/masks/frame_0002.pgm': 'd585176fa0e4da4e05215addf770ed101e81e09394c2b73d24a65a979e4d6fd6',
+    'target/masks/frame_0003.pgm': '6e9a4284163673e1efd7d3c0eb06c4014b3a4a6b4e53dd898d7d528a12829d3f',
+    'target/trajectory.txt': '9ba5ad3fd9226c8d28a4d50866452b8ea56c2024a7ae0b35e1be12e09015e745',
+}
+
 
 CONFIG_NAME = "config.json"
 
@@ -186,7 +211,9 @@ CASES = ((GOLDEN, {}),
          (GOLDEN_128, {"resolution": "128x128", "frames": 3, "seed": 7}),
          (GOLDEN_STRIDE8, {"seed": 11, "config": {"stride": 8}}),
          (GOLDEN_TOKEN33, {"seed": 13, "config": {"token_dim": 33}}),
-         (GOLDEN_32X48_T1, {"resolution": "32x48", "frames": 1, "seed": 15}))
+         (GOLDEN_32X48_T1, {"resolution": "32x48", "frames": 1, "seed": 15}),
+         (GOLDEN_40X56_STRIDE2, {"resolution": "40x56", "frames": 3, "seed": 17,
+                                 "config": {"stride": 2}}))
 
 
 def check_case(root, golden, kwargs):
@@ -214,6 +241,10 @@ def test_artefacts_match_recorded_digests_token33(tmp_path):
 
 def test_artefacts_match_recorded_digests_32x48_t1(tmp_path):
     check_case(tmp_path, *CASES[4])
+
+
+def test_artefacts_match_recorded_digests_40x56_stride2(tmp_path):
+    check_case(tmp_path, *CASES[5])
 
 
 if __name__ == "__main__":

@@ -665,6 +665,29 @@ class TestCli:
         # is computed; each command routes each frame once
         assert calls == {"route_forward": 3 * 2, "fuse_control": 0}
 
+    def test_route_normalizes_only_tool_blocks(self, tmp_path, monkeypatch):
+        # the routing grids are pooled from the blocks that hold a tool pixel
+        # plus one zero block for the background row; a dense normalize of
+        # every frame would pass T * H * W pixels
+        traj = _trajectory_file(tmp_path, 64, frames=3)
+        s = fm.Config().stride
+        t, cam, _ = fm.read_trajectory(traj)
+        fields = kvf.lift_trajectory(t, ToolGeometry(), cam)
+        tool_blocks = sum(int((rt.avg_pool(m, s) > 0).sum())
+                          for m in kvf.tool_mask(fields))
+        bound = (tool_blocks + 1) * s * s
+        assert bound < fields[..., 0].size  # the premise: the tool is small
+        pixels = [0]
+        real = kvf.normalize
+
+        def counted(channels, stats):
+            pixels[0] += np.size(channels) // kvf.N_CHANNELS
+            return real(channels, stats)
+
+        monkeypatch.setattr(kvf, "normalize", counted)
+        self._run("--out", str(tmp_path / "o"), "route", "--traj", str(traj))
+        assert 0 < pixels[0] <= bound
+
     @pytest.mark.parametrize("command", ["lift", "schedule"])
     @pytest.mark.parametrize("frames,dt,finite", [
         (3, "1e-300", False),

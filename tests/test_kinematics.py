@@ -148,6 +148,28 @@ class TestCameraModel:
         with pytest.raises(InvalidParams, match="finite"):
             CameraModel(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("width", 64.5), ("height", 64.0), ("width", 0), ("height", -8),
+        ("height", "64"),
+    ], ids=["width-fraction", "height-float", "width-0", "height-negative",
+            "height-str"])
+    def test_camera_rejects_non_integer_size(self, field, value):
+        kwargs = dict(fx=50.0, fy=50.0, cx=0.5, cy=0.5, width=64, height=64)
+        kwargs[field] = value
+        with pytest.raises(InvalidParams, match=f"{field} must be an integer >= 1"):
+            CameraModel(**kwargs)
+
+    @pytest.mark.parametrize("z_near", [-1.0, 0.0, np.inf, np.nan])
+    def test_camera_rejects_z_near_outside_finite_positive(self, z_near):
+        with pytest.raises(InvalidParams, match="z_near must be finite and > 0"):
+            CameraModel(fx=50.0, fy=50.0, cx=32.0, cy=32.0, width=64, height=64,
+                        z_near=z_near)
+
+    def test_camera_accepts_numpy_integer_size(self):
+        cam = CameraModel(fx=50.0, fy=50.0, cx=16.0, cy=12.0,
+                          width=np.int64(32), height=np.int32(24))
+        assert (cam.width, cam.height) == (32, 24)
+
 
 class TestTrajectory:
     @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])

@@ -8,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kvacontrol import cli
 from kvacontrol import kva_field as kvf
 from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
 from kvacontrol._columns import argmax, columns, fold
+from kvacontrol.kinematics import (DEFAULT_BASE_STATE, ToolGeometry, Trajectory,
+                                   default_camera)
 
 
 masks = hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -272,6 +275,43 @@ def test_kp_alb_evaluator_matches_outer_gate_path(inputs, data):
         assert _float_bytes(loss(arrays)) == _float_bytes(want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(kp_inputs(), st.data())
+def test_kp_alb_evaluator_repeats_match_fresh_loss(inputs, data):
+    # the evaluator keeps each result keyed on the token_w and logits bytes:
+    # go back to earlier parameters, step outer_w rows whose embedding entry
+    # is too small to move the logits, and step any entry; every call must
+    # give the bits of the public loss on fresh arrays
+    tokens, c_action, t_embed, arrays, prior = inputs
+    c = tokens.shape[-1]
+    tiny = data.draw(st.lists(st.integers(0, rt.T_EMBED_DIM - 1), max_size=4))
+    t_embed[tiny] = 1e-16
+    params = rt.init_gate_params(c=c)
+    loss = pr._kp_alb_evaluator(tokens, c_action, t_embed, prior)
+    visited = [{k: v.copy() for k, v in arrays.items()}]
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(["revisit", "tiny", "any"]))
+        if step == "revisit":
+            arrays = {k: v.copy()
+                      for k, v in data.draw(st.sampled_from(visited)).items()}
+        else:
+            if step == "tiny" and tiny:
+                name = "outer_w"
+                idx = (c + data.draw(st.sampled_from(tiny)),
+                       data.draw(st.integers(0, rt.N_EXPERTS - 1)))
+            else:
+                name = data.draw(st.sampled_from(sorted(arrays)))
+                idx = data.draw(st.tuples(*(st.integers(0, n - 1)
+                                            for n in arrays[name].shape)))
+            arrays[name][idx] += data.draw(st.sampled_from([1e-5, -1e-5, 7.0]))
+            visited.append({k: v.copy() for k, v in arrays.items()})
+        fresh = {k: v.copy() for k, v in arrays.items()}
+        P = rt.outer_gate(c_action, t_embed,
+                          dataclasses.replace(params, **fresh), tokens=tokens)
+        want = pr.kp_alb_loss(pr.routing_stats(P), prior)
+        assert _float_bytes(loss(arrays)) == _float_bytes(want)
+
+
 def _old_src_loss(R, m_tool):
     if R.shape[0] < 2:
         return 0.0
@@ -383,21 +423,21 @@ def test_src_and_cp_evaluators_keep_columns_across_calls(inputs, data):
 
 @st.composite
 def route_inputs(draw):
-    """A tie-prone (H, W, 9) field, gate params (inner gates flat or not),
-    progress and top-k."""
+    """A tie-prone (H, W, 9) field and its pooling stride, gate params (inner
+    gates flat or not), progress and top-k."""
     stride = draw(st.sampled_from([1, 2, 4]))
     h, w = draw(st.integers(1, 4)) * stride, draw(st.integers(1, 4)) * stride
     channels = draw(hnp.arrays(np.float64, (h, w, kvf.N_CHANNELS),
                                elements=st.one_of(tie_values, st.floats(-3, 3))))
     params = rt.init_gate_params(seed=draw(st.integers(0, 3)),
-                                 c=draw(st.integers(1, 4)), stride=stride)
+                                 c=draw(st.integers(1, 4)))
     if draw(st.booleans()):  # uniform inner distributions: a 3-way tie
         for m in kvf.MODALITIES:
             params.inner_w[m][:] = 0.0
             params.inner_b[m][:] = 0.0
     sched = rt.CapacitySchedule(k=draw(st.integers(1, rt.N_EXPERTS)))
     progress = draw(st.sampled_from([0.0, 0.6, 1.0]))
-    return channels, params, sched, progress
+    return channels, stride, params, sched, progress
 
 
 @settings(max_examples=100, deadline=None)
@@ -406,11 +446,12 @@ def test_fuse_control_matches_expert_fold(inputs):
     # the oracle is the expert stack written out once with numpy's own
     # reductions, as it read before the column folds; only the fusion
     # weights are taken from the decision
-    field, params, sched, progress = inputs
+    field, stride, params, sched, progress = inputs
     t_embed = rt.timestep_embed(0.4)
-    pooled, dec = rt.route_forward(field, params, progress, t_embed, sched=sched)
+    grid = rt.avg_pool(field, stride)
+    pooled, dec = rt.route_forward(grid, params, progress, t_embed, sched=sched)
     ctrl = rt.fuse_control(pooled, dec, params)
-    assert pooled.tobytes() == rt.avg_pool(field, params.stride).tobytes()
+    assert pooled is grid
     want = np.zeros(dec.tokens.shape[:2] + (params.c,))
     for i, m in enumerate(kvf.MODALITIES):
         lifted = (pooled[..., kvf.MODALITY_CHANNELS[m]] @ params.mod_lift_w[m]
@@ -428,3 +469,40 @@ def test_fuse_control_matches_expert_fold(inputs):
         assert (dec.inner_sel[..., i] == sel).all()
         assert dec.inner_probs[..., i, :].tobytes() == probs.tobytes()
     assert ctrl.tobytes() == want.tobytes()
+
+
+# base offsets (m) that put the tool in view, near the camera (its shaft
+# reaching past z_near) and out of view
+TOOL_OFFSETS = {"in-view": (0.0, 0.0, 0.0), "near": (0.004, 0.002, -0.08),
+                "out-of-view": (0.5, 0.0, 0.0)}
+
+
+@st.composite
+def lifted_fields(draw):
+    """Lifted (T, H, W, 9) fields, T = 1 to 3 frames, the tool in view, near
+    the camera or out of view in each frame, and a pooling stride."""
+    stride = draw(st.sampled_from([1, 2, 4, 8]))
+    h, w = draw(st.integers(1, 5)) * stride, draw(st.integers(1, 5)) * stride
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        offset = np.array(TOOL_OFFSETS[draw(st.sampled_from(sorted(TOOL_OFFSETS)))])
+        jitter = np.array(draw(st.tuples(*[st.floats(-0.01, 0.01)] * 3)))
+        states.append(dataclasses.replace(
+            DEFAULT_BASE_STATE, p=DEFAULT_BASE_STATE.p + offset + jitter))
+    traj = Trajectory(states=tuple(states), dt=0.5)
+    return kvf.lift_trajectory(traj, ToolGeometry(), default_camera(w, h)), stride
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_fields())
+def test_pooled_grids_match_dense_pooling(case):
+    fields, s = case
+    stats = kvf.compute_stats(fields)
+    normed, pooled, m_tool = cli._pooled_grids(fields, stats, s)
+    assert normed.shape == pooled.shape == m_tool.shape + (kvf.N_CHANNELS,)
+    assert len(m_tool) == len(fields)
+    for t, f in enumerate(fields):
+        want = rt.avg_pool(kvf.normalize(f, stats), s)
+        assert normed[t].tobytes() == want.tobytes()
+        assert pooled[t].tobytes() == rt.avg_pool(f, s).tobytes()
+        assert m_tool[t].tobytes() == rt.avg_pool(kvf.tool_mask(f), s).tobytes()

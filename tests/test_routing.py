@@ -9,6 +9,8 @@ from kvacontrol import routing as rt
 from kvacontrol.errors import ShapeMismatch
 from kvacontrol.kinematics import ToolGeometry, default_camera, synth_trajectory
 
+STRIDE = 4  # the pooling stride of the full frames routed here
+
 
 def make_field(seed=0, hw=32):
     rng = np.random.default_rng(seed)
@@ -16,17 +18,21 @@ def make_field(seed=0, hw=32):
 
 
 def lifted_field(seed=0, hw=32):
+    """The last frame of a lifted composite trajectory, normalized and pooled
+    at STRIDE: the grid the CLI routes."""
     geom = ToolGeometry()
     cam = default_camera(hw, hw)
     traj = synth_trajectory("composite", T=4, seed=seed, geom=geom)
     fields = kvf.lift_trajectory(traj, geom, cam)
     stats = kvf.compute_stats(fields)
-    return kvf.normalize(fields[-1], stats)
+    return rt.avg_pool(kvf.normalize(fields[-1], stats), STRIDE)
 
 
 def route_tokens(field, params):
-    """route_forward's pooled gate feature c_action and its action tokens."""
-    _, dec = rt.route_forward(field, params, 1.0, rt.timestep_embed(0.5))
+    """route_forward's pooled gate feature c_action and its action tokens for
+    a full (H, W, 9) frame, pooled at STRIDE."""
+    _, dec = rt.route_forward(rt.avg_pool(field, STRIDE), params, 1.0,
+                              rt.timestep_embed(0.5))
     return dec.c_action, dec.tokens
 
 
@@ -51,7 +57,7 @@ class TestActionEmbed:
         params = rt.init_gate_params(2)
         f = make_field(3)
         _, tokens = route_tokens(f, params)
-        stride = params.stride
+        stride = STRIDE
         for (ti, tj) in [(0, 0), (3, 5), (7, 7)]:
             block = f[ti * stride:(ti + 1) * stride,
                       tj * stride:(tj + 1) * stride, :]
@@ -203,14 +209,14 @@ class TestRouteForward:
         pooled, dec = rt.route_forward(f, params, progress=1.0,
                                        t_embed=rt.timestep_embed(0.5))
         ctrl = rt.fuse_control(pooled, dec, params)
-        pooled = rt.avg_pool(f, params.stride)
-        lifted = (pooled[..., kvf.MODALITY_CHANNELS["sem"]]
+        assert pooled is f
+        lifted = (f[..., kvf.MODALITY_CHANNELS["sem"]]
                   @ params.mod_lift_w["sem"] + params.mod_lift_b["sem"])
         np.testing.assert_allclose(ctrl, lifted, atol=1e-12)
 
     def test_zero_field_zero_ctrl(self):
         params = rt.init_gate_params(1)
-        f = np.zeros((32, 32, 9))
+        f = rt.avg_pool(np.zeros((32, 32, 9)), STRIDE)
         pooled, dec = rt.route_forward(f, params, 0.5, rt.timestep_embed(0.1))
         ctrl = rt.fuse_control(pooled, dec, params)
         assert np.max(np.abs(ctrl)) < 1e-15
@@ -221,11 +227,12 @@ class TestRouteForward:
         progress = 0.6
         t_embed = rt.timestep_embed(0.4)
         sched = rt.CapacitySchedule()
-        pooled, dec = rt.route_forward(f, params, progress, t_embed, sched=sched)
+        pooled, dec = rt.route_forward(rt.avg_pool(f, STRIDE), params, progress,
+                                       t_embed, sched=sched)
         ctrl = rt.fuse_control(pooled, dec, params)
 
         # straight-line scalar re-implementation
-        s = params.stride
+        s = STRIDE
         hp, wp = 32 // s, 32 // s
         pooled = np.zeros((hp, wp, 9))
         for i in range(hp):
@@ -275,8 +282,8 @@ class TestRouteForward:
         dep = kvf.MODALITIES.index("dep")
         outs, gates = [], []
         for field in (f, perturbed):
-            pooled, dec = rt.route_forward(field, params, 0.5,
-                                           rt.timestep_embed(0.3))
+            pooled, dec = rt.route_forward(rt.avg_pool(field, STRIDE), params,
+                                           0.5, rt.timestep_embed(0.3))
             one_hot = np.zeros_like(dec.fusion_w)
             one_hot[..., dep] = 1.0
             outs.append(rt.fuse_control(
@@ -288,7 +295,7 @@ class TestRouteForward:
 
     def test_deterministic(self):
         params = rt.init_gate_params(7)
-        f = make_field(8)
+        f = rt.avg_pool(make_field(8), STRIDE)
         a = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))
         b = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))
         assert (rt.fuse_control(*a, params).tobytes()
@@ -308,7 +315,8 @@ class TestRouteForward:
             tied.inner_w[m][:] = 0.0
             tied.inner_b[m][:] = 0.0
         rng = np.random.default_rng(9)
-        quantized = rng.integers(-2, 3, size=(32, 32, 9)) * 0.5
+        quantized = rt.avg_pool(rng.integers(-2, 3, size=(32, 32, 9)) * 0.5,
+                                STRIDE)
         cases = [
             (lifted_field(2, hw=64), rt.init_gate_params(5), 0.6, 0.4,
              rt.CapacitySchedule(),
