@@ -14,12 +14,16 @@ Frame conventions (fixed here so rendering is deterministic):
   - the shaft-wrist hinge rotates about local y, the wrist-gripper hinges
     about local z, with the right gripper mirrored (negative angle).
 
-`project` is the one pinhole formula. `synth_trajectory`'s rates and sampling
-interval are the `SYNTH_*` constants; only its base state is a parameter.
+`project` is the one pinhole formula, and `pixel_box` the one rule that turns
+projected points into a padded pixel box clipped to the frame: the
+rasterizer's screen boxes and the action tubes' boxes both use it.
+`synth_trajectory`'s rates and sampling interval are the `SYNTH_*` constants;
+only its base state is a parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -253,6 +257,24 @@ def project(cam: CameraModel, x):
     check."""
     z = x[..., 2]
     return cam.fx * x[..., 0] / z + cam.cx, cam.fy * x[..., 1] / z + cam.cy
+
+
+def pixel_box(cam: CameraModel, u, v, reach=0.0):
+    """Pixel rows and columns of the bounding box of the points (u, v),
+    widened by `reach` px, padded by one pixel against rounding (-1 at the
+    low edge, +2 at the high edge) and clipped to the frame; it may be empty.
+
+    Each edge is clip(floor(x) - 1, 0, size) or clip(ceil(x) + 2, low, size),
+    taken as the floor or ceiling of x clipped first, in float: an integer
+    bound commutes with both, and a coordinate that projected to a huge
+    value or to +-inf then clips to the frame's edge instead of reaching
+    `int`."""
+    h, w = cam.height, cam.width
+    i0 = math.floor(min(max(min(v) - reach, 1.0), h + 1.0)) - 1
+    j0 = math.floor(min(max(min(u) - reach, 1.0), w + 1.0)) - 1
+    i1 = math.ceil(min(max(max(v) + reach, i0 - 2.0), h - 2.0)) + 2
+    j1 = math.ceil(min(max(max(u) + reach, j0 - 2.0), w - 2.0)) + 2
+    return slice(i0, i1), slice(j0, j1)
 
 
 def project_point(cam: CameraModel, x) -> tuple:

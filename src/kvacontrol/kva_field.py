@@ -12,7 +12,10 @@ from which v and alpha are differenced, and every per-part constant painted
 through a lookup table indexed by the rasterized part labels. The rasterizer
 ray-tests each capsule only inside its screen box, the bounding box of its
 3-D box's projected corners, which holds every pixel whose ray can hit it
-(see `rasterize_parts`), so its cost scales with the tool's pixel area.
+(see `rasterize_parts`), so its cost scales with the tool's pixel area. The
+box comes from `kinematics.pixel_box`, the rule `metrics.render_tube` also
+crops its action tubes with; it clips in float, so a pose that projects to
++-inf gets an empty or edge-clipped box instead of an overflow.
 
 The statistics, the standardization and the ray tests work on axes only 3, 6
 or 9 entries wide, where numpy pays its per-row overhead on every row. They
@@ -52,6 +55,7 @@ from .kinematics import (
     ToolGeometry,
     Trajectory,
     forward_kinematics,
+    pixel_box,
     project,
 )
 
@@ -165,21 +169,18 @@ def _pixel_rays(cam: CameraModel, rows: slice, cols: slice):
 def _screen_box(a, b, radius, cam: CameraModel):
     """Pixel rows and columns whose rays can hit the capsule (a, b, radius).
 
-    The box spans the projected corners of the capsule's axis-aligned 3-D box,
-    padded by one pixel against rounding and clipped to the frame; it may be
-    empty. When any of the capsule lies at or behind z_near, it is the whole
-    frame."""
-    h, w = cam.height, cam.width
+    The box is `kinematics.pixel_box` of the projected corners of the
+    capsule's axis-aligned 3-D box: padded by one pixel against rounding and
+    clipped to the frame; it may be empty. A corner far off to the side
+    projects to +-inf and clips to the frame's edge. When any of the capsule
+    lies at or behind z_near, it is the whole frame."""
     lo = np.minimum(a, b) - radius
     hi = np.maximum(a, b) + radius
     if lo[2] <= cam.z_near:
-        return slice(0, h), slice(0, w)
-    u, v = project(cam, np.array(list(product(*zip(lo, hi)))))  # 8 corners
-    i0 = min(max(int(np.floor(v.min())) - 1, 0), h)
-    j0 = min(max(int(np.floor(u.min())) - 1, 0), w)
-    i1 = max(min(int(np.ceil(v.max())) + 2, h), i0)
-    j1 = max(min(int(np.ceil(u.max())) + 2, w), j0)
-    return slice(i0, i1), slice(j0, j1)
+        return slice(0, cam.height), slice(0, cam.width)
+    with np.errstate(over="ignore"):
+        u, v = project(cam, np.array(list(product(*zip(lo, hi)))))  # 8 corners
+    return pixel_box(cam, u, v)
 
 
 def rasterize_parts(poses: PartPoses, cam: CameraModel):
@@ -233,8 +234,9 @@ def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
     mz = mid[2]
     if mz <= cam.z_near:
         return 0.0
-    du = cam.fx * (w[0] * mz - mid[0] * w[2]) / (mz * mz)
-    dv = cam.fy * (w[1] * mz - mid[1] * w[2]) / (mz * mz)
+    with np.errstate(over="ignore"):  # a far-off part gets an infinite du
+        du = cam.fx * (w[0] * mz - mid[0] * w[2]) / (mz * mz)
+        dv = cam.fy * (w[1] * mz - mid[1] * w[2]) / (mz * mz)
     if np.hypot(du, dv) < 1e-12:
         return 0.0
     return float(np.arctan2(dv, du) / np.pi)
@@ -292,9 +294,12 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry, cam: CameraModel):
         v, alpha = _part_motion(poses, cam, traj.dt)
     # KVAF stores channels as float32, so a finite value beyond its range
     # would turn into inf on write
-    if not (np.abs(v).max() <= _F4_MAX and alpha.max() <= _F4_MAX):
-        raise NonFiniteInput(f"dt {traj.dt:g} makes the part velocity or "
-                             f"acceleration exceed float32's range")
+    bad = ~((np.abs(v) <= _F4_MAX).all(axis=-1) & (alpha <= _F4_MAX))
+    if bad.any():
+        t, k = np.argwhere(bad)[0]
+        raise NonFiniteInput(
+            f"frame {t + 1}: the {PART_NAMES[k]}'s projected velocity or "
+            f"acceleration exceeds float32's range (dt {traj.dt:g})")
     channels = np.empty((len(poses), cam.height, cam.width, N_CHANNELS))
     for t, p in enumerate(poses):
         lift(p, cam, v[t], alpha[t], out=channels[t])

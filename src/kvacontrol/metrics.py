@@ -5,6 +5,14 @@ in rows at growing offsets until no farther row can be nearer), symmetric
 Chamfer distance on the masks' joint bounding box, temporal IoU, area flicker,
 Dice, and the per-sequence aggregation rules. Also renders fixed-width action
 tubes from projected tool skeletons for use as ground-truth masks.
+
+`render_tube` measures each part's tube only on that tube's pixel box
+(`kinematics.pixel_box` of the projected segment, widened by the half width),
+so its cost scales with the tube, not with the frame. Every pixel outside the
+box is more than half width + 1 px from the segment, and the per-pixel
+arithmetic is elementwise, so the labels keep their bits. Past `TUBE_CROP_MAX`
+px that bound no longer holds in floating point, and the part is measured on
+the whole frame.
 """
 
 from __future__ import annotations
@@ -20,10 +28,14 @@ from .kinematics import (
     BehindCamera,
     CameraModel,
     PartPoses,
+    pixel_box,
     project_point,
 )
 
 INF = 1e18
+# largest |u|, |v| of a tube's endpoints, and half width, that `render_tube`
+# crops at; beyond it a part is measured on the whole frame
+TUBE_CROP_MAX = 2.0 ** 20
 
 
 def _row_pass(mask: np.ndarray) -> np.ndarray:
@@ -205,30 +217,64 @@ def _point_segment_dist2(px, py, ax, ay, bx, by):
 
 
 def _check_half_width(half_width):
-    if not half_width > 0:
-        raise InvalidParams(f"tube half width must be > 0, got {half_width}")
+    if not 0 < half_width < np.inf:
+        raise InvalidParams(f"tube half width must be finite and > 0, "
+                            f"got {half_width}")
 
 
 def render_tube(poses: PartPoses, cam: CameraModel, half_width: float = 3.0):
     """Label mask from the projected tool skeleton, drawn as fixed-width tubes.
 
-    Overlaps are resolved front-most by the segment midpoint depth."""
+    Overlaps are resolved front-most by the segment midpoint depth.
+
+    Each part is measured only on its tube's box: `pixel_box` of the two
+    projected endpoints widened by `half_width`, padded by -1 px at the low
+    edge and +2 px at the high edge and clipped to the frame. The crop leaves
+    every label's bits as the whole frame gives them:
+
+    - `_point_segment_dist2` and the depth test are elementwise, and the
+      pixel coordinates are the same float values, so a pixel inside the box
+      gets the same squared distance and the same outcome.
+    - A pixel outside the box is more than `half_width` + 1 px from the
+      segment along a row or a column: a row i < i0 has i <= fl(v_min - hw)
+      - 2, and fl(v_min - hw) rounds by under 2^-31 px when |v| and hw are at
+      most 2^20; the high edge is symmetric. So its exact squared distance
+      exceeds hw^2 + 2 hw + 1, a margin of over 1 px^2. With every endpoint
+      coordinate and hw at most `TUBE_CROP_MAX` = 2^20, a pixel within 2^22
+      px of the segment has every intermediate below 2^23 in magnitude, and
+      the computed squared distance is off by far less than 1 px^2; a pixel
+      farther out has a squared distance above 2^44 > hw^2 however it
+      rounds. Either way `d2 <= hw^2` is false, as the crop assumes.
+    - Past `TUBE_CROP_MAX`, rounding and overflow can exceed the margin, so
+      such a part (or a half width past it) is measured on the whole frame.
+
+    Projections that overflow to +-inf are such parts: their tube misses
+    every pixel, as the whole-frame comparison against nan or inf says."""
     _check_half_width(half_width)
     h, w = cam.height, cam.width
     labels = np.zeros((h, w), dtype=int)
     best_z = np.full((h, w), np.inf)
     hw2 = half_width * half_width
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     for part in PART_NAMES:
         a, b = poses.endpoints[part]
         try:
-            ua, va, za = project_point(cam, a)
-            ub, vb, zb = project_point(cam, b)
+            with np.errstate(over="ignore"):
+                ua, va, za = project_point(cam, a)
+                ub, vb, zb = project_point(cam, b)
         except BehindCamera:
             continue
-        d2 = _point_segment_dist2(jj.astype(float), ii.astype(float), ua, va, ub, vb)
+        if all(abs(x) <= TUBE_CROP_MAX for x in (ua, ub, va, vb, half_width)):
+            rows, cols = pixel_box(cam, (ua, ub), (va, vb), half_width)
+        else:
+            rows, cols = slice(0, h), slice(0, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = _point_segment_dist2(
+                np.arange(cols.start, cols.stop, dtype=float),
+                np.arange(rows.start, rows.stop, dtype=float)[:, None],
+                ua, va, ub, vb)
         z_mid = 0.5 * (za + zb)
-        hit = (d2 <= hw2) & (z_mid < best_z)
-        labels[hit] = PART_SEMANTIC_CLASS[part] + 1
-        best_z[hit] = z_mid
+        near = best_z[rows, cols]
+        hit = (d2 <= hw2) & (z_mid < near)
+        labels[rows, cols][hit] = PART_SEMANTIC_CLASS[part] + 1
+        near[hit] = z_mid
     return labels

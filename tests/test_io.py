@@ -17,7 +17,8 @@ from kvacontrol.errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from kvacontrol.kinematics import (ToolGeometry, default_camera,
+from kvacontrol.kinematics import (ArticulatedState, ToolGeometry,
+                                   Trajectory, default_camera,
                                    forward_kinematics, synth_trajectory)
 
 
@@ -521,6 +522,7 @@ class TestCli:
         ('{"frames": 0}', "route"),
         ('{"trajectory_kind": "spiral"}', "lift"),
         ('{"tube_half_width": 0.0}', "schedule"),
+        ('{"tube_half_width": Infinity}', "synth"),
     ], ids=["invalid-json", "stride-str", "frames-float", "resolution-str",
             "top_k-bool", "rho-sum", "rho-negative", "stride-0",
             "stride-negative", "token_dim-0", "half_width-negative", "top_k-9",
@@ -531,7 +533,7 @@ class TestCli:
             "refresh_k-unread", "rho_full-unread", "dense_end-unread",
             "progress-unread", "timestep-unread", "token_dim-unread",
             "resolution-unread", "frames-unread", "kind-unread",
-            "half_width-unread"])
+            "half_width-unread", "half_width-inf"])
     def test_bad_config_clean_error(self, tmp_path, capsys, text, command):
         cfg = tmp_path / "c.json"
         cfg.write_text(text)
@@ -626,6 +628,38 @@ class TestCli:
         # the report's call before the check computed the base columns;
         # each evaluation then changes one column
         assert 0 < n_entries <= n_evals * column
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["lift", "route"])
+    def test_far_off_pose_has_no_tool_pixel(self, tmp_path, capsys, command):
+        # a finite pose whose projection overflows to +-inf: nothing of the
+        # tool is in the frame, and no warning reaches stderr
+        traj = tmp_path / "t.txt"
+        fm.write_trajectory(traj, Trajectory(
+            states=(ArticulatedState.from_vector(
+                [1e306, 0, 0.11, 0.25, -0.06, -0.2, 0.03, 0.34, 0.34]),),
+            dt=1 / 30), default_camera(32, 32))
+        out = tmp_path / "o"
+        code = cli.main(["--out", str(out), command, "--traj", str(traj)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        if command == "lift":
+            channels = fm.read_field(out / "field_0001.kvaf").channels
+            assert not channels[..., :3].any()
+
+    def test_motion_overflow_names_frame_and_part(self, tmp_path, capsys):
+        # an ordinary dt; frame 1 lies 1e306 m to the side, frame 2 on axis
+        states = [ArticulatedState.from_vector(
+            [x, 0, 0.11, 0.25, -0.06, -0.2, 0.03, 0.34, 0.34])
+            for x in (1e306, 0.0)]
+        traj = tmp_path / "t.txt"
+        fm.write_trajectory(traj, Trajectory(states=states, dt=1 / 30),
+                            default_camera(32, 32))
+        code = cli.main(["--out", str(tmp_path / "o"), "lift",
+                         "--traj", str(traj)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: frame 2: the shaft's projected velocity or acceleration "
+            "exceeds float32's range (dt 0.0333333)\n")
 
     @pytest.mark.parametrize("frames", [1, 2, 3])
     def test_route_fewer_tokens_than_bins(self, tmp_path, capsys, frames):

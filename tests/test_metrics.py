@@ -1,12 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvacontrol import metrics as mt
+from kvacontrol.errors import BehindCamera, InvalidParams
 from kvacontrol.kinematics import (
+    DEFAULT_BASE_STATE,
+    PART_NAMES,
+    PART_SEMANTIC_CLASS,
     ArticulatedState,
+    PartPoses,
     ToolGeometry,
     default_camera,
     forward_kinematics,
+    project_point,
+    synth_trajectory,
 )
 
 
@@ -308,3 +319,144 @@ class TestRenderTube:
         poses = forward_kinematics(state, geom)
         labels = mt.render_tube(poses, default_camera(32, 32))
         assert (labels == 0).all()
+
+
+def dense_render_tube(poses, cam, half_width):
+    """`render_tube` measured on every pixel of the frame: the reference the
+    cropped one must match bit for bit."""
+    h, w = cam.height, cam.width
+    labels = np.zeros((h, w), dtype=int)
+    best_z = np.full((h, w), np.inf)
+    hw2 = half_width * half_width
+    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    for part in PART_NAMES:
+        a, b = poses.endpoints[part]
+        try:
+            with np.errstate(over="ignore"):
+                ua, va, za = project_point(cam, a)
+                ub, vb, zb = project_point(cam, b)
+        except BehindCamera:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = mt._point_segment_dist2(jj.astype(float), ii.astype(float),
+                                         ua, va, ub, vb)
+        z_mid = 0.5 * (za + zb)
+        hit = (d2 <= hw2) & (z_mid < best_z)
+        labels[hit] = PART_SEMANTIC_CLASS[part] + 1
+        best_z[hit] = z_mid
+    return labels
+
+
+# (width, height): one pixel, non-square both ways, and large256's frame
+TUBE_SIZES = [(1, 1), (5, 3), (32, 48), (256, 256)]
+TUBE_HALF_WIDTHS = [0.5, 3.0, 8.0, 1e200]
+
+
+def _measured_areas(monkeypatch):
+    """Pixels `render_tube` measures per part, recorded as it runs."""
+    areas = []
+    dist2 = mt._point_segment_dist2
+
+    def counting(px, py, *segment):
+        areas.append(np.broadcast(px, py).size)
+        return dist2(px, py, *segment)
+
+    monkeypatch.setattr(mt, "_point_segment_dist2", counting)
+    return areas
+
+
+# a pixel coordinate: a fraction of the frame's side (on the frame or over
+# its border), or px around the 2^20 px fallback and far past it
+_FAR_PX = [2.0 ** 20 - 3, 2.0 ** 20 - 0.5, 2.0 ** 20, 2.0 ** 20 + 0.5,
+           2.0 ** 20 + 3, 1e12, 1e100, 1e306]
+_PIXEL = st.one_of(st.floats(-1.0, 2.0).map(lambda f: ("frac", f)),
+                   st.sampled_from(_FAR_PX + [-px for px in _FAR_PX]).map(
+                       lambda px: ("px", px)))
+
+
+def _point_at(cam, u, v, z):
+    """The camera-frame point at depth z that projects to pixel (u, v)."""
+    return np.array([(u - cam.cx) * z / cam.fx, (v - cam.cy) * z / cam.fy, z])
+
+
+class TestRenderTubeCrop:
+    """`render_tube` measures each tube on its own pixel box; the labels
+    must be those of measuring every pixel, `tobytes()`-identical."""
+
+    @pytest.mark.parametrize("half_width", TUBE_HALF_WIDTHS)
+    @pytest.mark.parametrize("depth", [0.003, 0.01, 0.05, 0.11])
+    @pytest.mark.parametrize("size", TUBE_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_synth_poses_match_dense(self, size, depth, half_width):
+        # a base pose a few mm to 11 cm deep, as perfbench's exit128 writer
+        # places it at 5 cm with 8 px tubes: large tubes crossing the border
+        geom = ToolGeometry()
+        cam = default_camera(*size)
+        base = dataclasses.replace(DEFAULT_BASE_STATE, p=np.array([0.0, 0.0, depth]))
+        traj = synth_trajectory("composite", params={"base": base}, T=3,
+                                seed=7, geom=geom)
+        for state in traj.states:
+            poses = forward_kinematics(state, geom)
+            assert (mt.render_tube(poses, cam, half_width).tobytes()
+                    == dense_render_tube(poses, cam, half_width).tobytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.sampled_from(TUBE_SIZES[:3]),
+           half_width=st.one_of(st.sampled_from(TUBE_HALF_WIDTHS),
+                                st.floats(0.01, 100.0)),
+           segments=st.lists(st.tuples(
+               _PIXEL, _PIXEL, _PIXEL, _PIXEL,
+               # depths: in front, then also near or behind z_near
+               st.floats(1e-3, 0.3), st.floats(-0.01, 0.3),
+               st.booleans()), min_size=4, max_size=4))
+    def test_random_segments_match_dense(self, size, half_width, segments):
+        cam = default_camera(*size)
+        dims = (cam.width, cam.height, cam.width, cam.height)
+        endpoints = {}
+        for part, (*coords, za, zb, degenerate) in zip(PART_NAMES, segments):
+            ua, va, ub, vb = (f * d if kind == "frac" else f
+                              for (kind, f), d in zip(coords, dims))
+            a = _point_at(cam, ua, va, za)
+            b = a.copy() if degenerate else _point_at(cam, ub, vb, zb)
+            endpoints[part] = (a, b)
+        poses = PartPoses({}, {}, endpoints, {})
+        assert (mt.render_tube(poses, cam, half_width).tobytes()
+                == dense_render_tube(poses, cam, half_width).tobytes())
+
+    @pytest.mark.parametrize("u", [2.0 ** 20 - 1, 2.0 ** 20, 2.0 ** 20 + 1,
+                                   -(2.0 ** 20) - 1, -1e100, 1e306])
+    def test_fallback_edge_matches_dense(self, monkeypatch, u):
+        # one gripper tube from u px along the rows into the frame; at
+        # -1e100 px the whole-frame distances round to hits that a crop
+        # would miss
+        cam = default_camera(32, 48)
+        poses = forward_kinematics(ArticulatedState(
+            p=np.array([0.0, 0.0, 0.11]), r=np.zeros(3), q_sw=0.3, q_lg=0.3,
+            q_rg=0.3), ToolGeometry())
+        endpoints = dict(poses.endpoints)
+        endpoints["left_gripper"] = (_point_at(cam, u, 40.0, 0.1),
+                                     _point_at(cam, 10.0, 20.0, 0.1))
+        poses = dataclasses.replace(poses, endpoints=endpoints)
+        areas = _measured_areas(monkeypatch)
+        labels = mt.render_tube(poses, cam, 3.0)
+        assert labels.tobytes() == dense_render_tube(poses, cam, 3.0).tobytes()
+        assert (labels == 3).any()
+        # past 2^20 px the gripper is measured on the whole frame
+        whole = areas[PART_NAMES.index("left_gripper")] == cam.width * cam.height
+        assert whole == (abs(u) > mt.TUBE_CROP_MAX)
+
+    def test_measures_only_tube_boxes(self, monkeypatch):
+        cam = default_camera(256, 256)
+        geom = ToolGeometry()
+        areas = _measured_areas(monkeypatch)
+        for state in synth_trajectory("composite", T=4, seed=1, geom=geom).states:
+            areas.clear()
+            mt.render_tube(forward_kinematics(state, geom), cam)
+            # the four boxes cover about a quarter of the frame; measuring
+            # every pixel for every part would be four frames
+            assert len(areas) == 4 and sum(areas) < 0.5 * 256 * 256
+
+    @pytest.mark.parametrize("half_width", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_half_width_outside_finite_positive(self, half_width):
+        poses = forward_kinematics(DEFAULT_BASE_STATE, ToolGeometry())
+        with pytest.raises(InvalidParams):
+            mt.render_tube(poses, default_camera(16, 16), half_width)
