@@ -2,6 +2,12 @@
 
 Every subcommand is a pure function of (config, seed, input files); identical
 invocations produce byte-identical outputs. Reports are CSV with a header row.
+
+`lift`, `route`, `losses` and `schedule` lift their trajectory into compact
+form, `kva_field.LiftedTrajectory`: part labels, depth and per-part tables.
+`lift` paints each frame's KVAF planes from its table, and the routing pass
+paints only the tool's blocks (`_pooled_grids`); no command paints a whole
+(T, H, W, 9) stack.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ def cmd_synth(cfg: Config, seed: int, out: str):
     return 0
 
 
-def _load_fields(traj_path, resolution=None):
+def _load_fields(traj_path, resolution=None) -> kvf.LiftedTrajectory:
     """Lift a trajectory file at its camera's H x W, which `resolution` (the
     --resolution flag, when given) must equal."""
     traj, cam, _ = read_trajectory(traj_path)
@@ -95,12 +101,11 @@ def _load_fields(traj_path, resolution=None):
     return kvf.lift_trajectory(traj, ToolGeometry(), cam)
 
 
-def cmd_lift(fields, out: str):
-    """Trajectory channels -> per-frame KVAF binaries + channel statistics."""
-    stats = kvf.compute_stats(fields)
-    for t, channels in enumerate(fields):
-        write_field(kvf.KvaField(channels, t=t),
-                    os.path.join(out, f"field_{t + 1:04d}.kvaf"))
+def cmd_lift(lifted: kvf.LiftedTrajectory, out: str):
+    """Lifted trajectory -> per-frame KVAF binaries + channel statistics."""
+    stats = kvf.compute_stats(lifted)
+    for t in range(len(lifted)):
+        write_field(lifted.field(t), os.path.join(out, f"field_{t + 1:04d}.kvaf"))
     write_csv(os.path.join(out, "channel_stats.csv"),
               ["channel", "mean", "std"],
               [[kvf.CHANNEL_NAMES[3 + i], stats.mean[i], stats.std[i]]
@@ -129,47 +134,52 @@ class RoutingRun:
     s_tilde: np.ndarray  # (T, H', W') normalized significance
 
 
-def _pooled_grids(fields, stats: kvf.ChannelStats, s: int):
-    """The routing grids of lifted (T, H, W, 9) fields at stride s, each
-    stacked over the frames with the bits of pooling the whole frames: the
+def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
+                  s: int):
+    """The routing grids of a lifted trajectory at stride s, each stacked
+    over the frames with the bits of pooling the painted frames f: the
     normalized grid `avg_pool(normalize(f, stats), s)` that routing reads,
     the raw grid `avg_pool(f, s)` and the pooled tool mask
-    `avg_pool(tool_mask(f), s)`.
+    `avg_pool(labels >= 0, s)`.
 
-    Only the blocks that hold a tool pixel are normalized and pooled. This
-    rests on an invariant of `lift_trajectory`: a pixel with no part label
-    is +0.0 in all nine channels. `avg_pool` folds each block on its own,
-    elementwise in row-major order, and `normalize` is elementwise, so a
-    block with no tool pixel pools to 0.0 in the raw grid and the mask and
-    to one constant row, that of a zero block, in the normalized grid; and
-    a tool block gets the same bits pooled alone as in its frame. Fields
-    that break the invariant get wrong grids, so this is not public."""
+    Only the blocks that hold a tool pixel are painted, normalized and
+    pooled. `avg_pool` folds each block on its own, elementwise in row-major
+    order, and `normalize` is elementwise, so a tool block gets the same bits
+    pooled alone as in its frame. Every channel of a pixel off the tool is
+    +0.0, so a block with no tool pixel pools to 0.0 in the raw grid and to
+    one constant row, that of a zero block, in the normalized grid."""
     n = kvf.N_CHANNELS
-    m_tool = np.stack([rt.avg_pool(m, s) for m in kvf.tool_mask(fields)])
-    _, hp, wp = m_tool.shape
+    m_tool = np.stack([rt.avg_pool(labels >= 0, s) for labels in lifted.labels])
     normed = np.empty(m_tool.shape + (n,))
     normed[...] = rt.avg_pool(kvf.normalize(np.zeros((s, s, n)), stats), s)
     pooled = np.zeros_like(normed)
-    for f, m, normed_t, pooled_t in zip(fields, m_tool, normed, pooled):
-        bi, bj = np.nonzero(m > 0)
-        # the tool blocks side by side in one (s, nb * s, 9) strip
-        strip = f.reshape(hp, s, wp, s, n)[bi, :, bj].transpose(1, 0, 2, 3)
-        strip = strip.reshape(s, len(bi) * s, n)
-        pooled_t[bi, bj] = rt.avg_pool(strip, s)[0]
-        normed_t[bi, bj] = rt.avg_pool(kvf.normalize(strip, stats), s)[0]
+    for t, m in enumerate(m_tool):
+        bi, bj = np.nonzero(m)
+        f = kvf.paint(lifted.tables[t], _block_strip(lifted.labels[t], bi, bj, s),
+                      _block_strip(lifted.depth[t], bi, bj, s))
+        pooled[t, bi, bj] = rt.avg_pool(f, s)[0]
+        normed[t, bi, bj] = rt.avg_pool(kvf.normalize(f, stats), s)[0]
     return normed, pooled, m_tool
 
 
-def _routing_run(cfg: Config, seed: int, fields) -> RoutingRun:
-    """Shared forward pass over lifted trajectory channels (T, H, W, 9):
-    each frame's grids are pooled from the tool's blocks only
-    (`_pooled_grids`) and routed once."""
+def _block_strip(a, bi, bj, s):
+    """The s x s blocks (bi, bj) of an (H, W) array side by side in one
+    (s, len(bi) * s) strip."""
+    h, w = a.shape
+    a = a.reshape(h // s, s, w // s, s)[bi, :, bj].transpose(1, 0, 2)
+    return a.reshape(s, len(bi) * s)
+
+
+def _routing_run(cfg: Config, seed: int,
+                 lifted: kvf.LiftedTrajectory) -> RoutingRun:
+    """Shared forward pass over a lifted trajectory: each frame's grids are
+    pooled from the tool's blocks only (`_pooled_grids`) and routed once."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
                                    sparse_start=cfg.sparse_start, k=cfg.top_k)
     t_embed = rt.timestep_embed(cfg.timestep)
-    normed, pooled, m_tool = _pooled_grids(fields, kvf.compute_stats(fields),
+    normed, pooled, m_tool = _pooled_grids(lifted, kvf.compute_stats(lifted),
                                            cfg.stride)
     decisions = [rt.route_forward(g, params, cfg.progress, t_embed,
                                   sched=schedule)[1] for g in normed]
@@ -192,11 +202,11 @@ def _routing_run(cfg: Config, seed: int, fields) -> RoutingRun:
 N_MOTION_BINS = 3  # low / medium / high, mirroring the execution tiers
 
 
-def cmd_route(cfg: Config, seed: int, fields, out: str):
+def cmd_route(cfg: Config, seed: int, lifted, out: str):
     """Routing decisions + modality/scale statistics binned by motion
     magnitude quantiles into N_MOTION_BINS bins."""
     budget = _budget(cfg)
-    run = _routing_run(cfg, seed, fields)
+    run = _routing_run(cfg, seed, lifted)
     motion = run.motion.reshape(-1)
     if motion.size < N_MOTION_BINS:
         raise ShapeMismatch(f"route needs at least {N_MOTION_BINS} tokens for "
@@ -242,13 +252,13 @@ def _value_and_check(loss_fn, arrays: dict, analytic):
                                           dict(zip(arrays, analytic)))
 
 
-def cmd_losses(cfg: Config, seed: int, fields, out: str):
+def cmd_losses(cfg: Config, seed: int, lifted, out: str):
     """All kinematic-prior losses on one sequence + gradient-check report.
 
     Each reported loss is its grad check's evaluator at the unperturbed
     parameters, so the report and the check share one path. The checks run
     one after another, so one evaluator's buffers are alive at a time."""
-    run = _routing_run(cfg, seed, fields)
+    run = _routing_run(cfg, seed, lifted)
     rng = subsystem_rng(seed, "losses")
     weights = pr.LossWeights(lam_kp=cfg.lam_kp, lam_src=cfg.lam_src,
                              lam_cp=cfg.lam_cp, lam_sub=cfg.lam_sub)
@@ -264,14 +274,14 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
                    for name in ("outer_w", "outer_b", "token_w")}
 
     cp, cp_err = _value_and_check(
-        pr._cp_evaluator(tokens, A, predictor.tau), pred_params,
+        pr._cp_evaluator(tokens, A), pred_params,
         pr.cp_loss_grad(tokens, predictor, A))
     kp, kp_err = _value_and_check(
         pr._kp_alb_evaluator(tokens, c_action, t_embed, prior), gate_params,
         pr.kp_alb_grad(tokens, c_action, t_embed, run.params.outer_w,
                        run.params.outer_b, run.params.token_w, prior))
     src, src_err = _value_and_check(
-        pr._src_evaluator(run.tokens, m_seq, predictor.tau), pred_params,
+        pr._src_evaluator(run.tokens, m_seq), pred_params,
         pr.src_loss_grad(run.tokens, predictor, m_seq))
 
     f_sub, p_sub = pr.sub_routing_stats(run.last)
@@ -289,10 +299,10 @@ def cmd_losses(cfg: Config, seed: int, fields, out: str):
     return 0
 
 
-def cmd_schedule(cfg: Config, seed: int, fields, out: str):
+def cmd_schedule(cfg: Config, seed: int, lifted, out: str):
     """Significance, plans, refresh, and a simulated cost report."""
     budget = _budget(cfg)
-    s_tilde = _routing_run(cfg, seed, fields).s_tilde
+    s_tilde = _routing_run(cfg, seed, lifted).s_tilde
     plans = [sched.partition(s, budget) for s in s_tilde]
     s_means = [float(s.mean()) for s in s_tilde]
     refresh = np.array([sched.refresh_interval(s, budget) for s in s_means])
@@ -420,15 +430,15 @@ def main(argv=None):
         if args.command == "synth":
             return cmd_synth(cfg, args.seed, args.out)
         if args.command in TRAJECTORY_COMMANDS:
-            fields = _load_fields(args.traj, resolution)
+            lifted = _load_fields(args.traj, resolution)
         if args.command == "lift":
-            return cmd_lift(fields, args.out)
+            return cmd_lift(lifted, args.out)
         if args.command == "route":
-            return cmd_route(cfg, args.seed, fields, args.out)
+            return cmd_route(cfg, args.seed, lifted, args.out)
         if args.command == "losses":
-            return cmd_losses(cfg, args.seed, fields, args.out)
+            return cmd_losses(cfg, args.seed, lifted, args.out)
         if args.command == "schedule":
-            return cmd_schedule(cfg, args.seed, fields, args.out)
+            return cmd_schedule(cfg, args.seed, lifted, args.out)
         if args.command == "eval":
             return cmd_eval(args.pred, args.target, args.out)
         if args.command == "report":

@@ -38,13 +38,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_bytes(path, data: bytes):
-    """Write-temp-then-rename so readers never observe partial files."""
+def atomic_write_bytes(path, *chunks):
+    """Write the bytes-like chunks one after another; write-temp-then-rename
+    so readers never observe partial files."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -151,11 +153,11 @@ def read_trajectory(path):
 
 
 def write_field(field: KvaField, path):
-    h, w = field.channels.shape[:2]
+    h, w = field.planes.shape[1:]
     header = KVAF_MAGIC + struct.pack("<5I", KVAF_VERSION, h, w, field.t, N_CHANNELS)
-    payload = np.ascontiguousarray(
-        np.moveaxis(field.channels, 2, 0), dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    # the planes are written from their own buffer, not copied into bytes
+    atomic_write_bytes(path, header,
+                       np.ascontiguousarray(field.planes, dtype="<f4"))
 
 
 def read_field(path) -> KvaField:
@@ -171,8 +173,8 @@ def read_field(path) -> KvaField:
     expected = 24 + 4 * h * w * c
     if len(data) < expected:
         raise TruncatedFile(f"expected {expected} bytes, got {len(data)}")
-    channels = np.frombuffer(data[24:expected], dtype="<f4").reshape(c, h, w)
-    return KvaField(channels=np.moveaxis(channels, 0, 2).astype(float), t=t)
+    planes = np.frombuffer(data[24:expected], dtype="<f4").reshape(c, h, w)
+    return KvaField(planes=planes, t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -6,33 +6,40 @@ rho is the projected long-axis angle of the visible part (normalized by pi),
 v is the per-part projected centroid velocity (u, v, z), alpha the magnitude
 of its temporal change.
 
-`lift_trajectory` fills one (T, H, W, 9) array: forward kinematics once per
-frame, the capsule midpoints projected once into a (T, 4, 3) centroid track
-from which v and alpha are differenced, and every per-part constant painted
-through a lookup table indexed by the rasterized part labels. The rasterizer
-ray-tests each capsule only inside its screen box, the bounding box of its
-3-D box's projected corners, which holds every pixel whose ray can hit it
-(see `rasterize_parts`), so its cost scales with the tool's pixel area. The
-box comes from `kinematics.pixel_box`, the rule `metrics.render_tube` also
-crops its action tubes with; it clips in float, so a pose that projects to
-+-inf gets an empty or edge-clipped box instead of an overflow.
+Every channel but depth is constant on each part, so `lift_trajectory`
+returns the field in compact form, a `LiftedTrajectory`: the rasterized part
+labels (T, H, W), the depth (T, H, W) and one (5, 9) table of channel values
+per frame, whose row for label -1 is zero. Forward kinematics runs once per
+frame, and the capsule midpoints are projected once into the centroid track
+from which `motion_channels` differences v and alpha. Dense channels are
+painted from the tables only where an artefact needs them: the KVAF planes
+(`LiftedTrajectory.field`) and the routing grids' tool blocks (`paint`). The
+rasterizer ray-tests each capsule only inside its screen box, the bounding
+box of its 3-D box's projected corners, which holds every pixel whose ray
+can hit it (see `rasterize_parts`), so its cost scales with the tool's pixel
+area. The box comes from `kinematics.pixel_box`, the rule
+`metrics.render_tube` also crops its action tubes with; it clips in float,
+so a pose that projects to +-inf gets an empty or edge-clipped box instead
+of an overflow.
 
 The statistics, the standardization and the ray tests work on axes only 3, 6
 or 9 entries wide, where numpy pays its per-row overhead on every row. They
 run a column at a time instead, doing the same float operations in the same
 order, so every result keeps its bits:
 
-- `compute_stats` makes the reductions of numpy's `mean(axis=0)` and
-  `std(axis=0)` itself: `np.add.reduce` over axis 0 adds the rows one after
-  another, so the one sum serves both. The rows, and so the summation
-  order, are those of the frames concatenated. The mean is summed over the
-  rows' view of the stack, which is never written. The squared deviations
-  are formed a block of rows at a time in one small buffer whose first row
-  carries the sum so far, so the additions are still one left-to-right
-  pass, and no transient the size of the stack is allocated: the heap
-  blocks that a 12.6 MB copy left behind at 256 x 256, T=4 put the
-  process's peak RSS at about 72 or 80 MB depending on where earlier
-  allocations had landed.
+- `compute_stats` gives the bits of numpy's `mean(axis=0)` and `std(axis=0)`
+  over the painted (T * H * W, 6) rows of the non-semantic channels, which
+  add the rows one after another in raster order, without painting them.
+  A background row is +0.0 in every channel, and adding +0.0 leaves a sum
+  as it is, except that it turns -0.0 into +0.0. So the mean's sum is that
+  of the tool rows alone, gathered in raster order, plus 0.0 when any
+  background pixel exists. Each squared deviation depends only on the
+  pixel's part, apart from depth's, so a channel's are gathered from its
+  five per-part values by label and summed with one sequential
+  `np.add.accumulate` that carries the sum so far, `STATS_BLOCK` pixels of
+  a frame at a time: no transient the size of the trajectory is allocated
+  (a 12.6 MB copy once put the process's peak RSS at about 72 or 80 MB at
+  256 x 256, T=4, depending on where earlier heap blocks had landed).
 - `normalize` subtracts the mean and divides by the std one channel column
   at a time: the same subtraction and division of each element.
 - `_sq_norm` adds the 3 squared columns of a direction with `_columns.fold`.
@@ -60,9 +67,10 @@ from .kinematics import (
 )
 
 N_CHANNELS = 9
+DEPTH = 3  # the one channel that varies within a part
 NONSEMANTIC_SLICE = slice(3, 9)
 _F4_MAX = float(np.finfo(np.float32).max)
-# rows of squared deviations `compute_stats` holds at a time
+# pixels whose squared deviations `compute_stats` holds at a time
 STATS_BLOCK = 4096
 CHANNEL_NAMES = ("s_shaft", "s_wrist", "s_gripper", "depth", "rho",
                  "v_x", "v_y", "v_z", "alpha")
@@ -80,16 +88,22 @@ MODALITIES = ("sem", "dep", "rot", "vel", "acc")
 
 @dataclass(frozen=True)
 class KvaField:
-    """One frame's H x W x 9 channels and its frame index: a KVAF record."""
+    """One frame's KVAF record: its nine channel planes (9, H, W) as float32,
+    the payload's layout, and its frame index."""
 
-    channels: np.ndarray
+    planes: np.ndarray
     t: int = 0
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=float)
-        if ch.ndim != 3 or ch.shape[2] != N_CHANNELS:
-            raise ShapeMismatch(f"expected H x W x {N_CHANNELS}, got {ch.shape}")
-        object.__setattr__(self, "channels", ch)
+        planes = np.asarray(self.planes, dtype=np.float32)
+        if planes.ndim != 3 or planes.shape[0] != N_CHANNELS:
+            raise ShapeMismatch(f"expected {N_CHANNELS} x H x W, got {planes.shape}")
+        object.__setattr__(self, "planes", planes)
+
+    @property
+    def channels(self) -> np.ndarray:
+        """The frame's channels as an (H, W, 9) float64 array."""
+        return np.moveaxis(self.planes, 0, 2).astype(float)
 
 
 @dataclass(frozen=True)
@@ -213,13 +227,48 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel):
 
 # semantic one-hot row per part index
 _PART_SEMANTICS = np.eye(3)[[PART_SEMANTIC_CLASS[part] for part in PART_NAMES]]
+N_TABLE_ROWS = len(PART_NAMES) + 1  # the parts, then the zero row of label -1
 
 
-def _paint(labels, per_part):
-    """Paint a (4, ...) per-part table on part labels; label -1 paints 0."""
-    per_part = np.asarray(per_part, dtype=float)
-    table = np.concatenate([per_part, np.zeros((1,) + per_part.shape[1:])])
-    return np.take(table, labels, axis=0)
+@dataclass(frozen=True)
+class LiftedTrajectory:
+    """A trajectory's control field in compact form.
+
+    labels: (T, H, W) index into PART_NAMES of each pixel's front-most part,
+    -1 off the tool; depth: (T, H, W) that part's camera depth, +0.0 off the
+    tool; tables: (T, N_TABLE_ROWS, 9) each part's channel values per frame,
+    with a zero depth column (depth varies within a part) and a zero last row,
+    which label -1 indexes. Channel c of pixel (t, i, j) is depth[t, i, j]
+    for c = 3 and tables[t, labels[t, i, j], c] otherwise, so every channel
+    of a pixel off the tool is +0.0."""
+
+    labels: np.ndarray
+    depth: np.ndarray
+    tables: np.ndarray
+
+    def __len__(self):
+        return len(self.labels)
+
+    def field(self, t: int) -> KvaField:
+        """Frame t's KVAF record, each plane painted from the frame's table
+        rounded to float32: the bits of rounding the painted float64 frame."""
+        table = self.tables[t].astype(np.float32)
+        labels = self.labels[t]
+        planes = np.empty((N_CHANNELS,) + labels.shape, dtype=np.float32)
+        for c, plane in enumerate(planes):
+            if c == DEPTH:
+                plane[...] = self.depth[t]
+            else:  # label -1 wraps to the zero row
+                np.take(table[:, c], labels, out=plane, mode="wrap")
+        return KvaField(planes, t=t)
+
+
+def paint(table, labels, depth) -> np.ndarray:
+    """The (..., 9) channels of pixels with part `labels` and `depth` in a
+    frame with part table `table` (see `LiftedTrajectory`)."""
+    channels = np.take(table, labels, axis=0)
+    channels[..., DEPTH] = depth
+    return channels
 
 
 def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
@@ -242,14 +291,16 @@ def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
     return float(np.arctan2(dv, du) / np.pi)
 
 
-def rotation_channel(poses: PartPoses, cam: CameraModel, labels) -> np.ndarray:
-    """Per-pixel orientation descriptor on the tool mask `labels`, 0 elsewhere."""
-    return _paint(labels, [part_axis_angle(poses, cam, part) for part in PART_NAMES])
+def rotation_channel(poses: PartPoses, cam: CameraModel) -> np.ndarray:
+    """Per-part orientation descriptor (4,), the rho column of the frame's
+    part table."""
+    return np.array([part_axis_angle(poses, cam, part) for part in PART_NAMES])
 
 
-def _part_motion(poses, cam: CameraModel, dt: float):
-    """Per-frame, per-part projected centroid velocity (T, 4, 3) and
-    acceleration magnitude (T, 4) of a posed trajectory.
+def motion_channels(poses, cam: CameraModel, dt: float) -> np.ndarray:
+    """Per-frame, per-part projected centroid velocity (u, v, depth) and
+    acceleration magnitude of a posed trajectory: (T, 4, 4), the v_x, v_y,
+    v_z and alpha columns of each frame's part table.
 
     The centroid is the capsule midpoint projected to (u, v, depth). v = 0 at
     frame 0 and where the midpoint is at or behind z_near at t or t - 1;
@@ -260,71 +311,96 @@ def _part_motion(poses, cam: CameraModel, dt: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         track = np.stack([*project(cam, mid), z], axis=-1)
     track[z <= cam.z_near] = np.nan
-    v = np.zeros_like(track)
+    motion = np.zeros(track.shape[:2] + (4,))
+    v = motion[..., :3]
     v[1:] = (track[1:] - track[:-1]) / dt
     v[np.isnan(v).any(axis=-1)] = 0.0
-    alpha = np.zeros(track.shape[:2])
     for t in range(2, len(poses)):
         for k in range(len(PART_NAMES)):
-            alpha[t, k] = np.linalg.norm(v[t, k] - v[t - 1, k]) / dt
-    return v, alpha
+            motion[t, k, 3] = np.linalg.norm(v[t, k] - v[t - 1, k]) / dt
+    return motion
 
 
-def motion_channels(labels, v_parts, alpha_parts):
-    """Per-part centroid velocity (4, 3) and acceleration magnitude (4,)
-    painted on the tool mask `labels`: (H, W, 3) and (H, W), 0 elsewhere."""
-    return _paint(labels, v_parts), _paint(labels, alpha_parts)
+def lift(poses: PartPoses, cam: CameraModel, motion):
+    """One frame's part labels (H, W), depth (H, W) and part table
+    (N_TABLE_ROWS, 9) from its part poses and its rows of the trajectory's
+    part motion (`motion_channels`)."""
+    labels, depth = rasterize_parts(poses, cam)
+    table = np.zeros((N_TABLE_ROWS, N_CHANNELS))
+    table[:-1, 0:3] = _PART_SEMANTICS
+    table[:-1, 4] = rotation_channel(poses, cam)
+    table[:-1, 5:9] = motion
+    return labels, depth, table
 
 
-def lift(poses: PartPoses, cam: CameraModel, v_parts, alpha_parts, out):
-    """Write all 9 channels of one frame into out (H, W, 9) from its part
-    poses and its rows of the trajectory's part motion (`_part_motion`)."""
-    labels, out[..., 3] = rasterize_parts(poses, cam)
-    out[..., 0:3] = _paint(labels, _PART_SEMANTICS)
-    out[..., 4] = rotation_channel(poses, cam, labels)
-    out[..., 5:8], out[..., 8] = motion_channels(labels, v_parts, alpha_parts)
-
-
-def lift_trajectory(traj: Trajectory, geom: ToolGeometry, cam: CameraModel):
-    """The trajectory's channels, one C-contiguous (T, H, W, 9) float64 array;
-    forward kinematics runs once per frame. A pixel with no part label is
-    +0.0 in all nine channels, which the CLI's routing grids rely on."""
+def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
+                    cam: CameraModel) -> LiftedTrajectory:
+    """The trajectory's channels in compact form; forward kinematics runs
+    once per frame."""
     poses = [forward_kinematics(state, geom) for state in traj.states]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        v, alpha = _part_motion(poses, cam, traj.dt)
+        motion = motion_channels(poses, cam, traj.dt)
     # KVAF stores channels as float32, so a finite value beyond its range
     # would turn into inf on write
-    bad = ~((np.abs(v) <= _F4_MAX).all(axis=-1) & (alpha <= _F4_MAX))
+    bad = ~(np.abs(motion) <= _F4_MAX).all(axis=-1)
     if bad.any():
         t, k = np.argwhere(bad)[0]
         raise NonFiniteInput(
             f"frame {t + 1}: the {PART_NAMES[k]}'s projected velocity or "
             f"acceleration exceeds float32's range (dt {traj.dt:g})")
-    channels = np.empty((len(poses), cam.height, cam.width, N_CHANNELS))
+    shape = (len(poses), cam.height, cam.width)
+    lifted = LiftedTrajectory(np.empty(shape, dtype=np.intp), np.empty(shape),
+                              np.empty((len(poses), N_TABLE_ROWS, N_CHANNELS)))
     for t, p in enumerate(poses):
-        lift(p, cam, v[t], alpha[t], out=channels[t])
-    return channels
+        (lifted.labels[t], lifted.depth[t],
+         lifted.tables[t]) = lift(p, cam, motion[t])
+    return lifted
 
 
-def compute_stats(channels: np.ndarray) -> ChannelStats:
-    """Per-channel mean/std of the non-semantic channels of a (..., 9)
-    channel array, over all its pixels."""
-    x = channels[..., NONSEMANTIC_SLICE].reshape(-1, 6)  # read only
-    n = x.shape[0]
+def compute_stats(lifted: LiftedTrajectory) -> ChannelStats:
+    """Per-channel mean/std of the non-semantic channels of a lifted
+    trajectory, over all its pixels (see the module docstring)."""
+    frames, h, w = lifted.labels.shape
+    n = frames * h * w
     if not n:
         raise EmptyCorpus("need at least one pixel to compute stats")
-    mean = np.add.reduce(x, axis=0) / n
-    # squared deviations of STATS_BLOCK rows at a time, each block summed
-    # after the sum so far, which rides in its first row
-    buf = np.empty((min(n, STATS_BLOCK) + 1, 6))
+    labels = lifted.labels.reshape(frames, h * w)
+    depth = lifted.depth.reshape(frames, h * w)
+    values = lifted.tables[..., NONSEMANTIC_SLICE]  # (T, rows, 6)
+
+    # the tool rows in raster order: their part's values, then their depth
+    tool = np.flatnonzero(labels >= 0)
+    rows = np.take(values.reshape(-1, 6),
+                   tool // (h * w) * N_TABLE_ROWS + labels.flat[tool], axis=0)
+    rows[:, 0] = depth.flat[tool]
+    total = np.add.reduce(rows, axis=0)
+    if len(tool) < n:
+        # the background's +0.0 rows can only turn a -0.0 sum into +0.0,
+        # whether numpy's sum starts from its identity +0.0 or from the
+        # first row
+        total = total + 0.0
+    mean = total / n
+
+    # squared deviations, STATS_BLOCK pixels of a frame at a time: depth's
+    # from the pixels, the others gathered from their part's. The sum so far
+    # is added to each block's first entry (addition commutes) and the block
+    # is summed along by one sequential accumulate
+    dev = values - mean
+    part_sq = dev * dev
+    block = min(h * w, STATS_BLOCK)
+    buf = np.empty(6 * block)
     sq_sum = np.zeros(6)
-    for i in range(0, n, STATS_BLOCK):
-        rows = x[i:i + STATS_BLOCK]
-        block = buf[:len(rows) + 1]
-        block[0] = sq_sum
-        dev = np.subtract(rows, mean, out=block[1:])
-        np.multiply(dev, dev, out=dev)
-        sq_sum = np.add.reduce(block, axis=0)
+    for t in range(frames):
+        part_rows = np.ascontiguousarray(part_sq[t, :, 1:].T)  # (5, rows)
+        for i in range(0, h * w, block):
+            px = slice(i, i + block)
+            b = buf[:6 * len(labels[t, px])].reshape(6, -1)
+            np.subtract(depth[t, px], mean[0], out=b[0])
+            np.multiply(b[0], b[0], out=b[0])
+            # label -1 wraps to the background's row
+            np.take(part_rows, labels[t, px], axis=1, out=b[1:], mode="wrap")
+            b[:, 0] += sq_sum
+            sq_sum = np.add.accumulate(b, axis=1, out=b)[:, -1].copy()
     return ChannelStats(mean=mean, std=np.sqrt(sq_sum / n))
 
 
@@ -338,8 +414,3 @@ def normalize(channels: np.ndarray, stats: ChannelStats) -> np.ndarray:
         c -= stats.mean[k]
         c /= stats.std[k]
     return ch
-
-
-def tool_mask(ch: np.ndarray) -> np.ndarray:
-    """Binary mask of a (..., 9) channel array: any semantic channel active."""
-    return ((ch[..., 0] > 0) | (ch[..., 1] > 0) | (ch[..., 2] > 0)).astype(float)

@@ -32,9 +32,12 @@ once, and return the same bits as the public losses on fresh arrays:
   repeat an earlier input.
 - `_src_evaluator` and `_cp_evaluator` recompute only the expert columns
   whose parameters changed. Each check perturbs one entry of `w[:, k]` or
-  `b[k]`, so only logit column k changes. Logit column j of the product is
-  the same GEMM's column j at the same shape, and depends only on `w[:, j]`
-  and `b[j]`; `predictor_logits` adds `b` a column at a time. The sigmoid,
+  `b[k]`, so only logit column k changes. Each evaluation forms the product
+  `tokens @ w` once, as `predictor_logits` does, and adds `b[j]` in place
+  to the columns it recomputes only: `predictor_logits` adds `b` a column
+  at a time, so column j gets the same addition. Logit column j of the
+  product is the same GEMM's column j at the same shape, and depends only
+  on `w[:, j]`; with `b[j]` added, on nothing else. The sigmoid,
   the time difference and the BCE terms are elementwise, so a column view
   gives the bits that column gets in the (..., 5) array. Each column's work
   (the squared time difference for src, the BCE terms for cp) is kept with
@@ -381,10 +384,11 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
 def _column_cache(cols, compute):
     """Keep each of the five expert columns `cols[j]` (buffers) up to date
     with the parameters (w[:, j], b[j]) of a predictor loss; returns
-    update(arrs, z), which calls compute(z, j, cols[j]) only for the columns
-    whose parameters changed since the last call. The first call's columns
-    are kept as the base, and a column whose parameters return to the base
-    is restored from that copy."""
+    update(arrs, z), which takes the product z = tokens @ w, adds b[j] to
+    column j and calls compute(z, j, cols[j]) only for the columns whose
+    parameters changed since the last call. The first call's columns are
+    kept as the base, and a column whose parameters return to the base is
+    restored from that copy."""
     keys = [None] * N_EXPERTS  # the parameter bytes each column was formed at
     base_keys, base = [], []
 
@@ -397,6 +401,7 @@ def _column_cache(cols, compute):
             if base_keys and key == base_keys[j]:
                 np.copyto(cols[j], base[j])
             else:
+                z[..., j] += b[j]  # as predictor_logits adds it
                 compute(z, j, cols[j])
             keys[j] = key
         if not base_keys:
@@ -406,10 +411,10 @@ def _column_cache(cols, compute):
     return update
 
 
-def _src_evaluator(tok_seq, m_tool, tau):
+def _src_evaluator(tok_seq, m_tool):
     """src_loss(_sigmoid(predictor_logits(...)), m_tool) as a function of
-    {"w", "b"}; one `predictor_logits` call per evaluation, and the squared
-    time difference recomputed only for the changed columns (see the module
+    {"w", "b"}; one product `tokens @ w` per evaluation, and the bias and
+    the squared time difference only for the changed columns (see the module
     docstring)."""
     m_tool = np.asarray(m_tool, dtype=float)
     if tok_seq.shape[:-1] != m_tool.shape:
@@ -428,8 +433,7 @@ def _src_evaluator(tok_seq, m_tool, tau):
     update = _column_cache(sq, compute)
 
     def loss(arrs):
-        z = predictor_logits(PredictorState(w=arrs["w"], b=arrs["b"], tau=tau),
-                             tok_seq)
+        z = tok_seq @ arrs["w"]
         if denom == 0:  # also for T < 2, where the mask is empty
             return 0.0
         update(arrs, z)
@@ -438,10 +442,10 @@ def _src_evaluator(tok_seq, m_tool, tau):
     return loss
 
 
-def _cp_evaluator(tokens, A, tau):
-    """cp_loss(predictor_logits(...), A) as a function of {"w", "b"}, the
-    BCE terms recomputed only for the changed columns (see the module
-    docstring)."""
+def _cp_evaluator(tokens, A):
+    """cp_loss(predictor_logits(...), A) as a function of {"w", "b"}; one
+    product `tokens @ w` per evaluation, and the bias and the BCE terms only
+    for the changed columns (see the module docstring)."""
     A = np.asarray(A, dtype=float)
     if tokens.shape[:-1] + (N_EXPERTS,) != A.shape:
         raise ShapeMismatch(f"tokens {tokens.shape} vs mask {A.shape}")
@@ -453,9 +457,7 @@ def _cp_evaluator(tokens, A, tau):
     update = _column_cache([per[..., j] for j in range(N_EXPERTS)], compute)
 
     def loss(arrs):
-        z = predictor_logits(PredictorState(w=arrs["w"], b=arrs["b"], tau=tau),
-                             tokens)
-        update(arrs, z)
+        update(arrs, tokens @ arrs["w"])
         return float(per.mean())
 
     return loss

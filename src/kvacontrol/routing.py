@@ -12,7 +12,8 @@ routing semantics matter here, not feature capacity.
 embeds the tokens, runs the outer gate, top-k and the capacity blend, and
 lifts and inner-gates each modality. It computes no expert output. The
 caller pools with `avg_pool`, so a caller that knows where the tool is can
-pool only the blocks that hold it (see `cli._pooled_grids`). `fuse_control`
+paint and pool only the blocks that hold it from the part labels of a
+compact lift (see `cli._pooled_grids`). `fuse_control`
 fuses: it reads the decision's inner gates, runs each modality's fine and
 transport sub-experts and sums the selected outputs weighted by the fusion
 weights. No CLI artefact reads the fused feature, so the CLI computes only

@@ -31,9 +31,19 @@ def random_visible_state(rng):
     )
 
 
+def painted(lifted):
+    """The (T, H, W, 9) channels of a lifted trajectory, painted densely:
+    each pixel reads its part's table row (label -1 the zero row) and its
+    depth."""
+    frames = np.arange(len(lifted))[:, None, None]
+    channels = lifted.tables[frames, lifted.labels]
+    channels[..., kvf.DEPTH] = lifted.depth
+    return channels
+
+
 def motion_at(traj, geom, cam, t):
     """Velocity and acceleration channels of frame t as lifted."""
-    ch = kvf.lift_trajectory(traj, geom, cam)[t]
+    ch = painted(kvf.lift_trajectory(traj, geom, cam))[t]
     return ch[..., 5:8], ch[..., 8]
 
 
@@ -207,7 +217,7 @@ class TestRasterize:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=3, seed=0, geom=geom)
-        ch = kvf.lift_trajectory(traj, geom, cam)[2]
+        ch = painted(kvf.lift_trajectory(traj, geom, cam))[2]
         s, d = ch[..., 0:3], ch[..., 3]
         assert s.sum(axis=2).max() <= 1
         assert np.array_equal((d > 0), (s.sum(axis=2) == 1))
@@ -233,7 +243,7 @@ class TestRotationChannel:
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([1, 0, 0])
         labels, _ = kvf.rasterize_parts(poses, cam)
-        rho = kvf.rotation_channel(poses, cam, labels)
+        rho = kvf.rotation_channel(poses, cam)[labels]
         mask = labels >= 0
         assert mask.any()
         assert np.max(np.abs(rho[mask])) < 1e-12
@@ -242,7 +252,7 @@ class TestRotationChannel:
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([0, 1, 0])
         labels, _ = kvf.rasterize_parts(poses, cam)
-        rho = kvf.rotation_channel(poses, cam, labels)
+        rho = kvf.rotation_channel(poses, cam)[labels]
         mask = labels >= 0
         assert np.max(np.abs(rho[mask] - 0.5)) < 1e-12
 
@@ -252,7 +262,7 @@ class TestRotationChannel:
         rng = np.random.default_rng(7)
         poses = forward_kinematics(random_visible_state(rng), geom)
         labels, _ = kvf.rasterize_parts(poses, cam)
-        rho = kvf.rotation_channel(poses, cam, labels)
+        rho = kvf.rotation_channel(poses, cam)[labels]
         for pi, part in enumerate(PART_NAMES):
             mask = labels == pi
             if not mask.any():
@@ -341,7 +351,7 @@ class TestMotionChannels:
         a_exp = [0.0, 0.0] + [np.linalg.norm(v_exp[t] - v_exp[t - 1]) / dt
                               for t in (2, 3, 4)]
         assert a_exp[2] > 0 and a_exp[3] == 0 and a_exp[4] > 0
-        for t, ch in enumerate(kvf.lift_trajectory(traj, geom, cam)):
+        for t, ch in enumerate(painted(kvf.lift_trajectory(traj, geom, cam))):
             wrist = ch[..., 1] == 1
             assert wrist.any()
             np.testing.assert_allclose(ch[wrist][:, 5:8],
@@ -364,15 +374,19 @@ class TestLift:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=2, seed=0, geom=geom)
-        fields = kvf.lift_trajectory(traj, geom, cam)
-        assert fields.shape == (2, 32, 32, 9)
-        assert fields.dtype == np.float64 and fields.flags.c_contiguous
+        lifted = kvf.lift_trajectory(traj, geom, cam)
+        assert len(lifted) == 2
+        assert lifted.labels.shape == lifted.depth.shape == (2, 32, 32)
+        assert lifted.labels.dtype == np.intp
+        assert lifted.depth.dtype == np.float64
+        assert lifted.tables.shape == (2, len(PART_NAMES) + 1, 9)
+        assert lifted.field(1).planes.shape == (9, 32, 32)
 
     def test_static_single_frame(self):
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("static", T=1, seed=0, geom=geom)
-        ch = kvf.lift_trajectory(traj, geom, cam)[0]
+        ch = painted(kvf.lift_trajectory(traj, geom, cam))[0]
         assert np.all(ch[..., 5:] == 0)
         assert ch[..., 0:3].sum() > 0
         assert ch[..., 3].max() > 0
@@ -380,8 +394,9 @@ class TestLift:
     @pytest.mark.parametrize("case", ["seed-0", "seed-1", "seed-2", "seed-3",
                                       "near-camera"])
     def test_background_is_positive_zero(self, case):
-        # routing pools the background as a zero block (cli._pooled_grids):
-        # every channel of a pixel off the tool must be +0.0, not -0.0
+        # routing pools the background as a zero block (cli._pooled_grids)
+        # and KVAF stores it: every channel of a pixel off the tool must be
+        # +0.0, not -0.0
         geom = ToolGeometry()
         if case == "near-camera":
             # the shaft reaches past z_near and the tool crosses the border
@@ -395,14 +410,21 @@ class TestLift:
             cam = default_camera(40, 24)
             traj = synth_trajectory("composite", T=4, seed=int(case[-1]),
                                     geom=geom)
-        fields = kvf.lift_trajectory(traj, geom, cam)
-        for f in fields:
-            tool = kvf.tool_mask(f) > 0
+        lifted = kvf.lift_trajectory(traj, geom, cam)
+        assert (lifted.tables[:, -1].tobytes()
+                == np.zeros((len(lifted), 9)).tobytes())
+        for t, f in enumerate(painted(lifted)):
+            tool = lifted.labels[t] >= 0
             assert tool.any() and not tool.all()
             if case == "near-camera":
                 assert (tool[0].any() or tool[-1].any() or tool[:, 0].any()
                         or tool[:, -1].any())
-            assert f[~tool].tobytes() == np.zeros(((~tool).sum(), 9)).tobytes()
+            off = int((~tool).sum())
+            assert lifted.depth[t][~tool].tobytes() == np.zeros(off).tobytes()
+            assert f[~tool].tobytes() == np.zeros((off, 9)).tobytes()
+            planes = lifted.field(t).planes
+            assert (planes[:, ~tool].tobytes()
+                    == np.zeros((9, off), dtype=np.float32).tobytes())
 
     def test_forward_kinematics_once_per_frame(self, monkeypatch):
         geom = ToolGeometry()
@@ -422,31 +444,35 @@ class TestLift:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=10, seed=5, geom=geom)
-        fields = kvf.lift_trajectory(traj, geom, cam)
-        v_parts, a_parts = kvf._part_motion(
-            [forward_kinematics(state, geom) for state in traj.states], cam, traj.dt)
+        lifted = kvf.lift_trajectory(traj, geom, cam)
+        fields = painted(lifted)
+        all_poses = [forward_kinematics(state, geom) for state in traj.states]
+        motion = kvf.motion_channels(all_poses, cam, traj.dt)
         for t in (0, 4, 9):
             ch = fields[t]
-            poses = forward_kinematics(traj.states[t], geom)
+            poses = all_poses[t]
             labels, d = kvf.rasterize_parts(poses, cam)
-            s = np.zeros(labels.shape + (3,))
+            rho = kvf.rotation_channel(poses, cam)
+            want = np.zeros(labels.shape + (9,))
             for k, part in enumerate(PART_NAMES):
-                s[labels == k, PART_SEMANTIC_CLASS[part]] = 1.0
-            rho = kvf.rotation_channel(poses, cam, labels)
-            v, a = kvf.motion_channels(labels, v_parts[t], a_parts[t])
-            np.testing.assert_array_equal(ch[..., 0:3], s)
-            np.testing.assert_array_equal(ch[..., 3], d)
-            np.testing.assert_array_equal(ch[..., 4], rho)
-            np.testing.assert_array_equal(ch[..., 5:8], v)
-            np.testing.assert_array_equal(ch[..., 8], a)
+                on = labels == k
+                want[on, PART_SEMANTIC_CLASS[part]] = 1.0
+                want[on, 4] = rho[k]
+                want[on, 5:9] = motion[t, k]
+            want[..., 3] = d
+            np.testing.assert_array_equal(lifted.labels[t], labels)
+            np.testing.assert_array_equal(ch, want)
 
 
 class TestNormalization:
-    def _corpus(self):
+    def _lifted(self):
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=6, seed=2, geom=geom)
         return kvf.lift_trajectory(traj, geom, cam)
+
+    def _corpus(self):
+        return painted(self._lifted())
 
     def test_identity_stats(self):
         f = self._corpus()[0]
@@ -462,19 +488,21 @@ class TestNormalization:
         assert np.all(kvf.normalize(ch, stats)[..., 3] == 0)
 
     def test_recomputed_stats_standardized(self):
-        fields = self._corpus()
-        stats = kvf.compute_stats(fields)
-        restats = kvf.compute_stats(kvf.normalize(fields, stats))
-        assert np.max(np.abs(restats.mean)) < 1e-9
-        assert np.max(np.abs(restats.std - 1)) < 1e-9
+        lifted = self._lifted()
+        stats = kvf.compute_stats(lifted)
+        rows = kvf.normalize(painted(lifted), stats)[..., 3:].reshape(-1, 6)
+        assert np.max(np.abs(rows.mean(axis=0))) < 1e-9
+        assert np.max(np.abs(rows.std(axis=0) - 1)) < 1e-9
 
     def test_semantic_channels_untouched(self):
-        fields = self._corpus()
-        stats = kvf.compute_stats(fields)
-        f = fields[1]
+        lifted = self._lifted()
+        stats = kvf.compute_stats(lifted)
+        f = painted(lifted)[1]
         np.testing.assert_array_equal(kvf.normalize(f, stats)[..., :3],
                                       f[..., :3])
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            kvf.compute_stats(np.empty((0, 4, 4, kvf.N_CHANNELS)))
+            kvf.compute_stats(kvf.LiftedTrajectory(
+                np.empty((0, 4, 4), dtype=np.intp), np.empty((0, 4, 4)),
+                np.empty((0, len(PART_NAMES) + 1, kvf.N_CHANNELS))))

@@ -27,6 +27,21 @@ prediction seed 18) with `{"stride": 2}`, a 20x28 token grid of 2x2 blocks,
 so that the smallest pooling blocks are pinned; its digests were recorded
 before the routing grids were pooled from the tool's blocks only.
 
+Three more cases were recorded before a lifted trajectory was made compact
+(part labels, depth and per-part tables). They pin branches the default
+budget and poses never reach. The seventh runs 64x64, T=10 (target seed 19,
+prediction seed 20) with `{"rho_full": 0.02, "rho_light": 0.05}`, so tool
+tokens land in the light and reuse tiers. The eighth and ninth lift a
+composite trajectory written through the library (`write_library_trajectory`,
+64x64, T=4) and run only the trajectory commands, with seed 1. In the eighth
+the base is 6 mm deep: the tool fills frame 1, so that frame has no
+background pixel, and frame 2's mean significance of 0.733 crosses `TAU_H`,
+so its refresh interval is 1. In the ninth the base is 1 m to the side, so no frame
+holds a tool pixel: the channel statistics are 0 and floored at a std of
+1e-6, routing statistics fall back to all tokens, every significance map is
+constant (0.5), which forces refreshes on frames 1 and 3, and the physical
+prior is uniform.
+
 The digests are pinned to the numpy and BLAS build they were recorded with
 (numpy 2.4.6, OpenBLAS 0.3.31). Another numpy or BLAS may round a float differently
 and change a KVAF or CSV byte without any change to the program; re-record
@@ -34,11 +49,16 @@ them then with `python tests/test_golden.py`, on the commit before the
 change under test.
 """
 
+import csv
+import dataclasses
 import hashlib
 import json
 import os
 
-from kvacontrol import cli
+import numpy as np
+
+from kvacontrol import cli, formats, kinematics
+from kvacontrol import scheduler as sched
 
 GOLDEN = {
     'eval/metrics.csv': 'a3dd05b6fa276c3d868a6eb0a1e6cdc12d4484d5f01e0d6ac736d82a0483d689',
@@ -169,14 +189,107 @@ GOLDEN_40X56_STRIDE2 = {
     'target/trajectory.txt': '9ba5ad3fd9226c8d28a4d50866452b8ea56c2024a7ae0b35e1be12e09015e745',
 }
 
+GOLDEN_BUDGET = {
+    'eval/metrics.csv': 'eaedd352b7dbf0cb77b83f5e885f4bcd53a52f7e8c62095e37ad725621a18b28',
+    'lift/channel_stats.csv': '512029dd597085e5a0497e2118d15bf3b747723c6aedf3651b8e45ccaed9ece7',
+    'lift/field_0001.kvaf': '777f232eb52ce0a14087a44d4ec12cbb9700a8de90183f597e6e59a267df35e3',
+    'lift/field_0002.kvaf': '72b0370b2d95727e99901ac4542ba7f83e43591a558553eff7d2a7285b8997b5',
+    'lift/field_0003.kvaf': '87fe0b2ffd4a5fc01ef241b8a53958a5fa993dd7a49baca94e6736ce0268ed84',
+    'lift/field_0004.kvaf': '1d31a5331f930bd022c4ee8c39c29767be1e28008a7d8ccab170dde2f82d8277',
+    'lift/field_0005.kvaf': '9df51f6b5bd2c5cbdcf9f0bac70050eac5ac1793d11f9532f0b830ca788d7f49',
+    'lift/field_0006.kvaf': '7ae3cb368e05b16f536d52e87ffac32c87938a18416d2cacd0e7ce1282a3db60',
+    'lift/field_0007.kvaf': '07b5f2886d8e8ffcb5fc31c34b66303adfe91a2b78abd96ed5a3e6e23e0a7e31',
+    'lift/field_0008.kvaf': '04f4e385479dd3b81a34fe07a2cecb63f0caad333d728393a045dd7f52eecde7',
+    'lift/field_0009.kvaf': 'e291fb4b52960fa1c42855e18485869231e7c1fd79fc95b39d6105d0e56afce8',
+    'lift/field_0010.kvaf': '2e595042c8274f33359e903e8a1a7ca1a449115542c57536054708ba977bdfd1',
+    'losses/grad_check.csv': '3698752ae9ed908977cb3c4875ab4b2adfed1072882c79580ee4d5fd1dd2b570',
+    'losses/losses.csv': 'f27c5600dc1005d7ddb9d2f249b79123537511865d3e76390f3f2d82753fd120',
+    'pred/masks/frame_0001.pgm': 'e2c9f228ff895ce78a0d1f684cab2ecd54e8b804f96ccb7c66fce29ae3cdb54c',
+    'pred/masks/frame_0002.pgm': 'e5703f5c4d41687f3bbd8b89b2cdd532621e737a54d9548ad02056ce03a5b07b',
+    'pred/masks/frame_0003.pgm': 'd3ede436ffcc7e09afcecad0b221ad4e2aeb1acf4f8bb318e70c85e96becd7e7',
+    'pred/masks/frame_0004.pgm': 'd5ed815d7ed1d0742e11ba179d478b375ca10044e5e4bd5ae4012ac331afc40e',
+    'pred/masks/frame_0005.pgm': '55f90060f2eb7c4ed9e016028250dffa445182ac44a7d88f5f8caf1ffc76243a',
+    'pred/masks/frame_0006.pgm': '52ad053872ee7649118ccde6737c1dd9f468787deb25c03ceda9fe15a508c03c',
+    'pred/masks/frame_0007.pgm': '0a280a6782765e6948b4aaa28b0419ceb5cf7e7784bfdbd6172a3b847f800414',
+    'pred/masks/frame_0008.pgm': '7f6ce8276acb1dec499a7afefbe8ada34c2426f05e643e55eb3e4d64a920c91a',
+    'pred/masks/frame_0009.pgm': '2b828806739250fb101e5b1b098d5f12cf09aebc46ae1eb3633feb0af3986102',
+    'pred/masks/frame_0010.pgm': '382d0f1b14b8ffd1d361ad97cae1356b84116064846573b760e8e2807aa11808',
+    'pred/trajectory.txt': '42e76f04220897d1bc2eef1ff5b606c5adc30b4139bf3ef2a70034019a635f45',
+    'route/routing_stats.csv': '45657ff8313c1248e9faeb719a92cd0899d49919417a352e1b1fa719c7589c64',
+    'schedule/cost_summary.csv': 'a037039c6680b80fa6299ffd963739893026cbbdfdbcac3a998c387893bbb68d',
+    'schedule/execution.csv': 'cd72ecad75ef7fc54643b25dbf8c9fcbf6638ab7fa760ed0c2618d064c4134a2',
+    'target/masks/frame_0001.pgm': 'ec3b37386606e998704dfcea4f75770097dc8c56af573a9ae9c1ad922e73e900',
+    'target/masks/frame_0002.pgm': '3848d17f327d52a55b8b163ab38f60fa0a8807c5c1597ea1410d04f3f4fe9a5f',
+    'target/masks/frame_0003.pgm': '26f0b1c8c6816604d955ce6750a299a763607d8db9647c6769ead497d6226d7a',
+    'target/masks/frame_0004.pgm': '62bdfb8ee17eb630882a986681f70392402f2903bc3328311f46e6629ee4620a',
+    'target/masks/frame_0005.pgm': 'd1b74ca941b236317cbc0a066046a6246b0d5f9f276ff35c8eed574032b99a8f',
+    'target/masks/frame_0006.pgm': '220ed70fbc2bef461c5ad41c9ff2501fd5ba72b2cbea462d77f3e312f742ed7d',
+    'target/masks/frame_0007.pgm': '54fc9a4a3162844c10594465d4fa252402171806399c81a8e2dee193e59cada4',
+    'target/masks/frame_0008.pgm': 'dafda1a13aa93cdc7c5baf82957252ef29a510b8039c2c56600d6ecdaa9aa616',
+    'target/masks/frame_0009.pgm': '48caf4af6873039ddeeff4b517b9a3bcfe19bd907a793fc8f29a7e6b41b4abf6',
+    'target/masks/frame_0010.pgm': '413a4d0fa3f0a00bf682dda8fc03325ff7ecd9edc9e4646302bc96883cc2c82a',
+    'target/trajectory.txt': 'd2dd8c6e367783081b6f94c06ce03136ee28169195f93b39038c046097078822',
+}
+
+GOLDEN_NEAR_BASE = {
+    'lift/channel_stats.csv': 'ab5b6a763cd9226c4ee054d5f3d53237fb99fc129b5f90290a53830c3e75d3e9',
+    'lift/field_0001.kvaf': '13c08b646213f06c1d4c31f2eae4c152c1a33afc7509ef668771d5f3d6029f9c',
+    'lift/field_0002.kvaf': '6f22fbd30aec0de592870c715b77910294df69c9f50e154d011a280cd4b5d753',
+    'lift/field_0003.kvaf': '0e29ee449241794944386b6aac8531558883d3dafe1c8eaa37700ecbf53db527',
+    'lift/field_0004.kvaf': 'bb7143d20d4abb09e0e264d8d006dadf6c991d95f02e04593bdde342ab147e07',
+    'losses/grad_check.csv': '860725f5521b2ef4a69d280cb561a08d6dbaceac36f8badaef72180b58d61f6d',
+    'losses/losses.csv': '2fc200024e2a04cdf7ce20e0db5d3fe5e3e1a89190f78d773405c9d1f7976fa5',
+    'route/routing_stats.csv': 'b2960d14a4f968fed9738920de1b3b22c4a0b43634242ab83ab069bd06635065',
+    'schedule/cost_summary.csv': '1ef393688ff3c7e43fc66a559cb4a26f997be53156b183ea35074a22b7756e87',
+    'schedule/execution.csv': '1eb505fa4f9a5e439a7a8c5cadf26d6a862ec6619cead0888ca55248468d538f',
+    'target/trajectory.txt': 'd30406433c410420d7a5eb6d5673e7d96a363e0f5f652af88ca5ac0fd5f76012',
+}
+
+GOLDEN_OUT_OF_VIEW = {
+    'lift/channel_stats.csv': '1cd851cf32cd6ca2ce442420e177c458c712df15e3b72f1610c18931667359a3',
+    'lift/field_0001.kvaf': 'e439758d6150ced3879e8579ad56aac5e68e49d3a9d653402dba56bba49b36dc',
+    'lift/field_0002.kvaf': '9d201b89806914e0b451e2c1d09e5f841aca4dd70721b65313e8c6a480267ee5',
+    'lift/field_0003.kvaf': 'd90235f1fd9118fa0fc29fb4784747dfdf0b846306981257be726e32ef54eb20',
+    'lift/field_0004.kvaf': '0feaa8b5da09f554a171325397465a7f7a3b2b21436ceaa5604777a24409bd3d',
+    'losses/grad_check.csv': 'cfdd31c72c6c05bae5eea0061953e8b3db5157454ebca2c24c35152058c3f7c2',
+    'losses/losses.csv': 'eff95662bc41aa2413020d355b39bbed0be650a03bed0813b51e65a7c2a98039',
+    'route/routing_stats.csv': 'f438ea8072346ba4ff11d5094adaab0eadce0d6091ace45433492fd039ff8d29',
+    'schedule/cost_summary.csv': '1ef393688ff3c7e43fc66a559cb4a26f997be53156b183ea35074a22b7756e87',
+    'schedule/execution.csv': 'a52a97b3887735780cadc979083b89473379754aa90bbdc20111ff560a86e157',
+    'target/trajectory.txt': '49660e618473b50372df327a056187cd4df0b11fadf65744434c6d5a18e9e1d3',
+}
+
 
 CONFIG_NAME = "config.json"
+# synth_trajectory's seed for the trajectories run_flow writes through the
+# library
+LIBRARY_TRAJ_SEED = 5
 
 
-def run_flow(root, resolution="64x64", frames=4, seed=3, config=None):
+def write_library_trajectory(path, resolution, frames, base):
+    """A composite trajectory whose base sits at `base` (x, y, z in metres),
+    written through the library's public functions as perfbench's
+    `write_exit_inputs` does."""
+    h, w = (int(n) for n in resolution.split("x"))
+    state = dataclasses.replace(kinematics.DEFAULT_BASE_STATE,
+                                p=np.array(base, dtype=float))
+    traj = kinematics.synth_trajectory("composite", params={"base": state},
+                                       T=frames, seed=LIBRARY_TRAJ_SEED)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    formats.write_trajectory(path, traj,
+                             kinematics.default_camera(width=w, height=h),
+                             seq_id="library")
+
+
+def run_flow(root, resolution="64x64", frames=4, seed=3, config=None,
+             base=None):
     """Run the CLI flow under `root` (target seed `seed`, prediction seed
     `seed + 1`, every command given `--config` holding the dict `config` when
-    one is given); return {relative path: sha256 hex} of the artefacts."""
+    one is given); return {relative path: sha256 hex} of the artefacts.
+
+    With `base`, the target trajectory is `write_library_trajectory`'s, and
+    only the trajectory commands run, all with seed `seed`: no masks are
+    drawn or evaluated."""
     root = str(root)
     common = ["--resolution", resolution]
     if config is not None:
@@ -184,16 +297,20 @@ def run_flow(root, resolution="64x64", frames=4, seed=3, config=None):
         with open(config_path, "w", encoding="utf-8") as f:
             json.dump(config, f)
         common += ["--config", config_path]
-    for s, out in ((seed, "target"), (seed + 1, "pred")):
-        assert cli.main(["--seed", str(s), "--out", os.path.join(root, out),
-                         *common, "synth", "--frames", str(frames)]) == 0
     traj = os.path.join(root, "target", "trajectory.txt")
+    if base is not None:
+        write_library_trajectory(traj, resolution, frames, base)
+    else:
+        for s, out in ((seed, "target"), (seed + 1, "pred")):
+            assert cli.main(["--seed", str(s), "--out", os.path.join(root, out),
+                             *common, "synth", "--frames", str(frames)]) == 0
     for cmd in ("lift", "route", "losses", "schedule"):
         assert cli.main(["--seed", str(seed), "--out", os.path.join(root, cmd),
                          *common, cmd, "--traj", traj]) == 0
-    assert cli.main(["--out", os.path.join(root, "eval"), "eval",
-                     "--pred", os.path.join(root, "pred", "masks"),
-                     "--target", os.path.join(root, "target", "masks")]) == 0
+    if base is None:
+        assert cli.main(["--out", os.path.join(root, "eval"), "eval",
+                         "--pred", os.path.join(root, "pred", "masks"),
+                         "--target", os.path.join(root, "target", "masks")]) == 0
     digests = {}
     for dirpath, _, names in os.walk(root):
         for name in names:
@@ -213,7 +330,11 @@ CASES = ((GOLDEN, {}),
          (GOLDEN_TOKEN33, {"seed": 13, "config": {"token_dim": 33}}),
          (GOLDEN_32X48_T1, {"resolution": "32x48", "frames": 1, "seed": 15}),
          (GOLDEN_40X56_STRIDE2, {"resolution": "40x56", "frames": 3, "seed": 17,
-                                 "config": {"stride": 2}}))
+                                 "config": {"stride": 2}}),
+         (GOLDEN_BUDGET, {"frames": 10, "seed": 19,
+                          "config": {"rho_full": 0.02, "rho_light": 0.05}}),
+         (GOLDEN_NEAR_BASE, {"seed": 1, "base": (0.0, 0.0, 0.006)}),
+         (GOLDEN_OUT_OF_VIEW, {"seed": 1, "base": (1.0, 0.0, 0.006)}))
 
 
 def check_case(root, golden, kwargs):
@@ -245,6 +366,40 @@ def test_artefacts_match_recorded_digests_32x48_t1(tmp_path):
 
 def test_artefacts_match_recorded_digests_40x56_stride2(tmp_path):
     check_case(tmp_path, *CASES[5])
+
+
+def test_artefacts_match_recorded_digests_budget(tmp_path):
+    check_case(tmp_path, *CASES[6])
+
+
+def _execution(root):
+    with open(os.path.join(root, "schedule", "execution.csv"),
+              encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+def _semantics(root, t):
+    """Frame t's summed semantic planes, as written to its KVAF file."""
+    field = formats.read_field(os.path.join(root, "lift",
+                                            f"field_{t:04d}.kvaf"))
+    return field.channels[..., :3].sum(axis=2)
+
+
+def test_artefacts_match_recorded_digests_near_base(tmp_path):
+    check_case(tmp_path, *CASES[7])
+    # the branches the case is there for
+    assert (_semantics(tmp_path, 1) == 1).all()
+    frame2 = _execution(tmp_path)[1]
+    assert float(frame2["mean_significance"]) >= sched.TAU_H
+    assert frame2["refresh"] == "1"
+
+
+def test_artefacts_match_recorded_digests_out_of_view(tmp_path):
+    check_case(tmp_path, *CASES[8])
+    assert not any(_semantics(tmp_path, t).any() for t in range(1, 5))
+    rows = _execution(tmp_path)
+    assert [r["forced"] for r in rows] == ["1", "0", "1", "0"]
+    assert all(r["mean_significance"] == "0.5" for r in rows)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ class TestTrajectoryFormat:
 class TestFieldFormat:
     def _field(self, seed=0):
         rng = np.random.default_rng(seed)
-        return kvf.KvaField(channels=rng.normal(size=(12, 9, 9)).astype(np.float32)
-                            .astype(float), t=3)
+        return kvf.KvaField(planes=rng.normal(size=(9, 12, 9)).astype(np.float32),
+                            t=3)
 
     def test_round_trip(self, tmp_path):
         f = self._field()
@@ -134,6 +135,7 @@ class TestFieldFormat:
         fm.write_field(f, path)
         back = fm.read_field(path)
         assert back.t == 3
+        assert back.planes.tobytes() == f.planes.tobytes()
         np.testing.assert_array_equal(back.channels, f.channels)
 
     def test_header_layout(self, tmp_path):
@@ -566,34 +568,43 @@ class TestCli:
 
     def test_losses_src_check_one_logits_call_per_eval(self, tmp_path,
                                                        monkeypatch):
+        # each evaluation forms the logits' product tokens @ w once
         traj = _trajectory_file(tmp_path, 32)  # T=2 frames
-        logits_calls = []
-        checks = []  # (loss evaluations, predictor_logits calls) per grad check
-        real_logits, real_check = pr.predictor_logits, pr.grad_check
+        products = []
+        checks = []  # (loss evaluations, products with w) per grad check
+        real_check = pr.grad_check
 
-        def counted_logits(state, tokens):
-            logits_calls.append(tokens.shape)
-            return real_logits(state, tokens)
+        class CountedWeights(np.ndarray):
+            """Weights that count the matrix products they take part in."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(ufunc)
+                inputs = [np.asarray(x) for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
 
         def counted_check(loss_fn, arrays, analytic):
-            evals, before = [], len(logits_calls)
+            evals, before = [], len(products)
 
             def counted_fn(arrs):
                 evals.append(arrs)
-                return loss_fn(arrs)
+                counted = dict(arrs)
+                if "w" in counted:
+                    counted["w"] = arrs["w"].view(CountedWeights)
+                return loss_fn(counted)
 
             err = real_check(counted_fn, arrays, analytic)
-            checks.append((len(evals), len(logits_calls) - before))
+            checks.append((len(evals), len(products) - before))
             return err
 
-        monkeypatch.setattr(pr, "predictor_logits", counted_logits)
         monkeypatch.setattr(pr, "grad_check", counted_check)
         self._run("--out", str(tmp_path / "o"), "losses", "--traj", str(traj))
         assert len(checks) == 3  # cp_loss, kp_alb_loss, src_loss
-        n_evals, n_logits = checks[2]
+        n_evals, n_products = checks[2]
         n_params = (fm.Config().token_dim + 1) * pr.N_EXPERTS  # w and b
         assert n_evals == 2 * n_params
-        assert n_logits == n_evals
+        assert n_products == n_evals
+        assert checks[0] == checks[2]  # cp: the same parameters, one product each
 
     def test_losses_src_check_recomputes_one_column_per_eval(self, tmp_path,
                                                              monkeypatch):
@@ -706,11 +717,11 @@ class TestCli:
         traj = _trajectory_file(tmp_path, 64, frames=3)
         s = fm.Config().stride
         t, cam, _ = fm.read_trajectory(traj)
-        fields = kvf.lift_trajectory(t, ToolGeometry(), cam)
-        tool_blocks = sum(int((rt.avg_pool(m, s) > 0).sum())
-                          for m in kvf.tool_mask(fields))
+        labels = kvf.lift_trajectory(t, ToolGeometry(), cam).labels
+        tool_blocks = sum(int((rt.avg_pool((m >= 0).astype(float), s) > 0).sum())
+                          for m in labels)
         bound = (tool_blocks + 1) * s * s
-        assert bound < fields[..., 0].size  # the premise: the tool is small
+        assert bound < labels.size  # the premise: the tool is small
         pixels = [0]
         real = kvf.normalize
 
@@ -721,6 +732,21 @@ class TestCli:
         monkeypatch.setattr(kvf, "normalize", counted)
         self._run("--out", str(tmp_path / "o"), "route", "--traj", str(traj))
         assert 0 < pixels[0] <= bound
+
+    def test_route_peaks_below_one_dense_stack(self, tmp_path):
+        # a lifted trajectory holds labels, depth and per-part tables, and
+        # dense channels are painted only for the tool's blocks, so a route
+        # run at 256 x 256, T=4 never holds as much as one (T, H, W, 9)
+        # float64 stack (18.9 MB; the run peaks at about 16.9 MB)
+        size, frames = 256, 4
+        traj = _trajectory_file(tmp_path, size, frames=frames)
+        tracemalloc.start()
+        try:
+            self._run("--out", str(tmp_path / "o"), "route", "--traj", str(traj))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames * size * size * kvf.N_CHANNELS * 8
 
     @pytest.mark.parametrize("command", ["lift", "schedule"])
     @pytest.mark.parametrize("frames,dt,finite", [
@@ -739,8 +765,7 @@ class TestCli:
         t, cam, _ = fm.read_trajectory(traj)
         poses = [forward_kinematics(s, ToolGeometry()) for s in t.states]
         with np.errstate(over="ignore", invalid="ignore"):
-            v, alpha = kvf._part_motion(poses, cam, t.dt)
-        motion = np.concatenate([v.ravel(), alpha.ravel()])
+            motion = kvf.motion_channels(poses, cam, t.dt)
         assert np.isfinite(motion).all() == finite
         assert np.abs(motion).max() > np.finfo(np.float32).max
 

@@ -1,22 +1,29 @@
 """Randomized property tests for the pure numerical kernels."""
 
 import dataclasses
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kvacontrol import cli
+from kvacontrol import formats as fm
 from kvacontrol import kva_field as kvf
 from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
 from kvacontrol._columns import argmax, columns, fold
-from kvacontrol.kinematics import (DEFAULT_BASE_STATE, ToolGeometry, Trajectory,
-                                   default_camera)
+from kvacontrol.kinematics import (DEFAULT_BASE_STATE, PART_NAMES,
+                                   PART_SEMANTIC_CLASS, ToolGeometry, Trajectory,
+                                   default_camera, forward_kinematics)
+
+from test_field import painted
 
 
 masks = hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -169,26 +176,45 @@ channel_stats = st.builds(
     hnp.arrays(np.float64, 6, elements=st.floats(1e-3, 1e3)))
 
 
+@st.composite
+def compact_lifts(draw, frames=st.integers(1, 3), height=st.integers(1, 6),
+                  width=st.integers(1, 4)):
+    """Lifted trajectories drawn in compact form: labels -1 to 3, depth and
+    part tables with +-0.0 among their entries, depth +0.0 off the tool and
+    the tables' depth column and label -1 row +0.0."""
+    shape = (draw(frames), draw(height), draw(width))
+    labels = draw(hnp.arrays(np.intp, shape, elements=st.integers(-1, 3)))
+    depth = draw(hnp.arrays(np.float64, shape, elements=signed))
+    tables = draw(hnp.arrays(np.float64, (shape[0], kvf.N_TABLE_ROWS,
+                                          kvf.N_CHANNELS), elements=signed))
+    tables[:, -1] = 0.0
+    tables[..., kvf.DEPTH] = 0.0
+    return kvf.LiftedTrajectory(labels, np.where(labels >= 0, depth, 0.0),
+                                tables)
+
+
 @settings(max_examples=100, deadline=None)
-@given(field_stacks)
-def test_compute_stats_matches_numpy_mean_std(stack):
-    # the oracle is numpy's mean and std over the frames' rows concatenated,
-    # as the statistics read when a trajectory was a list of frames
-    stats = kvf.compute_stats(stack)
-    rows = np.concatenate([f[..., 3:].reshape(-1, 6) for f in stack], axis=0)
+@given(compact_lifts())
+def test_compute_stats_matches_numpy_mean_std(lifted):
+    # the oracle is numpy's mean and std over the painted frames' rows
+    # concatenated, as the statistics read when a trajectory was a list of
+    # dense frames
+    stats = kvf.compute_stats(lifted)
+    rows = np.concatenate([f[..., 3:].reshape(-1, 6) for f in painted(lifted)],
+                          axis=0)
     old = kvf.ChannelStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
     assert stats.mean.tobytes() == old.mean.tobytes()
     assert stats.std.tobytes() == old.std.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
-@given(field_stacks, st.integers(1, 8))
-def test_compute_stats_bits_do_not_depend_on_block_size(stack, block):
-    # the variance runs STATS_BLOCK rows at a time; small blocks carry the
+@given(compact_lifts(), st.integers(1, 8))
+def test_compute_stats_bits_do_not_depend_on_block_size(lifted, block):
+    # the variance runs STATS_BLOCK pixels at a time; small blocks carry the
     # running sum across many of them
-    want = kvf.compute_stats(stack)
+    want = kvf.compute_stats(lifted)
     with mock.patch.object(kvf, "STATS_BLOCK", block):
-        got = kvf.compute_stats(stack)
+        got = kvf.compute_stats(lifted)
     assert got.mean.tobytes() == want.mean.tobytes()
     assert got.std.tobytes() == want.std.tobytes()
 
@@ -204,14 +230,17 @@ def test_normalize_matches_broadcast_expression(stack, stats):
 
 
 @settings(max_examples=100, deadline=None)
-@given(field_stacks, channel_stats)
-def test_stats_and_normalize_leave_input_unchanged(stack, stats):
-    # on a C-contiguous stack the non-semantic rows' reshape is a view, so a
-    # missing copy would write the variance into the input
-    before = stack.tobytes()
-    kvf.compute_stats(stack)
+@given(compact_lifts(), field_stacks, channel_stats)
+def test_stats_and_normalize_leave_input_unchanged(lifted, stack, stats):
+    # normalize gets a view of its input when it is already C-contiguous
+    # float64, so a missing copy would write the standardized values into it
+    arrays = (lifted.labels, lifted.depth, lifted.tables)
+    before = [a.tobytes() for a in arrays]
+    stack_before = stack.tobytes()
+    kvf.compute_stats(lifted)
     kvf.normalize(stack, stats)
-    assert stack.tobytes() == before
+    assert [a.tobytes() for a in arrays] == before
+    assert stack.tobytes() == stack_before
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,14 +389,14 @@ def test_src_and_cp_evaluators_match_public_losses(inputs):
     want = pr.src_loss(R, m_tool)
     assert _float_bytes(want) == _float_bytes(_old_src_loss(_old_sigmoid(
         tok_seq @ state.w + state.b), m_tool))
-    src = pr._src_evaluator(tok_seq, m_tool, state.tau)
+    src = pr._src_evaluator(tok_seq, m_tool)
     assert _float_bytes(src(arrays)) == _float_bytes(want)
 
     tokens = tok_seq[-1]
     z = pr.predictor_logits(state, tokens)
     want = pr.cp_loss(z, A)
     assert _float_bytes(want) == _float_bytes(_old_cp_loss(z, A))
-    cp = pr._cp_evaluator(tokens, A, state.tau)
+    cp = pr._cp_evaluator(tokens, A)
     assert _float_bytes(cp(arrays)) == _float_bytes(want)
 
 
@@ -380,8 +409,8 @@ def test_src_and_cp_evaluators_keep_columns_across_calls(inputs, data):
     # call with the public losses on fresh arrays
     tok_seq, m_tool, A, state = inputs
     tokens = tok_seq[-1]
-    src = pr._src_evaluator(tok_seq, m_tool, state.tau)
-    cp = pr._cp_evaluator(tokens, A, state.tau)
+    src = pr._src_evaluator(tok_seq, m_tool)
+    cp = pr._cp_evaluator(tokens, A)
     base = {"w": state.w.copy(), "b": state.b.copy()}
     arrs = {name: arr.copy() for name, arr in base.items()}
     columns = st.integers(0, rt.N_EXPERTS - 1)
@@ -471,38 +500,117 @@ def test_fuse_control_matches_expert_fold(inputs):
     assert ctrl.tobytes() == want.tobytes()
 
 
-# base offsets (m) that put the tool in view, near the camera (its shaft
-# reaching past z_near) and out of view
-TOOL_OFFSETS = {"in-view": (0.0, 0.0, 0.0), "near": (0.004, 0.002, -0.08),
-                "out-of-view": (0.5, 0.0, 0.0)}
+# base offsets (m) and jitter bounds that put the tool in view, across the
+# frame's border, near the camera (its shaft reaching past z_near), over
+# the whole frame (the base 6 mm deep, so no background pixel) and out of
+# view
+TOOL_POSES = {"in-view": ((0.0, 0.0, 0.0), 0.01),
+              "across-border": ((0.012, 0.0, -0.06), 0.003),
+              "near": ((0.004, 0.002, -0.08), 0.01),
+              "fills-frame": ((0.0, 0.0, -0.104), 0.001),
+              "out-of-view": ((0.5, 0.0, 0.0), 0.01)}
+
+
+def posed_state(name, jitter=(0.0, 0.0, 0.0)):
+    """The default base state at TOOL_POSES[name], moved by `jitter` times
+    the pose's jitter bound."""
+    offset, bound = TOOL_POSES[name]
+    p = DEFAULT_BASE_STATE.p + np.array(offset) + bound * np.array(jitter)
+    return dataclasses.replace(DEFAULT_BASE_STATE, p=p)
+
+
+def dense_lift(traj, geom, cam):
+    """The trajectory's (T, H, W, 9) channels painted channel by channel from
+    the rasterized labels, as a dense lift writes them."""
+    poses = [forward_kinematics(state, geom) for state in traj.states]
+    motion = kvf.motion_channels(poses, cam, traj.dt)
+    out = np.zeros((len(poses), cam.height, cam.width, kvf.N_CHANNELS))
+    for frame, p, m in zip(out, poses, motion):
+        labels, depth = kvf.rasterize_parts(p, cam)
+        frame[..., 3] = depth
+        for k, part in enumerate(PART_NAMES):
+            on = labels == k
+            frame[on, PART_SEMANTIC_CLASS[part]] = 1.0
+            frame[on, 4] = kvf.part_axis_angle(p, cam, part)
+            frame[on, 5:9] = m[k]
+    return out
+
+
+def dense_compute_stats(channels):
+    """compute_stats of a dense (..., 9) stack: numpy's sequential sums over
+    its (N, 6) non-semantic rows, the variance STATS_BLOCK rows at a time."""
+    x = channels[..., 3:9].reshape(-1, 6)
+    n = x.shape[0]
+    mean = np.add.reduce(x, axis=0) / n
+    sq_sum = np.zeros(6)
+    for i in range(0, n, kvf.STATS_BLOCK):
+        dev = x[i:i + kvf.STATS_BLOCK] - mean
+        sq_sum = np.add.reduce(np.concatenate([sq_sum[None], dev * dev]),
+                               axis=0)
+    return kvf.ChannelStats(mean=mean, std=np.sqrt(sq_sum / n))
 
 
 @st.composite
-def lifted_fields(draw):
-    """Lifted (T, H, W, 9) fields, T = 1 to 3 frames, the tool in view, near
-    the camera or out of view in each frame, and a pooling stride."""
+def lifted_cases(draw):
+    """(lifted trajectory, its dense channels or None, pooling stride): a
+    trajectory of T = 1 to 3 frames, each pose drawn from TOOL_POSES, or a
+    compact lift drawn directly; the frame's sides are multiples of the
+    stride."""
     stride = draw(st.sampled_from([1, 2, 4, 8]))
     h, w = draw(st.integers(1, 5)) * stride, draw(st.integers(1, 5)) * stride
-    states = []
-    for _ in range(draw(st.integers(1, 3))):
-        offset = np.array(TOOL_OFFSETS[draw(st.sampled_from(sorted(TOOL_OFFSETS)))])
-        jitter = np.array(draw(st.tuples(*[st.floats(-0.01, 0.01)] * 3)))
-        states.append(dataclasses.replace(
-            DEFAULT_BASE_STATE, p=DEFAULT_BASE_STATE.p + offset + jitter))
-    traj = Trajectory(states=tuple(states), dt=0.5)
-    return kvf.lift_trajectory(traj, ToolGeometry(), default_camera(w, h)), stride
+    frames = st.integers(1, 3)
+    if draw(st.booleans()):
+        return draw(compact_lifts(frames, st.just(h), st.just(w))), None, stride
+    states = tuple(
+        posed_state(draw(st.sampled_from(sorted(TOOL_POSES))),
+                    draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+        for _ in range(draw(frames)))
+    traj, cam = Trajectory(states=states, dt=0.5), default_camera(w, h)
+    return (kvf.lift_trajectory(traj, ToolGeometry(), cam),
+            dense_lift(traj, ToolGeometry(), cam), stride)
 
 
-@settings(max_examples=60, deadline=None)
-@given(lifted_fields())
-def test_pooled_grids_match_dense_pooling(case):
-    fields, s = case
-    stats = kvf.compute_stats(fields)
-    normed, pooled, m_tool = cli._pooled_grids(fields, stats, s)
+@pytest.mark.parametrize("name", sorted(TOOL_POSES))
+def test_tool_poses_do_what_their_names_say(name):
+    cam = default_camera(32, 32)
+    traj = Trajectory(states=(posed_state(name),), dt=0.5)
+    tool = kvf.lift_trajectory(traj, ToolGeometry(), cam).labels[0] >= 0
+    border = tool[0].any() or tool[-1].any() or tool[:, 0].any() or tool[:, -1].any()
+    if name == "in-view":
+        assert tool.any() and not tool.all()
+    elif name in ("across-border", "near"):
+        assert border and not tool.all()
+    elif name == "fills-frame":
+        assert tool.all()
+    else:
+        assert not tool.any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(lifted_cases())
+def test_compact_lift_matches_dense_painting(case):
+    lifted, dense, s = case
+    frames = painted(lifted)
+    if dense is not None:
+        assert frames.tobytes() == dense.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.kvaf")
+        for t, f in enumerate(frames):
+            fm.write_field(lifted.field(t), path)
+            with open(path, "rb") as fh:
+                payload = fh.read()[24:]
+            assert payload == np.ascontiguousarray(np.moveaxis(f, 2, 0),
+                                                   dtype="<f4").tobytes()
+    stats = kvf.compute_stats(lifted)
+    want = dense_compute_stats(frames)
+    assert stats.mean.tobytes() == want.mean.tobytes()
+    assert stats.std.tobytes() == want.std.tobytes()
+    normed, pooled, m_tool = cli._pooled_grids(lifted, stats, s)
     assert normed.shape == pooled.shape == m_tool.shape + (kvf.N_CHANNELS,)
-    assert len(m_tool) == len(fields)
-    for t, f in enumerate(fields):
+    assert len(m_tool) == len(frames)
+    for t, f in enumerate(frames):
         want = rt.avg_pool(kvf.normalize(f, stats), s)
         assert normed[t].tobytes() == want.tobytes()
         assert pooled[t].tobytes() == rt.avg_pool(f, s).tobytes()
-        assert m_tool[t].tobytes() == rt.avg_pool(kvf.tool_mask(f), s).tobytes()
+        mask = (lifted.labels[t] >= 0).astype(float)
+        assert m_tool[t].tobytes() == rt.avg_pool(mask, s).tobytes()

@@ -9,6 +9,8 @@ from kvacontrol import routing as rt
 from kvacontrol.errors import ShapeMismatch
 from kvacontrol.kinematics import ToolGeometry, default_camera, synth_trajectory
 
+from test_field import painted
+
 STRIDE = 4  # the pooling stride of the full frames routed here
 
 
@@ -23,9 +25,9 @@ def lifted_field(seed=0, hw=32):
     geom = ToolGeometry()
     cam = default_camera(hw, hw)
     traj = synth_trajectory("composite", T=4, seed=seed, geom=geom)
-    fields = kvf.lift_trajectory(traj, geom, cam)
-    stats = kvf.compute_stats(fields)
-    return rt.avg_pool(kvf.normalize(fields[-1], stats), STRIDE)
+    lifted = kvf.lift_trajectory(traj, geom, cam)
+    stats = kvf.compute_stats(lifted)
+    return rt.avg_pool(kvf.normalize(painted(lifted)[-1], stats), STRIDE)
 
 
 def route_tokens(field, params):
