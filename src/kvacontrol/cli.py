@@ -378,8 +378,15 @@ def cmd_report(inputs, out_path):
 TRAJECTORY_COMMANDS = ("lift", "route", "losses", "schedule")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ParseError; subparsers inherit it."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="kvacontrol")
+    p = _Parser(prog="kvacontrol")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
@@ -412,14 +419,14 @@ def _parse_resolution(text):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.command == "synth":
-        if args.kind is not None:
-            overrides["trajectory_kind"] = args.kind
-        if args.frames is not None:
-            overrides["frames"] = args.frames
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {}
+        if args.command == "synth":
+            if args.kind is not None:
+                overrides["trajectory_kind"] = args.kind
+            if args.frames is not None:
+                overrides["frames"] = args.frames
         if args.seed < 0:
             raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
         resolution = None
@@ -441,9 +448,7 @@ def main(argv=None):
             return cmd_schedule(cfg, args.seed, lifted, args.out)
         if args.command == "eval":
             return cmd_eval(args.pred, args.target, args.out)
-        if args.command == "report":
-            return cmd_report(args.inputs, os.path.join(args.out, "report.csv"))
-        return 2
+        return cmd_report(args.inputs, os.path.join(args.out, "report.csv"))
     except (KvaControlError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one has no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -67,14 +67,16 @@ def subsystem_rng(seed: int, tag: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Trajectory text format
 
+# poses are camera-frame, so the world->camera [R | t] record is the identity
+IDENTITY_EXTRINSIC = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0)
+
 
 def write_trajectory(path, traj: Trajectory, cam: CameraModel, seq_id="seq"):
     lines = [f"seq {seq_id}"]
     lines.append("camera " + " ".join(
         _fmt(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)) +
         f" {cam.width} {cam.height}")
-    ext = np.hstack([cam.rotation, cam.translation[:, None]]).reshape(-1)
-    lines.append("extrinsic " + " ".join(_fmt(v) for v in ext))
+    lines.append("extrinsic " + " ".join(map(str, IDENTITY_EXTRINSIC)))
     lines.append(f"dt {_fmt(traj.dt)}")
     for i, state in enumerate(traj.states, start=1):
         lines.append(f"frame {i} " + " ".join(_fmt(v) for v in state.as_vector()))
@@ -90,7 +92,6 @@ def read_trajectory(path):
 
     seq_id = None
     cam_vals = None
-    ext = None
     dt = None
     frames = {}
     seen = set()  # the records other than frame, which may appear once
@@ -115,7 +116,9 @@ def read_trajectory(path):
             elif key == "extrinsic":
                 if len(rest) != 12:
                     raise ParseError("extrinsic line needs 12 values", line=ln)
-                ext = np.array([float(v) for v in rest]).reshape(3, 4)
+                if tuple(float(v) for v in rest) != IDENTITY_EXTRINSIC:
+                    raise ParseError("extrinsic must be the identity [I | 0]: "
+                                     "poses are camera-frame", line=ln)
             elif key == "dt":
                 if len(rest) != 1:
                     raise ParseError("dt line needs 1 value", line=ln)
@@ -135,15 +138,13 @@ def read_trajectory(path):
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from exc
 
-    if cam_vals is None or ext is None or dt is None or not frames:
+    if not {"camera", "extrinsic", "dt"} <= seen or not frames:
         raise ParseError("missing camera/extrinsic/dt/frame records")
     expected = list(range(1, len(frames) + 1))
     if sorted(frames) != expected:
         raise InvariantViolation("frame indices must be contiguous from 1")
 
-    fx, fy, cx, cy, width, height = cam_vals
-    cam = CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
-                      rotation=ext[:, :3], translation=ext[:, 3])
+    cam = CameraModel(*cam_vals)
     traj = Trajectory(states=tuple(frames[i] for i in expected), dt=dt)
     return traj, cam, seq_id
 

@@ -7,7 +7,8 @@ orientation r, and three hinge angles (shaft-wrist, wrist-left-gripper,
 wrist-right-gripper).
 
 Frame conventions (fixed here so rendering is deterministic):
-  - camera frame is right-handed, z forward into the scene;
+  - every pose is in the camera frame (a `CameraModel` has no extrinsic),
+    right-handed, z forward; a point at depth <= Z_NEAR is behind the camera;
   - the rest configuration (p=0, r=0, all q=0) puts the shaft along -z,
     the wrist just behind the origin, and the grippers extending along
     local +x at the tip;
@@ -34,6 +35,9 @@ PART_NAMES = ("shaft", "wrist", "left_gripper", "right_gripper")
 
 # semantic class per part: shaft=0, wrist=1, both grippers=2
 PART_SEMANTIC_CLASS = {"shaft": 0, "wrist": 1, "left_gripper": 2, "right_gripper": 2}
+
+# camera depth (m) at or behind which a point is not projected or hit
+Z_NEAR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,8 @@ class ArticulatedState:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera: intrinsics in pixels + rigid world->camera extrinsic."""
+    """Pinhole camera in pixels, the trajectory file's `camera` record; no
+    extrinsic, as every pose is camera-frame."""
 
     fx: float
     fy: float
@@ -124,30 +129,18 @@ class CameraModel:
     cy: float
     width: int
     height: int
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    z_near: float = 1e-4
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
         for name in ("width", "height"):
             size = getattr(self, name)
             if not isinstance(size, (int, np.integer)) or size < 1:
                 raise InvalidParams(f"{name} must be an integer >= 1, got {size!r}")
-        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *R.flat, *t]).all():
-            raise InvalidParams("camera intrinsics and extrinsics must be finite")
-        # the near-plane cull of the rasterizer assumes it is in front
-        if not 0 < self.z_near < np.inf:
-            raise InvalidParams(f"z_near must be finite and > 0, got {self.z_near}")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise InvalidParams("camera intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidParams("fx, fy must be > 0")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise InvalidParams("principal point must lie inside the image")
-        if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1) > 1e-9:
-            raise InvalidParams("rotation must be orthonormal with det +1")
 
 
 @dataclass(frozen=True)
@@ -281,8 +274,8 @@ def project_point(cam: CameraModel, x) -> tuple:
     """Pinhole projection of a camera-frame point to (u, v, depth)."""
     x = np.asarray(x, dtype=float).reshape(3)
     z = x[2]
-    if z <= cam.z_near:
-        raise BehindCamera(f"point depth {z} <= z_near {cam.z_near}")
+    if z <= Z_NEAR:
+        raise BehindCamera(f"point depth {z} <= Z_NEAR {Z_NEAR}")
     return (*project(cam, x), z)
 
 

@@ -57,6 +57,7 @@ from .errors import EmptyCorpus, NonFiniteInput, ShapeMismatch
 from .kinematics import (
     PART_NAMES,
     PART_SEMANTIC_CLASS,
+    Z_NEAR,
     CameraModel,
     PartPoses,
     ToolGeometry,
@@ -125,7 +126,7 @@ def _sq_norm(x):
     return fold(np.add, (x[:, k] * x[:, k] for k in range(3)))
 
 
-def _ray_capsule_depths(D, a, b, radius, z_near):
+def _ray_capsule_depths(D, a, b, radius):
     """Vectorized smallest hit depth per ray; inf on a miss.
 
     D: (N, 3) directions with dz = 1 so the ray parameter is camera depth."""
@@ -151,7 +152,7 @@ def _ray_capsule_depths(D, a, b, radius, z_near):
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = (-qb + sign * sq) / (2 * qa)
             w = (m + t[:, None] * D) @ axis
-            valid = ok & (t > z_near) & (w >= 0) & (w <= L)
+            valid = ok & (t > Z_NEAR) & (w >= 0) & (w <= L)
             best = np.where(valid & (t < best), t, best)
 
     # spherical caps
@@ -167,7 +168,7 @@ def _ray_capsule_depths(D, a, b, radius, z_near):
         sq = np.sqrt(np.where(ok, disc, 0.0))
         for sign in (-1.0, 1.0):
             t = (-sb + sign * sq) / (2 * sa)
-            valid = ok & (t > z_near)
+            valid = ok & (t > Z_NEAR)
             best = np.where(valid & (t < best), t, best)
     return best
 
@@ -187,10 +188,10 @@ def _screen_box(a, b, radius, cam: CameraModel):
     capsule's axis-aligned 3-D box: padded by one pixel against rounding and
     clipped to the frame; it may be empty. A corner far off to the side
     projects to +-inf and clips to the frame's edge. When any of the capsule
-    lies at or behind z_near, it is the whole frame."""
+    lies at or behind Z_NEAR, it is the whole frame."""
     lo = np.minimum(a, b) - radius
     hi = np.maximum(a, b) + radius
-    if lo[2] <= cam.z_near:
+    if lo[2] <= Z_NEAR:
         return slice(0, cam.height), slice(0, cam.width)
     with np.errstate(over="ignore"):
         u, v = project(cam, np.array(list(product(*zip(lo, hi)))))  # 8 corners
@@ -216,8 +217,7 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel):
         if not len(D):
             continue
         near = best[box]
-        depth = _ray_capsule_depths(D, a, b, poses.radii[part],
-                                    cam.z_near).reshape(near.shape)
+        depth = _ray_capsule_depths(D, a, b, poses.radii[part]).reshape(near.shape)
         # strictly nearer only: ties keep the earlier part, as argmin would
         nearer = depth < near
         near[nearer] = depth[nearer]
@@ -281,7 +281,7 @@ def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
     mid = 0.5 * (a + b)
     w = b - a
     mz = mid[2]
-    if mz <= cam.z_near:
+    if mz <= Z_NEAR:
         return 0.0
     with np.errstate(over="ignore"):  # a far-off part gets an infinite du
         du = cam.fx * (w[0] * mz - mid[0] * w[2]) / (mz * mz)
@@ -303,14 +303,14 @@ def motion_channels(poses, cam: CameraModel, dt: float) -> np.ndarray:
     v_z and alpha columns of each frame's part table.
 
     The centroid is the capsule midpoint projected to (u, v, depth). v = 0 at
-    frame 0 and where the midpoint is at or behind z_near at t or t - 1;
+    frame 0 and where the midpoint is at or behind Z_NEAR at t or t - 1;
     alpha = |v_t - v_{t-1}| / dt, 0 before frame 2."""
     mid = np.array([[0.5 * (p.endpoints[part][0] + p.endpoints[part][1])
                      for part in PART_NAMES] for p in poses])
     z = mid[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         track = np.stack([*project(cam, mid), z], axis=-1)
-    track[z <= cam.z_near] = np.nan
+    track[z <= Z_NEAR] = np.nan
     motion = np.zeros(track.shape[:2] + (4,))
     v = motion[..., :3]
     v[1:] = (track[1:] - track[:-1]) / dt

@@ -245,14 +245,14 @@ def sub_routing_stats(decision: RoutingDecision):
     return f_sub, probs.mean(axis=0)
 
 
-def flow_matching_loss(pred, x0, x1, sigma_min=0.0) -> float:
-    """MSE against the straight-path velocity target (1 - sigma_min)*x1 - x0."""
+def flow_matching_loss(pred, x0, x1) -> float:
+    """MSE against the straight-path velocity target x1 - x0."""
     pred = np.asarray(pred, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if not (pred.shape == x0.shape == x1.shape):
         raise ShapeMismatch("pred/x0/x1 shapes differ")
-    v = (1 - sigma_min) * x1 - x0
+    v = x1 - x0
     return float(np.mean((pred - v) ** 2))
 
 

@@ -183,10 +183,8 @@ def test_criterion_03_loss_value_oracles(capsys):
 
             # flow matching
             pred, x0, x1 = (rng.normal(size=8) for _ in range(3))
-            sm = rng.uniform(0, 0.2)
-            exp = np.mean([(pred[i] - ((1 - sm) * x1[i] - x0[i])) ** 2
-                           for i in range(8)])
-            assert abs(pr.flow_matching_loss(pred, x0, x1, sm) - exp) < 1e-10
+            exp = np.mean([(pred[i] - (x1[i] - x0[i])) ** 2 for i in range(8)])
+            assert abs(pr.flow_matching_loss(pred, x0, x1) - exp) < 1e-10
 
             # total
             c = rng.normal(size=5)

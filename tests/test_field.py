@@ -8,6 +8,7 @@ from kvacontrol.kinematics import (
     DEFAULT_BASE_STATE,
     PART_NAMES,
     PART_SEMANTIC_CLASS,
+    Z_NEAR,
     ArticulatedState,
     CameraModel,
     ToolGeometry,
@@ -76,7 +77,7 @@ def ray_march_oracle(poses, cam, step=1e-4):
              for pi, p in enumerate(PART_NAMES)]
     zs = [e[2] for _, a, b, _ in parts for e in (a, b)]
     r_max = max(r for *_, r in parts)
-    s_lo = max(cam.z_near, 0.5 * (min(zs) - r_max))
+    s_lo = max(Z_NEAR, 0.5 * (min(zs) - r_max))
     s_hi = 1.5 * (max(zs) + r_max)
     if s_hi <= s_lo:
         return labels, depth
@@ -127,8 +128,7 @@ def full_frame_raster(poses, cam):
     D = np.stack([(jj - cam.cx) / cam.fx, (ii - cam.cy) / cam.fy,
                   np.ones_like(jj)], axis=-1).reshape(-1, 3)
     depths = np.stack([
-        kvf._ray_capsule_depths(D, *poses.endpoints[part], poses.radii[part],
-                                cam.z_near)
+        kvf._ray_capsule_depths(D, *poses.endpoints[part], poses.radii[part])
         for part in PART_NAMES])
     best = depths.min(axis=0)
     labels = np.where(np.isfinite(best), depths.argmin(axis=0), -1)
@@ -207,9 +207,9 @@ class TestRasterize:
                                              poses.radii[part], cam)
                 assert rows.start == rows.stop or cols.start == cols.stop
         else:
-            # a visible part reaches from behind z_near to in front of it
+            # a visible part reaches from behind Z_NEAR to in front of it
             straddles = [k for k, part in enumerate(PART_NAMES)
-                         if min(a[2] for a in poses.endpoints[part]) <= cam.z_near
+                         if min(a[2] for a in poses.endpoints[part]) <= Z_NEAR
                          < max(a[2] for a in poses.endpoints[part])]
             assert any((labels == k).any() for k in straddles)
 
@@ -334,7 +334,7 @@ class TestMotionChannels:
         np.testing.assert_allclose(a[mask], 2.0, atol=1e-9)
 
     def test_behind_camera_midpoint_zero_velocity(self):
-        # the wrist midpoint crosses z_near at frame 2: v = 0 there and at
+        # the wrist midpoint crosses Z_NEAR at frame 2: v = 0 there and at
         # frame 3, and alpha differences against those zero rows
         geom = ToolGeometry()
         cam = CameraModel(fx=20.0, fy=20.0, cx=32.0, cy=32.0, width=64, height=64)
@@ -399,7 +399,7 @@ class TestLift:
         # +0.0, not -0.0
         geom = ToolGeometry()
         if case == "near-camera":
-            # the shaft reaches past z_near and the tool crosses the border
+            # the shaft reaches past Z_NEAR and the tool crosses the border
             cam = CameraModel(fx=20.0, fy=20.0, cx=20.0, cy=12.0, width=40,
                               height=24)
             states = [dataclasses.replace(DEFAULT_BASE_STATE,

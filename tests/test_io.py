@@ -36,8 +36,8 @@ class TestTrajectoryFormat:
         assert back.dt == traj.dt
         for a, b in zip(traj.states, back.states):
             np.testing.assert_array_equal(a.as_vector(), b.as_vector())
-        assert (cam2.fx, cam2.fy, cam2.cx, cam2.cy) == (cam.fx, cam.fy, cam.cx, cam.cy)
-        np.testing.assert_array_equal(cam2.rotation, cam.rotation)
+        assert cam2 == cam
+        assert "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0" in path.read_text().splitlines()
 
     def test_rewrite_identical_bytes(self, tmp_path):
         traj, cam = self._traj(3)
@@ -320,6 +320,59 @@ def test_every_config_value_changes_an_artefact(tmp_path, live_base, name, index
                 "changes no artefact")
 
 
+def _with_value(traj, record, pos, value):
+    """The trajectory file's text with `record`'s value at `pos` replaced."""
+    lines = [line.split() for line in open(traj).read().splitlines()]
+    next(parts for parts in lines if parts[0] == record)[pos] = value
+    return "".join(" ".join(parts) + "\n" for parts in lines)
+
+
+# (record, position in the line) of each value of the camera record, dt and
+# one frame value
+TRAJECTORY_VALUES = [
+    pytest.param("camera", pos, id=f"camera-{name}") for pos, name in
+    enumerate(("fx", "fy", "cx", "cy", "width", "height"), start=1)
+] + [pytest.param("dt", 1, id="dt"), pytest.param("frame", 4, id="frame-1-pz")]
+
+
+@pytest.mark.parametrize("record,pos", TRAJECTORY_VALUES)
+def test_every_trajectory_value_changes_an_artefact(tmp_path, live_base, record,
+                                                    pos):
+    traj, base = live_base
+    old = next(line.split() for line in open(traj)
+               if line.split()[0] == record)[pos]
+    # scaled by 1.25, the principal point stays inside the frame and the
+    # frame size stays an integer (32 -> 40)
+    new = float(old) * 1.25
+    path = tmp_path / "t.txt"
+    path.write_text(_with_value(traj, record, pos,
+                                str(int(new)) if old.isdigit() else repr(new)))
+    assert _run_command(tmp_path, LIVE_BASE, "lift", str(path)) != base["lift"]
+
+
+@pytest.mark.parametrize("command", cli.TRAJECTORY_COMMANDS)
+@pytest.mark.parametrize("extrinsic", [
+    "0 -1 0 0 1 0 0 0 0 0 1 0",
+    "1 0 0 0.01 0 1 0 -0.02 0 0 1 0.05",
+], ids=["rotation-90-about-z", "translation"])
+def test_non_identity_extrinsic_clean_error(tmp_path, live_base, capsys,
+                                            command, extrinsic):
+    """Poses are camera-frame: an extrinsic no stage would apply is rejected,
+    not ignored."""
+    text = open(live_base[0]).read()
+    identity = "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0"
+    ln = text.splitlines().index(identity) + 1
+    path = tmp_path / "t.txt"
+    path.write_text(text.replace(identity, "extrinsic " + extrinsic))
+    out = tmp_path / "o"
+    code = cli.main(["--out", str(out), command, "--traj", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line {ln}: extrinsic must be the identity")
+    assert "camera-frame" in err and err.count("\n") == 1, err
+    assert not os.listdir(out)
+
+
 class TestRngStreams:
     def test_deterministic(self):
         a = fm.subsystem_rng(7, "gate").random(5)
@@ -554,8 +607,19 @@ class TestCli:
         ["synth", "--frames", "0"],
         ["synth", "--kind", ""],
         ["eval", "--pred", "EMPTY", "--target", "EMPTY"],
+        # malformed command lines, which argparse alone would end in exit 2
+        ["--seed", "abc", "synth"],
+        ["--bogus", "synth"],
+        ["route"],
+        ["synth", "--frames", "x"],
+        ["nope"],
+        ["--resolution", "-16x16", "synth"],
+        [],
+        ["synth", "extra"],
     ], ids=["seed-negative-synth", "seed-negative-route", "frames-0", "kind-empty",
-            "eval-empty-dirs"])
+            "eval-empty-dirs", "seed-not-int", "unknown-flag",
+            "route-without-traj", "frames-not-int", "unknown-command",
+            "resolution-negative", "no-command", "stray-positional"])
     def test_bad_argument_clean_error(self, tmp_path, capsys, argv):
         traj = _trajectory_file(tmp_path, 32)
         (tmp_path / "empty").mkdir()
@@ -565,6 +629,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["route", "-h"]],
+                             ids=["top", "subcommand"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kvacontrol")
 
     def test_losses_src_check_one_logits_call_per_eval(self, tmp_path,
                                                        monkeypatch):
@@ -818,9 +890,7 @@ class TestCli:
     def test_bad_trajectory_value_clean_error(self, tmp_path, capsys, record,
                                               pos, value):
         traj = _trajectory_file(tmp_path, 64)
-        lines = [line.split() for line in traj.read_text().splitlines()]
-        next(parts for parts in lines if parts[0] == record)[pos] = value
-        traj.write_text("".join(" ".join(parts) + "\n" for parts in lines))
+        traj.write_text(_with_value(traj, record, pos, value))
         code = cli.main(["--out", str(tmp_path / "o"), "lift", "--traj", str(traj)])
         err = capsys.readouterr().err
         assert code == 1

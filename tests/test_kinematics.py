@@ -139,9 +139,7 @@ class TestProjection:
 class TestCameraModel:
     @pytest.mark.parametrize("field,value", [
         ("fx", np.nan), ("fy", np.inf), ("cx", np.nan),
-        ("rotation", np.full((3, 3), np.nan)),
-        ("translation", np.array([0.0, np.inf, 0.0])),
-    ], ids=["fx-nan", "fy-inf", "cx-nan", "rotation-nan", "translation-inf"])
+    ], ids=["fx-nan", "fy-inf", "cx-nan"])
     def test_camera_rejects_non_finite(self, field, value):
         kwargs = dict(fx=50.0, fy=50.0, cx=32.0, cy=32.0, width=64, height=64)
         kwargs[field] = value
@@ -158,12 +156,6 @@ class TestCameraModel:
         kwargs[field] = value
         with pytest.raises(InvalidParams, match=f"{field} must be an integer >= 1"):
             CameraModel(**kwargs)
-
-    @pytest.mark.parametrize("z_near", [-1.0, 0.0, np.inf, np.nan])
-    def test_camera_rejects_z_near_outside_finite_positive(self, z_near):
-        with pytest.raises(InvalidParams, match="z_near must be finite and > 0"):
-            CameraModel(fx=50.0, fy=50.0, cx=32.0, cy=32.0, width=64, height=64,
-                        z_near=z_near)
 
     def test_camera_accepts_numpy_integer_size(self):
         cam = CameraModel(fx=50.0, fy=50.0, cx=16.0, cy=12.0,

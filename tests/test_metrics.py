@@ -405,7 +405,7 @@ class TestRenderTubeCrop:
                                 st.floats(0.01, 100.0)),
            segments=st.lists(st.tuples(
                _PIXEL, _PIXEL, _PIXEL, _PIXEL,
-               # depths: in front, then also near or behind z_near
+               # depths: in front, then also near or behind Z_NEAR
                st.floats(1e-3, 0.3), st.floats(-0.01, 0.3),
                st.booleans()), min_size=4, max_size=4))
     def test_random_segments_match_dense(self, size, half_width, segments):

@@ -212,21 +212,20 @@ class TestFlowMatching:
     def test_exact_target(self):
         x0 = np.zeros((3, 3))
         x1 = np.ones((3, 3))
-        assert pr.flow_matching_loss(np.ones((3, 3)), x0, x1, 0.0) == 0
+        assert pr.flow_matching_loss(np.ones((3, 3)), x0, x1) == 0
 
     def test_constant_offset(self):
         rng = np.random.default_rng(1)
         x0, x1 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        v = (1 - 0.1) * x1 - x0
-        assert abs(pr.flow_matching_loss(v + 0.3, x0, x1, 0.1) - 0.09) < 1e-12
+        v = x1 - x0
+        assert abs(pr.flow_matching_loss(v + 0.3, x0, x1) - 0.09) < 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
         pred, x0, x1 = (rng.normal(size=12) for _ in range(3))
-        sm = 0.05
-        expected = np.mean([(pred[i] - ((1 - sm) * x1[i] - x0[i])) ** 2
+        expected = np.mean([(pred[i] - (x1[i] - x0[i])) ** 2
                             for i in range(12)])
-        assert abs(pr.flow_matching_loss(pred, x0, x1, sm) - expected) < 1e-12
+        assert abs(pr.flow_matching_loss(pred, x0, x1) - expected) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -501,7 +501,7 @@ def test_fuse_control_matches_expert_fold(inputs):
 
 
 # base offsets (m) and jitter bounds that put the tool in view, across the
-# frame's border, near the camera (its shaft reaching past z_near), over
+# frame's border, near the camera (its shaft reaching past Z_NEAR), over
 # the whole frame (the base 6 mm deep, so no background pixel) and out of
 # view
 TOOL_POSES = {"in-view": ((0.0, 0.0, 0.0), 0.01),
