@@ -1,13 +1,14 @@
-"""Pipeline CLI: synth / lift / route / losses / schedule / eval / report.
+"""Pipeline CLI: synth / lift / route / losses / schedule / run / eval / report.
 
 Every subcommand is a pure function of (config, seed, input files); identical
 invocations produce byte-identical outputs. Reports are CSV with a header row.
 
-`lift`, `route`, `losses` and `schedule` lift their trajectory into compact
-form, `kva_field.LiftedTrajectory`: part labels, depth and per-part tables.
-`lift` paints each frame's KVAF planes from its table, and the routing pass
-paints only the tool's blocks (`_pooled_grids`); no command paints a whole
-(T, H, W, 9) stack.
+A trajectory command reads its trajectory, lifts it into compact form
+(`kva_field.LiftedTrajectory`), computes its channel statistics and, unless
+it is `lift`, routes each frame, each once (`_trajectory_pass`). `lift`,
+`route`, `losses` and `schedule` write their artefacts from that one pass,
+and `run` writes all four's. No whole (T, H, W, 9) stack is painted: `lift`
+paints a frame at a time, routing only the tool's blocks (`_pooled_grids`).
 """
 
 from __future__ import annotations
@@ -87,35 +88,6 @@ def cmd_synth(cfg: Config, seed: int, out: str):
     write_trajectory(os.path.join(out, "trajectory.txt"), traj, cam, seq_id="synth")
     for t, labels in enumerate(masks):
         write_pgm(os.path.join(out, "masks", f"frame_{t + 1:04d}.pgm"), labels)
-    return 0
-
-
-def _load_fields(traj_path, resolution=None) -> kvf.LiftedTrajectory:
-    """Lift a trajectory file at its camera's H x W, which `resolution` (the
-    --resolution flag, when given) must equal."""
-    traj, cam, _ = read_trajectory(traj_path)
-    if resolution is not None and resolution != (cam.height, cam.width):
-        raise ShapeMismatch(
-            f"--resolution {resolution[0]}x{resolution[1]} differs from the "
-            f"trajectory camera's {cam.height}x{cam.width}")
-    return kvf.lift_trajectory(traj, ToolGeometry(), cam)
-
-
-def cmd_lift(lifted: kvf.LiftedTrajectory, out: str):
-    """Lifted trajectory -> per-frame KVAF binaries + channel statistics."""
-    stats = kvf.compute_stats(lifted)
-    for t in range(len(lifted)):
-        write_field(lifted.field(t), os.path.join(out, f"field_{t + 1:04d}.kvaf"))
-    write_csv(os.path.join(out, "channel_stats.csv"),
-              ["channel", "mean", "std"],
-              [[kvf.CHANNEL_NAMES[3 + i], stats.mean[i], stats.std[i]]
-               for i in range(6)])
-    return 0
-
-
-def _budget(cfg: Config) -> sched.BudgetConfig:
-    return sched.BudgetConfig(rho_full_target=cfg.rho_full,
-                              rho_light_target=cfg.rho_light, K=cfg.refresh_k)
 
 
 @dataclass(frozen=True)
@@ -124,6 +96,7 @@ class RoutingRun:
     (H', W') token grid."""
 
     params: rt.GateParams
+    t_embed: np.ndarray  # the timestep embedding every frame is routed with
     last: rt.RoutingDecision  # the last frame's decision
     tokens: np.ndarray  # (T, H', W', C)
     pooled: np.ndarray  # (T, H', W', 9) raw field
@@ -132,6 +105,8 @@ class RoutingRun:
     fusion_w: np.ndarray  # (T, H', W', 5)
     sub_mass: np.ndarray  # (T, H', W', 3) fusion-weighted sub-expert mass
     s_tilde: np.ndarray  # (T, H', W') normalized significance
+    budget: sched.BudgetConfig  # the plans' budget
+    plans: tuple  # (T,) sched.ExecutionPlan, one per frame's s_tilde
 
 
 def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
@@ -170,17 +145,17 @@ def _block_strip(a, bi, bj, s):
     return a.reshape(s, len(bi) * s)
 
 
-def _routing_run(cfg: Config, seed: int,
-                 lifted: kvf.LiftedTrajectory) -> RoutingRun:
+def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
+                 stats: kvf.ChannelStats) -> RoutingRun:
     """Shared forward pass over a lifted trajectory: each frame's grids are
-    pooled from the tool's blocks only (`_pooled_grids`) and routed once."""
+    pooled from the tool's blocks only (`_pooled_grids`), routed once and
+    partitioned once."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
                                    sparse_start=cfg.sparse_start, k=cfg.top_k)
     t_embed = rt.timestep_embed(cfg.timestep)
-    normed, pooled, m_tool = _pooled_grids(lifted, kvf.compute_stats(lifted),
-                                           cfg.stride)
+    normed, pooled, m_tool = _pooled_grids(lifted, stats, cfg.stride)
     decisions = [rt.route_forward(g, params, cfg.progress, t_embed,
                                   sched=schedule)[1] for g in normed]
     # motion is normalised by its peak over the sequence, so frames compare
@@ -194,27 +169,55 @@ def _routing_run(cfg: Config, seed: int,
     s_tilde = np.stack([sched.significance(*frame)[1] for frame in zip(
         motion, m_tool, fold(np.maximum, columns(fusion_w)),
         sub_mass[..., rt.FINE], sub_mass[..., rt.SKIP])])
-    return RoutingRun(params, decisions[-1],
+    budget = sched.BudgetConfig(rho_full_target=cfg.rho_full,
+                                rho_light_target=cfg.rho_light, K=cfg.refresh_k)
+    return RoutingRun(params, t_embed, decisions[-1],
                       np.stack([d.tokens for d in decisions]), pooled, m_tool,
-                      motion, fusion_w, sub_mass, s_tilde)
+                      motion, fusion_w, sub_mass, s_tilde, budget,
+                      tuple(sched.partition(s, budget) for s in s_tilde))
 
 
 N_MOTION_BINS = 3  # low / medium / high, mirroring the execution tiers
 
 
-def cmd_route(cfg: Config, seed: int, lifted, out: str):
+def _trajectory_pass(cfg: Config, seed: int, traj_path, resolution, writers):
+    """(lifted trajectory, channel statistics, RoutingRun or None) of a
+    trajectory file at its camera's H x W, which `resolution` (the
+    --resolution flag, when given) must equal. route's precondition is
+    checked before any writer runs, so `run` writes nothing if it fails."""
+    traj, cam, _ = read_trajectory(traj_path)
+    if resolution is not None and resolution != (cam.height, cam.width):
+        raise ShapeMismatch(
+            f"--resolution {resolution[0]}x{resolution[1]} differs from the "
+            f"trajectory camera's {cam.height}x{cam.width}")
+    lifted = kvf.lift_trajectory(traj, ToolGeometry(), cam)
+    stats = kvf.compute_stats(lifted)
+    routing = (_routing_run(cfg, seed, lifted, stats)
+               if writers != ("lift",) else None)
+    if "route" in writers and routing.motion.size < N_MOTION_BINS:
+        raise ShapeMismatch(
+            f"route needs at least {N_MOTION_BINS} tokens for its "
+            f"{N_MOTION_BINS} motion bins, got {routing.motion.size}")
+    return lifted, stats, routing
+
+
+def cmd_lift(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats, out: str):
+    """Lifted trajectory -> per-frame KVAF binaries + channel statistics."""
+    for t in range(len(lifted)):
+        write_field(lifted.field(t), os.path.join(out, f"field_{t + 1:04d}.kvaf"))
+    write_csv(os.path.join(out, "channel_stats.csv"),
+              ["channel", "mean", "std"],
+              [[kvf.CHANNEL_NAMES[3 + i], stats.mean[i], stats.std[i]]
+               for i in range(6)])
+
+
+def cmd_route(run: RoutingRun, out: str):
     """Routing decisions + modality/scale statistics binned by motion
     magnitude quantiles into N_MOTION_BINS bins."""
-    budget = _budget(cfg)
-    run = _routing_run(cfg, seed, lifted)
     motion = run.motion.reshape(-1)
-    if motion.size < N_MOTION_BINS:
-        raise ShapeMismatch(f"route needs at least {N_MOTION_BINS} tokens for "
-                            f"its {N_MOTION_BINS} motion bins, got {motion.size}")
     fusion = run.fusion_w.reshape(-1, rt.N_EXPERTS)
     inner_probs = run.sub_mass.reshape(-1, rt.N_SUB)
-    modes = np.concatenate([sched.partition(s, budget).mode
-                            for s in run.s_tilde])
+    modes = np.concatenate([plan.mode for plan in run.plans])
     on_tool = run.m_tool.reshape(-1) > 0
 
     # statistics over tool tokens only: background tokens all tie at zero
@@ -241,7 +244,6 @@ def cmd_route(cfg: Config, seed: int, lifted, out: str):
               + ["inner_fine", "inner_transport", "inner_skip"]
               + ["full_frac", "light_frac", "reuse_frac", "skip_mode_frac"])
     write_csv(os.path.join(out, "routing_stats.csv"), header, rows)
-    return 0
 
 
 def _value_and_check(loss_fn, arrays: dict, analytic):
@@ -252,20 +254,19 @@ def _value_and_check(loss_fn, arrays: dict, analytic):
                                           dict(zip(arrays, analytic)))
 
 
-def cmd_losses(cfg: Config, seed: int, lifted, out: str):
+def cmd_losses(cfg: Config, seed: int, run: RoutingRun, out: str):
     """All kinematic-prior losses on one sequence + gradient-check report.
 
     Each reported loss is its grad check's evaluator at the unperturbed
     parameters, so the report and the check share one path. The checks run
     one after another, so one evaluator's buffers are alive at a time."""
-    run = _routing_run(cfg, seed, lifted)
     rng = subsystem_rng(seed, "losses")
     weights = pr.LossWeights(lam_kp=cfg.lam_kp, lam_src=cfg.lam_src,
                              lam_cp=cfg.lam_cp, lam_sub=cfg.lam_sub)
     predictor = pr.init_predictor(seed=_derived_seed(seed, "predictor"),
                                   c=cfg.token_dim)
     tokens, A = run.last.tokens, run.last.A
-    c_action, t_embed = run.last.c_action, rt.timestep_embed(cfg.timestep)
+    c_action, t_embed = run.last.c_action, run.t_embed
     # a token is on the tool when any of its pixels is
     m_seq = (run.m_tool > 0).astype(float)
     prior = pr.physical_prior(run.pooled[-1])
@@ -296,20 +297,16 @@ def cmd_losses(cfg: Config, seed: int, lifted, out: str):
               [[0, flow, kp, src, cp, sub, total]])
     write_csv(os.path.join(out, "grad_check.csv"), ["loss", "max_rel_error"],
               [["cp_loss", cp_err], ["kp_alb_loss", kp_err], ["src_loss", src_err]])
-    return 0
 
 
-def cmd_schedule(cfg: Config, seed: int, lifted, out: str):
+def cmd_schedule(run: RoutingRun, out: str):
     """Significance, plans, refresh, and a simulated cost report."""
-    budget = _budget(cfg)
-    s_tilde = _routing_run(cfg, seed, lifted).s_tilde
-    plans = [sched.partition(s, budget) for s in s_tilde]
-    s_means = [float(s.mean()) for s in s_tilde]
-    refresh = np.array([sched.refresh_interval(s, budget) for s in s_means])
-    trace = sched.simulate_execution(plans, refresh)
+    s_means = [float(s.mean()) for s in run.s_tilde]
+    refresh = np.array([sched.refresh_interval(s, run.budget) for s in s_means])
+    trace = sched.simulate_execution(run.plans, refresh)
 
     rows = []
-    for t in range(len(plans)):
+    for t in range(len(run.plans)):
         rows.append([t + 1, *trace.n_modes[t], trace.frame_cost[t],
                      int(refresh[t]), int(trace.forced[t]), s_means[t]])
     write_csv(os.path.join(out, "execution.csv"),
@@ -323,7 +320,6 @@ def cmd_schedule(cfg: Config, seed: int, lifted, out: str):
     ]
     write_csv(os.path.join(out, "cost_summary.csv"),
               ["config", "total_cost", "cost_ratio"], summary)
-    return 0
 
 
 def _read_mask_dir(path):
@@ -354,7 +350,6 @@ def cmd_eval(pred_dir: str, target_dir: str, out: str):
                  report.mean_dice])
     write_csv(os.path.join(out, "metrics.csv"),
               ["frame", "cd", "ti", "af", "dice"], rows)
-    return 0
 
 
 def cmd_report(inputs, out_path):
@@ -369,13 +364,13 @@ def cmd_report(inputs, out_path):
         for line in text.splitlines():
             lines.append(f"{os.path.basename(path)},{line}")
     atomic_write_text(out_path, "\n".join(lines) + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 
 
-TRAJECTORY_COMMANDS = ("lift", "route", "losses", "schedule")
+WRITERS = ("lift", "route", "losses", "schedule")  # `run` calls all four
+TRAJECTORY_COMMANDS = (*WRITERS, "run")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -435,20 +430,24 @@ def main(argv=None):
         cfg = load_config(args.config, overrides)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "synth":
-            return cmd_synth(cfg, args.seed, args.out)
-        if args.command in TRAJECTORY_COMMANDS:
-            lifted = _load_fields(args.traj, resolution)
-        if args.command == "lift":
-            return cmd_lift(lifted, args.out)
-        if args.command == "route":
-            return cmd_route(cfg, args.seed, lifted, args.out)
-        if args.command == "losses":
-            return cmd_losses(cfg, args.seed, lifted, args.out)
-        if args.command == "schedule":
-            return cmd_schedule(cfg, args.seed, lifted, args.out)
-        if args.command == "eval":
-            return cmd_eval(args.pred, args.target, args.out)
-        return cmd_report(args.inputs, os.path.join(args.out, "report.csv"))
+            cmd_synth(cfg, args.seed, args.out)
+        elif args.command == "eval":
+            cmd_eval(args.pred, args.target, args.out)
+        elif args.command == "report":
+            cmd_report(args.inputs, os.path.join(args.out, "report.csv"))
+        else:
+            writers = WRITERS if args.command == "run" else (args.command,)
+            lifted, stats, run = _trajectory_pass(cfg, args.seed, args.traj,
+                                                  resolution, writers)
+            if "lift" in writers:
+                cmd_lift(lifted, stats, args.out)
+            if "route" in writers:
+                cmd_route(run, args.out)
+            if "losses" in writers:
+                cmd_losses(cfg, args.seed, run, args.out)
+            if "schedule" in writers:
+                cmd_schedule(run, args.out)
+        return 0
     except (KvaControlError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one has no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

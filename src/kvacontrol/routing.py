@@ -147,11 +147,11 @@ def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     """Non-overlapping average pooling over the two leading spatial dims.
 
     The block is folded in row-major order (see `_columns`): the same bits
-    as `reshape(...).mean(axis=(1, 3))` for a channel-last x with at least
-    2 channels. For a 2-D x numpy may sum in another order; any order is
-    exact for the 0/1 tool masks pooled here. The fold costs stride**2
-    elementwise passes over the output, so from stride 32 up it is slower
-    than numpy's mean; no caller pools that coarsely."""
+    as `reshape(...).mean(axis=(1, 3))` for a channel-last x with at least 2
+    channels. For a 2-D x numpy may sum in another order; any order is exact
+    for the 0/1 tool masks pooled here. The fold costs stride**2 elementwise
+    passes over the output, so from stride 32 up it is slower than numpy's
+    mean; no benchmark workload and no golden case pools that coarsely."""
     _check_stride(stride)
     h, w = x.shape[:2]
     if h % stride or w % stride:

@@ -42,6 +42,11 @@ holds a tool pixel: the channel statistics are 0 and floored at a std of
 constant (0.5), which forces refreshes on frames 1 and 3, and the physical
 prior is uniform.
 
+Each case also runs `run` in place of the four trajectory commands, and
+compares each file it writes into its one directory with the digest
+recorded for the command that writes the file: `run` is those four
+commands' writers over one pass, so it adds no digest of its own.
+
 The digests are pinned to the numpy and BLAS build they were recorded with
 (numpy 2.4.6, OpenBLAS 0.3.31). Another numpy or BLAS may round a float differently
 and change a KVAF or CSV byte without any change to the program; re-record
@@ -56,6 +61,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from kvacontrol import cli, formats, kinematics
 from kvacontrol import scheduler as sched
@@ -282,10 +288,12 @@ def write_library_trajectory(path, resolution, frames, base):
 
 
 def run_flow(root, resolution="64x64", frames=4, seed=3, config=None,
-             base=None):
+             base=None, commands=cli.WRITERS):
     """Run the CLI flow under `root` (target seed `seed`, prediction seed
     `seed + 1`, every command given `--config` holding the dict `config` when
-    one is given); return {relative path: sha256 hex} of the artefacts.
+    one is given), with the trajectory commands `commands`, each into a
+    directory of its name; return {relative path: sha256 hex} of the
+    artefacts.
 
     With `base`, the target trajectory is `write_library_trajectory`'s, and
     only the trajectory commands run, all with seed `seed`: no masks are
@@ -304,7 +312,7 @@ def run_flow(root, resolution="64x64", frames=4, seed=3, config=None,
         for s, out in ((seed, "target"), (seed + 1, "pred")):
             assert cli.main(["--seed", str(s), "--out", os.path.join(root, out),
                              *common, "synth", "--frames", str(frames)]) == 0
-    for cmd in ("lift", "route", "losses", "schedule"):
+    for cmd in commands:
         assert cli.main(["--seed", str(seed), "--out", os.path.join(root, cmd),
                          *common, cmd, "--traj", traj]) == 0
     if base is None:
@@ -335,6 +343,10 @@ CASES = ((GOLDEN, {}),
                           "config": {"rho_full": 0.02, "rho_light": 0.05}}),
          (GOLDEN_NEAR_BASE, {"seed": 1, "base": (0.0, 0.0, 0.006)}),
          (GOLDEN_OUT_OF_VIEW, {"seed": 1, "base": (1.0, 0.0, 0.006)}))
+
+
+CASE_IDS = ("default", "128", "stride8", "token33", "32x48_t1",
+            "40x56_stride2", "budget", "near_base", "out_of_view")
 
 
 def check_case(root, golden, kwargs):
@@ -370,6 +382,16 @@ def test_artefacts_match_recorded_digests_40x56_stride2(tmp_path):
 
 def test_artefacts_match_recorded_digests_budget(tmp_path):
     check_case(tmp_path, *CASES[6])
+
+
+@pytest.mark.parametrize("golden,kwargs", CASES, ids=CASE_IDS)
+def test_run_writes_the_four_commands_artefacts(tmp_path, golden, kwargs):
+    # each writer's files, moved into run's one directory
+    as_run = {}
+    for name, digest in golden.items():
+        command, file = name.split("/", 1)
+        as_run["run/" + file if command in cli.WRITERS else name] = digest
+    check_case(tmp_path, as_run, {**kwargs, "commands": ("run",)})
 
 
 def _execution(root):

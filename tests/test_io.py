@@ -11,6 +11,7 @@ from kvacontrol import kva_field as kvf
 from kvacontrol import formats as fm
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
+from kvacontrol import scheduler as sched
 from kvacontrol.errors import (
     BadMagic,
     InvariantViolation,
@@ -261,7 +262,7 @@ class TestConfig:
 # 0.5 lies inside the dense -> sparse blend, so dense_end, sparse_start and
 # top_k all matter
 LIVE_BASE = {"resolution": [32, 32], "frames": 3, "progress": 0.5}
-LIVE_COMMANDS = ("synth",) + cli.TRAJECTORY_COMMANDS
+LIVE_COMMANDS = ("synth",) + cli.WRITERS  # run writes no file of its own
 
 
 def _settable_values():
@@ -616,10 +617,13 @@ class TestCli:
         ["--resolution", "-16x16", "synth"],
         [],
         ["synth", "extra"],
+        ["run"],
+        ["--resolution", "16x16", "run", "--traj", "TRAJ"],
     ], ids=["seed-negative-synth", "seed-negative-route", "frames-0", "kind-empty",
             "eval-empty-dirs", "seed-not-int", "unknown-flag",
             "route-without-traj", "frames-not-int", "unknown-command",
-            "resolution-negative", "no-command", "stray-positional"])
+            "resolution-negative", "no-command", "stray-positional",
+            "run-without-traj", "run-resolution-mismatch"])
     def test_bad_argument_clean_error(self, tmp_path, capsys, argv):
         traj = _trajectory_file(tmp_path, 32)
         (tmp_path / "empty").mkdir()
@@ -746,41 +750,52 @@ class TestCli:
 
     @pytest.mark.parametrize("frames", [1, 2, 3])
     def test_route_fewer_tokens_than_bins(self, tmp_path, capsys, frames):
-        # a 4x4 frame at stride 4 is one token, for 3 motion bins
+        # a 4x4 frame at stride 4 is one token, for 3 motion bins; run checks
+        # route's precondition before it writes any file, lift's included
         traj = _trajectory_file(tmp_path, 4, frames=frames)
-        out = tmp_path / "o"
-        code = cli.main(["--out", str(out), "route", "--traj", str(traj)])
-        err = capsys.readouterr().err
-        if frames >= 3:
-            assert code == 0 and err == ""
-            assert "nan" not in (out / "routing_stats.csv").read_text()
-            return
-        assert code == 1
-        assert err == (f"error: route needs at least 3 tokens for its 3 "
-                       f"motion bins, got {frames}\n")
-        assert not os.listdir(out)
+        for command in ("route", "run"):
+            out = tmp_path / command
+            code = cli.main(["--out", str(out), command, "--traj", str(traj)])
+            err = capsys.readouterr().err
+            if frames >= 3:
+                assert code == 0 and err == ""
+                assert "nan" not in (out / "routing_stats.csv").read_text()
+                continue
+            assert code == 1
+            assert err == (f"error: route needs at least 3 tokens for its 3 "
+                           f"motion bins, got {frames}\n")
+            assert not os.listdir(out)
 
     def test_routing_runs_compute_no_expert_outputs(self, tmp_path,
                                                     monkeypatch):
-        traj = _trajectory_file(tmp_path, 32)  # T=2 frames
-        calls = {"route_forward": 0, "fuse_control": 0}
+        frames = 2
+        traj = _trajectory_file(tmp_path, 32, frames=frames)
+        stages = {"read_trajectory": cli, "lift_trajectory": kvf,
+                  "compute_stats": kvf, "route_forward": rt,
+                  "fuse_control": rt, "partition": sched}
+        calls = {}
 
-        def counted(name):
-            real = getattr(rt, name)
-
+        def counted(name, real):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[command][name] += 1
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(rt, name, counted(name))
-        for command in ("route", "losses", "schedule"):
+        for name, module in stages.items():
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        for command in cli.TRAJECTORY_COMMANDS:
+            calls[command] = dict.fromkeys(stages, 0)
             self._run("--out", str(tmp_path / command), command,
                       "--traj", str(traj))
-        # no artefact reads the fused control feature, so no expert output
-        # is computed; each command routes each frame once
-        assert calls == {"route_forward": 3 * 2, "fuse_control": 0}
+        # each command reads, lifts and measures its trajectory once and
+        # routes and partitions each frame at most once; no artefact reads
+        # the fused control feature, so no expert output is computed
+        for command, counts in calls.items():
+            routed = 0 if command == "lift" else frames
+            assert counts == {"read_trajectory": 1, "lift_trajectory": 1,
+                              "compute_stats": 1, "route_forward": routed,
+                              "fuse_control": 0, "partition": routed}, command
 
     def test_route_normalizes_only_tool_blocks(self, tmp_path, monkeypatch):
         # the routing grids are pooled from the blocks that hold a tool pixel
