@@ -15,9 +15,10 @@ Frame conventions (fixed here so rendering is deterministic):
   - the shaft-wrist hinge rotates about local y, the wrist-gripper hinges
     about local z, with the right gripper mirrored (negative angle).
 
-`project` is the one pinhole formula, and `pixel_box` the one rule that turns
-projected points into a padded pixel box clipped to the frame: the
-rasterizer's screen boxes and the action tubes' boxes both use it.
+`project` is the one pinhole formula, and `pixel_box` the rule that turns
+projected points into a padded pixel box clipped to the frame: the action
+tubes' boxes use it, and the rasterizer's row spans pad and clip each row the
+same way.
 `synth_trajectory`'s rates and sampling interval are the `SYNTH_*` constants;
 only its base state is a parameter.
 """

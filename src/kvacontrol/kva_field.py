@@ -13,14 +13,23 @@ per frame, whose row for label -1 is zero. Forward kinematics runs once per
 frame, and the capsule midpoints are projected once into the centroid track
 from which `motion_channels` differences v and alpha. Dense channels are
 painted from the tables only where an artefact needs them: the KVAF planes
-(`LiftedTrajectory.field`) and the routing grids' tool blocks (`paint`). The
-rasterizer ray-tests each capsule only inside its screen box, the bounding
-box of its 3-D box's projected corners, which holds every pixel whose ray
-can hit it (see `rasterize_parts`), so its cost scales with the tool's pixel
-area. The box comes from `kinematics.pixel_box`, the rule
-`metrics.render_tube` also crops its action tubes with; it clips in float,
-so a pose that projects to +-inf gets an empty or edge-clipped box instead
-of an overflow.
+(`LiftedTrajectory.field`) and the routing grids' tool blocks (`paint`).
+
+The rasterizer ray-tests all four capsules of a frame in one pass
+(`rasterize_parts`). Each capsule is tested only on its row spans: per pixel
+row, the columns its projected oriented box covers up to one row above or
+below, padded by a pixel, which hold every pixel whose ray can hit it. So its
+cost scales with the tool's pixel area. A capsule whose box reaches the near
+plane `kinematics.Z_NEAR` spans the whole frame. A span is padded and
+clipped as `kinematics.pixel_box` pads and clips the action tubes' boxes, in
+float, so a pose that projects to +-inf gets an empty or edge-clipped span
+instead of an overflow. The rays of all four capsules sit in one (N, 3)
+array, each capsule's rows together, and every elementwise step runs once
+over all of them. The matrix-vector products with each capsule's axis and
+cap centres stay per capsule, on its own rows: BLAS rounds them with fused
+multiply-adds, which no elementwise form reproduces, but it gives a row the
+same bits however many rows share the product, so each depth keeps the bits
+of testing its capsule alone (see `_ray_test`).
 
 The statistics, the standardization and the ray tests work on axes only 3, 6
 or 9 entries wide, where numpy pays its per-row overhead on every row. They
@@ -42,13 +51,14 @@ order, so every result keeps its bits:
   256 x 256, T=4, depending on where earlier heap blocks had landed).
 - `normalize` subtracts the mean and divides by the std one channel column
   at a time: the same subtraction and division of each element.
-- `_sq_norm` adds the 3 squared columns of a direction with `_columns.fold`.
+- `_sq_norm` adds the 3 squared columns of a direction with `_columns.fold`,
+  and `_ray_test` takes each ray's offset from its capsule's axis, and the
+  point at each cylinder root, a column at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -63,7 +73,6 @@ from .kinematics import (
     ToolGeometry,
     Trajectory,
     forward_kinematics,
-    pixel_box,
     project,
 )
 
@@ -126,103 +135,213 @@ def _sq_norm(x):
     return fold(np.add, (x[:, k] * x[:, k] for k in range(3)))
 
 
-def _ray_capsule_depths(D, a, b, radius):
-    """Vectorized smallest hit depth per ray; inf on a miss.
-
-    D: (N, 3) directions with dz = 1 so the ray parameter is camera depth."""
-    n = D.shape[0]
-    s = b - a
-    L = np.linalg.norm(s)
-    axis = s / L
-    m = -a
-    best = np.full(n, np.inf)
-
-    # infinite cylinder around the axis
-    d_ax = D @ axis
-    dd = D - d_ax[:, None] * axis
-    mm = m - np.dot(m, axis) * axis
-    qa = _sq_norm(dd)
-    qb = 2.0 * dd @ mm
-    qc = np.dot(mm, mm) - radius * radius
-    disc = qb * qb - 4 * qa * qc
-    ok = (qa > 1e-16) & (disc >= 0)
-    if ok.any():
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        for sign in (-1.0, 1.0):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (-qb + sign * sq) / (2 * qa)
-            w = (m + t[:, None] * D) @ axis
-            valid = ok & (t > Z_NEAR) & (w >= 0) & (w <= L)
-            best = np.where(valid & (t < best), t, best)
-
-    # spherical caps
-    sa = _sq_norm(D)
-    for center in (a, b):
-        mc = -center
-        sb = 2.0 * D @ mc
-        sc = np.dot(mc, mc) - radius * radius
-        disc = sb * sb - 4 * sa * sc
-        ok = disc >= 0
-        if not ok.any():
-            continue
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        for sign in (-1.0, 1.0):
-            t = (-sb + sign * sq) / (2 * sa)
-            valid = ok & (t > Z_NEAR)
-            best = np.where(valid & (t < best), t, best)
-    return best
+def _dots(x, y):
+    """np.dot of each row pair of two (4, 3) arrays. For 3-vectors it is a
+    BLAS FMA chain, which no elementwise form reproduces, so it runs per
+    row."""
+    return np.array([np.dot(*pair) for pair in zip(x, y)])
 
 
-def _pixel_rays(cam: CameraModel, rows: slice, cols: slice):
-    """(N, 3) ray directions, dz = 1, of the pixels in rows x cols, row-major."""
-    jj, ii = np.meshgrid(np.arange(cols.start, cols.stop, dtype=float),
-                         np.arange(rows.start, rows.stop, dtype=float))
-    return np.stack([(jj - cam.cx) / cam.fx, (ii - cam.cy) / cam.fy,
-                     np.ones_like(jj)], axis=-1).reshape(-1, 3)
+# corner c of a capsule's oriented box lies past end c & 1 of its axis, on
+# the sides that bits 1 and 2 pick; an edge joins corners differing in one bit
+_CORNER_SIGNS = np.array([[(c >> bit & 1) * 2.0 - 1.0 for bit in range(3)]
+                          for c in range(8)])
+_BOX_EDGES = np.array([(c, c | 1 << bit) for c in range(8) for bit in range(3)
+                       if not c >> bit & 1]).T  # (2, 12)
+# a box whose projected corners reach farther than this many pixels spans
+# the whole frame; within it the spans' rounding stays far inside their pad
+SPAN_REACH = 2.0 ** 30
 
 
-def _screen_box(a, b, radius, cam: CameraModel):
-    """Pixel rows and columns whose rays can hit the capsule (a, b, radius).
+def _row_spans(ends, radii, cam: CameraModel):
+    """Per part and pixel row, the columns [j0, j1) whose rays can hit the
+    part's capsule: two (len(PART_NAMES), H) integer arrays.
 
-    The box is `kinematics.pixel_box` of the projected corners of the
-    capsule's axis-aligned 3-D box: padded by one pixel against rounding and
-    clipped to the frame; it may be empty. A corner far off to the side
-    projects to +-inf and clips to the frame's edge. When any of the capsule
-    lies at or behind Z_NEAR, it is the whole frame."""
-    lo = np.minimum(a, b) - radius
-    hi = np.maximum(a, b) + radius
-    if lo[2] <= Z_NEAR:
-        return slice(0, cam.height), slice(0, cam.width)
-    with np.errstate(over="ignore"):
-        u, v = project(cam, np.array(list(product(*zip(lo, hi)))))  # 8 corners
-    return pixel_box(cam, u, v)
+    ends: (len(PART_NAMES), 2, 3) capsule endpoints; radii: their radii.
+    Row i's span is the u-range of the capsule's projected oriented box
+    inside the band i - 1 <= v <= i + 1, padded and clipped to the frame as
+    `kinematics.pixel_box` pads and clips; it may be empty. A part whose box
+    reaches Z_NEAR, or projects farther than SPAN_REACH pixels, spans the
+    whole frame. See `rasterize_parts` for why no hit is lost."""
+    h, w = cam.height, cam.width
+    i = np.arange(h, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the box's frame: the unit axis and two unit sides across it
+        # (Duff et al., "Building an orthonormal basis, revisited", 2017)
+        axis = ends[:, 1] - ends[:, 0]
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        x, y, z = axis.T
+        sgn = np.copysign(1.0, z)
+        k = -1.0 / (sgn + z)
+        c = x * y * k
+        frame = np.stack([axis, np.stack([1.0 + sgn * x * x * k, sgn * c, -sgn * x], 1),
+                          np.stack([c, sgn + y * y * k, -y], 1)], 1)
+        corners = ends[:, [0, 1] * 4] + _CORNER_SIGNS @ (frame * radii[:, None, None])
+        u, v = project(cam, corners)  # (4, 8)
+        whole = ~((corners[..., 2] > Z_NEAR).all(axis=1)
+                  & (np.abs(u) <= SPAN_REACH).all(axis=1)
+                  & (np.abs(v) <= SPAN_REACH).all(axis=1))
+        # each edge from its lower end (u0, v0) to its upper end (u1, v1)
+        ev, eu = v[:, _BOX_EDGES], u[:, _BOX_EDGES]  # (4, 2, 12)
+        flip = (ev[:, 0] > ev[:, 1])[:, None]
+        (v0, v1), (u0, u1) = (np.where(flip, e[:, ::-1], e).transpose(1, 0, 2)[..., None]
+                              for e in (ev, eu))
+        dv = v1 - v0
+        slope = np.divide(u1 - u0, dv, out=np.zeros_like(dv), where=dv != 0)
+        # each edge's piece inside each row's band, from v = lo to v = hi,
+        # its u taken from the nearer end; a flat edge in the band is whole
+        lo = np.maximum(i - 1.0, v0)
+        hi = np.minimum(i + 1.0, v1)
+        ua = u0 + (lo - v0) * slope
+        ub = u1 - (v1 - hi) * slope
+        meets = lo <= hi
+        left = np.fmin.reduce(np.minimum(ua, ub), axis=1, where=meets, initial=np.inf)
+        right = np.fmax.reduce(np.maximum(ua, ub), axis=1, where=meets, initial=-np.inf)
+    # as `pixel_box`: clipped in float, then floor - 1 and ceil + 2
+    j0 = np.floor(np.clip(left, 1.0, w + 1.0)) - 1.0
+    j1 = np.ceil(np.minimum(np.maximum(right, j0 - 2.0), w - 2.0)) + 2.0
+    j0[whole], j1[whole] = 0, w
+    return j0.astype(np.intp), j1.astype(np.intp)
+
+
+def _ray_test(ends, radii, cam: CameraModel, j0, j1):
+    """Ray-test every part's capsule on its row spans in one pass.
+
+    ends: (len(PART_NAMES), 2, 3) capsule endpoints; radii: their radii;
+    j0, j1: (len(PART_NAMES), H) columns [j0, j1) of each pixel row to test
+    per part. Returns the tested pixels' flat indices (N,), each ray's
+    smallest hit depth (N,) (inf on a miss) and the parts' (5,) offsets into
+    both: part k's rays are bounds[k]:bounds[k + 1], row-major. Each ray's
+    direction has dz = 1, so its parameter is camera depth.
+
+    The elementwise steps run once over all N rays, a column at a time,
+    with each part's constants repeated over its rays: the rays' offsets
+    from their axis, the quadratic coefficients, discriminants and roots,
+    the cylinder roots' points, validity and the minimum over the six
+    candidate roots. The BLAS matrix-vector products `D @ axis`,
+    `2.0 * dd @ mm`, `(m + t * D) @ axis` and `2.0 * D @ mc` run per part,
+    on its own rows. Each row of an (n, 3) @ (3,) product with n >= 2 has
+    the same bits whatever n and the row's offset (`tests/test_field.py`
+    pins this). OpenBLAS fuses the three terms into FMAs, which no numpy
+    elementwise form reproduces, so the products cannot be batched across
+    parts, but a ray's depth does not depend on which other rays its part
+    tests. A one-row product takes numpy's dot path and may round
+    differently. No part with one ray can be hit, though, unless the frame is
+    one pixel, where every cull tests that same ray: a hit pixel lies in its
+    part's projection, which each span pads by a pixel on each side and a
+    row above and below, so each neighbour of the pixel is tested too."""
+    h, w = cam.height, cam.width
+    n = (j1 - j0).ravel()  # rays per part and row, part-major
+    stop = np.cumsum(n)
+    bounds = np.concatenate(([0], stop[h - 1::h]))
+    span = np.repeat(np.arange(n.size), n)
+    owner, rows = np.divmod(span, h)  # each ray's part and pixel row
+    cols = np.arange(len(span)) - (stop - n - j0.ravel())[span]
+    D = np.empty((len(span), 3))
+    D[:, 0] = ((np.arange(w, dtype=float) - cam.cx) / cam.fx)[cols]
+    D[:, 1] = ((np.arange(h, dtype=float) - cam.cy) / cam.fy)[rows]
+    D[:, 2] = 1.0
+    parts = [slice(*bounds[k:k + 2]) for k in range(len(PART_NAMES))]
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # each part's constants, one row each, repeated over its rays
+        a, b = ends[:, 0], ends[:, 1]
+        r2 = radii * radii
+        s = b - a
+        length = np.sqrt(_dots(s, s))  # np.linalg.norm of each
+        axis = s / length[:, None]
+        m = -a
+        mm = m - _dots(m, axis)[:, None] * axis
+        table = np.column_stack([axis, m, length, _dots(mm, mm) - r2,
+                                 _dots(m, m) - r2, _dots(-b, -b) - r2])
+        axis_r, m_r, (length_r, qc), sc = np.split(table.T[:, owner], [3, 6, 8])
+
+        # the infinite cylinder around each axis. dd: the rays off the axis.
+        # A root whose discriminant is negative is nan and fails every test
+        dd = np.empty_like(D)
+        d_ax = np.empty(len(D))
+        for k, rays in enumerate(parts):
+            np.matmul(D[rays], axis[k], out=d_ax[rays])
+        for j in range(3):
+            np.multiply(d_ax, axis_r[j], out=dd[:, j])
+        np.subtract(D, dd, out=dd)
+        qa = _sq_norm(dd)
+        dd *= 2.0
+        qb = d_ax
+        for k, rays in enumerate(parts):
+            np.matmul(dd[rays], mm[k], out=qb[rays])
+        sq = np.sqrt(np.where(qa > 1e-16, qb * qb - 4 * qa * qc, np.nan))
+        qb, qa = -qb, 2 * qa
+        depth = np.full(len(D), np.inf)
+        along = np.empty(len(D))
+        for t in (qb - sq, qb + sq):
+            t /= qa
+            # the root's point m + t * D, in dd's buffer, along the axis
+            for j in range(3):
+                np.multiply(t, D[:, j], out=dd[:, j])
+                dd[:, j] += m_r[j]
+            for k, rays in enumerate(parts):
+                np.matmul(dd[rays], axis[k], out=along[rays])
+            np.minimum(depth, t, out=depth,
+                       where=(t > Z_NEAR) & (along >= 0) & (along <= length_r))
+
+        # the spherical caps around each end
+        sa = _sq_norm(D)
+        D *= 2.0
+        sb = along
+        for c, centre in enumerate((m, -b)):
+            for k, rays in enumerate(parts):
+                np.matmul(D[rays], centre[k], out=sb[rays])
+            sq = np.sqrt(sb * sb - 4 * sa * sc[c])
+            for t in (-sb - sq, -sb + sq):
+                t /= 2 * sa
+                np.minimum(depth, t, out=depth, where=t > Z_NEAR)
+    return rows * w + cols, depth, bounds
 
 
 def rasterize_parts(poses: PartPoses, cam: CameraModel):
     """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth.
 
-    Each capsule's rays are tested only inside its screen box (`_screen_box`).
-    The cull is exact: every finite hit is a point on the capsule, hence in
-    its axis-aligned 3-D box, and with all of that box in front of the camera
-    perspective projection maps it to the convex polygon spanned by its
-    projected corners. A pixel whose ray hits lies on that polygon, so inside
-    the corners' bounding box."""
+    All four capsules are ray-tested in one pass (`_ray_test`), each only on
+    its row spans (`_row_spans`). Only the matrix-vector products stay per
+    capsule: BLAS rounds a row the same whatever other rows share the
+    product, but not as any elementwise form does, so each depth keeps the
+    bits of testing its capsule alone. The cull is exact:
+
+    - Every finite hit is a point on the capsule, so inside its oriented
+      box: the axis extended by the radius at both ends, with sides of twice
+      the radius. With all of the box in front of the camera, perspective
+      projection maps it onto the convex polygon spanned by its eight
+      projected corners, whose boundary lies on the projections of the
+      box's 12 edges.
+    - A hit pixel (j, i) lies on that polygon, at v = i. The polygon's
+      interval on the line v = i has its ends on edges that reach that line.
+      Each such edge's piece inside the band i - 1 <= v <= i + 1 holds its
+      point at v = i, and the span covers every piece's u-range, so j is in
+      it. Pieces of other edges lie inside the polygon, so they widen the
+      span only to the polygon's width within the band.
+    - Every projected corner lies within SPAN_REACH pixels, so the rounding
+      of the box, its projection and the pieces' ends moves a span by about
+      1e-6 px at most, far inside the one-pixel pad. An edge that reaches
+      v = i meets the band a whole row inside its boundary, so rounding
+      cannot drop it.
+
+    Then, in part order, a part labels the pixels where it is strictly nearer
+    than every earlier part: ties keep the earlier part, as argmin would."""
     h, w = cam.height, cam.width
-    labels = np.full((h, w), -1)
-    best = np.full((h, w), np.inf)
-    for k, part in enumerate(PART_NAMES):
-        a, b = poses.endpoints[part]
-        box = _screen_box(a, b, poses.radii[part], cam)
-        D = _pixel_rays(cam, *box)
-        if not len(D):
-            continue
-        near = best[box]
-        depth = _ray_capsule_depths(D, a, b, poses.radii[part]).reshape(near.shape)
-        # strictly nearer only: ties keep the earlier part, as argmin would
-        nearer = depth < near
-        near[nearer] = depth[nearer]
-        labels[box][nearer] = k
-    return labels, np.where(np.isfinite(best), best, 0.0)
+    ends = np.array([poses.endpoints[part] for part in PART_NAMES])
+    radii = np.array([poses.radii[part] for part in PART_NAMES])
+    pix, depth, bounds = _ray_test(ends, radii, cam, *_row_spans(ends, radii, cam))
+    labels = np.full(h * w, -1)
+    best = np.full(h * w, np.inf)
+    for k in range(len(PART_NAMES)):
+        px, d = pix[bounds[k]:bounds[k + 1]], depth[bounds[k]:bounds[k + 1]]
+        nearer = d < best[px]
+        px = px[nearer]
+        best[px] = d[nearer]
+        labels[px] = k
+    best[best == np.inf] = 0.0
+    return labels.reshape(h, w), best.reshape(h, w)
 
 
 # semantic one-hot row per part index

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvacontrol.errors import BehindCamera, EmptyCorpus
 from kvacontrol.kinematics import (
@@ -11,6 +13,7 @@ from kvacontrol.kinematics import (
     Z_NEAR,
     ArticulatedState,
     CameraModel,
+    PartPoses,
     ToolGeometry,
     default_camera,
     forward_kinematics,
@@ -19,6 +22,8 @@ from kvacontrol.kinematics import (
     Trajectory,
 )
 from kvacontrol import kva_field as kvf
+
+import frozen_raster
 
 
 def random_visible_state(rng):
@@ -121,19 +126,23 @@ CULL_POSES = {
 }
 
 
+def part_arrays(poses):
+    """The (4, 2, 3) capsule endpoints and (4,) radii, in PART_NAMES order."""
+    return (np.array([poses.endpoints[part] for part in PART_NAMES]),
+            np.array([poses.radii[part] for part in PART_NAMES]))
+
+
 def full_frame_raster(poses, cam):
     """Every pixel's ray tested against every capsule, with no culling."""
-    jj, ii = np.meshgrid(np.arange(cam.width, dtype=float),
-                         np.arange(cam.height, dtype=float))
-    D = np.stack([(jj - cam.cx) / cam.fx, (ii - cam.cy) / cam.fy,
-                  np.ones_like(jj)], axis=-1).reshape(-1, 3)
-    depths = np.stack([
-        kvf._ray_capsule_depths(D, *poses.endpoints[part], poses.radii[part])
-        for part in PART_NAMES])
+    h, w = cam.height, cam.width
+    every = np.zeros((len(PART_NAMES), h), dtype=np.intp)
+    pix, depth, _ = kvf._ray_test(*part_arrays(poses), cam, every, every + w)
+    assert np.array_equal(pix, np.tile(np.arange(h * w), len(PART_NAMES)))
+    depths = depth.reshape(len(PART_NAMES), h * w)
     best = depths.min(axis=0)
     labels = np.where(np.isfinite(best), depths.argmin(axis=0), -1)
     depth = np.where(np.isfinite(best), best, 0.0)
-    return labels.reshape(cam.height, cam.width), depth.reshape(cam.height, cam.width)
+    return labels.reshape(h, w), depth.reshape(h, w)
 
 
 class TestRasterize:
@@ -202,10 +211,8 @@ class TestRasterize:
             assert on_border
         elif case == "off-screen":
             assert not hit.any()
-            for part in PART_NAMES:
-                rows, cols = kvf._screen_box(*poses.endpoints[part],
-                                             poses.radii[part], cam)
-                assert rows.start == rows.stop or cols.start == cols.stop
+            j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+            assert (j0 == j1).all()  # no part tests a ray
         else:
             # a visible part reaches from behind Z_NEAR to in front of it
             straddles = [k for k, part in enumerate(PART_NAMES)
@@ -221,6 +228,188 @@ class TestRasterize:
         s, d = ch[..., 0:3], ch[..., 3]
         assert s.sum(axis=2).max() <= 1
         assert np.array_equal((d > 0), (s.sum(axis=2) == 1))
+
+
+def capsule_poses(capsules):
+    """PartPoses of four capsules given as (a, b, radius), in PART_NAMES
+    order."""
+    eye = np.eye(3)
+    return PartPoses(
+        rotations={part: eye for part in PART_NAMES},
+        translations={part: np.zeros(3) for part in PART_NAMES},
+        endpoints={part: (np.asarray(a, float), np.asarray(b, float))
+                   for part, (a, b, _) in zip(PART_NAMES, capsules)},
+        radii={part: float(r) for part, (_, _, r) in zip(PART_NAMES, capsules)})
+
+
+def toward_pixel(cam, u, v, z):
+    """The camera-frame point at depth z whose ray passes pixel (u, v)."""
+    return np.array([(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z])
+
+
+def corner_capsule(cam, du, dv, right, bottom):
+    """A capsule a tenth of a pixel across, projecting du, dv px outside a
+    frame corner. With du and dv at least 1.05 the per-capsule screen box
+    clips to the corner pixel alone; with du at least 1.05 and dv at most
+    1.05 the row spans hold that pixel alone. Neither can be hit."""
+    u = cam.width - 1 + du if right else -du
+    v = cam.height - 1 + dv if bottom else -dv
+    z = 0.2
+    size = 0.1 * z / max(cam.fx, cam.fy)
+    centre = toward_pixel(cam, u, v, z)
+    return centre - [size / 2, 0, 0], centre + [size / 2, 0, 0], size
+
+
+CAPSULE_KINDS = ("in-view", "border", "straddles-z-near", "behind", "aside",
+                 "corner")
+
+
+@st.composite
+def raster_cases(draw):
+    """A camera from 1 x 1 to 24 x 24 px (1 x N and N x 1 included) and four
+    capsules, each in view, across the frame border, straddling Z_NEAR,
+    behind the camera, far off to the side, or at a frame corner."""
+    h = draw(st.sampled_from([1, 1, 2, 3, 9, 24]) | st.integers(1, 24))
+    w = draw(st.sampled_from([1, 1, 2, 3, 9, 24]) | st.integers(1, 24))
+    inside = dict(min_value=0.0, exclude_min=True, exclude_max=True)
+    cam = CameraModel(fx=draw(st.floats(4.0, 120.0)), fy=draw(st.floats(4.0, 120.0)),
+                      cx=draw(st.floats(max_value=w, **inside)),
+                      cy=draw(st.floats(max_value=h, **inside)), width=w, height=h)
+    capsules = []
+    for _ in PART_NAMES:
+        kind = draw(st.sampled_from(CAPSULE_KINDS))
+        if kind == "corner":
+            capsules.append(corner_capsule(
+                cam, draw(st.floats(0.9, 2.4)), draw(st.floats(0.9, 2.4)),
+                draw(st.booleans()), draw(st.booleans())))
+            continue
+        z = draw(st.floats(0.02, 0.4))
+        u = draw(st.floats(0.0, w - 1.0))
+        v = draw(st.floats(0.0, h - 1.0))
+        if kind == "border":
+            u = draw(st.sampled_from([0.0, w - 1.0])) + draw(st.floats(-3.0, 3.0))
+        elif kind == "aside":
+            u = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(3.0, 1e7)) * w
+        centre = toward_pixel(cam, u, v, z)
+        if kind == "behind":
+            centre[2] = -z
+        direction = draw(st.sampled_from(tuple(np.eye(3))) | st.builds(
+            lambda *x: np.array(x) / max(np.linalg.norm(x), 1e-3),
+            *[st.floats(-1.0, 1.0)] * 3))
+        half = draw(st.floats(0.0, 0.05)) * direction
+        a, b = centre - half, centre + half
+        if kind == "straddles-z-near":
+            a[2] = draw(st.floats(-0.02, Z_NEAR))
+            b[2] = draw(st.floats(Z_NEAR, 0.1, exclude_min=True))
+        capsules.append((a, b, draw(st.just(0.0) | st.floats(0.0005, 0.02))))
+    return cam, capsule_poses(capsules)
+
+
+def assert_matches_frozen_raster(cam, poses):
+    labels, depth = kvf.rasterize_parts(poses, cam)
+    with np.errstate(all="ignore"):  # it warns on a zero-length capsule
+        want_labels, want_depth = frozen_raster.rasterize_parts(poses, cam)
+    assert labels.dtype == want_labels.dtype and depth.dtype == want_depth.dtype
+    assert labels.tobytes() == want_labels.tobytes()
+    assert depth.tobytes() == want_depth.tobytes()
+
+
+class TestOnePassRaster:
+    """`rasterize_parts` against the per-capsule rasterizer it replaced
+    (`frozen_raster`), bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(raster_cases())
+    def test_matches_frozen_per_capsule_raster(self, case):
+        assert_matches_frozen_raster(*case)
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 37), (37, 1), (24, 40)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tool_poses_match_frozen_raster(self, h, w, seed):
+        rng = np.random.default_rng(seed)
+        cam = CameraModel(fx=60.0, fy=50.0, cx=w * rng.uniform(0.2, 0.8),
+                          cy=h * rng.uniform(0.2, 0.8), width=w, height=h)
+        poses = forward_kinematics(random_visible_state(rng), ToolGeometry())
+        assert_matches_frozen_raster(cam, poses)
+
+    @pytest.mark.parametrize("right", [False, True])
+    @pytest.mark.parametrize("bottom", [False, True])
+    def test_corner_capsule_tests_one_ray(self, right, bottom):
+        cam = CULL_CAMERA
+        far = (np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.01, -1.0]), 0.001)
+        poses = capsule_poses([corner_capsule(cam, 1.6, 0.95, right, bottom)]
+                              + [far] * 3)
+        j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+        assert (j1 - j0)[0].sum() == 1  # a one-row product
+        a, b = poses.endpoints[PART_NAMES[0]]
+        rows, cols = frozen_raster.screen_box(a, b, poses.radii[PART_NAMES[0]], cam)
+        assert (rows.stop - rows.start, cols.stop - cols.start) == (2, 1)
+        assert_matches_frozen_raster(cam, poses)
+        assert (kvf.rasterize_parts(poses, cam)[0] == -1).all()
+
+    def test_spans_fall_back_to_the_whole_frame(self):
+        # a part straddling Z_NEAR, and one whose box projects farther than
+        # SPAN_REACH px; the other two are ordinary
+        cam = CULL_CAMERA
+        z = 2 * Z_NEAR
+        tip = toward_pixel(cam, 35, 22, 0.05)
+        poses = capsule_poses([
+            (tip - [0.0, 0.0, 0.06], tip, 0.0002),
+            ([kvf.SPAN_REACH * z / cam.fx, 0.0, z], [kvf.SPAN_REACH * z / cam.fx, 0.0, 0.3], 1e-5),
+            (toward_pixel(cam, 5, 5, 0.1), toward_pixel(cam, 30, 12, 0.12), 0.004),
+            (toward_pixel(cam, 38, 0, 0.1), toward_pixel(cam, 45, 20, 0.1), 0.002)])
+        j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+        assert (j0[:2] == 0).all() and (j1[:2] == cam.width).all()
+        assert ((j1 - j0)[2:] < cam.width).any()
+        labels, _ = kvf.rasterize_parts(poses, cam)
+        assert {0, 2, 3} <= set(np.unique(labels))
+        assert_matches_frozen_raster(cam, poses)
+
+    def test_flat_box_spans_its_rows(self):
+        # a zero-radius capsule along x: its box is a segment whose edges all
+        # project to one row, and its rays can still graze it
+        cam = CULL_CAMERA
+        a, b = toward_pixel(cam, 4.5, 5, 0.1), toward_pixel(cam, 20.5, 5, 0.1)
+        far = (np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.01, -1.0]), 0.001)
+        poses = capsule_poses([(a, b, 0.0)] + [far] * 3)
+        j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+        row = round(cam.fy * a[1] / a[2] + cam.cy)
+        assert (j0[0, row - 1:row + 2] <= 4).all() and (j1[0, row - 1:row + 2] >= 22).all()
+        assert_matches_frozen_raster(cam, poses)
+
+    def test_spans_test_fewer_rays_than_screen_boxes(self):
+        # the cull's point: at 64 x 64 the spans hold fewer rays than the
+        # axis-aligned boxes, and every frame still matches
+        geom = ToolGeometry()
+        cam = default_camera(64, 64)
+        traj = synth_trajectory("composite", T=5, seed=1, geom=geom)
+        spans = boxes = 0
+        for state in traj.states:
+            poses = forward_kinematics(state, geom)
+            j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+            spans += (j1 - j0).sum()
+            for part in PART_NAMES:
+                rows, cols = frozen_raster.screen_box(
+                    *poses.endpoints[part], poses.radii[part], cam)
+                boxes += (rows.stop - rows.start) * (cols.stop - cols.start)
+            assert_matches_frozen_raster(cam, poses)
+        assert spans < 0.8 * boxes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blas_rows_do_not_depend_on_row_count_or_offset(seed):
+    """The property `kva_field._ray_test` relies on to run each part's
+    matrix-vector products on its own rows: each row of an (n, 3) @ (3,)
+    product with n >= 2 has the same bits as in any longer product."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        n = int(rng.integers(2, 400))
+        D = np.ones((n, 3))
+        D[:, :2] = rng.normal(0.0, 1.0, (n, 2)) * 10.0 ** rng.integers(-3, 3)
+        vec = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.integers(-3, 3, 3)
+        start = int(rng.integers(0, n - 1))
+        stop = int(rng.integers(start + 2, n + 1))
+        assert (D[start:stop] @ vec).tobytes() == (D @ vec)[start:stop].tobytes()
 
 
 class TestRotationChannel:
