@@ -106,7 +106,8 @@ class RoutingRun:
     sub_mass: np.ndarray  # (T, H', W', 3) fusion-weighted sub-expert mass
     s_tilde: np.ndarray  # (T, H', W') normalized significance
     budget: sched.BudgetConfig  # the plans' budget
-    plans: tuple  # (T,) sched.ExecutionPlan, one per frame's s_tilde
+    plans: tuple | None  # (T,) sched.ExecutionPlan per frame's s_tilde, or
+    # None where no writer reads them
 
 
 def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
@@ -146,10 +147,10 @@ def _block_strip(a, bi, bj, s):
 
 
 def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
-                 stats: kvf.ChannelStats) -> RoutingRun:
+                 stats: kvf.ChannelStats, planned: bool) -> RoutingRun:
     """Shared forward pass over a lifted trajectory: each frame's grids are
-    pooled from the tool's blocks only (`_pooled_grids`), routed once and
-    partitioned once."""
+    pooled from the tool's blocks only (`_pooled_grids`) and routed once,
+    and, if `planned`, partitioned once."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
@@ -174,7 +175,8 @@ def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
     return RoutingRun(params, t_embed, decisions[-1],
                       np.stack([d.tokens for d in decisions]), pooled, m_tool,
                       motion, fusion_w, sub_mass, s_tilde, budget,
-                      tuple(sched.partition(s, budget) for s in s_tilde))
+                      tuple(sched.partition(s, budget) for s in s_tilde)
+                      if planned else None)
 
 
 N_MOTION_BINS = 3  # low / medium / high, mirroring the execution tiers
@@ -192,7 +194,8 @@ def _trajectory_pass(cfg: Config, seed: int, traj_path, resolution, writers):
             f"trajectory camera's {cam.height}x{cam.width}")
     lifted = kvf.lift_trajectory(traj, ToolGeometry(), cam)
     stats = kvf.compute_stats(lifted)
-    routing = (_routing_run(cfg, seed, lifted, stats)
+    planned = "route" in writers or "schedule" in writers
+    routing = (_routing_run(cfg, seed, lifted, stats, planned)
                if writers != ("lift",) else None)
     if "route" in writers and routing.motion.size < N_MOTION_BINS:
         raise ShapeMismatch(

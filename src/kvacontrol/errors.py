@@ -29,10 +29,6 @@ class EmptyCorpus(KvaControlError):
     pass
 
 
-class EmptyProbs(KvaControlError):
-    pass
-
-
 class NonFiniteGradient(KvaControlError):
     pass
 

@@ -158,9 +158,6 @@ class Trajectory:
         if not 0 < self.dt < np.inf:
             raise InvalidParams(f"dt must be finite and > 0, got {self.dt}")
 
-    def __len__(self):
-        return len(self.states)
-
 
 @dataclass(frozen=True)
 class PartPoses:

@@ -1,13 +1,12 @@
 """Kinematic-prior objectives for the two-tier router.
 
 Loss suite: physically-grounded load balancing, masked temporal routing
-consistency, capacity-predictor BCE with EMA quantile thresholds, sub-expert
-anti-collapse stabilizer, flow-matching regression target, and the weighted
-total. Analytic gradients are implemented for the small linear parameter sets
-(gate refinement, predictor) and verified with central finite differences of
-the fixed step `FD_EPS`; there is no general autodiff here. The predictor's
-thresholds follow an EMA with the fixed decay `EMA_BETA`, and its initial
-weights are drawn as the gates' are, with std `routing.INIT_SCALE / sqrt(C)`.
+consistency, capacity-predictor BCE, sub-expert anti-collapse stabilizer,
+flow-matching regression target, and the weighted total. Analytic gradients
+are implemented for the small linear parameter sets (gate refinement,
+predictor) and verified with central finite differences of the fixed step
+`FD_EPS`; there is no general autodiff here. The predictor's initial weights
+are drawn as the gates' are, with std `routing.INIT_SCALE / sqrt(C)`.
 
 The finite-difference check evaluates each checked loss twice per parameter
 entry, 750 times per `losses` run. `_kp_alb_evaluator`, `_src_evaluator` and
@@ -53,12 +52,12 @@ once, and return the same bits as the public losses on fresh arrays:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._columns import argmax, columns, fold
-from .errors import EmptyProbs, InvalidParams, NonFiniteGradient, ShapeMismatch
+from .errors import InvalidParams, NonFiniteGradient, ShapeMismatch
 from .kva_field import MODALITY_CHANNELS
 from .routing import INIT_SCALE, N_EXPERTS, N_SUB, RoutingDecision, softmax
 
@@ -183,17 +182,16 @@ def _cp_terms(z, A, per, tmp):
 @dataclass(frozen=True)
 class PredictorState:
     """Capacity predictor: linear map from detached tokens to expert logits,
-    plus EMA-tracked per-expert decision thresholds."""
+    which cp_loss compares with the routing mask."""
 
     w: np.ndarray  # (C, 5)
     b: np.ndarray  # (5,)
-    tau: np.ndarray  # (5,) thresholds in [0, 1]
 
 
 def init_predictor(seed=0, c=16) -> PredictorState:
     rng = np.random.default_rng(seed)
     w = rng.normal(0, INIT_SCALE / np.sqrt(c), size=(c, N_EXPERTS))
-    return PredictorState(w=w, b=np.zeros(N_EXPERTS), tau=np.full(N_EXPERTS, 0.5))
+    return PredictorState(w=w, b=np.zeros(N_EXPERTS))
 
 
 def predictor_logits(state: PredictorState, tokens: np.ndarray) -> np.ndarray:
@@ -202,28 +200,6 @@ def predictor_logits(state: PredictorState, tokens: np.ndarray) -> np.ndarray:
     for j in range(N_EXPERTS):  # a column at a time: no per-row broadcast
         z[..., j] += state.b[j]
     return z
-
-
-QUANTILE_CLAMP = (0.01, 0.99)
-EMA_BETA = 0.95  # decay of the threshold EMA
-FD_EPS = 1e-5  # the finite-difference check's step
-
-
-def update_thresholds(state: PredictorState, probs: np.ndarray,
-                      a_bar: np.ndarray) -> PredictorState:
-    """EMA of expert-wise quantiles:
-    tau_i <- EMA_BETA*tau_i + (1-EMA_BETA)*Q_{1-a_i}.
-
-    The quantile level is clamped; the update runs even for experts routed to
-    nearly all or no tokens, so starved experts keep tracking thresholds."""
-    probs = np.asarray(probs, dtype=float).reshape(-1, N_EXPERTS)
-    if probs.shape[0] == 0:
-        raise EmptyProbs("no probabilities to take quantiles over")
-    a_bar = np.asarray(a_bar, dtype=float).reshape(N_EXPERTS)
-    level = np.clip(1.0 - a_bar, *QUANTILE_CLAMP)
-    q = np.array([np.quantile(probs[:, i], level[i]) for i in range(N_EXPERTS)])
-    tau = EMA_BETA * state.tau + (1 - EMA_BETA) * q
-    return replace(state, tau=tau)
 
 
 def sub_stabilizer_loss(f_sub: np.ndarray, p_sub: np.ndarray) -> float:
@@ -277,6 +253,8 @@ def total_loss(flow, kp, src, cp, sub, weights: LossWeights = LossWeights()) -> 
 
 # ---------------------------------------------------------------------------
 # Analytic gradients + finite-difference verification
+
+FD_EPS = 1e-5  # the finite-difference check's step
 
 
 def cp_loss_grad(tokens: np.ndarray, state: PredictorState, A: np.ndarray):

@@ -5,19 +5,13 @@ acceleration), each structurally restricted to its own channels. Tier 2 picks
 a motion-scale sub-expert (fine / transport / skip) per token inside each
 modality. Fusion follows a dense -> sparse top-k capacity schedule.
 
-Expert operators are deliberately small (linear / pooled / identity): only the
-routing semantics matter here, not feature capacity.
-
 `route_forward` decides: it takes one frame's pooled (H', W', 9) grid,
 embeds the tokens, runs the outer gate, top-k and the capacity blend, and
-lifts and inner-gates each modality. It computes no expert output. The
-caller pools with `avg_pool`, so a caller that knows where the tool is can
-paint and pool only the blocks that hold it from the part labels of a
-compact lift (see `cli._pooled_grids`). `fuse_control`
-fuses: it reads the decision's inner gates, runs each modality's fine and
-transport sub-experts and sums the selected outputs weighted by the fusion
-weights. No CLI artefact reads the fused feature, so the CLI computes only
-the gates, as a sparse mixture of experts computes only the experts its
+lifts and inner-gates each modality. The caller pools with `avg_pool`, so a
+caller that knows where the tool is can paint and pool only the blocks that
+hold it from the part labels of a compact lift (see `cli._pooled_grids`).
+No expert or sub-expert output is computed: every CLI artefact reads the
+gates only, as a sparse mixture of experts computes only the experts its
 gates select.
 
 The short expert, sub-expert and block axes are reduced a column at a time
@@ -68,7 +62,9 @@ class CapacitySchedule:
 
 @dataclass
 class GateParams:
-    """All learnable pieces of the two-tier router (plain numpy arrays)."""
+    """The two-tier router's gate weights (plain numpy arrays): the shared
+    and per-modality lifts, the outer gate and the inner gates. There are no
+    sub-expert weights, since no sub-expert output is computed."""
 
     c: int
     lift_w: np.ndarray  # (9, C) shared action lift
@@ -80,10 +76,6 @@ class GateParams:
     mod_lift_b: dict  # modality -> (C,)
     inner_w: dict  # modality -> (C, 3)
     inner_b: dict  # modality -> (3,)
-    fine_w: dict  # modality -> (C, C)
-    fine_b: dict  # modality -> (C,)
-    trans_w: dict  # modality -> (C, C)
-    trans_b: dict  # modality -> (C,)
 
 
 def _check_token_dim(c):
@@ -114,10 +106,6 @@ def init_gate_params(seed=0, c=16) -> GateParams:
         mod_lift_b={m: np.zeros(c) for m in MODALITIES},
         inner_w={m: lin(c, N_SUB) for m in MODALITIES},
         inner_b={m: np.zeros(N_SUB) for m in MODALITIES},
-        fine_w={m: lin(c, c) for m in MODALITIES},
-        fine_b={m: np.zeros(c) for m in MODALITIES},
-        trans_w={m: lin(c, c) for m in MODALITIES},
-        trans_b={m: np.zeros(c) for m in MODALITIES},
     )
 
 
@@ -214,7 +202,8 @@ def _modality_tokens(field_pooled, params: GateParams, m: str):
 def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
                   t_embed, sched: CapacitySchedule | None = None):
     """Two-tier gating of one frame's pooled (H', W', 9) grid: the grid and
-    its routing decision, the pair `fuse_control` takes."""
+    its routing decision. The pair is returned for perfbench's tracer, which
+    counts the tokens of the decision it finds second."""
     sched = sched or CapacitySchedule()
     tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
     c_action = tokens.mean(axis=(0, 1))
@@ -235,20 +224,3 @@ def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
                                c_action=c_action)
     return pooled, decision
 
-
-def fuse_control(pooled, decision: RoutingDecision, params: GateParams):
-    """The fused control feature (H', W', C): each modality's selected
-    sub-expert output times its probability (the decision's inner gates),
-    weighted by its fusion weight, summed in modality order."""
-    ctrl = np.zeros(decision.tokens.shape[:2] + (params.c,))
-    for i, m in enumerate(MODALITIES):
-        lifted = _modality_tokens(pooled, params, m)
-        conf = fold(np.maximum, columns(decision.inner_probs[..., i, :]))
-        fine = lifted @ params.fine_w[m] + params.fine_b[m]
-        transport = (lifted @ params.trans_w[m] + params.trans_b[m]
-                     + lifted.mean(axis=(0, 1)))
-        pick = decision.inner_sel[..., i, None]
-        selected = np.where(pick == FINE, fine,
-                            np.where(pick == TRANSPORT, transport, lifted))
-        ctrl += decision.fusion_w[..., i, None] * (conf[..., None] * selected)
-    return ctrl

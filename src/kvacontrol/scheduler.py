@@ -8,7 +8,8 @@ selection, and frames get a refresh interval from their mean significance
 compute in the cost units `C_FULL`, `C_LIGHT` and `C_REUSE`.
 
 Only the budget targets and K are settable, through `BudgetConfig`; the
-thresholds, cost units and accounting weights are the paper's fixed values.
+thresholds and cost units are the paper's fixed values. The paper's budget
+and temporal-consistency losses are not implemented: no command reports them.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ FULL, LIGHT, REUSE = 0, 1, 2
 
 # mean significance from which a frame refreshes every frame / every 2nd
 TAU_H, TAU_M = 0.6, 0.3
-# budget_loss: accounting weights of a full and a light update, the weight
-# of the refresh-ratio term and its target share of every-frame refreshes
-W_FULL, W_LIGHT, W_REFRESH = 1.0, 0.5, 1.0
-RHO_REFRESH_STAR = 1.0 / 3.0
 # simulate_execution's cost per token of each mode
 C_FULL, C_LIGHT, C_REUSE = 1.0, 0.4, 0.02
 
@@ -112,39 +109,6 @@ def refresh_interval(s_bar, cfg: BudgetConfig = BudgetConfig()) -> int:
     if s_bar >= TAU_M:
         return 2
     return cfg.K
-
-
-def budget_loss(plan: ExecutionPlan, refresh, cfg: BudgetConfig = BudgetConfig()):
-    """(rho_compute, loss): compute ratio W_FULL*rho_full + W_LIGHT*rho_light
-    plus the L1 gaps to the compute and refresh targets. The compute target
-    is the same ratio at the config's rho targets."""
-    refresh = np.asarray(refresh)
-    rho_compute = W_FULL * plan.rho_full + W_LIGHT * plan.rho_light
-    rho_target = W_FULL * cfg.rho_full_target + W_LIGHT * cfg.rho_light_target
-    rho_refresh = float((refresh == 1).mean()) if refresh.size else 0.0
-    loss = (abs(rho_compute - rho_target)
-            + W_REFRESH * abs(rho_refresh - RHO_REFRESH_STAR))
-    return rho_compute, float(loss)
-
-
-def temporal_loss(features, modes) -> float:
-    """Mean squared temporal feature difference over light/reuse tokens.
-
-    features: (T, N, C); modes: (T, N). The previous frame's features are
-    constants (stop-gradient); 0 when T < 2 or no light/reuse token exists."""
-    f = np.asarray(features, dtype=float)
-    modes = np.asarray(modes)
-    if f.ndim != 3 or modes.shape != f.shape[:2]:
-        raise ShapeMismatch(f"features {f.shape} vs modes {modes.shape}")
-    T = f.shape[0]
-    if T < 2:
-        return 0.0
-    sel = modes[1:] != FULL  # light or reuse at frame t >= 1
-    count = int(sel.sum())
-    if count == 0:
-        return 0.0
-    diff2 = ((f[1:] - f[:-1]) ** 2).sum(axis=-1)
-    return float((diff2 * sel).sum() / (count * f.shape[-1]))
 
 
 @dataclass(frozen=True)

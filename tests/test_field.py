@@ -627,7 +627,7 @@ class TestLift:
 
         monkeypatch.setattr(kvf, "forward_kinematics", counted)
         kvf.lift_trajectory(traj, geom, cam)
-        assert len(calls) == len(traj)
+        assert len(calls) == len(traj.states)
 
     def test_composition_matches_components(self):
         geom = ToolGeometry()

@@ -57,7 +57,7 @@ class TestTrajectoryFormat:
         lines.insert(3, "")
         path.write_text("\n".join(lines) + "\n")
         back, _, _ = fm.read_trajectory(path)
-        assert len(back) == len(traj)
+        assert len(back.states) == len(traj.states)
 
     def test_parse_error_reports_line(self, tmp_path):
         traj, cam = self._traj()
@@ -772,7 +772,7 @@ class TestCli:
         traj = _trajectory_file(tmp_path, 32, frames=frames)
         stages = {"read_trajectory": cli, "lift_trajectory": kvf,
                   "compute_stats": kvf, "route_forward": rt,
-                  "fuse_control": rt, "partition": sched}
+                  "partition": sched}
         calls = {}
 
         def counted(name, real):
@@ -789,13 +789,14 @@ class TestCli:
             self._run("--out", str(tmp_path / command), command,
                       "--traj", str(traj))
         # each command reads, lifts and measures its trajectory once and
-        # routes and partitions each frame at most once; no artefact reads
-        # the fused control feature, so no expert output is computed
+        # routes each frame at most once; only the writers that read the
+        # execution plans (route and schedule) partition, once per frame
         for command, counts in calls.items():
             routed = 0 if command == "lift" else frames
+            planned = frames if command in ("route", "schedule", "run") else 0
             assert counts == {"read_trajectory": 1, "lift_trajectory": 1,
                               "compute_stats": 1, "route_forward": routed,
-                              "fuse_control": 0, "partition": routed}, command
+                              "partition": planned}, command
 
     def test_route_normalizes_only_tool_blocks(self, tmp_path, monkeypatch):
         # the routing grids are pooled from the blocks that hold a tool pixel

@@ -3,7 +3,7 @@ import pytest
 
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
-from kvacontrol.errors import EmptyProbs, ShapeMismatch
+from kvacontrol.errors import ShapeMismatch
 
 
 class TestPhysicalPrior:
@@ -141,54 +141,6 @@ class TestCp:
             assert all(x > y for x, y in zip(values, values[1:]))
 
 
-class TestThresholds:
-    def test_geometric_recurrence(self):
-        state = pr.init_predictor(0)
-        state = pr.PredictorState(w=state.w, b=state.b, tau=np.zeros(5))
-        probs = np.tile(np.linspace(0.05, 0.95, 50)[:, None], (1, 5))
-        a_bar = np.full(5, 0.5)
-        q = np.quantile(probs[:, 0], 0.5)
-        for n in range(1, 30):
-            state = pr.update_thresholds(state, probs, a_bar)
-            expected = (1 - 0.95 ** n) * q
-            assert np.max(np.abs(state.tau - expected)) < 1e-12
-
-    def test_median_for_half_load(self):
-        state = pr.init_predictor(0)
-        probs = np.tile(np.linspace(0, 1, 101)[:, None], (1, 5))
-        new = pr.update_thresholds(state, probs, np.full(5, 0.5))
-        expected = 0.95 * state.tau + 0.05 * 0.5
-        assert np.max(np.abs(new.tau - expected)) < 1e-12
-
-    def test_quantile_matches_sort_oracle(self):
-        rng = np.random.default_rng(9)
-        probs = rng.random((200, 5))
-        a_bar = rng.random(5)
-        state = pr.init_predictor(1)
-        new = pr.update_thresholds(state, probs, a_bar)
-        for i in range(5):
-            level = min(max(1 - a_bar[i], 0.01), 0.99)
-            x = np.sort(probs[:, i])
-            pos = level * (len(x) - 1)
-            lo = int(np.floor(pos))
-            hi = min(lo + 1, len(x) - 1)
-            q = x[lo] + (pos - lo) * (x[hi] - x[lo])
-            expected = 0.95 * state.tau[i] + 0.05 * q
-            assert abs(new.tau[i] - expected) < 1e-12
-
-    def test_extreme_loads_still_update(self):
-        state = pr.init_predictor(0)
-        probs = np.random.default_rng(1).random((50, 5))
-        for a in (np.zeros(5), np.ones(5)):
-            new = pr.update_thresholds(state, probs, a)
-            assert np.all(np.isfinite(new.tau))
-            assert np.any(new.tau != state.tau)
-
-    def test_empty_probs(self):
-        with pytest.raises(EmptyProbs):
-            pr.update_thresholds(pr.init_predictor(0), np.zeros((0, 5)), np.full(5, 0.5))
-
-
 class TestSubStabilizer:
     def test_uniform(self):
         f = np.full((5, 3), 1 / 3)
@@ -290,11 +242,10 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         tokens = rng.normal(size=(3, 3, 6))
         A = rng.integers(0, 2, size=(9, 5)).astype(float).reshape(3, 3, 5)
-        state = pr.PredictorState(w=rng.normal(size=(6, 5)), b=rng.normal(size=5),
-                                  tau=np.full(5, 0.5))
+        state = pr.PredictorState(w=rng.normal(size=(6, 5)), b=rng.normal(size=5))
 
         def loss(arrs):
-            st = pr.PredictorState(w=arrs["w"], b=arrs["b"], tau=state.tau)
+            st = pr.PredictorState(w=arrs["w"], b=arrs["b"])
             return pr.cp_loss(pr.predictor_logits(st, tokens), A)
 
         gw, gb = pr.cp_loss_grad(tokens, state, A)
@@ -332,11 +283,10 @@ class TestGradients:
         rng = np.random.default_rng(200 + seed)
         tok_seq = rng.normal(size=(4, 3, 3, 6))
         m_tool = (rng.random((4, 3, 3)) > 0.3).astype(float)
-        state = pr.PredictorState(w=rng.normal(size=(6, 5)), b=rng.normal(size=5),
-                                  tau=np.full(5, 0.5))
+        state = pr.PredictorState(w=rng.normal(size=(6, 5)), b=rng.normal(size=5))
 
         def loss(arrs):
-            st = pr.PredictorState(w=arrs["w"], b=arrs["b"], tau=state.tau)
+            st = pr.PredictorState(w=arrs["w"], b=arrs["b"])
             R = pr._sigmoid(np.stack([pr.predictor_logits(st, tk)
                                       for tk in tok_seq]))
             return pr.src_loss(R, m_tool)

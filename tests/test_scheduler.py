@@ -106,8 +106,6 @@ class TestPartition:
         counts = np.bincount(plan.mode, minlength=3)
         assert tuple(counts) == (2, 1, 0)
         assert (plan.rho_full, plan.rho_light, plan.rho_reuse) == (2 / 3, 1 / 3, 0.0)
-        rho, _ = sch.budget_loss(plan, [1, 2, 4], cfg)
-        assert rho == pytest.approx(2 / 3 + 0.5 / 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -134,84 +132,6 @@ class TestRefreshInterval:
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
             sch.BudgetConfig(K=0)
-
-
-class TestBudgetLoss:
-    def _plan(self, rf, rl):
-        n = 20
-        mode = np.full(n, sch.REUSE)
-        return sch.ExecutionPlan(mode=mode, rho_full=rf, rho_light=rl,
-                                 rho_reuse=1 - rf - rl)
-
-    def test_on_target_zero(self):
-        # 1.0*0.2 + 0.5*0.3 = 0.35 and refresh ratio 1/3
-        rho, loss = sch.budget_loss(self._plan(0.2, 0.3), [1, 2, 4])
-        assert rho == pytest.approx(0.35)
-        assert loss == pytest.approx(0.0, abs=1e-15)
-
-    def test_target_follows_config(self):
-        # 5 full + 5 light at 0.5/0.5: the compute target is
-        # 1.0*0.5 + 0.5*0.5 = 0.75, which the plan meets exactly
-        cfg = sch.BudgetConfig(rho_full_target=0.5, rho_light_target=0.5)
-        plan = sch.partition(np.arange(10, dtype=float), cfg)
-        rho, loss = sch.budget_loss(plan, [1, 2, 4], cfg)
-        assert rho == 0.75
-        assert loss == pytest.approx(0.0, abs=1e-15)
-
-    def test_direct_formula(self):
-        rho, loss = sch.budget_loss(self._plan(0.1, 0.2), [2, 2, 2])
-        assert rho == pytest.approx(0.2)
-        assert loss == pytest.approx(abs(0.2 - 0.35) + abs(0.0 - 1 / 3))
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            rf, rl = rng.random(2) * 0.5
-            refresh = rng.choice([1, 2, 4], size=9)
-            rho, loss = sch.budget_loss(self._plan(rf, rl), refresh)
-            exp_rho = 1.0 * rf + 0.5 * rl
-            exp = abs(exp_rho - 0.35) + abs(np.mean(refresh == 1) - 1 / 3)
-            assert rho == pytest.approx(exp_rho)
-            assert loss == pytest.approx(exp, abs=1e-12)
-
-
-class TestTemporalLoss:
-    def test_static_features_zero(self):
-        f = np.broadcast_to(np.arange(4.0), (3, 5, 4)).copy()
-        modes = np.full((3, 5), sch.REUSE)
-        assert sch.temporal_loss(f, modes) == 0.0
-
-    def test_all_full_zero(self):
-        rng = np.random.default_rng(0)
-        f = rng.normal(size=(3, 5, 4))
-        assert sch.temporal_loss(f, np.full((3, 5), sch.FULL)) == 0.0
-
-    def test_single_delta(self):
-        f = np.zeros((2, 1, 4))
-        f[1, 0] = 0.5  # delta^2 summed = 4 * 0.25 = 1.0, / (1 * 4)
-        modes = np.full((2, 1), sch.LIGHT)
-        assert sch.temporal_loss(f, modes) == pytest.approx(0.25)
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(5)
-        f = rng.normal(size=(4, 6, 3))
-        modes = rng.integers(0, 3, size=(4, 6))
-        num = 0.0
-        cnt = 0
-        for t in range(1, 4):
-            for i in range(6):
-                if modes[t, i] != sch.FULL:
-                    num += sum((f[t, i, c] - f[t - 1, i, c]) ** 2 for c in range(3))
-                    cnt += 1
-        expected = num / (cnt * 3) if cnt else 0.0
-        assert sch.temporal_loss(f, modes) == pytest.approx(expected, abs=1e-12)
-
-    def test_single_frame_zero(self):
-        assert sch.temporal_loss(np.ones((1, 3, 2)), np.zeros((1, 3))) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            sch.temporal_loss(np.ones((2, 3, 2)), np.zeros((2, 4)))
 
 
 class TestSimulateExecution:
