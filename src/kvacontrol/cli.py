@@ -93,7 +93,8 @@ def cmd_synth(cfg: Config, seed: int, out: str):
 @dataclass(frozen=True)
 class RoutingRun:
     """One trajectory's routing, each array stacked over its T frames on the
-    (H', W') token grid."""
+    (H', W') token grid. The fields from `motion` on are what `route` and
+    `schedule` read; they are None where neither writes."""
 
     params: rt.GateParams
     t_embed: np.ndarray  # the timestep embedding every frame is routed with
@@ -101,13 +102,12 @@ class RoutingRun:
     tokens: np.ndarray  # (T, H', W', C)
     pooled: np.ndarray  # (T, H', W', 9) raw field
     m_tool: np.ndarray  # (T, H', W') pooled tool mask
-    motion: np.ndarray  # (T, H', W')
-    fusion_w: np.ndarray  # (T, H', W', 5)
-    sub_mass: np.ndarray  # (T, H', W', 3) fusion-weighted sub-expert mass
-    s_tilde: np.ndarray  # (T, H', W') normalized significance
     budget: sched.BudgetConfig  # the plans' budget
-    plans: tuple | None  # (T,) sched.ExecutionPlan per frame's s_tilde, or
-    # None where no writer reads them
+    motion: np.ndarray | None = None  # (T, H', W')
+    fusion_w: np.ndarray | None = None  # (T, H', W', 5)
+    sub_mass: np.ndarray | None = None  # (T, H', W', 3) weighted sub-experts
+    s_tilde: np.ndarray | None = None  # (T, H', W') normalized significance
+    plans: tuple | None = None  # (T,) sched.ExecutionPlan per frame's s_tilde
 
 
 def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
@@ -150,7 +150,8 @@ def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
                  stats: kvf.ChannelStats, planned: bool) -> RoutingRun:
     """Shared forward pass over a lifted trajectory: each frame's grids are
     pooled from the tool's blocks only (`_pooled_grids`) and routed once,
-    and, if `planned`, partitioned once."""
+    and, if `planned`, its motion, fusion weights, sub-expert mass and
+    significance are formed and each frame is partitioned once."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
@@ -159,24 +160,30 @@ def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
     normed, pooled, m_tool = _pooled_grids(lifted, stats, cfg.stride)
     decisions = [rt.route_forward(g, params, cfg.progress, t_embed,
                                   sched=schedule)[1] for g in normed]
-    # motion is normalised by its peak over the sequence, so frames compare
-    motion = sched.motion_intensity(pooled[..., 5:8], pooled[..., 8])
-    fusion_w = np.stack([d.fusion_w for d in decisions])
-    # sum over the expert axis, a frame at a time so that no weighted stack
-    # is held; numpy adds the slices of a non-last axis in order, as the
-    # fold does
-    sub_mass = np.stack([fold(np.add, columns(np.moveaxis(
-        d.fusion_w[..., None] * d.inner_probs, -2, -1))) for d in decisions])
-    s_tilde = np.stack([sched.significance(*frame)[1] for frame in zip(
-        motion, m_tool, fold(np.maximum, columns(fusion_w)),
-        sub_mass[..., rt.FINE], sub_mass[..., rt.SKIP])])
     budget = sched.BudgetConfig(rho_full_target=cfg.rho_full,
                                 rho_light_target=cfg.rho_light, K=cfg.refresh_k)
+    planned_fields = {}
+    if planned:
+        # motion is normalised by its peak over the sequence, so frames
+        # compare
+        motion = sched.motion_intensity(pooled[..., 5:8], pooled[..., 8])
+        fusion_w = np.stack([d.fusion_w for d in decisions])
+        # sum over the expert axis, a frame at a time so that no weighted
+        # stack is held; numpy adds the slices of a non-last axis in order,
+        # as the fold does
+        sub_mass = np.stack([fold(np.add, columns(np.moveaxis(
+            d.fusion_w[..., None] * d.inner_probs, -2, -1)))
+            for d in decisions])
+        s_tilde = np.stack([sched.significance(*frame)[1] for frame in zip(
+            motion, m_tool, fold(np.maximum, columns(fusion_w)),
+            sub_mass[..., rt.FINE], sub_mass[..., rt.SKIP])])
+        planned_fields = dict(
+            motion=motion, fusion_w=fusion_w, sub_mass=sub_mass,
+            s_tilde=s_tilde,
+            plans=tuple(sched.partition(s, budget) for s in s_tilde))
     return RoutingRun(params, t_embed, decisions[-1],
                       np.stack([d.tokens for d in decisions]), pooled, m_tool,
-                      motion, fusion_w, sub_mass, s_tilde, budget,
-                      tuple(sched.partition(s, budget) for s in s_tilde)
-                      if planned else None)
+                      budget, **planned_fields)
 
 
 N_MOTION_BINS = 3  # low / medium / high, mirroring the execution tiers

@@ -11,43 +11,79 @@ are drawn as the gates' are, with std `routing.INIT_SCALE / sqrt(C)`.
 The finite-difference check evaluates each checked loss twice per parameter
 entry, 750 times per `losses` run. `_kp_alb_evaluator`, `_src_evaluator` and
 `_cp_evaluator` build those losses once per check, with buffers allocated
-once, and return the same bits as the public losses on fresh arrays:
+once, and return the same bits as the public losses on fresh arrays.
+
+Distinct rows. Routing pools every block with no tool pixel to one constant
+token row, so most token rows repeat bit for bit: at 256 x 256 (T=4, seed
+1), the evaluators keep 463 of the last frame's 4096 rows, 1,963 of 16,384
+over all frames and 1,690 of src's 12,288 triples (below). Each evaluator does its per-token work once per distinct
+row and expands to every token only where a reduction needs every position:
+
+- `_distinct_rows` compares each row with the reference row, the first
+  token's, through a uint64 view of its bits. A row equal to it maps to
+  entry 0; any other row keeps its own entry, even where it repeats another.
+  This needs no sort and assumes nothing about the input: a grid whose
+  first token is on the tool gains little, but stays exact.
+- The key of a row holds all that its per-token values depend on: the token
+  row for kp and src, the token row and its `A` row for cp. src works on
+  (row at t, row at t-1, mask at t) triples, keyed the same way.
+- Every step from the product to the per-token terms is per row: the
+  product, the bias, the softmax or sigmoid, the top-1 choice, the squared
+  time difference and the BCE terms. So a distinct row gets the bits each
+  of its copies gets.
+- The row property (pinned by `test_field`): each row of an (m, C) @ (C, 5)
+  product with m >= 2 has the bits it has in any longer product that holds
+  it. numpy multiplies a (..., W', C) @ (C, 5) grid one W'-row matrix at a
+  time, so for W' >= 2 the distinct rows are one product of at least two
+  rows (a lone row is repeated), and for W' = 1, where each token is a
+  one-row product whose bits differ from a GEMM's, one-row products
+  (m, 1, C) @ (C, 5). `_row_product` picks the form.
+- Three reductions keep every position, each fed by one gather
+  (`np.take`) from the distinct rows' values: cp's `per.mean()` over the
+  (H', W', 5) terms, src's masked `diff2.sum()` over (T-1, H', W'), and
+  kp's `Pbar`, the sequential `np.add.accumulate` over all N tokens. kp's
+  top-1 count is a `bincount` weighted by each row's copies; the counts are
+  exact integers, so `/ n` gives the bits of the count of every token. The
+  gathers use `mode="clip"`, which numpy does not buffer; every index is in
+  range.
+
+The other steps:
 
 - Every step but the reductions is elementwise, so it gives the same bits in
   any layout and written into any buffer.
-- `_kp_alb_evaluator` keeps the routing logits expert-major, (5, N), so each
+- `_kp_alb_evaluator` keeps the routing logits expert-major, (5, m), so each
   expert is one contiguous row. The softmax's max and sum and the top-1
   scan reduce the five rows in expert order with `_columns`. `Pbar` is
-  `np.add.accumulate` along each row, which adds the tokens one after
-  another: numpy's `mean(axis=0)` of a C-contiguous (N, 5) array adds its
-  rows in the same sequence. `tokens @ token_w` does not change with
-  `outer_w` or `outer_b`, so it is kept from the last evaluation with the
-  same `token_w`. The loss is a function of the `token_w` bytes and the
-  five logits `concat(c_action, t_embed) @ outer_w + outer_b` alone, so
-  each result is kept keyed on those two byte strings: a step on an
-  `outer_w` row whose embedding entry is about 1e-16 (the sin entries of
-  `timestep_embed(0.5)`) leaves the logits unchanged, and 74 of the 411
-  evaluations of `losses` on a 256 x 256, T=4 synth trajectory (seed 1)
-  repeat an earlier input.
+  `np.add.accumulate` along each row of the gathered (5, N) probabilities,
+  which adds the tokens one after another: numpy's `mean(axis=0)` of a
+  C-contiguous (N, 5) array adds its rows in the same sequence. The
+  product with `token_w` does not change with `outer_w` or `outer_b`, so it
+  is kept from the last evaluation with the same `token_w`. The loss is a
+  function of the `token_w` bytes and the five logits
+  `concat(c_action, t_embed) @ outer_w + outer_b` alone, so each result is
+  kept keyed on those two byte strings: a step on an `outer_w` row whose
+  embedding entry is about 1e-16 (the sin entries of `timestep_embed(0.5)`)
+  leaves the logits unchanged, and 74 of the 411 evaluations of `losses` on
+  a 256 x 256, T=4 synth trajectory (seed 1) repeat an earlier input.
 - `_src_evaluator` and `_cp_evaluator` recompute only the expert columns
   whose parameters changed. Each check perturbs one entry of `w[:, k]` or
   `b[k]`, so only logit column k changes. Each evaluation forms the product
-  `tokens @ w` once, as `predictor_logits` does, and adds `b[j]` in place
-  to the columns it recomputes only: `predictor_logits` adds `b` a column
-  at a time, so column j gets the same addition. Logit column j of the
-  product is the same GEMM's column j at the same shape, and depends only
-  on `w[:, j]`; with `b[j]` added, on nothing else. The sigmoid,
-  the time difference and the BCE terms are elementwise, so a column view
-  gives the bits that column gets in the (..., 5) array. Each column's work
-  (the squared time difference for src, the BCE terms for cp) is kept with
-  the bytes of `w[:, j]` and `b[j]` it was formed from; the first
-  evaluation's columns are kept as the base, and a column whose parameters
-  return to the base is restored from that copy. src then folds the five
-  columns in expert order with `_columns.fold`, and cp takes the mean of
-  the same (..., 5) buffer, so the reductions see the same values in the
-  same order. The result does not depend on the order of the calls: a
-  column whose bytes differ is recomputed. `src_loss` and `cp_loss` run
-  the same helpers on fresh arrays.
+  once, as `predictor_logits` does, and adds `b[j]` in place to the columns
+  it recomputes only: `predictor_logits` adds `b` a column at a time, so
+  column j gets the same addition. Logit column j of the product depends
+  only on `w[:, j]`; with `b[j]` added, on nothing else. The sigmoid, the
+  time difference and the BCE terms are elementwise, so a column view gives
+  the bits that column gets in the (..., 5) array. Each column's work (the
+  squared time difference per triple for src; the BCE terms, gathered to
+  every token, for cp) is kept with the bytes of `w[:, j]` and `b[j]` it
+  was formed from; the first evaluation's columns are kept as the base, and
+  a column whose parameters return to the base is restored from that copy.
+  src then folds the five columns in expert order with `_columns.fold` and
+  multiplies by the mask per triple (`_masked_diff2`, as `src_loss` does)
+  before the gather, and cp takes the mean of the full (H', W', 5) buffer,
+  so the reductions see the same values in the same order. The result does
+  not depend on the order of the calls: a column whose bytes differ is
+  recomputed. `src_loss` and `cp_loss` run the same helpers on fresh arrays.
 """
 
 from __future__ import annotations
@@ -130,16 +166,16 @@ def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
     if denom == 0:  # also for T < 2, where the mask is empty
         return 0.0
     sq = np.square(R[1:] - R[:-1])
-    return _src_sum(columns(sq), mask, denom, np.empty(mask.shape))
+    return float(_masked_diff2(columns(sq), mask, np.empty(mask.shape)).sum()
+                 / denom)
 
 
-def _src_sum(cols, mask, denom, diff2) -> float:
-    """src_loss for T >= 2 and denom != 0 from the five expert columns of the
-    squared time difference, each (T-1, H', W'), folded in expert order;
-    diff2 is a buffer of that shape."""
-    fold(np.add, cols, out=diff2)
-    np.multiply(mask, diff2, out=diff2)
-    return float(diff2.sum() / denom)
+def _masked_diff2(cols, mask, out):
+    """mask times the squared time difference summed over the experts, from
+    its five expert columns (each of the mask's shape) folded in expert
+    order, formed in the buffer out; returns out."""
+    fold(np.add, cols, out=out)
+    return np.multiply(mask, out, out=out)
 
 
 def _sigmoid(z, out=None, e=None):
@@ -322,17 +358,53 @@ def src_loss_grad(tokens_seq: np.ndarray, state: PredictorState,
     return gw, gb
 
 
+def _distinct_rows(keys):
+    """(first, inverse) of the rows of a 2-D array `keys`, compared bit for
+    bit with the reference row, row 0: `first` lists row 0 and then each row
+    that differs from it, and row i is row `first[inverse[i]]`. A row that
+    differs from row 0 keeps its own entry even where it repeats another."""
+    bits = np.ascontiguousarray(keys).view(np.uint64)
+    other = (bits != bits[0]).any(axis=1)
+    inverse = np.cumsum(other)
+    inverse[~other] = 0
+    return np.concatenate(([0], np.flatnonzero(other))), inverse
+
+
+def _flat_rows(a):
+    """The rows of an (..., k) array as one (n, k) float64 array."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(-1, a.shape[-1])
+
+
+def _row_product(rows, w, one_row):
+    """rows @ w, each row with the bits it has in the token grid's product
+    `tokens @ w`: as one-row products where the grid's W' is 1 (`one_row`),
+    since numpy multiplies one W'-row matrix at a time, and otherwise as one
+    product of at least two rows (see the module docstring)."""
+    if one_row:
+        return (rows[:, None] @ w)[:, 0]
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ w)[:1]
+    return rows @ w
+
+
 def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
     """kp_alb_loss of `outer_gate`'s per-token probabilities as a function of
-    {"outer_w", "outer_b", "token_w"}, evaluated expert-major (see the
-    module docstring)."""
+    {"outer_w", "outer_b", "token_w"}, evaluated expert-major on the distinct
+    token rows (see the module docstring)."""
     ce = np.concatenate([c_action, t_embed])
-    n = tokens.size // tokens.shape[-1]
-    z = np.empty((N_EXPERTS, n))  # logits, then probabilities
-    rows = list(z)  # one view per expert
-    col = np.empty(n)
-    acc = np.empty_like(z)
-    per_token = np.empty_like(z)  # expert-major tokens @ token_w
+    tok = _flat_rows(tokens)
+    first, inverse = _distinct_rows(tok)
+    rows = tok[first]
+    one_row = tokens.shape[-2] == 1
+    copies = np.bincount(inverse).astype(float)  # tokens per distinct row
+    n = len(inverse)
+    z = np.empty((N_EXPERTS, len(first)))  # logits, then probabilities
+    experts = list(z)  # one view per expert
+    col = np.empty(len(first))
+    per_token = np.empty_like(z)  # expert-major rows @ token_w
+    P = np.empty((N_EXPERTS, n))  # every token's probabilities
+    acc = np.empty_like(P)
     formed_from = [None]  # the token_w bytes per_token holds the product of
     seen = {}  # (token_w bytes, logits bytes) -> loss
 
@@ -344,14 +416,14 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
             return seen[inputs]
         if key != formed_from[0]:
             formed_from[0] = key
-            product = tokens @ arrs["token_w"]  # outer_gate's matmul
-            np.copyto(per_token, product.reshape(n, N_EXPERTS).T)
+            np.copyto(per_token, _row_product(rows, arrs["token_w"], one_row).T)
         np.add(per_token, logits[:, None], out=z)
-        np.subtract(z, fold(np.maximum, rows, out=col), out=z)
+        np.subtract(z, fold(np.maximum, experts, out=col), out=z)
         np.exp(z, out=z)
-        np.divide(z, fold(np.add, rows, out=col), out=z)
-        f = np.bincount(argmax(rows), minlength=N_EXPERTS) / n
-        Pbar = np.add.accumulate(z, axis=1, out=acc)[:, -1] / n
+        np.divide(z, fold(np.add, experts, out=col), out=z)
+        f = np.bincount(argmax(experts), copies, minlength=N_EXPERTS) / n
+        np.take(z, inverse, axis=1, out=P, mode="clip")
+        Pbar = np.add.accumulate(P, axis=1, out=acc)[:, -1] / n
         seen[inputs] = kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar),
                                    prior)
         return seen[inputs]
@@ -391,51 +463,74 @@ def _column_cache(cols, compute):
 
 def _src_evaluator(tok_seq, m_tool):
     """src_loss(_sigmoid(predictor_logits(...)), m_tool) as a function of
-    {"w", "b"}; one product `tokens @ w` per evaluation, and the bias and
-    the squared time difference only for the changed columns (see the module
-    docstring)."""
+    {"w", "b"}; one product per evaluation on the distinct token rows, the
+    sigmoid for the changed column on those rows, and the squared time
+    difference for that column on the distinct (row at t, row at t-1, mask
+    at t) triples (see the module docstring)."""
     m_tool = np.asarray(m_tool, dtype=float)
     if tok_seq.shape[:-1] != m_tool.shape:
         raise ShapeMismatch(f"tokens {tok_seq.shape} vs mask {m_tool.shape}")
     mask = m_tool[1:]
     denom = N_EXPERTS * mask.sum()
-    R, e = np.empty(m_tool.shape), np.empty(m_tool.shape)
-    sq = np.empty((N_EXPERTS,) + mask.shape)  # expert-major squared differences
-    diff2 = np.empty(mask.shape)
+    if denom == 0:  # also for T < 2, where the mask is empty
+        return lambda arrs: 0.0
+    tok = _flat_rows(tok_seq)
+    first, inverse = _distinct_rows(tok)
+    rows = tok[first]
+    one_row = tok_seq.shape[-2] == 1
+    inverse = inverse.reshape(len(m_tool), -1)
+    pair_first, pair_inverse = _distinct_rows(np.stack([
+        inverse[1:].ravel(), inverse[:-1].ravel(),
+        np.ascontiguousarray(mask).ravel().view(np.int64)], axis=1))
+    now = inverse[1:].ravel()[pair_first]
+    before = inverse[:-1].ravel()[pair_first]
+    pair_mask = mask.ravel()[pair_first]
+    pair_inverse = pair_inverse.reshape(mask.shape)
+    R, e = np.empty(len(first)), np.empty(len(first))
+    R_before = np.empty(len(pair_first))
+    sq = np.empty((N_EXPERTS, len(pair_first)))  # expert-major, per triple
+    pair_diff2, diff2 = np.empty(len(pair_first)), np.empty(mask.shape)
 
     def compute(z, j, col):
-        _sigmoid(z[..., j], out=R, e=e)
-        np.subtract(R[1:], R[:-1], out=col)
+        _sigmoid(z[:, j], out=R, e=e)
+        np.subtract(np.take(R, now, out=col, mode="clip"),
+                    np.take(R, before, out=R_before, mode="clip"), out=col)
         np.square(col, out=col)
 
     update = _column_cache(sq, compute)
 
     def loss(arrs):
-        z = tok_seq @ arrs["w"]
-        if denom == 0:  # also for T < 2, where the mask is empty
-            return 0.0
-        update(arrs, z)
-        return _src_sum(sq, mask, denom, diff2)
+        update(arrs, _row_product(rows, arrs["w"], one_row))
+        _masked_diff2(sq, pair_mask, pair_diff2)
+        np.take(pair_diff2, pair_inverse, out=diff2, mode="clip")
+        return float(diff2.sum() / denom)
 
     return loss
 
 
 def _cp_evaluator(tokens, A):
     """cp_loss(predictor_logits(...), A) as a function of {"w", "b"}; one
-    product `tokens @ w` per evaluation, and the bias and the BCE terms only
-    for the changed columns (see the module docstring)."""
+    product per evaluation and the BCE terms for the changed column, both on
+    the distinct (token row, A row) pairs, and that column gathered to every
+    token (see the module docstring)."""
     A = np.asarray(A, dtype=float)
     if tokens.shape[:-1] + (N_EXPERTS,) != A.shape:
         raise ShapeMismatch(f"tokens {tokens.shape} vs mask {A.shape}")
-    per, tmp = np.empty(A.shape), np.empty(A.shape[:-1])
+    tok, A_flat = _flat_rows(tokens), A.reshape(-1, N_EXPERTS)
+    first, inverse = _distinct_rows(np.concatenate([tok, A_flat], axis=1))
+    rows, A_rows = tok[first], A_flat[first]
+    one_row = tokens.shape[-2] == 1
+    per_row, tmp = np.empty(len(first)), np.empty(len(first))
+    per = np.empty(A.shape)
 
     def compute(z, j, col):
-        _cp_terms(z[..., j], A[..., j], col, tmp)
+        _cp_terms(z[:, j], A_rows[:, j], per_row, tmp)
+        np.take(per_row, inverse, out=col, mode="clip")
 
-    update = _column_cache([per[..., j] for j in range(N_EXPERTS)], compute)
+    update = _column_cache(columns(per.reshape(-1, N_EXPERTS)), compute)
 
     def loss(arrs):
-        update(arrs, tokens @ arrs["w"])
+        update(arrs, _row_product(rows, arrs["w"], one_row))
         return float(per.mean())
 
     return loss

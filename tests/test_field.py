@@ -412,6 +412,39 @@ def test_blas_rows_do_not_depend_on_row_count_or_offset(seed):
         assert (D[start:stop] @ vec).tobytes() == (D @ vec)[start:stop].tobytes()
 
 
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 16, 33])
+def test_blas_token_product_rows_do_not_depend_on_other_rows(c):
+    """The property the grad check's evaluators in `priors` rely on to
+    multiply only the distinct token rows (`priors._row_product`):
+    - any subset of at least two rows of an (n, C) @ (C, 5) product, a lone
+      row repeated included, has the bits of those rows in the full product;
+    - a (T, H', W', C) @ (C, 5) product with W' >= 2 has the bits of the
+      (T * H' * W', C) product's rows;
+    - an (m, 1, C) @ (C, 5) product has the bits of a (T, H', 1, C)
+      product's rows, which numpy multiplies one row at a time.
+    If a BLAS breaks this, the evaluators go back to dense products of
+    every token, not to a second path."""
+    rng = np.random.default_rng(c)
+    for _ in range(100):
+        scale = 10.0 ** rng.integers(-3, 3)
+        w = rng.normal(0.0, 1.0, (c, 5)) * 10.0 ** rng.integers(-3, 3)
+        n = int(rng.integers(2, 300))
+        x = rng.normal(0.0, 1.0, (n, c)) * scale
+        full = x @ w
+        subset = np.sort(rng.choice(n, int(rng.integers(2, n + 1)),
+                                    replace=False))
+        assert (x[subset] @ w).tobytes() == full[subset].tobytes()
+        lone = int(rng.integers(0, n))
+        assert (x[[lone, lone]] @ w)[0].tobytes() == full[lone].tobytes()
+        t, h, wp = (int(k) for k in rng.integers(1, 5, 3))
+        grid = rng.normal(0.0, 1.0, (t, h, wp + 1, c)) * scale
+        rows = grid.reshape(-1, c)
+        assert (grid @ w).tobytes() == (rows @ w).tobytes()
+        column = grid[:, :, :1].copy()  # W' = 1
+        assert ((column.reshape(-1, 1, c) @ w).tobytes()
+                == (column @ w).tobytes())
+
 class TestRotationChannel:
     def _poses_with_axis(self, direction):
         from kvacontrol.kinematics import PartPoses

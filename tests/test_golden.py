@@ -42,6 +42,13 @@ holds a tool pixel: the channel statistics are 0 and floored at a std of
 constant (0.5), which forces refreshes on frames 1 and 3, and the physical
 prior is uniform.
 
+A tenth case runs the 128x16 (H x W), T=4 flow (target seed 21, prediction
+seed 22) with `{"stride": 16}`, an 8x1 token grid. With one token per grid
+row, numpy multiplies each token as a one-row product, whose bits differ
+from a multi-row GEMM's (OpenBLAS 0.3.31), so this case pins the grad
+check's per-row products at W' = 1. Its digests were recorded before the
+grad check's evaluators were made to work on distinct token rows.
+
 Each case also runs `run` in place of the four trajectory commands, and
 compares each file it writes into its one directory with the digest
 recorded for the command that writes the file: `run` is those four
@@ -266,6 +273,31 @@ GOLDEN_OUT_OF_VIEW = {
 }
 
 
+GOLDEN_W1 = {
+    'eval/metrics.csv': '805235d780bd65e4c441e5aa7fd7331c3a3b6d87ea90bda52072d219c7f46957',
+    'lift/channel_stats.csv': '2e24f109ef149cba0e71f25d0b35f214841e4912955921180b63e17e2861fe12',
+    'lift/field_0001.kvaf': '1132b76bec8efa61bb3e0176b9860352317ef80f9c10967d75bfd92d91e6a066',
+    'lift/field_0002.kvaf': '0871a688cf91c579c1ffe40397f52b6197dfc38e98c8631aa6dc190cd44be1bf',
+    'lift/field_0003.kvaf': 'ad5928b364ef534877ddef4f312df16ad4ff83358c08a99aa34157ee897f8360',
+    'lift/field_0004.kvaf': '99f301840d6875a0a1ad56c52d814ed656dfc0b63c230b253988e23d2f2310fc',
+    'losses/grad_check.csv': 'edde0101d995db23d312af0a47e26aee36cb8fafd0fc7992db8e82813e610c86',
+    'losses/losses.csv': '8325c841dffd51510db5e9935916748810e14dc8a6e42ebca59725959db32cbf',
+    'pred/masks/frame_0001.pgm': '8fc2bedc8f34e5e51bafa99fe1358e2eb4bbbdd0c6f7f190255876c6cf2009e1',
+    'pred/masks/frame_0002.pgm': '78e6e0992b25984433fb8944ded672595d5c5797f9359131e870a91ed54e09f9',
+    'pred/masks/frame_0003.pgm': '204b46ee7e39a104dc0e0c76b1bb8fadcf35bfe16e6afbba12e5ad64bd66e1be',
+    'pred/masks/frame_0004.pgm': '0c9a3f022570ef3dca5f3381cabf88bf4b40927032e9fcff8459ec1358fb70a7',
+    'pred/trajectory.txt': 'b9e0c8a4f57a8fbdfb803e4bcdafc453b3d33be4d71a33b046f93a150e2e3852',
+    'route/routing_stats.csv': '2acfa8f70321109e35b032b2e93b03113e265b28fd200ebdb828e0354f0fa050',
+    'schedule/cost_summary.csv': '1bd1f109cf154396f625e69b901e59febf084a1fd34789274ff5d717f63efa83',
+    'schedule/execution.csv': '8d238d11dcee4fc69a3caeaf636f392472bcbb8f0cafa462d82a15e38022b69a',
+    'target/masks/frame_0001.pgm': '0114de5a8e4904d07724bd4bf0418c3d0c61199cd6219cf7765f98c2ad5c121c',
+    'target/masks/frame_0002.pgm': '39156019fe72aea460aa270b6a49c7f54ecdfcb37603da96a701e9cedad3d340',
+    'target/masks/frame_0003.pgm': '2ebda4953fef23d44166f2724e9bb94cb0a5d9dbf973e500a5b0ca7153132af1',
+    'target/masks/frame_0004.pgm': 'b2e26f494ecfa8e780c31e7065a4d66a2e305665ae19ffa5ffa9dbb2d4f7b5d8',
+    'target/trajectory.txt': 'b89b3b9ad67bc0365c170dd5e3170512cfba5dac022601d1e4f3eac5d4577909',
+}
+
+
 CONFIG_NAME = "config.json"
 # synth_trajectory's seed for the trajectories run_flow writes through the
 # library
@@ -342,11 +374,13 @@ CASES = ((GOLDEN, {}),
          (GOLDEN_BUDGET, {"frames": 10, "seed": 19,
                           "config": {"rho_full": 0.02, "rho_light": 0.05}}),
          (GOLDEN_NEAR_BASE, {"seed": 1, "base": (0.0, 0.0, 0.006)}),
-         (GOLDEN_OUT_OF_VIEW, {"seed": 1, "base": (1.0, 0.0, 0.006)}))
+         (GOLDEN_OUT_OF_VIEW, {"seed": 1, "base": (1.0, 0.0, 0.006)}),
+         (GOLDEN_W1, {"resolution": "128x16", "seed": 21,
+                      "config": {"stride": 16}}))
 
 
 CASE_IDS = ("default", "128", "stride8", "token33", "32x48_t1",
-            "40x56_stride2", "budget", "near_base", "out_of_view")
+            "40x56_stride2", "budget", "near_base", "out_of_view", "w1")
 
 
 def check_case(root, golden, kwargs):
@@ -392,6 +426,10 @@ def test_run_writes_the_four_commands_artefacts(tmp_path, golden, kwargs):
         command, file = name.split("/", 1)
         as_run["run/" + file if command in cli.WRITERS else name] = digest
     check_case(tmp_path, as_run, {**kwargs, "commands": ("run",)})
+
+
+def test_artefacts_match_recorded_digests_w1(tmp_path):
+    check_case(tmp_path, *CASES[9])
 
 
 def _execution(root):

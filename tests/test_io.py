@@ -772,6 +772,7 @@ class TestCli:
         traj = _trajectory_file(tmp_path, 32, frames=frames)
         stages = {"read_trajectory": cli, "lift_trajectory": kvf,
                   "compute_stats": kvf, "route_forward": rt,
+                  "motion_intensity": sched, "significance": sched,
                   "partition": sched}
         calls = {}
 
@@ -790,13 +791,16 @@ class TestCli:
                       "--traj", str(traj))
         # each command reads, lifts and measures its trajectory once and
         # routes each frame at most once; only the writers that read the
-        # execution plans (route and schedule) partition, once per frame
+        # significance and the execution plans (route and schedule) form
+        # them: the motion once, and significance and partition once per frame
         for command, counts in calls.items():
             routed = 0 if command == "lift" else frames
-            planned = frames if command in ("route", "schedule", "run") else 0
+            planned = command in ("route", "schedule", "run")
             assert counts == {"read_trajectory": 1, "lift_trajectory": 1,
                               "compute_stats": 1, "route_forward": routed,
-                              "partition": planned}, command
+                              "motion_intensity": int(planned),
+                              "significance": frames * planned,
+                              "partition": frames * planned}, command
 
     def test_route_normalizes_only_tool_blocks(self, tmp_path, monkeypatch):
         # the routing grids are pooled from the blocks that hold a tool pixel

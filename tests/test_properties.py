@@ -450,6 +450,103 @@ def test_src_and_cp_evaluators_keep_columns_across_calls(inputs, data):
 
 
 @st.composite
+def repeated_row_inputs(draw, layout):
+    """Inputs to the three grad-check evaluators whose token rows are drawn
+    from a pool of two or three rows, so that most rows repeat: a (T, h, w,
+    C) token sequence, its tool mask, the last frame's (h, w, 5) routing
+    mask A, c_action, t_embed, the predictor and gate arrays and a prior.
+
+    `layout` picks the grid: "equal" (every token row equal), "first" (the
+    first token is not the repeated row), "w1" (W' = 1), "A" (A rows drawn
+    apart from the token rows, so that they differ where the token rows are
+    equal) or "mask" (a tool mask that is not 0/1, whose entries src's
+    evaluator must keep apart where the token rows repeat)."""
+    t, h = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    c = draw(st.integers(1, 4))
+    w = 1 if layout == "w1" else draw(st.integers(2, 6))
+    values = st.one_of(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]),
+                       st.floats(-50, 50))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(2, 3)), c),
+                           elements=values))
+    # mostly the pool's row 0, the background
+    which = draw(hnp.arrays(np.intp, (t, h, w), elements=st.sampled_from(
+        [0, 0, 0, 1, len(pool) - 1])))
+    if layout == "equal":
+        which[...] = 0
+    elif layout == "first":
+        which.flat[0] = 1
+    a_pool = draw(hnp.arrays(np.float64, (3, rt.N_EXPERTS),
+                             elements=st.sampled_from([0.0, 1.0])))
+    a_which = which[-1] if layout != "A" else draw(hnp.arrays(
+        np.intp, (h, w), elements=st.integers(0, 2)))
+    m_tool = draw(hnp.arrays(np.float64, (t, h, w), elements=st.sampled_from(
+        [0.0, 1.0] if layout != "mask" else [0.0, 1.0, 0.5, -1.0, np.inf])))
+    pi = draw(hnp.arrays(np.float64, rt.N_EXPERTS, elements=st.floats(0.01, 1)))
+    pred = {"w": draw(hnp.arrays(np.float64, (c, rt.N_EXPERTS),
+                                 elements=values)),
+            "b": draw(hnp.arrays(np.float64, rt.N_EXPERTS, elements=values))}
+    gate = {"outer_w": draw(hnp.arrays(np.float64, (c + rt.T_EMBED_DIM,
+                                                    rt.N_EXPERTS),
+                                       elements=weight_values)),
+            "outer_b": draw(hnp.arrays(np.float64, rt.N_EXPERTS,
+                                       elements=weight_values)),
+            "token_w": draw(hnp.arrays(np.float64, (c, rt.N_EXPERTS),
+                                       elements=weight_values))}
+    return (pool[which], m_tool, a_pool[a_which],
+            draw(hnp.arrays(np.float64, c, elements=tie_values)),
+            draw(hnp.arrays(np.float64, rt.T_EMBED_DIM, elements=tie_values)),
+            pred, gate, pr.PhysicalPrior(pi=pi / pi.sum(),
+                                         e=np.zeros((h, w, rt.N_EXPERTS))))
+
+
+def _grad_check_matches(evaluator, arrays, reference):
+    """Drive `evaluator` through the report's call and a grad check's
+    perturbations, comparing each result with `reference` on fresh copies
+    of the arrays."""
+    def loss(arrs):
+        got = evaluator(arrs)
+        want = reference({k: v.copy() for k, v in arrs.items()})
+        assert _float_bytes(got) == _float_bytes(want)
+        return got
+
+    loss(arrays)
+    pr.finite_difference_grad(loss, arrays)
+
+
+@pytest.mark.parametrize("layout", ["equal", "first", "w1", "A", "mask"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluators_on_repeated_rows_match_public_losses(layout, data):
+    # the evaluators multiply, exponentiate and reduce each distinct token
+    # row once; on grids where most rows repeat, every evaluation of a grad
+    # check must still give the public losses' bits
+    tok_seq, m_tool, A, c_action, t_embed, pred, gate, prior = data.draw(
+        repeated_row_inputs(layout))
+    tokens = tok_seq[-1]
+    params = rt.init_gate_params(c=tokens.shape[-1])
+
+    def src_ref(arrs):
+        state = pr.PredictorState(**arrs)
+        return pr.src_loss(pr._sigmoid(pr.predictor_logits(state, tok_seq)),
+                           m_tool)
+
+    def cp_ref(arrs):
+        return pr.cp_loss(pr.predictor_logits(pr.PredictorState(**arrs),
+                                              tokens), A)
+
+    def kp_ref(arrs):
+        P = rt.outer_gate(c_action, t_embed,
+                          dataclasses.replace(params, **arrs), tokens=tokens)
+        return pr.kp_alb_loss(pr.routing_stats(P), prior)
+
+    with np.errstate(invalid="ignore"):  # an infinite mask times 0.0
+        _grad_check_matches(pr._src_evaluator(tok_seq, m_tool), pred, src_ref)
+    _grad_check_matches(pr._cp_evaluator(tokens, A), pred, cp_ref)
+    _grad_check_matches(pr._kp_alb_evaluator(tokens, c_action, t_embed, prior),
+                        gate, kp_ref)
+
+
+@st.composite
 def route_inputs(draw):
     """A tie-prone (H, W, 9) field and its pooling stride, gate params (inner
     gates flat or not), progress and top-k."""
