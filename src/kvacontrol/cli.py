@@ -9,6 +9,13 @@ it is `lift`, routes each frame, each once (`_trajectory_pass`). `lift`,
 `route`, `losses` and `schedule` write their artefacts from that one pass,
 and `run` writes all four's. No whole (T, H, W, 9) stack is painted: `lift`
 paints a frame at a time, routing only the tool's blocks (`_pooled_grids`).
+Routing forms every frame's action tokens, and gates every frame for `route`
+and `schedule`; `losses` reads every frame's tokens but only the last
+frame's gates, so on its own it gates only the last frame.
+
+Before anything is drawn or lifted, a run is checked against two work
+bounds: frames x H x W pixels (`MAX_PIXELS`) and token_dim x frames x H' x
+W' token entries (`MAX_TOKEN_ENTRIES`).
 """
 
 from __future__ import annotations
@@ -71,12 +78,37 @@ def _derived_seed(seed: int, tag: str) -> int:
     return int(subsystem_rng(seed, tag).integers(2 ** 31))
 
 
+# Work bounds, each 1 GiB of what it counts: the compact lift holds 16 B per
+# pixel (an intp part label and a float64 depth), the token stack 8 B per
+# float64 entry
+MAX_PIXELS = 2 ** 30 // 16  # frames x H x W
+MAX_TOKEN_ENTRIES = 2 ** 30 // 8  # token_dim x frames x H' x W'
+
+
+def _check_work(cfg: Config, frames: int, h: int, w: int):
+    """Reject a run of `frames` H x W frames whose lift or token stack would
+    exceed its work bound, before anything is drawn or lifted."""
+    pixels = frames * h * w
+    if pixels > MAX_PIXELS:
+        raise InvalidParams(
+            f"{frames} frames of {h}x{w} are {pixels} pixels, over the work "
+            f"bound MAX_PIXELS = {MAX_PIXELS}")
+    hp, wp = h // cfg.stride, w // cfg.stride
+    entries = cfg.token_dim * frames * hp * wp
+    if entries > MAX_TOKEN_ENTRIES:
+        raise InvalidParams(
+            f"token_dim {cfg.token_dim} x {frames} frames x {hp}x{wp} tokens "
+            f"are {entries} token entries, over the work bound "
+            f"MAX_TOKEN_ENTRIES = {MAX_TOKEN_ENTRIES}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_synth(cfg: Config, seed: int, out: str):
     """Emit a synthetic trajectory plus rendered tube label masks."""
+    _check_work(cfg, cfg.frames, *cfg.resolution)
     geom = ToolGeometry()
     cam = _camera(cfg)
     traj = synth_trajectory(cfg.trajectory_kind, T=cfg.frames,
@@ -151,15 +183,20 @@ def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
     """Shared forward pass over a lifted trajectory: each frame's grids are
     pooled from the tool's blocks only (`_pooled_grids`) and routed once,
     and, if `planned`, its motion, fusion weights, sub-expert mass and
-    significance are formed and each frame is partitioned once."""
+    significance are formed and each frame is partitioned once. Unplanned,
+    every frame's action tokens are formed but only the last frame is
+    gated."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
                                    sparse_start=cfg.sparse_start, k=cfg.top_k)
     t_embed = rt.timestep_embed(cfg.timestep)
     normed, pooled, m_tool = _pooled_grids(lifted, stats, cfg.stride)
+    # unplanned, only losses reads the gates, and only the last frame's
+    last = len(normed) - 1
     decisions = [rt.route_forward(g, params, cfg.progress, t_embed,
-                                  sched=schedule)[1] for g in normed]
+                                  sched=schedule, gates=planned or t == last)[1]
+                 for t, g in enumerate(normed)]
     budget = sched.BudgetConfig(rho_full_target=cfg.rho_full,
                                 rho_light_target=cfg.rho_light, K=cfg.refresh_k)
     planned_fields = {}
@@ -192,13 +229,15 @@ N_MOTION_BINS = 3  # low / medium / high, mirroring the execution tiers
 def _trajectory_pass(cfg: Config, seed: int, traj_path, resolution, writers):
     """(lifted trajectory, channel statistics, RoutingRun or None) of a
     trajectory file at its camera's H x W, which `resolution` (the
-    --resolution flag, when given) must equal. route's precondition is
-    checked before any writer runs, so `run` writes nothing if it fails."""
+    --resolution flag, when given) must equal. The work bounds are checked
+    before the lift, and route's precondition before any writer runs, so
+    `run` writes nothing if either fails."""
     traj, cam, _ = read_trajectory(traj_path)
     if resolution is not None and resolution != (cam.height, cam.width):
         raise ShapeMismatch(
             f"--resolution {resolution[0]}x{resolution[1]} differs from the "
             f"trajectory camera's {cam.height}x{cam.width}")
+    _check_work(cfg, len(traj.states), cam.height, cam.width)
     lifted = kvf.lift_trajectory(traj, ToolGeometry(), cam)
     stats = kvf.compute_stats(lifted)
     planned = "route" in writers or "schedule" in writers

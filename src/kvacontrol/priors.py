@@ -39,8 +39,8 @@ row and expands to every token only where a reduction needs every position:
   one-row product whose bits differ from a GEMM's, one-row products
   (m, 1, C) @ (C, 5). `_row_product` picks the form.
 - Three reductions keep every position, each fed by one gather
-  (`np.take`) from the distinct rows' values: cp's `per.mean()` over the
-  (H', W', 5) terms, src's masked `diff2.sum()` over (T-1, H', W'), and
+  (`np.take`) from the distinct rows' values: cp's mean over the
+  (H', W', 5) terms, src's masked sum over (T-1, H', W'), and
   kp's `Pbar`, the sequential `np.add.accumulate` over all N tokens. kp's
   top-1 count is a `bincount` weighted by each row's copies; the counts are
   exact integers, so `/ n` gives the bits of the count of every token. The
@@ -51,9 +51,18 @@ The other steps:
 
 - Every step but the reductions is elementwise, so it gives the same bits in
   any layout and written into any buffer.
+- The cp mean and the src sum are `np.add.reduce(x, axis=None)`, divided by
+  the size for the mean: what `ndarray.mean` and `ndarray.sum` compute,
+  without their Python wrappers. `kp_alb_loss` takes its mean the same way.
 - `_kp_alb_evaluator` keeps the routing logits expert-major, (5, m), so each
   expert is one contiguous row. The softmax's max and sum and the top-1
-  scan reduce the five rows in expert order with `_columns`. `Pbar` is
+  choice are each one reduction over axis 0 (`np.maximum.reduce`,
+  `np.add.reduce`, `argmax`), which numpy forms row by row in expert order,
+  and they have the bits of the `_columns` folds over the five rows
+  (pinned by `test_properties`). max and argmax do not round, and numpy's
+  argmax keeps the first maximum, as `_columns.argmax` does. The sum starts
+  from row 0 where the fold starts from row 0 + 0.0; the two differ only
+  for a -0.0 in row 0, and exp gives none. `Pbar` is
   `np.add.accumulate` along each row of the gathered (5, N) probabilities,
   which adds the tokens one after another: numpy's `mean(axis=0)` of a
   C-contiguous (N, 5) array adds its rows in the same sequence. The
@@ -76,8 +85,9 @@ The other steps:
   the bits that column gets in the (..., 5) array. Each column's work (the
   squared time difference per triple for src; the BCE terms, gathered to
   every token, for cp) is kept with the bytes of `w[:, j]` and `b[j]` it
-  was formed from; the first evaluation's columns are kept as the base, and
-  a column whose parameters return to the base is restored from that copy.
+  was formed from, all five keys cut from one `tobytes` per evaluation; the
+  first evaluation's columns are kept as the base, and a column whose
+  parameters return to the base is restored from that copy.
   src then folds the five columns in expert order with `_columns.fold` and
   multiplies by the mask per triple (`_masked_diff2`, as `src_loss` does)
   before the gather, and cp takes the mean of the full (H', W', 5) buffer,
@@ -149,7 +159,8 @@ def kp_alb_loss(stats: RoutingStats, prior: PhysicalPrior) -> float:
     """Mean squared gap between realized load and the physical target.
 
     The target pi is a constant for gradient purposes (stop-gradient)."""
-    return float(np.mean((stats.load - prior.pi) ** 2))
+    gap2 = (stats.load - prior.pi) ** 2
+    return float(np.add.reduce(gap2, axis=None) / gap2.size)  # np.mean's bits
 
 
 def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
@@ -400,7 +411,6 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
     copies = np.bincount(inverse).astype(float)  # tokens per distinct row
     n = len(inverse)
     z = np.empty((N_EXPERTS, len(first)))  # logits, then probabilities
-    experts = list(z)  # one view per expert
     col = np.empty(len(first))
     per_token = np.empty_like(z)  # expert-major rows @ token_w
     P = np.empty((N_EXPERTS, n))  # every token's probabilities
@@ -418,10 +428,10 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
             formed_from[0] = key
             np.copyto(per_token, _row_product(rows, arrs["token_w"], one_row).T)
         np.add(per_token, logits[:, None], out=z)
-        np.subtract(z, fold(np.maximum, experts, out=col), out=z)
+        np.subtract(z, np.maximum.reduce(z, axis=0, out=col), out=z)
         np.exp(z, out=z)
-        np.divide(z, fold(np.add, experts, out=col), out=z)
-        f = np.bincount(argmax(experts), copies, minlength=N_EXPERTS) / n
+        np.divide(z, np.add.reduce(z, axis=0, out=col), out=z)
+        f = np.bincount(z.argmax(axis=0), copies, minlength=N_EXPERTS) / n
         np.take(z, inverse, axis=1, out=P, mode="clip")
         Pbar = np.add.accumulate(P, axis=1, out=acc)[:, -1] / n
         seen[inputs] = kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar),
@@ -444,8 +454,12 @@ def _column_cache(cols, compute):
 
     def update(arrs, z):
         w, b = arrs["w"], arrs["b"]
+        # column j's key is the bytes of w[:, j] and then b[j]: one row of
+        # the expert-major (5, C + 1) copy of (w; b)
+        wb = np.concatenate((w, b[None])).T.tobytes()
+        size = len(wb) // N_EXPERTS
         for j in range(N_EXPERTS):
-            key = w[:, j].tobytes() + b[j:j + 1].tobytes()
+            key = wb[j * size:(j + 1) * size]
             if key == keys[j]:
                 continue
             if base_keys and key == base_keys[j]:
@@ -503,7 +517,7 @@ def _src_evaluator(tok_seq, m_tool):
         update(arrs, _row_product(rows, arrs["w"], one_row))
         _masked_diff2(sq, pair_mask, pair_diff2)
         np.take(pair_diff2, pair_inverse, out=diff2, mode="clip")
-        return float(diff2.sum() / denom)
+        return float(np.add.reduce(diff2, axis=None) / denom)
 
     return loss
 
@@ -531,7 +545,7 @@ def _cp_evaluator(tokens, A):
 
     def loss(arrs):
         update(arrs, _row_product(rows, arrs["w"], one_row))
-        return float(per.mean())
+        return float(np.add.reduce(per, axis=None) / per.size)
 
     return loss
 

@@ -111,13 +111,15 @@ def init_gate_params(seed=0, c=16) -> GateParams:
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """Everything the gates decided for one frame's token grid."""
+    """Everything the gates decided for one frame's token grid; the gate
+    fields, P to inner_probs, are None where `route_forward` skipped the
+    gates."""
 
-    P: np.ndarray  # (H', W', 5) soft tier-1 probabilities
-    A: np.ndarray  # (H', W', 5) binary top-k mask
-    fusion_w: np.ndarray  # (H', W', 5) capacity-blended fusion weights
-    inner_sel: np.ndarray  # (H', W', 5) argmax sub-expert per modality
-    inner_probs: np.ndarray  # (H', W', 5, 3) full tier-2 distributions
+    P: np.ndarray | None  # (H', W', 5) soft tier-1 probabilities
+    A: np.ndarray | None  # (H', W', 5) binary top-k mask
+    fusion_w: np.ndarray | None  # (H', W', 5) capacity-blended fusion weights
+    inner_sel: np.ndarray | None  # (H', W', 5) argmax sub-expert per modality
+    inner_probs: np.ndarray | None  # (H', W', 5, 3) full tier-2 distributions
     tokens: np.ndarray  # (H', W', C) shared action tokens
     c_action: np.ndarray  # (C,) pooled gate feature
 
@@ -200,13 +202,23 @@ def _modality_tokens(field_pooled, params: GateParams, m: str):
 
 
 def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
-                  t_embed, sched: CapacitySchedule | None = None):
+                  t_embed, sched: CapacitySchedule | None = None, *,
+                  gates: bool = True):
     """Two-tier gating of one frame's pooled (H', W', 9) grid: the grid and
     its routing decision. The pair is returned for perfbench's tracer, which
-    counts the tokens of the decision it finds second."""
+    counts the tokens of the decision it finds second.
+
+    With `gates=False` only the action tokens and `c_action` are formed, and
+    the decision's gate fields are None. `cli` passes it for the frames whose
+    gates no artefact reads: `losses` alone reads every frame's tokens but
+    only the last frame's gates."""
     sched = sched or CapacitySchedule()
     tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
     c_action = tokens.mean(axis=(0, 1))
+    if not gates:
+        return pooled, RoutingDecision(P=None, A=None, fusion_w=None,
+                                       inner_sel=None, inner_probs=None,
+                                       tokens=tokens, c_action=c_action)
     P = outer_gate(c_action, t_embed, params, tokens)
     A = topk_select(P, sched.k)
     fusion_w = capacity_blend(P, A, progress, sched)

@@ -14,6 +14,7 @@ from kvacontrol import routing as rt
 from kvacontrol import scheduler as sched
 from kvacontrol.errors import (
     BadMagic,
+    InvalidParams,
     InvariantViolation,
     ParseError,
     TruncatedFile,
@@ -22,6 +23,8 @@ from kvacontrol.errors import (
 from kvacontrol.kinematics import (ArticulatedState, ToolGeometry,
                                    Trajectory, default_camera,
                                    forward_kinematics, synth_trajectory)
+
+from test_golden import CASES
 
 
 class TestTrajectoryFormat:
@@ -772,6 +775,7 @@ class TestCli:
         traj = _trajectory_file(tmp_path, 32, frames=frames)
         stages = {"read_trajectory": cli, "lift_trajectory": kvf,
                   "compute_stats": kvf, "route_forward": rt,
+                  "outer_gate": rt, "inner_gate": rt,
                   "motion_intensity": sched, "significance": sched,
                   "partition": sched}
         calls = {}
@@ -792,15 +796,108 @@ class TestCli:
         # each command reads, lifts and measures its trajectory once and
         # routes each frame at most once; only the writers that read the
         # significance and the execution plans (route and schedule) form
-        # them: the motion once, and significance and partition once per frame
+        # them: the motion once, and significance and partition once per
+        # frame. Those two gate every frame; losses, which reads only the
+        # last frame's gates, gates that frame alone
         for command, counts in calls.items():
             routed = 0 if command == "lift" else frames
             planned = command in ("route", "schedule", "run")
+            gated = frames if planned else int(command == "losses")
             assert counts == {"read_trajectory": 1, "lift_trajectory": 1,
                               "compute_stats": 1, "route_forward": routed,
+                              "outer_gate": gated,
+                              "inner_gate": gated * rt.N_EXPERTS,
                               "motion_intensity": int(planned),
                               "significance": frames * planned,
                               "partition": frames * planned}, command
+
+    @pytest.mark.parametrize("case", [4, 9, 3], ids=["t1", "w1", "token33"])
+    def test_losses_routing_matches_planned_routing(self, tmp_path, case):
+        # losses gates only the last frame; the tokens of every frame and the
+        # last frame's decision must keep the bits of a pass that gates all
+        kwargs = CASES[case][1]
+        seed = kwargs["seed"]
+        self._run("--seed", str(seed), "--out", str(tmp_path),
+                  "--resolution", kwargs.get("resolution", "64x64"), "synth",
+                  "--frames", str(kwargs.get("frames", 4)))
+        cfg = fm.load_config(None, kwargs.get("config"))
+        traj = tmp_path / "trajectory.txt"
+        *_, alone = cli._trajectory_pass(cfg, seed, traj, None, ("losses",))
+        *_, planned = cli._trajectory_pass(cfg, seed, traj, None, cli.WRITERS)
+        assert alone.motion is None and planned.motion is not None
+        assert alone.tokens.tobytes() == planned.tokens.tobytes()
+        for field in dataclasses.fields(rt.RoutingDecision):
+            assert (getattr(alone.last, field.name).tobytes()
+                    == getattr(planned.last, field.name).tobytes()), field.name
+
+    @pytest.mark.parametrize("command", ["lift", "losses", "run"])
+    @pytest.mark.parametrize("claim", ["pixels", "tokens"])
+    def test_work_bound_rejected_before_lift(self, tmp_path, capsys,
+                                             monkeypatch, command, claim):
+        # the trajectory claims a 100000 x 100000 camera, or the config a
+        # token_dim whose token stack would hold 1.28e9 entries; neither is
+        # drawn or lifted
+        def fail(*args, **kwargs):
+            raise AssertionError("lifted past the work bound")
+
+        monkeypatch.setattr(kvf, "lift_trajectory", fail)
+        argv = ["--out", str(tmp_path / "o")]
+        if claim == "pixels":
+            traj = tmp_path / "t.txt"
+            fm.write_trajectory(traj, synth_trajectory("composite", T=1,
+                                                       seed=0),
+                                default_camera(100000, 100000))
+            limit = f"MAX_PIXELS = {cli.MAX_PIXELS}"
+        else:
+            traj = _trajectory_file(tmp_path, 32)  # 2 frames of 8 x 8 tokens
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"token_dim": 10 ** 7}))
+            argv += ["--config", str(cfg)]
+            limit = f"MAX_TOKEN_ENTRIES = {cli.MAX_TOKEN_ENTRIES}"
+        code = cli.main(argv + [command, "--traj", str(traj)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert limit in err
+        assert not os.listdir(tmp_path / "o")
+
+    @pytest.mark.parametrize("flags,limit", [
+        (["--resolution", "100000x100000", "synth", "--frames", "1"],
+         "MAX_PIXELS"),
+        (["synth", "--frames", str(10 ** 8)], "MAX_PIXELS"),
+        (["--resolution", "8192x8192", "synth", "--frames", "1"],
+         "MAX_TOKEN_ENTRIES"),
+    ], ids=["frame-size", "frame-count", "tokens"])
+    def test_synth_work_bound_rejected_before_drawing(self, tmp_path, capsys,
+                                                      monkeypatch, flags,
+                                                      limit):
+        def fail(*args, **kwargs):
+            raise AssertionError("drew past the work bound")
+
+        monkeypatch.setattr(cli, "synth_trajectory", fail)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"token_dim": 64}))
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{limit} = {getattr(cli, limit)}" in err
+
+    def test_work_bounds_are_inclusive(self):
+        # at stride 4, 8192 x 8192 is MAX_PIXELS exactly (and half of
+        # MAX_TOKEN_ENTRIES at token_dim 16), and 8192 x 4096 at token_dim 64
+        # is MAX_TOKEN_ENTRIES exactly; nothing is allocated
+        cfg = fm.Config()
+        assert 8192 * 8192 == cli.MAX_PIXELS
+        cli._check_work(cfg, 1, 8192, 8192)
+        with pytest.raises(InvalidParams, match="MAX_PIXELS"):
+            cli._check_work(cfg, 1, 8192, 8193)
+        cfg = fm.Config(token_dim=64)
+        assert 64 * 2048 * 1024 == cli.MAX_TOKEN_ENTRIES
+        cli._check_work(cfg, 1, 8192, 4096)
+        with pytest.raises(InvalidParams, match="MAX_TOKEN_ENTRIES"):
+            cli._check_work(cfg, 1, 8192, 4100)
 
     def test_route_normalizes_only_tool_blocks(self, tmp_path, monkeypatch):
         # the routing grids are pooled from the blocks that hold a tool pixel

@@ -122,6 +122,49 @@ def test_argmax_matches_numpy_argmax(x):
     assert idx.tobytes() == x.argmax(axis=-1).tobytes()
 
 
+# expert-major (5, m) buffers, m from 1, with ties, equal maxima and both
+# signed zeros drawn often
+tie_or_finite = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), finite)
+expert_major = hnp.arrays(np.float64, st.tuples(st.just(rt.N_EXPERTS),
+                                                st.integers(1, 12)),
+                          elements=tie_or_finite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expert_major)
+@example(z=np.full((rt.N_EXPERTS, 1), -0.0))
+@example(z=np.array([[0.0], [-0.0], [0.0], [-0.0], [-1.0]]))
+def test_expert_axis_reductions_match_column_folds(z):
+    # the kp evaluator's softmax max and sum and its top-1 choice reduce
+    # axis 0 of its expert-major buffer in one call each
+    rows = list(z)
+    assert (np.maximum.reduce(z, axis=0).tobytes()
+            == fold(np.maximum, rows).tobytes())
+    assert z.argmax(axis=0).tobytes() == argmax(rows).tobytes()
+    # the sum starts from row 0 where the fold starts from row 0 + 0.0; they
+    # agree for rows >= +0.0, as exp's are
+    e = np.abs(z)
+    with np.errstate(over="ignore"):
+        assert (np.add.reduce(e, axis=0).tobytes()
+                == fold(np.add, list(e)).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                               min_side=1, max_side=6),
+                  elements=tie_or_finite),
+       hnp.arrays(np.float64, rt.N_EXPERTS, elements=tie_or_finite),
+       hnp.arrays(np.float64, rt.N_EXPERTS, elements=tie_or_finite))
+def test_add_reduce_over_size_matches_mean(x, load, pi):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (np.float64(np.add.reduce(x, axis=None) / x.size).tobytes()
+                == np.float64(x.mean()).tobytes())
+        stats = pr.RoutingStats(f=np.ones(rt.N_EXPERTS), Pbar=load, load=load)
+        want = float(np.mean((load - pi) ** 2))
+        got = pr.kp_alb_loss(stats, pr.PhysicalPrior(pi=pi, e=np.zeros(0)))
+    assert _float_bytes(got) == _float_bytes(want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
                                                min_side=0, max_side=6),
