@@ -9,11 +9,13 @@ of its temporal change.
 Every channel but depth is constant on each part, so `lift_trajectory`
 returns the field in compact form, a `LiftedTrajectory`: the rasterized part
 labels (T, H, W), the depth (T, H, W) and one (5, 9) table of channel values
-per frame, whose row for label -1 is zero. Forward kinematics runs once per
-frame, and the capsule midpoints are projected once into the centroid track
-from which `motion_channels` differences v and alpha. Dense channels are
-painted from the tables only where an artefact needs them: the KVAF planes
-(`LiftedTrajectory.field`) and the routing grids' tool blocks (`paint`).
+per frame, whose row for label -1 is zero. Each frame is rasterized straight
+into its planes of the two stacks (`rasterize_parts`' `out`). Forward
+kinematics runs once per frame, and the capsule midpoints are projected once
+into the centroid track from which `motion_channels` differences v and
+alpha. Dense channels are painted from the tables only where an artefact
+needs them: the KVAF planes (`LiftedTrajectory.field`) and the routing
+grids' tool blocks (`paint`).
 
 The rasterizer ray-tests all four capsules of a frame in one pass
 (`rasterize_parts`). Each capsule is tested only on its row spans: per pixel
@@ -44,11 +46,17 @@ order, so every result keeps its bits:
   of the tool rows alone, gathered in raster order, plus 0.0 when any
   background pixel exists. Each squared deviation depends only on the
   pixel's part, apart from depth's, so a channel's are gathered from its
-  five per-part values by label and summed with one sequential
-  `np.add.accumulate` that carries the sum so far, `STATS_BLOCK` pixels of
-  a frame at a time: no transient the size of the trajectory is allocated
-  (a 12.6 MB copy once put the process's peak RSS at about 72 or 80 MB at
-  256 x 256, T=4, depending on where earlier heap blocks had landed).
+  five per-part values by label, `STATS_BLOCK` pixels of a frame at a time,
+  and summed by a sequential accumulate that carries the sum so far: no
+  transient the size of the trajectory is allocated (a 12.6 MB copy once
+  put the process's peak RSS at about 72 or 80 MB at 256 x 256, T=4,
+  depending on where earlier heap blocks had landed). The six channels'
+  sums run two to an add, channel k in lane k % 2 of row k // 2 of one
+  complex128 (3, block) buffer (`_columns.lane_sums`, which gives each
+  lane the bits of its own float64 accumulate): one complex gather from
+  the frame's per-part squared deviations, viewed as (3, rows) complex,
+  fills the block, and depth's lane, real of row 0, is then overwritten
+  with the pixels' (d - mean)^2.
 - `normalize` subtracts the mean and divides by the std one channel column
   at a time: the same subtraction and division of each element.
 - `_sq_norm` adds the 3 squared columns of a direction with `_columns.fold`,
@@ -62,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._columns import fold
+from ._columns import fold, lane_sums
 from .errors import EmptyCorpus, NonFiniteInput, ShapeMismatch
 from .kinematics import (
     PART_NAMES,
@@ -299,8 +307,10 @@ def _ray_test(ends, radii, cam: CameraModel, j0, j1):
     return rows * w + cols, depth, bounds
 
 
-def rasterize_parts(poses: PartPoses, cam: CameraModel):
-    """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth.
+def rasterize_parts(poses: PartPoses, cam: CameraModel, out=None):
+    """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth,
+    as an (H, W) intp and an (H, W) float64 array: `out`'s pair of
+    C-contiguous arrays, filled, when it is given, else new ones.
 
     All four capsules are ray-tested in one pass (`_ray_test`), each only on
     its row spans (`_row_spans`). Only the matrix-vector products stay per
@@ -332,8 +342,11 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel):
     ends = np.array([poses.endpoints[part] for part in PART_NAMES])
     radii = np.array([poses.radii[part] for part in PART_NAMES])
     pix, depth, bounds = _ray_test(ends, radii, cam, *_row_spans(ends, radii, cam))
-    labels = np.full(h * w, -1)
-    best = np.full(h * w, np.inf)
+    if out is None:
+        out = np.empty((h, w), dtype=np.intp), np.empty((h, w))
+    labels, best = (a.reshape(h * w) for a in out)  # views: out is contiguous
+    labels.fill(-1)
+    best.fill(np.inf)
     for k in range(len(PART_NAMES)):
         px, d = pix[bounds[k]:bounds[k + 1]], depth[bounds[k]:bounds[k + 1]]
         nearer = d < best[px]
@@ -341,7 +354,7 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel):
         best[px] = d[nearer]
         labels[px] = k
     best[best == np.inf] = 0.0
-    return labels.reshape(h, w), best.reshape(h, w)
+    return out
 
 
 # semantic one-hot row per part index
@@ -440,11 +453,12 @@ def motion_channels(poses, cam: CameraModel, dt: float) -> np.ndarray:
     return motion
 
 
-def lift(poses: PartPoses, cam: CameraModel, motion):
+def lift(poses: PartPoses, cam: CameraModel, motion, out):
     """One frame's part labels (H, W), depth (H, W) and part table
     (N_TABLE_ROWS, 9) from its part poses and its rows of the trajectory's
-    part motion (`motion_channels`)."""
-    labels, depth = rasterize_parts(poses, cam)
+    part motion (`motion_channels`); the labels and depth fill `out`, a
+    pair of C-contiguous (H, W) arrays (see `rasterize_parts`)."""
+    labels, depth = rasterize_parts(poses, cam, out)
     table = np.zeros((N_TABLE_ROWS, N_CHANNELS))
     table[:-1, 0:3] = _PART_SEMANTICS
     table[:-1, 4] = rotation_channel(poses, cam)
@@ -470,9 +484,9 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
     shape = (len(poses), cam.height, cam.width)
     lifted = LiftedTrajectory(np.empty(shape, dtype=np.intp), np.empty(shape),
                               np.empty((len(poses), N_TABLE_ROWS, N_CHANNELS)))
-    for t, p in enumerate(poses):
-        (lifted.labels[t], lifted.depth[t],
-         lifted.tables[t]) = lift(p, cam, motion[t])
+    for t, p in enumerate(poses):  # rasterized into the stacks in place
+        lifted.tables[t] = lift(p, cam, motion[t],
+                                (lifted.labels[t], lifted.depth[t]))[2]
     return lifted
 
 
@@ -503,23 +517,24 @@ def compute_stats(lifted: LiftedTrajectory) -> ChannelStats:
     # squared deviations, STATS_BLOCK pixels of a frame at a time: depth's
     # from the pixels, the others gathered from their part's. The sum so far
     # is added to each block's first entry (addition commutes) and the block
-    # is summed along by one sequential accumulate
+    # is summed along by one sequential accumulate, two channels to an add
     dev = values - mean
     part_sq = dev * dev
     block = min(h * w, STATS_BLOCK)
-    buf = np.empty(6 * block)
+    buf = np.empty(3 * block, dtype=np.complex128)
     sq_sum = np.zeros(6)
     for t in range(frames):
-        part_rows = np.ascontiguousarray(part_sq[t, :, 1:].T)  # (5, rows)
+        # channel k in lane k % 2 of row k // 2 (see `_columns.lane_sums`)
+        part_rows = np.ascontiguousarray(part_sq[t].view(np.complex128).T)
         for i in range(0, h * w, block):
             px = slice(i, i + block)
-            b = buf[:6 * len(labels[t, px])].reshape(6, -1)
-            np.subtract(depth[t, px], mean[0], out=b[0])
-            np.multiply(b[0], b[0], out=b[0])
+            b = buf[:3 * len(labels[t, px])].reshape(3, -1)
             # label -1 wraps to the background's row
-            np.take(part_rows, labels[t, px], axis=1, out=b[1:], mode="wrap")
-            b[:, 0] += sq_sum
-            sq_sum = np.add.accumulate(b, axis=1, out=b)[:, -1].copy()
+            np.take(part_rows, labels[t, px], axis=1, out=b, mode="wrap")
+            d = b[0].real  # depth's lane, from the pixels
+            np.subtract(depth[t, px], mean[0], out=d)
+            np.multiply(d, d, out=d)
+            sq_sum = lane_sums(b, sq_sum)
     return ChannelStats(mean=mean, std=np.sqrt(sq_sum / n))
 
 

@@ -41,7 +41,7 @@ row and expands to every token only where a reduction needs every position:
 - Three reductions keep every position, each fed by one gather
   (`np.take`) from the distinct rows' values: cp's mean over the
   (H', W', 5) terms, src's masked sum over (T-1, H', W'), and
-  kp's `Pbar`, the sequential `np.add.accumulate` over all N tokens. kp's
+  kp's `Pbar`, the sequential sum over all N tokens. kp's
   top-1 count is a `bincount` weighted by each row's copies; the counts are
   exact integers, so `/ n` gives the bits of the count of every token. The
   gathers use `mode="clip"`, which numpy does not buffer; every index is in
@@ -62,10 +62,15 @@ The other steps:
   (pinned by `test_properties`). max and argmax do not round, and numpy's
   argmax keeps the first maximum, as `_columns.argmax` does. The sum starts
   from row 0 where the fold starts from row 0 + 0.0; the two differ only
-  for a -0.0 in row 0, and exp gives none. `Pbar` is
-  `np.add.accumulate` along each row of the gathered (5, N) probabilities,
-  which adds the tokens one after another: numpy's `mean(axis=0)` of a
-  C-contiguous (N, 5) array adds its rows in the same sequence. The
+  for a -0.0 in row 0, and exp gives none. `Pbar` adds
+  each expert's probabilities token after token: numpy's `mean(axis=0)` of
+  a C-contiguous (N, 5) array adds its rows in the same sequence. The five
+  sums run two to an add (`_columns.lane_sums`): two strided copies put
+  expert k's (m,) probabilities in lane k % 2 of row k // 2 of a zeroed
+  complex128 (3, m) buffer, whose last lane stays zero and is never read;
+  one gather expands it to (3, N) and one complex accumulate sums it, each
+  lane with the bits of its own float64 accumulate. `Pbar` is the first
+  five lanes of the last column, divided by N. The
   product with `token_w` does not change with `outer_w` or `outer_b`, so it
   is kept from the last evaluation with the same `token_w`. The loss is a
   function of the `token_w` bytes and the five logits
@@ -102,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._columns import argmax, columns, fold
+from ._columns import argmax, columns, fold, lane_sums
 from .errors import InvalidParams, NonFiniteGradient, ShapeMismatch
 from .kva_field import MODALITY_CHANNELS
 from .routing import INIT_SCALE, N_EXPERTS, N_SUB, RoutingDecision, softmax
@@ -413,8 +418,11 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
     z = np.empty((N_EXPERTS, len(first)))  # logits, then probabilities
     col = np.empty(len(first))
     per_token = np.empty_like(z)  # expert-major rows @ token_w
-    P = np.empty((N_EXPERTS, n))  # every token's probabilities
-    acc = np.empty_like(P)
+    # expert k's probabilities in lane k % 2 of row k // 2 (see
+    # `_columns.lane_sums`), per distinct row, then per token; the last
+    # row's second lane stays zero
+    lanes = np.zeros(((N_EXPERTS + 1) // 2, len(first)), dtype=np.complex128)
+    P = np.empty((len(lanes), n), dtype=np.complex128)
     formed_from = [None]  # the token_w bytes per_token holds the product of
     seen = {}  # (token_w bytes, logits bytes) -> loss
 
@@ -432,8 +440,10 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
         np.exp(z, out=z)
         np.divide(z, np.add.reduce(z, axis=0, out=col), out=z)
         f = np.bincount(z.argmax(axis=0), copies, minlength=N_EXPERTS) / n
-        np.take(z, inverse, axis=1, out=P, mode="clip")
-        Pbar = np.add.accumulate(P, axis=1, out=acc)[:, -1] / n
+        np.copyto(lanes.real, z[0::2])
+        np.copyto(lanes.imag[:N_EXPERTS // 2], z[1::2])
+        np.take(lanes, inverse, axis=1, out=P, mode="clip")
+        Pbar = lane_sums(P)[:N_EXPERTS] / n
         seen[inputs] = kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar),
                                    prior)
         return seen[inputs]

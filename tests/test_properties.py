@@ -18,7 +18,7 @@ from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
-from kvacontrol._columns import argmax, columns, fold
+from kvacontrol._columns import argmax, columns, fold, lane_sums
 from kvacontrol.kinematics import (DEFAULT_BASE_STATE, PART_NAMES,
                                    PART_SEMANTIC_CLASS, ToolGeometry, Trajectory,
                                    default_camera, forward_kinematics)
@@ -147,6 +147,45 @@ def test_expert_axis_reductions_match_column_folds(z):
     with np.errstate(over="ignore"):
         assert (np.add.reduce(e, axis=0).tobytes()
                 == fold(np.add, list(e)).tobytes())
+
+
+# 1-6 float64 chains of length 1-40, long enough for numpy's pairwise
+# reduce (eight partial sums from 8 entries on) to differ from a sequential
+# sum; signed zeros, subnormals, infinities and NaN drawn often
+lane_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                        2.0 ** -1040, np.inf, -np.inf, np.nan]),
+                       finite)
+chains = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)),
+                    elements=lane_value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains, st.none() | hnp.arrays(np.float64, 6, elements=lane_value))
+@example(x=np.array([[1.0] + [2.0 ** -53] * 15]), carry=None)
+@example(x=np.array([[-0.0], [-0.0], [5e-324]]), carry=np.full(6, -0.0))
+@example(x=np.array([[np.inf, -np.inf, np.nan, 1.0], [np.nan, np.inf, -np.inf, 2.0],
+                    [-np.nan, np.nan, 0.0, 0.0]]),
+         carry=np.array([np.nan, -np.nan, 0.0, 0.0, 0.0, 0.0]))
+def test_lane_sums_match_float64_accumulate(x, carry):
+    # chain k in lane k % 2 of complex row k // 2, as `compute_stats` and the
+    # kp evaluator pack them; the odd count's last lane stays zero. kp passes
+    # no carry, `compute_stats` the sums of its earlier blocks
+    k, n = x.shape
+    rows = np.zeros(((k + 1) // 2, n), dtype=np.complex128)
+    np.copyto(rows.real, x[0::2])
+    np.copyto(rows.imag[:k // 2], x[1::2])
+    seeded = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if carry is not None:
+            seeded[:, 0] += carry[:k]
+            carry = carry[:2 * len(rows)]
+        want = np.add.accumulate(seeded, axis=1)
+        got = lane_sums(rows, carry)
+    assert got[:k].tobytes() == want[:, -1].tobytes()
+    # every partial sum, lane by lane, has the bits of its chain's
+    lanes = rows.view(np.float64).reshape(len(rows), n, 2)
+    assert (np.stack([lanes[j // 2, :, j % 2] for j in range(k)]).tobytes()
+            == want.tobytes())
 
 
 @settings(max_examples=200, deadline=None)
