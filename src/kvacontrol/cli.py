@@ -139,7 +139,7 @@ class RoutingRun:
     fusion_w: np.ndarray | None = None  # (T, H', W', 5)
     sub_mass: np.ndarray | None = None  # (T, H', W', 3) weighted sub-experts
     s_tilde: np.ndarray | None = None  # (T, H', W') normalized significance
-    plans: tuple | None = None  # (T,) sched.ExecutionPlan per frame's s_tilde
+    plans: tuple | None = None  # (T,) sched.partition modes per frame
 
 
 def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
@@ -266,7 +266,7 @@ def cmd_route(run: RoutingRun, out: str):
     motion = run.motion.reshape(-1)
     fusion = run.fusion_w.reshape(-1, rt.N_EXPERTS)
     inner_probs = run.sub_mass.reshape(-1, rt.N_SUB)
-    modes = np.concatenate([plan.mode for plan in run.plans])
+    modes = np.concatenate(run.plans)
     on_tool = run.m_tool.reshape(-1) > 0
 
     # statistics over tool tokens only: background tokens all tie at zero
@@ -318,7 +318,7 @@ def cmd_losses(cfg: Config, seed: int, run: RoutingRun, out: str):
     c_action, t_embed = run.last.c_action, run.t_embed
     # a token is on the tool when any of its pixels is
     m_seq = (run.m_tool > 0).astype(float)
-    prior = pr.physical_prior(run.pooled[-1])
+    pi = pr.physical_prior(run.pooled[-1])
     pred_params = {"w": predictor.w.copy(), "b": predictor.b.copy()}
     gate_params = {name: getattr(run.params, name).copy()
                    for name in ("outer_w", "outer_b", "token_w")}
@@ -327,9 +327,9 @@ def cmd_losses(cfg: Config, seed: int, run: RoutingRun, out: str):
         pr._cp_evaluator(tokens, A), pred_params,
         pr.cp_loss_grad(tokens, predictor, A))
     kp, kp_err = _value_and_check(
-        pr._kp_alb_evaluator(tokens, c_action, t_embed, prior), gate_params,
+        pr._kp_alb_evaluator(tokens, c_action, t_embed, pi), gate_params,
         pr.kp_alb_grad(tokens, c_action, t_embed, run.params.outer_w,
-                       run.params.outer_b, run.params.token_w, prior))
+                       run.params.outer_b, run.params.token_w, pi))
     src, src_err = _value_and_check(
         pr._src_evaluator(run.tokens, m_seq), pred_params,
         pr.src_loss_grad(run.tokens, predictor, m_seq))

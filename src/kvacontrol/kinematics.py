@@ -161,10 +161,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PartPoses:
-    """Per-part rigid transforms (local->camera) + world-space capsule endpoints."""
+    """Per-part camera-frame capsule endpoints and radii."""
 
-    rotations: dict  # part -> 3x3
-    translations: dict  # part -> 3
     endpoints: dict  # part -> (a_world, b_world)
     radii: dict  # part -> radius
 
@@ -220,27 +218,22 @@ def forward_kinematics(state: ArticulatedState, geom: ToolGeometry) -> PartPoses
     _check_limits(state, geom)
 
     R_w = axis_angle_to_matrix(state.r)
-    t_w = state.p
-
-    rotations = {"wrist": R_w}
-    translations = {"wrist": t_w}
-
-    rotations["shaft"] = R_w @ hinge_matrix(geom.hinge_sw_axis, -state.q_sw)
-    translations["shaft"] = t_w
-    rotations["left_gripper"] = R_w @ hinge_matrix(geom.hinge_grip_axis, state.q_lg)
-    translations["left_gripper"] = t_w
-    rotations["right_gripper"] = R_w @ hinge_matrix(geom.hinge_grip_axis, -state.q_rg)
-    translations["right_gripper"] = t_w
+    t_w = state.p  # every part hinges about the wrist's origin
+    rotations = {
+        "wrist": R_w,
+        "shaft": R_w @ hinge_matrix(geom.hinge_sw_axis, -state.q_sw),
+        "left_gripper": R_w @ hinge_matrix(geom.hinge_grip_axis, state.q_lg),
+        "right_gripper": R_w @ hinge_matrix(geom.hinge_grip_axis, -state.q_rg),
+    }
 
     endpoints = {}
     radii = {}
     for part in PART_NAMES:
         cap = geom.capsules[part]
-        R, t = rotations[part], translations[part]
-        endpoints[part] = (R @ cap.a + t, R @ cap.b + t)
+        R = rotations[part]
+        endpoints[part] = (R @ cap.a + t_w, R @ cap.b + t_w)
         radii[part] = cap.radius
-    return PartPoses(rotations=rotations, translations=translations,
-                     endpoints=endpoints, radii=radii)
+    return PartPoses(endpoints=endpoints, radii=radii)
 
 
 def project(cam: CameraModel, x):

@@ -454,16 +454,16 @@ def motion_channels(poses, cam: CameraModel, dt: float) -> np.ndarray:
 
 
 def lift(poses: PartPoses, cam: CameraModel, motion, out):
-    """One frame's part labels (H, W), depth (H, W) and part table
-    (N_TABLE_ROWS, 9) from its part poses and its rows of the trajectory's
-    part motion (`motion_channels`); the labels and depth fill `out`, a
-    pair of C-contiguous (H, W) arrays (see `rasterize_parts`)."""
-    labels, depth = rasterize_parts(poses, cam, out)
+    """One frame's part table (N_TABLE_ROWS, 9) from its part poses and its
+    rows of the trajectory's part motion (`motion_channels`); its part
+    labels and depth are rasterized into `out`, a pair of C-contiguous
+    (H, W) arrays (see `rasterize_parts`)."""
+    rasterize_parts(poses, cam, out)
     table = np.zeros((N_TABLE_ROWS, N_CHANNELS))
     table[:-1, 0:3] = _PART_SEMANTICS
     table[:-1, 4] = rotation_channel(poses, cam)
     table[:-1, 5:9] = motion
-    return labels, depth, table
+    return table
 
 
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
@@ -486,7 +486,7 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
                               np.empty((len(poses), N_TABLE_ROWS, N_CHANNELS)))
     for t, p in enumerate(poses):  # rasterized into the stacks in place
         lifted.tables[t] = lift(p, cam, motion[t],
-                                (lifted.labels[t], lifted.depth[t]))[2]
+                                (lifted.labels[t], lifted.depth[t]))
     return lifted
 
 

@@ -118,8 +118,7 @@ class RoutingStats:
     """Realized tier-1 routing load: l_i = f_i * Pbar_i."""
 
     f: np.ndarray  # fraction of tokens whose top-1 pick is expert i
-    Pbar: np.ndarray  # mean soft probability per expert
-    load: np.ndarray
+    load: np.ndarray  # f times the mean soft probability per expert
 
 
 def routing_stats(P: np.ndarray) -> RoutingStats:
@@ -127,22 +126,14 @@ def routing_stats(P: np.ndarray) -> RoutingStats:
     top1 = argmax(columns(flat))
     f = np.bincount(top1, minlength=N_EXPERTS) / flat.shape[0]
     Pbar = flat.mean(axis=0)
-    return RoutingStats(f=f, Pbar=Pbar, load=f * Pbar)
+    return RoutingStats(f=f, load=f * Pbar)
 
 
-@dataclass(frozen=True)
-class PhysicalPrior:
-    """Per-token modality energies and the normalized frame-level target."""
-
-    pi: np.ndarray  # (5,) normalized energy shares
-    e: np.ndarray  # (H', W', 5) per-token energies
-
-
-def physical_prior(pooled: np.ndarray) -> PhysicalPrior:
-    """Modality energy of one frame's field pooled to the router grid.
-
-    e = [||sem||_2, |dep|, |rot|, ||vel||_2, |acc|] per token; pi is the
-    normalized token-mean energy (uniform if the field is all zero).
+def physical_prior(pooled: np.ndarray) -> np.ndarray:
+    """The (5,) physical target pi of one frame's field pooled to the router
+    grid: the normalized token mean of the modality energies
+    e = [||sem||_2, |dep|, |rot|, ||vel||_2, |acc|] per token (uniform if
+    the field is all zero).
     """
     e = np.stack([
         np.linalg.norm(pooled[..., MODALITY_CHANNELS["sem"]], axis=-1),
@@ -154,17 +145,15 @@ def physical_prior(pooled: np.ndarray) -> PhysicalPrior:
     energy = e.mean(axis=(0, 1))
     total = energy.sum()
     if total == 0:
-        pi = np.full(N_EXPERTS, 1.0 / N_EXPERTS)
-    else:
-        pi = energy / total
-    return PhysicalPrior(pi=pi, e=e)
+        return np.full(N_EXPERTS, 1.0 / N_EXPERTS)
+    return energy / total
 
 
-def kp_alb_loss(stats: RoutingStats, prior: PhysicalPrior) -> float:
-    """Mean squared gap between realized load and the physical target.
+def kp_alb_loss(stats: RoutingStats, pi: np.ndarray) -> float:
+    """Mean squared gap between realized load and the physical target pi.
 
-    The target pi is a constant for gradient purposes (stop-gradient)."""
-    gap2 = (stats.load - prior.pi) ** 2
+    The target is a constant for gradient purposes (stop-gradient)."""
+    gap2 = (stats.load - pi) ** 2
     return float(np.add.reduce(gap2, axis=None) / gap2.size)  # np.mean's bits
 
 
@@ -329,7 +318,7 @@ def _softmax_backprop(P_flat, dP_mean):
 
 
 def kp_alb_grad(field_tokens, c_action, t_embed, outer_w, outer_b, token_w,
-                prior: PhysicalPrior):
+                pi: np.ndarray):
     """d kp_alb / d (outer_w, outer_b, token_w), with the top-1 fractions f
     treated as locally constant (they are piecewise constant in the params)."""
     tok = field_tokens.reshape(-1, field_tokens.shape[-1])
@@ -337,7 +326,7 @@ def kp_alb_grad(field_tokens, c_action, t_embed, outer_w, outer_b, token_w,
     z = ce @ outer_w + outer_b + tok @ token_w
     P = softmax(z)
     stats = routing_stats(P)
-    dPbar = 2.0 / N_EXPERTS * (stats.load - prior.pi) * stats.f
+    dPbar = 2.0 / N_EXPERTS * (stats.load - pi) * stats.f
     dz = _softmax_backprop(P, dPbar)
     g_outer_w = np.outer(ce, dz.sum(axis=0))
     g_outer_b = dz.sum(axis=0)
@@ -404,7 +393,7 @@ def _row_product(rows, w, one_row):
     return rows @ w
 
 
-def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
+def _kp_alb_evaluator(tokens, c_action, t_embed, pi):
     """kp_alb_loss of `outer_gate`'s per-token probabilities as a function of
     {"outer_w", "outer_b", "token_w"}, evaluated expert-major on the distinct
     token rows (see the module docstring)."""
@@ -444,8 +433,7 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, prior: PhysicalPrior):
         np.copyto(lanes.imag[:N_EXPERTS // 2], z[1::2])
         np.take(lanes, inverse, axis=1, out=P, mode="clip")
         Pbar = lane_sums(P)[:N_EXPERTS] / n
-        seen[inputs] = kp_alb_loss(RoutingStats(f=f, Pbar=Pbar, load=f * Pbar),
-                                   prior)
+        seen[inputs] = kp_alb_loss(RoutingStats(f=f, load=f * Pbar), pi)
         return seen[inputs]
 
     return loss

@@ -66,7 +66,6 @@ class GateParams:
     and per-modality lifts, the outer gate and the inner gates. There are no
     sub-expert weights, since no sub-expert output is computed."""
 
-    c: int
     lift_w: np.ndarray  # (9, C) shared action lift
     lift_b: np.ndarray  # (C,)
     outer_w: np.ndarray  # (C + T_EMBED_DIM, 5)
@@ -96,7 +95,6 @@ def init_gate_params(seed=0, c=16) -> GateParams:
         return rng.normal(0.0, INIT_SCALE / np.sqrt(n_in), size=(n_in, n_out))
 
     return GateParams(
-        c=c,
         lift_w=lin(9, c),
         lift_b=np.zeros(c),
         outer_w=lin(c + T_EMBED_DIM, N_EXPERTS),
@@ -112,10 +110,9 @@ def init_gate_params(seed=0, c=16) -> GateParams:
 @dataclass(frozen=True)
 class RoutingDecision:
     """Everything the gates decided for one frame's token grid; the gate
-    fields, P to inner_probs, are None where `route_forward` skipped the
+    fields, A to inner_probs, are None where `route_forward` skipped the
     gates."""
 
-    P: np.ndarray | None  # (H', W', 5) soft tier-1 probabilities
     A: np.ndarray | None  # (H', W', 5) binary top-k mask
     fusion_w: np.ndarray | None  # (H', W', 5) capacity-blended fusion weights
     inner_sel: np.ndarray | None  # (H', W', 5) argmax sub-expert per modality
@@ -216,9 +213,9 @@ def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
     tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
     c_action = tokens.mean(axis=(0, 1))
     if not gates:
-        return pooled, RoutingDecision(P=None, A=None, fusion_w=None,
-                                       inner_sel=None, inner_probs=None,
-                                       tokens=tokens, c_action=c_action)
+        return pooled, RoutingDecision(A=None, fusion_w=None, inner_sel=None,
+                                       inner_probs=None, tokens=tokens,
+                                       c_action=c_action)
     P = outer_gate(c_action, t_embed, params, tokens)
     A = topk_select(P, sched.k)
     fusion_w = capacity_blend(P, A, progress, sched)
@@ -231,7 +228,7 @@ def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
             _modality_tokens(pooled, params, m), params.inner_w[m],
             params.inner_b[m])
 
-    decision = RoutingDecision(P=P, A=A, fusion_w=fusion_w, inner_sel=inner_sel,
+    decision = RoutingDecision(A=A, fusion_w=fusion_w, inner_sel=inner_sel,
                                inner_probs=inner_probs, tokens=tokens,
                                c_action=c_action)
     return pooled, decision

@@ -26,6 +26,8 @@ FULL, LIGHT, REUSE = 0, 1, 2
 TAU_H, TAU_M = 0.6, 0.3
 # simulate_execution's cost per token of each mode
 C_FULL, C_LIGHT, C_REUSE = 1.0, 0.4, 0.02
+# the largest K: refresh intervals are held as int64
+K_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -39,18 +41,8 @@ class BudgetConfig:
             raise InvalidParams("rho targets must be nonnegative")
         if self.rho_full_target + self.rho_light_target > 1:
             raise InvalidParams("rho_full + rho_light must be at most 1")
-        if self.K < 1:
-            raise InvalidParams("K must be >= 1")
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """Per-token execution mode + realized fractions for one frame."""
-
-    mode: np.ndarray  # flat int array of FULL/LIGHT/REUSE
-    rho_full: float
-    rho_light: float
-    rho_reuse: float
+        if not 1 <= self.K <= K_MAX:
+            raise InvalidParams(f"K must be in [1, {K_MAX}], got {self.K}")
 
 
 def significance(e_motion, m_tool, c_route, q_fine, p_skip):
@@ -82,11 +74,11 @@ def _round_half_up(x):
     return int(np.floor(x + 0.5))
 
 
-def partition(s_tilde, cfg: BudgetConfig = BudgetConfig()) -> ExecutionPlan:
-    """Budgeted top-ratio selection: top 20% of tokens full, next 30% light,
-    rest reuse (defaults). Ties broken by token index, row-major. Both counts
-    round half up; the light tier takes at most the tokens the full tier
-    leaves."""
+def partition(s_tilde, cfg: BudgetConfig = BudgetConfig()) -> np.ndarray:
+    """Budgeted top-ratio selection: the flat int array of each token's
+    mode, the top 20% of tokens FULL, the next 30% LIGHT, the rest REUSE
+    (defaults). Ties broken by token index, row-major. Both counts round
+    half up; the light tier takes at most the tokens the full tier leaves."""
     s_flat = np.asarray(s_tilde, dtype=float).reshape(-1)
     n = s_flat.size
     if n < 1:
@@ -97,9 +89,7 @@ def partition(s_tilde, cfg: BudgetConfig = BudgetConfig()) -> ExecutionPlan:
     mode = np.full(n, REUSE, dtype=int)
     mode[order[:n_full]] = FULL
     mode[order[n_full:n_full + n_light]] = LIGHT
-    n_reuse = n - n_full - n_light
-    return ExecutionPlan(mode=mode, rho_full=n_full / n, rho_light=n_light / n,
-                         rho_reuse=n_reuse / n)
+    return mode
 
 
 def refresh_interval(s_bar, cfg: BudgetConfig = BudgetConfig()) -> int:
@@ -120,12 +110,11 @@ class ExecutionTrace:
     forced: np.ndarray  # (T,) bool, refresh-forced frames
     total_cost: float
     full_equivalent_cost: float
-    cache_age_hist: np.ndarray  # histogram of residual ages at read time
-    max_cache_age: int
 
 
 def simulate_execution(plans, refresh) -> ExecutionTrace:
-    """Run the per-token residual cache over T frames.
+    """Run the per-token residual cache over T frames, given each frame's
+    `partition` modes and refresh interval.
 
     full: recompute everything and write the cache. light: reuse cached
     routing, recompute the residual (cache rewritten at light cost). reuse:
@@ -136,36 +125,24 @@ def simulate_execution(plans, refresh) -> ExecutionTrace:
     T = len(plans)
     if refresh.shape != (T,):
         raise InconsistentPlan(f"{T} plans but refresh shape {refresh.shape}")
-    n = plans[0].mode.size
-    if any(p.mode.size != n for p in plans):
+    n = plans[0].size
+    if any(mode.size != n for mode in plans):
         raise InconsistentPlan("plans disagree on token count")
 
-    age = np.zeros(n, dtype=int)  # frames since the residual was last written
     frame_cost = np.zeros(T)
     n_modes = np.zeros((T, 3), dtype=int)
     forced = np.zeros(T, dtype=bool)
-    ages_seen = []
     for t in range(T):
-        mode = plans[t].mode.copy()
-        if t % refresh[t] == 0:
-            mode[:] = FULL
-            forced[t] = True
-        reuse_mask = mode == REUSE
-        ages_seen.append(age[reuse_mask] + 1)
-        age = np.where(reuse_mask, age + 1, 0)
+        forced[t] = t % refresh[t] == 0
+        mode = np.full(n, FULL) if forced[t] else plans[t]
         costs = np.choose(mode, [C_FULL, C_LIGHT, C_REUSE])
         frame_cost[t] = costs.sum()
         n_modes[t] = [(mode == m).sum() for m in (FULL, LIGHT, REUSE)]
 
-    all_ages = np.concatenate(ages_seen) if ages_seen else np.zeros(0, dtype=int)
-    max_age = int(all_ages.max()) if all_ages.size else 0
-    hist = np.bincount(all_ages, minlength=max_age + 1)
     return ExecutionTrace(
         frame_cost=frame_cost,
         n_modes=n_modes,
         forced=forced,
         total_cost=float(frame_cost.sum()),
         full_equivalent_cost=float(T * n * C_FULL),
-        cache_age_hist=hist,
-        max_cache_age=max_age,
     )

@@ -159,10 +159,7 @@ class TestRasterize:
         geom = ToolGeometry()
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         from kvacontrol.kinematics import Capsule, PartPoses
-        eye = np.eye(3)
         poses = PartPoses(
-            rotations={p: eye for p in PART_NAMES},
-            translations={p: np.zeros(3) for p in PART_NAMES},
             endpoints={
                 "shaft": (np.array([-0.1, 0, 2.0]), np.array([0.1, 0, 2.0])),
                 "wrist": (np.array([-0.1, 0, 1.0]), np.array([0.1, 0, 1.0])),
@@ -233,10 +230,7 @@ class TestRasterize:
 def capsule_poses(capsules):
     """PartPoses of four capsules given as (a, b, radius), in PART_NAMES
     order."""
-    eye = np.eye(3)
     return PartPoses(
-        rotations={part: eye for part in PART_NAMES},
-        translations={part: np.zeros(3) for part in PART_NAMES},
         endpoints={part: (np.asarray(a, float), np.asarray(b, float))
                    for part, (a, b, _) in zip(PART_NAMES, capsules)},
         radii={part: float(r) for part, (_, _, r) in zip(PART_NAMES, capsules)})
@@ -448,13 +442,10 @@ def test_blas_token_product_rows_do_not_depend_on_other_rows(c):
 class TestRotationChannel:
     def _poses_with_axis(self, direction):
         from kvacontrol.kinematics import PartPoses
-        eye = np.eye(3)
         far = (np.array([9, 9, 9.0]), np.array([9.1, 9, 9.0]))
         mid = np.array([0, 0, 1.0])
         direction = np.asarray(direction, dtype=float)
         return PartPoses(
-            rotations={p: eye for p in PART_NAMES},
-            translations={p: np.zeros(3) for p in PART_NAMES},
             endpoints={"shaft": (mid - 0.1 * direction, mid + 0.1 * direction),
                        "wrist": far, "left_gripper": far, "right_gripper": far},
             radii={"shaft": 0.03, "wrist": 0.001,

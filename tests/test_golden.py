@@ -49,6 +49,13 @@ from a multi-row GEMM's (OpenBLAS 0.3.31), so this case pins the grad
 check's per-row products at W' = 1. Its digests were recorded before the
 grad check's evaluators were made to work on distinct token rows.
 
+An eleventh case runs the 64x64, T=4 flow (target seed 23, prediction seed
+24) with `{"progress": 0.575}`, half way between the capacity schedule's
+`dense_end` and `sparse_start`, so the fusion weights are a blend of the
+dense and the top-k weights; every other case runs at progress 1.0, fully
+sparse. Its digests were recorded before dataclass fields that no command
+reads were deleted.
+
 Each case also runs `run` in place of the four trajectory commands, and
 compares each file it writes into its one directory with the digest
 recorded for the command that writes the file: `run` is those four
@@ -297,6 +304,30 @@ GOLDEN_W1 = {
     'target/trajectory.txt': 'b89b3b9ad67bc0365c170dd5e3170512cfba5dac022601d1e4f3eac5d4577909',
 }
 
+GOLDEN_PROGRESS = {
+    'eval/metrics.csv': 'c058c5cad4ca42f22196efdce2305f92e298e2e34fad1e6bbc40265b0d445d6e',
+    'lift/channel_stats.csv': '29a382b79ca4ef89d3d779be7aca8f276b47a456f57ba850696a51a6699035e8',
+    'lift/field_0001.kvaf': '650c669ad79f14d33a6a8ac89797a8c2d884d5020d81910bafd66c51e8bc5e76',
+    'lift/field_0002.kvaf': 'e066eff33cb49326bb79bf675bb2882d4bf956c321646ae500db53033d2705e6',
+    'lift/field_0003.kvaf': 'cf3a77b4071ce5f521bb72a0ce36408177041eee0e9356e868f9f7c2e69b176f',
+    'lift/field_0004.kvaf': 'b11f6c6e0632a46c5bfc10571ab812f982eb5b7c5dc7974046495ac50460836b',
+    'losses/grad_check.csv': '7fb6ffc0f14d8074853b42d19778114d62438cc5ea2cd7a65cdfa024d3138c6a',
+    'losses/losses.csv': '520eb396374e25aa51722806b4af064552a371ad031064ca8aa84a430cfedf9a',
+    'pred/masks/frame_0001.pgm': 'df7aafd62b187392f839ce99a42c14890d230d42dd32af936726a651b7e62b2c',
+    'pred/masks/frame_0002.pgm': '725552b881defb168e36a35947948786ac4c5bbfee34ebea298f94d117349e7f',
+    'pred/masks/frame_0003.pgm': 'a5c1576d81675a1e4aca1ee659ebf5645515c87c1558434a061d1fbcc4010024',
+    'pred/masks/frame_0004.pgm': '68a7ef1a680f2bf0c76b4ac71b96d653fddb16e762155e4dfdbd50f8af1e2b5c',
+    'pred/trajectory.txt': 'ae8c932adcad3f7797ec53de21c48374829abaf2aa4a68067ce6f6f880ce95c3',
+    'route/routing_stats.csv': 'ee118e68dff13c00dab718a43d9149f15fc62f022c4d2210b404e31d6641ef41',
+    'schedule/cost_summary.csv': '633fc1dec6634c6fd96a593ed6ead0a27a8e91809c4c50469bb5ba5390bb3515',
+    'schedule/execution.csv': 'b80e6e280960fb6131ad124d75eb221ead261834af842ca75cdac06bcc21fc85',
+    'target/masks/frame_0001.pgm': 'c0d9ba588f67b4edfa919f198150463c0133fb03177660df2e414ebedbe9539a',
+    'target/masks/frame_0002.pgm': 'f98d3697136a93d6f6729220bc82074781dbd4b369915354923463fe7f40e803',
+    'target/masks/frame_0003.pgm': 'a2dfee32926008ec8bcb883d0d8dac41d1f1821349b82e22a34ec7a2b924fe79',
+    'target/masks/frame_0004.pgm': 'ab5faeaaa4eea38cf34840f5c63ae8c2086cc3c7257c0541acb0b49d43d424aa',
+    'target/trajectory.txt': 'b9912a04a0eef7e268d7b8d9a011b098bd1f2a1fc73452bcbd02f5694c113809',
+}
+
 
 CONFIG_NAME = "config.json"
 # synth_trajectory's seed for the trajectories run_flow writes through the
@@ -376,11 +407,13 @@ CASES = ((GOLDEN, {}),
          (GOLDEN_NEAR_BASE, {"seed": 1, "base": (0.0, 0.0, 0.006)}),
          (GOLDEN_OUT_OF_VIEW, {"seed": 1, "base": (1.0, 0.0, 0.006)}),
          (GOLDEN_W1, {"resolution": "128x16", "seed": 21,
-                      "config": {"stride": 16}}))
+                      "config": {"stride": 16}}),
+         (GOLDEN_PROGRESS, {"seed": 23, "config": {"progress": 0.575}}))
 
 
 CASE_IDS = ("default", "128", "stride8", "token33", "32x48_t1",
-            "40x56_stride2", "budget", "near_base", "out_of_view", "w1")
+            "40x56_stride2", "budget", "near_base", "out_of_view", "w1",
+            "progress")
 
 
 def check_case(root, golden, kwargs):
@@ -430,6 +463,10 @@ def test_run_writes_the_four_commands_artefacts(tmp_path, golden, kwargs):
 
 def test_artefacts_match_recorded_digests_w1(tmp_path):
     check_case(tmp_path, *CASES[9])
+
+
+def test_artefacts_match_recorded_digests_progress(tmp_path):
+    check_case(tmp_path, *CASES[10])
 
 
 def _execution(root):

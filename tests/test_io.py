@@ -559,6 +559,7 @@ class TestCli:
         ('{"top_k": 0}', "losses"),
         ('{"dense_end": 0.9}', "schedule"),
         ('{"refresh_k": 0}', "schedule"),
+        ('{"refresh_k": 100000000000000000000000000000}', "schedule"),
         ('{"progress": -5.0}', "route"),
         ('{"progress": 1.5}', "losses"),
         ('{"timestep": 1e300}', "route"),
@@ -572,6 +573,7 @@ class TestCli:
         ('{"top_k": 99}', "lift"),
         ('{"stride": 0}', "lift"),
         ('{"refresh_k": 0}', "lift"),
+        ('{"refresh_k": 100000000000000000000000000000}', "lift"),
         ('{"rho_full": 5.0}', "lift"),
         ('{"dense_end": 0.9}', "synth"),
         ('{"progress": 2.0}', "lift"),
@@ -586,10 +588,11 @@ class TestCli:
             "top_k-bool", "rho-sum", "rho-negative", "stride-0",
             "stride-negative", "token_dim-0", "half_width-negative", "top_k-9",
             "top_k-0", "dense_end-after-sparse_start", "refresh_k-0",
+            "refresh_k-huge",
             "progress-negative", "progress-above-1", "timestep-huge",
             "lam_kp-nan", "lam_src-negative", "lam_cp-inf", "lam_sub-unread",
             "lam_kp-huge-int", "rho_light-nan", "top_k-unread", "stride-unread",
-            "refresh_k-unread", "rho_full-unread", "dense_end-unread",
+            "refresh_k-unread", "refresh_k-huge-unread", "rho_full-unread", "dense_end-unread",
             "progress-unread", "timestep-unread", "token_dim-unread",
             "resolution-unread", "frames-unread", "kind-unread",
             "half_width-unread", "half_width-inf"])

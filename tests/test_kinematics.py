@@ -12,8 +12,10 @@ from kvacontrol.kinematics import (
     SYNTH_VELOCITY,
     ArticulatedState,
     CameraModel,
+    Capsule,
     ToolGeometry,
     Trajectory,
+    axis_angle_to_matrix,
     default_camera,
     forward_kinematics,
     project_point,
@@ -42,6 +44,27 @@ def oracle_poses(state, geom):
     return {part: T_wrist @ hinges[part] for part in PART_NAMES}
 
 
+def random_geometry(rng):
+    """Default hinges and limits, each part a capsule between two random
+    points, so that its ends move with every axis of its pose."""
+    return ToolGeometry(capsules={
+        part: Capsule(rng.normal(0, 0.05, 3), rng.normal(0, 0.05, 3), 0.002)
+        for part in PART_NAMES})
+
+
+def assert_endpoints_match_oracle(state, rng):
+    """Under two random geometries, each part's capsule ends are placed by
+    its oracle pose: four points in general position, which fix the pose."""
+    for geom in (random_geometry(rng), random_geometry(rng)):
+        poses = forward_kinematics(state, geom)
+        expected = oracle_poses(state, geom)
+        for part in PART_NAMES:
+            cap = geom.capsules[part]
+            for end, local in zip(poses.endpoints[part], (cap.a, cap.b)):
+                want = (expected[part] @ np.append(local, 1.0))[:3]
+                assert np.max(np.abs(end - want)) < 1e-12
+
+
 def random_state(rng):
     return ArticulatedState(
         p=rng.normal(0, 0.1, 3),
@@ -58,40 +81,37 @@ class TestForwardKinematics:
         state = ArticulatedState(p=np.zeros(3), r=np.zeros(3), q_sw=0, q_lg=0, q_rg=0)
         poses = forward_kinematics(state, geom)
         for part in PART_NAMES:
-            np.testing.assert_allclose(poses.rotations[part], np.eye(3), atol=1e-15)
-            np.testing.assert_allclose(poses.translations[part], 0, atol=1e-15)
             cap = geom.capsules[part]
             np.testing.assert_allclose(poses.endpoints[part][0], cap.a, atol=1e-15)
+            np.testing.assert_allclose(poses.endpoints[part][1], cap.b, atol=1e-15)
 
     def test_gripper_hinge_quarter_turn(self):
-        # q_lg = pi/2 about the z hinge maps local x to camera y
+        # q_lg = pi/2 about the z hinge maps the gripper's local x-axis
+        # segment onto camera y
         geom = ToolGeometry()
         state = ArticulatedState(p=np.zeros(3), r=np.zeros(3), q_sw=0,
                                  q_lg=np.pi / 2, q_rg=0)
-        poses = forward_kinematics(state, geom)
-        x_mapped = poses.rotations["left_gripper"] @ np.array([1.0, 0, 0])
-        np.testing.assert_allclose(x_mapped, [0, 1, 0], atol=1e-15)
+        a, b = forward_kinematics(state, geom).endpoints["left_gripper"]
+        np.testing.assert_allclose(a, [0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(b, [0, 0.015, 0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_homogeneous_matrix_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        geom = ToolGeometry()
-        state = random_state(rng)
-        poses = forward_kinematics(state, geom)
-        expected = oracle_poses(state, geom)
-        for part in PART_NAMES:
-            T = homogeneous(poses.rotations[part], poses.translations[part])
-            assert np.max(np.abs(T - expected[part])) < 1e-12
+        assert_endpoints_match_oracle(random_state(rng), rng)
 
     def test_zero_hinge_is_identity_on_child(self):
-        geom = ToolGeometry()
         rng = np.random.default_rng(3)
+        geom = random_geometry(rng)
         state = ArticulatedState(p=rng.normal(size=3), r=rng.normal(size=3) * 0.5,
                                  q_sw=0.0, q_lg=0.0, q_rg=0.0)
         poses = forward_kinematics(state, geom)
+        R_w = axis_angle_to_matrix(state.r)
         for part in PART_NAMES:
-            np.testing.assert_allclose(poses.rotations[part],
-                                       poses.rotations["wrist"], atol=1e-15)
+            cap = geom.capsules[part]
+            for end, local in zip(poses.endpoints[part], (cap.a, cap.b)):
+                np.testing.assert_allclose(end, R_w @ local + state.p,
+                                           atol=1e-15)
 
     def test_joint_limit_violation(self):
         geom = ToolGeometry()

@@ -418,7 +418,7 @@ class TestRenderTubeCrop:
             a = _point_at(cam, ua, va, za)
             b = a.copy() if degenerate else _point_at(cam, ub, vb, zb)
             endpoints[part] = (a, b)
-        poses = PartPoses({}, {}, endpoints, {})
+        poses = PartPoses(endpoints, {})
         assert (mt.render_tube(poses, cam, half_width).tobytes()
                 == dense_render_tube(poses, cam, half_width).tobytes())
 

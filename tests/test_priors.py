@@ -10,8 +10,8 @@ class TestPhysicalPrior:
     def test_semantic_only_field(self):
         ch = np.zeros((32, 32, 9))
         ch[..., 0] = 1.0
-        prior = pr.physical_prior(rt.avg_pool(ch, 4))
-        np.testing.assert_allclose(prior.pi, [1, 0, 0, 0, 0], atol=1e-15)
+        pi = pr.physical_prior(rt.avg_pool(ch, 4))
+        np.testing.assert_allclose(pi, [1, 0, 0, 0, 0], atol=1e-15)
 
     def test_equal_energies_uniform(self):
         ch = np.zeros((8, 8, 9))
@@ -20,17 +20,17 @@ class TestPhysicalPrior:
         ch[..., 4] = 1.0
         ch[..., 5] = 1.0  # |vel| = 1
         ch[..., 8] = 1.0
-        prior = pr.physical_prior(rt.avg_pool(ch, 4))
-        np.testing.assert_allclose(prior.pi, 0.2, atol=1e-15)
+        pi = pr.physical_prior(rt.avg_pool(ch, 4))
+        np.testing.assert_allclose(pi, 0.2, atol=1e-15)
 
     def test_zero_field_uniform_fallback(self):
-        prior = pr.physical_prior(np.zeros((2, 2, 9)))
-        np.testing.assert_array_equal(prior.pi, np.full(5, 0.2))
+        pi = pr.physical_prior(np.zeros((2, 2, 9)))
+        np.testing.assert_array_equal(pi, np.full(5, 0.2))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
         ch = rng.normal(size=(16, 16, 9))
-        prior = pr.physical_prior(rt.avg_pool(ch, 4))
+        pi = pr.physical_prior(rt.avg_pool(ch, 4))
         pooled = np.zeros((4, 4, 9))
         for i in range(4):
             for j in range(4):
@@ -44,22 +44,17 @@ class TestPhysicalPrior:
                      abs(pooled[i, j, 8])]
                 energies += np.array(e) / 16
         expected = energies / energies.sum()
-        assert np.max(np.abs(prior.pi - expected)) < 1e-12
+        assert np.max(np.abs(pi - expected)) < 1e-12
 
 
 class TestKpAlb:
-    def _prior(self, pi):
-        return pr.PhysicalPrior(pi=np.asarray(pi, dtype=float), e=np.zeros((1, 1, 5)))
-
     def test_zero_at_alignment(self):
-        stats = pr.RoutingStats(f=np.full(5, 0.2), Pbar=np.ones(5),
-                                load=np.full(5, 0.2))
-        assert pr.kp_alb_loss(stats, self._prior(np.full(5, 0.2))) == 0
+        stats = pr.RoutingStats(f=np.full(5, 0.2), load=np.full(5, 0.2))
+        assert pr.kp_alb_loss(stats, np.full(5, 0.2)) == 0
 
     def test_direct_formula(self):
-        stats = pr.RoutingStats(f=np.ones(5), Pbar=np.full(5, 0.2),
-                                load=np.full(5, 0.2))
-        loss = pr.kp_alb_loss(stats, self._prior([1, 0, 0, 0, 0]))
+        stats = pr.RoutingStats(f=np.ones(5), load=np.full(5, 0.2))
+        loss = pr.kp_alb_loss(stats, np.array([1.0, 0, 0, 0, 0]))
         assert abs(loss - 0.16) < 1e-15
 
     def test_matches_scalar_oracle(self):
@@ -68,9 +63,9 @@ class TestKpAlb:
             load = rng.random(5)
             pi = rng.random(5)
             pi = pi / pi.sum()
-            stats = pr.RoutingStats(f=np.ones(5), Pbar=load, load=load)
+            stats = pr.RoutingStats(f=np.ones(5), load=load)
             expected = sum((load[i] - pi[i]) ** 2 for i in range(5)) / 5
-            assert abs(pr.kp_alb_loss(stats, self._prior(pi)) - expected) < 1e-15
+            assert abs(pr.kp_alb_loss(stats, pi) - expected) < 1e-15
 
 
 class TestSrc:
@@ -260,7 +255,7 @@ class TestGradients:
         c_action = tokens.reshape(-1, 6).mean(axis=0)
         t_embed = rt.timestep_embed(0.3)
         pi = rng.random(5)
-        prior = pr.PhysicalPrior(pi=pi / pi.sum(), e=np.zeros((3, 3, 5)))
+        prior = pi / pi.sum()
         outer_w = rng.normal(size=(6 + 8, 5))
         outer_b = rng.normal(size=5)
         token_w = rng.normal(size=(6, 5))
@@ -301,10 +296,10 @@ class TestGradients:
         # are exactly zero: perturbing them never reaches gate params
         rng = np.random.default_rng(0)
         load = rng.random(5)
-        stats = pr.RoutingStats(f=np.ones(5), Pbar=load, load=load)
+        stats = pr.RoutingStats(f=np.ones(5), load=load)
         pi = rng.random(5)
         pi = pi / pi.sum()
-        base = pr.kp_alb_loss(stats, pr.PhysicalPrior(pi=pi, e=np.zeros((1, 1, 5))))
+        base = pr.kp_alb_loss(stats, pi)
         # the loss value changes with pi, but kp_alb_grad never references
         # d(loss)/d(pi); verify the implementation takes pi as a constant
         tokens = rng.normal(size=(2, 2, 4))
@@ -313,14 +308,12 @@ class TestGradients:
         w = rng.normal(size=(12, 5))
         b = rng.normal(size=5)
         tw = rng.normal(size=(4, 5))
-        prior1 = pr.PhysicalPrior(pi=pi, e=np.zeros((2, 2, 5)))
-        g1 = pr.kp_alb_grad(tokens, c_action, t_embed, w, b, tw, prior1)
+        g1 = pr.kp_alb_grad(tokens, c_action, t_embed, w, b, tw, pi)
         # gradient w.r.t. gate params depends on pi only through the residual,
         # which is the stop-gradient semantics: finite differences in pi do
         # not alter the backprop path structure
         pi2 = np.roll(pi, 1)
-        prior2 = pr.PhysicalPrior(pi=pi2, e=np.zeros((2, 2, 5)))
-        g2 = pr.kp_alb_grad(tokens, c_action, t_embed, w, b, tw, prior2)
+        g2 = pr.kp_alb_grad(tokens, c_action, t_embed, w, b, tw, pi2)
         for a, c in zip(g1, g2):
             assert a.shape == c.shape
         assert base >= 0

@@ -79,15 +79,15 @@ def test_softmax_topk_invariants(logits):
 @given(hnp.arrays(np.float64, st.integers(1, 64),
                   elements=st.floats(0, 1)))
 def test_partition_counts_and_exhaustive(s):
-    plan = sch.partition(s)
+    mode = sch.partition(s)
     n = s.size
-    counts = np.bincount(plan.mode, minlength=3)
+    counts = np.bincount(mode, minlength=3)
     assert counts.sum() == n
     assert counts[0] == int(np.floor(0.2 * n + 0.5))
     assert counts[1] == int(np.floor(0.3 * n + 0.5))
     # every full token scores at least as high as every non-full token
     if counts[0] and counts[0] < n:
-        assert s[plan.mode == 0].min() >= s[plan.mode != 0].max() - 1e-15
+        assert s[mode == 0].min() >= s[mode != 0].max() - 1e-15
 
 
 def _old_sigmoid(z):
@@ -198,9 +198,9 @@ def test_add_reduce_over_size_matches_mean(x, load, pi):
     with np.errstate(over="ignore", invalid="ignore"):
         assert (np.float64(np.add.reduce(x, axis=None) / x.size).tobytes()
                 == np.float64(x.mean()).tobytes())
-        stats = pr.RoutingStats(f=np.ones(rt.N_EXPERTS), Pbar=load, load=load)
+        stats = pr.RoutingStats(f=np.ones(rt.N_EXPERTS), load=load)
         want = float(np.mean((load - pi) ** 2))
-        got = pr.kp_alb_loss(stats, pr.PhysicalPrior(pi=pi, e=np.zeros(0)))
+        got = pr.kp_alb_loss(stats, pi)
     assert _float_bytes(got) == _float_bytes(want)
 
 
@@ -363,7 +363,7 @@ def kp_inputs(draw):
                                    elements=weight_values)),
     }
     pi = draw(hnp.arrays(np.float64, rt.N_EXPERTS, elements=st.floats(0.01, 1)))
-    prior = pr.PhysicalPrior(pi=pi / pi.sum(), e=np.zeros((h, w, rt.N_EXPERTS)))
+    prior = pi / pi.sum()
     return tokens, c_action, t_embed, arrays, prior
 
 
@@ -577,8 +577,7 @@ def repeated_row_inputs(draw, layout):
     return (pool[which], m_tool, a_pool[a_which],
             draw(hnp.arrays(np.float64, c, elements=tie_values)),
             draw(hnp.arrays(np.float64, rt.T_EMBED_DIM, elements=tie_values)),
-            pred, gate, pr.PhysicalPrior(pi=pi / pi.sum(),
-                                         e=np.zeros((h, w, rt.N_EXPERTS))))
+            pred, gate, pi / pi.sum())
 
 
 def _grad_check_matches(evaluator, arrays, reference):

@@ -234,16 +234,17 @@ class TestRouteForward:
                 pooled[i, j] = f[i * s:(i + 1) * s,
                                  j * s:(j + 1) * s].mean(axis=(0, 1))
         tokens = pooled @ params.lift_w + params.lift_b
-        c_action = tokens.reshape(-1, params.c).mean(axis=0)
+        c_action = tokens.reshape(-1, tokens.shape[-1]).mean(axis=0)
         z = (np.concatenate([c_action, t_embed]) @ params.outer_w
              + params.outer_b + tokens @ params.token_w)
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         P = e / e.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(dec.P, P, rtol=0, atol=1e-12)
         lam = (progress - sched.dense_end) / (sched.sparse_start - sched.dense_end)
         for i in range(hp):
             for j in range(wp):
                 order = sorted(range(5), key=lambda k: (-P[i, j, k], k))
+                assert dec.A[i, j].tolist() == [float(k in order[:sched.k])
+                                                for k in range(5)]
                 S = np.zeros(5)
                 S[order[:sched.k]] = P[i, j, order[:sched.k]]
                 S = S / S.sum()
@@ -282,6 +283,6 @@ class TestRouteForward:
         f = rt.avg_pool(make_field(8), STRIDE)
         a = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))[1]
         b = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))[1]
-        for name in ("P", "A", "fusion_w", "inner_sel", "inner_probs",
+        for name in ("A", "fusion_w", "inner_sel", "inner_probs",
                      "tokens", "c_action"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

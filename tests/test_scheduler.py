@@ -57,64 +57,62 @@ class TestMotionIntensity:
 class TestPartition:
     def test_counts_n10(self):
         rng = np.random.default_rng(1)
-        plan = sch.partition(rng.random(10))
-        counts = np.bincount(plan.mode, minlength=3)
+        mode = sch.partition(rng.random(10))
+        counts = np.bincount(mode, minlength=3)
         assert tuple(counts) == (2, 3, 5)
-        assert (plan.rho_full, plan.rho_light, plan.rho_reuse) == (0.2, 0.3, 0.5)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             s = rng.random(40)
-            plan = sch.partition(s)
+            mode = sch.partition(s)
             order = sorted(range(40), key=lambda i: (-s[i], i))
             for rank, idx in enumerate(order):
                 want = sch.FULL if rank < 8 else sch.LIGHT if rank < 20 else sch.REUSE
-                assert plan.mode[idx] == want
+                assert mode[idx] == want
 
     def test_tie_break_by_index(self):
-        plan = sch.partition(np.full(10, 0.5))
-        assert list(plan.mode) == [0, 0, 1, 1, 1, 2, 2, 2, 2, 2]
+        mode = sch.partition(np.full(10, 0.5))
+        assert list(mode) == [0, 0, 1, 1, 1, 2, 2, 2, 2, 2]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         s = rng.random(30)
         # distinct values: permuting inputs permutes modes identically
         perm = rng.permutation(30)
-        a = sch.partition(s).mode
-        b = sch.partition(s[perm]).mode
+        a = sch.partition(s)
+        b = sch.partition(s[perm])
         np.testing.assert_array_equal(a[perm], b)
 
     def test_rounding_half_up(self):
         # n=7: 0.2*7=1.4 -> 1 full, 0.3*7=2.1 -> 2 light, 4 reuse
-        plan = sch.partition(np.arange(7, dtype=float))
-        assert tuple(np.bincount(plan.mode, minlength=3)) == (1, 2, 4)
+        mode = sch.partition(np.arange(7, dtype=float))
+        assert tuple(np.bincount(mode, minlength=3)) == (1, 2, 4)
         # n=5: 0.2*5=1.0 -> 1, 0.3*5=1.5 -> 2 (half up), 2 reuse
-        plan = sch.partition(np.arange(5, dtype=float))
-        assert tuple(np.bincount(plan.mode, minlength=3)) == (1, 2, 2)
+        mode = sch.partition(np.arange(5, dtype=float))
+        assert tuple(np.bincount(mode, minlength=3)) == (1, 2, 2)
 
     def test_custom_ratios(self):
         cfg = sch.BudgetConfig(rho_full_target=0.5, rho_light_target=0.5)
-        plan = sch.partition(np.arange(10, dtype=float), cfg)
-        assert tuple(np.bincount(plan.mode, minlength=3)) == (5, 5, 0)
+        mode = sch.partition(np.arange(10, dtype=float), cfg)
+        assert tuple(np.bincount(mode, minlength=3)) == (5, 5, 0)
 
     def test_fractions_match_mode_when_both_round_up(self):
         # n=3 at 0.5/0.5: 1.5 rounds up to 2 full, and the light tier gets
         # the one token left, not 2
         cfg = sch.BudgetConfig(rho_full_target=0.5, rho_light_target=0.5)
-        plan = sch.partition(np.arange(3, dtype=float), cfg)
-        counts = np.bincount(plan.mode, minlength=3)
+        mode = sch.partition(np.arange(3, dtype=float), cfg)
+        counts = np.bincount(mode, minlength=3)
         assert tuple(counts) == (2, 1, 0)
-        assert (plan.rho_full, plan.rho_light, plan.rho_reuse) == (2 / 3, 1 / 3, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeMismatch):
             sch.partition(np.zeros(0))
 
     def test_2d_input_flattened(self):
-        plan = sch.partition(np.arange(20, dtype=float).reshape(4, 5))
-        assert plan.mode.shape == (20,)
-        assert plan.mode[19] == sch.FULL
+        mode = sch.partition(np.arange(20, dtype=float).reshape(4, 5))
+        assert mode.shape == (20,)
+        assert mode[19] == sch.FULL
 
 
 class TestRefreshInterval:
@@ -133,12 +131,20 @@ class TestRefreshInterval:
         with pytest.raises(ValueError):
             sch.BudgetConfig(K=0)
 
+    def test_k_up_to_int64_max(self):
+        # refresh intervals are held as int64: the largest K still runs,
+        # one more is rejected
+        cfg = sch.BudgetConfig(K=sch.K_MAX)
+        refresh = [sch.refresh_interval(0.0, cfg)] * 2
+        trace = sch.simulate_execution([np.zeros(3, dtype=int)] * 2, refresh)
+        assert trace.forced.tolist() == [True, False]
+        with pytest.raises(ValueError):
+            sch.BudgetConfig(K=sch.K_MAX + 1)
+
 
 class TestSimulateExecution:
     def _plans(self, modes_per_frame):
-        return [sch.ExecutionPlan(mode=np.asarray(m, dtype=int),
-                                  rho_full=0, rho_light=0, rho_reuse=0)
-                for m in modes_per_frame]
+        return [np.asarray(m, dtype=int) for m in modes_per_frame]
 
     def test_all_full_cost(self):
         T, n = 6, 10
@@ -154,7 +160,8 @@ class TestSimulateExecution:
         trace = sch.simulate_execution(plans, np.full(4, 2))
         # frames 0 and 2 forced full, frames 1 and 3 reuse
         np.testing.assert_array_equal(trace.forced, [True, False, True, False])
-        np.testing.assert_array_equal(trace.n_modes[:, 0], [n, 0, n, 0])
+        np.testing.assert_array_equal(trace.n_modes,
+                                      [[n, 0, 0], [0, 0, n]] * 2)
         assert trace.frame_cost[1] == pytest.approx(n * 0.02)
 
     def test_default_mix_cost_ratio(self):
@@ -173,18 +180,14 @@ class TestSimulateExecution:
         T, n = 24, 16
         plans = self._plans([rng.integers(0, 3, size=n) for _ in range(T)])
         trace = sch.simulate_execution(plans, np.full(T, 4))
-        # forced full every 4 frames: a residual can be stale at most 3 frames
-        assert trace.max_cache_age <= 3
-        assert trace.cache_age_hist.sum() == trace.n_modes[:, 2].sum()
-
-    def test_age_histogram_counts(self):
-        n = 3
-        plans = self._plans([np.zeros(n), np.full(n, sch.REUSE),
-                             np.full(n, sch.REUSE)])
-        trace = sch.simulate_execution(plans, np.full(3, 3))
-        # ages at read: frame1 -> 1,1,1; frame2 -> 2,2,2
-        np.testing.assert_array_equal(trace.cache_age_hist, [0, 3, 3])
-        assert trace.max_cache_age == 2
+        # forced full every 4 frames, so a residual can be stale at most 3
+        # frames; the other frames run their plans
+        forced = np.arange(T) % 4 == 0
+        np.testing.assert_array_equal(trace.forced, forced)
+        np.testing.assert_array_equal(trace.n_modes[forced], [[n, 0, 0]] * 6)
+        np.testing.assert_array_equal(
+            trace.n_modes[~forced],
+            [np.bincount(plans[t], minlength=3) for t in np.flatnonzero(~forced)])
 
     def test_cost_below_full_when_sparse(self):
         n = 20
