@@ -33,10 +33,6 @@ class NonFiniteGradient(KvaControlError):
     pass
 
 
-class InconsistentPlan(KvaControlError):
-    pass
-
-
 class LabelOutOfRange(KvaControlError, ValueError):
     pass
 

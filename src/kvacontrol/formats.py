@@ -22,7 +22,7 @@ from .errors import (
     VersionMismatch,
 )
 from .kinematics import (ArticulatedState, CameraModel, Trajectory,
-                         _check_synth_args, default_camera)
+                         _check_frames, _check_kind, default_camera)
 from .kva_field import N_CHANNELS, KvaField
 from .metrics import _check_half_width
 from .priors import LossWeights
@@ -91,7 +91,7 @@ def read_trajectory(path):
             raise ParseError(f"trajectory {path}: {exc}") from exc
 
     seq_id = None
-    cam_vals = None
+    cam = None
     dt = None
     frames = {}
     seen = set()  # the records other than frame, which may appear once
@@ -111,8 +111,10 @@ def read_trajectory(path):
             elif key == "camera":
                 if len(rest) != 6:
                     raise ParseError("camera line needs 6 values", line=ln)
-                # fx fy cx cy, then integer width and height
-                cam_vals = [float(v) for v in rest[:4]] + [int(v) for v in rest[4:]]
+                # fx fy cx cy, then integer width and height; the camera's
+                # own checks raise InvalidParams, a ValueError
+                cam = CameraModel(*[float(v) for v in rest[:4]],
+                                  *[int(v) for v in rest[4:]])
             elif key == "extrinsic":
                 if len(rest) != 12:
                     raise ParseError("extrinsic line needs 12 values", line=ln)
@@ -131,7 +133,8 @@ def read_trajectory(path):
                     raise ParseError(f"repeated frame {idx}", line=ln)
                 vals = np.array([float(v) for v in rest[1:]])
                 if not np.all(np.isfinite(vals)):
-                    raise InvariantViolation(f"non-finite action at frame {idx}")
+                    raise InvariantViolation(
+                        f"line {ln}: non-finite action at frame {idx}")
                 frames[idx] = ArticulatedState.from_vector(vals)
             else:
                 raise ParseError(f"unknown record {key!r}", line=ln)
@@ -144,7 +147,6 @@ def read_trajectory(path):
     if sorted(frames) != expected:
         raise InvariantViolation("frame indices must be contiguous from 1")
 
-    cam = CameraModel(*cam_vals)
     traj = Trajectory(states=tuple(frames[i] for i in expected), dt=dt)
     return traj, cam, seq_id
 
@@ -298,19 +300,31 @@ def load_config(path=None, overrides=None) -> Config:
 def _check_ranges(cfg: Config):
     """Range-check every value with the validator of the code that uses it,
     so a bad value fails at load time, also in a command that never reads
-    it."""
+    it. The validators name values as the code does (`k`, `K`, `T`), so
+    each runs on the keys it checks, the others at their defaults, and its
+    InvalidParams is raised again with those keys in front."""
     h, w = cfg.resolution
-    if h < 1 or w < 1:
-        raise InvalidParams(f"resolution must be at least 1x1, got {h}x{w}")
-    default_camera(width=w, height=h)
-    _check_synth_args(cfg.trajectory_kind, cfg.frames)
-    _check_half_width(cfg.tube_half_width)
-    _check_stride(cfg.stride)
-    _check_token_dim(cfg.token_dim)
-    CapacitySchedule(dense_end=cfg.dense_end, sparse_start=cfg.sparse_start,
-                     k=cfg.top_k).blend_factor(cfg.progress)
-    timestep_embed(cfg.timestep)
-    LossWeights(lam_kp=cfg.lam_kp, lam_src=cfg.lam_src, lam_cp=cfg.lam_cp,
-                lam_sub=cfg.lam_sub)
-    BudgetConfig(rho_full_target=cfg.rho_full, rho_light_target=cfg.rho_light,
-                 K=cfg.refresh_k)
+    weights = ("lam_kp", "lam_src", "lam_cp", "lam_sub")
+    checks = (
+        (("resolution",), lambda: default_camera(width=w, height=h)),
+        (("frames",), lambda: _check_frames(cfg.frames)),
+        (("trajectory_kind",), lambda: _check_kind(cfg.trajectory_kind)),
+        (("tube_half_width",), lambda: _check_half_width(cfg.tube_half_width)),
+        (("stride",), lambda: _check_stride(cfg.stride)),
+        (("token_dim",), lambda: _check_token_dim(cfg.token_dim)),
+        (("top_k",), lambda: CapacitySchedule(k=cfg.top_k)),
+        (("dense_end", "sparse_start"), lambda: CapacitySchedule(
+            dense_end=cfg.dense_end, sparse_start=cfg.sparse_start)),
+        (("progress",), lambda: CapacitySchedule().blend_factor(cfg.progress)),
+        (("timestep",), lambda: timestep_embed(cfg.timestep)),
+        (weights, lambda: LossWeights(**{k: getattr(cfg, k) for k in weights})),
+        (("rho_full", "rho_light"), lambda: BudgetConfig(
+            rho_full_target=cfg.rho_full, rho_light_target=cfg.rho_light)),
+        (("refresh_k",), lambda: BudgetConfig(K=cfg.refresh_k)),
+    )
+    for keys, check in checks:
+        try:
+            check()
+        except InvalidParams as exc:
+            raise InvalidParams(
+                f"config {', '.join(map(repr, keys))}: {exc}") from None

@@ -43,21 +43,16 @@ Z_NEAR = 1e-4
 
 @dataclass(frozen=True)
 class Capsule:
-    """Capsule primitive: segment from a to b (part-local, meters) + radius."""
+    """Capsule primitive: segment from a to b (part-local, meters) + radius,
+    a segment of positive length and a positive radius."""
 
     a: np.ndarray
     b: np.ndarray
     radius: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if self.radius <= 0:
-            raise InvalidParams("capsule radius must be > 0")
-        if np.linalg.norm(b - a) <= 0:
-            raise InvalidParams("capsule segment must have positive length")
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -81,17 +76,14 @@ class ToolGeometry:
     """Capsule geometry + hinge axes for the 4-part tool.
 
     The kinematic tree is fixed: shaft->wrist (hinge q_sw), wrist->left
-    gripper (q_lg), wrist->right gripper (q_rg, mirrored).
+    gripper (q_lg), wrist->right gripper (q_rg, mirrored). `capsules` maps
+    each of PART_NAMES to its capsule.
     """
 
     capsules: dict = field(default_factory=_default_capsules)
     hinge_sw_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
     hinge_grip_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     limits: JointLimits = field(default_factory=JointLimits)
-
-    def __post_init__(self):
-        if set(self.capsules) != set(PART_NAMES):
-            raise InvalidParams(f"geometry must define exactly the parts {PART_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -146,15 +138,14 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered articulated states over frames 0..T-1, sampled every dt seconds."""
+    """Ordered articulated states over frames 0..T-1, T >= 1, sampled every
+    dt seconds."""
 
     states: tuple
     dt: float
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) < 1:
-            raise InvalidParams("trajectory needs at least one frame")
         if not 0 < self.dt < np.inf:
             raise InvalidParams(f"dt must be finite and > 0, got {self.dt}")
 
@@ -299,9 +290,12 @@ TRAJECTORY_KINDS = ("static", "linear-transport", "wrist-articulation",
                     "gripper-cycle", "composite")
 
 
-def _check_synth_args(kind, T):
+def _check_frames(T):
     if T < 1:
-        raise InvalidParams("T must be >= 1")
+        raise InvalidParams(f"T must be >= 1, got {T}")
+
+
+def _check_kind(kind):
     if kind not in TRAJECTORY_KINDS:
         raise InvalidParams(f"unknown trajectory kind {kind!r}")
 
@@ -315,7 +309,8 @@ def synth_trajectory(kind, params=None, T=10, seed=0,
     the rates are the SYNTH_* constants. Joint angles are clamped to the
     geometry's limits.
     """
-    _check_synth_args(kind, T)
+    _check_frames(T)
+    _check_kind(kind)
     params = params or {}
     unknown = sorted(set(params) - {"base"})
     if unknown:

@@ -71,7 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._columns import fold, lane_sums
-from .errors import EmptyCorpus, NonFiniteInput, ShapeMismatch
+from .errors import (EmptyCorpus, JointLimitViolation, NonFiniteInput,
+                     ShapeMismatch)
 from .kinematics import (
     PART_NAMES,
     PART_SEMANTIC_CLASS,
@@ -307,10 +308,10 @@ def _ray_test(ends, radii, cam: CameraModel, j0, j1):
     return rows * w + cols, depth, bounds
 
 
-def rasterize_parts(poses: PartPoses, cam: CameraModel, out=None):
+def rasterize_parts(poses: PartPoses, cam: CameraModel, out):
     """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth,
-    as an (H, W) intp and an (H, W) float64 array: `out`'s pair of
-    C-contiguous arrays, filled, when it is given, else new ones.
+    written into `out`, a pair of C-contiguous (H, W) arrays, intp and
+    float64; returns out.
 
     All four capsules are ray-tested in one pass (`_ray_test`), each only on
     its row spans (`_row_spans`). Only the matrix-vector products stay per
@@ -342,8 +343,6 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel, out=None):
     ends = np.array([poses.endpoints[part] for part in PART_NAMES])
     radii = np.array([poses.radii[part] for part in PART_NAMES])
     pix, depth, bounds = _ray_test(ends, radii, cam, *_row_spans(ends, radii, cam))
-    if out is None:
-        out = np.empty((h, w), dtype=np.intp), np.empty((h, w))
     labels, best = (a.reshape(h * w) for a in out)  # views: out is contiguous
     labels.fill(-1)
     best.fill(np.inf)
@@ -469,8 +468,14 @@ def lift(poses: PartPoses, cam: CameraModel, motion, out):
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
                     cam: CameraModel) -> LiftedTrajectory:
     """The trajectory's channels in compact form; forward kinematics runs
-    once per frame."""
-    poses = [forward_kinematics(state, geom) for state in traj.states]
+    once per frame, and a joint value outside the geometry's limits is
+    reported with its frame."""
+    poses = []
+    for t, state in enumerate(traj.states, start=1):
+        try:
+            poses.append(forward_kinematics(state, geom))
+        except JointLimitViolation as exc:
+            raise JointLimitViolation(f"frame {t}: {exc}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         motion = motion_channels(poses, cam, traj.dt)
     # KVAF stores channels as float32, so a finite value beyond its range

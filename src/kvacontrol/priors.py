@@ -11,7 +11,8 @@ are drawn as the gates' are, with std `routing.INIT_SCALE / sqrt(C)`.
 The finite-difference check evaluates each checked loss twice per parameter
 entry, 750 times per `losses` run. `_kp_alb_evaluator`, `_src_evaluator` and
 `_cp_evaluator` build those losses once per check, with buffers allocated
-once, and return the same bits as the public losses on fresh arrays.
+once, and return the bits of each loss's plain numpy form on fresh arrays
+(the reference forms that `tests/reference_losses.py` holds).
 
 Distinct rows. Routing pools every block with no tool pixel to one constant
 token row, so most token rows repeat bit for bit: at 256 x 256 (T=4, seed
@@ -94,11 +95,10 @@ The other steps:
   first evaluation's columns are kept as the base, and a column whose
   parameters return to the base is restored from that copy.
   src then folds the five columns in expert order with `_columns.fold` and
-  multiplies by the mask per triple (`_masked_diff2`, as `src_loss` does)
-  before the gather, and cp takes the mean of the full (H', W', 5) buffer,
+  multiplies by the mask per triple (`_masked_diff2`) before the gather, and cp takes the mean of the full (H', W', 5) buffer,
   so the reductions see the same values in the same order. The result does
   not depend on the order of the calls: a column whose bytes differ is
-  recomputed. `src_loss` and `cp_loss` run the same helpers on fresh arrays.
+  recomputed.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._columns import argmax, columns, fold, lane_sums
-from .errors import InvalidParams, NonFiniteGradient, ShapeMismatch
+from .errors import InvalidParams, NonFiniteGradient
 from .kva_field import MODALITY_CHANNELS
 from .routing import INIT_SCALE, N_EXPERTS, N_SUB, RoutingDecision, softmax
 
@@ -157,24 +157,6 @@ def kp_alb_loss(stats: RoutingStats, pi: np.ndarray) -> float:
     return float(np.add.reduce(gap2, axis=None) / gap2.size)  # np.mean's bits
 
 
-def src_loss(R: np.ndarray, m_tool: np.ndarray) -> float:
-    """Masked, normalized temporal squared difference of routing probabilities.
-
-    R: (T, H', W', 5); m_tool: (T, H', W') binary. Zero for T=1 or an empty
-    mask over frames t >= 1."""
-    R = np.asarray(R, dtype=float)
-    m_tool = np.asarray(m_tool, dtype=float)
-    if R.shape[:-1] != m_tool.shape:
-        raise ShapeMismatch(f"R {R.shape} vs mask {m_tool.shape}")
-    mask = m_tool[1:]
-    denom = N_EXPERTS * mask.sum()
-    if denom == 0:  # also for T < 2, where the mask is empty
-        return 0.0
-    sq = np.square(R[1:] - R[:-1])
-    return float(_masked_diff2(columns(sq), mask, np.empty(mask.shape)).sum()
-                 / denom)
-
-
 def _masked_diff2(cols, mask, out):
     """mask times the squared time difference summed over the experts, from
     its five expert columns (each of the mask's shape) folded in expert
@@ -198,19 +180,10 @@ def _sigmoid(z, out=None, e=None):
     return num
 
 
-def cp_loss(predictor_logits: np.ndarray, A: np.ndarray) -> float:
-    """BCE-with-logits between predictor logits and the (detached) routing
-    mask, via the numerically stable log-sum-exp form."""
-    z = np.asarray(predictor_logits, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if z.shape != A.shape:
-        raise ShapeMismatch(f"logits {z.shape} vs mask {A.shape}")
-    return float(_cp_terms(z, A, np.empty(z.shape), np.empty(z.shape)).mean())
-
-
 def _cp_terms(z, A, per, tmp):
-    """cp_loss's terms max(z, 0) - z * A + log1p(exp(-|z|)), formed in per
-    with tmp as scratch, both buffers of z's shape; returns per."""
+    """The cp loss's terms, BCE with logits z against the (detached) routing
+    mask A in the stable form max(z, 0) - z * A + log1p(exp(-|z|)), formed
+    in per with tmp as scratch, both buffers of z's shape; returns per."""
     np.maximum(z, 0, out=per)
     per -= np.multiply(z, A, out=tmp)
     np.abs(z, out=tmp)
@@ -223,7 +196,7 @@ def _cp_terms(z, A, per, tmp):
 @dataclass(frozen=True)
 class PredictorState:
     """Capacity predictor: linear map from detached tokens to expert logits,
-    which cp_loss compares with the routing mask."""
+    which the cp loss compares with the routing mask."""
 
     w: np.ndarray  # (C, 5)
     b: np.ndarray  # (5,)
@@ -267,8 +240,6 @@ def flow_matching_loss(pred, x0, x1) -> float:
     pred = np.asarray(pred, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    if not (pred.shape == x0.shape == x1.shape):
-        raise ShapeMismatch("pred/x0/x1 shapes differ")
     v = x1 - x0
     return float(np.mean((pred - v) ** 2))
 
@@ -299,7 +270,7 @@ FD_EPS = 1e-5  # the finite-difference check's step
 
 
 def cp_loss_grad(tokens: np.ndarray, state: PredictorState, A: np.ndarray):
-    """d cp_loss / d (w, b) for z = tokens @ w + b."""
+    """d cp / d (w, b) for z = tokens @ w + b: the mean of `_cp_terms`."""
     tok = tokens.reshape(-1, tokens.shape[-1])
     A = np.asarray(A, dtype=float).reshape(-1, N_EXPERTS)
     z = predictor_logits(state, tok)
@@ -336,7 +307,8 @@ def kp_alb_grad(field_tokens, c_action, t_embed, outer_w, outer_b, token_w,
 
 def src_loss_grad(tokens_seq: np.ndarray, state: PredictorState,
                   m_tool: np.ndarray):
-    """d src_loss / d (w, b) where R_t = sigmoid(tokens_t @ w + b).
+    """d src / d (w, b) where R_t = sigmoid(tokens_t @ w + b) (see
+    `_src_evaluator`).
 
     tokens_seq: (T, H', W', C); m_tool: (T, H', W')."""
     T = tokens_seq.shape[0]
@@ -474,14 +446,15 @@ def _column_cache(cols, compute):
 
 
 def _src_evaluator(tok_seq, m_tool):
-    """src_loss(_sigmoid(predictor_logits(...)), m_tool) as a function of
-    {"w", "b"}; one product per evaluation on the distinct token rows, the
+    """The src loss of R = _sigmoid(predictor_logits(...)) as a function of
+    {"w", "b"}: the masked, normalized temporal squared difference
+    sum(m_tool[t] * ||R[t] - R[t-1]||^2) / (5 * sum(m_tool[t])) over t >= 1,
+    zero for T = 1 or an empty mask there. tok_seq: (T, H', W', C); m_tool:
+    (T, H', W'). One product per evaluation on the distinct token rows, the
     sigmoid for the changed column on those rows, and the squared time
     difference for that column on the distinct (row at t, row at t-1, mask
     at t) triples (see the module docstring)."""
     m_tool = np.asarray(m_tool, dtype=float)
-    if tok_seq.shape[:-1] != m_tool.shape:
-        raise ShapeMismatch(f"tokens {tok_seq.shape} vs mask {m_tool.shape}")
     mask = m_tool[1:]
     denom = N_EXPERTS * mask.sum()
     if denom == 0:  # also for T < 2, where the mask is empty
@@ -521,13 +494,12 @@ def _src_evaluator(tok_seq, m_tool):
 
 
 def _cp_evaluator(tokens, A):
-    """cp_loss(predictor_logits(...), A) as a function of {"w", "b"}; one
-    product per evaluation and the BCE terms for the changed column, both on
-    the distinct (token row, A row) pairs, and that column gathered to every
+    """The cp loss, the mean of `_cp_terms` of predictor_logits(...) against
+    the (H', W', 5) routing mask A, as a function of {"w", "b"}; one product
+    per evaluation and the BCE terms for the changed column, both on the
+    distinct (token row, A row) pairs, and that column gathered to every
     token (see the module docstring)."""
     A = np.asarray(A, dtype=float)
-    if tokens.shape[:-1] + (N_EXPERTS,) != A.shape:
-        raise ShapeMismatch(f"tokens {tokens.shape} vs mask {A.shape}")
     tok, A_flat = _flat_rows(tokens), A.reshape(-1, N_EXPERTS)
     first, inverse = _distinct_rows(np.concatenate([tok, A_flat], axis=1))
     rows, A_rows = tok[first], A_flat[first]

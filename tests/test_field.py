@@ -47,6 +47,13 @@ def painted(lifted):
     return channels
 
 
+def rasterize(poses, cam):
+    """`kvf.rasterize_parts` into a new pair of (H, W) arrays."""
+    out = (np.empty((cam.height, cam.width), dtype=np.intp),
+           np.empty((cam.height, cam.width)))
+    return kvf.rasterize_parts(poses, cam, out)
+
+
 def motion_at(traj, geom, cam, t):
     """Velocity and acceleration channels of frame t as lifted."""
     ch = painted(kvf.lift_trajectory(traj, geom, cam))[t]
@@ -151,7 +158,7 @@ class TestRasterize:
         cam = default_camera(16, 16)
         state = ArticulatedState(p=np.array([0, 0, -0.5]), r=np.zeros(3),
                                  q_sw=0, q_lg=0, q_rg=0)
-        labels, d = kvf.rasterize_parts(forward_kinematics(state, geom), cam)
+        labels, d = rasterize(forward_kinematics(state, geom), cam)
         assert (labels < 0).all() and d.sum() == 0
 
     def test_front_most_part_wins(self):
@@ -169,7 +176,7 @@ class TestRasterize:
             radii={"shaft": 0.05, "wrist": 0.05,
                    "left_gripper": 0.001, "right_gripper": 0.001},
         )
-        labels, d = kvf.rasterize_parts(poses, cam)
+        labels, d = rasterize(poses, cam)
         assert PART_NAMES[labels[8, 8]] == "wrist"  # wrist at depth ~1 wins
         assert abs(d[8, 8] - 0.95) < 0.01
 
@@ -179,7 +186,7 @@ class TestRasterize:
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         poses = forward_kinematics(random_visible_state(rng), geom)
-        labels, depth = kvf.rasterize_parts(poses, cam)
+        labels, depth = rasterize(poses, cam)
         o_labels, o_depth = ray_march_oracle(poses, cam)
         assert np.array_equal(labels, o_labels)
         covered = labels >= 0
@@ -193,7 +200,7 @@ class TestRasterize:
         state = ArticulatedState(p=np.array(p), r=np.array(r),
                                  q_sw=q_sw, q_lg=q_lg, q_rg=q_rg)
         poses = forward_kinematics(state, ToolGeometry())
-        labels, depth = kvf.rasterize_parts(poses, cam)
+        labels, depth = rasterize(poses, cam)
         o_labels, o_depth = full_frame_raster(poses, cam)
         assert labels.dtype == o_labels.dtype
         assert np.array_equal(labels, o_labels)
@@ -300,7 +307,7 @@ def raster_cases(draw):
 
 
 def assert_matches_frozen_raster(cam, poses):
-    labels, depth = kvf.rasterize_parts(poses, cam)
+    labels, depth = rasterize(poses, cam)
     with np.errstate(all="ignore"):  # it warns on a zero-length capsule
         want_labels, want_depth = frozen_raster.rasterize_parts(poses, cam)
     assert labels.dtype == want_labels.dtype and depth.dtype == want_depth.dtype
@@ -339,7 +346,7 @@ class TestOnePassRaster:
         rows, cols = frozen_raster.screen_box(a, b, poses.radii[PART_NAMES[0]], cam)
         assert (rows.stop - rows.start, cols.stop - cols.start) == (2, 1)
         assert_matches_frozen_raster(cam, poses)
-        assert (kvf.rasterize_parts(poses, cam)[0] == -1).all()
+        assert (rasterize(poses, cam)[0] == -1).all()
 
     def test_spans_fall_back_to_the_whole_frame(self):
         # a part straddling Z_NEAR, and one whose box projects farther than
@@ -355,7 +362,7 @@ class TestOnePassRaster:
         j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
         assert (j0[:2] == 0).all() and (j1[:2] == cam.width).all()
         assert ((j1 - j0)[2:] < cam.width).any()
-        labels, _ = kvf.rasterize_parts(poses, cam)
+        labels, _ = rasterize(poses, cam)
         assert {0, 2, 3} <= set(np.unique(labels))
         assert_matches_frozen_raster(cam, poses)
 
@@ -455,7 +462,7 @@ class TestRotationChannel:
     def test_axis_along_x_is_zero(self):
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([1, 0, 0])
-        labels, _ = kvf.rasterize_parts(poses, cam)
+        labels, _ = rasterize(poses, cam)
         rho = kvf.rotation_channel(poses, cam)[labels]
         mask = labels >= 0
         assert mask.any()
@@ -464,7 +471,7 @@ class TestRotationChannel:
     def test_axis_along_y_is_half(self):
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
         poses = self._poses_with_axis([0, 1, 0])
-        labels, _ = kvf.rasterize_parts(poses, cam)
+        labels, _ = rasterize(poses, cam)
         rho = kvf.rotation_channel(poses, cam)[labels]
         mask = labels >= 0
         assert np.max(np.abs(rho[mask] - 0.5)) < 1e-12
@@ -474,7 +481,7 @@ class TestRotationChannel:
         cam = default_camera(32, 32)
         rng = np.random.default_rng(7)
         poses = forward_kinematics(random_visible_state(rng), geom)
-        labels, _ = kvf.rasterize_parts(poses, cam)
+        labels, _ = rasterize(poses, cam)
         rho = kvf.rotation_channel(poses, cam)[labels]
         for pi, part in enumerate(PART_NAMES):
             mask = labels == pi
@@ -511,7 +518,7 @@ class TestMotionChannels:
         traj = Trajectory(states=tuple(states), dt=1.0)
         t = 3
         v, a = motion_at(traj, geom, cam, t)
-        labels, _ = kvf.rasterize_parts(forward_kinematics(traj.states[t], geom), cam)
+        labels, _ = rasterize(forward_kinematics(traj.states[t], geom), cam)
         for pi, part in enumerate(PART_NAMES):
             mask = labels == pi
             if not mask.any():
@@ -541,7 +548,7 @@ class TestMotionChannels:
         traj = Trajectory(states=tuple(states), dt=1.0)
         t = 3
         v, a = motion_at(traj, geom, cam, t)
-        labels, _ = kvf.rasterize_parts(forward_kinematics(states[t], geom), cam)
+        labels, _ = rasterize(forward_kinematics(states[t], geom), cam)
         mask = labels == PART_NAMES.index("wrist")
         assert mask.any()
         np.testing.assert_allclose(a[mask], 2.0, atol=1e-9)
@@ -664,7 +671,7 @@ class TestLift:
         for t in (0, 4, 9):
             ch = fields[t]
             poses = all_poses[t]
-            labels, d = kvf.rasterize_parts(poses, cam)
+            labels, d = rasterize(poses, cam)
             rho = kvf.rotation_channel(poses, cam)
             want = np.zeros(labels.shape + (9,))
             for k, part in enumerate(PART_NAMES):

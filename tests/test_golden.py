@@ -54,7 +54,11 @@ An eleventh case runs the 64x64, T=4 flow (target seed 23, prediction seed
 `dense_end` and `sparse_start`, so the fusion weights are a blend of the
 dense and the top-k weights; every other case runs at progress 1.0, fully
 sparse. Its digests were recorded before dataclass fields that no command
-reads were deleted.
+reads were deleted. A twelfth case runs the same flow (target seed 25,
+prediction seed 26) with `{"progress": 0.2}`, below `dense_end`, so the
+fusion weights are the dense gate probabilities (`blend_factor`'s dense
+return). Its digests were recorded before the reachability gate was made to
+check statements.
 
 Each case also runs `run` in place of the four trajectory commands, and
 compares each file it writes into its one directory with the digest
@@ -328,6 +332,30 @@ GOLDEN_PROGRESS = {
     'target/trajectory.txt': 'b9912a04a0eef7e268d7b8d9a011b098bd1f2a1fc73452bcbd02f5694c113809',
 }
 
+GOLDEN_PROGRESS_DENSE = {
+    'eval/metrics.csv': 'bebf3eff10d6e33951e340988ef091357f9c32ba0348a6d011961e81283dbc05',
+    'lift/channel_stats.csv': '8ad659b86f67b832beb0ac99928aaea12999699c0dedd1a88ba397e0d21a6ff8',
+    'lift/field_0001.kvaf': 'a7cf2b6e887318899f55d3219a6e08f9b97f55789fcdb493df9cc351e1b30b69',
+    'lift/field_0002.kvaf': '797d55db4bb5b2f2be5072b4fed3b14d27a16ee9a9f80dd7f130413c6ff01d0b',
+    'lift/field_0003.kvaf': 'f59bc3666d2a234d07b1730fb0b3ce05472751fc9b641f74d1d8009dd33bfcd9',
+    'lift/field_0004.kvaf': '78d796cc1a37468d13651122a4c9bcffee3093785ed90333ad4e58f4bc4df42d',
+    'losses/grad_check.csv': '1792e7d6d18ddc31f8ff09285892a0f26d1691598c5c07908eed22d034783ab1',
+    'losses/losses.csv': '839e182c33467ae4d2f4cb2ebd2b651d1874aa5b0dfafd45e45575035426f684',
+    'pred/masks/frame_0001.pgm': '676ba77623027865214a520f36d7657345b5261323e08fed3203ed94c99e36eb',
+    'pred/masks/frame_0002.pgm': '1053d66eb02834472f17be445079ffec4bf15b9c3c44bc405dd7a92a8f0695a4',
+    'pred/masks/frame_0003.pgm': '935abf6bdc0b10d66638af856b70f4a4df2419555832d8cc821f55f79ee59ccf',
+    'pred/masks/frame_0004.pgm': 'f8ab71f5aa59e42fd27c9c6b3ce521574a797896484dc63458693f6995b66776',
+    'pred/trajectory.txt': '1e64ccce03357df59b4bb068a01c84053414ff4da3a7f2432b3274872dfccc35',
+    'route/routing_stats.csv': '1427a2728906877f39ccaad68fa7dba03fb9d5bb37946f8e2d3cad533427f9d0',
+    'schedule/cost_summary.csv': 'b2ae68610b71bbd033f55fef4ef98fe6dd4df4b234bd5b05d451c9187aa7170a',
+    'schedule/execution.csv': '5237c4c68613f8396e2b42b8eb4685e605a7713de4e862bce3f99e0e8f2711e4',
+    'target/masks/frame_0001.pgm': '99a55e761065ad5e1843e11bd4a43dc9f28da0a082e9205dd30b540da1b31d42',
+    'target/masks/frame_0002.pgm': '389ec2df088433aae12a6ae72138642229c1b7035b12be542a6f38fc2beffb50',
+    'target/masks/frame_0003.pgm': '494f57f19b9f620e343751ae73281cbbbdf111b4f0e2766a4ca16741e76faf25',
+    'target/masks/frame_0004.pgm': 'da64294a2a61370245f69e595b7402e13e21752fdc6ff425e7690f1bf76ed4f3',
+    'target/trajectory.txt': '467aad62a9c94f8cabc889dbb3c9670eda073b67e052076291a29d41754ddc9f',
+}
+
 
 CONFIG_NAME = "config.json"
 # synth_trajectory's seed for the trajectories run_flow writes through the
@@ -408,12 +436,13 @@ CASES = ((GOLDEN, {}),
          (GOLDEN_OUT_OF_VIEW, {"seed": 1, "base": (1.0, 0.0, 0.006)}),
          (GOLDEN_W1, {"resolution": "128x16", "seed": 21,
                       "config": {"stride": 16}}),
-         (GOLDEN_PROGRESS, {"seed": 23, "config": {"progress": 0.575}}))
+         (GOLDEN_PROGRESS, {"seed": 23, "config": {"progress": 0.575}}),
+         (GOLDEN_PROGRESS_DENSE, {"seed": 25, "config": {"progress": 0.2}}))
 
 
 CASE_IDS = ("default", "128", "stride8", "token33", "32x48_t1",
             "40x56_stride2", "budget", "near_base", "out_of_view", "w1",
-            "progress")
+            "progress", "progress_dense")
 
 
 def check_case(root, golden, kwargs):
@@ -467,6 +496,10 @@ def test_artefacts_match_recorded_digests_w1(tmp_path):
 
 def test_artefacts_match_recorded_digests_progress(tmp_path):
     check_case(tmp_path, *CASES[10])
+
+
+def test_artefacts_match_recorded_digests_progress_dense(tmp_path):
+    check_case(tmp_path, *CASES[11])
 
 
 def _execution(root):

@@ -9,6 +9,7 @@ import pytest
 from kvacontrol import cli
 from kvacontrol import kva_field as kvf
 from kvacontrol import formats as fm
+from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol import scheduler as sched
@@ -325,9 +326,11 @@ def test_every_config_value_changes_an_artefact(tmp_path, live_base, name, index
 
 
 def _with_value(traj, record, pos, value):
-    """The trajectory file's text with `record`'s value at `pos` replaced."""
+    """The trajectory file's text with the value at `pos` replaced in the
+    first line that starts with the words of `record` ("dt", "frame 2")."""
     lines = [line.split() for line in open(traj).read().splitlines()]
-    next(parts for parts in lines if parts[0] == record)[pos] = value
+    key = record.split()
+    next(parts for parts in lines if parts[:len(key)] == key)[pos] = value
     return "".join(" ".join(parts) + "\n" for parts in lines)
 
 
@@ -408,6 +411,17 @@ class TestAtomicWrite:
         assert path.read_text() == "two"
 
 
+def _out_of_range(value):
+    """A value outside the range of a Config field whose default is
+    `value`: -1 for a number, -1 for each entry of a tuple, and an unknown
+    name for a string."""
+    if isinstance(value, str):
+        return "unknown"
+    if isinstance(value, tuple):
+        return [-1] * len(value)
+    return -1
+
+
 def _tree_bytes(root):
     out = {}
     for dirpath, _, names in os.walk(root):
@@ -429,6 +443,271 @@ def _trajectory_file(tmp_path, size, frames=2):
     fm.write_trajectory(path, synth_trajectory("composite", T=frames, seed=0),
                         default_camera(size, size))
     return path
+
+
+# Malformed inputs: each row must end in one `error:` line and exit 1.
+# `tests/test_reachability.py` runs every row as one of its CLI flows. Each
+# table's `*_argv` function writes a row's inputs under the directory `root`
+# and returns the argv that feeds them to `cli.main`.
+
+# (predicted frames, target frames) as P5 bytes
+BAD_MASKS = [
+    pytest.param([_pgm_bytes(64, 64)], [_pgm_bytes(256, 256)],
+                 id="size-mismatch"),
+    pytest.param([b"P5\nxx 4\n255\n"], [_pgm_bytes(4, 4)], id="pgm-header"),
+    pytest.param([_pgm_bytes(8, 8, label=5)], [_pgm_bytes(8, 8)],
+                 id="label-out-of-range"),
+    pytest.param([b"P5\n# a 16-bit graymap\n4 4\n65535\n" + bytes(32)],
+                 [_pgm_bytes(4, 4)], id="16-bit"),
+    pytest.param([b"P6\n1 1\n255\nX"], [_pgm_bytes(4, 4)], id="not-p5"),
+    pytest.param([b"P5\n0 4\n255\n"], [_pgm_bytes(4, 4)], id="no-pixels"),
+    pytest.param([b"P5\n4 4\n255\nab"], [_pgm_bytes(4, 4)], id="truncated"),
+    pytest.param([_pgm_bytes(4, 4)] * 2, [_pgm_bytes(4, 4)],
+                 id="frame-count-mismatch"),
+]
+
+
+def mask_argv(root, pred, target):
+    for name, frames in (("pred", pred), ("target", target)):
+        (root / name).mkdir()
+        for t, data in enumerate(frames, start=1):
+            (root / name / f"frame_{t:04d}.pgm").write_bytes(data)
+    return ["--out", str(root / "o"), "eval", "--pred", str(root / "pred"),
+            "--target", str(root / "target")]
+
+
+BAD_RESOLUTIONS = [pytest.param(r, id=r) for r in ("64", "ax64", "0x0",
+                                                    "64x-1")]
+
+
+def resolution_argv(root, resolution):
+    return ["--out", str(root), "--resolution", resolution, "synth",
+            "--frames", "1"]
+
+
+# (config file text, command)
+BAD_CONFIGS = [pytest.param(text, command, id=name) for text, command, name in (
+    ('{"stride": 4', "synth", "invalid-json"),
+    ('[1, 2]', "synth", "json-list"),
+    ('{"framez": 4}', "synth", "unknown-key"),
+    ('{"stride": "4"}', "synth", "stride-str"),
+    ('{"frames": 2.5}', "synth", "frames-float"),
+    ('{"resolution": "64x64"}', "synth", "resolution-str"),
+    ('{"top_k": true}', "synth", "top_k-bool"),
+    ('{"rho_full": 0.9, "rho_light": 0.9}', "schedule", "rho-sum"),
+    ('{"rho_light": -0.1}', "route", "rho-negative"),
+    ('{"stride": 0}', "route", "stride-0"),
+    ('{"stride": -4}', "losses", "stride-negative"),
+    ('{"stride": 3}', "route", "stride-3"),
+    ('{"token_dim": 0}', "route", "token_dim-0"),
+    ('{"token_dim": 10000000}', "synth", "token_dim-over-work-bound"),
+    ('{"tube_half_width": -3.0}', "synth", "half_width-negative"),
+    ('{"top_k": 9}', "route", "top_k-9"),
+    ('{"top_k": 0}', "losses", "top_k-0"),
+    ('{"dense_end": 0.9}', "schedule", "dense_end-after-sparse_start"),
+    ('{"refresh_k": 0}', "schedule", "refresh_k-0"),
+    ('{"refresh_k": 100000000000000000000000000000}', "schedule",
+     "refresh_k-huge"),
+    ('{"progress": -5.0}', "route", "progress-negative"),
+    ('{"progress": 1.5}', "losses", "progress-above-1"),
+    ('{"timestep": 1e300}', "route", "timestep-huge"),
+    # loss weights, then values that the command does not read
+    ('{"lam_kp": NaN}', "losses", "lam_kp-nan"),
+    ('{"lam_src": -0.5}', "losses", "lam_src-negative"),
+    ('{"lam_cp": Infinity}', "losses", "lam_cp-inf"),
+    ('{"lam_sub": -1}', "synth", "lam_sub-unread"),
+    ('{"lam_kp": 1' + '0' * 400 + '}', "lift", "lam_kp-huge-int"),
+    ('{"rho_light": NaN}', "schedule", "rho_light-nan"),
+    ('{"top_k": 99}', "lift", "top_k-unread"),
+    ('{"stride": 0}', "lift", "stride-unread"),
+    ('{"refresh_k": 0}', "lift", "refresh_k-unread"),
+    ('{"refresh_k": 100000000000000000000000000000}', "lift",
+     "refresh_k-huge-unread"),
+    ('{"rho_full": 5.0}', "lift", "rho_full-unread"),
+    ('{"dense_end": 0.9}', "synth", "dense_end-unread"),
+    ('{"progress": 2.0}', "lift", "progress-unread"),
+    ('{"timestep": -1.0}', "synth", "timestep-unread"),
+    ('{"token_dim": 0}', "synth", "token_dim-unread"),
+    ('{"resolution": [0, 32]}', "lift", "resolution-unread"),
+    ('{"frames": 0}', "route", "frames-unread"),
+    ('{"trajectory_kind": "spiral"}', "lift", "kind-unread"),
+    ('{"tube_half_width": 0.0}', "schedule", "half_width-unread"),
+    ('{"tube_half_width": Infinity}', "synth", "half_width-inf"),
+)]
+
+
+def config_argv(root, text, command):
+    """`command` under a config file of `text`, on a 32x32 trajectory."""
+    cfg = root / "c.json"
+    cfg.write_text(text)
+    argv = ["--config", str(cfg), "--out", str(root / "o"), command]
+    if command != "synth":
+        argv += ["--traj", str(_trajectory_file(root, 32))]
+    return argv
+
+
+# command lines; the names in capitals stand for the inputs that
+# `argument_argv` writes
+BAD_ARGUMENTS = [pytest.param(argv, id=name) for argv, name in (
+    (["--seed", "-1", "synth"], "seed-negative-synth"),
+    (["--seed", "-1", "route", "--traj", "TRAJ"], "seed-negative-route"),
+    (["synth", "--frames", "0"], "frames-0"),
+    (["synth", "--frames", "100000000"], "frames-over-work-bound"),
+    (["synth", "--kind", ""], "kind-empty"),
+    (["eval", "--pred", "EMPTY", "--target", "EMPTY"], "eval-empty-dirs"),
+    (["route", "--traj", "TINY"], "route-one-token"),
+    (["report", "--inputs", "BINARY"], "report-not-utf8"),
+    (["--out", "BLOCKED", "synth", "--frames", "1"], "out-file-is-a-directory"),
+    # malformed command lines, which argparse alone would end in exit 2
+    (["--seed", "abc", "synth"], "seed-not-int"),
+    (["--bogus", "synth"], "unknown-flag"),
+    (["route"], "route-without-traj"),
+    (["synth", "--frames", "x"], "frames-not-int"),
+    (["nope"], "unknown-command"),
+    (["--resolution", "-16x16", "synth"], "resolution-negative"),
+    ([], "no-command"),
+    (["synth", "extra"], "stray-positional"),
+    (["run"], "run-without-traj"),
+    (["--resolution", "16x16", "run", "--traj", "TRAJ"],
+     "run-resolution-mismatch"),
+)]
+
+
+def _blocked_out(root):
+    """An output directory where synth's trajectory file would go holds a
+    directory of that name, so its write fails."""
+    (root / "blocked" / "trajectory.txt").mkdir(parents=True)
+    return root / "blocked"
+
+
+def _not_utf8(root):
+    (root / "report.csv").write_bytes(b"frame,cd\n\xff\xfe\n")
+    return root / "report.csv"
+
+
+def _empty_dir(root):
+    (root / "empty").mkdir(exist_ok=True)
+    return root / "empty"
+
+
+def _tiny_trajectory(root):
+    """A 4x4 frame: at stride 4 one token, for route's 3 motion bins."""
+    (root / "tiny").mkdir(exist_ok=True)
+    return _trajectory_file(root / "tiny", 4, frames=1)
+
+
+ARGUMENT_INPUTS = {"TRAJ": lambda root: _trajectory_file(root, 32),
+                   "TINY": _tiny_trajectory, "EMPTY": _empty_dir,
+                   "BINARY": _not_utf8, "BLOCKED": _blocked_out}
+
+
+def argument_argv(root, argv):
+    return ["--out", str(root / "o"),
+            *(str(ARGUMENT_INPUTS[a](root)) if a in ARGUMENT_INPUTS else a
+              for a in argv)]
+
+
+# (record, position, value) edits of a 64x64, 2-frame trajectory file, with
+# the start of the error message each must give; the file's lines are seq,
+# camera, extrinsic, dt, frame 1 and frame 2
+BAD_TRAJECTORY_VALUES = [
+    pytest.param(record, pos, value, message, id=name)
+    for record, pos, value, message, name in (
+        ("dt", 1, "nan", "dt must be finite and > 0, got nan", "dt-nan"),
+        ("dt", 1, "inf", "dt must be finite and > 0, got inf", "dt-inf"),
+        ("camera", 5, "64.7", "line 2: invalid literal", "width-fraction"),
+        ("camera", 6, "nan", "line 2: invalid literal", "height-nan"),
+        ("camera", 1, "nan", "line 2: camera intrinsics must be finite",
+         "fx-nan"),
+        ("extrinsic", 4, "inf", "line 3: extrinsic must be the identity",
+         "translation-inf"),
+        # the height emptied, so the line holds 5 values
+        ("camera", 6, "", "line 2: camera line needs 6 values",
+         "camera-5-values"),
+        ("dt", 1, "0.1 0.2", "line 4: dt line needs 1 value", "dt-2-values"),
+        ("camera", 1, "0", "line 2: fx, fy must be > 0", "fx-0"),
+        ("camera", 5, "0", "line 2: width must be an integer >= 1",
+         "width-0"),
+        ("camera", 3, "-1", "line 2: principal point must lie inside",
+         "principal-point-outside"),
+        ("frame 2", 8, "99", "frame 2: q_sw=99.0 outside", "q_sw-99"),
+        ("extrinsic", 12, "", "line 3: extrinsic line needs 12 values",
+         "extrinsic-11-values"),
+        ("frame", 10, "", "line 5: frame line needs index + 9 values",
+         "frame-8-values"),
+        ("dt", 0, "camera", "line 4: repeated camera record",
+         "repeated-record"),
+        ("frame 2", 1, "1", "line 6: repeated frame 1", "repeated-frame"),
+        ("frame", 3, "nan", "line 5: non-finite action at frame 1",
+         "non-finite-action"),
+        ("seq", 0, "bogus", "line 1: unknown record 'bogus'",
+         "unknown-record"),
+        ("dt", 0, "#", "missing camera/extrinsic/dt/frame records",
+         "dt-commented-out"),
+        ("frame 2", 1, "3", "frame indices must be contiguous from 1",
+         "frame-gap"),
+        ("seq", 1, "\udcff", "trajectory ", "not-utf8"),
+        ("dt", 1, "1e-40", "frame 2: the ", "dt-motion-beyond-float32"),
+    )]
+
+
+def trajectory_value_argv(root, record, pos, value, message):
+    """lift of a 64x64 trajectory with one value replaced (a lone surrogate
+    written as the byte it escapes); `message` is the test's."""
+    traj = _trajectory_file(root, 64)
+    traj.write_bytes(_with_value(traj, record, pos, value).encode(
+        "utf-8", "surrogateescape"))
+    return ["--out", str(root / "o"), "lift", "--traj", str(traj)]
+
+
+# every table with its argv function
+CLEAN_ERRORS = ((BAD_MASKS, mask_argv), (BAD_RESOLUTIONS, resolution_argv),
+                (BAD_CONFIGS, config_argv), (BAD_ARGUMENTS, argument_argv),
+                (BAD_TRAJECTORY_VALUES, trajectory_value_argv))
+
+
+# Valid inputs whose runs reach branches that no golden case reaches, each
+# built as above; `tests/test_reachability.py` runs each as a flow.
+
+def empty_masks_argv(root):
+    """eval of four 8x8 frames: a 2x2 shaft block in both masks, two frames
+    empty in both, and a 2x2 gripper block in the prediction alone."""
+    shaft, gripper, empty = (_pgm_bytes(8, 8, label) for label in (1, 3, 0))
+    return mask_argv(root, [shaft, empty, empty, gripper],
+                     [shaft, empty, empty, empty])
+
+
+def zero_rotation_argv(root):
+    """run on one 32x32 frame whose rotation vector and hinge angles are all
+    zero, 11 cm in front of the camera: the shaft lies on the optical axis,
+    nearest to the camera, and projects to a point."""
+    traj = root / "t.txt"
+    fm.write_trajectory(traj, Trajectory(
+        states=(ArticulatedState.from_vector([0, 0, 0.11, 0, 0, 0, 0, 0, 0]),),
+        dt=1 / 30), default_camera(32, 32))
+    return ["--out", str(root / "o"), "run", "--traj", str(traj)]
+
+
+def wide_tube_argv(root):
+    """synth of one 16x16 frame with a tube half width past
+    `metrics.TUBE_CROP_MAX`, so every part is measured on the whole frame."""
+    cfg = root / "c.json"
+    cfg.write_text(json.dumps({"tube_half_width": 2 * mt.TUBE_CROP_MAX,
+                               "resolution": [16, 16], "frames": 1}))
+    return ["--config", str(cfg), "--out", str(root / "o"), "synth"]
+
+
+EDGE_INPUTS = (empty_masks_argv, zero_rotation_argv, wide_tube_argv)
+
+
+def _one_error_line(capsys, argv):
+    """cli.main(argv)'s exit code must be 1 and its stderr one `error:`
+    line; returns that line."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
 
 
 class TestCli:
@@ -518,127 +797,79 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pred,target", [
-        (_pgm_bytes(64, 64), _pgm_bytes(256, 256)),
-        (b"P5\nxx 4\n255\n", _pgm_bytes(4, 4)),
-        (_pgm_bytes(8, 8, label=5), _pgm_bytes(8, 8)),
-    ], ids=["size-mismatch", "pgm-header", "label-out-of-range"])
+    @pytest.mark.parametrize("pred,target", BAD_MASKS)
     def test_eval_bad_masks_clean_error(self, tmp_path, capsys, pred, target):
-        for name, data in (("pred", pred), ("target", target)):
-            (tmp_path / name).mkdir()
-            (tmp_path / name / "frame_0001.pgm").write_bytes(data)
-        code = cli.main(["--out", str(tmp_path / "o"), "eval",
-                         "--pred", str(tmp_path / "pred"),
-                         "--target", str(tmp_path / "target")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        _one_error_line(capsys, mask_argv(tmp_path, pred, target))
 
-    @pytest.mark.parametrize("resolution", ["64", "ax64", "0x0", "64x-1"])
+    @pytest.mark.parametrize("resolution", BAD_RESOLUTIONS)
     def test_bad_resolution_clean_error(self, tmp_path, capsys, resolution):
-        code = cli.main(["--out", str(tmp_path), "--resolution", resolution,
-                         "synth", "--frames", "1"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        err = _one_error_line(capsys, resolution_argv(tmp_path, resolution))
         assert "resolution" in err, err
 
-    @pytest.mark.parametrize("text,command", [
-        ('{"stride": 4', "synth"),
-        ('{"stride": "4"}', "synth"),
-        ('{"frames": 2.5}', "synth"),
-        ('{"resolution": "64x64"}', "synth"),
-        ('{"top_k": true}', "synth"),
-        ('{"rho_full": 0.9, "rho_light": 0.9}', "schedule"),
-        ('{"rho_light": -0.1}', "route"),
-        ('{"stride": 0}', "route"),
-        ('{"stride": -4}', "losses"),
-        ('{"token_dim": 0}', "route"),
-        ('{"tube_half_width": -3.0}', "synth"),
-        ('{"top_k": 9}', "route"),
-        ('{"top_k": 0}', "losses"),
-        ('{"dense_end": 0.9}', "schedule"),
-        ('{"refresh_k": 0}', "schedule"),
-        ('{"refresh_k": 100000000000000000000000000000}', "schedule"),
-        ('{"progress": -5.0}', "route"),
-        ('{"progress": 1.5}', "losses"),
-        ('{"timestep": 1e300}', "route"),
-        # loss weights, then values that the command does not read
-        ('{"lam_kp": NaN}', "losses"),
-        ('{"lam_src": -0.5}', "losses"),
-        ('{"lam_cp": Infinity}', "losses"),
-        ('{"lam_sub": -1}', "synth"),
-        ('{"lam_kp": 1' + '0' * 400 + '}', "lift"),
-        ('{"rho_light": NaN}', "schedule"),
-        ('{"top_k": 99}', "lift"),
-        ('{"stride": 0}', "lift"),
-        ('{"refresh_k": 0}', "lift"),
-        ('{"refresh_k": 100000000000000000000000000000}', "lift"),
-        ('{"rho_full": 5.0}', "lift"),
-        ('{"dense_end": 0.9}', "synth"),
-        ('{"progress": 2.0}', "lift"),
-        ('{"timestep": -1.0}', "synth"),
-        ('{"token_dim": 0}', "synth"),
-        ('{"resolution": [0, 32]}', "lift"),
-        ('{"frames": 0}', "route"),
-        ('{"trajectory_kind": "spiral"}', "lift"),
-        ('{"tube_half_width": 0.0}', "schedule"),
-        ('{"tube_half_width": Infinity}', "synth"),
-    ], ids=["invalid-json", "stride-str", "frames-float", "resolution-str",
-            "top_k-bool", "rho-sum", "rho-negative", "stride-0",
-            "stride-negative", "token_dim-0", "half_width-negative", "top_k-9",
-            "top_k-0", "dense_end-after-sparse_start", "refresh_k-0",
-            "refresh_k-huge",
-            "progress-negative", "progress-above-1", "timestep-huge",
-            "lam_kp-nan", "lam_src-negative", "lam_cp-inf", "lam_sub-unread",
-            "lam_kp-huge-int", "rho_light-nan", "top_k-unread", "stride-unread",
-            "refresh_k-unread", "refresh_k-huge-unread", "rho_full-unread", "dense_end-unread",
-            "progress-unread", "timestep-unread", "token_dim-unread",
-            "resolution-unread", "frames-unread", "kind-unread",
-            "half_width-unread", "half_width-inf"])
+    @pytest.mark.parametrize("text,command", BAD_CONFIGS)
     def test_bad_config_clean_error(self, tmp_path, capsys, text, command):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(text)
-        traj = _trajectory_file(tmp_path, 32)
-        argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), command]
-        if command != "synth":
-            argv += ["--traj", str(traj)]
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        _one_error_line(capsys, config_argv(tmp_path, text, command))
 
-    @pytest.mark.parametrize("argv", [
-        ["--seed", "-1", "synth"],
-        ["--seed", "-1", "route", "--traj", "TRAJ"],
-        ["synth", "--frames", "0"],
-        ["synth", "--kind", ""],
-        ["eval", "--pred", "EMPTY", "--target", "EMPTY"],
-        # malformed command lines, which argparse alone would end in exit 2
-        ["--seed", "abc", "synth"],
-        ["--bogus", "synth"],
-        ["route"],
-        ["synth", "--frames", "x"],
-        ["nope"],
-        ["--resolution", "-16x16", "synth"],
-        [],
-        ["synth", "extra"],
-        ["run"],
-        ["--resolution", "16x16", "run", "--traj", "TRAJ"],
-    ], ids=["seed-negative-synth", "seed-negative-route", "frames-0", "kind-empty",
-            "eval-empty-dirs", "seed-not-int", "unknown-flag",
-            "route-without-traj", "frames-not-int", "unknown-command",
-            "resolution-negative", "no-command", "stray-positional",
-            "run-without-traj", "run-resolution-mismatch"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(fm.Config)])
+    def test_config_error_names_the_key(self, tmp_path, capsys, name):
+        # validators name values as the code does ("k", "K", "T"); the error
+        # must name the key the user wrote
+        value = _out_of_range(getattr(fm.Config(), name))
+        err = _one_error_line(capsys, config_argv(
+            tmp_path, json.dumps({name: value}), "synth"))
+        assert repr(name) in err, err
+
+    def test_stride_that_does_not_divide_the_frame(self, tmp_path, capsys):
+        err = _one_error_line(capsys, config_argv(tmp_path, '{"stride": 3}',
+                                                  "route"))
+        assert err == "error: stride 3 does not divide the 32x32 frame\n"
+
+    @pytest.mark.parametrize("argv", BAD_ARGUMENTS)
     def test_bad_argument_clean_error(self, tmp_path, capsys, argv):
-        traj = _trajectory_file(tmp_path, 32)
-        (tmp_path / "empty").mkdir()
-        swap = {"TRAJ": str(traj), "EMPTY": str(tmp_path / "empty")}
-        code = cli.main(["--out", str(tmp_path / "o"),
-                         *(swap.get(a, a) for a in argv)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        _one_error_line(capsys, argument_argv(tmp_path, argv))
+
+    def test_eval_empty_and_one_sided_masks(self, tmp_path):
+        # frames 2 and 3 are empty in both masks: no Chamfer distance (nan),
+        # Dice 1, and IoU 1 between them; in frame 4 the gripper is in the
+        # prediction alone, so its Chamfer distance is invalid (nan) and
+        # Dice is 0. The means skip the nan entries
+        self._run(*empty_masks_argv(tmp_path))
+        with open(tmp_path / "o" / "metrics.csv", encoding="utf-8") as f:
+            rows = [line.split(",") for line in f.read().splitlines()]
+        assert rows[0] == ["frame", "cd", "ti", "af", "dice"]
+        got = [[float(v) for v in row[1:]] for row in rows[1:]]
+        nan = float("nan")
+        want = [[0.0, nan, nan, 1.0], [nan, 0.0, 1.0, 1.0],
+                [nan, 1.0, 0.0, 1.0], [nan, 0.0, 4.0, 0.0],
+                [0.0, 1 / 3, 5 / 3, 0.75]]
+        np.testing.assert_array_equal(got, want)
+        assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4", "mean"]
+
+    def test_zero_rotation_vector_lifts_the_unrotated_tool(self, tmp_path):
+        # at r = 0 and q = 0 the shaft runs along the optical axis from 1 cm
+        # to 9 cm deep: the principal point's ray meets its near cap (radius
+        # 4 mm) at 6 mm, and its axis projects to a point, so its rotation
+        # channel is 0, as are the gripper's (along u) and the wrist's
+        self._run(*zero_rotation_argv(tmp_path))
+        field = fm.read_field(tmp_path / "o" / "field_0001.kvaf")
+        channels = field.channels
+        assert channels[16, 16, 0] == 1.0  # s_shaft
+        assert abs(channels[16, 16, kvf.DEPTH] - 0.006) < 1e-9
+        assert not channels[..., 4].any()
+
+    def test_tube_past_crop_max_covers_the_frame(self, tmp_path):
+        # every pixel lies inside every part's tube, so each takes the label
+        # of the part whose midpoint is nearest
+        self._run(*wide_tube_argv(tmp_path))
+        labels = fm.read_pgm(tmp_path / "o" / "masks" / "frame_0001.pgm")
+        assert labels.shape == (16, 16)
+        assert len(np.unique(labels)) == 1 and labels[0, 0] > 0
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        _one_error_line(capsys, argument_argv(
+            tmp_path, ["--out", "BLOCKED", "synth", "--frames", "1"]))
+        assert not [name for name in os.listdir(tmp_path / "blocked")
+                    if name.startswith(".tmp-")]
 
     @pytest.mark.parametrize("argv", [["-h"], ["route", "-h"]],
                              ids=["top", "subcommand"])
@@ -998,23 +1229,12 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not os.listdir(tmp_path / "o")
 
-    @pytest.mark.parametrize("record,pos,value", [
-        ("dt", 1, "nan"),
-        ("dt", 1, "inf"),
-        ("camera", 5, "64.7"),
-        ("camera", 6, "nan"),
-        ("camera", 1, "nan"),
-        ("extrinsic", 4, "inf"),
-    ], ids=["dt-nan", "dt-inf", "width-fraction", "height-nan", "fx-nan",
-            "translation-inf"])
+    @pytest.mark.parametrize("record,pos,value,message", BAD_TRAJECTORY_VALUES)
     def test_bad_trajectory_value_clean_error(self, tmp_path, capsys, record,
-                                              pos, value):
-        traj = _trajectory_file(tmp_path, 64)
-        traj.write_text(_with_value(traj, record, pos, value))
-        code = cli.main(["--out", str(tmp_path / "o"), "lift", "--traj", str(traj)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1, err
+                                              pos, value, message):
+        err = _one_error_line(capsys, trajectory_value_argv(
+            tmp_path, record, pos, value, message))
+        assert err.startswith(f"error: {message}"), err
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "c.json"

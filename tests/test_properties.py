@@ -23,7 +23,8 @@ from kvacontrol.kinematics import (DEFAULT_BASE_STATE, PART_NAMES,
                                    PART_SEMANTIC_CLASS, ToolGeometry, Trajectory,
                                    default_camera, forward_kinematics)
 
-from test_field import painted
+import reference_losses as ref
+from test_field import painted, rasterize
 
 
 masks = hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -423,23 +424,6 @@ def test_kp_alb_evaluator_repeats_match_fresh_loss(inputs, data):
         assert _float_bytes(loss(arrays)) == _float_bytes(want)
 
 
-def _old_src_loss(R, m_tool):
-    if R.shape[0] < 2:
-        return 0.0
-    diff = R[1:] - R[:-1]
-    diff2 = (diff * diff).sum(axis=-1)
-    mask = m_tool[1:]
-    denom = rt.N_EXPERTS * mask.sum()
-    if denom == 0:
-        return 0.0
-    return float((mask * diff2).sum() / denom)
-
-
-def _old_cp_loss(z, A):
-    per = np.maximum(z, 0) - z * A + np.log1p(np.exp(-np.abs(z)))
-    return float(per.mean())
-
-
 @st.composite
 def predictor_inputs(draw):
     """(T, h, w, C) token sequence, (T, h, w) 0/1 tool mask (often empty),
@@ -467,16 +451,15 @@ def test_src_and_cp_evaluators_match_public_losses(inputs):
     tok_seq, m_tool, A, state = inputs
     arrays = {"w": state.w, "b": state.b}
     R = pr._sigmoid(pr.predictor_logits(state, tok_seq))
-    want = pr.src_loss(R, m_tool)
-    assert _float_bytes(want) == _float_bytes(_old_src_loss(_old_sigmoid(
+    want = ref.src_loss(R, m_tool)
+    assert _float_bytes(want) == _float_bytes(ref.src_loss(_old_sigmoid(
         tok_seq @ state.w + state.b), m_tool))
     src = pr._src_evaluator(tok_seq, m_tool)
     assert _float_bytes(src(arrays)) == _float_bytes(want)
 
     tokens = tok_seq[-1]
     z = pr.predictor_logits(state, tokens)
-    want = pr.cp_loss(z, A)
-    assert _float_bytes(want) == _float_bytes(_old_cp_loss(z, A))
+    want = ref.cp_loss(z, A)
     cp = pr._cp_evaluator(tokens, A)
     assert _float_bytes(cp(arrays)) == _float_bytes(want)
 
@@ -487,7 +470,7 @@ def test_src_and_cp_evaluators_keep_columns_across_calls(inputs, data):
     # the evaluators keep each column's work between calls; drive them
     # through base, perturbed and restored parameters in a drawn order, with
     # the arrays changed in place as the grad check does, and compare each
-    # call with the public losses on fresh arrays
+    # call with the reference losses on fresh arrays
     tok_seq, m_tool, A, state = inputs
     tokens = tok_seq[-1]
     src = pr._src_evaluator(tok_seq, m_tool)
@@ -500,8 +483,8 @@ def test_src_and_cp_evaluators_keep_columns_across_calls(inputs, data):
 
     def check():
         w, b = arrs["w"].copy(), arrs["b"].copy()
-        want_src = pr.src_loss(pr._sigmoid(tok_seq @ w + b), m_tool)
-        want_cp = pr.cp_loss(tokens @ w + b, A)
+        want_src = ref.src_loss(pr._sigmoid(tok_seq @ w + b), m_tool)
+        want_cp = ref.cp_loss(tokens @ w + b, A)
         assert _float_bytes(src(arrs)) == _float_bytes(want_src)
         assert _float_bytes(cp(arrs)) == _float_bytes(want_cp)
 
@@ -600,7 +583,7 @@ def _grad_check_matches(evaluator, arrays, reference):
 def test_evaluators_on_repeated_rows_match_public_losses(layout, data):
     # the evaluators multiply, exponentiate and reduce each distinct token
     # row once; on grids where most rows repeat, every evaluation of a grad
-    # check must still give the public losses' bits
+    # check must still give the reference losses' bits
     tok_seq, m_tool, A, c_action, t_embed, pred, gate, prior = data.draw(
         repeated_row_inputs(layout))
     tokens = tok_seq[-1]
@@ -608,12 +591,12 @@ def test_evaluators_on_repeated_rows_match_public_losses(layout, data):
 
     def src_ref(arrs):
         state = pr.PredictorState(**arrs)
-        return pr.src_loss(pr._sigmoid(pr.predictor_logits(state, tok_seq)),
-                           m_tool)
+        return ref.src_loss(pr._sigmoid(pr.predictor_logits(state, tok_seq)),
+                            m_tool)
 
     def cp_ref(arrs):
-        return pr.cp_loss(pr.predictor_logits(pr.PredictorState(**arrs),
-                                              tokens), A)
+        return ref.cp_loss(pr.predictor_logits(pr.PredictorState(**arrs),
+                                               tokens), A)
 
     def kp_ref(arrs):
         P = rt.outer_gate(c_action, t_embed,
@@ -692,7 +675,7 @@ def dense_lift(traj, geom, cam):
     motion = kvf.motion_channels(poses, cam, traj.dt)
     out = np.zeros((len(poses), cam.height, cam.width, kvf.N_CHANNELS))
     for frame, p, m in zip(out, poses, motion):
-        labels, depth = kvf.rasterize_parts(p, cam)
+        labels, depth = rasterize(p, cam)
         frame[..., 3] = depth
         for k, part in enumerate(PART_NAMES):
             on = labels == k

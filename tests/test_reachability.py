@@ -1,28 +1,42 @@
-"""Every function and dataclass field in the package is reached by a CLI
-flow, or named here.
+"""Every statement in the package's functions runs in a CLI flow, and every
+dataclass field is read in one, or is named here with the reason.
 
 The flows run through `cli.main`:
 
 - each of `test_golden.CASES` with `run` in place of the four trajectory
   commands (synth, run and eval);
+- `losses` on its own, which forms every frame's tokens but gates only the
+  last frame;
 - one `report` over CSV files those flows wrote;
-- one malformed flag and one malformed trajectory line.
+- every row of `test_io.CLEAN_ERRORS`, the malformed-input tables (masks,
+  resolutions, configs, command lines and trajectory values), each of which
+  must end in one `error:` line and exit 1;
+- `test_io.EDGE_INPUTS`: `eval` over empty and one-sided masks, `run` on a
+  tool at zero rotation, and `synth` with tubes wider than
+  `metrics.TUBE_CROP_MAX`.
 
-They run once, under `sys.setprofile` to record the functions called, and
-with `__getattribute__` of every dataclass of `src/kvacontrol/` patched to
-record the fields read (and restored afterwards). A read from a dunder
-method such as `__init__`, `__post_init__`, `__eq__` or `__repr__`, or from
-the `dataclasses` module, does not count.
+They run once under a `sys.settrace` line tracer that records the lines run
+in code from `src/kvacontrol/`, with `__getattribute__` of every dataclass
+of the package patched to record the fields read (and restored afterwards).
+The tracer leaves a code object alone once each of its statements has run:
+a new frame of it is not traced, and a running one stops getting line
+events. A field read from a dunder method such as `__init__`,
+`__post_init__`, `__eq__` or `__repr__`, or from the `dataclasses` module,
+does not count.
 
-One test fails listing, with file:line, each module-level function and
-class method that no flow called and `ALLOWED` does not name; the other
-each `module.Class.field` that no flow read and `ALLOWED_FIELDS` does not
-name. A test that calls a function or reads a field does not keep it: code
-and data that no command uses go, together with their tests, or a command
-gets a use for them.
+One test fails listing, as file:line, each statement of a function body
+(docstrings excluded) that no flow ran and `ALLOWED_LINES` does not name. A
+function runs exactly when its first statement does, so this also lists
+each function that no flow calls. The other test lists each
+`module.Class.field` that no flow read and `ALLOWED_FIELDS` does not name. A
+test that runs a statement or reads a field does not keep it: code and data
+that no CLI input reaches go, together with their tests, or an input that
+reaches them joins the flows. `ALLOWED_LINES` names only statements that
+code outside `src/` runs, and guards whose removal would let a library
+caller get a silently wrong result.
 
-`python tests/test_reachability.py` prints the unreached functions, then
-the unread fields.
+`python tests/test_reachability.py` prints the unrun statements, then the
+unread fields.
 """
 
 import ast
@@ -33,24 +47,50 @@ import io
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
 from kvacontrol import cli
 from test_golden import CASES, run_flow
+from test_io import CLEAN_ERRORS, EDGE_INPUTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "kvacontrol")
 
-ALLOWED = {
-    # the reference form that the grad check's cp evaluator is tested against
-    "priors.cp_loss",
-    # the reference form that the grad check's src evaluator is tested against
-    "priors.src_loss",
-    # perfbench/worker.py reads lift's KVAF files through it
-    "formats.read_field",
-    # perfbench/worker.py reads a KVAF file's (H, W, 9) channels through it
-    "kva_field.KvaField.channels",
+# "module.function" names every statement of a function (a method as
+# "module.Class.method"); "module.function: text" the statements of it whose
+# first line starts with text
+ALLOWED_LINES = {
+    "formats.read_field":
+        "perfbench/worker.py reads lift's KVAF files through it",
+    "kva_field.KvaField.channels":
+        "perfbench/worker.py reads a KVAF file's (H, W, 9) channels through it",
+    "kva_field.KvaField.__post_init__: raise ShapeMismatch":
+        "read_field, which perfbench runs, takes the channel count from a "
+        "file's header; a lift always builds nine planes",
+    "kinematics.synth_trajectory: raise InvalidParams":
+        "perfbench/worker.py and test_golden pass synth_trajectory a params "
+        "dict, where a misspelt key would leave the base at its default; the "
+        "CLI passes none",
+    "kinematics.project_point: raise BehindCamera":
+        "perfbench's exit128 inputs put the tool's base 5 cm from the camera, "
+        "so render_tube meets parts behind it; synth's poses keep every part "
+        "in front (the 0.11 m base depth exceeds the shaft's 0.10 m reach)",
+    "metrics.render_tube: continue":
+        "render_tube's side of the same exit128 case",
+    "kinematics.forward_kinematics: raise NonFiniteInput":
+        "perfbench/worker.py poses states it builds itself; the trajectory "
+        "reader rejects a non-finite action first, so no CLI input gets here",
+    "kva_field.compute_stats: raise EmptyCorpus":
+        "a lift of no pixels would give 0/0 statistics; a CLI lift has at "
+        "least one frame of at least 1x1 pixels",
+    "metrics.distance_transform: return np.full":
+        "without it an empty mask's transform reads a finite 1e9 everywhere; "
+        "chamfer returns invalid before it transforms an empty mask",
+    "priors.grad_check: raise NonFiniteGradient":
+        "without it a NaN gradient would report an error of 0.0, since "
+        "Python's max drops NaN; no finite CLI input is known to reach it",
 }
 
 ALLOWED_FIELDS = {
@@ -73,20 +113,34 @@ def _modules():
                 yield module[:-3], path, ast.parse(f.read())
 
 
-def _functions():
-    """{(path, first line): (qualified name, def line)} of each module-level
-    function and class method; the first line is the first decorator's, as
-    in the function's code object."""
+def _statements():
+    """{(path, line): (qualified function, first line's text)} of each
+    statement in a function body of the package, docstrings excluded. The
+    line is the statement's first, where its line event is reported; a
+    nested function is qualified by the one it is defined in."""
     found = {}
+
+    def visit(stmts, scope, in_function, path, lines):
+        for stmt in stmts:
+            if in_function:
+                found[path, stmt.lineno] = (scope,
+                                            lines[stmt.lineno - 1].strip())
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = stmt.body[ast.get_docstring(stmt) is not None:]
+                visit(body, f"{scope}.{stmt.name}", True, path, lines)
+            elif isinstance(stmt, ast.ClassDef):
+                visit(stmt.body, f"{scope}.{stmt.name}", False, path, lines)
+            else:
+                inner = [getattr(stmt, name, []) for name in
+                         ("body", "orelse", "finalbody")]
+                inner += [h.body for h in getattr(stmt, "handlers", [])]
+                for block in inner:
+                    visit(block, scope, in_function, path, lines)
+
     for module, path, tree in _modules():
-        defs = [(node, module) for node in tree.body]
-        defs += [(item, f"{module}.{node.name}") for node in tree.body
-                 if isinstance(node, ast.ClassDef) for item in node.body]
-        for node, scope in defs:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno]
-                            + [d.lineno for d in node.decorator_list])
-                found[path, first] = (f"{scope}.{node.name}", node.lineno)
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        visit(tree.body, module, False, path, lines)
     return found
 
 
@@ -134,55 +188,90 @@ def _recording_reads(classes, read):
             del cls.__getattribute__
 
 
+@contextlib.contextmanager
+def _recording_lines(statements, run):
+    """Add (path, line) to `run` for each line of `statements` that runs in
+    the block. A code object's statements are looked up at its first call;
+    once all of them have run, its frames are no longer traced."""
+    left = {}  # code object -> its statement lines not run yet
+    paths = {}  # co_filename -> real path
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            lines = left[frame.f_code]
+            lines.discard(frame.f_lineno)
+            run.add((paths[frame.f_code.co_filename], frame.f_lineno))
+            if not lines:
+                frame.f_trace_lines = False
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        code = frame.f_code
+        lines = left.get(code)
+        if lines is None:
+            path = paths.setdefault(code.co_filename,
+                                    os.path.realpath(code.co_filename))
+            lines = left[code] = {line for _, _, line in code.co_lines()
+                                  if (path, line) in statements}
+        return trace_lines if lines else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
 def _flows(root):
     """Run every flow under `root`."""
+    root = Path(root)
     for i, (_, kwargs) in enumerate(CASES):
-        os.makedirs(os.path.join(root, str(i)))
-        run_flow(os.path.join(root, str(i)), commands=("run",), **kwargs)
-    default = os.path.join(root, "0")
-    inputs = [os.path.join(default, "run", "losses.csv"),
-              os.path.join(default, "eval", "metrics.csv")]
-    assert cli.main(["--out", os.path.join(root, "report"), "report",
-                     "--inputs", *inputs]) == 0
-    bad = os.path.join(root, "bad.txt")
-    with open(os.path.join(default, "target", "trajectory.txt"),
-              encoding="utf-8") as src, open(bad, "w", encoding="utf-8") as f:
-        f.write(src.read() + "frame 9 0.0 0.0\n")
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        assert cli.main(["--seed", "x", "synth"]) == 1
-        assert cli.main(["--out", os.path.join(root, "bad"), "run",
-                         "--traj", bad]) == 1
-    assert err.getvalue().count("error:") == 2
+        (root / str(i)).mkdir()
+        run_flow(root / str(i), commands=("run",), **kwargs)
+    default = root / "0"
+    assert cli.main(["--out", str(root / "losses"), "losses", "--traj",
+                     str(default / "target" / "trajectory.txt")]) == 0
+    assert cli.main(["--out", str(root / "report"), "report", "--inputs",
+                     str(default / "run" / "losses.csv"),
+                     str(default / "eval" / "metrics.csv")]) == 0
+    for i, argv_of in enumerate(EDGE_INPUTS):
+        (root / f"edge{i}").mkdir()
+        assert cli.main(argv_of(root / f"edge{i}")) == 0, argv_of.__name__
+    for rows, argv_of in CLEAN_ERRORS:
+        for row in rows:
+            case = root / argv_of.__name__ / row.id
+            case.mkdir(parents=True)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert cli.main(argv_of(case, *row.values)) == 1, row.id
+            assert err.getvalue().count("error:") == 1, row.id
 
 
 def missed(root):
-    """(unreached, unread): sorted ((path, line), qualified name) of each
-    package function that no flow under `root` called, and of each
-    dataclass field that none read."""
-    called, read = {}, set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called[id(frame.f_code)] = frame.f_code
-
+    """(unrun, unread): sorted ((path, line), name) of each package
+    statement that no flow under `root` ran, named "function: text", and of
+    each dataclass field that none read."""
+    statements, run, read = _statements(), set(), set()
     classes = _dataclasses()
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        with _recording_reads(classes, read):
-            _flows(root)
-    finally:
-        sys.setprofile(previous)
-    reached = {(os.path.realpath(code.co_filename), code.co_firstlineno)
-               for code in called.values()}
-    unreached = sorted(((os.path.relpath(path, ROOT), line), name)
-                       for (path, first), (name, line) in _functions().items()
-                       if (path, first) not in reached)
+    with _recording_lines(statements, run), _recording_reads(classes, read):
+        _flows(root)
+    unrun = sorted(((os.path.relpath(path, ROOT), line), f"{scope}: {text}")
+                   for (path, line), (scope, text) in statements.items()
+                   if (path, line) not in run)
     unread = sorted((where, f"{qualified}.{field}")
                     for qualified, fields in classes.values()
                     for field, where in fields.items()
                     if f"{qualified}.{field}" not in read)
-    return unreached, unread
+    return unrun, unread
+
+
+def _allowed_by(name, entry):
+    """Whether the ALLOWED_LINES entry covers the statement "function:
+    text"."""
+    scope, text = name.split(": ", 1)
+    function, _, start = entry.partition(": ")
+    inside = scope == function or scope.startswith(function + ".")
+    return inside and text.startswith(start)
 
 
 @pytest.fixture(scope="module")
@@ -190,30 +279,40 @@ def flows(tmp_path_factory):
     return missed(tmp_path_factory.mktemp("flows"))
 
 
-def _check(found, allowed, defined, what):
-    names = {name for _, name in found}
-    assert sorted(allowed - defined) == [], f"the allowlist names undefined {what}"
-    assert sorted(allowed - names) == [], f"the allowlist names {what} a flow uses"
-    extra = [f"{path}:{line}: {name}" for (path, line), name in found
-             if name not in allowed]
-    assert not extra, f"no CLI flow uses these {what}:\n" + "\n".join(extra)
-
-
-def test_every_function_is_reached_or_allowed(flows):
-    _check(flows[0], ALLOWED, {name for name, _ in _functions().values()},
-           "functions")
+def test_every_statement_runs_or_is_allowed(flows):
+    defined = [f"{scope}: {text}" for scope, text in _statements().values()]
+    unrun = [name for _, name in flows[0]]
+    for entry, reason in ALLOWED_LINES.items():
+        assert reason.strip(), f"{entry} is allowed without a reason"
+        assert any(_allowed_by(name, entry) for name in defined), \
+            f"the allowlist names no statement of the package: {entry}"
+        assert any(_allowed_by(name, entry) for name in unrun), \
+            f"the allowlist names statements a flow runs: {entry}"
+    extra = [f"{path}:{line}: {name}" for (path, line), name in flows[0]
+             if not any(_allowed_by(name, entry) for entry in ALLOWED_LINES)]
+    assert not extra, "no CLI flow runs these statements:\n" + "\n".join(extra)
 
 
 def test_every_field_is_read_or_allowed(flows):
     defined = {f"{qualified}.{field}"
                for qualified, fields in _dataclasses().values()
                for field in fields}
-    _check(flows[1], ALLOWED_FIELDS, defined, "fields")
+    names = {name for _, name in flows[1]}
+    assert sorted(ALLOWED_FIELDS - defined) == [], \
+        "the allowlist names undefined fields"
+    assert sorted(ALLOWED_FIELDS - names) == [], \
+        "the allowlist names fields a flow reads"
+    extra = [f"{path}:{line}: {name}" for (path, line), name in flows[1]
+             if name not in ALLOWED_FIELDS]
+    assert not extra, "no CLI flow reads these fields:\n" + "\n".join(extra)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for found, allowed in zip(missed(tmp), (ALLOWED, ALLOWED_FIELDS)):
-            for (path, line), name in found:
-                print(f"{path}:{line}: {name}"
-                      + (" (allowed)" if name in allowed else ""))
+        unrun, unread = missed(tmp)
+        for (path, line), name in unrun:
+            allowed = any(_allowed_by(name, entry) for entry in ALLOWED_LINES)
+            print(f"{path}:{line}: {name}" + (" (allowed)" if allowed else ""))
+        for (path, line), name in unread:
+            print(f"{path}:{line}: {name}"
+                  + (" (allowed)" if name in ALLOWED_FIELDS else ""))
