@@ -40,18 +40,22 @@ def _fmt(x: float) -> str:
 
 def atomic_write_bytes(path, *chunks):
     """Write the bytes-like chunks one after another; write-temp-then-rename
-    so readers never observe partial files."""
+    so readers never observe partial files. A failure names `path`, not the
+    temporary file, which is removed."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def atomic_write_text(path, text: str):
@@ -113,8 +117,14 @@ def read_trajectory(path):
                     raise ParseError("camera line needs 6 values", line=ln)
                 # fx fy cx cy, then integer width and height; the camera's
                 # own checks raise InvalidParams, a ValueError
-                cam = CameraModel(*[float(v) for v in rest[:4]],
-                                  *[int(v) for v in rest[4:]])
+                sizes = []
+                for name, v in zip(("width", "height"), rest[4:]):
+                    try:
+                        sizes.append(int(v))
+                    except ValueError:
+                        raise ParseError(f"camera {name} must be an integer, "
+                                         f"got {v!r}", line=ln) from None
+                cam = CameraModel(*[float(v) for v in rest[:4]], *sizes)
             elif key == "extrinsic":
                 if len(rest) != 12:
                     raise ParseError("extrinsic line needs 12 values", line=ln)
@@ -124,7 +134,8 @@ def read_trajectory(path):
             elif key == "dt":
                 if len(rest) != 1:
                     raise ParseError("dt line needs 1 value", line=ln)
-                dt = float(rest[0])
+                # Trajectory's own check raises InvalidParams, a ValueError
+                dt = Trajectory(states=(), dt=float(rest[0])).dt
             elif key == "frame":
                 if len(rest) != 10:
                     raise ParseError("frame line needs index + 9 values", line=ln)
@@ -141,13 +152,18 @@ def read_trajectory(path):
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from exc
 
-    if not {"camera", "extrinsic", "dt"} <= seen or not frames:
-        raise ParseError("missing camera/extrinsic/dt/frame records")
-    expected = list(range(1, len(frames) + 1))
-    if sorted(frames) != expected:
-        raise InvariantViolation("frame indices must be contiguous from 1")
+    have = (seen | {"frame"}) if frames else seen
+    missing = [key for key in ("camera", "extrinsic", "dt", "frame")
+               if key not in have]
+    if missing:
+        raise ParseError(f"missing {'/'.join(missing)} "
+                         f"record{'s' if len(missing) > 1 else ''}")
+    gap = min(set(range(1, len(frames) + 2)) - frames.keys())
+    if gap <= len(frames):
+        raise InvariantViolation(
+            f"frame indices must be contiguous from 1: frame {gap} is missing")
 
-    traj = Trajectory(states=tuple(frames[i] for i in expected), dt=dt)
+    traj = Trajectory(states=tuple(frames[i] for i in range(1, gap)), dt=dt)
     return traj, cam, seq_id
 
 

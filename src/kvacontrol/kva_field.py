@@ -9,29 +9,51 @@ of its temporal change.
 Every channel but depth is constant on each part, so `lift_trajectory`
 returns the field in compact form, a `LiftedTrajectory`: the rasterized part
 labels (T, H, W), the depth (T, H, W) and one (5, 9) table of channel values
-per frame, whose row for label -1 is zero. Each frame is rasterized straight
-into its planes of the two stacks (`rasterize_parts`' `out`). Forward
-kinematics runs once per frame, and the capsule midpoints are projected once
-into the centroid track from which `motion_channels` differences v and
-alpha. Dense channels are painted from the tables only where an artefact
-needs them: the KVAF planes (`LiftedTrajectory.field`) and the routing
-grids' tool blocks (`paint`).
+per frame, whose row for label -1 is zero. The frames are lifted in
+consecutive batches (below), each rasterized straight into its planes of the
+two stacks (`rasterize_parts`' `out`). Forward kinematics runs once per
+frame, and the capsule midpoints are projected once into the centroid track
+from which `motion_channels` differences v and alpha. Dense channels are
+painted from the tables only where an artefact needs them: the KVAF planes
+(`LiftedTrajectory.field`) and the routing grids' tool blocks (`paint`).
 
-The rasterizer ray-tests all four capsules of a frame in one pass
-(`rasterize_parts`). Each capsule is tested only on its row spans: per pixel
-row, the columns its projected oriented box covers up to one row above or
-below, padded by a pixel, which hold every pixel whose ray can hit it. So its
-cost scales with the tool's pixel area. A capsule whose box reaches the near
-plane `kinematics.Z_NEAR` spans the whole frame. A span is padded and
+The rasterizer ray-tests all four capsules of every frame of a batch in one
+pass (`rasterize_parts`). Each capsule is tested only on its row spans: per
+pixel row, the columns its projected oriented box covers up to one row above
+or below, padded by a pixel, which hold every pixel whose ray can hit it. So
+its cost scales with the tool's pixel area. A capsule whose box reaches the
+near plane `kinematics.Z_NEAR` spans the whole frame. A span is padded and
 clipped as `kinematics.pixel_box` pads and clips the action tubes' boxes, in
 float, so a pose that projects to +-inf gets an empty or edge-clipped span
-instead of an overflow. The rays of all four capsules sit in one (N, 3)
-array, each capsule's rows together, and every elementwise step runs once
-over all of them. The matrix-vector products with each capsule's axis and
-cap centres stay per capsule, on its own rows: BLAS rounds them with fused
-multiply-adds, which no elementwise form reproduces, but it gives a row the
-same bits however many rows share the product, so each depth keeps the bits
-of testing its capsule alone (see `_ray_test`).
+instead of an overflow. The rays of all the batch's capsules sit in one
+(N, 3) array, each capsule's rows together, and every elementwise step runs
+once over all of them. The matrix-vector products with each capsule's axis
+and cap centres stay per capsule, on its own rows: BLAS rounds them with
+fused multiply-adds, which no elementwise form reproduces, but it gives a
+row the same bits however many rows share the product, so each depth keeps
+the bits of testing its capsule alone (see `_ray_test`). Each part then
+labels its front-most pixels in all of the batch's frames at once, in part
+order as in one frame, since no two of a part's rays share a pixel. So a
+batch changes no bit of the labels or the depth.
+
+A batch is RASTER_BATCH_PX // (H * W) consecutive frames, at least one.
+A 64 x 64 frame's spans hold about 1,000 rays, so a pass over one frame is
+bound by numpy's per-call overhead, about 100 calls each in `_row_spans` and
+`_ray_test`, not by arithmetic, and a batch pays it once. A batch past about
+2^16 pixels gets slower per frame. The budget comes from a sweep of
+`lift_trajectory` (composite, seed 1, one BLAS thread, 2 vCPUs with 2 MiB of
+L2 cache each; median of 15 interleaved rounds, each the best of 3 calls),
+against one frame per batch:
+
+| budget | 64 x 64, T=10 | 128 x 128, T=10 | 256 x 256, T=4 | 256 x 256, T=10 |
+| --- | --- | --- | --- | --- |
+| 2^14 | -35% | 0% (1 frame) | -1% (1 frame) | -1% (1 frame) |
+| 2^15 | -39% | -17% | 0% (1 frame) | 0% (1 frame) |
+| 2^16 | -43% | -19% | 0% (1 frame) | +1% (1 frame) |
+| 2^17 | -43% | -12% | +26% | +12% |
+
+2^15 takes most of the gain and stays a doubling below where the cost turns
+up, so a 256 x 256 frame is its own batch, as before batching.
 
 The statistics, the standardization and the ray tests work on axes only 3, 6
 or 9 entries wide, where numpy pays its per-row overhead on every row. They
@@ -91,6 +113,10 @@ NONSEMANTIC_SLICE = slice(3, 9)
 _F4_MAX = float(np.finfo(np.float32).max)
 # pixels whose squared deviations `compute_stats` holds at a time
 STATS_BLOCK = 4096
+# pixels per `rasterize_parts` call: `lift_trajectory` rasterizes
+# RASTER_BATCH_PX // (H * W) frames at a time, at least one (see the module
+# docstring for the sweep behind it)
+RASTER_BATCH_PX = 2 ** 15
 CHANNEL_NAMES = ("s_shaft", "s_wrist", "s_gripper", "depth", "rho",
                  "v_x", "v_y", "v_z", "alpha")
 
@@ -163,13 +189,13 @@ SPAN_REACH = 2.0 ** 30
 
 
 def _row_spans(ends, radii, cam: CameraModel):
-    """Per part and pixel row, the columns [j0, j1) whose rays can hit the
-    part's capsule: two (len(PART_NAMES), H) integer arrays.
+    """Per capsule and pixel row, the columns [j0, j1) whose rays can hit
+    the capsule: two (N, H) integer arrays.
 
-    ends: (len(PART_NAMES), 2, 3) capsule endpoints; radii: their radii.
+    ends: (N, 2, 3) capsule endpoints; radii: their (N,) radii.
     Row i's span is the u-range of the capsule's projected oriented box
     inside the band i - 1 <= v <= i + 1, padded and clipped to the frame as
-    `kinematics.pixel_box` pads and clips; it may be empty. A part whose box
+    `kinematics.pixel_box` pads and clips; it may be empty. A capsule whose box
     reaches Z_NEAR, or projects farther than SPAN_REACH pixels, spans the
     whole frame. See `rasterize_parts` for why no hit is lost."""
     h, w = cam.height, cam.width
@@ -214,46 +240,56 @@ def _row_spans(ends, radii, cam: CameraModel):
 
 
 def _ray_test(ends, radii, cam: CameraModel, j0, j1):
-    """Ray-test every part's capsule on its row spans in one pass.
+    """Ray-test every capsule of a batch of frames on its row spans in one
+    pass.
 
-    ends: (len(PART_NAMES), 2, 3) capsule endpoints; radii: their radii;
-    j0, j1: (len(PART_NAMES), H) columns [j0, j1) of each pixel row to test
-    per part. Returns the tested pixels' flat indices (N,), each ray's
-    smallest hit depth (N,) (inf on a miss) and the parts' (5,) offsets into
-    both: part k's rays are bounds[k]:bounds[k + 1], row-major. Each ray's
-    direction has dz = 1, so its parameter is camera depth.
+    ends: (N, 2, 3) capsule endpoints, part-major over a batch of
+    B = N / len(PART_NAMES) frames: capsule c is part c // B of frame c % B;
+    radii: their radii; j0, j1: (N, H) columns [j0, j1) of each pixel row to
+    test per capsule. Returns the tested pixels' flat indices into the
+    batch's (B, H, W) stack (N,), each ray's smallest hit depth (N,) (inf on
+    a miss) and the capsules' (N + 1,) offsets into both: capsule c's rays
+    are bounds[c]:bounds[c + 1], row-major. Each ray's direction has dz = 1,
+    so its parameter is camera depth.
 
-    The elementwise steps run once over all N rays, a column at a time,
-    with each part's constants repeated over its rays: the rays' offsets
-    from their axis, the quadratic coefficients, discriminants and roots,
-    the cylinder roots' points, validity and the minimum over the six
+    The elementwise steps run once over all the batch's rays, a column at a
+    time, with each capsule's constants repeated over its rays: the rays'
+    offsets from their axis, the quadratic coefficients, discriminants and
+    roots, the cylinder roots' points, validity and the minimum over the six
     candidate roots. The BLAS matrix-vector products `D @ axis`,
-    `2.0 * dd @ mm`, `(m + t * D) @ axis` and `2.0 * D @ mc` run per part,
-    on its own rows. Each row of an (n, 3) @ (3,) product with n >= 2 has
-    the same bits whatever n and the row's offset (`tests/test_field.py`
-    pins this). OpenBLAS fuses the three terms into FMAs, which no numpy
-    elementwise form reproduces, so the products cannot be batched across
-    parts, but a ray's depth does not depend on which other rays its part
-    tests. A one-row product takes numpy's dot path and may round
-    differently. No part with one ray can be hit, though, unless the frame is
-    one pixel, where every cull tests that same ray: a hit pixel lies in its
-    part's projection, which each span pads by a pixel on each side and a
-    row above and below, so each neighbour of the pixel is tested too."""
+    `2.0 * dd @ mm`, `(m + t * D) @ axis` and `2.0 * D @ mc` run per
+    capsule, on its own rows. Each row of an (n, 3) @ (3,) product with
+    n >= 2 has the same bits whatever n and the row's offset
+    (`tests/test_field.py` pins this up to a batch's largest ray count).
+    OpenBLAS fuses the three terms into FMAs, which no numpy elementwise
+    form reproduces, so the products cannot be batched across capsules, but
+    a ray's depth does not depend on which other rays share the pass. A
+    one-row product takes numpy's dot path and may round differently. No
+    capsule with one ray can be hit, though, unless the frame is one pixel,
+    where every cull tests that same ray: a hit pixel lies in its capsule's
+    projection, which each span pads by a pixel on each side and a row above
+    and below, so each neighbour of the pixel is tested too."""
     h, w = cam.height, cam.width
-    n = (j1 - j0).ravel()  # rays per part and row, part-major
+    frames = len(ends) // len(PART_NAMES)
+    n = (j1 - j0).ravel()  # rays per capsule and row, capsule-major
     stop = np.cumsum(n)
     bounds = np.concatenate(([0], stop[h - 1::h]))
     span = np.repeat(np.arange(n.size), n)
-    owner, rows = np.divmod(span, h)  # each ray's part and pixel row
-    cols = np.arange(len(span)) - (stop - n - j0.ravel())[span]
+    owner, rows = np.divmod(span, h)  # each ray's capsule and pixel row
+    # a span's first ray, less its first column: span c * h + i is pixel
+    # row i of capsule c's frame c % B
+    first = stop - n - j0.ravel()
+    ray = np.arange(len(span))
+    cols = ray - first[span]
+    pix = ray - (first - np.arange(n.size) % (frames * h) * w)[span]
     D = np.empty((len(span), 3))
     D[:, 0] = ((np.arange(w, dtype=float) - cam.cx) / cam.fx)[cols]
     D[:, 1] = ((np.arange(h, dtype=float) - cam.cy) / cam.fy)[rows]
     D[:, 2] = 1.0
-    parts = [slice(*bounds[k:k + 2]) for k in range(len(PART_NAMES))]
+    capsules = [slice(*bounds[k:k + 2]) for k in range(len(ends))]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # each part's constants, one row each, repeated over its rays
+        # each capsule's constants, one row each, repeated over its rays
         a, b = ends[:, 0], ends[:, 1]
         r2 = radii * radii
         s = b - a
@@ -269,7 +305,7 @@ def _ray_test(ends, radii, cam: CameraModel, j0, j1):
         # A root whose discriminant is negative is nan and fails every test
         dd = np.empty_like(D)
         d_ax = np.empty(len(D))
-        for k, rays in enumerate(parts):
+        for k, rays in enumerate(capsules):
             np.matmul(D[rays], axis[k], out=d_ax[rays])
         for j in range(3):
             np.multiply(d_ax, axis_r[j], out=dd[:, j])
@@ -277,7 +313,7 @@ def _ray_test(ends, radii, cam: CameraModel, j0, j1):
         qa = _sq_norm(dd)
         dd *= 2.0
         qb = d_ax
-        for k, rays in enumerate(parts):
+        for k, rays in enumerate(capsules):
             np.matmul(dd[rays], mm[k], out=qb[rays])
         sq = np.sqrt(np.where(qa > 1e-16, qb * qb - 4 * qa * qc, np.nan))
         qb, qa = -qb, 2 * qa
@@ -289,7 +325,7 @@ def _ray_test(ends, radii, cam: CameraModel, j0, j1):
             for j in range(3):
                 np.multiply(t, D[:, j], out=dd[:, j])
                 dd[:, j] += m_r[j]
-            for k, rays in enumerate(parts):
+            for k, rays in enumerate(capsules):
                 np.matmul(dd[rays], axis[k], out=along[rays])
             np.minimum(depth, t, out=depth,
                        where=(t > Z_NEAR) & (along >= 0) & (along <= length_r))
@@ -299,25 +335,32 @@ def _ray_test(ends, radii, cam: CameraModel, j0, j1):
         D *= 2.0
         sb = along
         for c, centre in enumerate((m, -b)):
-            for k, rays in enumerate(parts):
+            for k, rays in enumerate(capsules):
                 np.matmul(D[rays], centre[k], out=sb[rays])
             sq = np.sqrt(sb * sb - 4 * sa * sc[c])
             for t in (-sb - sq, -sb + sq):
                 t /= 2 * sa
                 np.minimum(depth, t, out=depth, where=t > Z_NEAR)
-    return rows * w + cols, depth, bounds
+    return pix, depth, bounds
 
 
 def rasterize_parts(poses: PartPoses, cam: CameraModel, out):
-    """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth,
-    written into `out`, a pair of C-contiguous (H, W) arrays, intp and
-    float64; returns out.
+    """Per-pixel front-most part index (into PART_NAMES, -1 = none) and depth
+    of a batch of frames, written into `out`, a pair of C-contiguous
+    (B, H, W) arrays, intp and float64; returns out.
 
-    All four capsules are ray-tested in one pass (`_ray_test`), each only on
-    its row spans (`_row_spans`). Only the matrix-vector products stay per
-    capsule: BLAS rounds a row the same whatever other rows share the
+    `poses` holds the batch's B frames: `endpoints[part]` their (B, 2, 3)
+    capsule ends and `radii[part]` their (B,) radii. One frame's own
+    `PartPoses`, with (2, 3) ends and a scalar radius per part, is a batch
+    of one, with (H, W) planes in `out`. `lift_trajectory` passes batches of
+    RASTER_BATCH_PX // (H * W) frames, at least one: the module docstring
+    gives the sweep behind that budget.
+
+    All 4 * B capsules are ray-tested in one pass (`_ray_test`), each only
+    on its row spans (`_row_spans`). Only the matrix-vector products stay
+    per capsule: BLAS rounds a row the same whatever other rows share the
     product, but not as any elementwise form does, so each depth keeps the
-    bits of testing its capsule alone. The cull is exact:
+    bits of testing its capsule alone, in any batch. The cull is exact:
 
     - Every finite hit is a point on the capsule, so inside its oriented
       box: the axis extended by the radius at both ends, with sides of twice
@@ -338,16 +381,20 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel, out):
       cannot drop it.
 
     Then, in part order, a part labels the pixels where it is strictly nearer
-    than every earlier part: ties keep the earlier part, as argmin would."""
-    h, w = cam.height, cam.width
-    ends = np.array([poses.endpoints[part] for part in PART_NAMES])
-    radii = np.array([poses.radii[part] for part in PART_NAMES])
+    than every earlier part: ties keep the earlier part, as argmin would.
+    Each part does this once for the whole batch: its rays in all frames are
+    one run of `_ray_test`'s output, and no two of them share a pixel."""
+    # part-major over the batch
+    ends = np.array([poses.endpoints[part] for part in PART_NAMES]).reshape(-1, 2, 3)
+    radii = np.array([poses.radii[part] for part in PART_NAMES]).reshape(-1)
+    frames = len(ends) // len(PART_NAMES)
     pix, depth, bounds = _ray_test(ends, radii, cam, *_row_spans(ends, radii, cam))
-    labels, best = (a.reshape(h * w) for a in out)  # views: out is contiguous
+    labels, best = (a.reshape(-1) for a in out)  # views: out is contiguous
     labels.fill(-1)
     best.fill(np.inf)
     for k in range(len(PART_NAMES)):
-        px, d = pix[bounds[k]:bounds[k + 1]], depth[bounds[k]:bounds[k + 1]]
+        rays = slice(bounds[k * frames], bounds[(k + 1) * frames])
+        px, d = pix[rays], depth[rays]
         nearer = d < best[px]
         px = px[nearer]
         best[px] = d[nearer]
@@ -452,24 +499,30 @@ def motion_channels(poses, cam: CameraModel, dt: float) -> np.ndarray:
     return motion
 
 
-def lift(poses: PartPoses, cam: CameraModel, motion, out):
-    """One frame's part table (N_TABLE_ROWS, 9) from its part poses and its
-    rows of the trajectory's part motion (`motion_channels`); its part
-    labels and depth are rasterized into `out`, a pair of C-contiguous
-    (H, W) arrays (see `rasterize_parts`)."""
-    rasterize_parts(poses, cam, out)
-    table = np.zeros((N_TABLE_ROWS, N_CHANNELS))
-    table[:-1, 0:3] = _PART_SEMANTICS
-    table[:-1, 4] = rotation_channel(poses, cam)
-    table[:-1, 5:9] = motion
-    return table
+def lift(poses, cam: CameraModel, motion, out):
+    """A batch of frames' part tables (B, N_TABLE_ROWS, 9) from their B
+    `PartPoses` and their rows (B, 4, 4) of the trajectory's part motion
+    (`motion_channels`); their part labels and depth are rasterized into
+    `out`, a pair of C-contiguous (B, H, W) arrays, by one
+    `rasterize_parts` call."""
+    rasterize_parts(PartPoses(
+        endpoints={part: np.array([p.endpoints[part] for p in poses])
+                   for part in PART_NAMES},
+        radii={part: np.array([p.radii[part] for p in poses])
+               for part in PART_NAMES}), cam, out)
+    tables = np.zeros((len(poses), N_TABLE_ROWS, N_CHANNELS))
+    tables[:, :-1, 0:3] = _PART_SEMANTICS
+    tables[:, :-1, 4] = [rotation_channel(p, cam) for p in poses]
+    tables[:, :-1, 5:9] = motion
+    return tables
 
 
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
                     cam: CameraModel) -> LiftedTrajectory:
     """The trajectory's channels in compact form; forward kinematics runs
     once per frame, and a joint value outside the geometry's limits is
-    reported with its frame."""
+    reported with its frame. The frames are lifted in consecutive batches
+    of RASTER_BATCH_PX // (H * W) frames, at least one."""
     poses = []
     for t, state in enumerate(traj.states, start=1):
         try:
@@ -489,9 +542,11 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
     shape = (len(poses), cam.height, cam.width)
     lifted = LiftedTrajectory(np.empty(shape, dtype=np.intp), np.empty(shape),
                               np.empty((len(poses), N_TABLE_ROWS, N_CHANNELS)))
-    for t, p in enumerate(poses):  # rasterized into the stacks in place
-        lifted.tables[t] = lift(p, cam, motion[t],
-                                (lifted.labels[t], lifted.depth[t]))
+    batch = max(1, RASTER_BATCH_PX // (cam.height * cam.width))
+    for t in range(0, len(poses), batch):  # rasterized into the stacks in place
+        frames = slice(t, t + batch)
+        lifted.tables[frames] = lift(poses[frames], cam, motion[frames],
+                                     (lifted.labels[frames], lifted.depth[frames]))
     return lifted
 
 

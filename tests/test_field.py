@@ -265,6 +265,49 @@ CAPSULE_KINDS = ("in-view", "border", "straddles-z-near", "behind", "aside",
                  "corner")
 
 
+def draw_camera(draw, h, w):
+    """A camera of h x w px with drawn focal lengths and a principal point
+    inside the frame."""
+    inside = dict(min_value=0.0, exclude_min=True, exclude_max=True)
+    return CameraModel(fx=draw(st.floats(4.0, 120.0)), fy=draw(st.floats(4.0, 120.0)),
+                       cx=draw(st.floats(max_value=w, **inside)),
+                       cy=draw(st.floats(max_value=h, **inside)), width=w, height=h)
+
+
+def draw_capsule(draw, cam, kind):
+    """One capsule (a, b, radius) of the given CAPSULE_KINDS kind."""
+    h, w = cam.height, cam.width
+    if kind == "corner":
+        return corner_capsule(
+            cam, draw(st.floats(0.9, 2.4)), draw(st.floats(0.9, 2.4)),
+            draw(st.booleans()), draw(st.booleans()))
+    z = draw(st.floats(0.02, 0.4))
+    u = draw(st.floats(0.0, w - 1.0))
+    v = draw(st.floats(0.0, h - 1.0))
+    if kind == "border":
+        u = draw(st.sampled_from([0.0, w - 1.0])) + draw(st.floats(-3.0, 3.0))
+    elif kind == "aside":
+        u = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(3.0, 1e7)) * w
+    centre = toward_pixel(cam, u, v, z)
+    if kind == "behind":
+        centre[2] = -z
+    direction = draw(st.sampled_from(tuple(np.eye(3))) | st.builds(
+        lambda *x: np.array(x) / max(np.linalg.norm(x), 1e-3),
+        *[st.floats(-1.0, 1.0)] * 3))
+    half = draw(st.floats(0.0, 0.05)) * direction
+    a, b = centre - half, centre + half
+    if kind == "straddles-z-near":
+        a[2] = draw(st.floats(-0.02, Z_NEAR))
+        b[2] = draw(st.floats(Z_NEAR, 0.1, exclude_min=True))
+    return a, b, draw(st.just(0.0) | st.floats(0.0005, 0.02))
+
+
+def draw_frame(draw, cam):
+    """Four capsules, each of a drawn kind."""
+    return [draw_capsule(draw, cam, draw(st.sampled_from(CAPSULE_KINDS)))
+            for _ in PART_NAMES]
+
+
 @st.composite
 def raster_cases(draw):
     """A camera from 1 x 1 to 24 x 24 px (1 x N and N x 1 included) and four
@@ -272,38 +315,29 @@ def raster_cases(draw):
     behind the camera, far off to the side, or at a frame corner."""
     h = draw(st.sampled_from([1, 1, 2, 3, 9, 24]) | st.integers(1, 24))
     w = draw(st.sampled_from([1, 1, 2, 3, 9, 24]) | st.integers(1, 24))
-    inside = dict(min_value=0.0, exclude_min=True, exclude_max=True)
-    cam = CameraModel(fx=draw(st.floats(4.0, 120.0)), fy=draw(st.floats(4.0, 120.0)),
-                      cx=draw(st.floats(max_value=w, **inside)),
-                      cy=draw(st.floats(max_value=h, **inside)), width=w, height=h)
-    capsules = []
-    for _ in PART_NAMES:
-        kind = draw(st.sampled_from(CAPSULE_KINDS))
-        if kind == "corner":
-            capsules.append(corner_capsule(
-                cam, draw(st.floats(0.9, 2.4)), draw(st.floats(0.9, 2.4)),
-                draw(st.booleans()), draw(st.booleans())))
-            continue
-        z = draw(st.floats(0.02, 0.4))
-        u = draw(st.floats(0.0, w - 1.0))
-        v = draw(st.floats(0.0, h - 1.0))
-        if kind == "border":
-            u = draw(st.sampled_from([0.0, w - 1.0])) + draw(st.floats(-3.0, 3.0))
-        elif kind == "aside":
-            u = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(3.0, 1e7)) * w
-        centre = toward_pixel(cam, u, v, z)
-        if kind == "behind":
-            centre[2] = -z
-        direction = draw(st.sampled_from(tuple(np.eye(3))) | st.builds(
-            lambda *x: np.array(x) / max(np.linalg.norm(x), 1e-3),
-            *[st.floats(-1.0, 1.0)] * 3))
-        half = draw(st.floats(0.0, 0.05)) * direction
-        a, b = centre - half, centre + half
-        if kind == "straddles-z-near":
-            a[2] = draw(st.floats(-0.02, Z_NEAR))
-            b[2] = draw(st.floats(Z_NEAR, 0.1, exclude_min=True))
-        capsules.append((a, b, draw(st.just(0.0) | st.floats(0.0005, 0.02))))
-    return cam, capsule_poses(capsules)
+    cam = draw_camera(draw, h, w)
+    return cam, capsule_poses(draw_frame(draw, cam))
+
+
+@st.composite
+def raster_batches(draw):
+    """A camera of 1 x 1, 1 x W, H x 1 or H x W px (up to 24) and a batch of
+    2 to 6 frames of it, in a drawn order: up to four frames as
+    `raster_cases` draws them, one whose part 0 straddles Z_NEAR, so its
+    spans fall back to the whole frame, and one whose part 0 sits just off
+    a frame corner, where its spans hold one pixel."""
+    shape = draw(st.sampled_from(["1x1", "1xW", "Hx1", "HxW"]))
+    h = 1 if shape[0] == "1" else draw(st.integers(2, 24))
+    w = 1 if shape[-1] == "1" else draw(st.integers(2, 24))
+    cam = draw_camera(draw, h, w)
+    frames = [draw_frame(draw, cam) for _ in range(draw(st.integers(0, 4)))]
+    for first in (draw_capsule(draw, cam, "straddles-z-near"),
+                  corner_capsule(cam, draw(st.floats(1.2, 1.9)),
+                                 draw(st.floats(0.9, 0.95)),
+                                 draw(st.booleans()), draw(st.booleans()))):
+        frames.append([first] + draw_frame(draw, cam)[1:])
+    order = draw(st.permutations(range(len(frames))))
+    return cam, [capsule_poses(frames[i]) for i in order]
 
 
 def assert_matches_frozen_raster(cam, poses):
@@ -323,6 +357,30 @@ class TestOnePassRaster:
     @given(raster_cases())
     def test_matches_frozen_per_capsule_raster(self, case):
         assert_matches_frozen_raster(*case)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(raster_batches())
+    def test_batch_matches_frozen_raster_frame_by_frame(self, batch):
+        # one lift of the whole batch, one rasterize_parts call
+        cam, frames = batch
+        shape = (len(frames), cam.height, cam.width)
+        labels, depth = np.empty(shape, dtype=np.intp), np.empty(shape)
+        motion = np.zeros((len(frames), len(PART_NAMES), 4))
+        tables = kvf.lift(frames, cam, motion, (labels, depth))
+        # the batch holds a capsule that spans the whole frame and one that
+        # tests a single ray
+        ends, radii = (np.concatenate(x)
+                       for x in zip(*(part_arrays(p) for p in frames)))
+        j0, j1 = kvf._row_spans(ends, radii, cam)
+        assert ((j0 == 0) & (j1 == cam.width)).all(axis=1).any()
+        assert ((j1 - j0).sum(axis=1) == 1).any()
+        for t, poses in enumerate(frames):
+            with np.errstate(all="ignore"):  # it warns on a zero-length capsule
+                want_labels, want_depth = frozen_raster.rasterize_parts(poses, cam)
+            assert labels[t].tobytes() == want_labels.tobytes()
+            assert depth[t].tobytes() == want_depth.tobytes()
+            assert (tables[t, :-1, 4].tobytes()
+                    == kvf.rotation_channel(poses, cam).tobytes())
 
     @pytest.mark.parametrize("h, w", [(1, 1), (1, 37), (37, 1), (24, 40)])
     @pytest.mark.parametrize("seed", range(3))
@@ -399,17 +457,26 @@ class TestOnePassRaster:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_blas_rows_do_not_depend_on_row_count_or_offset(seed):
-    """The property `kva_field._ray_test` relies on to run each part's
+    """The property `kva_field._ray_test` relies on to run each capsule's
     matrix-vector products on its own rows: each row of an (n, 3) @ (3,)
-    product with n >= 2 has the same bits as in any longer product."""
+    product with n >= 2 has the same bits as in any longer product. A batch
+    of frames holds up to 4 * max(RASTER_BATCH_PX, H * W) rays, when each of
+    its capsules spans the whole frame, and a capsule's rows may start
+    anywhere among them. So n runs up to that count at 256 x 256, and short
+    slices start deep inside long products."""
     rng = np.random.default_rng(seed)
+    most = 4 * max(kvf.RASTER_BATCH_PX, 256 * 256)
+
+    def log_uniform(lo, hi):
+        return int(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
     for _ in range(200):
-        n = int(rng.integers(2, 400))
+        n = log_uniform(2, most)
         D = np.ones((n, 3))
         D[:, :2] = rng.normal(0.0, 1.0, (n, 2)) * 10.0 ** rng.integers(-3, 3)
         vec = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.integers(-3, 3, 3)
         start = int(rng.integers(0, n - 1))
-        stop = int(rng.integers(start + 2, n + 1))
+        stop = start + log_uniform(2, n - start)
         assert (D[start:stop] @ vec).tobytes() == (D @ vec)[start:stop].tobytes()
 
 
@@ -659,6 +726,46 @@ class TestLift:
         monkeypatch.setattr(kvf, "forward_kinematics", counted)
         kvf.lift_trajectory(traj, geom, cam)
         assert len(calls) == len(traj.states)
+
+    @pytest.mark.parametrize("size, frames", [(256, 4), (128, 10), (64, 10)])
+    def test_frames_rasterized_in_pixel_budgeted_batches(self, monkeypatch,
+                                                         size, frames):
+        # consecutive batches of RASTER_BATCH_PX // (H * W) frames, at least
+        # one: a 256 x 256 frame is a batch of its own (two such frames in
+        # one ray-test pass were measured 21% slower than two passes), and
+        # 64 x 64 frames share their passes
+        geom = ToolGeometry()
+        traj = synth_trajectory("composite", T=frames, seed=1, geom=geom)
+        batch = max(1, kvf.RASTER_BATCH_PX // (size * size))
+        batches = []
+        rasterize_parts = kvf.rasterize_parts
+
+        def counted(poses, cam, out):
+            batches.append(len(out[0]))
+            return rasterize_parts(poses, cam, out)
+
+        monkeypatch.setattr(kvf, "rasterize_parts", counted)
+        kvf.lift_trajectory(traj, geom, default_camera(size, size))
+        assert len(batches) == -(-frames // batch)
+        assert batches == [batch] * (frames // batch) + [frames % batch] * (frames % batch > 0)
+        if size == 256:
+            assert batches == [1] * frames
+        if size == 64:
+            assert len(batches) < frames
+
+    @pytest.mark.parametrize("size", [(40, 24), (64, 64)])
+    def test_batch_size_does_not_change_the_lift(self, monkeypatch, size):
+        # one frame per rasterize_parts call, and all of them in one
+        geom = ToolGeometry()
+        cam = default_camera(*size)
+        traj = synth_trajectory("composite", T=10, seed=3, geom=geom)
+        lifts = []
+        for budget in (1, len(traj.states) * cam.width * cam.height):
+            monkeypatch.setattr(kvf, "RASTER_BATCH_PX", budget)
+            lifts.append(kvf.lift_trajectory(traj, geom, cam))
+        one, whole = lifts
+        for name in ("labels", "depth", "tables"):
+            assert getattr(one, name).tobytes() == getattr(whole, name).tobytes()
 
     def test_composition_matches_components(self):
         geom = ToolGeometry()

@@ -105,7 +105,7 @@ class TestTrajectoryFormat:
         lines = [ln for ln in path.read_text().splitlines()
                  if not ln.startswith("frame 3 ")]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="frame 3 is missing$"):
             fm.read_trajectory(path)
 
     @pytest.mark.parametrize("record", ["frame 2", "dt", "camera", "extrinsic",
@@ -124,7 +124,15 @@ class TestTrajectoryFormat:
     def test_missing_camera_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("seq x\ndt 0.5\nframe 1 0 0 0.2 0 0 0 0 0.1 0.1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError,
+                           match="^missing camera/extrinsic records$"):
+            fm.read_trajectory(path)
+
+    def test_missing_frames_named(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("dt 0.5\n")
+        with pytest.raises(ParseError,
+                           match="^missing camera/extrinsic/frame records$"):
             fm.read_trajectory(path)
 
 
@@ -410,6 +418,14 @@ class TestAtomicWrite:
         fm.atomic_write_text(path, "two")
         assert path.read_text() == "two"
 
+    def test_failed_rename_names_the_destination(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            fm.atomic_write_bytes(path, b"hello")
+        assert str(exc.value) == f"[Errno 21] Is a directory: '{path}'"
+        assert os.listdir(tmp_path) == ["f.bin"]
+
 
 def _out_of_range(value):
     """A value outside the range of a Config field whose default is
@@ -546,29 +562,56 @@ def config_argv(root, text, command):
     return argv
 
 
-# command lines; the names in capitals stand for the inputs that
-# `argument_argv` writes
-BAD_ARGUMENTS = [pytest.param(argv, id=name) for argv, name in (
-    (["--seed", "-1", "synth"], "seed-negative-synth"),
-    (["--seed", "-1", "route", "--traj", "TRAJ"], "seed-negative-route"),
-    (["synth", "--frames", "0"], "frames-0"),
-    (["synth", "--frames", "100000000"], "frames-over-work-bound"),
-    (["synth", "--kind", ""], "kind-empty"),
-    (["eval", "--pred", "EMPTY", "--target", "EMPTY"], "eval-empty-dirs"),
-    (["route", "--traj", "TINY"], "route-one-token"),
-    (["report", "--inputs", "BINARY"], "report-not-utf8"),
-    (["--out", "BLOCKED", "synth", "--frames", "1"], "out-file-is-a-directory"),
+# command lines, with the start of the error message each must give; the
+# names in capitals stand for the inputs that `argument_argv` writes, and
+# {root} in a message for the directory it writes them in
+BAD_ARGUMENTS = [pytest.param(argv, message, id=name) for argv, message, name in (
+    (["--seed", "-1", "synth"], "--seed must be >= 0, got -1",
+     "seed-negative-synth"),
+    (["--seed", "-1", "route", "--traj", "TRAJ"],
+     "--seed must be >= 0, got -1", "seed-negative-route"),
+    (["synth", "--frames", "0"], "config 'frames': T must be >= 1, got 0",
+     "frames-0"),
+    (["synth", "--frames", "100000000"],
+     "100000000 frames of 64x64 are 409600000000 pixels, over the work bound",
+     "frames-over-work-bound"),
+    (["synth", "--kind", ""],
+     "config 'trajectory_kind': unknown trajectory kind ''", "kind-empty"),
+    (["eval", "--pred", "EMPTY", "--target", "EMPTY"],
+     "no .pgm masks in {root}/empty", "eval-empty-dirs"),
+    (["route", "--traj", "TINY"],
+     "route needs at least 3 tokens for its 3 motion bins, got 1",
+     "route-one-token"),
+    (["report", "--inputs", "BINARY"],
+     "report input {root}/report.csv: 'utf-8' codec can't decode",
+     "report-not-utf8"),
+    # the destination is named, not the removed temporary file
+    (["--out", "BLOCKED", "synth", "--frames", "1"],
+     "[Errno 21] Is a directory: '{root}/blocked/trajectory.txt'\n",
+     "out-file-is-a-directory"),
     # malformed command lines, which argparse alone would end in exit 2
-    (["--seed", "abc", "synth"], "seed-not-int"),
-    (["--bogus", "synth"], "unknown-flag"),
-    (["route"], "route-without-traj"),
-    (["synth", "--frames", "x"], "frames-not-int"),
-    (["nope"], "unknown-command"),
-    (["--resolution", "-16x16", "synth"], "resolution-negative"),
-    ([], "no-command"),
-    (["synth", "extra"], "stray-positional"),
-    (["run"], "run-without-traj"),
+    (["--seed", "abc", "synth"],
+     "kvacontrol: argument --seed: invalid int value: 'abc'", "seed-not-int"),
+    (["--bogus", "synth"], "kvacontrol: unrecognized arguments: --bogus",
+     "unknown-flag"),
+    (["route"], "kvacontrol route: the following arguments are required: "
+     "--traj", "route-without-traj"),
+    (["synth", "--frames", "x"],
+     "kvacontrol synth: argument --frames: invalid int value: 'x'",
+     "frames-not-int"),
+    (["nope"], "kvacontrol: argument command: invalid choice: 'nope'",
+     "unknown-command"),
+    (["--resolution", "-16x16", "synth"],
+     "kvacontrol: argument --resolution: expected one argument",
+     "resolution-negative"),
+    ([], "kvacontrol: the following arguments are required: command",
+     "no-command"),
+    (["synth", "extra"], "kvacontrol: unrecognized arguments: extra",
+     "stray-positional"),
+    (["run"], "kvacontrol run: the following arguments are required: --traj",
+     "run-without-traj"),
     (["--resolution", "16x16", "run", "--traj", "TRAJ"],
+     "--resolution 16x16 differs from the trajectory camera's 32x32",
      "run-resolution-mismatch"),
 )]
 
@@ -601,7 +644,9 @@ ARGUMENT_INPUTS = {"TRAJ": lambda root: _trajectory_file(root, 32),
                    "BINARY": _not_utf8, "BLOCKED": _blocked_out}
 
 
-def argument_argv(root, argv):
+def argument_argv(root, argv, message):
+    """The command line `argv` with its inputs written under root;
+    `message` is the test's."""
     return ["--out", str(root / "o"),
             *(str(ARGUMENT_INPUTS[a](root)) if a in ARGUMENT_INPUTS else a
               for a in argv)]
@@ -613,10 +658,16 @@ def argument_argv(root, argv):
 BAD_TRAJECTORY_VALUES = [
     pytest.param(record, pos, value, message, id=name)
     for record, pos, value, message, name in (
-        ("dt", 1, "nan", "dt must be finite and > 0, got nan", "dt-nan"),
-        ("dt", 1, "inf", "dt must be finite and > 0, got inf", "dt-inf"),
-        ("camera", 5, "64.7", "line 2: invalid literal", "width-fraction"),
-        ("camera", 6, "nan", "line 2: invalid literal", "height-nan"),
+        ("dt", 1, "nan", "line 4: dt must be finite and > 0, got nan\n",
+         "dt-nan"),
+        ("dt", 1, "inf", "line 4: dt must be finite and > 0, got inf\n",
+         "dt-inf"),
+        ("camera", 5, "64.7",
+         "line 2: camera width must be an integer, got '64.7'\n",
+         "width-fraction"),
+        ("camera", 6, "nan",
+         "line 2: camera height must be an integer, got 'nan'\n",
+         "height-nan"),
         ("camera", 1, "nan", "line 2: camera intrinsics must be finite",
          "fx-nan"),
         ("extrinsic", 4, "inf", "line 3: extrinsic must be the identity",
@@ -642,9 +693,9 @@ BAD_TRAJECTORY_VALUES = [
          "non-finite-action"),
         ("seq", 0, "bogus", "line 1: unknown record 'bogus'",
          "unknown-record"),
-        ("dt", 0, "#", "missing camera/extrinsic/dt/frame records",
-         "dt-commented-out"),
-        ("frame 2", 1, "3", "frame indices must be contiguous from 1",
+        ("dt", 0, "#", "missing dt record\n", "dt-commented-out"),
+        ("frame 2", 1, "3",
+         "frame indices must be contiguous from 1: frame 2 is missing\n",
          "frame-gap"),
         ("seq", 1, "\udcff", "trajectory ", "not-utf8"),
         ("dt", 1, "1e-40", "frame 2: the ", "dt-motion-beyond-float32"),
@@ -824,9 +875,10 @@ class TestCli:
                                                   "route"))
         assert err == "error: stride 3 does not divide the 32x32 frame\n"
 
-    @pytest.mark.parametrize("argv", BAD_ARGUMENTS)
-    def test_bad_argument_clean_error(self, tmp_path, capsys, argv):
-        _one_error_line(capsys, argument_argv(tmp_path, argv))
+    @pytest.mark.parametrize("argv,message", BAD_ARGUMENTS)
+    def test_bad_argument_clean_error(self, tmp_path, capsys, argv, message):
+        err = _one_error_line(capsys, argument_argv(tmp_path, argv, message))
+        assert err.startswith(f"error: {message.format(root=tmp_path)}"), err
 
     def test_eval_empty_and_one_sided_masks(self, tmp_path):
         # frames 2 and 3 are empty in both masks: no Chamfer distance (nan),
@@ -867,7 +919,7 @@ class TestCli:
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
         _one_error_line(capsys, argument_argv(
-            tmp_path, ["--out", "BLOCKED", "synth", "--frames", "1"]))
+            tmp_path, ["--out", "BLOCKED", "synth", "--frames", "1"], None))
         assert not [name for name in os.listdir(tmp_path / "blocked")
                     if name.startswith(".tmp-")]
 
