@@ -5,13 +5,38 @@ invocations produce byte-identical outputs. Reports are CSV with a header row.
 
 A trajectory command reads its trajectory, lifts it into compact form
 (`kva_field.LiftedTrajectory`), computes its channel statistics and, unless
-it is `lift`, routes each frame, each once (`_trajectory_pass`). `lift`,
-`route`, `losses` and `schedule` write their artefacts from that one pass,
-and `run` writes all four's. No whole (T, H, W, 9) stack is painted: `lift`
-paints a frame at a time, routing only the tool's blocks (`_pooled_grids`).
-Routing forms every frame's action tokens, and gates every frame for `route`
-and `schedule`; `losses` reads every frame's tokens but only the last
-frame's gates, so on its own it gates only the last frame.
+it is `lift`, routes every frame once, in batches of frames
+(`_trajectory_pass`). `lift`, `route`, `losses` and `schedule` write their
+artefacts from that one pass, and `run` writes all four's. No whole
+(T, H, W, 9) stack is painted: `lift` paints a frame at a time, routing only
+the tool's blocks (`_pooled_grids`). Routing forms every frame's action
+tokens, and gates every frame for `route` and `schedule`; `losses` reads
+every frame's tokens but only the last frame's gates, so on its own it
+gates only the last frame.
+
+Routing takes consecutive batches of ROUTE_BATCH_TOKENS // (H' * W')
+frames, at least one. Each batch's grids are pooled, routed by one
+`route_forward` call, and given their sub-expert mass and significance,
+each step once over the batch's frames stacked along rows, and each frame
+keeps the bits of being routed alone (see `routing`; `scheduler.significance`
+normalizes each frame on its own). The results go into the run's (T, ...)
+stacks. A 16 x 16 token grid (64 x 64 at stride 4) makes a pass over one
+frame bound by numpy's per-call overhead, not by arithmetic, and a batch
+pays it once; a 4096-token frame (256 x 256) gains nothing from company and
+loses when two share a batch. The budget comes from a sweep of
+`_routing_run` (composite, seed 1, one BLAS thread, 2 vCPUs; median of 15
+interleaved rounds, each the best of 3 calls), against one frame per batch,
+planned (`route`, `schedule`) / unplanned (`losses` alone):
+
+| budget | 64 x 64, T=10 | 128 x 128, T=10 | 256 x 256, T=4 | 256 x 256, T=10 |
+| --- | --- | --- | --- | --- |
+| 2^10 | -26% / -31% | 0% / -5% (1 frame) | +1% / 0% (1 frame) | -2% / -1% (1 frame) |
+| 2^11 | -31% / -25% | -8% / -7% | +2% / -1% (1 frame) | +1% / -1% (1 frame) |
+| 2^12 | -36% / -22% | -1% / -12% | 0% / 0% (1 frame) | +3% / 0% (1 frame) |
+| 2^13 | -33% / -22% | -1% / -18% | +7% / +4% | +5% / +7% |
+
+2^12 takes the most at 64 x 64, where a trajectory of 10 frames is one
+batch, and is the largest budget that keeps a 256 x 256 frame alone.
 
 Before anything is drawn or lifted, a run is checked against two work
 bounds: frames x H x W pixels (`MAX_PIXELS`) and token_dim x frames x H' x
@@ -83,6 +108,10 @@ def _derived_seed(seed: int, tag: str) -> int:
 # float64 entry
 MAX_PIXELS = 2 ** 30 // 16  # frames x H x W
 MAX_TOKEN_ENTRIES = 2 ** 30 // 8  # token_dim x frames x H' x W'
+# tokens per `route_forward` call: `_routing_run` routes
+# ROUTE_BATCH_TOKENS // (H' * W') frames at a time, at least one (see the
+# module docstring for the sweep behind it)
+ROUTE_BATCH_TOKENS = 2 ** 12
 
 
 def _check_work(cfg: Config, frames: int, h: int, w: int):
@@ -130,7 +159,7 @@ class RoutingRun:
 
     params: rt.GateParams
     t_embed: np.ndarray  # the timestep embedding every frame is routed with
-    last: rt.RoutingDecision  # the last frame's decision
+    last: rt.RoutingDecision  # the last frame's decision, a batch of one
     tokens: np.ndarray  # (T, H', W', C)
     pooled: np.ndarray  # (T, H', W', 9) raw field
     m_tool: np.ndarray  # (T, H', W') pooled tool mask
@@ -143,12 +172,13 @@ class RoutingRun:
 
 
 def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
-                  s: int):
+                  s: int, batch: int):
     """The routing grids of a lifted trajectory at stride s, each stacked
     over the frames with the bits of pooling the painted frames f: the
     normalized grid `avg_pool(normalize(f, stats), s)` that routing reads,
     the raw grid `avg_pool(f, s)` and the pooled tool mask
-    `avg_pool(labels >= 0, s)`.
+    `avg_pool(labels >= 0, s)`. The frames are pooled `batch` at a time,
+    each step once over the batch's frames stacked along rows.
 
     Only the blocks that hold a tool pixel are painted, normalized and
     pooled. `avg_pool` folds each block on its own, elementwise in row-major
@@ -157,69 +187,86 @@ def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
     +0.0, so a block with no tool pixel pools to 0.0 in the raw grid and to
     one constant row, that of a zero block, in the normalized grid."""
     n = kvf.N_CHANNELS
-    m_tool = np.stack([rt.avg_pool(labels >= 0, s) for labels in lifted.labels])
+    frames, h, w = lifted.labels.shape
+    m_tool = np.empty((frames, h // s, w // s))
     normed = np.empty(m_tool.shape + (n,))
     normed[...] = rt.avg_pool(kvf.normalize(np.zeros((s, s, n)), stats), s)
     pooled = np.zeros_like(normed)
-    for t, m in enumerate(m_tool):
-        bi, bj = np.nonzero(m)
-        f = kvf.paint(lifted.tables[t], _block_strip(lifted.labels[t], bi, bj, s),
-                      _block_strip(lifted.depth[t], bi, bj, s))
-        pooled[t, bi, bj] = rt.avg_pool(f, s)[0]
-        normed[t, bi, bj] = rt.avg_pool(kvf.normalize(f, stats), s)[0]
+    # a frame's part table rows follow the frames before it; label -1 wraps
+    # to its frame's zero row
+    tables = lifted.tables.reshape(-1, n)
+    for t in range(0, frames, batch):
+        b = slice(t, t + batch)
+        # pooled channel-last, (H, W, frames), so a stride that does not
+        # divide the frame is reported with the frame's size
+        m_tool[b] = np.moveaxis(rt.avg_pool(np.moveaxis(
+            lifted.labels[b] >= 0, 0, -1), s), -1, 0)
+        # the tool's s x s blocks side by side in one (s, blocks * s) strip
+        bt, bi, bj = np.nonzero(m_tool[b])
+        labels, depth = (a[b].reshape(-1, h // s, s, w // s, s)[bt, bi, :, bj]
+                         .transpose(1, 0, 2).reshape(s, -1)
+                         for a in (lifted.labels, lifted.depth))
+        rows = np.repeat((bt + t) * kvf.N_TABLE_ROWS, s)
+        f = kvf.paint(tables, rows + labels % kvf.N_TABLE_ROWS, depth)
+        pooled[bt + t, bi, bj] = rt.avg_pool(f, s)[0]
+        normed[bt + t, bi, bj] = rt.avg_pool(kvf.normalize(f, stats), s)[0]
     return normed, pooled, m_tool
-
-
-def _block_strip(a, bi, bj, s):
-    """The s x s blocks (bi, bj) of an (H, W) array side by side in one
-    (s, len(bi) * s) strip."""
-    h, w = a.shape
-    a = a.reshape(h // s, s, w // s, s)[bi, :, bj].transpose(1, 0, 2)
-    return a.reshape(s, len(bi) * s)
 
 
 def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
                  stats: kvf.ChannelStats, planned: bool) -> RoutingRun:
-    """Shared forward pass over a lifted trajectory: each frame's grids are
-    pooled from the tool's blocks only (`_pooled_grids`) and routed once,
-    and, if `planned`, its motion, fusion weights, sub-expert mass and
-    significance are formed and each frame is partitioned once. Unplanned,
-    every frame's action tokens are formed but only the last frame is
-    gated."""
+    """Shared forward pass over a lifted trajectory, in consecutive batches
+    of ROUTE_BATCH_TOKENS // (H' * W') frames, at least one. Each batch's
+    grids are pooled from the tool's blocks only (`_pooled_grids`) and
+    routed in one `route_forward` call, so each frame is routed once, and,
+    if `planned`, its fusion weights, sub-expert mass and significance are
+    formed once per batch into the run's stacks, after the motion of the
+    whole sequence, and each frame is partitioned once. Unplanned, every
+    frame's action tokens are formed, in batches of the frames before the
+    last, but only the last frame is gated, in a batch of its own."""
     params = rt.init_gate_params(seed=_derived_seed(seed, "gate"),
                                  c=cfg.token_dim)
     schedule = rt.CapacitySchedule(dense_end=cfg.dense_end,
                                    sparse_start=cfg.sparse_start, k=cfg.top_k)
     t_embed = rt.timestep_embed(cfg.timestep)
-    normed, pooled, m_tool = _pooled_grids(lifted, stats, cfg.stride)
-    # unplanned, only losses reads the gates, and only the last frame's
-    last = len(normed) - 1
-    decisions = [rt.route_forward(g, params, cfg.progress, t_embed,
-                                  sched=schedule, gates=planned or t == last)[1]
-                 for t, g in enumerate(normed)]
+    frames, h, w = lifted.labels.shape
+    hp, wp = h // cfg.stride, w // cfg.stride
+    batch = max(1, ROUTE_BATCH_TOKENS // (hp * wp))
+    normed, pooled, m_tool = _pooled_grids(lifted, stats, cfg.stride, batch)
     budget = sched.BudgetConfig(rho_full_target=cfg.rho_full,
                                 rho_light_target=cfg.rho_light, K=cfg.refresh_k)
-    planned_fields = {}
+    tokens = np.empty(m_tool.shape + (cfg.token_dim,))
     if planned:
         # motion is normalised by its peak over the sequence, so frames
         # compare
         motion = sched.motion_intensity(pooled[..., 5:8], pooled[..., 8])
-        fusion_w = np.stack([d.fusion_w for d in decisions])
-        # sum over the expert axis, a frame at a time so that no weighted
-        # stack is held; numpy adds the slices of a non-last axis in order,
-        # as the fold does
-        sub_mass = np.stack([fold(np.add, columns(np.moveaxis(
-            d.fusion_w[..., None] * d.inner_probs, -2, -1)))
-            for d in decisions])
-        s_tilde = np.stack([sched.significance(*frame)[1] for frame in zip(
-            motion, m_tool, fold(np.maximum, columns(fusion_w)),
-            sub_mass[..., rt.FINE], sub_mass[..., rt.SKIP])])
-        planned_fields = dict(
-            motion=motion, fusion_w=fusion_w, sub_mass=sub_mass,
-            s_tilde=s_tilde,
-            plans=tuple(sched.partition(s, budget) for s in s_tilde))
-    return RoutingRun(params, t_embed, decisions[-1],
-                      np.stack([d.tokens for d in decisions]), pooled, m_tool,
+        fusion_w, sub_mass, s_tilde = (np.empty(m_tool.shape + k) for k in (
+            (rt.N_EXPERTS,), (rt.N_SUB,), ()))
+    # unplanned, only losses reads the gates, and only the last frame's: the
+    # frames before it are routed without gates, and it alone with them
+    n = frames if planned else frames - 1
+    batches = [slice(t, min(t + batch, n)) for t in range(0, n, batch)]
+    for b in batches + ([] if planned else [slice(n, frames)]):
+        _, d = rt.route_forward(
+            normed[b].reshape(-1, wp, kvf.N_CHANNELS), params, cfg.progress,
+            t_embed, sched=schedule, frames=b.stop - b.start,
+            gates=planned or b.stop == frames)
+        tokens[b] = d.tokens.reshape(tokens[b].shape)
+        if not planned:
+            continue
+        fusion_w[b] = d.fusion_w.reshape(fusion_w[b].shape)
+        # sum over the expert axis into the stack; numpy adds the slices of
+        # a non-last axis in order, as the fold does
+        fold(np.add, columns(np.moveaxis(
+            d.fusion_w[..., None] * d.inner_probs, -2, -1)),
+            out=sub_mass[b].reshape(-1, wp, rt.N_SUB))
+        s_tilde[b] = sched.significance(
+            motion[b], m_tool[b], fold(np.maximum, columns(fusion_w[b])),
+            sub_mass[b][..., rt.FINE], sub_mass[b][..., rt.SKIP])[1]
+    planned_fields = {} if not planned else dict(
+        motion=motion, fusion_w=fusion_w, sub_mass=sub_mass, s_tilde=s_tilde,
+        plans=tuple(sched.partition(s, budget) for s in s_tilde))
+    return RoutingRun(params, t_embed, d.last_frame(), tokens, pooled, m_tool,
                       budget, **planned_fields)
 
 
@@ -315,7 +362,7 @@ def cmd_losses(cfg: Config, seed: int, run: RoutingRun, out: str):
     predictor = pr.init_predictor(seed=_derived_seed(seed, "predictor"),
                                   c=cfg.token_dim)
     tokens, A = run.last.tokens, run.last.A
-    c_action, t_embed = run.last.c_action, run.t_embed
+    c_action, t_embed = run.last.c_action[0], run.t_embed
     # a token is on the tool when any of its pixels is
     m_seq = (run.m_tool > 0).astype(float)
     pi = pr.physical_prior(run.pooled[-1])

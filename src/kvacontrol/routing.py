@@ -5,11 +5,21 @@ acceleration), each structurally restricted to its own channels. Tier 2 picks
 a motion-scale sub-expert (fine / transport / skip) per token inside each
 modality. Fusion follows a dense -> sparse top-k capacity schedule.
 
-`route_forward` decides: it takes one frame's pooled (H', W', 9) grid,
-embeds the tokens, runs the outer gate, top-k and the capacity blend, and
-lifts and inner-gates each modality. The caller pools with `avg_pool`, so a
-caller that knows where the tool is can paint and pool only the blocks that
-hold it from the part labels of a compact lift (see `cli._pooled_grids`).
+`route_forward` decides: it takes a batch of frames' pooled (H', W', 9)
+grids stacked along rows, embeds the tokens, runs the outer gate, top-k and
+the capacity blend, and lifts and inner-gates each modality, each step once
+over the whole batch. The caller pools with `avg_pool`, so a caller that
+knows where the tool is can paint and pool only the blocks that hold it
+from the part labels of a compact lift (see `cli._pooled_grids`).
+
+A batch gives every frame the bits of routing it alone. numpy multiplies a
+(rows, W', C) @ (C, n) grid one W'-row GEMM at a time, so stacking frames
+along rows leaves each product's rows and operands as they are. Each
+frame's `c_action` is the mean over its own rows, and its outer logits
+`concat(c_action, t_embed) @ outer_w + outer_b` stay one small product per
+frame. Everything after them (softmax, top-k, the blend, the inner gates)
+is elementwise or works a token at a time.
+
 No expert or sub-expert output is computed: every CLI artefact reads the
 gates only, as a sparse mixture of experts computes only the experts its
 gates select.
@@ -109,16 +119,25 @@ def init_gate_params(seed=0, c=16) -> GateParams:
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """Everything the gates decided for one frame's token grid; the gate
-    fields, A to inner_probs, are None where `route_forward` skipped the
-    gates."""
+    """Everything the gates decided for a batch of B frames' token grids,
+    stacked along rows: frame b's tokens are rows b * H' to (b + 1) * H'.
+    The gate fields, A to inner_probs, are None where `route_forward`
+    skipped the gates."""
 
-    A: np.ndarray | None  # (H', W', 5) binary top-k mask
-    fusion_w: np.ndarray | None  # (H', W', 5) capacity-blended fusion weights
-    inner_sel: np.ndarray | None  # (H', W', 5) argmax sub-expert per modality
-    inner_probs: np.ndarray | None  # (H', W', 5, 3) full tier-2 distributions
-    tokens: np.ndarray  # (H', W', C) shared action tokens
-    c_action: np.ndarray  # (C,) pooled gate feature
+    A: np.ndarray | None  # (B H', W', 5) binary top-k mask
+    fusion_w: np.ndarray | None  # (B H', W', 5) capacity-blended weights
+    inner_sel: np.ndarray | None  # (B H', W', 5) argmax sub-expert
+    inner_probs: np.ndarray | None  # (B H', W', 5, 3) tier-2 distributions
+    tokens: np.ndarray  # (B H', W', C) shared action tokens
+    c_action: np.ndarray  # (B, C) each frame's pooled gate feature
+
+    def last_frame(self) -> RoutingDecision:
+        """The decision of the batch's last frame, a batch of one."""
+        rows = len(self.tokens) // len(self.c_action)
+        return RoutingDecision(
+            *(None if a is None else a[-rows:] for a in (
+                self.A, self.fusion_w, self.inner_sel, self.inner_probs,
+                self.tokens)), c_action=self.c_action[-1:])
 
 
 def timestep_embed(t: float) -> np.ndarray:
@@ -160,10 +179,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def outer_gate(c_action, t_embed, params: GateParams, tokens):
-    """Global modality gate, additively refined per token."""
-    logits = np.concatenate([c_action, t_embed]) @ params.outer_w + params.outer_b
+    """Global modality gate, additively refined per token: c_action is
+    (B, C), one row per frame of the (B * H', W', C) tokens."""
     per_token = tokens @ params.token_w
-    per_token += logits
+    for frame, c in zip(per_token.reshape(len(c_action), -1, N_EXPERTS),
+                        c_action):
+        frame += np.concatenate([c, t_embed]) @ params.outer_w + params.outer_b
     return softmax(per_token)
 
 
@@ -199,10 +220,11 @@ def _modality_tokens(field_pooled, params: GateParams, m: str):
 
 def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
                   t_embed, sched: CapacitySchedule | None = None, *,
-                  gates: bool = True):
-    """Two-tier gating of one frame's pooled (H', W', 9) grid: the grid and
-    its routing decision. The pair is returned for perfbench's tracer, which
-    counts the tokens of the decision it finds second.
+                  frames: int = 1, gates: bool = True):
+    """Two-tier gating of `frames` frames' pooled (H', W', 9) grids, stacked
+    along rows into one (frames * H', W', 9) array: the grids and their
+    routing decision. The pair is returned for perfbench's tracer, which
+    counts the tokens of the decision it finds second, rows times columns.
 
     With `gates=False` only the action tokens and `c_action` are formed, and
     the decision's gate fields are None. `cli` passes it for the frames whose
@@ -210,7 +232,8 @@ def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
     only the last frame's gates."""
     sched = sched or CapacitySchedule()
     tokens = pooled @ params.lift_w + params.lift_b  # shared action lift
-    c_action = tokens.mean(axis=(0, 1))
+    rows, wp, c = tokens.shape
+    c_action = tokens.reshape(frames, rows // frames, wp, c).mean(axis=(1, 2))
     if not gates:
         return pooled, RoutingDecision(A=None, fusion_w=None, inner_sel=None,
                                        inner_probs=None, tokens=tokens,
@@ -219,9 +242,8 @@ def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
     A = topk_select(P, sched.k)
     fusion_w = capacity_blend(P, A, progress, sched)
 
-    hp, wp = tokens.shape[:2]
-    inner_sel = np.zeros((hp, wp, N_EXPERTS), dtype=int)
-    inner_probs = np.zeros((hp, wp, N_EXPERTS, N_SUB))
+    inner_sel = np.zeros((rows, wp, N_EXPERTS), dtype=int)
+    inner_probs = np.zeros((rows, wp, N_EXPERTS, N_SUB))
     for i, m in enumerate(MODALITIES):
         inner_sel[..., i], inner_probs[..., i, :] = inner_gate(
             _modality_tokens(pooled, params, m), params.inner_w[m],

@@ -46,21 +46,23 @@ class BudgetConfig:
 
 
 def significance(e_motion, m_tool, c_route, q_fine, p_skip):
-    """Raw significance s and the per-sample min-max normalized s_tilde.
+    """Raw significance s and s_tilde, s min-max normalized per frame. Each
+    map stacks one or more frames along its first axis.
 
-    s = e_motion + m_tool + c_route + q_fine - p_skip. A constant map
-    normalizes to all 0.5."""
+    s = e_motion + m_tool + c_route + q_fine - p_skip. A frame whose map is
+    constant normalizes to all 0.5. min and max do not round, so each frame
+    of a stack gets the bits of normalizing it alone."""
     s = (np.asarray(e_motion, dtype=float)
          + np.asarray(m_tool, dtype=float)
          + np.asarray(c_route, dtype=float)
          + np.asarray(q_fine, dtype=float)
          - np.asarray(p_skip, dtype=float))
-    lo, hi = s.min(), s.max()
-    if hi - lo == 0:
-        s_tilde = np.full_like(s, 0.5)
-    else:
-        s_tilde = (s - lo) / (hi - lo)
-    return s, s_tilde
+    flat = s.reshape(len(s), -1)
+    lo = flat.min(axis=1, keepdims=True)
+    span = flat.max(axis=1, keepdims=True) - lo
+    s_tilde = np.full_like(flat, 0.5)
+    np.divide(flat - lo, span, out=s_tilde, where=span != 0)
+    return s, s_tilde.reshape(s.shape)
 
 
 def motion_intensity(field_pooled_vel, field_pooled_acc):

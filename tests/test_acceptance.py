@@ -259,7 +259,7 @@ def test_criterion_06_routing_invariants(capsys):
         tokens = rng.normal(size=(100, 100, 16))
         c_action = tokens.mean(axis=(0, 1))
         t_embed = rt.timestep_embed(0.5)
-        P = rt.outer_gate(c_action, t_embed, params, tokens=tokens)
+        P = rt.outer_gate(c_action[None], t_embed, params, tokens=tokens)
         sched_cfg = rt.CapacitySchedule()
         A = rt.topk_select(P, sched_cfg.k)
 

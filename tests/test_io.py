@@ -1057,24 +1057,31 @@ class TestCli:
 
     def test_routing_runs_compute_no_expert_outputs(self, tmp_path,
                                                     monkeypatch):
-        frames = 2
+        # 3 frames of 8 x 8 tokens, routed 2 frames at a time
+        frames, tokens = 3, 64
+        monkeypatch.setattr(cli, "ROUTE_BATCH_TOKENS", 2 * tokens)
         traj = _trajectory_file(tmp_path, 32, frames=frames)
-        stages = {"read_trajectory": cli, "lift_trajectory": kvf,
-                  "compute_stats": kvf, "route_forward": rt,
-                  "outer_gate": rt, "inner_gate": rt,
-                  "motion_intensity": sched, "significance": sched,
-                  "partition": sched}
+        # what each stage is counted in: frames routed, gated or scored,
+        # tokens inner-gated, and calls
+        stages = {"read_trajectory": (cli, None), "lift_trajectory": (kvf, None),
+                  "compute_stats": (kvf, None),
+                  "route_forward": (rt, lambda args, kwargs: kwargs["frames"]),
+                  "outer_gate": (rt, lambda args, kwargs: len(args[0])),
+                  "inner_gate": (rt, lambda args, kwargs: args[0][..., 0].size),
+                  "motion_intensity": (sched, None),
+                  "significance": (sched, lambda args, kwargs: len(args[0])),
+                  "partition": (sched, None)}
         calls = {}
 
-        def counted(name, real):
+        def counted(name, real, measure):
             def wrapper(*args, **kwargs):
-                calls[command][name] += 1
+                calls[command][name] += measure(args, kwargs) if measure else 1
                 return real(*args, **kwargs)
             return wrapper
 
-        for name, module in stages.items():
+        for name, (module, measure) in stages.items():
             monkeypatch.setattr(module, name,
-                                counted(name, getattr(module, name)))
+                                counted(name, getattr(module, name), measure))
         for command in cli.TRAJECTORY_COMMANDS:
             calls[command] = dict.fromkeys(stages, 0)
             self._run("--out", str(tmp_path / command), command,
@@ -1082,8 +1089,8 @@ class TestCli:
         # each command reads, lifts and measures its trajectory once and
         # routes each frame at most once; only the writers that read the
         # significance and the execution plans (route and schedule) form
-        # them: the motion once, and significance and partition once per
-        # frame. Those two gate every frame; losses, which reads only the
+        # them: the motion once, and each frame's significance and partition
+        # once. Those two gate every frame; losses, which reads only the
         # last frame's gates, gates that frame alone
         for command, counts in calls.items():
             routed = 0 if command == "lift" else frames
@@ -1092,7 +1099,7 @@ class TestCli:
             assert counts == {"read_trajectory": 1, "lift_trajectory": 1,
                               "compute_stats": 1, "route_forward": routed,
                               "outer_gate": gated,
-                              "inner_gate": gated * rt.N_EXPERTS,
+                              "inner_gate": gated * rt.N_EXPERTS * tokens,
                               "motion_intensity": int(planned),
                               "significance": frames * planned,
                               "partition": frames * planned}, command

@@ -381,7 +381,7 @@ def test_kp_alb_evaluator_matches_outer_gate_path(inputs, data):
             idx = data.draw(st.tuples(*(st.integers(0, n - 1)
                                         for n in arrays[name].shape)))
             arrays[name][idx] += data.draw(st.sampled_from([1e-5, -1e-5, 7.0]))
-        P = rt.outer_gate(c_action, t_embed,
+        P = rt.outer_gate(c_action[None], t_embed,
                           dataclasses.replace(params, **arrays), tokens=tokens)
         want = pr.kp_alb_loss(pr.routing_stats(P), prior)
         assert _float_bytes(loss(arrays)) == _float_bytes(want)
@@ -418,7 +418,7 @@ def test_kp_alb_evaluator_repeats_match_fresh_loss(inputs, data):
             arrays[name][idx] += data.draw(st.sampled_from([1e-5, -1e-5, 7.0]))
             visited.append({k: v.copy() for k, v in arrays.items()})
         fresh = {k: v.copy() for k, v in arrays.items()}
-        P = rt.outer_gate(c_action, t_embed,
+        P = rt.outer_gate(c_action[None], t_embed,
                           dataclasses.replace(params, **fresh), tokens=tokens)
         want = pr.kp_alb_loss(pr.routing_stats(P), prior)
         assert _float_bytes(loss(arrays)) == _float_bytes(want)
@@ -599,7 +599,7 @@ def test_evaluators_on_repeated_rows_match_public_losses(layout, data):
                                                tokens), A)
 
     def kp_ref(arrs):
-        P = rt.outer_gate(c_action, t_embed,
+        P = rt.outer_gate(c_action[None], t_embed,
                           dataclasses.replace(params, **arrs), tokens=tokens)
         return pr.kp_alb_loss(pr.routing_stats(P), prior)
 
@@ -736,8 +736,9 @@ def test_tool_poses_do_what_their_names_say(name):
 
 
 @settings(max_examples=80, deadline=None)
-@given(lifted_cases())
-def test_compact_lift_matches_dense_painting(case):
+@given(lifted_cases(), st.integers(1, 3))
+def test_compact_lift_matches_dense_painting(case, batch):
+    # the routing grids are pooled `batch` frames at a time
     lifted, dense, s = case
     frames = painted(lifted)
     if dense is not None:
@@ -754,7 +755,7 @@ def test_compact_lift_matches_dense_painting(case):
     want = dense_compute_stats(frames)
     assert stats.mean.tobytes() == want.mean.tobytes()
     assert stats.std.tobytes() == want.std.tobytes()
-    normed, pooled, m_tool = cli._pooled_grids(lifted, stats, s)
+    normed, pooled, m_tool = cli._pooled_grids(lifted, stats, s, batch)
     assert normed.shape == pooled.shape == m_tool.shape + (kvf.N_CHANNELS,)
     assert len(m_tool) == len(frames)
     for t, f in enumerate(frames):

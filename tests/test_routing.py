@@ -28,8 +28,8 @@ def lifted_field(seed=0, hw=32):
 
 
 def route_tokens(field, params):
-    """route_forward's pooled gate feature c_action and its action tokens for
-    a full (H, W, 9) frame, pooled at STRIDE."""
+    """route_forward's pooled gate feature c_action, (1, C), and its action
+    tokens for a full (H, W, 9) frame, pooled at STRIDE."""
     _, dec = rt.route_forward(rt.avg_pool(field, STRIDE), params, 1.0,
                               rt.timestep_embed(0.5))
     return dec.c_action, dec.tokens
@@ -50,7 +50,7 @@ class TestActionEmbed:
         np.testing.assert_allclose(tokens,
                                    np.broadcast_to(tokens[0, 0], tokens.shape),
                                    atol=1e-15)
-        np.testing.assert_allclose(c_action, tokens[0, 0], atol=1e-15)
+        np.testing.assert_allclose(c_action[0], tokens[0, 0], atol=1e-15)
 
     def test_pooling_matches_summation_oracle(self):
         params = rt.init_gate_params(2)

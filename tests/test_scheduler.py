@@ -5,13 +5,14 @@ from kvacontrol import scheduler as sch
 
 
 class TestSignificance:
+    # each map stacks frames along its first axis; one frame is (1, tokens)
     def test_unit_inputs(self):
-        s, s_tilde = sch.significance(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                                      np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                                      np.array([0.6, 0.0]))
-        assert s[0] == pytest.approx(3.4)
-        assert s[1] == 0.0
-        np.testing.assert_allclose(s_tilde, [1.0, 0.0])
+        s, s_tilde = sch.significance(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
+                                      np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
+                                      np.array([[0.6, 0.0]]))
+        assert s[0, 0] == pytest.approx(3.4)
+        assert s[0, 1] == 0.0
+        np.testing.assert_allclose(s_tilde, [[1.0, 0.0]])
 
     def test_constant_normalizes_to_half(self):
         s, s_tilde = sch.significance(*(np.full(7, 0.3) for _ in range(5)))
@@ -19,11 +20,26 @@ class TestSignificance:
 
     def test_minmax_range(self):
         rng = np.random.default_rng(0)
-        args = [rng.random(50) for _ in range(5)]
+        args = [rng.random((1, 50)) for _ in range(5)]
         s, s_tilde = sch.significance(*args)
         assert s_tilde.min() == 0.0 and s_tilde.max() == 1.0
         # order preserved
         np.testing.assert_array_equal(np.argsort(s), np.argsort(s_tilde))
+
+    def test_frames_normalize_on_their_own(self):
+        # each frame of a stack gets the bits of normalizing it alone, and
+        # a constant frame is 0.5 next to frames that are not
+        rng = np.random.default_rng(1)
+        args = [rng.random((4, 3, 5)) for _ in range(5)]
+        for a in args:
+            a[2] = 0.25
+        s, s_tilde = sch.significance(*args)
+        np.testing.assert_array_equal(s_tilde[2], 0.5)
+        for t in range(4):
+            alone = sch.significance(*(a[t:t + 1] for a in args))
+            assert alone[0].tobytes() == s[t].tobytes()
+            assert alone[1].tobytes() == s_tilde[t].tobytes()
+            assert s_tilde[t].min() == (0.5 if t == 2 else 0.0)
 
     def test_monotone_in_motion(self):
         base = [np.array([0.2]) for _ in range(5)]
