@@ -40,7 +40,9 @@ batch, and is the largest budget that keeps a 256 x 256 frame alone.
 
 Before anything is drawn or lifted, a run is checked against two work
 bounds: frames x H x W pixels (`MAX_PIXELS`) and token_dim x frames x H' x
-W' token entries (`MAX_TOKEN_ENTRIES`).
+W' token entries (`MAX_TOKEN_ENTRIES`). A trajectory command that routes is
+then checked for a stride that divides its frame, and `route` for at least
+N_MOTION_BINS tokens.
 """
 
 from __future__ import annotations
@@ -197,10 +199,9 @@ def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
     tables = lifted.tables.reshape(-1, n)
     for t in range(0, frames, batch):
         b = slice(t, t + batch)
-        # pooled channel-last, (H, W, frames), so a stride that does not
-        # divide the frame is reported with the frame's size
-        m_tool[b] = np.moveaxis(rt.avg_pool(np.moveaxis(
-            lifted.labels[b] >= 0, 0, -1), s), -1, 0)
+        # the batch's frames stacked along rows, as routing takes them
+        m_tool[b] = rt.avg_pool(lifted.labels[b].reshape(-1, w) >= 0,
+                                s).reshape(m_tool[b].shape)
         # the tool's s x s blocks side by side in one (s, blocks * s) strip
         bt, bi, bj = np.nonzero(m_tool[b])
         labels, depth = (a[b].reshape(-1, h // s, s, w // s, s)[bt, bi, :, bj]
@@ -276,24 +277,30 @@ N_MOTION_BINS = 3  # low / medium / high, mirroring the execution tiers
 def _trajectory_pass(cfg: Config, seed: int, traj_path, resolution, writers):
     """(lifted trajectory, channel statistics, RoutingRun or None) of a
     trajectory file at its camera's H x W, which `resolution` (the
-    --resolution flag, when given) must equal. The work bounds are checked
-    before the lift, and route's precondition before any writer runs, so
-    `run` writes nothing if either fails."""
+    --resolution flag, when given) must equal. Before the lift, the work
+    bounds are checked, then, if the pass routes, that the stride divides
+    the frame, then route's token count, so `run` writes nothing if any
+    fails."""
     traj, cam, _ = read_trajectory(traj_path)
-    if resolution is not None and resolution != (cam.height, cam.width):
+    frames, h, w = len(traj.states), cam.height, cam.width
+    if resolution is not None and resolution != (h, w):
         raise ShapeMismatch(
             f"--resolution {resolution[0]}x{resolution[1]} differs from the "
-            f"trajectory camera's {cam.height}x{cam.width}")
-    _check_work(cfg, len(traj.states), cam.height, cam.width)
+            f"trajectory camera's {h}x{w}")
+    _check_work(cfg, frames, h, w)
+    routes = writers != ("lift",)
+    if routes and (h % cfg.stride or w % cfg.stride):
+        raise ShapeMismatch(f"stride {cfg.stride} does not divide the {h}x{w} "
+                            "frame")
+    tokens = frames * (h // cfg.stride) * (w // cfg.stride)
+    if "route" in writers and tokens < N_MOTION_BINS:
+        raise ShapeMismatch(
+            f"route needs at least {N_MOTION_BINS} tokens for its "
+            f"{N_MOTION_BINS} motion bins, got {tokens}")
     lifted = kvf.lift_trajectory(traj, ToolGeometry(), cam)
     stats = kvf.compute_stats(lifted)
     planned = "route" in writers or "schedule" in writers
-    routing = (_routing_run(cfg, seed, lifted, stats, planned)
-               if writers != ("lift",) else None)
-    if "route" in writers and routing.motion.size < N_MOTION_BINS:
-        raise ShapeMismatch(
-            f"route needs at least {N_MOTION_BINS} tokens for its "
-            f"{N_MOTION_BINS} motion bins, got {routing.motion.size}")
+    routing = _routing_run(cfg, seed, lifted, stats, planned) if routes else None
     return lifted, stats, routing
 
 
@@ -366,8 +373,9 @@ def cmd_losses(cfg: Config, seed: int, run: RoutingRun, out: str):
     # a token is on the tool when any of its pixels is
     m_seq = (run.m_tool > 0).astype(float)
     pi = pr.physical_prior(run.pooled[-1])
-    pred_params = {"w": predictor.w.copy(), "b": predictor.b.copy()}
-    gate_params = {name: getattr(run.params, name).copy()
+    # finite_difference_grad perturbs copies, and no evaluator writes these
+    pred_params = {"w": predictor.w, "b": predictor.b}
+    gate_params = {name: getattr(run.params, name)
                    for name in ("outer_w", "outer_b", "token_w")}
 
     cp, cp_err = _value_and_check(

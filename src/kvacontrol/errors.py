@@ -13,10 +13,6 @@ class JointLimitViolation(KvaControlError):
     pass
 
 
-class BehindCamera(KvaControlError):
-    pass
-
-
 class InvalidParams(KvaControlError, ValueError):
     pass
 

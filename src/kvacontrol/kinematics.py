@@ -30,12 +30,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BehindCamera, InvalidParams, JointLimitViolation, NonFiniteInput
+from .errors import InvalidParams, JointLimitViolation, NonFiniteInput
 
 PART_NAMES = ("shaft", "wrist", "left_gripper", "right_gripper")
 
-# semantic class per part: shaft=0, wrist=1, both grippers=2
-PART_SEMANTIC_CLASS = {"shaft": 0, "wrist": 1, "left_gripper": 2, "right_gripper": 2}
+# semantic class per part, in PART_NAMES order: shaft=0, wrist=1, both
+# grippers=2
+PART_SEMANTIC_CLASS = (0, 1, 2, 2)
 
 # camera depth (m) at or behind which a point is not projected or hit
 Z_NEAR = 1e-4
@@ -152,10 +153,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PartPoses:
-    """Per-part camera-frame capsule endpoints and radii."""
+    """Camera-frame capsule endpoints and radii, part-major in PART_NAMES
+    order: (4, 2, 3) ends and (4,) radii for one frame, (4, B, 2, 3) and
+    (4, B) for a batch of B frames."""
 
-    endpoints: dict  # part -> (a_world, b_world)
-    radii: dict  # part -> radius
+    endpoints: np.ndarray
+    radii: np.ndarray
 
 
 def axis_angle_to_matrix(r):
@@ -210,21 +213,17 @@ def forward_kinematics(state: ArticulatedState, geom: ToolGeometry) -> PartPoses
 
     R_w = axis_angle_to_matrix(state.r)
     t_w = state.p  # every part hinges about the wrist's origin
-    rotations = {
-        "wrist": R_w,
-        "shaft": R_w @ hinge_matrix(geom.hinge_sw_axis, -state.q_sw),
-        "left_gripper": R_w @ hinge_matrix(geom.hinge_grip_axis, state.q_lg),
-        "right_gripper": R_w @ hinge_matrix(geom.hinge_grip_axis, -state.q_rg),
-    }
-
-    endpoints = {}
-    radii = {}
-    for part in PART_NAMES:
-        cap = geom.capsules[part]
-        R = rotations[part]
-        endpoints[part] = (R @ cap.a + t_w, R @ cap.b + t_w)
-        radii[part] = cap.radius
-    return PartPoses(endpoints=endpoints, radii=radii)
+    rotations = (  # in PART_NAMES order
+        R_w @ hinge_matrix(geom.hinge_sw_axis, -state.q_sw),
+        R_w,
+        R_w @ hinge_matrix(geom.hinge_grip_axis, state.q_lg),
+        R_w @ hinge_matrix(geom.hinge_grip_axis, -state.q_rg),
+    )
+    caps = [geom.capsules[part] for part in PART_NAMES]
+    return PartPoses(
+        endpoints=np.array([(R @ cap.a + t_w, R @ cap.b + t_w)
+                            for R, cap in zip(rotations, caps)]),
+        radii=np.array([cap.radius for cap in caps], dtype=float))
 
 
 def project(cam: CameraModel, x):
@@ -250,15 +249,6 @@ def pixel_box(cam: CameraModel, u, v, reach=0.0):
     i1 = math.ceil(min(max(max(v) + reach, i0 - 2.0), h - 2.0)) + 2
     j1 = math.ceil(min(max(max(u) + reach, j0 - 2.0), w - 2.0)) + 2
     return slice(i0, i1), slice(j0, j1)
-
-
-def project_point(cam: CameraModel, x) -> tuple:
-    """Pinhole projection of a camera-frame point to (u, v, depth)."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    z = x[2]
-    if z <= Z_NEAR:
-        raise BehindCamera(f"point depth {z} <= Z_NEAR {Z_NEAR}")
-    return (*project(cam, x), z)
 
 
 def _clamp_state(state: ArticulatedState, geom: ToolGeometry) -> ArticulatedState:

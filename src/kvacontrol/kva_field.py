@@ -12,10 +12,14 @@ labels (T, H, W), the depth (T, H, W) and one (5, 9) table of channel values
 per frame, whose row for label -1 is zero. The frames are lifted in
 consecutive batches (below), each rasterized straight into its planes of the
 two stacks (`rasterize_parts`' `out`). Forward kinematics runs once per
-frame, and the capsule midpoints are projected once into the centroid track
-from which `motion_channels` differences v and alpha. Dense channels are
-painted from the tables only where an artefact needs them: the KVAF planes
-(`LiftedTrajectory.field`) and the routing grids' tool blocks (`paint`).
+frame, and the frames' poses are stacked once, part-major, into (4, T, 2, 3)
+capsule ends and (4, T) radii (`PartPoses`). Every reader takes that stack
+or a batch's slice of it whole: the capsule midpoints are projected once
+into the centroid track from which `motion_channels` differences v and
+alpha, and each batch's rho column is one `rotation_channel` pass. Dense
+channels are painted from the tables only where an artefact needs them: the
+KVAF planes (`LiftedTrajectory.field`) and the routing grids' tool blocks
+(`paint`).
 
 The rasterizer ray-tests all four capsules of every frame of a batch in one
 pass (`rasterize_parts`). Each capsule is tested only on its row spans: per
@@ -171,7 +175,7 @@ def _sq_norm(x):
 
 
 def _dots(x, y):
-    """np.dot of each row pair of two (4, 3) arrays. For 3-vectors it is a
+    """np.dot of each row pair of two (N, 3) arrays. For 3-vectors it is a
     BLAS FMA chain, which no elementwise form reproduces, so it runs per
     row."""
     return np.array([np.dot(*pair) for pair in zip(x, y)])
@@ -349,12 +353,11 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel, out):
     of a batch of frames, written into `out`, a pair of C-contiguous
     (B, H, W) arrays, intp and float64; returns out.
 
-    `poses` holds the batch's B frames: `endpoints[part]` their (B, 2, 3)
-    capsule ends and `radii[part]` their (B,) radii. One frame's own
-    `PartPoses`, with (2, 3) ends and a scalar radius per part, is a batch
-    of one, with (H, W) planes in `out`. `lift_trajectory` passes batches of
-    RASTER_BATCH_PX // (H * W) frames, at least one: the module docstring
-    gives the sweep behind that budget.
+    `poses` holds the batch's B frames part-major: (4, B, 2, 3) capsule ends
+    and (4, B) radii. One frame's own `PartPoses`, with (4, 2, 3) ends and
+    (4,) radii, is a batch of one, with (H, W) planes in `out`.
+    `lift_trajectory` passes batches of RASTER_BATCH_PX // (H * W) frames,
+    at least one: the module docstring gives the sweep behind that budget.
 
     All 4 * B capsules are ray-tested in one pass (`_ray_test`), each only
     on its row spans (`_row_spans`). Only the matrix-vector products stay
@@ -384,9 +387,8 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel, out):
     than every earlier part: ties keep the earlier part, as argmin would.
     Each part does this once for the whole batch: its rays in all frames are
     one run of `_ray_test`'s output, and no two of them share a pixel."""
-    # part-major over the batch
-    ends = np.array([poses.endpoints[part] for part in PART_NAMES]).reshape(-1, 2, 3)
-    radii = np.array([poses.radii[part] for part in PART_NAMES]).reshape(-1)
+    ends = poses.endpoints.reshape(-1, 2, 3)
+    radii = poses.radii.reshape(-1)
     frames = len(ends) // len(PART_NAMES)
     pix, depth, bounds = _ray_test(ends, radii, cam, *_row_spans(ends, radii, cam))
     labels, best = (a.reshape(-1) for a in out)  # views: out is contiguous
@@ -404,7 +406,7 @@ def rasterize_parts(poses: PartPoses, cam: CameraModel, out):
 
 
 # semantic one-hot row per part index
-_PART_SEMANTICS = np.eye(3)[[PART_SEMANTIC_CLASS[part] for part in PART_NAMES]]
+_PART_SEMANTICS = np.eye(3)[list(PART_SEMANTIC_CLASS)]
 N_TABLE_ROWS = len(PART_NAMES) + 1  # the parts, then the zero row of label -1
 
 
@@ -449,42 +451,40 @@ def paint(table, labels, depth) -> np.ndarray:
     return channels
 
 
-def part_axis_angle(poses: PartPoses, cam: CameraModel, part: str) -> float:
-    """Signed image-plane angle of the part's long axis, normalized by pi.
-
-    Uses the projection Jacobian at the segment midpoint; 0 when the axis
-    projects to a point (degenerate, axis along the viewing ray).
-    """
-    a, b = poses.endpoints[part]
-    mid = 0.5 * (a + b)
-    w = b - a
-    mz = mid[2]
-    if mz <= Z_NEAR:
-        return 0.0
-    with np.errstate(over="ignore"):  # a far-off part gets an infinite du
-        du = cam.fx * (w[0] * mz - mid[0] * w[2]) / (mz * mz)
-        dv = cam.fy * (w[1] * mz - mid[1] * w[2]) / (mz * mz)
-    if np.hypot(du, dv) < 1e-12:
-        return 0.0
-    return float(np.arctan2(dv, du) / np.pi)
-
-
 def rotation_channel(poses: PartPoses, cam: CameraModel) -> np.ndarray:
-    """Per-part orientation descriptor (4,), the rho column of the frame's
-    part table."""
-    return np.array([part_axis_angle(poses, cam, part) for part in PART_NAMES])
+    """Signed image-plane angle of each part's long axis, normalized by pi:
+    (4,) for one frame's poses, (4, B) for a batch's, the rho column of the
+    frames' part tables.
+
+    Uses the projection Jacobian at the segment midpoint; 0 where the
+    midpoint is at or behind Z_NEAR, and where the axis projects to a point
+    (degenerate, axis along the viewing ray). A far-off part's midpoint or
+    Jacobian may overflow, and a nan angle passes through. Every step is
+    elementwise, with the bits of the same scalar arithmetic per part."""
+    a, b = poses.endpoints[..., 0, :], poses.endpoints[..., 1, :]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mid = 0.5 * (a + b)
+        w = b - a
+        mz = mid[..., 2]
+        du = cam.fx * (w[..., 0] * mz - mid[..., 0] * w[..., 2]) / (mz * mz)
+        dv = cam.fy * (w[..., 1] * mz - mid[..., 1] * w[..., 2]) / (mz * mz)
+        rho = np.arctan2(dv, du) / np.pi
+        rho[(mz <= Z_NEAR) | (np.hypot(du, dv) < 1e-12)] = 0.0
+    return rho
 
 
-def motion_channels(poses, cam: CameraModel, dt: float) -> np.ndarray:
+def motion_channels(poses: PartPoses, cam: CameraModel, dt: float) -> np.ndarray:
     """Per-frame, per-part projected centroid velocity (u, v, depth) and
-    acceleration magnitude of a posed trajectory: (T, 4, 4), the v_x, v_y,
-    v_z and alpha columns of each frame's part table.
+    acceleration magnitude of a posed trajectory, its T frames' poses
+    stacked part-major, (4, T, 2, 3): (T, 4, 4), the v_x, v_y, v_z and alpha
+    columns of each frame's part table.
 
     The centroid is the capsule midpoint projected to (u, v, depth). v = 0 at
     frame 0 and where the midpoint is at or behind Z_NEAR at t or t - 1;
-    alpha = |v_t - v_{t-1}| / dt, 0 before frame 2."""
-    mid = np.array([[0.5 * (p.endpoints[part][0] + p.endpoints[part][1])
-                     for part in PART_NAMES] for p in poses])
+    alpha = |v_t - v_{t-1}| / dt, 0 before frame 2, each norm the square
+    root of one row's `_dots`, as `np.linalg.norm` of a 3-vector forms it."""
+    ends = np.moveaxis(poses.endpoints, 0, 1)  # (T, 4, 2, 3)
+    mid = 0.5 * (ends[..., 0, :] + ends[..., 1, :])
     z = mid[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         track = np.stack([*project(cam, mid), z], axis=-1)
@@ -493,26 +493,21 @@ def motion_channels(poses, cam: CameraModel, dt: float) -> np.ndarray:
     v = motion[..., :3]
     v[1:] = (track[1:] - track[:-1]) / dt
     v[np.isnan(v).any(axis=-1)] = 0.0
-    for t in range(2, len(poses)):
-        for k in range(len(PART_NAMES)):
-            motion[t, k, 3] = np.linalg.norm(v[t, k] - v[t - 1, k]) / dt
+    d = (v[2:] - v[1:-1]).reshape(-1, 3)
+    motion[2:, :, 3] = (np.sqrt(_dots(d, d)) / dt).reshape(-1, len(PART_NAMES))
     return motion
 
 
-def lift(poses, cam: CameraModel, motion, out):
-    """A batch of frames' part tables (B, N_TABLE_ROWS, 9) from their B
-    `PartPoses` and their rows (B, 4, 4) of the trajectory's part motion
-    (`motion_channels`); their part labels and depth are rasterized into
-    `out`, a pair of C-contiguous (B, H, W) arrays, by one
-    `rasterize_parts` call."""
-    rasterize_parts(PartPoses(
-        endpoints={part: np.array([p.endpoints[part] for p in poses])
-                   for part in PART_NAMES},
-        radii={part: np.array([p.radii[part] for p in poses])
-               for part in PART_NAMES}), cam, out)
-    tables = np.zeros((len(poses), N_TABLE_ROWS, N_CHANNELS))
+def lift(poses: PartPoses, cam: CameraModel, motion, out):
+    """A batch of frames' part tables (B, N_TABLE_ROWS, 9) from their poses,
+    stacked part-major (4, B, 2, 3), and their rows (B, 4, 4) of the
+    trajectory's part motion (`motion_channels`); their part labels and
+    depth are rasterized into `out`, a pair of C-contiguous (B, H, W)
+    arrays, by one `rasterize_parts` call."""
+    rasterize_parts(poses, cam, out)
+    tables = np.zeros((len(motion), N_TABLE_ROWS, N_CHANNELS))
     tables[:, :-1, 0:3] = _PART_SEMANTICS
-    tables[:, :-1, 4] = [rotation_channel(p, cam) for p in poses]
+    tables[:, :-1, 4] = rotation_channel(poses, cam).T
     tables[:, :-1, 5:9] = motion
     return tables
 
@@ -521,16 +516,19 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
                     cam: CameraModel) -> LiftedTrajectory:
     """The trajectory's channels in compact form; forward kinematics runs
     once per frame, and a joint value outside the geometry's limits is
-    reported with its frame. The frames are lifted in consecutive batches
-    of RASTER_BATCH_PX // (H * W) frames, at least one."""
+    reported with its frame. The frames' poses are stacked once, part-major
+    (4, T, 2, 3), and lifted in consecutive batches of
+    RASTER_BATCH_PX // (H * W) frames, at least one."""
     poses = []
     for t, state in enumerate(traj.states, start=1):
         try:
             poses.append(forward_kinematics(state, geom))
         except JointLimitViolation as exc:
             raise JointLimitViolation(f"frame {t}: {exc}") from None
+    ends = np.stack([p.endpoints for p in poses], axis=1)
+    radii = np.stack([p.radii for p in poses], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        motion = motion_channels(poses, cam, traj.dt)
+        motion = motion_channels(PartPoses(ends, radii), cam, traj.dt)
     # KVAF stores channels as float32, so a finite value beyond its range
     # would turn into inf on write
     bad = ~(np.abs(motion) <= _F4_MAX).all(axis=-1)
@@ -545,8 +543,9 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
     batch = max(1, RASTER_BATCH_PX // (cam.height * cam.width))
     for t in range(0, len(poses), batch):  # rasterized into the stacks in place
         frames = slice(t, t + batch)
-        lifted.tables[frames] = lift(poses[frames], cam, motion[frames],
-                                     (lifted.labels[frames], lifted.depth[frames]))
+        lifted.tables[frames] = lift(
+            PartPoses(ends[:, frames], radii[:, frames]), cam, motion[frames],
+            (lifted.labels[frames], lifted.depth[frames]))
     return lifted
 
 

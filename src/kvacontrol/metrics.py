@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import InvalidParams, LabelOutOfRange
 from .kinematics import (
-    PART_NAMES,
     PART_SEMANTIC_CLASS,
-    BehindCamera,
+    Z_NEAR,
     CameraModel,
     PartPoses,
     pixel_box,
-    project_point,
+    project,
 )
 
 INF = 1e18
@@ -249,19 +248,21 @@ def render_tube(poses: PartPoses, cam: CameraModel, half_width: float = 3.0):
       such a part (or a half width past it) is measured on the whole frame.
 
     Projections that overflow to +-inf are such parts: their tube misses
-    every pixel, as the whole-frame comparison against nan or inf says."""
+    every pixel, as the whole-frame comparison against nan or inf says.
+
+    The frame's eight endpoints are projected in one `kinematics.project`
+    call, elementwise, so each keeps the bits of projecting it alone; a part
+    with an end at or behind `kinematics.Z_NEAR` is not drawn."""
     _check_half_width(half_width)
     h, w = cam.height, cam.width
     labels = np.zeros((h, w), dtype=int)
     best_z = np.full((h, w), np.inf)
     hw2 = half_width * half_width
-    for part in PART_NAMES:
-        a, b = poses.endpoints[part]
-        try:
-            with np.errstate(over="ignore"):
-                ua, va, za = project_point(cam, a)
-                ub, vb, zb = project_point(cam, b)
-        except BehindCamera:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u, v = project(cam, poses.endpoints)  # (4, 2) each
+    z = poses.endpoints[..., 2]
+    for (ua, ub), (va, vb), (za, zb), cls in zip(u, v, z, PART_SEMANTIC_CLASS):
+        if za <= Z_NEAR or zb <= Z_NEAR:
             continue
         if all(abs(x) <= TUBE_CROP_MAX for x in (ua, ub, va, vb, half_width)):
             rows, cols = pixel_box(cam, (ua, ub), (va, vb), half_width)
@@ -275,6 +276,6 @@ def render_tube(poses: PartPoses, cam: CameraModel, half_width: float = 3.0):
         z_mid = 0.5 * (za + zb)
         near = best_z[rows, cols]
         hit = (d2 <= hw2) & (z_mid < near)
-        labels[rows, cols][hit] = PART_SEMANTIC_CLASS[part] + 1
+        labels[rows, cols][hit] = cls + 1
         near[hit] = z_mid
     return labels

@@ -225,9 +225,11 @@ def sub_stabilizer_loss(f_sub: np.ndarray, p_sub: np.ndarray) -> float:
 
 
 def sub_routing_stats(decision: RoutingDecision):
-    """Hard selection fractions and mean soft probabilities per modality."""
-    sel = decision.inner_sel.reshape(-1, N_EXPERTS)
+    """Hard selection fractions and mean soft probabilities per modality.
+    A token's hard selection is its top-1 sub-expert, the first maximum:
+    fine < transport < skip."""
     probs = decision.inner_probs.reshape(-1, N_EXPERTS, N_SUB)
+    sel = argmax(columns(probs))
     n = sel.shape[0]
     f_sub = np.zeros((N_EXPERTS, N_SUB))
     for m in range(N_EXPERTS):

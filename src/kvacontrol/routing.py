@@ -25,7 +25,7 @@ gates only, as a sparse mixture of experts computes only the experts its
 gates select.
 
 The short expert, sub-expert and block axes are reduced a column at a time
-by `_columns.fold` and `_columns.argmax`, with numpy's bits (see there).
+by `_columns.fold`, with numpy's bits (see there).
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._columns import argmax, columns, fold
-from .errors import InvalidParams, ShapeMismatch
+from ._columns import columns, fold
+from .errors import InvalidParams
 from .kva_field import MODALITIES, MODALITY_CHANNELS
 
 N_EXPERTS = 5
@@ -126,7 +126,6 @@ class RoutingDecision:
 
     A: np.ndarray | None  # (B H', W', 5) binary top-k mask
     fusion_w: np.ndarray | None  # (B H', W', 5) capacity-blended weights
-    inner_sel: np.ndarray | None  # (B H', W', 5) argmax sub-expert
     inner_probs: np.ndarray | None  # (B H', W', 5, 3) tier-2 distributions
     tokens: np.ndarray  # (B H', W', C) shared action tokens
     c_action: np.ndarray  # (B, C) each frame's pooled gate feature
@@ -136,8 +135,8 @@ class RoutingDecision:
         rows = len(self.tokens) // len(self.c_action)
         return RoutingDecision(
             *(None if a is None else a[-rows:] for a in (
-                self.A, self.fusion_w, self.inner_sel, self.inner_probs,
-                self.tokens)), c_action=self.c_action[-1:])
+                self.A, self.fusion_w, self.inner_probs, self.tokens)),
+            c_action=self.c_action[-1:])
 
 
 def timestep_embed(t: float) -> np.ndarray:
@@ -157,12 +156,10 @@ def avg_pool(x: np.ndarray, stride: int) -> np.ndarray:
     channels. For a 2-D x numpy may sum in another order; any order is exact
     for the 0/1 tool masks pooled here. The fold costs stride**2 elementwise
     passes over the output, so from stride 32 up it is slower than numpy's
-    mean; no benchmark workload and no golden case pools that coarsely."""
+    mean; no benchmark workload and no golden case pools that coarsely.
+    A stride that does not divide both dims fails numpy's reshape."""
     _check_stride(stride)
     h, w = x.shape[:2]
-    if h % stride or w % stride:
-        raise ShapeMismatch(f"stride {stride} does not divide the {h}x{w} "
-                            "frame")
     v = x.reshape(h // stride, stride, w // stride, stride, *x.shape[2:])
     out = fold(np.add, (v[:, a, :, b] for a in range(stride)
                         for b in range(stride)))
@@ -206,10 +203,8 @@ def capacity_blend(P, A, progress: float, sched: CapacitySchedule) -> np.ndarray
 
 
 def inner_gate(modality_tokens: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Top-1 fine/transport/skip selection and the full distributions."""
-    probs = softmax(modality_tokens @ w + b)
-    # first max wins: fine < transport < skip
-    return argmax(columns(probs)), probs
+    """The fine/transport/skip distributions of one modality's tokens."""
+    return softmax(modality_tokens @ w + b)
 
 
 def _modality_tokens(field_pooled, params: GateParams, m: str):
@@ -235,22 +230,19 @@ def route_forward(pooled: np.ndarray, params: GateParams, progress: float,
     rows, wp, c = tokens.shape
     c_action = tokens.reshape(frames, rows // frames, wp, c).mean(axis=(1, 2))
     if not gates:
-        return pooled, RoutingDecision(A=None, fusion_w=None, inner_sel=None,
-                                       inner_probs=None, tokens=tokens,
-                                       c_action=c_action)
+        return pooled, RoutingDecision(A=None, fusion_w=None, inner_probs=None,
+                                       tokens=tokens, c_action=c_action)
     P = outer_gate(c_action, t_embed, params, tokens)
     A = topk_select(P, sched.k)
     fusion_w = capacity_blend(P, A, progress, sched)
 
-    inner_sel = np.zeros((rows, wp, N_EXPERTS), dtype=int)
     inner_probs = np.zeros((rows, wp, N_EXPERTS, N_SUB))
     for i, m in enumerate(MODALITIES):
-        inner_sel[..., i], inner_probs[..., i, :] = inner_gate(
+        inner_probs[..., i, :] = inner_gate(
             _modality_tokens(pooled, params, m), params.inner_w[m],
             params.inner_b[m])
 
-    decision = RoutingDecision(A=A, fusion_w=fusion_w, inner_sel=inner_sel,
-                               inner_probs=inner_probs, tokens=tokens,
-                               c_action=c_action)
+    decision = RoutingDecision(A=A, fusion_w=fusion_w, inner_probs=inner_probs,
+                               tokens=tokens, c_action=c_action)
     return pooled, decision
 

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from kvacontrol.kinematics import PART_NAMES, Z_NEAR
+from kvacontrol.kinematics import Z_NEAR
 
 
 def _sq_norm(x):
@@ -99,14 +99,13 @@ def rasterize_parts(poses, cam):
     h, w = cam.height, cam.width
     labels = np.full((h, w), -1)
     best = np.full((h, w), np.inf)
-    for k, part in enumerate(PART_NAMES):
-        a, b = poses.endpoints[part]
-        box = screen_box(a, b, poses.radii[part], cam)
+    for k, ((a, b), radius) in enumerate(zip(poses.endpoints, poses.radii)):
+        box = screen_box(a, b, radius, cam)
         D = pixel_rays(cam, *box)
         if not len(D):
             continue
         near = best[box]
-        depth = ray_capsule_depths(D, a, b, poses.radii[part]).reshape(near.shape)
+        depth = ray_capsule_depths(D, a, b, radius).reshape(near.shape)
         nearer = depth < near
         near[nearer] = depth[nearer]
         labels[box][nearer] = k

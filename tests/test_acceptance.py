@@ -317,7 +317,7 @@ def test_criterion_07_kinematics_field_oracles(capsys):
             assert np.all(v == 0) and np.all(a == 0)
 
         # quadratic track: exact finite-difference velocity on the wrist
-        from kvacontrol.kinematics import ArticulatedState, Trajectory, project_point
+        from kvacontrol.kinematics import ArticulatedState, Trajectory
         dt = 0.5
         states = []
         for t in range(4):

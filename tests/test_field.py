@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvacontrol.errors import BehindCamera, EmptyCorpus
+from kvacontrol.errors import EmptyCorpus
 from kvacontrol.kinematics import (
     DEFAULT_BASE_STATE,
     PART_NAMES,
@@ -17,7 +17,7 @@ from kvacontrol.kinematics import (
     ToolGeometry,
     default_camera,
     forward_kinematics,
-    project_point,
+    project,
     synth_trajectory,
     Trajectory,
 )
@@ -60,10 +60,23 @@ def motion_at(traj, geom, cam, t):
     return ch[..., 5:8], ch[..., 8]
 
 
+def midpoint(state, geom, part):
+    """The camera-frame midpoint of the part's capsule."""
+    a, b = forward_kinematics(state, geom).endpoints[PART_NAMES.index(part)]
+    return 0.5 * (a + b)
+
+
 def midpoint_uvz(state, geom, cam, part):
     """Projected (u, v, depth) of the part's capsule midpoint."""
-    a, b = forward_kinematics(state, geom).endpoints[part]
-    return np.array(project_point(cam, 0.5 * (a + b)))
+    mid = midpoint(state, geom, part)
+    return np.array([*project(cam, mid), mid[2]])
+
+
+def stacked(poses):
+    """PartPoses of a list of frames' poses, stacked part-major: (4, T, 2, 3)
+    ends and (4, T) radii."""
+    return PartPoses(np.stack([p.endpoints for p in poses], axis=1),
+                     np.stack([p.radii for p in poses], axis=1))
 
 
 def capsule_sdf(x, a, b, r):
@@ -85,8 +98,8 @@ def ray_march_oracle(poses, cam, step=1e-4):
     SDF, with bisection refinement at the first sign change."""
     labels = np.full((cam.height, cam.width), -1, dtype=int)
     depth = np.zeros((cam.height, cam.width))
-    parts = [(pi, *poses.endpoints[p], poses.radii[p])
-             for pi, p in enumerate(PART_NAMES)]
+    parts = [(k, a, b, r)
+             for k, ((a, b), r) in enumerate(zip(poses.endpoints, poses.radii))]
     zs = [e[2] for _, a, b, _ in parts for e in (a, b)]
     r_max = max(r for *_, r in parts)
     s_lo = max(Z_NEAR, 0.5 * (min(zs) - r_max))
@@ -133,17 +146,11 @@ CULL_POSES = {
 }
 
 
-def part_arrays(poses):
-    """The (4, 2, 3) capsule endpoints and (4,) radii, in PART_NAMES order."""
-    return (np.array([poses.endpoints[part] for part in PART_NAMES]),
-            np.array([poses.radii[part] for part in PART_NAMES]))
-
-
 def full_frame_raster(poses, cam):
     """Every pixel's ray tested against every capsule, with no culling."""
     h, w = cam.height, cam.width
     every = np.zeros((len(PART_NAMES), h), dtype=np.intp)
-    pix, depth, _ = kvf._ray_test(*part_arrays(poses), cam, every, every + w)
+    pix, depth, _ = kvf._ray_test(poses.endpoints, poses.radii, cam, every, every + w)
     assert np.array_equal(pix, np.tile(np.arange(h * w), len(PART_NAMES)))
     depths = depth.reshape(len(PART_NAMES), h * w)
     best = depths.min(axis=0)
@@ -165,16 +172,14 @@ class TestRasterize:
         # two overlapping capsules: nearer one labels the pixel
         geom = ToolGeometry()
         cam = CameraModel(fx=50, fy=50, cx=8, cy=8, width=16, height=16)
-        from kvacontrol.kinematics import Capsule, PartPoses
         poses = PartPoses(
-            endpoints={
-                "shaft": (np.array([-0.1, 0, 2.0]), np.array([0.1, 0, 2.0])),
-                "wrist": (np.array([-0.1, 0, 1.0]), np.array([0.1, 0, 1.0])),
-                "left_gripper": (np.array([9, 9, 9.0]), np.array([9.1, 9, 9.0])),
-                "right_gripper": (np.array([9, 9, 9.0]), np.array([9.1, 9, 9.0])),
-            },
-            radii={"shaft": 0.05, "wrist": 0.05,
-                   "left_gripper": 0.001, "right_gripper": 0.001},
+            endpoints=np.array([
+                ([-0.1, 0, 2.0], [0.1, 0, 2.0]),  # shaft
+                ([-0.1, 0, 1.0], [0.1, 0, 1.0]),  # wrist
+                ([9, 9, 9.0], [9.1, 9, 9.0]),  # left gripper
+                ([9, 9, 9.0], [9.1, 9, 9.0]),  # right gripper
+            ]),
+            radii=np.array([0.05, 0.05, 0.001, 0.001]),
         )
         labels, d = rasterize(poses, cam)
         assert PART_NAMES[labels[8, 8]] == "wrist"  # wrist at depth ~1 wins
@@ -215,13 +220,13 @@ class TestRasterize:
             assert on_border
         elif case == "off-screen":
             assert not hit.any()
-            j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+            j0, j1 = kvf._row_spans(poses.endpoints, poses.radii, cam)
             assert (j0 == j1).all()  # no part tests a ray
         else:
             # a visible part reaches from behind Z_NEAR to in front of it
-            straddles = [k for k, part in enumerate(PART_NAMES)
-                         if min(a[2] for a in poses.endpoints[part]) <= Z_NEAR
-                         < max(a[2] for a in poses.endpoints[part])]
+            z = poses.endpoints[..., 2]
+            straddles = [k for k in range(len(PART_NAMES))
+                         if z[k].min() <= Z_NEAR < z[k].max()]
             assert any((labels == k).any() for k in straddles)
 
     def test_semantic_one_hot(self):
@@ -238,9 +243,8 @@ def capsule_poses(capsules):
     """PartPoses of four capsules given as (a, b, radius), in PART_NAMES
     order."""
     return PartPoses(
-        endpoints={part: (np.asarray(a, float), np.asarray(b, float))
-                   for part, (a, b, _) in zip(PART_NAMES, capsules)},
-        radii={part: float(r) for part, (_, _, r) in zip(PART_NAMES, capsules)})
+        endpoints=np.array([(a, b) for a, b, _ in capsules], dtype=float),
+        radii=np.array([r for *_, r in capsules], dtype=float))
 
 
 def toward_pixel(cam, u, v, z):
@@ -366,12 +370,12 @@ class TestOnePassRaster:
         shape = (len(frames), cam.height, cam.width)
         labels, depth = np.empty(shape, dtype=np.intp), np.empty(shape)
         motion = np.zeros((len(frames), len(PART_NAMES), 4))
-        tables = kvf.lift(frames, cam, motion, (labels, depth))
+        poses = stacked(frames)
+        tables = kvf.lift(poses, cam, motion, (labels, depth))
         # the batch holds a capsule that spans the whole frame and one that
         # tests a single ray
-        ends, radii = (np.concatenate(x)
-                       for x in zip(*(part_arrays(p) for p in frames)))
-        j0, j1 = kvf._row_spans(ends, radii, cam)
+        j0, j1 = kvf._row_spans(poses.endpoints.reshape(-1, 2, 3),
+                                poses.radii.reshape(-1), cam)
         assert ((j0 == 0) & (j1 == cam.width)).all(axis=1).any()
         assert ((j1 - j0).sum(axis=1) == 1).any()
         for t, poses in enumerate(frames):
@@ -398,10 +402,10 @@ class TestOnePassRaster:
         far = (np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.01, -1.0]), 0.001)
         poses = capsule_poses([corner_capsule(cam, 1.6, 0.95, right, bottom)]
                               + [far] * 3)
-        j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+        j0, j1 = kvf._row_spans(poses.endpoints, poses.radii, cam)
         assert (j1 - j0)[0].sum() == 1  # a one-row product
-        a, b = poses.endpoints[PART_NAMES[0]]
-        rows, cols = frozen_raster.screen_box(a, b, poses.radii[PART_NAMES[0]], cam)
+        (a, b), radius = poses.endpoints[0], poses.radii[0]
+        rows, cols = frozen_raster.screen_box(a, b, radius, cam)
         assert (rows.stop - rows.start, cols.stop - cols.start) == (2, 1)
         assert_matches_frozen_raster(cam, poses)
         assert (rasterize(poses, cam)[0] == -1).all()
@@ -417,7 +421,7 @@ class TestOnePassRaster:
             ([kvf.SPAN_REACH * z / cam.fx, 0.0, z], [kvf.SPAN_REACH * z / cam.fx, 0.0, 0.3], 1e-5),
             (toward_pixel(cam, 5, 5, 0.1), toward_pixel(cam, 30, 12, 0.12), 0.004),
             (toward_pixel(cam, 38, 0, 0.1), toward_pixel(cam, 45, 20, 0.1), 0.002)])
-        j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+        j0, j1 = kvf._row_spans(poses.endpoints, poses.radii, cam)
         assert (j0[:2] == 0).all() and (j1[:2] == cam.width).all()
         assert ((j1 - j0)[2:] < cam.width).any()
         labels, _ = rasterize(poses, cam)
@@ -431,7 +435,7 @@ class TestOnePassRaster:
         a, b = toward_pixel(cam, 4.5, 5, 0.1), toward_pixel(cam, 20.5, 5, 0.1)
         far = (np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.01, -1.0]), 0.001)
         poses = capsule_poses([(a, b, 0.0)] + [far] * 3)
-        j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+        j0, j1 = kvf._row_spans(poses.endpoints, poses.radii, cam)
         row = round(cam.fy * a[1] / a[2] + cam.cy)
         assert (j0[0, row - 1:row + 2] <= 4).all() and (j1[0, row - 1:row + 2] >= 22).all()
         assert_matches_frozen_raster(cam, poses)
@@ -445,11 +449,10 @@ class TestOnePassRaster:
         spans = boxes = 0
         for state in traj.states:
             poses = forward_kinematics(state, geom)
-            j0, j1 = kvf._row_spans(*part_arrays(poses), cam)
+            j0, j1 = kvf._row_spans(poses.endpoints, poses.radii, cam)
             spans += (j1 - j0).sum()
-            for part in PART_NAMES:
-                rows, cols = frozen_raster.screen_box(
-                    *poses.endpoints[part], poses.radii[part], cam)
+            for (a, b), radius in zip(poses.endpoints, poses.radii):
+                rows, cols = frozen_raster.screen_box(a, b, radius, cam)
                 boxes += (rows.stop - rows.start) * (cols.stop - cols.start)
             assert_matches_frozen_raster(cam, poses)
         assert spans < 0.8 * boxes
@@ -515,15 +518,13 @@ def test_blas_token_product_rows_do_not_depend_on_other_rows(c):
 
 class TestRotationChannel:
     def _poses_with_axis(self, direction):
-        from kvacontrol.kinematics import PartPoses
-        far = (np.array([9, 9, 9.0]), np.array([9.1, 9, 9.0]))
+        far = ([9, 9, 9.0], [9.1, 9, 9.0])
         mid = np.array([0, 0, 1.0])
         direction = np.asarray(direction, dtype=float)
         return PartPoses(
-            endpoints={"shaft": (mid - 0.1 * direction, mid + 0.1 * direction),
-                       "wrist": far, "left_gripper": far, "right_gripper": far},
-            radii={"shaft": 0.03, "wrist": 0.001,
-                   "left_gripper": 0.001, "right_gripper": 0.001},
+            endpoints=np.array([(mid - 0.1 * direction, mid + 0.1 * direction),
+                                far, far, far]),
+            radii=np.array([0.03, 0.001, 0.001, 0.001]),
         )
 
     def test_axis_along_x_is_zero(self):
@@ -550,11 +551,10 @@ class TestRotationChannel:
         poses = forward_kinematics(random_visible_state(rng), geom)
         labels, _ = rasterize(poses, cam)
         rho = kvf.rotation_channel(poses, cam)[labels]
-        for pi, part in enumerate(PART_NAMES):
+        for pi, (a, b) in enumerate(poses.endpoints):
             mask = labels == pi
             if not mask.any():
                 continue
-            a, b = poses.endpoints[part]
             m = 0.5 * (a + b)
             w = b - a
             du = cam.fx * (w[0] * m[2] - m[0] * w[2]) / m[2] ** 2
@@ -630,8 +630,7 @@ class TestMotionChannels:
                                    r=np.zeros(3), q_sw=0.2, q_lg=0.2, q_rg=0.2)
                   for t, z in enumerate((0.05, 0.03, 0.008, 0.03, 0.05))]
         traj = Trajectory(states=tuple(states), dt=dt)
-        with pytest.raises(BehindCamera):
-            midpoint_uvz(states[2], geom, cam, "wrist")
+        assert midpoint(states[2], geom, "wrist")[2] <= Z_NEAR
         uvz = {t: midpoint_uvz(states[t], geom, cam, "wrist") for t in (0, 1, 3, 4)}
         zero = np.zeros(3)
         v_exp = [zero, (uvz[1] - uvz[0]) / dt, zero, zero, (uvz[4] - uvz[3]) / dt]
@@ -774,16 +773,16 @@ class TestLift:
         lifted = kvf.lift_trajectory(traj, geom, cam)
         fields = painted(lifted)
         all_poses = [forward_kinematics(state, geom) for state in traj.states]
-        motion = kvf.motion_channels(all_poses, cam, traj.dt)
+        motion = kvf.motion_channels(stacked(all_poses), cam, traj.dt)
         for t in (0, 4, 9):
             ch = fields[t]
             poses = all_poses[t]
             labels, d = rasterize(poses, cam)
             rho = kvf.rotation_channel(poses, cam)
             want = np.zeros(labels.shape + (9,))
-            for k, part in enumerate(PART_NAMES):
+            for k in range(len(PART_NAMES)):
                 on = labels == k
-                want[on, PART_SEMANTIC_CLASS[part]] = 1.0
+                want[on, PART_SEMANTIC_CLASS[k]] = 1.0
                 want[on, 4] = rho[k]
                 want[on, 5:9] = motion[t, k]
             want[..., 3] = d

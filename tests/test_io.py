@@ -25,6 +25,7 @@ from kvacontrol.kinematics import (ArticulatedState, ToolGeometry,
                                    Trajectory, default_camera,
                                    forward_kinematics, synth_trajectory)
 
+from test_field import stacked
 from test_golden import CASES
 
 
@@ -875,6 +876,40 @@ class TestCli:
                                                   "route"))
         assert err == "error: stride 3 does not divide the 32x32 frame\n"
 
+    @pytest.mark.parametrize("config, command, message", [
+        # the work bounds come first, then the stride, then route's bins
+        ({"stride": 3, "token_dim": 10 ** 9}, "losses",
+         "token_dim 1000000000 x 1 frames x 1x1 tokens are 1000000000 token "
+         "entries, over the work bound"),
+        ({"stride": 3}, "run", "stride 3 does not divide the 4x4 frame"),
+        ({"stride": 3}, "schedule", "stride 3 does not divide the 4x4 frame"),
+        ({}, "run", "route needs at least 3 tokens for its 3 motion bins"),
+        # lift alone does not route: any stride goes
+        ({"stride": 3}, "lift", None),
+    ], ids=["work-bound", "stride-run", "stride-schedule", "bins", "lift"])
+    def test_routing_preconditions_before_the_lift(self, tmp_path, capsys,
+                                                   monkeypatch, config,
+                                                   command, message):
+        # on a one-frame 4x4 trajectory; a failed check lifts nothing
+        lift, lifts = kvf.lift_trajectory, []
+
+        def counted(*args):
+            lifts.append(args)
+            return lift(*args)
+
+        monkeypatch.setattr(kvf, "lift_trajectory", counted)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        traj = _trajectory_file(tmp_path, 4, frames=1)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), command,
+                "--traj", str(traj)]
+        if message is None:
+            assert cli.main(argv) == 0 and len(lifts) == 1
+            assert (tmp_path / "o" / "field_0001.kvaf").exists()
+            return
+        assert _one_error_line(capsys, argv).startswith(f"error: {message}")
+        assert lifts == [] and not os.listdir(tmp_path / "o")
+
     @pytest.mark.parametrize("argv,message", BAD_ARGUMENTS)
     def test_bad_argument_clean_error(self, tmp_path, capsys, argv, message):
         err = _one_error_line(capsys, argument_argv(tmp_path, argv, message))
@@ -1021,6 +1056,22 @@ class TestCli:
         if command == "lift":
             channels = fm.read_field(out / "field_0001.kvaf").channels
             assert not channels[..., :3].any()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [(0.0, 0.0, 1.7e308), (1e308, 0.0, 1e308)],
+                             ids=["z-1.7e308", "x-and-z-1e308"])
+    def test_overflowing_midpoint_runs_without_warnings(self, tmp_path,
+                                                        capsys, p):
+        # every part's midpoint sum overflows, and its rotation Jacobian is
+        # nan; the run succeeds, and no warning reaches stderr
+        traj = tmp_path / "t.txt"
+        fm.write_trajectory(traj, Trajectory(states=tuple(
+            ArticulatedState.from_vector([*p, 0.25, -0.06, -0.2, 0.03, 0.34,
+                                          0.34]) for _ in range(3)),
+            dt=1 / 30), default_camera(32, 32))
+        code = cli.main(["--out", str(tmp_path / "o"), "run",
+                         "--traj", str(traj)])
+        assert (code, capsys.readouterr().err) == (0, "")
 
     def test_motion_overflow_names_frame_and_part(self, tmp_path, capsys):
         # an ordinary dt; frame 1 lies 1e306 m to the side, frame 2 on axis
@@ -1245,7 +1296,7 @@ class TestCli:
         # the case's premise: at T=3 the acceleration overflows float64; at
         # T=2 the velocity is finite in float64 but beyond float32
         t, cam, _ = fm.read_trajectory(traj)
-        poses = [forward_kinematics(s, ToolGeometry()) for s in t.states]
+        poses = stacked([forward_kinematics(s, ToolGeometry()) for s in t.states])
         with np.errstate(over="ignore", invalid="ignore"):
             motion = kvf.motion_channels(poses, cam, t.dt)
         assert np.isfinite(motion).all() == finite

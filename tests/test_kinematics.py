@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from kvacontrol.errors import BehindCamera, InvalidParams, JointLimitViolation, NonFiniteInput
+from kvacontrol.errors import InvalidParams, JointLimitViolation, NonFiniteInput
 from kvacontrol.kinematics import (
     DEFAULT_BASE_STATE,
     PART_NAMES,
@@ -18,7 +18,7 @@ from kvacontrol.kinematics import (
     axis_angle_to_matrix,
     default_camera,
     forward_kinematics,
-    project_point,
+    project,
     synth_trajectory,
 )
 
@@ -58,9 +58,9 @@ def assert_endpoints_match_oracle(state, rng):
     for geom in (random_geometry(rng), random_geometry(rng)):
         poses = forward_kinematics(state, geom)
         expected = oracle_poses(state, geom)
-        for part in PART_NAMES:
+        for k, part in enumerate(PART_NAMES):
             cap = geom.capsules[part]
-            for end, local in zip(poses.endpoints[part], (cap.a, cap.b)):
+            for end, local in zip(poses.endpoints[k], (cap.a, cap.b)):
                 want = (expected[part] @ np.append(local, 1.0))[:3]
                 assert np.max(np.abs(end - want)) < 1e-12
 
@@ -80,10 +80,12 @@ class TestForwardKinematics:
         geom = ToolGeometry()
         state = ArticulatedState(p=np.zeros(3), r=np.zeros(3), q_sw=0, q_lg=0, q_rg=0)
         poses = forward_kinematics(state, geom)
-        for part in PART_NAMES:
+        assert poses.endpoints.shape == (len(PART_NAMES), 2, 3)
+        for k, part in enumerate(PART_NAMES):
             cap = geom.capsules[part]
-            np.testing.assert_allclose(poses.endpoints[part][0], cap.a, atol=1e-15)
-            np.testing.assert_allclose(poses.endpoints[part][1], cap.b, atol=1e-15)
+            np.testing.assert_allclose(poses.endpoints[k, 0], cap.a, atol=1e-15)
+            np.testing.assert_allclose(poses.endpoints[k, 1], cap.b, atol=1e-15)
+            assert poses.radii[k] == cap.radius
 
     def test_gripper_hinge_quarter_turn(self):
         # q_lg = pi/2 about the z hinge maps the gripper's local x-axis
@@ -91,7 +93,8 @@ class TestForwardKinematics:
         geom = ToolGeometry()
         state = ArticulatedState(p=np.zeros(3), r=np.zeros(3), q_sw=0,
                                  q_lg=np.pi / 2, q_rg=0)
-        a, b = forward_kinematics(state, geom).endpoints["left_gripper"]
+        a, b = forward_kinematics(state, geom).endpoints[
+            PART_NAMES.index("left_gripper")]
         np.testing.assert_allclose(a, [0, 0, 0], atol=1e-15)
         np.testing.assert_allclose(b, [0, 0.015, 0], atol=1e-15)
 
@@ -107,9 +110,9 @@ class TestForwardKinematics:
                                  q_sw=0.0, q_lg=0.0, q_rg=0.0)
         poses = forward_kinematics(state, geom)
         R_w = axis_angle_to_matrix(state.r)
-        for part in PART_NAMES:
+        for k, part in enumerate(PART_NAMES):
             cap = geom.capsules[part]
-            for end, local in zip(poses.endpoints[part], (cap.a, cap.b)):
+            for end, local in zip(poses.endpoints[k], (cap.a, cap.b)):
                 np.testing.assert_allclose(end, R_w @ local + state.p,
                                            atol=1e-15)
 
@@ -131,29 +134,24 @@ class TestForwardKinematics:
 class TestProjection:
     def test_optical_axis(self):
         cam = CameraModel(fx=100, fy=100, cx=128, cy=128, width=256, height=256)
-        u, v, z = project_point(cam, [0, 0, 2])
-        assert (u, v, z) == (128, 128, 2)
+        u, v = project(cam, np.array([0.0, 0.0, 2.0]))
+        assert (u, v) == (128, 128)
 
     def test_similar_triangles(self):
         cam = CameraModel(fx=100, fy=100, cx=1e-9 + 0.5, cy=128, width=256, height=256)
-        u, _, _ = project_point(cam, [1, 0, 1])
+        u, _ = project(cam, np.array([1.0, 0.0, 1.0]))
         assert abs(u - (100 + cam.cx)) < 1e-12
 
-    def test_behind_camera(self):
-        cam = default_camera()
-        with pytest.raises(BehindCamera):
-            project_point(cam, [0, 0, -1])
-
     def test_matches_scalar_oracle(self):
+        # an array of points gets each point's scalar bits
         cam = default_camera(128, 96)
         rng = np.random.default_rng(0)
         pts = rng.normal(0, 1, (1000, 3))
         pts[:, 2] = np.abs(pts[:, 2]) + 0.1
-        for x in pts:
-            u, v, z = project_point(cam, x)
+        us, vs = project(cam, pts.reshape(10, 100, 3))
+        for x, u, v in zip(pts, us.ravel(), vs.ravel()):
             assert u == cam.fx * x[0] / x[2] + cam.cx
             assert v == cam.fy * x[1] / x[2] + cam.cy
-            assert z == x[2]
 
 
 class TestCameraModel:

@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvacontrol import metrics as mt
-from kvacontrol.errors import BehindCamera, InvalidParams
+from kvacontrol.errors import InvalidParams
 from kvacontrol.kinematics import (
     DEFAULT_BASE_STATE,
     PART_NAMES,
     PART_SEMANTIC_CLASS,
+    Z_NEAR,
     ArticulatedState,
     PartPoses,
     ToolGeometry,
     default_camera,
     forward_kinematics,
-    project_point,
+    project,
     synth_trajectory,
 )
 
@@ -297,16 +298,13 @@ class TestRenderTube:
 
     def test_tube_radius_respected(self):
         # every foreground pixel lies within half_width of a projected segment
-        from kvacontrol.kinematics import PART_NAMES, project_point
         cam = default_camera(64, 64)
         poses = self._poses()
         hw = 3.0
         labels = mt.render_tube(poses, cam, half_width=hw)
         segs = []
-        for part in PART_NAMES:
-            a, b = poses.endpoints[part]
-            ua, va, _ = project_point(cam, a)
-            ub, vb, _ = project_point(cam, b)
+        for a, b in poses.endpoints:
+            (ua, va), (ub, vb) = project(cam, a), project(cam, b)
             segs.append((ua, va, ub, vb))
         for i, j in np.argwhere(labels > 0):
             d2 = min(mt._point_segment_dist2(float(j), float(i), *s) for s in segs)
@@ -322,27 +320,26 @@ class TestRenderTube:
 
 
 def dense_render_tube(poses, cam, half_width):
-    """`render_tube` measured on every pixel of the frame: the reference the
-    cropped one must match bit for bit."""
+    """`render_tube` measured on every pixel of the frame, each endpoint
+    projected on its own: the reference the cropped one, which projects a
+    frame's endpoints together, must match bit for bit."""
     h, w = cam.height, cam.width
     labels = np.zeros((h, w), dtype=int)
     best_z = np.full((h, w), np.inf)
     hw2 = half_width * half_width
     ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    for part in PART_NAMES:
-        a, b = poses.endpoints[part]
-        try:
-            with np.errstate(over="ignore"):
-                ua, va, za = project_point(cam, a)
-                ub, vb, zb = project_point(cam, b)
-        except BehindCamera:
+    for k, (a, b) in enumerate(poses.endpoints):
+        za, zb = a[2], b[2]
+        if za <= Z_NEAR or zb <= Z_NEAR:  # behind the camera
             continue
+        with np.errstate(over="ignore"):
+            (ua, va), (ub, vb) = project(cam, a), project(cam, b)
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = mt._point_segment_dist2(jj.astype(float), ii.astype(float),
                                          ua, va, ub, vb)
         z_mid = 0.5 * (za + zb)
         hit = (d2 <= hw2) & (z_mid < best_z)
-        labels[hit] = PART_SEMANTIC_CLASS[part] + 1
+        labels[hit] = PART_SEMANTIC_CLASS[k] + 1
         best_z[hit] = z_mid
     return labels
 
@@ -411,14 +408,13 @@ class TestRenderTubeCrop:
     def test_random_segments_match_dense(self, size, half_width, segments):
         cam = default_camera(*size)
         dims = (cam.width, cam.height, cam.width, cam.height)
-        endpoints = {}
-        for part, (*coords, za, zb, degenerate) in zip(PART_NAMES, segments):
+        endpoints = np.empty((len(PART_NAMES), 2, 3))
+        for ends, (*coords, za, zb, degenerate) in zip(endpoints, segments):
             ua, va, ub, vb = (f * d if kind == "frac" else f
                               for (kind, f), d in zip(coords, dims))
-            a = _point_at(cam, ua, va, za)
-            b = a.copy() if degenerate else _point_at(cam, ub, vb, zb)
-            endpoints[part] = (a, b)
-        poses = PartPoses(endpoints, {})
+            ends[0] = _point_at(cam, ua, va, za)
+            ends[1] = ends[0] if degenerate else _point_at(cam, ub, vb, zb)
+        poses = PartPoses(endpoints, np.zeros(len(PART_NAMES)))
         assert (mt.render_tube(poses, cam, half_width).tobytes()
                 == dense_render_tube(poses, cam, half_width).tobytes())
 
@@ -432,9 +428,9 @@ class TestRenderTubeCrop:
         poses = forward_kinematics(ArticulatedState(
             p=np.array([0.0, 0.0, 0.11]), r=np.zeros(3), q_sw=0.3, q_lg=0.3,
             q_rg=0.3), ToolGeometry())
-        endpoints = dict(poses.endpoints)
-        endpoints["left_gripper"] = (_point_at(cam, u, 40.0, 0.1),
-                                     _point_at(cam, 10.0, 20.0, 0.1))
+        endpoints = poses.endpoints.copy()
+        endpoints[PART_NAMES.index("left_gripper")] = (
+            _point_at(cam, u, 40.0, 0.1), _point_at(cam, 10.0, 20.0, 0.1))
         poses = dataclasses.replace(poses, endpoints=endpoints)
         areas = _measured_areas(monkeypatch)
         labels = mt.render_tube(poses, cam, 3.0)

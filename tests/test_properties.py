@@ -20,9 +20,11 @@ from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
 from kvacontrol._columns import argmax, columns, fold, lane_sums
 from kvacontrol.kinematics import (DEFAULT_BASE_STATE, PART_NAMES,
-                                   PART_SEMANTIC_CLASS, ToolGeometry, Trajectory,
-                                   default_camera, forward_kinematics)
+                                   PART_SEMANTIC_CLASS, Z_NEAR, PartPoses,
+                                   ToolGeometry, Trajectory, default_camera,
+                                   forward_kinematics)
 
+import reference_lift as ref_lift
 import reference_losses as ref
 from test_field import painted, rasterize
 
@@ -639,14 +641,16 @@ def test_inner_gates_match_numpy_reductions(inputs):
     pooled, dec = rt.route_forward(grid, params, progress,
                                    rt.timestep_embed(0.4), sched=sched)
     assert pooled is grid
+    f_sub, _ = pr.sub_routing_stats(dec)
     for i, m in enumerate(kvf.MODALITIES):
         lifted = (pooled[..., kvf.MODALITY_CHANNELS[m]] @ params.mod_lift_w[m]
                   + params.mod_lift_b[m])
         z = lifted @ params.inner_w[m] + params.inner_b[m]
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
-        assert (dec.inner_sel[..., i] == probs.argmax(axis=-1)).all()
         assert dec.inner_probs[..., i, :].tobytes() == probs.tobytes()
+        top1 = np.bincount(probs.argmax(axis=-1).ravel(), minlength=rt.N_SUB)
+        assert f_sub[i].tobytes() == (top1 / top1.sum()).tobytes()
 
 
 # base offsets (m) and jitter bounds that put the tool in view, across the
@@ -672,15 +676,15 @@ def dense_lift(traj, geom, cam):
     """The trajectory's (T, H, W, 9) channels painted channel by channel from
     the rasterized labels, as a dense lift writes them."""
     poses = [forward_kinematics(state, geom) for state in traj.states]
-    motion = kvf.motion_channels(poses, cam, traj.dt)
+    motion = ref_lift.motion_channels(poses, cam, traj.dt)
     out = np.zeros((len(poses), cam.height, cam.width, kvf.N_CHANNELS))
     for frame, p, m in zip(out, poses, motion):
         labels, depth = rasterize(p, cam)
         frame[..., 3] = depth
-        for k, part in enumerate(PART_NAMES):
+        for k in range(len(PART_NAMES)):
             on = labels == k
-            frame[on, PART_SEMANTIC_CLASS[part]] = 1.0
-            frame[on, 4] = kvf.part_axis_angle(p, cam, part)
+            frame[on, PART_SEMANTIC_CLASS[k]] = 1.0
+            frame[on, 4] = ref_lift.part_axis_angle(p.endpoints[k], cam)
             frame[on, 5:9] = m[k]
     return out
 
@@ -764,3 +768,68 @@ def test_compact_lift_matches_dense_painting(case, batch):
         assert pooled[t].tobytes() == rt.avg_pool(f, s).tobytes()
         mask = (lifted.labels[t] >= 0).astype(float)
         assert m_tool[t].tobytes() == rt.avg_pool(mask, s).tobytes()
+
+
+# a part's capsule kinds for the batched table columns: in view; its
+# midpoint at or behind Z_NEAR; its axis along a viewing ray (the optical
+# axis included), where the Jacobian vanishes; 1e306 m to the side at a few
+# mm depth, where du overflows; and 1e308 m or more out, where the midpoint
+# sum overflows
+AXIS_KINDS = ("in-view", "behind", "along-ray", "far-du", "far-midpoint")
+
+
+@st.composite
+def axis_capsule(draw, kind):
+    """The (2, 3) ends of one capsule of the given AXIS_KINDS kind."""
+    if kind == "far-midpoint":
+        x = draw(st.sampled_from([0.0, 1e308, -1.7e308]))
+        a = np.array([x, 0.01, draw(st.sampled_from([1.7e308, 1e308]))])
+        return np.array([a, a + [0.01, 0.0, 0.01]])
+    if kind == "along-ray":
+        ray = np.array([draw(st.floats(-1, 1)), draw(st.floats(-1, 1)), 1.0])
+        ray[:2] *= draw(st.booleans())
+        return np.array([draw(st.floats(0.01, 0.3)) * ray,
+                         draw(st.floats(0.01, 0.3)) * ray])
+    a, b = (np.array([draw(st.floats(-0.05, 0.05)) for _ in range(3)])
+            for _ in range(2))
+    if kind == "far-du":
+        a[0] = b[0] = draw(st.sampled_from([1e306, -1e306]))
+        a[2], b[2] = 0.002, draw(st.floats(0.003, 0.1))
+    elif kind == "behind":
+        a[2] = draw(st.floats(-0.1, Z_NEAR))
+        b[2] = 2 * Z_NEAR - a[2] - draw(st.sampled_from([0.0, 1e-3]))
+    else:
+        a[2], b[2] = (draw(st.floats(0.02, 0.3)) for _ in range(2))
+    return np.array([a, b])
+
+
+@st.composite
+def posed_batches(draw):
+    """(camera, PartPoses of a batch of 1 to 6 frames stacked part-major,
+    dt): each frame's parts of drawn AXIS_KINDS, and one frame, at a drawn
+    position, with one part of each kind but "in-view"."""
+    cam = default_camera(draw(st.integers(1, 64)), draw(st.integers(1, 64)))
+    frames = [[draw(axis_capsule(draw(st.sampled_from(AXIS_KINDS))))
+               for _ in PART_NAMES] for _ in range(draw(st.integers(0, 5)))]
+    frames.insert(draw(st.integers(0, len(frames))), draw(st.permutations(
+        [draw(axis_capsule(kind)) for kind in AXIS_KINDS[1:]])))
+    ends = np.array(frames).swapaxes(0, 1)  # (4, B, 2, 3)
+    dt = draw(st.sampled_from([1 / 30, 0.5, 1e-40]))
+    return cam, PartPoses(ends, np.full(ends.shape[:2], 0.004)), dt
+
+
+@settings(max_examples=200, deadline=None)
+@given(posed_batches())
+def test_batched_table_columns_match_per_frame_reference(case):
+    # rho a part at a time, and alpha a row at a time through
+    # np.linalg.norm, as the lift formed them before it read poses whole
+    cam, poses, dt = case
+    rho = kvf.rotation_channel(poses, cam)
+    want = [[ref_lift.part_axis_angle(ends, cam) for ends in part]
+            for part in poses.endpoints]
+    assert rho.tobytes() == np.array(want).tobytes()
+    frames = [PartPoses(poses.endpoints[:, t], poses.radii[:, t])
+              for t in range(poses.radii.shape[1])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        motion = kvf.motion_channels(poses, cam, dt)
+    assert motion.tobytes() == ref_lift.motion_channels(frames, cam, dt).tobytes()

@@ -73,12 +73,10 @@ ALLOWED_LINES = {
         "perfbench/worker.py and test_golden pass synth_trajectory a params "
         "dict, where a misspelt key would leave the base at its default; the "
         "CLI passes none",
-    "kinematics.project_point: raise BehindCamera":
+    "metrics.render_tube: continue":
         "perfbench's exit128 inputs put the tool's base 5 cm from the camera, "
         "so render_tube meets parts behind it; synth's poses keep every part "
         "in front (the 0.11 m base depth exceeds the shaft's 0.10 m reach)",
-    "metrics.render_tube: continue":
-        "render_tube's side of the same exit128 case",
     "kinematics.forward_kinematics: raise NonFiniteInput":
         "perfbench/worker.py poses states it builds itself; the trajectory "
         "reader rejects a non-finite action first, so no CLI input gets here",

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from kvacontrol import kva_field as kvf
+from kvacontrol import priors as pr
 from kvacontrol import routing as rt
-from kvacontrol.errors import ShapeMismatch
+from kvacontrol._columns import argmax, columns
 from kvacontrol.kinematics import ToolGeometry, default_camera, synth_trajectory
 
 from test_field import painted
@@ -66,7 +67,8 @@ class TestActionEmbed:
 
     def test_indivisible_resolution_rejected(self):
         params = rt.init_gate_params(0)
-        with pytest.raises(ShapeMismatch):
+        # numpy's reshape rejects a stride that does not divide the frame
+        with pytest.raises(ValueError):
             route_tokens(np.zeros((30, 30, 9)), params)
 
 
@@ -165,16 +167,17 @@ class TestCapacityBlend:
 class TestInnerGate:
     def test_zero_params_uniform_fine(self):
         tokens = np.zeros((4, 4, 16))
-        sel, probs = rt.inner_gate(tokens, np.zeros((16, 3)), np.zeros(3))
-        assert np.all(sel == rt.FINE)
+        probs = rt.inner_gate(tokens, np.zeros((16, 3)), np.zeros(3))
+        # a tie goes to the first maximum, as sub_routing_stats takes it
+        assert np.all(argmax(columns(probs)) == rt.FINE)
         np.testing.assert_allclose(probs.max(axis=-1), 1 / 3, atol=1e-15)
 
     def test_transport_logit_dominant(self):
         tokens = np.ones((1, 1, 2))
         w = np.zeros((2, 3))
         b = np.array([0.0, 5.0, 0.0])
-        sel, probs = rt.inner_gate(tokens, w, b)
-        assert sel[0, 0] == rt.TRANSPORT
+        probs = rt.inner_gate(tokens, w, b)
+        assert argmax(columns(probs))[0, 0] == rt.TRANSPORT
         expected = np.exp(5) / (np.exp(5) + 2)
         assert abs(probs[0, 0].max() - expected) < 1e-12
 
@@ -183,7 +186,8 @@ class TestInnerGate:
         tokens = rng.normal(size=(6, 6, 16))
         w = rng.normal(size=(16, 3))
         b = rng.normal(size=3)
-        sel, probs = rt.inner_gate(tokens, w, b)
+        probs = rt.inner_gate(tokens, w, b)
+        sel = argmax(columns(probs))
         for i in range(6):
             for j in range(6):
                 z = tokens[i, j] @ w + b
@@ -208,7 +212,8 @@ class TestRouteForward:
         pooled, dec = rt.route_forward(f, params, progress=1.0,
                                        t_embed=rt.timestep_embed(0.5))
         assert pooled is f
-        assert np.all(dec.inner_sel == rt.SKIP)
+        f_sub, _ = pr.sub_routing_stats(dec)
+        assert (f_sub[:, rt.SKIP] == 1.0).all()
         np.testing.assert_allclose(dec.inner_probs[..., rt.SKIP], 1.0,
                                    atol=1e-12)
         one_hot = np.zeros(rt.N_EXPERTS)
@@ -240,6 +245,7 @@ class TestRouteForward:
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         P = e / e.sum(axis=-1, keepdims=True)
         lam = (progress - sched.dense_end) / (sched.sparse_start - sched.dense_end)
+        sel = np.zeros((hp, wp, rt.N_EXPERTS), dtype=int)
         for i in range(hp):
             for j in range(wp):
                 order = sorted(range(5), key=lambda k: (-P[i, j, k], k))
@@ -257,7 +263,12 @@ class TestRouteForward:
                     ei = np.exp(zi - zi.max())
                     pi = ei / ei.sum()
                     assert np.max(np.abs(dec.inner_probs[i, j, mi] - pi)) < 1e-12
-                    assert dec.inner_sel[i, j, mi] == int(np.argmax(pi))
+                    sel[i, j, mi] = np.argmax(pi)
+        f_sub, _ = pr.sub_routing_stats(dec)
+        for mi in range(rt.N_EXPERTS):
+            np.testing.assert_array_equal(
+                f_sub[mi], np.bincount(sel[..., mi].ravel(), minlength=rt.N_SUB)
+                / (hp * wp))
 
     def test_channel_isolation(self):
         # perturbing channels outside a modality's group leaves that
@@ -272,17 +283,16 @@ class TestRouteForward:
         for field in (f, perturbed):
             _, dec = rt.route_forward(rt.avg_pool(field, STRIDE), params,
                                       0.5, rt.timestep_embed(0.3))
-            gates.append((dec.inner_sel[..., dep].tobytes(),
-                          dec.inner_probs[..., dep, :].tobytes(),
+            gates.append((dec.inner_probs[..., dep, :].tobytes(),
                           dec.inner_probs[..., vel, :].tobytes()))
-        assert gates[0][:2] == gates[1][:2]
-        assert gates[0][2] != gates[1][2]  # the perturbation reaches vel
+        assert gates[0][0] == gates[1][0]
+        assert gates[0][1] != gates[1][1]  # the perturbation reaches vel
 
     def test_deterministic(self):
         params = rt.init_gate_params(7)
         f = rt.avg_pool(make_field(8), STRIDE)
         a = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))[1]
         b = rt.route_forward(f, params, 0.3, rt.timestep_embed(0.2))[1]
-        for name in ("A", "fusion_w", "inner_sel", "inner_probs",
+        for name in ("A", "fusion_w", "inner_probs",
                      "tokens", "c_action"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
