@@ -76,6 +76,7 @@ from .formats import (
 )
 from .kinematics import (
     CameraModel,
+    PartPoses,
     ToolGeometry,
     default_camera,
     forward_kinematics,
@@ -144,9 +145,10 @@ def cmd_synth(cfg: Config, seed: int, out: str):
     cam = _camera(cfg)
     traj = synth_trajectory(cfg.trajectory_kind, T=cfg.frames,
                             seed=_derived_seed(seed, "synth"), geom=geom)
-    masks = [mt.render_tube(forward_kinematics(state, geom), cam,
-                            half_width=cfg.tube_half_width)
-             for state in traj.states]
+    poses = forward_kinematics(traj.states, geom)
+    masks = [mt.render_tube(PartPoses(poses.endpoints[:, t], poses.radii[:, t]),
+                            cam, half_width=cfg.tube_half_width)
+             for t in range(cfg.frames)]
     os.makedirs(os.path.join(out, "masks"), exist_ok=True)
     write_trajectory(os.path.join(out, "trajectory.txt"), traj, cam, seq_id="synth")
     for t, labels in enumerate(masks):
@@ -170,7 +172,7 @@ class RoutingRun:
     fusion_w: np.ndarray | None = None  # (T, H', W', 5)
     sub_mass: np.ndarray | None = None  # (T, H', W', 3) weighted sub-experts
     s_tilde: np.ndarray | None = None  # (T, H', W') normalized significance
-    plans: tuple | None = None  # (T,) sched.partition modes per frame
+    plans: np.ndarray | None = None  # (T, H' * W') sched.partition modes
 
 
 def _pooled_grids(lifted: kvf.LiftedTrajectory, stats: kvf.ChannelStats,
@@ -266,7 +268,7 @@ def _routing_run(cfg: Config, seed: int, lifted: kvf.LiftedTrajectory,
             sub_mass[b][..., rt.FINE], sub_mass[b][..., rt.SKIP])[1]
     planned_fields = {} if not planned else dict(
         motion=motion, fusion_w=fusion_w, sub_mass=sub_mass, s_tilde=s_tilde,
-        plans=tuple(sched.partition(s, budget) for s in s_tilde))
+        plans=sched.partition(s_tilde, budget))
     return RoutingRun(params, t_embed, d.last_frame(), tokens, pooled, m_tool,
                       budget, **planned_fields)
 
@@ -320,7 +322,7 @@ def cmd_route(run: RoutingRun, out: str):
     motion = run.motion.reshape(-1)
     fusion = run.fusion_w.reshape(-1, rt.N_EXPERTS)
     inner_probs = run.sub_mass.reshape(-1, rt.N_SUB)
-    modes = np.concatenate(run.plans)
+    modes = run.plans.reshape(-1)
     on_tool = run.m_tool.reshape(-1) > 0
 
     # statistics over tool tokens only: background tokens all tie at zero
@@ -405,14 +407,12 @@ def cmd_losses(cfg: Config, seed: int, run: RoutingRun, out: str):
 
 def cmd_schedule(run: RoutingRun, out: str):
     """Significance, plans, refresh, and a simulated cost report."""
-    s_means = [float(s.mean()) for s in run.s_tilde]
-    refresh = np.array([sched.refresh_interval(s, run.budget) for s in s_means])
+    s_means = run.s_tilde.reshape(len(run.plans), -1).mean(axis=1)
+    refresh = sched.refresh_interval(s_means, run.budget)
     trace = sched.simulate_execution(run.plans, refresh)
 
-    rows = []
-    for t in range(len(run.plans)):
-        rows.append([t + 1, *trace.n_modes[t], trace.frame_cost[t],
-                     int(refresh[t]), int(trace.forced[t]), s_means[t]])
+    rows = [[t + 1, *trace.n_modes[t], trace.frame_cost[t], refresh[t],
+             int(trace.forced[t]), s_means[t]] for t in range(len(run.plans))]
     write_csv(os.path.join(out, "execution.csv"),
               ["frame", "n_full", "n_light", "n_reuse", "cost", "refresh",
                "forced", "mean_significance"], rows)

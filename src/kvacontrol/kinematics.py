@@ -162,68 +162,72 @@ class PartPoses:
 
 
 def axis_angle_to_matrix(r):
-    """Rodrigues formula; r is axis * angle."""
-    r = np.asarray(r, dtype=float).reshape(3)
-    theta = np.linalg.norm(r)
-    if theta < 1e-12:
-        K = _skew(r)
-        return np.eye(3) + K  # first-order; exact at theta=0
-    axis = r / theta
-    K = _skew(axis)
-    return np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
+    """Rodrigues formula on rows: (..., 3) axis * angle -> (..., 3, 3).
+
+    The angle is the square root of one BLAS dot per row, the bits of
+    `np.linalg.norm` of the row alone; below 1e-12 the first-order I + [r]x
+    is taken, exact at 0. The rest is elementwise, with one 3 x 3 product
+    per row, so each row gets the bits of rotating it alone."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):  # where theta = 0
+        theta = np.sqrt(np.vecdot(r, r))[..., None]
+        # the skew matrices [r]x and [r / theta]x
+        K = np.zeros((2,) + r.shape + (3,))
+        v = np.stack([r, r / theta])
+        K[..., [2, 0, 1], [1, 2, 0]] = v
+        K[..., [1, 2, 0], [2, 0, 1]] = -v
+        theta = theta[..., None]
+        eye = np.eye(3)
+        return np.where(theta < 1e-12, eye + K[0], eye + np.sin(theta) * K[1]
+                        + (1 - np.cos(theta)) * (K[1] @ K[1]))
 
 
-def _skew(v):
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
-def hinge_matrix(axis, angle):
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    return axis_angle_to_matrix(axis * angle)
-
-
-def _check_limits(state, geom):
-    lim = geom.limits
-    for name, q, (lo, hi) in (
-        ("q_sw", state.q_sw, lim.q_sw),
-        ("q_lg", state.q_lg, lim.q_lg),
-        ("q_rg", state.q_rg, lim.q_rg),
-    ):
-        if not (lo <= q <= hi):
-            raise JointLimitViolation(f"{name}={q} outside [{lo}, {hi}]")
-
-
-def forward_kinematics(state: ArticulatedState, geom: ToolGeometry) -> PartPoses:
-    """Pose every part in the camera frame.
+def forward_kinematics(states, geom: ToolGeometry) -> PartPoses:
+    """Pose every part of T states in the camera frame, in one pass over
+    their (T, 9) actions: (4, T, 2, 3) capsule ends and (4, T) radii. One
+    `ArticulatedState` is a batch of one, posed as (4, 2, 3) and (4,).
 
     wrist   = (exp(r), p)
     shaft   = wrist o hinge(sw_axis, -q_sw)     (inverse: shaft is the parent)
     grip_l  = wrist o hinge(grip_axis, +q_lg)
     grip_r  = wrist o hinge(grip_axis, -q_rg)   (mirrored)
-    """
-    vec = state.as_vector()
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteInput("articulated state contains non-finite values")
-    _check_limits(state, geom)
 
-    R_w = axis_angle_to_matrix(state.r)
-    t_w = state.p  # every part hinges about the wrist's origin
-    rotations = (  # in PART_NAMES order
-        R_w @ hinge_matrix(geom.hinge_sw_axis, -state.q_sw),
-        R_w,
-        R_w @ hinge_matrix(geom.hinge_grip_axis, state.q_lg),
-        R_w @ hinge_matrix(geom.hinge_grip_axis, -state.q_rg),
-    )
+    Each pose has the bits of posing its state alone: the rotations are
+    `axis_angle_to_matrix` rows, and the products one 3 x 3 matrix at a
+    time. The first frame whose action is not finite, or whose rotation
+    angle |r| overflows, is reported, then the first frame with a joint
+    outside the geometry's limits."""
+    one = isinstance(states, ArticulatedState)
+    x = np.array([s.as_vector() for s in ([states] if one else states)])
+    p, r, q = x[:, :3], x[:, 3:6], x[:, 6:]
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(np.column_stack([x, np.sqrt(np.vecdot(r, r))]))
+    if bad.any():
+        t, k = np.argwhere(bad)[0]
+        raise NonFiniteInput(f"frame {t + 1}: " + (
+            "the wrist rotation's angle |r| overflows" if k == 9
+            else "articulated state contains non-finite values"))
+    names = ("q_sw", "q_lg", "q_rg")
+    limits = [getattr(geom.limits, name) for name in names]
+    lo, hi = np.array(limits).T
+    outside = ~((lo <= q) & (q <= hi))
+    if outside.any():
+        t, k = np.argwhere(outside)[0]
+        raise JointLimitViolation(f"frame {t + 1}: {names[k]}={q[t, k]} "
+                                  f"outside [{limits[k][0]}, {limits[k][1]}]")
+
+    sw, grip = (axis / np.linalg.norm(axis)
+                for axis in (geom.hinge_sw_axis, geom.hinge_grip_axis))
+    # each part's rotation in PART_NAMES order, the hinges after the wrist's
+    R = axis_angle_to_matrix(np.stack([sw * -q[:, :1], r, grip * q[:, 1:2],
+                                       grip * -q[:, 2:]]))  # (4, T, 3, 3)
+    R[[0, 2, 3]] = R[1] @ R[[0, 2, 3]]
     caps = [geom.capsules[part] for part in PART_NAMES]
-    return PartPoses(
-        endpoints=np.array([(R @ cap.a + t_w, R @ cap.b + t_w)
-                            for R, cap in zip(rotations, caps)]),
-        radii=np.array([cap.radius for cap in caps], dtype=float))
+    local = np.array([(cap.a, cap.b) for cap in caps])  # (4, 2, 3)
+    # every part hinges about the wrist's origin p
+    ends = (R[:, :, None] @ local[:, None, ..., None])[..., 0] + p[:, None]
+    radii = np.repeat([[cap.radius] for cap in caps], len(x), axis=1)
+    return PartPoses(ends[:, 0], radii[:, 0]) if one else PartPoses(ends, radii)
 
 
 def project(cam: CameraModel, x):

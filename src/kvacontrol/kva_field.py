@@ -11,10 +11,10 @@ returns the field in compact form, a `LiftedTrajectory`: the rasterized part
 labels (T, H, W), the depth (T, H, W) and one (5, 9) table of channel values
 per frame, whose row for label -1 is zero. The frames are lifted in
 consecutive batches (below), each rasterized straight into its planes of the
-two stacks (`rasterize_parts`' `out`). Forward kinematics runs once per
-frame, and the frames' poses are stacked once, part-major, into (4, T, 2, 3)
-capsule ends and (4, T) radii (`PartPoses`). Every reader takes that stack
-or a batch's slice of it whole: the capsule midpoints are projected once
+two stacks (`rasterize_parts`' `out`). Forward kinematics poses the T
+frames in one call, part-major, into (4, T, 2, 3) capsule ends and (4, T)
+radii (`PartPoses`). Every reader takes that stack or a batch's slice of it
+whole: the capsule midpoints are projected once
 into the centroid track from which `motion_channels` differences v and
 alpha, and each batch's rho column is one `rotation_channel` pass. Dense
 channels are painted from the tables only where an artefact needs them: the
@@ -88,6 +88,12 @@ order, so every result keeps its bits:
 - `_sq_norm` adds the 3 squared columns of a direction with `_columns.fold`,
   and `_ray_test` takes each ray's offset from its capsule's axis, and the
   point at each cylinder root, a column at a time.
+
+A dot product of 3-vectors that must keep `np.dot`'s bits is one
+`np.vecdot` over the rows: it makes the same BLAS call per row as `np.dot`
+of the row pair, an FMA chain that no elementwise form reproduces
+(`tests/test_field.py` pins this). `_ray_test`'s capsule constants and
+`motion_channels`' alpha take their norms and dots this way.
 """
 
 from __future__ import annotations
@@ -97,8 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._columns import fold, lane_sums
-from .errors import (EmptyCorpus, JointLimitViolation, NonFiniteInput,
-                     ShapeMismatch)
+from .errors import EmptyCorpus, NonFiniteInput, ShapeMismatch
 from .kinematics import (
     PART_NAMES,
     PART_SEMANTIC_CLASS,
@@ -172,13 +177,6 @@ class ChannelStats:
 def _sq_norm(x):
     """Squared norm of each row of an (N, 3) x; `(x * x).sum(axis=1)`."""
     return fold(np.add, (x[:, k] * x[:, k] for k in range(3)))
-
-
-def _dots(x, y):
-    """np.dot of each row pair of two (N, 3) arrays. For 3-vectors it is a
-    BLAS FMA chain, which no elementwise form reproduces, so it runs per
-    row."""
-    return np.array([np.dot(*pair) for pair in zip(x, y)])
 
 
 # corner c of a capsule's oriented box lies past end c & 1 of its axis, on
@@ -297,12 +295,12 @@ def _ray_test(ends, radii, cam: CameraModel, j0, j1):
         a, b = ends[:, 0], ends[:, 1]
         r2 = radii * radii
         s = b - a
-        length = np.sqrt(_dots(s, s))  # np.linalg.norm of each
+        length = np.sqrt(np.vecdot(s, s))  # np.linalg.norm of each
         axis = s / length[:, None]
         m = -a
-        mm = m - _dots(m, axis)[:, None] * axis
-        table = np.column_stack([axis, m, length, _dots(mm, mm) - r2,
-                                 _dots(m, m) - r2, _dots(-b, -b) - r2])
+        mm = m - np.vecdot(m, axis)[:, None] * axis
+        table = np.column_stack([axis, m, length, np.vecdot(mm, mm) - r2,
+                                 np.vecdot(m, m) - r2, np.vecdot(-b, -b) - r2])
         axis_r, m_r, (length_r, qc), sc = np.split(table.T[:, owner], [3, 6, 8])
 
         # the infinite cylinder around each axis. dd: the rays off the axis.
@@ -482,7 +480,8 @@ def motion_channels(poses: PartPoses, cam: CameraModel, dt: float) -> np.ndarray
     The centroid is the capsule midpoint projected to (u, v, depth). v = 0 at
     frame 0 and where the midpoint is at or behind Z_NEAR at t or t - 1;
     alpha = |v_t - v_{t-1}| / dt, 0 before frame 2, each norm the square
-    root of one row's `_dots`, as `np.linalg.norm` of a 3-vector forms it."""
+    root of one row's `np.vecdot`, as `np.linalg.norm` of a 3-vector forms
+    it."""
     ends = np.moveaxis(poses.endpoints, 0, 1)  # (T, 4, 2, 3)
     mid = 0.5 * (ends[..., 0, :] + ends[..., 1, :])
     z = mid[..., 2]
@@ -493,8 +492,8 @@ def motion_channels(poses: PartPoses, cam: CameraModel, dt: float) -> np.ndarray
     v = motion[..., :3]
     v[1:] = (track[1:] - track[:-1]) / dt
     v[np.isnan(v).any(axis=-1)] = 0.0
-    d = (v[2:] - v[1:-1]).reshape(-1, 3)
-    motion[2:, :, 3] = (np.sqrt(_dots(d, d)) / dt).reshape(-1, len(PART_NAMES))
+    d = v[2:] - v[1:-1]
+    motion[2:, :, 3] = np.sqrt(np.vecdot(d, d)) / dt
     return motion
 
 
@@ -514,21 +513,14 @@ def lift(poses: PartPoses, cam: CameraModel, motion, out):
 
 def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
                     cam: CameraModel) -> LiftedTrajectory:
-    """The trajectory's channels in compact form; forward kinematics runs
-    once per frame, and a joint value outside the geometry's limits is
-    reported with its frame. The frames' poses are stacked once, part-major
-    (4, T, 2, 3), and lifted in consecutive batches of
+    """The trajectory's channels in compact form. Forward kinematics poses
+    every frame in one call, part-major (4, T, 2, 3), and reports the first
+    frame with a joint value outside the geometry's limits or a rotation
+    angle that overflows; the poses are lifted in consecutive batches of
     RASTER_BATCH_PX // (H * W) frames, at least one."""
-    poses = []
-    for t, state in enumerate(traj.states, start=1):
-        try:
-            poses.append(forward_kinematics(state, geom))
-        except JointLimitViolation as exc:
-            raise JointLimitViolation(f"frame {t}: {exc}") from None
-    ends = np.stack([p.endpoints for p in poses], axis=1)
-    radii = np.stack([p.radii for p in poses], axis=1)
+    poses = forward_kinematics(traj.states, geom)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        motion = motion_channels(PartPoses(ends, radii), cam, traj.dt)
+        motion = motion_channels(poses, cam, traj.dt)
     # KVAF stores channels as float32, so a finite value beyond its range
     # would turn into inf on write
     bad = ~(np.abs(motion) <= _F4_MAX).all(axis=-1)
@@ -537,15 +529,15 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
         raise NonFiniteInput(
             f"frame {t + 1}: the {PART_NAMES[k]}'s projected velocity or "
             f"acceleration exceeds float32's range (dt {traj.dt:g})")
-    shape = (len(poses), cam.height, cam.width)
+    shape = (len(motion), cam.height, cam.width)
     lifted = LiftedTrajectory(np.empty(shape, dtype=np.intp), np.empty(shape),
-                              np.empty((len(poses), N_TABLE_ROWS, N_CHANNELS)))
+                              np.empty((len(motion), N_TABLE_ROWS, N_CHANNELS)))
     batch = max(1, RASTER_BATCH_PX // (cam.height * cam.width))
-    for t in range(0, len(poses), batch):  # rasterized into the stacks in place
+    for t in range(0, len(motion), batch):  # rasterized into the stacks in place
         frames = slice(t, t + batch)
         lifted.tables[frames] = lift(
-            PartPoses(ends[:, frames], radii[:, frames]), cam, motion[frames],
-            (lifted.labels[frames], lifted.depth[frames]))
+            PartPoses(poses.endpoints[:, frames], poses.radii[:, frames]), cam,
+            motion[frames], (lifted.labels[frames], lifted.depth[frames]))
     return lifted
 
 

@@ -77,28 +77,31 @@ def _round_half_up(x):
 
 
 def partition(s_tilde, cfg: BudgetConfig = BudgetConfig()) -> np.ndarray:
-    """Budgeted top-ratio selection: the flat int array of each token's
-    mode, the top 20% of tokens FULL, the next 30% LIGHT, the rest REUSE
-    (defaults). Ties broken by token index, row-major. Both counts round
-    half up; the light tier takes at most the tokens the full tier leaves."""
-    s_flat = np.asarray(s_tilde, dtype=float).reshape(-1)
-    n = s_flat.size
+    """Budgeted top-ratio selection over each frame of a (T, ...) stack of
+    token significance: the (T, n) int modes of each frame's n tokens, the
+    top 20% of a frame's tokens FULL, the next 30% LIGHT, the rest REUSE
+    (defaults). Ties broken by token index, row-major within the frame.
+    Both counts round half up; the light tier takes at most the tokens the
+    full tier leaves."""
+    s = np.asarray(s_tilde, dtype=float)
+    s = s.reshape(len(s), -1)
+    n = s.shape[1]
     n_full = _round_half_up(cfg.rho_full_target * n)
     n_light = min(_round_half_up(cfg.rho_light_target * n), n - n_full)
-    order = np.argsort(-s_flat, kind="stable")
-    mode = np.full(n, REUSE, dtype=int)
-    mode[order[:n_full]] = FULL
-    mode[order[n_full:n_full + n_light]] = LIGHT
+    # the modes in rank order, scattered to each frame's ranked tokens
+    tiers = np.repeat([FULL, LIGHT, REUSE],
+                      [n_full, n_light, n - n_full - n_light])
+    mode = np.empty(s.shape, dtype=int)
+    np.put_along_axis(mode, np.argsort(-s, axis=1, kind="stable"), tiers,
+                      axis=1)
     return mode
 
 
-def refresh_interval(s_bar, cfg: BudgetConfig = BudgetConfig()) -> int:
-    """1 for mean significance from TAU_H up, 2 from TAU_M up, K below."""
-    if s_bar >= TAU_H:
-        return 1
-    if s_bar >= TAU_M:
-        return 2
-    return cfg.K
+def refresh_interval(s_bar, cfg: BudgetConfig = BudgetConfig()) -> np.ndarray:
+    """Each frame's refresh interval from its mean significance: 1 from
+    TAU_H up, 2 from TAU_M up, K below."""
+    s_bar = np.asarray(s_bar)
+    return np.where(s_bar >= TAU_H, 1, np.where(s_bar >= TAU_M, 2, cfg.K))
 
 
 @dataclass(frozen=True)
@@ -113,29 +116,22 @@ class ExecutionTrace:
 
 
 def simulate_execution(plans, refresh) -> ExecutionTrace:
-    """Run the per-token residual cache over T frames, given each frame's
-    `partition` modes and refresh interval: T plans of one token count and
-    T intervals, as `cli.cmd_schedule` forms them from one routing run.
+    """Run the per-token residual cache over T frames, given the (T, n)
+    `partition` modes and the T refresh intervals, as `cli.cmd_schedule`
+    forms them from one routing run.
 
     full: recompute everything and write the cache. light: reuse cached
     routing, recompute the residual (cache rewritten at light cost). reuse:
     read the cached residual. Frames with index % r(t) == 0 force full
     updates everywhere, so frame 0 always warms the cache."""
-    plans = list(plans)
-    refresh = np.asarray(refresh, dtype=int)
-    T = len(plans)
-    n = plans[0].size
-
-    frame_cost = np.zeros(T)
-    n_modes = np.zeros((T, 3), dtype=int)
-    forced = np.zeros(T, dtype=bool)
-    for t in range(T):
-        forced[t] = t % refresh[t] == 0
-        mode = np.full(n, FULL) if forced[t] else plans[t]
-        costs = np.choose(mode, [C_FULL, C_LIGHT, C_REUSE])
-        frame_cost[t] = costs.sum()
-        n_modes[t] = [(mode == m).sum() for m in (FULL, LIGHT, REUSE)]
-
+    plans = np.asarray(plans)
+    T, n = plans.shape
+    forced = np.arange(T) % refresh == 0
+    mode = np.where(forced[:, None], FULL, plans)
+    frame_cost = np.take([C_FULL, C_LIGHT, C_REUSE], mode).sum(axis=1)
+    # frame t's modes FULL, LIGHT, REUSE = 0, 1, 2 counted in bins 3t..3t+2
+    n_modes = np.bincount((mode + 3 * np.arange(T)[:, None]).ravel(),
+                          minlength=3 * T).reshape(T, 3)
     return ExecutionTrace(
         frame_cost=frame_cost,
         n_modes=n_modes,

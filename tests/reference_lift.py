@@ -1,14 +1,56 @@
-"""Reference forms of the part-table columns that `kva_field.lift` fills
-a batch at a time (`kva_field.rotation_channel`, `kva_field.motion_channels`).
+"""Reference forms of what `kva_field.lift_trajectory` computes a whole
+trajectory or batch at a time: the poses (`kinematics.forward_kinematics`)
+and the part-table columns (`kva_field.rotation_channel`,
+`kva_field.motion_channels`).
 
-Each is the column written one frame and one part at a time, as the lift
-formed it before it read the poses whole; the batched forms must return its
-bits (`test_properties`).
+Each is written one state, frame or part at a time, as the lift formed it
+before it read the actions and poses whole; the batched forms must return
+its bits (`test_properties`).
 """
 
 import numpy as np
 
-from kvacontrol.kinematics import PART_NAMES, Z_NEAR, project
+from kvacontrol.kinematics import PART_NAMES, Z_NEAR, PartPoses, project
+
+
+def _skew(v):
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
+
+def axis_angle_to_matrix(r):
+    """Rodrigues formula for one 3-vector r = axis * angle."""
+    r = np.asarray(r, dtype=float).reshape(3)
+    theta = np.linalg.norm(r)
+    if theta < 1e-12:
+        return np.eye(3) + _skew(r)  # first-order; exact at theta=0
+    K = _skew(r / theta)
+    return np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
+
+
+def hinge_matrix(axis, angle):
+    axis = np.asarray(axis, dtype=float)
+    return axis_angle_to_matrix(axis / np.linalg.norm(axis) * angle)
+
+
+def forward_kinematics(state, geom) -> PartPoses:
+    """One state's (4, 2, 3) capsule ends and (4,) radii, each part's
+    rotation formed on its own and applied to each end as R @ end + p."""
+    R_w = axis_angle_to_matrix(state.r)
+    rotations = (  # in PART_NAMES order
+        R_w @ hinge_matrix(geom.hinge_sw_axis, -state.q_sw),
+        R_w,
+        R_w @ hinge_matrix(geom.hinge_grip_axis, state.q_lg),
+        R_w @ hinge_matrix(geom.hinge_grip_axis, -state.q_rg),
+    )
+    caps = [geom.capsules[part] for part in PART_NAMES]
+    return PartPoses(
+        endpoints=np.array([(R @ cap.a + state.p, R @ cap.b + state.p)
+                            for R, cap in zip(rotations, caps)]),
+        radii=np.array([cap.radius for cap in caps], dtype=float))
 
 
 def part_axis_angle(ends, cam) -> float:

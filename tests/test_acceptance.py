@@ -342,20 +342,19 @@ def test_criterion_07_kinematics_field_oracles(capsys):
 
 def test_criterion_08_budget_arithmetic(capsys):
     def check():
-        # partition counts on N=10
-        mode = sch.partition(np.arange(10, dtype=float))
-        assert tuple(np.bincount(mode, minlength=3)) == (2, 3, 5)
+        # partition counts on one frame of N=10, a (1, 10) stack
+        mode = sch.partition(np.arange(10, dtype=float)[None])
+        assert tuple(np.bincount(mode[0], minlength=3)) == (2, 3, 5)
 
         # per-frame cost ratio with constants (1.0, 0.4, 0.02)
-        plans = [mode] * 6
+        plans = np.repeat(mode, 6, axis=0)
         trace = sch.simulate_execution(plans, np.full(6, 6))
         for t in range(1, 6):  # frame 0 is the forced cache warm-up
             assert abs(trace.frame_cost[t] / 10 - 0.33) < 1e-12
 
         # refresh rule on three synthetic significance regimes
-        assert sch.refresh_interval(0.9) == 1
-        assert sch.refresh_interval(0.45) == 2
-        assert sch.refresh_interval(0.1) == 4
+        refresh = sch.refresh_interval(np.array([0.9, 0.45, 0.1]))
+        assert refresh.tolist() == [1, 2, 4]
 
     _report(capsys, 8, "budget arithmetic reproduction", check)
 

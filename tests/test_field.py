@@ -21,6 +21,7 @@ from kvacontrol.kinematics import (
     synth_trajectory,
     Trajectory,
 )
+from kvacontrol import cli
 from kvacontrol import kva_field as kvf
 
 import frozen_raster
@@ -484,6 +485,24 @@ def test_blas_rows_do_not_depend_on_row_count_or_offset(seed):
 
 
 
+@pytest.mark.parametrize("n", [1, 2, 4 * kvf.RASTER_BATCH_PX])
+def test_vecdot_rows_match_per_row_dot(n):
+    """The property that `kva_field._ray_test`'s capsule constants,
+    `motion_channels`' alpha and `kinematics.axis_angle_to_matrix`'s angle
+    rely on to take a dot product of 3-vectors once over all rows: each row
+    of `np.vecdot` of two (n, 3) arrays has the bits of `np.dot` of the row
+    pair, a BLAS FMA chain, and its square root for a row with itself the
+    bits of `np.linalg.norm` of the row. n runs up to a batch's largest
+    capsule count: 4 * RASTER_BATCH_PX capsules of 1 x 1 frames."""
+    rng = np.random.default_rng(n)
+    x, y = (rng.normal(0.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-3, 3, (n, 3))
+            for _ in range(2))
+    assert (np.vecdot(x, y).tobytes()
+            == np.array([np.dot(a, b) for a, b in zip(x, y)]).tobytes())
+    assert (np.sqrt(np.vecdot(x, x)).tobytes()
+            == np.array([np.linalg.norm(a) for a in x]).tobytes())
+
+
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 16, 33])
 def test_blas_token_product_rows_do_not_depend_on_other_rows(c):
     """The property the grad check's evaluators in `priors` rely on to
@@ -712,19 +731,26 @@ class TestLift:
             assert (planes[:, ~tool].tobytes()
                     == np.zeros((9, off), dtype=np.float32).tobytes())
 
-    def test_forward_kinematics_once_per_frame(self, monkeypatch):
+    def test_forward_kinematics_once_per_trajectory(self, monkeypatch,
+                                                    tmp_path):
+        # a lift poses all its frames in one call, and so does synth for its
+        # tube masks
         geom = ToolGeometry()
         cam = default_camera(32, 32)
         traj = synth_trajectory("composite", T=7, seed=0, geom=geom)
         calls = []
 
-        def counted(state, geom):
-            calls.append(state)
-            return forward_kinematics(state, geom)
+        def counted(states, geom):
+            calls.append(len(states))
+            return forward_kinematics(states, geom)
 
         monkeypatch.setattr(kvf, "forward_kinematics", counted)
+        monkeypatch.setattr(cli, "forward_kinematics", counted)
         kvf.lift_trajectory(traj, geom, cam)
-        assert len(calls) == len(traj.states)
+        assert calls == [len(traj.states)]
+        assert cli.main(["--out", str(tmp_path), "--resolution", "32x32",
+                         "synth", "--frames", "5"]) == 0
+        assert calls == [len(traj.states), 5]
 
     @pytest.mark.parametrize("size, frames", [(256, 4), (128, 10), (64, 10)])
     def test_frames_rasterized_in_pixel_budgeted_batches(self, monkeypatch,

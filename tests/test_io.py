@@ -700,6 +700,13 @@ BAD_TRAJECTORY_VALUES = [
          "frame-gap"),
         ("seq", 1, "\udcff", "trajectory ", "not-utf8"),
         ("dt", 1, "1e-40", "frame 2: the ", "dt-motion-beyond-float32"),
+        # r . r overflows, so the rotation angle |r| is inf
+        ("frame 2", 5, "1e300",
+         "frame 2: the wrist rotation's angle |r| overflows\n",
+         "rotation-angle-overflow"),
+        ("frame 2", 5, "1e155",
+         "frame 2: the wrist rotation's angle |r| overflows\n",
+         "rotation-angle-overflow-1e155"),
     )]
 
 
@@ -1140,9 +1147,10 @@ class TestCli:
         # each command reads, lifts and measures its trajectory once and
         # routes each frame at most once; only the writers that read the
         # significance and the execution plans (route and schedule) form
-        # them: the motion once, and each frame's significance and partition
-        # once. Those two gate every frame; losses, which reads only the
-        # last frame's gates, gates that frame alone
+        # them: the motion once, each frame's significance once, and every
+        # frame's plan in one partition call. Those two gate every frame;
+        # losses, which reads only the last frame's gates, gates that frame
+        # alone
         for command, counts in calls.items():
             routed = 0 if command == "lift" else frames
             planned = command in ("route", "schedule", "run")
@@ -1153,7 +1161,7 @@ class TestCli:
                               "inner_gate": gated * rt.N_EXPERTS * tokens,
                               "motion_intensity": int(planned),
                               "significance": frames * planned,
-                              "partition": frames * planned}, command
+                              "partition": int(planned)}, command
 
     @pytest.mark.parametrize("case", [4, 9, 3], ids=["t1", "w1", "token33"])
     def test_losses_routing_matches_planned_routing(self, tmp_path, case):
@@ -1339,6 +1347,7 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not os.listdir(tmp_path / "o")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("record,pos,value,message", BAD_TRAJECTORY_VALUES)
     def test_bad_trajectory_value_clean_error(self, tmp_path, capsys, record,
                                               pos, value, message):

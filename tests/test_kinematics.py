@@ -130,6 +130,38 @@ class TestForwardKinematics:
         with pytest.raises(NonFiniteInput):
             forward_kinematics(state, geom)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_errors_name_the_first_bad_frame(self):
+        # frames 2 and 3 are bad; the error names frame 2, and the angle's
+        # overflow is reported without a warning
+        geom = ToolGeometry()
+        good = ArticulatedState(p=np.zeros(3), r=np.zeros(3), q_sw=0,
+                                q_lg=0, q_rg=0)
+        for bad, error, message in (
+                (dict(q_rg=2.0), JointLimitViolation,
+                 "frame 2: q_rg=2.0 outside [0.0, 1.5707963267948966]"),
+                (dict(r=np.array([1e300, 1e300, 0.0])), NonFiniteInput,
+                 "frame 2: the wrist rotation's angle |r| overflows"),
+                (dict(r=np.array([1e155, 0.0, 0.0])), NonFiniteInput,
+                 "frame 2: the wrist rotation's angle |r| overflows"),
+                (dict(q_sw=np.inf), NonFiniteInput,
+                 "frame 2: articulated state contains non-finite values")):
+            states = [good, dataclasses.replace(good, **bad),
+                      dataclasses.replace(good, q_lg=-1.0)]
+            with pytest.raises(error) as exc:
+                forward_kinematics(states, geom)
+            assert str(exc.value) == message
+
+    def test_batch_shapes(self):
+        geom = ToolGeometry()
+        traj = synth_trajectory("composite", T=5, seed=0, geom=geom)
+        poses = forward_kinematics(traj.states, geom)
+        assert poses.endpoints.shape == (len(PART_NAMES), 5, 2, 3)
+        assert poses.radii.shape == (len(PART_NAMES), 5)
+        one = forward_kinematics(traj.states[3], geom)
+        assert one.endpoints.shape == (len(PART_NAMES), 2, 3)
+        assert one.radii.shape == (len(PART_NAMES),)
+
 
 class TestProjection:
     def test_optical_axis(self):

@@ -20,9 +20,10 @@ from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
 from kvacontrol._columns import argmax, columns, fold, lane_sums
 from kvacontrol.kinematics import (DEFAULT_BASE_STATE, PART_NAMES,
-                                   PART_SEMANTIC_CLASS, Z_NEAR, PartPoses,
-                                   ToolGeometry, Trajectory, default_camera,
-                                   forward_kinematics)
+                                   PART_SEMANTIC_CLASS, Z_NEAR,
+                                   ArticulatedState, Capsule, JointLimits,
+                                   PartPoses, ToolGeometry, Trajectory,
+                                   default_camera, forward_kinematics)
 
 import reference_lift as ref_lift
 import reference_losses as ref
@@ -82,7 +83,7 @@ def test_softmax_topk_invariants(logits):
 @given(hnp.arrays(np.float64, st.integers(1, 64),
                   elements=st.floats(0, 1)))
 def test_partition_counts_and_exhaustive(s):
-    mode = sch.partition(s)
+    mode = sch.partition(s[None])[0]  # one frame, a (1, n) stack
     n = s.size
     counts = np.bincount(mode, minlength=3)
     assert counts.sum() == n
@@ -833,3 +834,75 @@ def test_batched_table_columns_match_per_frame_reference(case):
     with np.errstate(over="ignore", invalid="ignore"):
         motion = kvf.motion_channels(poses, cam, dt)
     assert motion.tobytes() == ref_lift.motion_channels(frames, cam, dt).tobytes()
+
+
+# rotation angles for the wrist: zero, below, at and just above the
+# small-angle threshold 1e-12, and up to 1e150
+ANGLES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-15, np.nextafter(1e-12, 0.0), 1e-12,
+                     np.nextafter(1e-12, 1.0)]),
+    st.floats(1e-300, 1e-12), st.floats(1e-12, 10.0), st.floats(10.0, 1e150))
+
+
+@st.composite
+def rotation_vectors(draw):
+    """A rotation vector r = axis * angle: along a coordinate axis, where
+    |r| is the drawn angle exactly, or along a drawn direction."""
+    angle = draw(ANGLES) * draw(st.sampled_from([1.0, -1.0]))
+    axis = np.zeros(3)
+    if draw(st.booleans()):
+        axis[draw(st.integers(0, 2))] = 1.0
+    else:
+        axis[:] = [draw(st.floats(-1, 1)) for _ in range(3)]
+        norm = np.linalg.norm(axis)
+        axis = axis / norm if norm > 1e-3 else np.array([0.0, 1.0, 0.0])
+    return axis * angle
+
+
+def joint_angles(lo, hi):
+    """A joint angle at either limit or between them."""
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+
+LIMITS = JointLimits()
+
+
+@st.composite
+def articulated_states(draw):
+    p = np.array([draw(st.floats(-1, 1)) for _ in range(3)])
+    return ArticulatedState(p=p, r=draw(rotation_vectors()),
+                            q_sw=draw(joint_angles(*LIMITS.q_sw)),
+                            q_lg=draw(joint_angles(*LIMITS.q_lg)),
+                            q_rg=draw(joint_angles(*LIMITS.q_rg)))
+
+
+@st.composite
+def tool_geometries(draw):
+    """The default tool, or each part a capsule between two drawn points,
+    so that its ends read every entry of its rotation."""
+    if draw(st.booleans()):
+        return ToolGeometry()
+    point = st.tuples(*[st.floats(-0.1, 0.1)] * 3).map(np.array)
+    return ToolGeometry(capsules={part: Capsule(draw(point), draw(point),
+                                                draw(st.floats(1e-4, 0.01)))
+                                  for part in PART_NAMES})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(articulated_states(), min_size=1, max_size=12),
+       tool_geometries())
+def test_batched_forward_kinematics_matches_per_state_reference(states, geom):
+    # every state of a batch is posed with the bits of the scalar
+    # Rodrigues form posing it alone, and one state is a batch of one
+    poses = forward_kinematics(tuple(states), geom)
+    want = [ref_lift.forward_kinematics(state, geom) for state in states]
+    assert poses.endpoints.shape == (len(PART_NAMES), len(states), 2, 3)
+    assert (poses.endpoints.tobytes()
+            == np.stack([w.endpoints for w in want], axis=1).tobytes())
+    assert (poses.radii.tobytes()
+            == np.stack([w.radii for w in want], axis=1).tobytes())
+    one = forward_kinematics(states[0], geom)
+    assert one.endpoints.shape == (len(PART_NAMES), 2, 3)
+    assert one.endpoints.tobytes() == poses.endpoints[:, 0].tobytes()
+    assert one.radii.tobytes() == poses.radii[:, 0].tobytes()

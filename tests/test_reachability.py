@@ -77,9 +77,6 @@ ALLOWED_LINES = {
         "perfbench's exit128 inputs put the tool's base 5 cm from the camera, "
         "so render_tube meets parts behind it; synth's poses keep every part "
         "in front (the 0.11 m base depth exceeds the shaft's 0.10 m reach)",
-    "kinematics.forward_kinematics: raise NonFiniteInput":
-        "perfbench/worker.py poses states it builds itself; the trajectory "
-        "reader rejects a non-finite action first, so no CLI input gets here",
     "kva_field.compute_stats: raise EmptyCorpus":
         "a lift of no pixels would give 0/0 statistics; a CLI lift has at "
         "least one frame of at least 1x1 pixels",

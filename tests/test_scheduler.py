@@ -69,10 +69,29 @@ class TestMotionIntensity:
         np.testing.assert_array_equal(m, 0)
 
 
+def partition_frame(s, cfg=sch.BudgetConfig()):
+    """One frame's (n,) modes: `partition` of it as a (1, n) stack."""
+    return sch.partition(np.asarray(s)[None], cfg)[0]
+
+
+def partition_frame_reference(s, cfg=sch.BudgetConfig()):
+    """The 1-D form `partition` had before it took a stack: one frame's
+    tokens ranked by one stable argsort."""
+    n = s.size
+    n_full = int(np.floor(cfg.rho_full_target * n + 0.5))
+    n_light = min(int(np.floor(cfg.rho_light_target * n + 0.5)), n - n_full)
+    order = np.argsort(-s.reshape(-1), kind="stable")
+    mode = np.full(n, sch.REUSE, dtype=int)
+    mode[order[:n_full]] = sch.FULL
+    mode[order[n_full:n_full + n_light]] = sch.LIGHT
+    return mode
+
+
 class TestPartition:
+    # one frame is a (1, n) stack
     def test_counts_n10(self):
         rng = np.random.default_rng(1)
-        mode = sch.partition(rng.random(10))
+        mode = partition_frame(rng.random(10))
         counts = np.bincount(mode, minlength=3)
         assert tuple(counts) == (2, 3, 5)
 
@@ -80,14 +99,14 @@ class TestPartition:
         rng = np.random.default_rng(2)
         for _ in range(10):
             s = rng.random(40)
-            mode = sch.partition(s)
+            mode = partition_frame(s)
             order = sorted(range(40), key=lambda i: (-s[i], i))
             for rank, idx in enumerate(order):
                 want = sch.FULL if rank < 8 else sch.LIGHT if rank < 20 else sch.REUSE
                 assert mode[idx] == want
 
     def test_tie_break_by_index(self):
-        mode = sch.partition(np.full(10, 0.5))
+        mode = partition_frame(np.full(10, 0.5))
         assert list(mode) == [0, 0, 1, 1, 1, 2, 2, 2, 2, 2]
 
     def test_permutation_equivariance(self):
@@ -95,48 +114,56 @@ class TestPartition:
         s = rng.random(30)
         # distinct values: permuting inputs permutes modes identically
         perm = rng.permutation(30)
-        a = sch.partition(s)
-        b = sch.partition(s[perm])
+        a = partition_frame(s)
+        b = partition_frame(s[perm])
         np.testing.assert_array_equal(a[perm], b)
 
     def test_rounding_half_up(self):
         # n=7: 0.2*7=1.4 -> 1 full, 0.3*7=2.1 -> 2 light, 4 reuse
-        mode = sch.partition(np.arange(7, dtype=float))
+        mode = partition_frame(np.arange(7, dtype=float))
         assert tuple(np.bincount(mode, minlength=3)) == (1, 2, 4)
         # n=5: 0.2*5=1.0 -> 1, 0.3*5=1.5 -> 2 (half up), 2 reuse
-        mode = sch.partition(np.arange(5, dtype=float))
+        mode = partition_frame(np.arange(5, dtype=float))
         assert tuple(np.bincount(mode, minlength=3)) == (1, 2, 2)
 
     def test_custom_ratios(self):
         cfg = sch.BudgetConfig(rho_full_target=0.5, rho_light_target=0.5)
-        mode = sch.partition(np.arange(10, dtype=float), cfg)
+        mode = partition_frame(np.arange(10, dtype=float), cfg)
         assert tuple(np.bincount(mode, minlength=3)) == (5, 5, 0)
 
     def test_fractions_match_mode_when_both_round_up(self):
         # n=3 at 0.5/0.5: 1.5 rounds up to 2 full, and the light tier gets
         # the one token left, not 2
         cfg = sch.BudgetConfig(rho_full_target=0.5, rho_light_target=0.5)
-        mode = sch.partition(np.arange(3, dtype=float), cfg)
+        mode = partition_frame(np.arange(3, dtype=float), cfg)
         counts = np.bincount(mode, minlength=3)
         assert tuple(counts) == (2, 1, 0)
 
-    def test_2d_input_flattened(self):
-        mode = sch.partition(np.arange(20, dtype=float).reshape(4, 5))
-        assert mode.shape == (20,)
-        assert mode[19] == sch.FULL
+    def test_each_frame_of_a_stack_partitioned_on_its_own(self):
+        # a (T, H', W') stack plans each frame's H' * W' tokens row-major,
+        # as the 1-D form plans the frame alone, ties and all
+        rng = np.random.default_rng(4)
+        for cfg in (sch.BudgetConfig(), sch.BudgetConfig(0.5, 0.5),
+                    sch.BudgetConfig(0.0, 0.15)):
+            for _ in range(20):
+                frames, h, w = (int(k) for k in rng.integers(1, 7, 3))
+                s = rng.integers(0, 4, (frames, h, w)) / 4.0  # many ties
+                mode = sch.partition(s, cfg)
+                assert mode.shape == (frames, h * w)
+                for t in range(frames):
+                    np.testing.assert_array_equal(
+                        mode[t], partition_frame_reference(s[t], cfg))
 
 
 class TestRefreshInterval:
     def test_branches(self):
-        assert sch.refresh_interval(0.9) == 1
-        assert sch.refresh_interval(0.6) == 1  # boundary inclusive
-        assert sch.refresh_interval(0.45) == 2
-        assert sch.refresh_interval(0.3) == 2  # boundary inclusive
-        assert sch.refresh_interval(0.1) == 4
+        # 0.6 and 0.3 are the inclusive boundaries
+        refresh = sch.refresh_interval(np.array([0.9, 0.6, 0.45, 0.3, 0.1]))
+        assert refresh.tolist() == [1, 1, 2, 2, 4]
 
     def test_custom_k(self):
         cfg = sch.BudgetConfig(K=8)
-        assert sch.refresh_interval(0.0, cfg) == 8
+        assert sch.refresh_interval(np.zeros(2), cfg).tolist() == [8, 8]
 
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
@@ -146,8 +173,9 @@ class TestRefreshInterval:
         # refresh intervals are held as int64: the largest K still runs,
         # one more is rejected
         cfg = sch.BudgetConfig(K=sch.K_MAX)
-        refresh = [sch.refresh_interval(0.0, cfg)] * 2
-        trace = sch.simulate_execution([np.zeros(3, dtype=int)] * 2, refresh)
+        refresh = sch.refresh_interval(np.zeros(2), cfg)
+        assert refresh.dtype == np.int64
+        trace = sch.simulate_execution(np.zeros((2, 3), dtype=int), refresh)
         assert trace.forced.tolist() == [True, False]
         with pytest.raises(ValueError):
             sch.BudgetConfig(K=sch.K_MAX + 1)
@@ -155,7 +183,7 @@ class TestRefreshInterval:
 
 class TestSimulateExecution:
     def _plans(self, modes_per_frame):
-        return [np.asarray(m, dtype=int) for m in modes_per_frame]
+        return np.array(modes_per_frame, dtype=int)  # (T, n)
 
     def test_all_full_cost(self):
         T, n = 6, 10
@@ -206,3 +234,20 @@ class TestSimulateExecution:
         plans = self._plans([mode] * 12)
         trace = sch.simulate_execution(plans, np.full(12, 4))
         assert trace.total_cost < trace.full_equivalent_cost
+
+    def test_matches_per_frame_loop(self):
+        # frame costs keep the bits of summing each frame's costs alone
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            T, n = (int(k) for k in rng.integers(1, 40, 2))
+            plans = rng.integers(0, 3, (T, n))
+            refresh = rng.integers(1, 5, T)
+            trace = sch.simulate_execution(plans, refresh)
+            for t in range(T):
+                forced = t % refresh[t] == 0
+                mode = np.full(n, sch.FULL) if forced else plans[t]
+                costs = np.choose(mode, [sch.C_FULL, sch.C_LIGHT, sch.C_REUSE])
+                assert trace.forced[t] == forced
+                assert trace.frame_cost[t].tobytes() == costs.sum().tobytes()
+                assert (trace.n_modes[t].tolist()
+                        == np.bincount(mode, minlength=3).tolist())
