@@ -4,9 +4,9 @@ sequential sums two to an add.
 The router reduces over axes only 3, 5 or 9 entries wide (sub-experts,
 modality experts, field channels) and over the stride x stride blocks of
 `avg_pool`. numpy reduces such a short axis one row at a time, at many
-times the cost of an elementwise pass. `fold` and `argmax` take the axis as
-a sequence of equal-shape columns and do one elementwise pass per column
-instead, with the bits of numpy's reduction:
+times the cost of an elementwise pass. `fold` takes the axis as a sequence
+of equal-shape columns and does one elementwise pass per column instead,
+with the bits of numpy's reduction:
 
 - numpy sums a contiguous axis of fewer than 8 entries strictly left to
   right, starting from the identity 0.0. The left fold
@@ -17,8 +17,10 @@ instead, with the bits of numpy's reduction:
   C >= 2, one block entry at a time in row-major order, each an elementwise
   pass over the whole output; folding the blocks in that order is the same
   sum.
-- max and the argmax comparisons do not round, so any order gives the same
-  values; `argmax` keeps the first maximum, as numpy's does.
+- max does not round, so any order gives the same values.
+
+A top-1 choice needs no column form: numpy's `argmax` does not round either,
+and it returns the first maximum along any axis, the tie rule `priors` keeps.
 
 `columns` gives a last axis's columns as `x[..., k]` views.
 
@@ -67,18 +69,6 @@ def fold(ufunc, cols, out=None) -> np.ndarray:
     for col in cols:
         ufunc(out, col, out=out)
     return out
-
-
-def argmax(cols) -> np.ndarray:
-    """Index of the first maximum across a sequence of equal-shape finite
-    columns."""
-    cols = iter(cols)
-    best = np.array(next(cols))
-    idx = np.zeros(best.shape, dtype=np.intp)
-    for k, col in enumerate(cols, start=1):
-        idx[col > best] = k
-        np.maximum(best, col, out=best)
-    return idx
 
 
 def lane_sums(rows, carry=None) -> np.ndarray:

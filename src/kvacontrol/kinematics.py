@@ -26,7 +26,7 @@ only its base state is a parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,6 +135,13 @@ class CameraModel:
             raise InvalidParams("fx, fy must be > 0")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise InvalidParams("principal point must lie inside the image")
+        # the pixel rays' directions (j - cx) / fx and (i - cy) / fy are
+        # largest at the frame's first or last column and row
+        rays = (float(max(self.cx, self.width - 1 - self.cx)) / float(self.fx),
+                float(max(self.cy, self.height - 1 - self.cy)) / float(self.fy))
+        if not np.isfinite(rays).all():
+            raise InvalidParams("fx, fy too small: the pixel rays' directions "
+                                "overflow")
 
 
 @dataclass(frozen=True)
@@ -255,16 +262,6 @@ def pixel_box(cam: CameraModel, u, v, reach=0.0):
     return slice(i0, i1), slice(j0, j1)
 
 
-def _clamp_state(state: ArticulatedState, geom: ToolGeometry) -> ArticulatedState:
-    lim = geom.limits
-    return replace(
-        state,
-        q_sw=float(np.clip(state.q_sw, *lim.q_sw)),
-        q_lg=float(np.clip(state.q_lg, *lim.q_lg)),
-        q_rg=float(np.clip(state.q_rg, *lim.q_rg)),
-    )
-
-
 DEFAULT_BASE_STATE = ArticulatedState(
     p=np.array([0.0, 0.0, 0.11]),
     r=np.array([0.25, 0.15, 0.0]),
@@ -302,6 +299,13 @@ def synth_trajectory(kind, params=None, T=10, seed=0,
     | composite (sum of the moving kinds). params may set the "base" state;
     the rates are the SYNTH_* constants. Joint angles are clamped to the
     geometry's limits.
+
+    The (T, 9) actions are formed in one array pass over the frame indices,
+    with the bits of forming one frame at a time: each moving kind adds its
+    terms to the base in that form's order, including its zeros (the
+    wrist's r_x term and the z drift turn a base -0.0 into +0.0), and each
+    joint column is clipped with scalar bounds, as `np.clip` with array
+    bounds turns a -0.0 at a 0.0 bound into +0.0.
     """
     _check_frames(T)
     _check_kind(kind)
@@ -316,24 +320,23 @@ def synth_trajectory(kind, params=None, T=10, seed=0,
     base = params.get("base", DEFAULT_BASE_STATE)
     phase = rng.uniform(0, 2 * np.pi)
 
-    states = []
-    for t in range(T):
-        p = base.p.copy()
-        r = base.r.copy()
-        q_sw, q_lg, q_rg = base.q_sw, base.q_lg, base.q_rg
-        w = 2 * np.pi * t / SYNTH_PERIOD + phase
-        if kind in ("linear-transport", "composite"):
-            p = p + SYNTH_VELOCITY * SYNTH_DT * t
-        if kind in ("wrist-articulation", "composite"):
-            r = r + np.array([0.0, SYNTH_ROT_AMP * np.sin(w),
-                              SYNTH_ROT_AMP * 0.5 * np.cos(w)])
-            q_sw = q_sw + SYNTH_SW_AMP * np.sin(w)
-        if kind in ("gripper-cycle", "composite"):
-            q_lg = q_lg + SYNTH_GRIP_AMP * 0.5 * (1 + np.sin(w))
-            q_rg = q_rg + SYNTH_GRIP_AMP * 0.5 * (1 + np.sin(w))
-        state = ArticulatedState(p=p, r=r, q_sw=q_sw, q_lg=q_lg, q_rg=q_rg)
-        states.append(_clamp_state(state, geom))
-    return Trajectory(states=tuple(states), dt=SYNTH_DT)
+    t = np.arange(T)
+    w = 2 * np.pi * t / SYNTH_PERIOD + phase
+    x = np.tile(base.as_vector(), (T, 1))  # p, r, q_sw, q_lg, q_rg per frame
+    if kind in ("linear-transport", "composite"):
+        x[:, :3] += SYNTH_VELOCITY * SYNTH_DT * t[:, None]
+    if kind in ("wrist-articulation", "composite"):
+        x[:, 3:6] += np.stack([np.zeros(T), SYNTH_ROT_AMP * np.sin(w),
+                               SYNTH_ROT_AMP * 0.5 * np.cos(w)], axis=1)
+        x[:, 6] += SYNTH_SW_AMP * np.sin(w)
+    if kind in ("gripper-cycle", "composite"):
+        x[:, 7:] += (SYNTH_GRIP_AMP * 0.5 * (1 + np.sin(w)))[:, None]
+    lim = geom.limits
+    np.clip(x[:, 6], *lim.q_sw, out=x[:, 6])
+    np.clip(x[:, 7], *lim.q_lg, out=x[:, 7])
+    np.clip(x[:, 8], *lim.q_rg, out=x[:, 8])
+    return Trajectory(states=tuple(map(ArticulatedState.from_vector, x)),
+                      dt=SYNTH_DT)
 
 
 def default_camera(width=64, height=64) -> CameraModel:

@@ -574,6 +574,8 @@ def compute_stats(lifted: LiftedTrajectory) -> ChannelStats:
     block = min(h * w, STATS_BLOCK)
     buf = np.empty(3 * block, dtype=np.complex128)
     sq_sum = np.zeros(6)
+    # one frame at a time: each frame gathers from its own part table, and a
+    # block never crosses a frame
     for t in range(frames):
         # channel k in lane k % 2 of row k // 2 (see `_columns.lane_sums`)
         part_rows = np.ascontiguousarray(part_sq[t].view(np.complex128).T)

@@ -56,14 +56,16 @@ The other steps:
   the size for the mean: what `ndarray.mean` and `ndarray.sum` compute,
   without their Python wrappers. `kp_alb_loss` takes its mean the same way.
 - `_kp_alb_evaluator` keeps the routing logits expert-major, (5, m), so each
-  expert is one contiguous row. The softmax's max and sum and the top-1
-  choice are each one reduction over axis 0 (`np.maximum.reduce`,
-  `np.add.reduce`, `argmax`), which numpy forms row by row in expert order,
-  and they have the bits of the `_columns` folds over the five rows
-  (pinned by `test_properties`). max and argmax do not round, and numpy's
-  argmax keeps the first maximum, as `_columns.argmax` does. The sum starts
-  from row 0 where the fold starts from row 0 + 0.0; the two differ only
-  for a -0.0 in row 0, and exp gives none. `Pbar` adds
+  expert is one contiguous row. The softmax's max and sum are each one
+  reduction over axis 0 (`np.maximum.reduce`, `np.add.reduce`), which numpy
+  forms row by row in expert order, and they have the bits of the `_columns`
+  folds over the five rows (pinned by `test_properties`). max does not
+  round. The sum starts from row 0 where the fold starts from row 0 + 0.0;
+  the two differ only for a -0.0 in row 0, and exp gives none. The top-1
+  choice is `argmax` over axis 0, where `routing_stats` takes it over the
+  last axis of token-major (N, 5) probabilities: numpy's argmax does not
+  round and returns the first maximum along either axis, so both pick the
+  same expert (pinned by `test_properties`). `Pbar` adds
   each expert's probabilities token after token: numpy's `mean(axis=0)` of
   a C-contiguous (N, 5) array adds its rows in the same sequence. The five
   sums run two to an add (`_columns.lane_sums`): two strided copies put
@@ -107,26 +109,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._columns import argmax, columns, fold, lane_sums
+from ._columns import columns, fold, lane_sums
 from .errors import InvalidParams, NonFiniteGradient
 from .kva_field import MODALITY_CHANNELS
 from .routing import INIT_SCALE, N_EXPERTS, N_SUB, RoutingDecision, softmax
 
 
-@dataclass(frozen=True)
-class RoutingStats:
-    """Realized tier-1 routing load: l_i = f_i * Pbar_i."""
-
-    f: np.ndarray  # fraction of tokens whose top-1 pick is expert i
-    load: np.ndarray  # f times the mean soft probability per expert
-
-
-def routing_stats(P: np.ndarray) -> RoutingStats:
+def routing_stats(P: np.ndarray):
+    """Realized tier-1 routing of probabilities P (..., 5): (f, load), the
+    fraction f_i of tokens whose top-1 pick (the first maximum) is expert i
+    and the load l_i = f_i * Pbar_i."""
     flat = P.reshape(-1, N_EXPERTS)
-    top1 = argmax(columns(flat))
-    f = np.bincount(top1, minlength=N_EXPERTS) / flat.shape[0]
-    Pbar = flat.mean(axis=0)
-    return RoutingStats(f=f, load=f * Pbar)
+    f = np.bincount(flat.argmax(axis=1), minlength=N_EXPERTS) / flat.shape[0]
+    return f, f * flat.mean(axis=0)
 
 
 def physical_prior(pooled: np.ndarray) -> np.ndarray:
@@ -149,11 +144,12 @@ def physical_prior(pooled: np.ndarray) -> np.ndarray:
     return energy / total
 
 
-def kp_alb_loss(stats: RoutingStats, pi: np.ndarray) -> float:
-    """Mean squared gap between realized load and the physical target pi.
+def kp_alb_loss(load: np.ndarray, pi: np.ndarray) -> float:
+    """Mean squared gap between the realized load (`routing_stats`) and the
+    physical target pi.
 
     The target is a constant for gradient purposes (stop-gradient)."""
-    gap2 = (stats.load - pi) ** 2
+    gap2 = (load - pi) ** 2
     return float(np.add.reduce(gap2, axis=None) / gap2.size)  # np.mean's bits
 
 
@@ -229,12 +225,10 @@ def sub_routing_stats(decision: RoutingDecision):
     A token's hard selection is its top-1 sub-expert, the first maximum:
     fine < transport < skip."""
     probs = decision.inner_probs.reshape(-1, N_EXPERTS, N_SUB)
-    sel = argmax(columns(probs))
-    n = sel.shape[0]
-    f_sub = np.zeros((N_EXPERTS, N_SUB))
-    for m in range(N_EXPERTS):
-        f_sub[m] = np.bincount(sel[:, m], minlength=N_SUB) / n
-    return f_sub, probs.mean(axis=0)
+    # modality m's pick s counted in bin N_SUB * m + s
+    sel = probs.argmax(axis=2) + N_SUB * np.arange(N_EXPERTS)
+    picks = np.bincount(sel.ravel(), minlength=N_EXPERTS * N_SUB)
+    return picks.reshape(N_EXPERTS, N_SUB) / len(probs), probs.mean(axis=0)
 
 
 def flow_matching_loss(pred, x0, x1) -> float:
@@ -298,8 +292,8 @@ def kp_alb_grad(field_tokens, c_action, t_embed, outer_w, outer_b, token_w,
     ce = np.concatenate([c_action, t_embed])
     z = ce @ outer_w + outer_b + tok @ token_w
     P = softmax(z)
-    stats = routing_stats(P)
-    dPbar = 2.0 / N_EXPERTS * (stats.load - pi) * stats.f
+    f, load = routing_stats(P)
+    dPbar = 2.0 / N_EXPERTS * (load - pi) * f
     dz = _softmax_backprop(P, dPbar)
     g_outer_w = np.outer(ce, dz.sum(axis=0))
     g_outer_b = dz.sum(axis=0)
@@ -312,29 +306,27 @@ def src_loss_grad(tokens_seq: np.ndarray, state: PredictorState,
     """d src / d (w, b) where R_t = sigmoid(tokens_t @ w + b) (see
     `_src_evaluator`).
 
-    tokens_seq: (T, H', W', C); m_tool: (T, H', W')."""
+    tokens_seq: (T, H', W', C); m_tool: (T, H', W'). One pass over the
+    frames, with the bits of a loop over them: frame t's dR is 0 + d_t -
+    d_{t+1}, and (gw, gb) fold the frames' products tok[t].T @ dz[t] and
+    column sums in frame order, where the stacked `np.matmul` and
+    `sum(axis=1)` give each frame the bits of its own product and sum
+    (pinned by `test_properties`)."""
     T = tokens_seq.shape[0]
     tok = tokens_seq.reshape(T, -1, tokens_seq.shape[-1])
     mask = np.asarray(m_tool, dtype=float).reshape(T, -1)
-    gw = np.zeros_like(state.w)
-    gb = np.zeros_like(state.b)
-    if T < 2:
-        return gw, gb
     denom = N_EXPERTS * mask[1:].sum()
-    if denom == 0:
-        return gw, gb
+    if denom == 0:  # also for T < 2, where the mask is empty
+        return np.zeros_like(state.w), np.zeros_like(state.b)
     z = predictor_logits(state, tok)  # (T, N, 5)
     R = _sigmoid(z)
+    d = 2.0 * mask[1:, :, None] * (R[1:] - R[:-1]) / denom
     dR = np.zeros_like(R)
-    for t in range(1, T):
-        d = 2.0 * mask[t][:, None] * (R[t] - R[t - 1]) / denom
-        dR[t] += d
-        dR[t - 1] -= d
+    dR[1:] += d
+    dR[:-1] -= d
     dz = dR * R * (1 - R)
-    for t in range(T):
-        gw += tok[t].T @ dz[t]
-        gb += dz[t].sum(axis=0)
-    return gw, gb
+    return (fold(np.add, np.matmul(tok.transpose(0, 2, 1), dz)),
+            fold(np.add, dz.sum(axis=1)))
 
 
 def _distinct_rows(keys):
@@ -407,7 +399,7 @@ def _kp_alb_evaluator(tokens, c_action, t_embed, pi):
         np.copyto(lanes.imag[:N_EXPERTS // 2], z[1::2])
         np.take(lanes, inverse, axis=1, out=P, mode="clip")
         Pbar = lane_sums(P)[:N_EXPERTS] / n
-        seen[inputs] = kp_alb_loss(RoutingStats(f=f, load=f * Pbar), pi)
+        seen[inputs] = kp_alb_loss(f * Pbar, pi)
         return seen[inputs]
 
     return loss

@@ -1,16 +1,62 @@
-"""Reference forms of what `kva_field.lift_trajectory` computes a whole
-trajectory or batch at a time: the poses (`kinematics.forward_kinematics`)
+"""Reference forms of what `kva_field.lift_trajectory` and `synth` compute a
+whole trajectory or batch at a time: the synthetic actions
+(`kinematics.synth_trajectory`), the poses (`kinematics.forward_kinematics`)
 and the part-table columns (`kva_field.rotation_channel`,
 `kva_field.motion_channels`).
 
-Each is written one state, frame or part at a time, as the lift formed it
+Each is written one state, frame or part at a time, as the program formed it
 before it read the actions and poses whole; the batched forms must return
 its bits (`test_properties`).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from kvacontrol.kinematics import PART_NAMES, Z_NEAR, PartPoses, project
+from kvacontrol.kinematics import (DEFAULT_BASE_STATE, PART_NAMES,
+                                   SYNTH_DT, SYNTH_GRIP_AMP, SYNTH_PERIOD,
+                                   SYNTH_ROT_AMP, SYNTH_SW_AMP,
+                                   SYNTH_VELOCITY, Z_NEAR, ArticulatedState,
+                                   PartPoses, ToolGeometry, Trajectory,
+                                   project)
+
+
+def _clamp_state(state, geom):
+    lim = geom.limits
+    return replace(
+        state,
+        q_sw=float(np.clip(state.q_sw, *lim.q_sw)),
+        q_lg=float(np.clip(state.q_lg, *lim.q_lg)),
+        q_rg=float(np.clip(state.q_rg, *lim.q_rg)),
+    )
+
+
+def synth_trajectory(kind, params=None, T=10, seed=0, geom=None):
+    """One `ArticulatedState` per frame, each moving kind's terms added to
+    the base one frame at a time and the joints clamped one state at a
+    time; the kind, T and params are taken as valid."""
+    geom = geom or ToolGeometry()
+    rng = np.random.default_rng(seed)
+    base = (params or {}).get("base", DEFAULT_BASE_STATE)
+    phase = rng.uniform(0, 2 * np.pi)
+    states = []
+    for t in range(T):
+        p = base.p.copy()
+        r = base.r.copy()
+        q_sw, q_lg, q_rg = base.q_sw, base.q_lg, base.q_rg
+        w = 2 * np.pi * t / SYNTH_PERIOD + phase
+        if kind in ("linear-transport", "composite"):
+            p = p + SYNTH_VELOCITY * SYNTH_DT * t
+        if kind in ("wrist-articulation", "composite"):
+            r = r + np.array([0.0, SYNTH_ROT_AMP * np.sin(w),
+                              SYNTH_ROT_AMP * 0.5 * np.cos(w)])
+            q_sw = q_sw + SYNTH_SW_AMP * np.sin(w)
+        if kind in ("gripper-cycle", "composite"):
+            q_lg = q_lg + SYNTH_GRIP_AMP * 0.5 * (1 + np.sin(w))
+            q_rg = q_rg + SYNTH_GRIP_AMP * 0.5 * (1 + np.sin(w))
+        state = ArticulatedState(p=p, r=r, q_sw=q_sw, q_lg=q_lg, q_rg=q_rg)
+        states.append(_clamp_state(state, geom))
+    return Trajectory(states=tuple(states), dt=SYNTH_DT)
 
 
 def _skew(v):

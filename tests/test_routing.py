@@ -4,7 +4,6 @@ import pytest
 from kvacontrol import kva_field as kvf
 from kvacontrol import priors as pr
 from kvacontrol import routing as rt
-from kvacontrol._columns import argmax, columns
 from kvacontrol.kinematics import ToolGeometry, default_camera, synth_trajectory
 
 from test_field import painted
@@ -169,7 +168,7 @@ class TestInnerGate:
         tokens = np.zeros((4, 4, 16))
         probs = rt.inner_gate(tokens, np.zeros((16, 3)), np.zeros(3))
         # a tie goes to the first maximum, as sub_routing_stats takes it
-        assert np.all(argmax(columns(probs)) == rt.FINE)
+        assert np.all(probs.argmax(axis=-1) == rt.FINE)
         np.testing.assert_allclose(probs.max(axis=-1), 1 / 3, atol=1e-15)
 
     def test_transport_logit_dominant(self):
@@ -177,7 +176,7 @@ class TestInnerGate:
         w = np.zeros((2, 3))
         b = np.array([0.0, 5.0, 0.0])
         probs = rt.inner_gate(tokens, w, b)
-        assert argmax(columns(probs))[0, 0] == rt.TRANSPORT
+        assert probs.argmax(axis=-1)[0, 0] == rt.TRANSPORT
         expected = np.exp(5) / (np.exp(5) + 2)
         assert abs(probs[0, 0].max() - expected) < 1e-12
 
@@ -187,7 +186,7 @@ class TestInnerGate:
         w = rng.normal(size=(16, 3))
         b = rng.normal(size=3)
         probs = rt.inner_gate(tokens, w, b)
-        sel = argmax(columns(probs))
+        sel = probs.argmax(axis=-1)
         for i in range(6):
             for j in range(6):
                 z = tokens[i, j] @ w + b
