@@ -61,8 +61,8 @@ from . import priors as pr
 from . import routing as rt
 from . import scheduler as sched
 from ._columns import columns, fold
-from .errors import (EmptyCorpus, InvalidParams, KvaControlError, ParseError,
-                     ShapeMismatch)
+from .errors import (EmptyCorpus, InvalidParams, KvaControlError,
+                     LabelOutOfRange, ParseError, ShapeMismatch)
 from .formats import (
     Config,
     atomic_write_text,
@@ -427,12 +427,23 @@ def cmd_schedule(run: RoutingRun, out: str):
 
 
 def _read_mask_dir(path):
-    names = sorted(f for f in os.listdir(path) if f.endswith(".pgm"))
-    return [mt.MaskFrame(read_pgm(os.path.join(path, f))) for f in names]
+    """The directory's .pgm label masks in name order; an error names its
+    file and keeps its type."""
+    masks = []
+    for name in sorted(f for f in os.listdir(path) if f.endswith(".pgm")):
+        file = os.path.join(path, name)
+        try:
+            labels = read_pgm(file)
+            if labels.max() > 3:
+                raise LabelOutOfRange("mask labels must be in {0, 1, 2, 3}")
+        except KvaControlError as exc:
+            raise type(exc)(f"{file}: {exc}") from exc
+        masks.append(labels)
+    return masks
 
 
 def cmd_eval(pred_dir: str, target_dir: str, out: str):
-    """Mask directories -> per-frame and aggregated CD / TI / AF / Dice."""
+    """Mask directories -> per-frame and mean CD / TI / AF / Dice."""
     pred = _read_mask_dir(pred_dir)
     target = _read_mask_dir(target_dir)
     if len(pred) != len(target):
@@ -440,20 +451,17 @@ def cmd_eval(pred_dir: str, target_dir: str, out: str):
             f"{len(pred)} predicted frames vs {len(target)} target frames")
     if not pred:
         raise EmptyCorpus(f"no .pgm masks in {pred_dir} or {target_dir}")
+    shape = pred[0].shape
     for t, (p, q) in enumerate(zip(pred, target), start=1):
-        if p.labels.shape != q.labels.shape:
-            raise ShapeMismatch(f"frame {t}: predicted mask {p.labels.shape} "
-                                f"vs target mask {q.labels.shape}")
+        for who, mask in (("predicted", p), ("target", q)):
+            if mask.shape != shape:
+                raise ShapeMismatch(f"frame {t}: {who} mask {mask.shape} vs "
+                                    f"frame 1's predicted mask {shape}")
     report = mt.evaluate_sequence(pred, target)
-    rows = []
-    for t in range(len(pred)):
-        ti = report.ti[t - 1] if t >= 1 else float("nan")
-        af = report.af[t - 1] if t >= 1 else float("nan")
-        rows.append([t + 1, report.cd[t], ti, af, report.dice[t]])
-    rows.append(["mean", report.mean_cd, report.mean_ti, report.mean_af,
-                 report.mean_dice])
+    rows = [[t, *row] for t, row in enumerate(report.frames, start=1)]
     write_csv(os.path.join(out, "metrics.csv"),
-              ["frame", "cd", "ti", "af", "dice"], rows)
+              ["frame", "cd", "ti", "af", "dice"],
+              rows + [["mean", *report.means]])
 
 
 def cmd_report(inputs, out_path):

@@ -517,7 +517,9 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
     every frame in one call, part-major (4, T, 2, 3), and reports the first
     frame with a joint value outside the geometry's limits or a rotation
     angle that overflows; the poses are lifted in consecutive batches of
-    RASTER_BATCH_PX // (H * W) frames, at least one."""
+    RASTER_BATCH_PX // (H * W) frames, at least one. The first frame whose
+    motion or tool depth exceeds float32's range, which KVAF stores, is
+    rejected."""
     poses = forward_kinematics(traj.states, geom)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         motion = motion_channels(poses, cam, traj.dt)
@@ -538,6 +540,13 @@ def lift_trajectory(traj: Trajectory, geom: ToolGeometry,
         lifted.tables[frames] = lift(
             PartPoses(poses.endpoints[:, frames], poses.radii[:, frames]), cam,
             motion[frames], (lifted.labels[frames], lifted.depth[frames]))
+    # as would a finite depth beyond float32's range
+    far = lifted.depth.max(axis=(1, 2))
+    bad = ~(far <= _F4_MAX)
+    if bad.any():
+        t = np.argmax(bad)
+        raise NonFiniteInput(f"frame {t + 1}: the tool's depth {far[t]:g} m "
+                             f"exceeds float32's range")
     return lifted
 
 

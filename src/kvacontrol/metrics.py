@@ -2,9 +2,17 @@
 
 Exact Euclidean distance transform (a row pass, then a column pass that folds
 in rows at growing offsets until no farther row can be nearer), symmetric
-Chamfer distance on the masks' joint bounding box, temporal IoU, area flicker,
-Dice, and the per-sequence aggregation rules. Also renders fixed-width action
-tubes from projected tool skeletons for use as ground-truth masks.
+Chamfer distance on the masks' joint bounding box, temporal IoU, area flicker
+and Dice. Also renders fixed-width action tubes from projected tool
+skeletons for use as ground-truth masks.
+
+`evaluate_sequence` fills one float (T, 4) table, a row per frame of cd, ti,
+af and dice. CD is one loop over frames and labels. TI, AF and Dice are
+array expressions over the stacked boolean unions; each divides the same
+integer pixel counts as on one frame, so every entry keeps its bits. nan
+marks a frame with no valid CD (a label present on one side only, or no
+label on either) and frame 1's TI and AF; each mean is over its column's
+finite entries, in frame order.
 
 `render_tube` measures each part's tube only on that tube's pixel box
 (`kinematics.pixel_box` of the projected segment, widened by the half width),
@@ -17,11 +25,11 @@ the whole frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, LabelOutOfRange
+from .errors import InvalidParams
 from .kinematics import (
     PART_SEMANTIC_CLASS,
     Z_NEAR,
@@ -79,15 +87,13 @@ def distance_transform(mask: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def chamfer(P: np.ndarray, T: np.ndarray):
-    """Symmetric mean nearest-pixel distance between two binary masks.
-
-    Returns (value, valid). valid is False (value nan) when either mask is
-    empty; such frames are skipped and counted by the aggregator."""
+def chamfer(P: np.ndarray, T: np.ndarray) -> float:
+    """Symmetric mean nearest-pixel distance between two binary masks; nan
+    when either mask is empty (such a frame's CD is skipped)."""
     P = np.asarray(P).astype(bool)
     T = np.asarray(T).astype(bool)
     if not P.any() or not T.any():
-        return float("nan"), False
+        return float("nan")
     # every pixel of P and T lies inside the crop, so distances are unchanged
     union = P | T
     rows = np.flatnonzero(union.any(axis=1))
@@ -96,114 +102,64 @@ def chamfer(P: np.ndarray, T: np.ndarray):
     P, T = P[box], T[box]
     d_to_T = distance_transform(T)
     d_to_P = distance_transform(P)
-    cd = 0.5 * (d_to_T[P].mean() + d_to_P[T].mean())
-    return float(cd), True
+    return float(0.5 * (d_to_T[P].mean() + d_to_P[T].mean()))
 
 
-def temporal_iou(P_t: np.ndarray, P_prev: np.ndarray) -> float:
-    """IoU of consecutive masks; 1 when both are empty."""
-    P_t = np.asarray(P_t).astype(bool)
-    P_prev = np.asarray(P_prev).astype(bool)
-    union = (P_t | P_prev).sum()
-    if union == 0:
-        return 1.0
-    return float((P_t & P_prev).sum() / union)
+def _area(masks):
+    return np.count_nonzero(masks, axis=(-2, -1))
 
 
-def area_flicker(P_t: np.ndarray, P_prev: np.ndarray) -> float:
-    """Relative frame-to-frame area change, previous area floored at 1."""
-    a_t = int(np.asarray(P_t).astype(bool).sum())
-    a_p = int(np.asarray(P_prev).astype(bool).sum())
-    return abs(a_t - a_p) / max(a_p, 1)
+def temporal_iou(P_t: np.ndarray, P_prev: np.ndarray) -> np.ndarray:
+    """IoU of consecutive (..., H, W) masks; 1 where both are empty."""
+    union = _area(P_t | P_prev)
+    return np.where(union == 0, 1.0, _area(P_t & P_prev) / np.maximum(union, 1))
 
 
-def dice(A: np.ndarray, B: np.ndarray) -> float:
-    """2|A^B| / (|A| + |B|); 1 when both are empty."""
-    A = np.asarray(A).astype(bool)
-    B = np.asarray(B).astype(bool)
-    total = A.sum() + B.sum()
-    if total == 0:
-        return 1.0
-    return float(2 * (A & B).sum() / total)
+def area_flicker(P_t: np.ndarray, P_prev: np.ndarray) -> np.ndarray:
+    """Relative area change of consecutive (..., H, W) masks, the previous
+    area floored at 1."""
+    a_t, a_p = _area(P_t), _area(P_prev)
+    return abs(a_t - a_p) / np.maximum(a_p, 1)
 
 
-@dataclass
-class MaskFrame:
-    """Per-pixel labels: 0 background, 1 shaft, 2 wrist, 3 gripper."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        if labels.min() < 0 or labels.max() > 3:
-            raise LabelOutOfRange("mask labels must be in {0, 1, 2, 3}")
-        self.labels = labels
-
-    @property
-    def union(self) -> np.ndarray:
-        return self.labels > 0
-
-    def part_mask(self, label: int) -> np.ndarray:
-        return self.labels == label
+def dice(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """2|A^B| / (|A| + |B|) of (..., H, W) masks; 1 where both are empty."""
+    total = _area(A) + _area(B)
+    return np.where(total == 0, 1.0, 2 * _area(A & B) / np.maximum(total, 1))
 
 
 @dataclass
 class MetricsReport:
-    """Per-frame values plus means over valid frames; nan entries were skipped."""
+    """frames: (T, 4) cd, ti, af and dice per frame; means: (4,) each
+    column's mean over its finite entries; skipped_cd: frames whose cd is
+    nan."""
 
-    cd: list = dc_field(default_factory=list)
-    ti: list = dc_field(default_factory=list)
-    af: list = dc_field(default_factory=list)
-    dice: list = dc_field(default_factory=list)
-    mean_cd: float = float("nan")
-    mean_ti: float = float("nan")
-    mean_af: float = float("nan")
-    mean_dice: float = float("nan")
-    skipped_cd: int = 0
+    frames: np.ndarray
+    means: np.ndarray
+    skipped_cd: int
 
 
-def _valid_mean(values):
-    vals = [v for v in values if np.isfinite(v)]
-    return float(np.mean(vals)) if vals else float("nan")
-
-
-def aggregate(cd_values, ti_values, af_values, dice_values) -> MetricsReport:
-    """Means over valid (finite) entries; skip counts recorded for Chamfer."""
-    report = MetricsReport(cd=list(cd_values), ti=list(ti_values),
-                           af=list(af_values), dice=list(dice_values))
-    report.mean_cd = _valid_mean(report.cd)
-    report.mean_ti = _valid_mean(report.ti)
-    report.mean_af = _valid_mean(report.af)
-    report.mean_dice = _valid_mean(report.dice)
-    report.skipped_cd = sum(1 for v in report.cd if not np.isfinite(v))
-    return report
-
-
-def evaluate_sequence(pred_frames, target_frames) -> MetricsReport:
-    """CD per frame on instance (per-label) masks, TI/AF on consecutive
-    predicted unions, Dice between predicted and target unions."""
-    cds, tis, afs, dices = [], [], [], []
-    prev_union = None
-    for pf, tf in zip(pred_frames, target_frames):
-        frame_cds = []
+def evaluate_sequence(pred, target) -> MetricsReport:
+    """The table of two sequences of equal-shape (H, W) label masks: CD on
+    the per-label masks, TI and AF between consecutive predicted unions
+    (nan at frame 1), Dice between the predicted and target unions."""
+    frames = np.full((len(pred), 4), np.nan)
+    for row, p, q in zip(frames, pred, target):
+        cds = []
         for label in (1, 2, 3):
-            pm, tm = pf.part_mask(label), tf.part_mask(label)
-            if not pm.any() and not tm.any():
-                continue
-            value, valid = chamfer(pm, tm)
-            frame_cds.append(value if valid else float("nan"))
-        if frame_cds:
-            cds.append(float(np.nanmean(frame_cds))
-                       if any(np.isfinite(v) for v in frame_cds) else float("nan"))
-        else:
-            cds.append(float("nan"))
-        union = pf.union
-        if prev_union is not None:
-            tis.append(temporal_iou(union, prev_union))
-            afs.append(area_flicker(union, prev_union))
-        dices.append(dice(union, tf.union))
-        prev_union = union
-    return aggregate(cds, tis, afs, dices)
+            pm, tm = p == label, q == label
+            if pm.any() or tm.any():
+                cds.append(chamfer(pm, tm))
+        if not np.isnan(cds).all():
+            row[0] = np.nanmean(cds)
+    unions = np.stack([p > 0 for p in pred])
+    frames[1:, 1] = temporal_iou(unions[1:], unions[:-1])
+    frames[1:, 2] = area_flicker(unions[1:], unions[:-1])
+    frames[:, 3] = dice(unions, np.stack([q > 0 for q in target]))
+    finite = np.isfinite(frames)
+    means = np.array([col[ok].mean() if ok.any() else np.nan
+                      for col, ok in zip(frames.T, finite.T)])
+    return MetricsReport(frames, means, int(np.count_nonzero(~finite[:, 0])))
 
 
 def _point_segment_dist2(px, py, ax, ay, bx, by):

@@ -1,10 +1,17 @@
 """Mutated input files fed to `cli.main` end in exit 0 with nothing on
 stderr or in exit 1 with one `error:` line, never a traceback or a warning.
+An exit 0 leaves non-finite values only where they are documented: a CSV
+holds nan only as `metrics.csv`'s cd of a skipped frame, frame 1's ti and
+af, and the mean of a column with no finite entry; every KVAF plane is
+finite.
 
-Each test mutates one valid input of the CLI (a 32x32 trajectory file, a P5
-mask, a JSON config or a CSV report) with a few token, line or byte edits
-and runs a command on it. The examples are derandomized so that tier-1 stays
-stable; raise `max_examples` and drop `derandomize` to search further.
+Each test mutates one valid input of the CLI (a 32x32 trajectory file, one
+frame of a two-frame P5 mask sequence, a JSON config or a CSV report) with
+a few token, line or byte edits and runs a command on it. The examples are
+derandomized so that tier-1 stays stable; raise `max_examples` and drop
+`derandomize` to search further. Random edits rarely land a float edge on a
+given field, so each numeric field of the trajectory's camera, dt and frame
+records also takes each float-edge token in turn.
 """
 
 import contextlib
@@ -14,6 +21,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,27 +32,33 @@ from kvacontrol import metrics as mt
 from kvacontrol.kinematics import (ToolGeometry, default_camera,
                                    forward_kinematics, synth_trajectory)
 
+from test_io import _with_value
+
 SIZE = 32
 FUZZ = settings(max_examples=25, deadline=None, derandomize=True)
 
+# the float edges: subnormals, a value beyond float32's range, values whose
+# square or sum overflows and the largest finite magnitudes
+FLOAT_EDGES = ["5e-324", "1e-310", "1e39", "1e155", "1e300", "1.7e308"]
 # replacement tokens: signs, zero, huge, tiny, non-finite and non-numeric,
-# and the float edges: subnormals, values whose square or sum overflows and
-# the largest finite magnitudes
+# and the float edges
 TOKENS = ["0", "-1", "1", "2", "33", "1e9", "-1e9", "1e-300", "nan", "inf",
-          "-inf", "x", "", "0.5", "5e-324", "1e-310", "1e155", "1e300",
-          "1.7e308"]
+          "-inf", "x", "", "0.5", *FLOAT_EDGES]
 
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """The bytes of a 2-frame trajectory file and of its first frame's mask."""
+    """The bytes of a 2-frame trajectory file and of its two frames' masks."""
     root = tmp_path_factory.mktemp("valid")
     traj = synth_trajectory("composite", T=2, seed=0)
     cam = default_camera(SIZE, SIZE)
     fm.write_trajectory(root / "t.txt", traj, cam)
-    poses = forward_kinematics(traj.states[0], ToolGeometry())
-    fm.write_pgm(root / "m.pgm", mt.render_tube(poses, cam))
-    return (root / "t.txt").read_bytes(), (root / "m.pgm").read_bytes()
+    masks = []
+    for state in traj.states:
+        fm.write_pgm(root / "m.pgm", mt.render_tube(
+            forward_kinematics(state, ToolGeometry()), cam))
+        masks.append((root / "m.pgm").read_bytes())
+    return (root / "t.txt").read_bytes(), masks
 
 
 # a metrics report as `eval` writes it
@@ -89,12 +103,45 @@ def mutated(draw, data, text):
     return data
 
 
+def _nan_allowed(name, rows):
+    """(row, column) -> whether the CSV `name` may hold nan there."""
+    if name != "metrics.csv":
+        return lambda r, c: False
+    header, frames = rows[0], rows[1:-1]
+    empty = {c for c in range(1, len(header))
+             if all(row[c] == "nan" for row in frames)}
+    return lambda r, c: ((header[c] == "cd" and r <= len(frames))
+                         or (header[c] in ("ti", "af") and r == 1)
+                         or (r == len(frames) + 1 and c in empty))
+
+
+def _documented_non_finite(out):
+    """Every KVAF plane under out is finite, and every CSV value but those
+    `_nan_allowed`; report.csv copies its inputs' text and is not checked."""
+    for path in Path(out).rglob("*"):
+        if path.suffix == ".kvaf":
+            assert np.isfinite(fm.read_field(path).planes).all(), path.name
+        elif path.suffix == ".csv" and path.name != "report.csv":
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            allowed = _nan_allowed(path.name, rows)
+            for r, row in enumerate(rows):
+                for c, cell in enumerate(row):
+                    try:
+                        finite = np.isfinite(float(cell))
+                    except ValueError:  # a name or a header
+                        continue
+                    assert finite or allowed(r, c), (path.name, r, row)
+
+
 def _exits_cleanly(argv):
-    """Run the CLI on argv: exit 0 leaves stderr empty, exit 1 prints exactly
-    one line, an `error:` line."""
+    """Run the CLI on argv: exit 0 leaves stderr empty and only documented
+    non-finite values, exit 1 prints exactly one line, an `error:` line."""
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-        code = cli.main(["--out", out, *argv])
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["--out", out, *argv])
+        if code == 0:
+            _documented_non_finite(out)
     err = err.getvalue()
     if code == 0:
         assert err == ""
@@ -114,14 +161,32 @@ def test_mutated_trajectory_exits_cleanly(valid_inputs, data, command):
         _exits_cleanly([command, "--traj", str(path)])
 
 
+@pytest.mark.parametrize("value", FLOAT_EDGES)
+@pytest.mark.parametrize("record,pos", [
+    *(("camera", pos) for pos in range(1, 5)),  # fx, fy, cx, cy
+    # the wrist's depth in frame 1 (a jump), and in every frame (no motion)
+    ("dt", 1), ("frame 1", 4), ("frame", 4),
+], ids=["fx", "fy", "cx", "cy", "dt", "frame-1-pz", "every-frame-pz"])
+def test_float_edge_trajectory_value_exits_cleanly(valid_inputs, record, pos,
+                                                   value):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "t.txt"
+        path.write_bytes(valid_inputs[0])
+        path.write_text(_with_value(path, record, pos, value))
+        _exits_cleanly(["run", "--traj", str(path)])
+
+
 @FUZZ
 @given(st.data())
 def test_mutated_mask_exits_cleanly(valid_inputs, data):
-    mask = data.draw(mutated(valid_inputs[1], text=False))
+    pred = list(valid_inputs[1])
+    t = data.draw(st.integers(0, len(pred) - 1))
+    pred[t] = data.draw(mutated(pred[t], text=False))
     with tempfile.TemporaryDirectory() as root:
-        for name, content in (("pred", mask), ("target", valid_inputs[1])):
+        for name, masks in (("pred", pred), ("target", valid_inputs[1])):
             (Path(root) / name).mkdir()
-            (Path(root) / name / "frame_0001.pgm").write_bytes(content)
+            for t, content in enumerate(masks, start=1):
+                (Path(root) / name / f"frame_{t:04d}.pgm").write_bytes(content)
         _exits_cleanly(["eval", "--pred", str(Path(root) / "pred"),
                         "--target", str(Path(root) / "target")])
 

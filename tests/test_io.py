@@ -336,11 +336,14 @@ def test_every_config_value_changes_an_artefact(tmp_path, live_base, name, index
 
 
 def _with_value(traj, record, pos, value):
-    """The trajectory file's text with the value at `pos` replaced in the
-    first line that starts with the words of `record` ("dt", "frame 2")."""
+    """The trajectory file's text with the value at `pos` replaced in each
+    line that starts with the words of `record` ("dt", "frame 2"; "frame"
+    is every frame)."""
     lines = [line.split() for line in Path(traj).read_text().splitlines()]
     key = record.split()
-    next(parts for parts in lines if parts[:len(key)] == key)[pos] = value
+    for parts in lines:
+        if parts[:len(key)] == key:
+            parts[pos] = value
     return "".join(" ".join(parts) + "\n" for parts in lines)
 
 
@@ -349,15 +352,17 @@ def _with_value(traj, record, pos, value):
 TRAJECTORY_VALUES = [
     pytest.param("camera", pos, id=f"camera-{name}") for pos, name in
     enumerate(("fx", "fy", "cx", "cy", "width", "height"), start=1)
-] + [pytest.param("dt", 1, id="dt"), pytest.param("frame", 4, id="frame-1-pz")]
+] + [pytest.param("dt", 1, id="dt"),
+      pytest.param("frame 1", 4, id="frame-1-pz")]
 
 
 @pytest.mark.parametrize("record,pos", TRAJECTORY_VALUES)
 def test_every_trajectory_value_changes_an_artefact(tmp_path, live_base, record,
                                                     pos):
     traj, base = live_base
+    key = record.split()
     old = next(line.split() for line in Path(traj).read_text().splitlines()
-               if line.split()[0] == record)[pos]
+               if line.split()[:len(key)] == key)[pos]
     # scaled by 1.25, the principal point stays inside the frame and the
     # frame size stays an integer (32 -> 40)
     new = float(old) * 1.25
@@ -468,24 +473,44 @@ def _trajectory_file(tmp_path, size, frames=2):
 # table's `*_argv` function writes a row's inputs under the directory `root`
 # and returns the argv that feeds them to `cli.main`.
 
-# (predicted frames, target frames) as P5 bytes
+# (predicted frames, target frames) as P5 bytes, with the error each must
+# give; {root} is the directory the frames are written under
+PRED_1 = "{root}/pred/frame_0001.pgm"
 BAD_MASKS = [
     pytest.param([_pgm_bytes(64, 64)], [_pgm_bytes(256, 256)],
-                 id="size-mismatch"),
-    pytest.param([b"P5\nxx 4\n255\n"], [_pgm_bytes(4, 4)], id="pgm-header"),
+                 "frame 1: target mask (256, 256) vs frame 1's predicted mask "
+                 "(64, 64)", id="size-mismatch"),
+    pytest.param([_pgm_bytes(8, 8), _pgm_bytes(16, 16)],
+                 [_pgm_bytes(8, 8), _pgm_bytes(16, 16)],
+                 "frame 2: predicted mask (16, 16) vs frame 1's predicted mask "
+                 "(8, 8)", id="frame-size-grows"),
+    # a 1-row frame would broadcast against an 8-row one
+    pytest.param([_pgm_bytes(1, 8), _pgm_bytes(8, 8)],
+                 [_pgm_bytes(1, 8), _pgm_bytes(8, 8)],
+                 "frame 2: predicted mask (8, 8) vs frame 1's predicted mask "
+                 "(1, 8)", id="frame-size-broadcasts"),
+    pytest.param([b"P5\nxx 4\n255\n"], [_pgm_bytes(4, 4)],
+                 PRED_1 + ": bad graymap header field b'xx'", id="pgm-header"),
     pytest.param([_pgm_bytes(8, 8, label=5)], [_pgm_bytes(8, 8)],
+                 PRED_1 + ": mask labels must be in {{0, 1, 2, 3}}",
                  id="label-out-of-range"),
     pytest.param([b"P5\n# a 16-bit graymap\n4 4\n65535\n" + bytes(32)],
-                 [_pgm_bytes(4, 4)], id="16-bit"),
-    pytest.param([b"P6\n1 1\n255\nX"], [_pgm_bytes(4, 4)], id="not-p5"),
-    pytest.param([b"P5\n0 4\n255\n"], [_pgm_bytes(4, 4)], id="no-pixels"),
-    pytest.param([b"P5\n4 4\n255\nab"], [_pgm_bytes(4, 4)], id="truncated"),
+                 [_pgm_bytes(4, 4)], PRED_1 + ": only 8-bit graymaps supported",
+                 id="16-bit"),
+    pytest.param([b"P6\n1 1\n255\nX"], [_pgm_bytes(4, 4)],
+                 PRED_1 + ": not a P5 graymap", id="not-p5"),
+    pytest.param([b"P5\n0 4\n255\n"], [_pgm_bytes(4, 4)],
+                 PRED_1 + ": graymap has no pixels", id="no-pixels"),
+    pytest.param([b"P5\n4 4\n255\nab"], [_pgm_bytes(4, 4)],
+                 PRED_1 + ": pixel data truncated", id="truncated"),
     pytest.param([_pgm_bytes(4, 4)] * 2, [_pgm_bytes(4, 4)],
+                 "2 predicted frames vs 1 target frames",
                  id="frame-count-mismatch"),
 ]
 
 
-def mask_argv(root, pred, target):
+def mask_argv(root, pred, target, message=None):
+    """eval of the frames written under root; `message` is the test's."""
     for name, frames in (("pred", pred), ("target", target)):
         (root / name).mkdir()
         for t, data in enumerate(frames, start=1):
@@ -691,12 +716,12 @@ BAD_TRAJECTORY_VALUES = [
         ("frame 2", 8, "99", "frame 2: q_sw=99.0 outside", "q_sw-99"),
         ("extrinsic", 12, "", "line 3: extrinsic line needs 12 values",
          "extrinsic-11-values"),
-        ("frame", 10, "", "line 5: frame line needs index + 9 values",
+        ("frame 1", 10, "", "line 5: frame line needs index + 9 values",
          "frame-8-values"),
         ("dt", 0, "camera", "line 4: repeated camera record",
          "repeated-record"),
         ("frame 2", 1, "1", "line 6: repeated frame 1", "repeated-frame"),
-        ("frame", 3, "nan", "line 5: non-finite action at frame 1",
+        ("frame 1", 3, "nan", "line 5: non-finite action at frame 1",
          "non-finite-action"),
         ("seq", 0, "bogus", "line 1: unknown record 'bogus'",
          "unknown-record"),
@@ -713,6 +738,11 @@ BAD_TRAJECTORY_VALUES = [
         ("frame 2", 5, "1e155",
          "frame 2: the wrist rotation's angle |r| overflows\n",
          "rotation-angle-overflow-1e155"),
+        # the wrist 1e39 m deep in every frame: no motion, but a depth that
+        # KVAF's float32 would store as inf
+        ("frame", 4, "1e39",
+         "frame 1: the tool's depth 1e+39 m exceeds float32's range\n",
+         "depth-beyond-float32"),
     )]
 
 
@@ -862,9 +892,12 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pred,target", BAD_MASKS)
-    def test_eval_bad_masks_clean_error(self, tmp_path, capsys, pred, target):
-        _one_error_line(capsys, mask_argv(tmp_path, pred, target))
+    @pytest.mark.parametrize("pred,target,message", BAD_MASKS)
+    def test_eval_bad_masks_clean_error(self, tmp_path, capsys, pred, target,
+                                        message):
+        # an error in one file names the file
+        err = _one_error_line(capsys, mask_argv(tmp_path, pred, target))
+        assert err == f"error: {message.format(root=tmp_path)}\n"
 
     @pytest.mark.parametrize("resolution", BAD_RESOLUTIONS)
     def test_bad_resolution_clean_error(self, tmp_path, capsys, resolution):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kvacontrol import metrics as mt
 from kvacontrol.errors import InvalidParams
@@ -20,6 +21,8 @@ from kvacontrol.kinematics import (
     project,
     synth_trajectory,
 )
+
+import reference_metrics as ref_mt
 
 
 def brute_force_edt(mask):
@@ -81,31 +84,28 @@ class TestChamfer:
     def test_identical_masks_zero(self):
         rng = np.random.default_rng(0)
         mask = rng.random((20, 20)) < 0.2
-        value, valid = mt.chamfer(mask, mask)
-        assert valid and value == 0.0
+        assert mt.chamfer(mask, mask) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         A = rng.random((15, 15)) < 0.2
         B = rng.random((15, 15)) < 0.2
-        va, _ = mt.chamfer(A, B)
-        vb, _ = mt.chamfer(B, A)
+        va = mt.chamfer(A, B)
+        vb = mt.chamfer(B, A)
         assert va == pytest.approx(vb, abs=1e-12)
 
     def test_empty_invalid(self):
         mask = np.ones((5, 5), dtype=bool)
         empty = np.zeros((5, 5), dtype=bool)
         for a, b in ((mask, empty), (empty, mask), (empty, empty)):
-            value, valid = mt.chamfer(a, b)
-            assert not valid and np.isnan(value)
+            assert np.isnan(mt.chamfer(a, b))
 
     def test_two_pixel_hand_case(self):
         A = np.zeros((8, 8), dtype=bool)
         B = np.zeros((8, 8), dtype=bool)
         A[2, 2] = True
         B[2, 6] = True
-        value, valid = mt.chamfer(A, B)
-        assert valid and value == pytest.approx(4.0)
+        assert mt.chamfer(A, B) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("seed,frame,a_at,b_at", [
         *((s, (14, 11), (0, 0), (0, 0)) for s in range(6)),
@@ -124,8 +124,7 @@ class TestChamfer:
         pb = np.argwhere(B).astype(float)
         d_ab = np.sqrt(((pa[:, None] - pb[None]) ** 2).sum(-1))
         expected = 0.5 * (d_ab.min(axis=1).mean() + d_ab.min(axis=0).mean())
-        value, valid = mt.chamfer(A, B)
-        assert valid
+        value = mt.chamfer(A, B)
         # exact: the same integer squared distances, averaged in the same
         # row-major order over the uncropped frame
         assert value == expected
@@ -136,7 +135,7 @@ class TestChamfer:
         prev = None
         for shift in (0, 3, 8):
             moved = np.roll(base, shift, axis=1)
-            value, _ = mt.chamfer(base, moved)
+            value = mt.chamfer(base, moved)
             if prev is not None:
                 assert value > prev
             prev = value
@@ -216,33 +215,13 @@ class TestDice:
             assert mt.dice(A, B) == pytest.approx(2 * J / (1 + J), abs=1e-12)
 
 
-class TestAggregate:
-    def test_means_skip_nan(self):
-        report = mt.aggregate([1.0, float("nan"), 3.0], [0.5, 0.7],
-                              [0.1, 0.3], [1.0, 0.8])
-        assert report.mean_cd == pytest.approx(2.0)
-        assert report.skipped_cd == 1
-        assert report.mean_ti == pytest.approx(0.6)
-        assert report.mean_af == pytest.approx(0.2)
-        assert report.mean_dice == pytest.approx(0.9)
-
-    def test_all_invalid(self):
-        report = mt.aggregate([float("nan")], [], [], [])
-        assert np.isnan(report.mean_cd)
-        assert report.skipped_cd == 1
-
-
 class TestEvaluateSequence:
-    def _frame(self, label_array):
-        return mt.MaskFrame(labels=np.asarray(label_array))
-
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
-        frames = [self._frame(rng.integers(0, 4, size=(16, 16)))
-                  for _ in range(3)]
+        frames = list(rng.integers(0, 4, size=(3, 16, 16)))
         report = mt.evaluate_sequence(frames, frames)
-        assert report.mean_cd == 0.0
-        assert report.mean_dice == 1.0
+        assert report.means[0] == 0.0
+        assert report.means[3] == 1.0
 
     def test_per_part_chamfer(self):
         # part 1 offset by 2 px, part 2 perfect; mean CD = 1.0
@@ -251,23 +230,109 @@ class TestEvaluateSequence:
         a[4, 4] = 1
         b[4, 6] = 1
         a[10, 10] = b[10, 10] = 2
-        report = mt.evaluate_sequence([self._frame(a)], [self._frame(b)])
-        assert report.cd[0] == pytest.approx(1.0)
-
-    def test_label_bounds_checked(self):
-        with pytest.raises(ValueError):
-            mt.MaskFrame(labels=np.full((4, 4), 5))
+        report = mt.evaluate_sequence([a], [b])
+        assert report.frames[0, 0] == pytest.approx(1.0)
 
     def test_temporal_metrics_use_pred_unions(self):
         a = np.zeros((8, 8), dtype=int)
         a[0, :4] = 1  # union area 4
         b = np.zeros((8, 8), dtype=int)
         b[0, :2] = 3  # union area 2, intersection 2 -> TI 0.5, AF 2/4
-        target = self._frame(np.zeros((8, 8), dtype=int))
-        report = mt.evaluate_sequence([self._frame(a), self._frame(b)],
-                                      [target, target])
-        assert report.ti[0] == pytest.approx(0.5)
-        assert report.af[0] == pytest.approx(0.5)
+        target = np.zeros((8, 8), dtype=int)
+        report = mt.evaluate_sequence([a, b], [target, target])
+        assert np.isnan(report.frames[0, 1:3]).all()
+        assert report.frames[1, 1] == pytest.approx(0.5)
+        assert report.frames[1, 2] == pytest.approx(0.5)
+
+    def test_means_skip_nan(self):
+        # cd 1, nan (the shaft in the target alone, the gripper in the
+        # prediction alone), 3; frame 1's ti and af are nan, so those means
+        # are over frames 2 and 3
+        a, b = np.zeros((3, 12, 12), dtype=int), np.zeros((3, 12, 12), dtype=int)
+        a[0, 5, 5] = a[2, 5, 5] = 1
+        b[0, 5, 6] = b[1, 5, 5] = b[2, 5, 8] = 1
+        a[1, 0, 0] = 3
+        report = mt.evaluate_sequence(list(a), list(b))
+        np.testing.assert_array_equal(report.frames[:, 0], [1.0, np.nan, 3.0])
+        assert report.skipped_cd == 1
+        np.testing.assert_array_equal(
+            report.means, [2.0, np.mean(report.frames[1:, 1]),
+                           np.mean(report.frames[1:, 2]),
+                           np.mean(report.frames[:, 3])])
+
+    def test_all_cd_skipped(self):
+        # one frame, empty in the target: no cd, no ti or af, Dice 0
+        a = np.zeros((4, 4), dtype=int)
+        a[1, 1] = 2
+        report = mt.evaluate_sequence([a], [np.zeros((4, 4), dtype=int)])
+        np.testing.assert_array_equal(report.means, [np.nan, np.nan, np.nan, 0.0])
+        assert report.skipped_cd == 1
+
+
+def _assert_matches_reference(pred, target):
+    rows, skipped = ref_mt.evaluate_sequence(pred, target)
+    report = mt.evaluate_sequence(pred, target)
+    table = np.vstack([report.frames, report.means])
+    assert table.tobytes() == np.array(rows).tobytes()
+    assert report.skipped_cd == skipped
+
+
+def _labels(rng, frames, shape, blank):
+    """frames random label masks, frame t emptied where blank[t]."""
+    labels = rng.integers(0, 4, size=(frames, *shape))
+    labels *= rng.random((frames, *shape)) < rng.uniform(0.05, 0.6)
+    labels[blank] = 0
+    return list(labels)
+
+
+@st.composite
+def label_stacks(draw):
+    """Predicted and target (T, H, W) label stacks, mostly background."""
+    shape = (draw(st.integers(1, 6)),
+             *draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9)))
+    labels = st.sampled_from([0, 0, 0, 1, 2, 3])
+    return [list(draw(hnp.arrays(np.int64, shape, elements=labels)))
+            for _ in range(2)]
+
+
+class TestTableMatchesReference:
+    """The table holds the bits of the per-frame forms in
+    `tests/reference_metrics.py`, the means and skipped_cd included."""
+
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 8), (16, 16)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("frames", [1, 2, 10])
+    def test_random_labels(self, shape, frames):
+        rng = np.random.default_rng(frames * 100 + shape[0])
+        # frames empty on both sides, in the prediction or in the target alone
+        both, pred_only, target_only = (rng.random(frames) < 0.25
+                                        for _ in range(3))
+        pred = _labels(rng, frames, shape, both | target_only)
+        target = _labels(rng, frames, shape, both | pred_only)
+        _assert_matches_reference(pred, target)
+
+    @pytest.mark.parametrize("frames", [1, 2, 10])
+    def test_every_frame_empty(self, frames):
+        empty = [np.zeros((5, 3), dtype=int)] * frames
+        _assert_matches_reference(empty, empty)
+        full = [np.full((5, 3), 2)] * frames
+        _assert_matches_reference(full, empty)
+        _assert_matches_reference(empty, full)
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_stacks())
+    def test_drawn_label_stacks(self, stacks):
+        _assert_matches_reference(*stacks)
+
+    def test_stacked_forms_match_per_frame(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.random((2, 7, 6, 5)) < [[[[0.1]]], [[[0.4]]]]
+        a[2] = b[3] = b[4] = a[4] = False
+        for stacked, single in ((mt.temporal_iou, ref_mt.temporal_iou),
+                                (mt.area_flicker, ref_mt.area_flicker),
+                                (mt.dice, ref_mt.dice)):
+            want = [single(x, y) for x, y in zip(a, b)]
+            assert stacked(a, b).tobytes() == np.array(want).tobytes()
 
 
 class TestRenderTube:

@@ -82,7 +82,7 @@ ALLOWED_LINES = {
         "least one frame of at least 1x1 pixels",
     "metrics.distance_transform: return np.full":
         "without it an empty mask's transform reads a finite 1e9 everywhere; "
-        "chamfer returns invalid before it transforms an empty mask",
+        "chamfer returns nan before it transforms an empty mask",
     "priors.grad_check: raise NonFiniteGradient":
         "without it a NaN gradient would report an error of 0.0, since "
         "Python's max drops NaN; no finite CLI input is known to reach it",
