@@ -61,8 +61,8 @@ from . import priors as pr
 from . import routing as rt
 from . import scheduler as sched
 from ._columns import columns, fold
-from .errors import (EmptyCorpus, InvalidParams, KvaControlError,
-                     LabelOutOfRange, ParseError, ShapeMismatch)
+from .errors import (EmptyCorpus, InvalidParams, KvaControlError, ParseError,
+                     ShapeMismatch)
 from .formats import (
     Config,
     atomic_write_text,
@@ -434,8 +434,7 @@ def _read_mask_dir(path):
         file = os.path.join(path, name)
         try:
             labels = read_pgm(file)
-            if labels.max() > 3:
-                raise LabelOutOfRange("mask labels must be in {0, 1, 2, 3}")
+            mt.check_labels(labels)
         except KvaControlError as exc:
             raise type(exc)(f"{file}: {exc}") from exc
         masks.append(labels)

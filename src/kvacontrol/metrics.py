@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, LabelOutOfRange
 from .kinematics import (
     PART_SEMANTIC_CLASS,
     Z_NEAR,
@@ -139,12 +139,20 @@ class MetricsReport:
     skipped_cd: int
 
 
+def check_labels(labels):
+    """Raise LabelOutOfRange unless every label is 0, 1, 2 or 3."""
+    if labels.min() < 0 or labels.max() > 3:
+        raise LabelOutOfRange("mask labels must be in {0, 1, 2, 3}")
+
+
 def evaluate_sequence(pred, target) -> MetricsReport:
     """The table of two sequences of equal-shape (H, W) label masks: CD on
     the per-label masks, TI and AF between consecutive predicted unions
     (nan at frame 1), Dice between the predicted and target unions."""
     frames = np.full((len(pred), 4), np.nan)
     for row, p, q in zip(frames, pred, target):
+        check_labels(p)
+        check_labels(q)
         cds = []
         for label in (1, 2, 3):
             pm, tm = p == label, q == label

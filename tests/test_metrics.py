@@ -233,6 +233,13 @@ class TestEvaluateSequence:
         report = mt.evaluate_sequence([a], [b])
         assert report.frames[0, 0] == pytest.approx(1.0)
 
+    def test_label_bounds_checked(self):
+        ok = np.zeros((4, 4), dtype=int)
+        for bad in (np.full((4, 4), 5), np.full((4, 4), -1)):
+            for pred, target in (([bad], [ok]), ([ok], [bad])):
+                with pytest.raises(ValueError, match="must be in"):
+                    mt.evaluate_sequence(pred, target)
+
     def test_temporal_metrics_use_pred_unions(self):
         a = np.zeros((8, 8), dtype=int)
         a[0, :4] = 1  # union area 4
